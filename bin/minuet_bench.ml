@@ -155,7 +155,7 @@ let check_report_cmd =
    on any serializability/snapshot violation or audit failure. *)
 let chaos_cmd =
   let doc =
-    "Run a fault-injection storm (crashes, mid-2PC crashes, partitions, mirror-link \
+    "Run a fault-injection storm (memnode crashes landing mid-2PC, partitions, mirror-link \
      partitions, replica lag, delay spikes, coordinator stalls, snapshot-service outages) \
      under a mixed workload, then verify the recorded history for strict serializability, \
      exact snapshot semantics and 2PC atomicity. Exits 1 with a minimal counterexample on \
@@ -187,9 +187,10 @@ let chaos_cmd =
   in
   let faults_arg =
     let doc =
-      "Comma-separated fault mix: any of 'crash', 'partition', 'delay', 'stall', 'scs', \
-       'midcrash' (immediate crash landing mid-2PC), 'mpartition' (memnode-to-backup mirror \
-       link cut), 'replag' (loss/latency on the mirror link), or 'all' (default) / 'none'."
+      "Comma-separated fault mix: any of 'crash' (immediate memnode crash, landing mid-2PC \
+       when one is in flight), 'partition', 'delay', 'stall', 'scs', 'mpartition' \
+       (memnode-to-backup mirror link cut), 'replag' (loss/latency on the mirror link), or \
+       'all' (default) / 'none'."
     in
     Arg.(value & opt string "all" & info [ "faults" ] ~docv:"KINDS" ~doc)
   in
@@ -435,15 +436,15 @@ let checker_cmd =
    the same slotted payloads (wall-clock, so exempt from the
    deterministic-time lint like the checker bench above), plus a short
    simulated workload counting decodes avoided and bytes copied per
-   scan hop. Also asserts the format's falsifiability gates: a
-   corrupted slot directory must fail Bnode.decode, and legacy payloads
-   must still decode. Writes BENCH_node.json; exits 1 on any gate. *)
+   scan hop. Also asserts the format's falsifiability gate: a corrupted
+   slot directory must fail Bnode.decode. Writes BENCH_node.json; exits
+   1 on any gate. *)
 let node_cmd =
   let doc =
     "Micro-benchmark the zero-copy node view against an eager decode (ns/lookup on identical \
      slotted payloads), run a short simulated scan workload to count decodes avoided and bytes \
-     copied per scan hop, assert corruption/back-compat gates, and write BENCH_node.json. Exits \
-     1 when the view is less than --min-speedup times faster or any gate fails."
+     copied per scan hop, assert the corruption gate, and write BENCH_node.json. Exits 1 when \
+     the view is less than --min-speedup times faster or any gate fails."
   in
   let seed_arg =
     Arg.(value & opt int 0x5ca9 & info [ "seed" ] ~docv:"SEED" ~doc:"Deterministic seed.")
@@ -515,11 +516,6 @@ let node_cmd =
       | (_ : Bnode.t) -> corrupt_caught := false
       | exception Codec.Decode_error _ -> ()
     done;
-    let legacy_ok =
-      match Bnode.decode (Bnode.encode_legacy leaf) with
-      | n -> Bnode.leaf_entries n = entries
-      | exception Codec.Decode_error _ -> false
-    in
     (* Short simulated scan workload: decodes avoided and bytes copied
        per batched scan hop come from the typed node counters. *)
     let config =
@@ -570,8 +566,7 @@ let node_cmd =
           ("decodes_avoided", Obs.Json.Int decodes_avoided);
           ("bytes_copied_per_scan_hop", Obs.Json.Float bytes_per_hop);
           ("corrupt_dir_caught", Obs.Json.Bool !corrupt_caught);
-          ("legacy_decode_ok", Obs.Json.Bool legacy_ok);
-          ("pass", Obs.Json.Bool (ok_speedup && !corrupt_caught && legacy_ok));
+          ("pass", Obs.Json.Bool (ok_speedup && !corrupt_caught));
         ]
     in
     let path = Filename.concat dir "BENCH_node.json" in
@@ -588,10 +583,6 @@ let node_cmd =
     Printf.printf "  report written to %s\n%!" path;
     if not !corrupt_caught then begin
       prerr_endline "ERROR: a corrupted slot directory decoded successfully";
-      exit 1
-    end;
-    if not legacy_ok then begin
-      prerr_endline "ERROR: legacy payload no longer decodes";
       exit 1
     end;
     if not ok_speedup then begin

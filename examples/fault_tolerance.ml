@@ -50,8 +50,12 @@ let () =
       print_endline "rewrote half the items during the outage";
 
       (* Bring the node back; its state is restored from the replica. *)
-      Minuet.Db.recover_host db 1;
-      print_endline "memnode 1 recovered from its replica";
+      (match Minuet.Db.recover_host db 1 with
+      | Ok () -> print_endline "memnode 1 recovered from its replica"
+      | Error e ->
+          Printf.printf "recovery refused: %s (FAIL)\n%!"
+            (Sinfonia.Cluster.recover_error_to_string e);
+          exit 1);
 
       let gen2 = ref 0 and gen1 = ref 0 and wrong = ref 0 in
       for i = 0 to n - 1 do

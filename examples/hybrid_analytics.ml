@@ -67,5 +67,5 @@ let () =
         !scans;
       Printf.printf "every scan saw a consistent snapshot; no scan ever aborted or blocked\n";
       Printf.printf "gc reclaimed %d superseded node versions along the way\n"
-        (Sim.Metrics.counter_value (Minuet.Db.metrics db) "gc.slots_reclaimed");
+        (Obs.Counter.value (Obs.gc (Minuet.Db.obs db)).Obs.slots_reclaimed);
       Sim.stop ())

@@ -195,36 +195,9 @@ let split t =
 (* Serialization                                                          *)
 (* -------------------------------------------------------------------- *)
 
-(* The wire format is the slotted v2 layout ({!Bview}): a zero-copy-
+(* The wire format is the slotted layout ({!Bview}): a zero-copy-
    searchable slot directory with common-prefix-truncated keys, a
-   content stamp, and a CRC-32 trailer. Nodes that exceed the slotted
-   format's u16 limits (pathologically long keys or entry regions) fall
-   back to the legacy layout; the decoder dispatches on the leading byte
-   (legacy kind bytes 0/1 vs the slotted magic), so pre-v2 payloads
-   still decode. *)
-
-let encode_legacy_into e t =
-  Codec.Enc.u8 e (if is_leaf t then 0 else 1);
-  Codec.Enc.u16 e t.height;
-  Bkey.encode_fence e t.low;
-  Bkey.encode_fence e t.high;
-  Codec.Enc.i64 e t.snap_created;
-  Codec.Enc.array e (Codec.Enc.i64 e) t.descendants;
-  match t.body with
-  | Leaf entries ->
-      Codec.Enc.array e
-        (fun (k, v) ->
-          Bkey.encode e k;
-          Codec.Enc.bytes e v)
-        entries
-  | Internal { keys; children } ->
-      Codec.Enc.array e (Bkey.encode e) keys;
-      Codec.Enc.array e (Objref.encode e) children
-
-let encode_legacy t =
-  let e = Codec.Enc.create ~initial_size:512 () in
-  encode_legacy_into e t;
-  Codec.Enc.to_string e
+   content stamp, and a CRC-32 trailer. *)
 
 let encode_into e t =
   let spec =
@@ -232,40 +205,13 @@ let encode_into e t =
     | Leaf entries -> Bview.Leaf_spec entries
     | Internal { keys; children } -> Bview.Internal_spec (keys, children)
   in
-  if
-    not
-      (Bview.encode_into e ~height:t.height ~low:t.low ~high:t.high ~snap:t.snap_created
-         ~descendants:t.descendants spec)
-  then encode_legacy_into e t
+  Bview.encode_into e ~height:t.height ~low:t.low ~high:t.high ~snap:t.snap_created
+    ~descendants:t.descendants spec
 
 let encode t =
   let e = Codec.Enc.create ~initial_size:512 () in
   encode_into e t;
   Codec.Enc.to_string_with_checksum e
-
-let decode_legacy s =
-  let d = Codec.Dec.of_string s in
-  let kind = Codec.Dec.u8 d in
-  let height = Codec.Dec.u16 d in
-  let low = Bkey.decode_fence d in
-  let high = Bkey.decode_fence d in
-  let snap_created = Codec.Dec.i64 d in
-  let descendants = Codec.Dec.array d Codec.Dec.i64 in
-  let body =
-    match kind with
-    | 0 ->
-        Leaf
-          (Codec.Dec.array d (fun d ->
-               let k = Bkey.decode d in
-               let v = Codec.Dec.bytes d in
-               (k, v)))
-    | 1 ->
-        let keys = Codec.Dec.array d Bkey.decode in
-        let children = Codec.Dec.array d Objref.decode in
-        Internal { keys; children }
-    | b -> raise (Codec.Decode_error (Printf.sprintf "Bnode.decode: bad kind %d" b))
-  in
-  { height; low; high; snap_created; descendants; body }
 
 let of_view v =
   let body =
@@ -282,89 +228,9 @@ let of_view v =
   }
 
 let decode s =
-  if String.length s = 0 then raise (Codec.Decode_error "Bnode.decode: empty payload");
-  match Char.code s.[0] with
-  | b when b = Bview.magic ->
-      let v = Bview.of_string s in
-      Bview.verify_crc v;
-      of_view v
-  | 0 | 1 -> decode_legacy s
-  | b -> raise (Codec.Decode_error (Printf.sprintf "Bnode.decode: bad kind %d" b))
-
-let encoded_size t = String.length (encode t)
-
-(* -------------------------------------------------------------------- *)
-(* Views                                                                  *)
-(* -------------------------------------------------------------------- *)
-
-module View = struct
-  type node = t
-
-  (* A node as fetched from the wire: slotted payloads are consumed in
-     place, legacy payloads decode eagerly (they have no slot
-     directory to search). *)
-  type t = Slotted of Bview.t | Decoded of node
-
-  let of_payload s =
-    if Bview.is_slotted s then Slotted (Bview.of_string s) else Decoded (decode s)
-
-  let is_slotted = function Slotted _ -> true | Decoded _ -> false
-
-  (* Materialisation is the only point that trusts the bytes enough to
-     rewrite them, so it is where the CRC trailer is verified. *)
-  let materialise = function
-    | Slotted v ->
-        Bview.verify_crc v;
-        of_view v
-    | Decoded n -> n
-
-  let payload_length = function Slotted v -> Bview.payload_length v | Decoded _ -> 0
-
-  let is_leaf = function Slotted v -> Bview.is_leaf v | Decoded n -> is_leaf n
-
-  let height = function Slotted v -> Bview.height v | Decoded n -> n.height
-
-  let low = function Slotted v -> Bview.low v | Decoded n -> n.low
-
-  let high = function Slotted v -> Bview.high v | Decoded n -> n.high
-
-  let snap_created = function Slotted v -> Bview.snap_created v | Decoded n -> n.snap_created
-
-  let in_range t k =
-    match t with
-    | Slotted v -> Bview.in_range v k
-    | Decoded n -> Bkey.in_range k ~low:n.low ~high:n.high
-
-  let exists_descendant t pred =
-    match t with
-    | Slotted v -> Bview.exists_descendant v pred
-    | Decoded n -> Array.exists pred n.descendants
-
-  let nkeys = function Slotted v -> Bview.nkeys v | Decoded n -> nkeys n
-
-  let leaf_find t k =
-    match t with Slotted v -> Bview.leaf_find v k | Decoded n -> leaf_find n k
-
-  let lower_bound t k =
-    match t with Slotted v -> Bview.lower_bound v k | Decoded n -> leaf_entries_from n k
-
-  let leaf_entry t i =
-    match t with
-    | Slotted v -> Bview.leaf_entry v i
-    | Decoded n -> (as_leaf n).(i)
-
-  let child_for t k =
-    match t with Slotted v -> Bview.child_for v k | Decoded n -> child_for n k
-
-  let child_at t i =
-    match t with Slotted v -> Bview.child_at v i | Decoded n -> child_at n i
-
-  let child_count t =
-    match t with
-    | Slotted v -> Bview.child_count v
-    | Decoded n -> (
-        match n.body with Internal { children; _ } -> Array.length children | Leaf _ -> 0)
-end
+  let v = Bview.of_string s in
+  Bview.verify_crc v;
+  of_view v
 
 (* -------------------------------------------------------------------- *)
 (* Validation                                                             *)

@@ -105,69 +105,24 @@ val split : t -> t * Bkey.t * t
 
 (** {1 Serialization}
 
-    The wire format is the slotted v2 layout ({!Bview}) framed with a
-    CRC-32 trailer; nodes exceeding its u16 limits fall back to the
-    legacy layout. {!decode} dispatches on the leading byte, so pre-v2
-    payloads (and the rare legacy fallback) still decode. *)
+    The wire format is the slotted layout ({!Bview}) framed with a
+    CRC-32 trailer. Traversals and scans read payloads in place through
+    {!Bview}; only the write/split path materialises a node, through
+    {!of_view} after {!Bview.verify_crc}. *)
 
 val encode : t -> string
 
 val encode_into : Codec.Enc.t -> t -> unit
 (** Append the node's content to a (reusable) encoder; frame the result
-    with {!Codec.Enc.to_string_with_checksum}. *)
-
-val encode_legacy : t -> string
-(** The pre-v2 format, exactly as historical payloads were written
-    (no CRC trailer). Kept for back-compat tests. *)
+    with {!Codec.Enc.to_string_with_checksum}. Raises
+    [Invalid_argument] on a node too large for any slot
+    ({!Bview.encode_into}). *)
 
 val decode : string -> t
-(** Decode either format; slotted payloads are CRC-verified. Raises
-    {!Codec.Decode_error} on corruption. *)
+(** Parse and CRC-verify a payload. Raises {!Codec.Decode_error} on
+    corruption. *)
 
 val of_view : Bview.t -> t
-
-val encoded_size : t -> int
-
-(** {1 Zero-copy views}
-
-    A node as fetched from the wire. Slotted payloads answer lookups in
-    place through {!Bview}; legacy payloads decode eagerly. Traversals
-    and scans consume views; {!View.materialise} (which CRC-verifies
-    slotted payloads) is reserved for the write/split path. *)
-
-module View : sig
-  type node := t
-
-  type t = Slotted of Bview.t | Decoded of node
-
-  val of_payload : string -> t
-  (** Raises {!Codec.Decode_error} on empty/corrupt payloads. *)
-
-  val is_slotted : t -> bool
-
-  val materialise : t -> node
-
-  val payload_length : t -> int
-  (** Raw payload bytes backing a slotted view (0 for decoded nodes). *)
-
-  val is_leaf : t -> bool
-  val height : t -> int
-  val low : t -> Bkey.fence
-  val high : t -> Bkey.fence
-  val snap_created : t -> int64
-  val in_range : t -> Bkey.t -> bool
-  val exists_descendant : t -> (int64 -> bool) -> bool
-  val nkeys : t -> int
-  val leaf_find : t -> Bkey.t -> string option
-
-  val lower_bound : t -> Bkey.t -> int
-  (** Index of the first entry with key [>=] the argument. *)
-
-  val leaf_entry : t -> int -> Bkey.t * string
-  val child_for : t -> Bkey.t -> int * Dyntxn.Objref.t
-  val child_at : t -> int -> Dyntxn.Objref.t
-  val child_count : t -> int
-end
 
 (** {1 Validation (tests)} *)
 

@@ -1,15 +1,15 @@
-(* Zero-copy view over the slotted (v2) node wire format.
+(* Zero-copy view over the slotted node wire format.
 
    A view wraps the raw payload string fetched from a memnode and
    answers point lookups, child routing and fence checks by reading
    offsets in place: binary search probes compare byte spans against the
    query key, and no per-key string is materialised. Decoding into a
-   {!Bnode.t} happens only on the write/split path ({!Bnode.View.materialise}).
+   {!Bnode.t} happens only on the write/split path ({!Bnode.of_view}).
 
    Wire layout (all integers little-endian):
 
    {v
-     off  0: u8   magic (0xB5 — distinct from the legacy kind bytes 0/1)
+     off  0: u8   magic (0xB5)
      off  1: u8   kind (0 = leaf, 1 = internal)
      off  2: u16  height
      off  4: i64  stamp: FNV-1a-64 over content bytes [12, crc), patched
@@ -63,8 +63,6 @@ type t = {
   entries_off : int;
   content_end : int;  (* offset of the CRC trailer *)
 }
-
-let is_slotted s = String.length s > 0 && Char.code s.[0] = magic
 
 (* Lexicographic compare of [a.(apos .. apos+alen)] vs
    [b.(bpos .. bpos+blen)] without materialising either span. Bounds are
@@ -298,9 +296,6 @@ let same_stamp a b =
   && Char.code b.[0] = magic
   && Int64.equal (String.get_int64_le a 4) (String.get_int64_le b 4)
 
-let stamp_of_payload s =
-  if is_slotted s && String.length s >= 12 then Some (String.get_int64_le s 4) else None
-
 (* Testing hook: byte range of the slot directory, for corruption
    falsifiability checks. *)
 let dir_bounds t = (t.dir_off, 2 * t.nkeys)
@@ -313,8 +308,9 @@ let stamped_from = 12
 
 (* Whether the slotted format can represent this node: every u16 field
    (suffix lengths, directory offsets, counts, prefix, fences) must fit.
-   Oversized nodes fall back to the legacy format — the decoder
-   dispatches on the leading byte either way. *)
+   A node failing this would encode to more than 64 KiB, so it fits no
+   slot ([Layout.make] caps node_size at 64 KiB): this is a check, never
+   a path real nodes take. *)
 let rep_ok ~low ~high ~descendants ~prefix_len ~keys ~entry_extra =
   let fence_ok = function Bkey.Key k -> String.length k <= 0xffff | _ -> true in
   let nkeys = Array.length keys in
@@ -354,9 +350,7 @@ type body_spec =
   | Internal_spec of Bkey.t array * Objref.t array
 
 (* Append the slotted content (no CRC trailer — the caller frames it
-   with [Codec.Enc.to_string_with_checksum]). Returns [false] without
-   touching the encoder when the node exceeds the format's u16 limits,
-   so the caller can fall back to the legacy encoding. *)
+   with [Codec.Enc.to_string_with_checksum]). *)
 let encode_into e ~height ~low ~high ~snap ~descendants body =
   let keys =
     match body with
@@ -369,7 +363,8 @@ let encode_into e ~height ~low ~high ~snap ~descendants body =
     | Leaf_spec entries -> fun i -> varint_size (String.length (snd entries.(i))) + String.length (snd entries.(i))
     | Internal_spec _ -> fun _ -> 0
   in
-  if not (rep_ok ~low ~high ~descendants ~prefix_len ~keys ~entry_extra) then false
+  if not (rep_ok ~low ~high ~descendants ~prefix_len ~keys ~entry_extra) then
+    invalid_arg "Bview.encode_into: node exceeds the slotted format's u16 limits"
   else begin
     let open Codec.Enc in
     let start = length e in
@@ -416,6 +411,5 @@ let encode_into e ~height ~low ~high ~snap ~descendants body =
             u16 e suffix;
             raw_sub e k prefix_len suffix)
           keys);
-    patch_i64 e ~pos:(start + stamp_pos) (fnv1a64_from e ~pos:(start + stamped_from));
-    true
+    patch_i64 e ~pos:(start + stamp_pos) (fnv1a64_from e ~pos:(start + stamped_from))
   end

@@ -1,4 +1,4 @@
-(** Zero-copy view over the slotted (v2) node wire format.
+(** Zero-copy view over the slotted node wire format.
 
     A view wraps the raw payload bytes fetched from a memnode and
     answers [leaf_find] / [child_for] / fence checks by binary-searching
@@ -13,10 +13,7 @@
 type t
 
 val magic : int
-(** Leading byte of the slotted format (0xB5), distinct from the legacy
-    kind bytes 0/1 so decoders can dispatch. *)
-
-val is_slotted : string -> bool
+(** Leading byte of every node payload (0xB5). *)
 
 val of_string : string -> t
 (** Parse and bounds-validate the header and slot directory. Raises
@@ -86,8 +83,6 @@ val same_stamp : string -> string -> bool
     content stamp — the object cache's revalidation predicate; neither
     payload is decoded. *)
 
-val stamp_of_payload : string -> int64 option
-
 val dir_bounds : t -> int * int
 (** [(offset, length)] of the slot directory within the payload — a
     testing hook for corruption falsifiability checks. *)
@@ -106,8 +101,10 @@ val encode_into :
   snap:int64 ->
   descendants:int64 array ->
   body_spec ->
-  bool
+  unit
 (** Append the slotted content (stamp patched in, no CRC trailer — the
-    caller frames with {!Codec.Enc.to_string_with_checksum}). Returns
-    [false], leaving the encoder untouched, when the node exceeds the
-    format's u16 limits; callers fall back to the legacy encoding. *)
+    caller frames with {!Codec.Enc.to_string_with_checksum}). Raises
+    [Invalid_argument], leaving the encoder untouched, when the node
+    exceeds the format's u16 limits. Such a node would encode to more
+    than 64 KiB and so fits no slot ({!Layout.make} caps [node_size] at
+    64 KiB). *)

@@ -15,6 +15,8 @@ let seq_entry_len = 16
 let make ?(node_size = 4096) ?(max_slots = 8192) ?(max_trees = 32) ?(max_snapshots = 4096)
     ?(max_memnodes = 64) () =
   if node_size < 128 then invalid_arg "Layout.make: node_size too small";
+  (* The slotted node format addresses its entries with u16 offsets. *)
+  if node_size > 65536 then invalid_arg "Layout.make: node_size above 64 KiB";
   if max_slots <= 0 || max_trees <= 0 || max_snapshots <= 0 || max_memnodes <= 0 then
     invalid_arg "Layout.make: sizes must be positive";
   { node_size; max_slots; max_trees; max_snapshots; max_memnodes }

@@ -34,7 +34,9 @@ val make :
   unit ->
   t
 (** Defaults: 4096-byte nodes, 8192 slots, 32 trees, 4096 snapshots,
-    64 memnodes. *)
+    64 memnodes. Raises [Invalid_argument] unless
+    [128 <= node_size <= 65536]: the slotted node format ({!Bview})
+    addresses a node's entries with u16 offsets. *)
 
 val heap_capacity_needed : t -> int
 (** Minimum memnode heap capacity for this layout. *)

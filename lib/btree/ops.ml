@@ -2,7 +2,6 @@ open Sinfonia
 module Objref = Dyntxn.Objref
 module Txn = Dyntxn.Txn
 module Objcache = Dyntxn.Objcache
-module View = Bnode.View
 
 type mode = Dirty_traversal | Validated_traversal
 
@@ -41,7 +40,7 @@ type tree = {
      are immutable, so a (ptr, seq) pair identifies the parsed view
      forever. Purely a wall-clock optimization of the simulator — no
      simulated cost depends on it. *)
-  view_memo : (Objref.t * int64, View.t) Hashtbl.t;
+  view_memo : (Objref.t * int64, Bview.t) Hashtbl.t;
   (* Reusable encoder for the node-write path: reset per write, the
      framed payload is extracted in a single allocation. *)
   enc : Codec.Enc.t;
@@ -124,23 +123,17 @@ type vctx = {
 (* Used on cold paths (snapshot creation, audit helpers) that want a
    fully materialised node straight away. *)
 let decode_node txn payload =
-  if String.length payload = 0 then Txn.abort txn
-  else
-    match Bnode.decode payload with
-    | node -> node
-    | exception Codec.Decode_error _ -> Txn.abort txn
+  match Bnode.decode payload with
+  | node -> node
+  | exception Codec.Decode_error _ -> Txn.abort txn
 
-(* Hot-path variant: wrap the wire bytes in a zero-copy view. Slotted
-   payloads answer searches in place; legacy payloads fall back to a
-   full decode inside the view. *)
+(* Hot-path variant: wrap the wire bytes in a zero-copy view that
+   answers searches in place. An empty (never written) slot fails to
+   parse like any other torn payload. *)
 let view_of_payload txn payload =
-  if String.length payload = 0 then Txn.abort txn
-  else
-    match View.of_payload payload with
-    | v -> v
-    | exception Codec.Decode_error _ -> Txn.abort txn
-
-let count_view tree v = if View.is_slotted v then Obs.Counter.incr tree.nstats.Obs.view_hits
+  match Bview.of_string payload with
+  | v -> v
+  | exception Codec.Decode_error _ -> Txn.abort txn
 
 let view_node_memo tree txn ptr seq payload =
   (* Never memoize a read served from the transaction's own buffered
@@ -151,11 +144,11 @@ let view_node_memo tree txn ptr seq payload =
     let key = (ptr, seq) in
     match Hashtbl.find_opt tree.view_memo key with
     | Some v ->
-        count_view tree v;
+        Obs.Counter.incr tree.nstats.Obs.view_hits;
         v
     | None ->
         let v = view_of_payload txn payload in
-        count_view tree v;
+        Obs.Counter.incr tree.nstats.Obs.view_hits;
         if Hashtbl.length tree.view_memo >= decode_memo_capacity then
           Hashtbl.reset tree.view_memo;
         Hashtbl.add tree.view_memo key v;
@@ -167,12 +160,10 @@ let view_node_memo tree txn ptr seq payload =
    checksum is verified (reads are guarded by the traversal safety
    checks instead, like any other unvalidated data). *)
 let materialise tree txn v =
-  if View.is_slotted v then begin
-    Obs.Counter.incr tree.nstats.Obs.materialisations;
-    Obs.Counter.add tree.nstats.Obs.node_bytes_copied (View.payload_length v)
-  end;
-  match View.materialise v with
-  | node -> node
+  Obs.Counter.incr tree.nstats.Obs.materialisations;
+  Obs.Counter.add tree.nstats.Obs.node_bytes_copied (Bview.payload_length v);
+  match Bview.verify_crc v with
+  | () -> Bnode.of_view v
   | exception Codec.Decode_error _ -> Txn.abort txn
 
 (* Read an internal node during traversal. In dirty mode this is a plain
@@ -190,7 +181,7 @@ let read_internal tree txn (ptr : Objref.t) =
       let v = view_node_memo tree txn ptr seq payload in
       (* Only internal nodes have replicated sequence-number entries; a
          one-level tree's root is a leaf and is validated directly. *)
-      if not (View.is_leaf v) then
+      if not (Bview.is_leaf v) then
         Txn.validate_replicated txn
           ~off:(Layout.seq_entry_off tree.layout ptr.Objref.addr)
           ~seq;
@@ -230,27 +221,27 @@ let write_node tree txn (ptr : Objref.t) (node : Bnode.t) =
 
 (* Safety checks executed at every visited node. Aborting (rather than
    failing) is correct: the retry re-traverses with fresh data. *)
-let check_node tree txn vctx (v : View.t) k =
+let check_node tree txn vctx (v : Bview.t) k =
   (* Fence keys: [k] must be within the node's responsibility range. *)
-  if not (View.in_range v k) then begin
+  if not (Bview.in_range v k) then begin
     Obs.Counter.incr tree.stats.Obs.abort_fence;
     Obs.abort tree.obs ~layer:Obs.Abort.Btree Obs.Abort.Fence_violation;
     Txn.abort txn
   end;
   (* The node's version must lie on the path to [vctx.snap]... *)
-  if not (vctx.is_ancestor (View.snap_created v) vctx.snap) then begin
+  if not (vctx.is_ancestor (Bview.snap_created v) vctx.snap) then begin
     Obs.Counter.incr tree.stats.Obs.abort_version;
     Obs.abort tree.obs ~layer:Obs.Abort.Btree Obs.Abort.Snapshot_stale;
     Txn.abort txn
   end;
   (* ...and must not have been superseded by a copy on that path. *)
-  if View.exists_descendant v (fun d -> vctx.is_ancestor d vctx.snap) then begin
+  if Bview.exists_descendant v (fun d -> vctx.is_ancestor d vctx.snap) then begin
     Obs.Counter.incr tree.stats.Obs.abort_copied;
     Obs.abort tree.obs ~layer:Obs.Abort.Btree Obs.Abort.Snapshot_stale;
     Txn.abort txn
   end
 
-type step = { s_ptr : Objref.t; s_view : View.t; s_child : int }
+type step = { s_ptr : Objref.t; s_view : Bview.t; s_child : int }
 
 (* Traverse from the root to the leaf responsible for [k] at
    [vctx.snap]. Returns the internal path (root first) and the leaf. *)
@@ -267,19 +258,19 @@ let traverse ?(read_only = false) tree txn vctx k =
      set. *)
   let root = read_internal tree txn vctx.root in
   let root =
-    if View.is_leaf root && vctx.writable then read_leaf tree txn vctx ~read_only vctx.root
+    if Bview.is_leaf root && vctx.writable then read_leaf tree txn vctx ~read_only vctx.root
     else root
   in
   check_node tree txn vctx root k;
-  let rec descend path ptr (v : View.t) =
-    if View.is_leaf v then (List.rev path, ptr, v)
+  let rec descend path ptr (v : Bview.t) =
+    if Bview.is_leaf v then (List.rev path, ptr, v)
     else begin
-      let idx, child_ptr = View.child_for v k in
+      let idx, child_ptr = Bview.child_for v k in
       let child =
-        if View.height v > 1 then read_internal tree txn child_ptr
+        if Bview.height v > 1 then read_internal tree txn child_ptr
         else read_leaf tree txn vctx ~read_only child_ptr
       in
-      if View.height child <> View.height v - 1 then begin
+      if Bview.height child <> Bview.height v - 1 then begin
         (* Fatal inconsistency (Fig. 5 line 15): stale pointers led us to
            a node at the wrong level. *)
         Obs.Counter.incr tree.stats.Obs.abort_height;
@@ -411,10 +402,10 @@ and relink tree txn vctx ~at ~old_ptr ~(old : Bnode.t) ~new_ptr =
     | Bkey.Neg_inf -> ""
     | Bkey.Pos_inf -> assert false
   in
-  let rec descend path ptr (v : View.t) =
-    if View.height v <= old.Bnode.height then (* overshot: stale state *) Txn.abort txn
+  let rec descend path ptr (v : Bview.t) =
+    if Bview.height v <= old.Bnode.height then (* overshot: stale state *) Txn.abort txn
     else begin
-      let idx, child_ptr = View.child_for v probe_key in
+      let idx, child_ptr = Bview.child_for v probe_key in
       if Objref.equal child_ptr old_ptr then
         (* [path] already lists deepest parents first. *)
         apply_up tree txn sub_vctx
@@ -422,7 +413,7 @@ and relink tree txn vctx ~at ~old_ptr ~(old : Bnode.t) ~new_ptr =
           (Replace new_ptr)
       else begin
         let child = read_internal tree txn child_ptr in
-        if View.height child <> View.height v - 1 then Txn.abort txn;
+        if Bview.height child <> Bview.height v - 1 then Txn.abort txn;
         check_node tree txn sub_vctx child probe_key;
         descend ({ s_ptr = ptr; s_view = v; s_child = idx } :: path) child_ptr child
       end
@@ -533,7 +524,7 @@ let with_retries tree op_name f =
 
 let get_in_txn tree txn vctx k =
   let _, _, leaf = traverse ~read_only:true tree txn vctx k in
-  View.leaf_find leaf k
+  Bview.leaf_find leaf k
 
 let put_in_txn tree txn vctx k v =
   if not vctx.writable then invalid_arg "Ops.put: read-only snapshot";
@@ -565,14 +556,14 @@ let remove tree ~vctx_of k =
    here and nowhere earlier, so this is the scan path's copy boundary.
    [stopped] reports hitting the count limit with entries left over. *)
 let take_entries tree acc remaining view start =
-  let n = View.nkeys view in
+  let n = Bview.nkeys view in
   let rec go acc remaining copied i =
     if i >= n || remaining = 0 then begin
       Obs.Counter.add tree.nstats.Obs.node_bytes_copied copied;
       (acc, remaining, remaining = 0 && i < n)
     end
     else begin
-      let (k, v) as e = View.leaf_entry view i in
+      let (k, v) as e = Bview.leaf_entry view i in
       go (e :: acc) (remaining - 1) (copied + String.length k + String.length v) (i + 1)
     end
   in
@@ -585,11 +576,11 @@ let scan_per_leaf tree txn vctx ~from ~count =
   let rec collect acc remaining cursor =
     let _, _, leaf = traverse ~read_only:true tree txn vctx cursor in
     let acc, remaining, stopped =
-      take_entries tree acc remaining leaf (View.lower_bound leaf cursor)
+      take_entries tree acc remaining leaf (Bview.lower_bound leaf cursor)
     in
     if remaining = 0 || stopped then List.rev acc
     else
-      match View.high leaf with
+      match Bview.high leaf with
       | Bkey.Pos_inf -> List.rev acc
       | Bkey.Key next -> collect acc remaining next
       | Bkey.Neg_inf -> assert false
@@ -651,14 +642,14 @@ let scan_batched tree txn vctx ~from ~count ~batch =
   in
   (* Validate one batched leaf against the fence chain, then run the
      standard per-node checks with the probe key at its low fence. *)
-  let check_leaf (node : View.t) expected_low =
-    if View.height node <> 0 then begin
+  let check_leaf (node : Bview.t) expected_low =
+    if Bview.height node <> 0 then begin
       Obs.Counter.incr s.Obs.scan_batch_aborts;
       Obs.Counter.incr tree.stats.Obs.abort_height;
       Obs.abort tree.obs ~layer:Obs.Abort.Btree Obs.Abort.Height_mismatch;
       Txn.abort txn
     end;
-    if not (Bkey.fence_equal (View.low node) expected_low) then begin
+    if not (Bkey.fence_equal (Bview.low node) expected_low) then begin
       (* The leaf no longer starts where its left neighbour ended: it
          split, merged or moved since the parent was read. *)
       Obs.Counter.incr s.Obs.scan_batch_aborts;
@@ -682,7 +673,7 @@ let scan_batched tree txn vctx ~from ~count ~batch =
   let rec collect acc remaining cursor =
     let path, _, leaf = traverse ~read_only:true tree txn vctx cursor in
     let acc, remaining, stopped =
-      take_entries tree acc remaining leaf (View.lower_bound leaf cursor)
+      take_entries tree acc remaining leaf (Bview.lower_bound leaf cursor)
     in
     if remaining = 0 || stopped then List.rev acc
     else begin
@@ -693,12 +684,12 @@ let scan_batched tree txn vctx ~from ~count ~batch =
         | [] -> [] (* the root is the leaf: nothing beside it *)
         | { s_view; s_child; _ } :: _ ->
             List.init
-              (View.child_count s_view - s_child - 1)
-              (fun i -> View.child_at s_view (s_child + 1 + i))
+              (Bview.child_count s_view - s_child - 1)
+              (fun i -> Bview.child_at s_view (s_child + 1 + i))
       in
       match chunk siblings with
-      | [] -> continue_after acc remaining (View.high leaf)
-      | g :: rest -> consume_groups acc remaining (View.high leaf) (spawn_fetch g) rest
+      | [] -> continue_after acc remaining (Bview.high leaf)
+      | g :: rest -> consume_groups acc remaining (Bview.high leaf) (spawn_fetch g) rest
     end
   and consume_groups acc remaining expected_low pending rest =
     (* Kick off the next group's fetch before consuming the current one
@@ -717,10 +708,10 @@ let scan_batched tree txn vctx ~from ~count ~batch =
           let node = view_node_memo tree txn ptr seq payload in
           let probe = check_leaf node expected_low in
           let acc, remaining, stopped =
-            take_entries tree acc remaining node (View.lower_bound node probe)
+            take_entries tree acc remaining node (Bview.lower_bound node probe)
           in
           if remaining = 0 || stopped then `Done acc
-          else eat acc remaining (View.high node) tl
+          else eat acc remaining (Bview.high node) tl
     in
     match eat acc remaining expected_low results with
     | `Done acc -> List.rev acc

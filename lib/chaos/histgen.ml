@@ -53,7 +53,7 @@ let default =
 type result = {
   gen_events : int;
   gen_creations : (int * (int64 * int64) list) list;
-      (** Snapshot creation log, as [Checker.check]'s [creations]. *)
+      (** Snapshot creation log, as [Check.Stream.Config.t]'s [creations]. *)
   gen_final : (int * (string * string) list) list;
       (** Final ground-truth entries (linear mode only). *)
 }

@@ -8,15 +8,13 @@ type kind =
   | Delay
   | Stall
   | Scs_outage
-  | Mid_crash
   | Mirror_partition
   | Replica_lag
 
 (* New kinds are appended, never inserted: [start] splits one RNG per
    kind in list order, so preserving the prefix keeps old seeds
    byte-reproducible for the old fault mix. *)
-let all_kinds =
-  [ Crash; Partition; Delay; Stall; Scs_outage; Mid_crash; Mirror_partition; Replica_lag ]
+let all_kinds = [ Crash; Partition; Delay; Stall; Scs_outage; Mirror_partition; Replica_lag ]
 
 let kind_to_string = function
   | Crash -> "crash"
@@ -24,7 +22,6 @@ let kind_to_string = function
   | Delay -> "delay"
   | Stall -> "stall"
   | Scs_outage -> "scs"
-  | Mid_crash -> "midcrash"
   | Mirror_partition -> "mpartition"
   | Replica_lag -> "replag"
 
@@ -34,7 +31,6 @@ let kind_of_string = function
   | "delay" -> Some Delay
   | "stall" -> Some Stall
   | "scs" -> Some Scs_outage
-  | "midcrash" -> Some Mid_crash
   | "mpartition" -> Some Mirror_partition
   | "replag" -> Some Replica_lag
   | _ -> None
@@ -97,37 +93,37 @@ let injected t =
 
 let poll = 0.5e-3
 
-(* Bring memnode [i] back, retrying on the typed refusals of
-   {!Cluster.try_recover}: another nemesis process may crash the node's
-   backup (Replica_busy / No_replica, transiently) or the drain may not
-   have landed yet (Not_crashed while [crash_pending]). Loops until the
-   node is alive again — possibly recovered by a concurrent process. *)
-let recover_with_retry t i =
-  let rec loop () =
-    let mn = Cluster.memnode t.cluster i in
-    if Memnode.crashed mn || Memnode.crash_pending mn then begin
-      (match Cluster.try_recover t.cluster i with
-      | Ok () -> ()
-      | Error _ -> Sim.delay poll);
-      loop ()
-    end
-  in
-  loop ()
+(* Bring memnode [i] back, waiting out a replica serving in-flight
+   failover requests, and retrying while another nemesis process has
+   crashed the node's backup. Loops until the node is alive again —
+   possibly recovered by a concurrent process (Not_crashed). *)
+let rec recover_with_retry t i =
+  if Memnode.crashed (Cluster.memnode t.cluster i) then
+    match Cluster.recover_when_idle ~poll t.cluster i with
+    | Ok () | Error Cluster.Not_crashed -> ()
+    | Error (Cluster.No_replica | Cluster.Replica_busy) ->
+        Sim.delay poll;
+        recover_with_retry t i
 
 (* Pick one memnode that is up and has a backup to fail over to. *)
 let pick_backed_node t rng =
   let candidates =
     List.filter
       (fun i ->
-        Memnode.available (Cluster.memnode t.cluster i) && Cluster.backup_of t.cluster i <> None)
+        (not (Memnode.crashed (Cluster.memnode t.cluster i)))
+        && Cluster.backup_of t.cluster i <> None)
       (List.init (n t) Fun.id)
   in
   match candidates with
   | [] -> None
   | _ :: _ -> Some (List.nth candidates (Sim.Rng.int rng (List.length candidates)))
 
-(* Crash one memnode, wait for the crash to land (it drains in-flight
-   requests first), hold the outage, then recover from the replica. *)
+(* Crash one memnode immediately — the crash lands mid-2PC whenever a
+   minitransaction is in flight: yes votes already logged stay in doubt
+   until the recovery coordinator resolves them. Promotion (redo replay
+   + in-doubt relock on the replica) runs synchronously in the crash
+   hook, so the hold window exercises failover traffic against the
+   promoted replica; then the node is recovered from it. *)
 let crash_cycle t rng =
   match pick_backed_node t rng with
   | None -> ()
@@ -136,27 +132,6 @@ let crash_cycle t rng =
       injected t;
       Obs.Counter.incr t.stats.Obs.crashes_injected;
       Cluster.crash t.cluster i;
-      while not (Memnode.crashed (Cluster.memnode t.cluster i)) do
-        Sim.delay poll
-      done;
-      Sim.delay (0.02 +. Sim.Rng.float rng 0.08);
-      recover_with_retry t i;
-      Obs.span_end t.obs span
-
-(* Crash one memnode immediately — no drain, so the crash lands mid-2PC
-   whenever a minitransaction is in flight: yes votes already logged
-   stay in doubt until the recovery coordinator resolves them. Promotion
-   (redo replay + in-doubt relock on the replica) runs synchronously in
-   the crash hook, so the hold window exercises failover traffic against
-   the promoted replica. *)
-let mid_crash_cycle t rng =
-  match pick_backed_node t rng with
-  | None -> ()
-  | Some i ->
-      let span = Obs.span_begin t.obs (Obs.Span.Fault "midcrash") in
-      injected t;
-      Obs.Counter.incr t.stats.Obs.mid_crashes_injected;
-      Cluster.crash_now t.cluster i;
       Sim.delay (0.02 +. Sim.Rng.float rng 0.08);
       recover_with_retry t i;
       Obs.span_end t.obs span
@@ -310,7 +285,6 @@ let cycle t kind rng =
   | Delay -> delay_cycle t rng
   | Stall -> stall_cycle t rng
   | Scs_outage -> scs_outage_cycle t rng
-  | Mid_crash -> mid_crash_cycle t rng
   | Mirror_partition -> mirror_partition_cycle t rng
   | Replica_lag -> replica_lag_cycle t rng
 
@@ -353,7 +327,7 @@ let stop_and_drain t =
   Hashtbl.reset t.owned_links
 
 (* Recover any memnode still down (e.g. crashed right as the storm was
-   stopped), polling for drain/failover quiescence. *)
+   stopped), polling for failover quiescence. *)
 let recover_all t =
   for i = 0 to n t - 1 do
     recover_with_retry t i

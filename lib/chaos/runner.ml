@@ -66,7 +66,7 @@ let default =
   }
 
 type report = {
-  verdict : Check.Checker.verdict;
+  verdict : Check.Stream.verdict;
   totals : Workload.totals;
   events : int;
   audits : int;
@@ -75,7 +75,7 @@ type report = {
   sim_time : float;
 }
 
-let passed r = Check.Checker.ok r.verdict && r.audit_failures = []
+let passed r = Check.Stream.ok r.verdict && r.audit_failures = []
 
 let pp_report fmt r =
   Format.fprintf fmt "@[<v>workload: %a@,history: %d events@,faults:" Workload.pp_totals
@@ -83,7 +83,7 @@ let pp_report fmt r =
   List.iter (fun (name, v) -> Format.fprintf fmt " %s=%d" name v) r.fault_counts;
   Format.fprintf fmt "@,audits: %d passed" r.audits;
   List.iter (fun msg -> Format.fprintf fmt "@,AUDIT FAILED: %s" msg) r.audit_failures;
-  Format.fprintf fmt "@,%a" Check.Checker.pp_verdict r.verdict;
+  Format.fprintf fmt "@,%a" Check.Stream.pp_verdict r.verdict;
   Format.fprintf fmt "@,simulated time: %.3fs@]" r.sim_time
 
 (* Audit one index at a frozen snapshot (safe under concurrent traffic:
@@ -289,7 +289,6 @@ let run_exn cfg =
       ("delay", Obs.Counter.value stats.Obs.delay_faults_injected);
       ("stall", Obs.Counter.value stats.Obs.stalls_injected);
       ("scs", Obs.Counter.value stats.Obs.scs_outages_injected);
-      ("midcrash", Obs.Counter.value stats.Obs.mid_crashes_injected);
       ("mpartition", Obs.Counter.value stats.Obs.mirror_partitions_injected);
       ("replag", Obs.Counter.value stats.Obs.replica_lags_injected);
     ]
@@ -321,10 +320,10 @@ let run cfg =
         {
           verdict =
             {
-              Check.Checker.violations =
+              Check.Stream.violations =
                 [
                   {
-                    Check.Checker.v_index = -1;
+                    Check.Stream.v_index = -1;
                     v_message =
                       Printf.sprintf
                         "run crashed before the checker could complete: %s" msg;

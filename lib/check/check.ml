@@ -1,13 +1,10 @@
 (** History-based consistency checking for Minuet runs.
 
-    {!History} records per-operation invocation/response events from
-    sessions (via [Session.attach ~tracer]); {!Checker} verifies the
-    recorded history against a sequential model: serializability in
-    commit-stamp order, real-time (strictness) constraints, exact
-    frozen-prefix semantics for snapshot reads, and final-state audits.
-    The chaos engine ({!Chaos}) drives faulted workloads and hands the
-    history to this checker. *)
+    Sessions emit per-operation events (via [Session.attach ~tracer]);
+    {!Stream} consumes them one at a time and verifies the history
+    against a sequential model: serializability in commit-stamp order,
+    real-time (strictness) constraints, exact frozen-prefix semantics
+    for snapshot reads, and final-state audits. The chaos engine
+    ({!Chaos}) drives faulted workloads straight into a stream. *)
 
-module History = History
 module Stream = Stream
-module Checker = Checker

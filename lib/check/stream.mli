@@ -1,6 +1,6 @@
 (** Streaming serializability checker.
 
-    The incremental core behind {!Checker.check}: a sink that consumes
+    The checker's only entry point: a sink that consumes
     {!Minuet.Session.Event.t}s one at a time and verifies them online
     against per-index sequential models, in O(active keys + candidate
     budget + reorder window) live memory — a million-op chaos history

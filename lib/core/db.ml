@@ -85,8 +85,6 @@ let scs t ~index = t.scs.(index)
 
 let obs t = Cluster.obs t.cluster
 
-let metrics t = Cluster.metrics t.cluster
-
 let n_trees t = t.config.Config.n_trees
 
 let pp_stats fmt t =
@@ -104,7 +102,7 @@ let pp_stats fmt t =
   Format.fprintf fmt "metrics:@,";
   List.iter
     (fun (name, v) -> Format.fprintf fmt "  %-40s %d@," name v)
-    (Sim.Metrics.counters (Cluster.metrics t.cluster));
+    (Obs.counters (Cluster.obs t.cluster));
   Format.fprintf fmt "%a" Obs.Report.pp (Cluster.obs t.cluster);
   Format.fprintf fmt "@]"
 
@@ -126,6 +124,17 @@ let enable_gc ?(interval = 5.0) ~keep t =
       t.gc_trees
   end
 
-let crash_host t i = Cluster.crash t.cluster i
+let check_host t fn i =
+  let n = Cluster.n_memnodes t.cluster in
+  if i < 0 || i >= n then invalid_arg (Printf.sprintf "Db.%s: no host %d (hosts are 0..%d)" fn i (n - 1))
 
-let recover_host t i = Cluster.recover t.cluster i
+(* The crash lands mid-2PC: its in-doubt transactions hold their write
+   locks until resolved, so a resolver runs until none is left. *)
+let crash_host t i =
+  check_host t "crash_host" i;
+  Cluster.crash t.cluster i;
+  Cluster.settle_in_doubt t.cluster
+
+let recover_host t i =
+  check_host t "recover_host" i;
+  Cluster.try_recover t.cluster i

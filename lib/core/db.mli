@@ -22,8 +22,6 @@ val obs : t -> Obs.t
 (** The cluster's observability registry: typed counters, abort
     taxonomy by layer, operation latency histograms and trace spans. *)
 
-val metrics : t -> Sim.Metrics.t
-
 val n_trees : t -> int
 
 val pp_stats : Format.formatter -> t -> unit
@@ -40,9 +38,17 @@ val enable_gc : ?interval:float -> keep:int -> t -> unit
     Linear-snapshot mode only. *)
 
 val crash_host : t -> int -> unit
-(** Crash a memnode; operations fail over to its backup replica. *)
+(** Crash a memnode mid-request; operations fail over to its backup
+    replica. Transactions the crash leaves in doubt keep their write
+    ranges locked until a resolver
+    ({!Sinfonia.Cluster.settle_in_doubt}), started here, settles them.
+    Raises [Invalid_argument] when the cluster has no such host. *)
 
-val recover_host : t -> int -> unit
+val recover_host : t -> int -> (unit, Sinfonia.Cluster.recover_error) result
+(** Restore a crashed memnode from its replica
+    ({!Sinfonia.Cluster.try_recover}); [Error] leaves the cluster
+    untouched. Raises [Invalid_argument] when the cluster has no such
+    host. *)
 
 (**/**)
 

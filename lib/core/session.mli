@@ -21,8 +21,8 @@ type t
     branching database ({!Config.t.branching}), branch-aware operations
     run through the index's {!Mvcc.Branching.t} handle are traced too:
     version creation/deletion and branch-scoped reads and writes carry
-    the version id they resolved to. The consistency checkers
-    ([Check.History], [Check.Stream]) consume these.
+    the version id they resolved to. The streaming consistency checker
+    ([Check.Stream]) consumes these.
     Multi-index operations and {!with_txn} bodies are not traced. *)
 
 module Event : sig

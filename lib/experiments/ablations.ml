@@ -74,7 +74,8 @@ let measure ~params ~hosts variant =
           ()
       in
       let lat = Ycsb.Driver.overall_latency result in
-      let metrics = Minuet.Db.metrics d.db in
+      let obs = Minuet.Db.obs d.db in
+      let count c = float_of_int (Obs.Counter.value c) in
       {
         label = [ ("hosts", string_of_int hosts); ("variant", variant.name) ];
         metrics =
@@ -82,10 +83,8 @@ let measure ~params ~hosts variant =
             ("tput_ops_s", result.Ycsb.Driver.throughput);
             ("mean_ms", ms (Sim.Stats.Hist.mean lat));
             ("p95_ms", ms (Sim.Stats.Hist.quantile lat 0.95));
-            ( "busy_retries",
-              float_of_int (Sim.Metrics.counter_value metrics "mtx.busy_retries") );
-            ( "validation_failures",
-              float_of_int (Sim.Metrics.counter_value metrics "txn.validation_failures") );
+            ("busy_retries", count (Obs.mtx obs).Obs.busy_retries);
+            ("validation_failures", count (Obs.txn obs).Obs.validation_failures);
           ];
       })
 

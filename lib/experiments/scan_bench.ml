@@ -46,6 +46,10 @@ let run_side ~seed ~scan_batch ~storm ~duration ~keys ~scan_count =
       scan_batch;
       max_keys_leaf = Some 4;
       max_keys_internal = Some 64;
+      (* The storm's recovery daemons resolve in-doubt transactions
+         quickly, as in chaos runs, so traffic keeps flowing through
+         it. No daemon runs before the storm. *)
+      sinfonia = { Sinfonia.Config.default with Sinfonia.Config.in_doubt_grace = 0.06 };
     }
   in
   Minuet.Harness.run ~seed ~until:((duration *. 8.) +. 60.) ~config @@ fun db ->
@@ -107,12 +111,19 @@ let run_side ~seed ~scan_batch ~storm ~duration ~keys ~scan_count =
     (* Crash storm with traffic still running: each crash promotes the
        victim's replica and bumps the space's epoch, turning that
        space's cached entries stale at every proxy. Recovery must then
-       happen by lazy revalidation — never by a bulk flush. *)
+       happen by lazy revalidation — never by a bulk flush. Crashes
+       land mid-2PC and leave transactions in doubt, holding their write
+       locks until the recovery coordinator resolves them. *)
+    Cluster.start_recovery ~lease:0.05 ~interval:0.02 cluster;
     for cycle = 0 to 5 do
       let victim = 1 + (cycle mod (n - 1)) in
       Cluster.crash cluster victim;
       Sim.delay 0.05;
-      (match Cluster.try_recover cluster victim with Ok () -> () | Error _ -> ());
+      (* The crash lands mid-request, so the replica may still be
+         serving failover traffic: wait it out. *)
+      (match Cluster.recover_when_idle cluster victim with
+      | Ok () -> ()
+      | Error e -> failwith (Cluster.recover_error_to_string e));
       Sim.delay 0.05
     done;
     Sim.delay (duration *. 0.5)

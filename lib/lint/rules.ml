@@ -10,7 +10,7 @@
 
    Every rule exists because the type system cannot see the invariant
    it protects (determinism per seed, crash propagation, protocol op
-   order, typed observability). *)
+   order, stable-identity comparisons). *)
 
 open Parsetree
 
@@ -186,44 +186,7 @@ let wallclock_rng =
   }
 
 (* ------------------------------------------------------------------ *)
-(* 4. stringly-metrics                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* PR 1 migrated every hot path to typed [Obs] handles; a raw
-   [Metrics.incr m "name"] reintroduces stringly metrics that typos
-   silently fork. Only lib/obs (the registry) and lib/sim (the
-   implementation) may name counters by string. *)
-let stringly_metrics =
-  let check _ctx ~emit e =
-    match e.pexp_desc with
-    | Pexp_apply ({ pexp_desc = Pexp_ident { txt; loc }; _ }, args) -> (
-        match dotted_call txt with
-        | Some ("Metrics", (("incr" | "add" | "observe") as fn))
-          when List.exists
-                 (fun (_, a) ->
-                   match a.pexp_desc with
-                   | Pexp_constant (Pconst_string _) -> true
-                   | _ -> false)
-                 args ->
-            emit ~loc
-              (Printf.sprintf
-                 "raw Metrics.%s with a string literal bypasses the typed Obs handles; \
-                  resolve a counter handle through Obs instead"
-                 fn)
-        | _ -> ())
-    | _ -> ()
-  in
-  {
-    id = "stringly-metrics";
-    severity = Diag.Warning;
-    doc = "hot paths use typed Obs handles, not string-keyed metrics";
-    scope = [];
-    exclude = [ "lib/obs/"; "lib/sim/" ];
-    kind = Expr check;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* 5. partial-stdlib                                                    *)
+(* 4. partial-stdlib                                                    *)
 (* ------------------------------------------------------------------ *)
 
 (* On protocol paths a [List.hd] that raises mid-minitransaction is a
@@ -259,7 +222,7 @@ let partial_stdlib =
   }
 
 (* ------------------------------------------------------------------ *)
-(* 6. poly-compare                                                      *)
+(* 5. poly-compare                                                      *)
 (* ------------------------------------------------------------------ *)
 
 (* Protocol records (memnodes, transactions, clusters, stores) hold
@@ -320,7 +283,7 @@ let poly_compare =
   }
 
 (* ------------------------------------------------------------------ *)
-(* 7. transitive-nondet                                                 *)
+(* 6. transitive-nondet                                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* A determinism-scoped function must stay nondet-free through every
@@ -373,7 +336,7 @@ let transitive_nondet =
   }
 
 (* ------------------------------------------------------------------ *)
-(* 8. crash-swallow-transitive                                          *)
+(* 7. crash-swallow-transitive                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* The handler that looks clean: a wildcard whose guarded body calls a
@@ -429,7 +392,7 @@ let crash_swallow_transitive =
   }
 
 (* ------------------------------------------------------------------ *)
-(* 9. protocol-order                                                    *)
+(* 8. protocol-order                                                    *)
 (* ------------------------------------------------------------------ *)
 
 (* The 2PC discipline as a per-function state machine over the spliced
@@ -501,7 +464,7 @@ let protocol_order =
   }
 
 (* ------------------------------------------------------------------ *)
-(* 10. blocking-under-lock                                              *)
+(* 9. blocking-under-lock                                               *)
 (* ------------------------------------------------------------------ *)
 
 (* A fiber that parks on a scheduler wait (Ivar.read, Mailbox.recv,
@@ -557,7 +520,6 @@ let all =
     crashed_swallow;
     nondet_iteration;
     wallclock_rng;
-    stringly_metrics;
     partial_stdlib;
     poly_compare;
     transitive_nondet;

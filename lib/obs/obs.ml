@@ -1,7 +1,6 @@
 module Json = Json
 module Counter = Sim.Stats.Counter
 module Hist = Sim.Stats.Hist
-module Metrics = Sim.Metrics
 
 (* Simulated time when available; reports can also be rendered outside
    a simulation (e.g. after Sim.run returns). *)
@@ -170,7 +169,6 @@ type chaos_stats = {
   delay_faults_injected : Counter.t;
   stalls_injected : Counter.t;
   scs_outages_injected : Counter.t;
-  mid_crashes_injected : Counter.t;
   mirror_partitions_injected : Counter.t;
   replica_lags_injected : Counter.t;
 }
@@ -230,7 +228,7 @@ module Span = struct
 end
 
 type t = {
-  metrics : Metrics.t;
+  counters : (string * Counter.t) list; (* every counter by report name, sorted *)
   mtx_stats : mtx_stats;
   txn_stats : txn_stats;
   btree_stats : btree_stats;
@@ -250,16 +248,16 @@ type t = {
   mutable next_span_id : int;
 }
 
-let metrics t = t.metrics
-
-let counter t ~name = Metrics.counter t.metrics name
-
-let hist t ~name = Metrics.hist t.metrics name
-
 let create ?(span_capacity = 65536) () =
   if span_capacity <= 0 then invalid_arg "Obs.create: span_capacity must be positive";
-  let m = Metrics.create () in
-  let c name = Metrics.counter m name in
+  (* The name table: every counter is registered here, once, under the
+     name reports print it by. *)
+  let named = ref [] in
+  let c name =
+    let counter = Counter.create () in
+    named := (name, counter) :: !named;
+    counter
+  in
   let mtx_stats =
     {
       committed_1pc = c "mtx.committed_1pc";
@@ -350,7 +348,6 @@ let create ?(span_capacity = 65536) () =
       delay_faults_injected = c "chaos.delay_faults";
       stalls_injected = c "chaos.stalls";
       scs_outages_injected = c "chaos.scs_outages";
-      mid_crashes_injected = c "chaos.mid_crashes";
       mirror_partitions_injected = c "chaos.mirror_partitions";
       replica_lags_injected = c "chaos.replica_lags";
     }
@@ -377,15 +374,10 @@ let create ?(span_capacity = 65536) () =
       (Array.of_list Abort.layers)
   in
   let op_hists =
-    Array.map
-      (fun op ->
-        Array.map
-          (fun path -> Metrics.hist m ("op." ^ Op.label op path))
-          [| Op.Up_to_date; Op.At_snapshot |])
-      (Array.of_list Op.all)
+    Array.map (fun _ -> [| Hist.create (); Hist.create () |]) (Array.of_list Op.all)
   in
   {
-    metrics = m;
+    counters = List.sort (fun (a, _) (b, _) -> String.compare a b) !named;
     mtx_stats;
     txn_stats;
     btree_stats;
@@ -425,6 +417,8 @@ let chaos t = t.chaos_stats
 
 let recovery t = t.recovery_stats
 
+let counters t = List.map (fun (name, counter) -> (name, Counter.value counter)) t.counters
+
 (* ------------------------------------------------------------------ *)
 (* Aborts                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -463,7 +457,7 @@ let span_hist t kind =
   match Hashtbl.find_opt t.span_hists kind with
   | Some h -> h
   | None ->
-      let h = Metrics.hist t.metrics ("span." ^ Span.kind_to_string kind) in
+      let h = Hist.create () in
       Hashtbl.add t.span_hists kind h;
       h
 
@@ -572,24 +566,14 @@ module Report = struct
     in
     Json.Obj cells
 
-  let span_prefix = "span."
-
+  (* One cell per span kind seen so far, sorted by its report name. *)
   let spans_json t =
-    let cells =
-      List.filter_map
-        (fun (name, h) ->
-          if String.length name > String.length span_prefix
-             && String.sub name 0 (String.length span_prefix) = span_prefix
-             && Hist.count h > 0
-          then
-            Some
-              ( String.sub name (String.length span_prefix)
-                  (String.length name - String.length span_prefix),
-                hist_json h )
-          else None)
-        (Metrics.hists t.metrics)
-    in
-    Json.Obj cells
+    let by_name a b = String.compare (Span.kind_to_string a) (Span.kind_to_string b) in
+    Json.Obj
+      (List.filter_map
+         (fun (kind, h) ->
+           if Hist.count h > 0 then Some (Span.kind_to_string kind, hist_json h) else None)
+         (Sim.Det.sorted_bindings t.span_hists ~cmp:by_name))
 
   let to_json ?name t =
     Json.Obj
@@ -597,8 +581,7 @@ module Report = struct
         ("name", match name with Some n -> Json.String n | None -> Json.Null);
         ("schema_version", Json.Int 1);
         ("sim_time_s", Json.Float (tnow ()));
-        ( "counters",
-          Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (Metrics.counters t.metrics)) );
+        ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters t)));
         ("aborts", aborts_json t);
         ("ops", ops_json t);
         ("spans", spans_json t);

@@ -7,9 +7,8 @@
     One [Obs.t] is owned by each simulated cluster
     ({!Sinfonia.Cluster.obs}); every layer above it (dynamic
     transactions, B-tree, snapshot service, sessions) records into it
-    through the typed handles below. The string-keyed registry
-    ({!Sim.Metrics}) survives only as the report/back-compat layer: hot
-    paths never look a counter up by name. *)
+    through the typed handles below. Each counter also carries a fixed
+    report name ({!counters}); nothing looks a counter up by name. *)
 
 module Json = Json
 
@@ -50,11 +49,6 @@ type t
 val create : ?span_capacity:int -> unit -> t
 (** [span_capacity] bounds the finished-span ring buffer (default
     65536); older spans are overwritten, aggregates are unaffected. *)
-
-val metrics : t -> Sim.Metrics.t
-(** The backing string-keyed registry (report layer). Typed handles
-    below write into it, so legacy [Sim.Metrics.counter_value]
-    inspection keeps working. *)
 
 (** {1 Typed metric handles}
 
@@ -169,7 +163,6 @@ type chaos_stats = {
   delay_faults_injected : Counter.t;
   stalls_injected : Counter.t;
   scs_outages_injected : Counter.t;
-  mid_crashes_injected : Counter.t;  (** Immediate crashes landing mid-2PC. *)
   mirror_partitions_injected : Counter.t;  (** memnode<->backup link partitions. *)
   replica_lags_injected : Counter.t;  (** Latency/loss injected on mirror links. *)
 }
@@ -210,12 +203,10 @@ val chaos : t -> chaos_stats
 
 val recovery : t -> recovery_stats
 
-val counter : t -> name:string -> Counter.t
-(** Ad-hoc counter by name, resolved once at construction time by the
-    caller and then used as a typed handle. Prefer the records above
-    for the stack's own metrics. *)
-
-val hist : t -> name:string -> Sim.Stats.Hist.t
+val counters : t -> (string * int) list
+(** Every counter above and every abort-matrix cell
+    (["abort.<layer>.<reason>"]) under its report name, sorted by name
+    — the ["counters"] block of {!Report.to_json}. *)
 
 (** {1 Abort accounting} *)
 

@@ -7,7 +7,6 @@
 module Rng = Rng
 module Event_queue = Event_queue
 module Stats = Stats
-module Metrics = Metrics
 module Det = Det
 module Resource = Resource
 module Net = Net

@@ -7,6 +7,8 @@ type t = {
   rng : Sim.Rng.t;
   mutable next_owner : int64;
   mutable next_stamp : int64;
+  mutable daemons : bool; (* start_recovery's daemons run for good *)
+  mutable settling : bool; (* a settle_in_doubt resolver is running *)
 }
 
 exception Unavailable of int
@@ -60,7 +62,11 @@ let create ?(config = Config.default) ?(seed = 0xC1057E4) ~n () =
              ~redo:redo_logs.(i)))
       memnodes;
   let t =
-    { config; memnodes; redo_logs; net; obs = Obs.create (); rng; next_owner = 1L; next_stamp = 1L }
+    { config; memnodes; redo_logs; net; obs = Obs.create (); rng; next_owner = 1L;
+      next_stamp = 1L;
+      daemons = false;
+      settling = false;
+    }
   in
   Array.iteri (fun i mn -> Memnode.set_crash_hook mn (fun () -> promote t i)) memnodes;
   t
@@ -72,9 +78,9 @@ let n_memnodes t = Array.length t.memnodes
 let memnode t i = t.memnodes.(i)
 
 (* Address space [i]'s crash epoch. The epoch lives on memnode [i]
-   itself (bumped by Memnode.crash / crash_now, i.e. at the same instant
-   its replica is promoted), so it is correct even while the space is
-   being served from a backup. *)
+   itself (bumped by Memnode.crash, i.e. at the same instant its replica
+   is promoted), so it is correct even while the space is being served
+   from a backup. *)
 let space_epoch t i = Memnode.epoch t.memnodes.(i)
 
 let redo_log t i = t.redo_logs.(i)
@@ -82,8 +88,6 @@ let redo_log t i = t.redo_logs.(i)
 let net t = t.net
 
 let obs t = t.obs
-
-let metrics t = Obs.metrics t.obs
 
 let rng t = t.rng
 
@@ -109,18 +113,13 @@ let backup_of t i = backup_index ~config:t.config ~n:(Array.length t.memnodes) i
 
 let route t i =
   let mn = t.memnodes.(i) in
-  if Memnode.available mn then (mn, Memnode.primary mn)
-  else if not (Memnode.crashed mn) then
-    (* Draining toward a crash: refusing new requests here is what keeps
-       the node's final state a transaction boundary. The failover below
-       only engages once the crash has actually landed. *)
-    raise (Unavailable i)
+  if not (Memnode.crashed mn) then (mn, Memnode.primary mn)
   else
     match backup_of t i with
     | None -> raise (Unavailable i)
     | Some b ->
         let bn = t.memnodes.(b) in
-        if not (Memnode.available bn) then raise (Unavailable i)
+        if Memnode.crashed bn then raise (Unavailable i)
         else (
           match Memnode.replica bn ~of_node:i with
           | Some store -> (bn, store)
@@ -214,6 +213,9 @@ let flush_redo t ~grace =
               end))
     t.memnodes
 
+let in_doubt_total t =
+  Array.fold_left (fun acc log -> acc + Redo_log.in_doubt_count log) 0 t.redo_logs
+
 let recovery_env t =
   {
     Recovery.n_spaces = Array.length t.memnodes;
@@ -225,15 +227,25 @@ let recovery_env t =
     obs = t.obs;
   }
 
+(* Release locks held past [lease] by owners that never voted. *)
+let release_orphans t mn ~lease =
+  let recovered = Memnode.recover_orphaned_locks mn ~lease in
+  if recovered > 0 then Obs.Counter.add (Obs.mtx t.obs).Obs.orphans_released recovered
+
+(* Flush lagging replicas, then resolve every space's in-doubt
+   transactions. *)
+let resolve t env =
+  flush_redo t ~grace:t.config.in_doubt_grace;
+  Recovery.sweep env
+
 let start_recovery ?(lease = 0.25) ?(interval = 1.0) t =
+  t.daemons <- true;
   Array.iter
     (fun mn ->
       Sim.spawn ~name:"sinfonia-recovery" (fun () ->
           let rec loop () =
             Sim.delay interval;
-            let recovered = Memnode.recover_orphaned_locks mn ~lease in
-            if recovered > 0 then
-              Obs.Counter.add (Obs.mtx t.obs).Obs.orphans_released recovered;
+            release_orphans t mn ~lease;
             loop ()
           in
           loop ()))
@@ -244,34 +256,31 @@ let start_recovery ?(lease = 0.25) ?(interval = 1.0) t =
   Sim.spawn ~name:"sinfonia-in-doubt" (fun () ->
       let rec loop () =
         Sim.delay interval;
-        flush_redo t ~grace:t.config.in_doubt_grace;
-        Recovery.sweep env;
+        resolve t env;
         loop ()
       in
       loop ())
 
+(* The daemons' work (default lease, a 50 ms interval) folded into one
+   process that exits as soon as no transaction is left in doubt, so a
+   simulation that crashed a node can still run out of events and end. *)
+let settle_in_doubt t =
+  if not (t.daemons || t.settling) then begin
+    t.settling <- true;
+    let env = recovery_env t in
+    Sim.spawn ~name:"sinfonia-settle" (fun () ->
+        let rec loop () =
+          Sim.delay 0.05;
+          Array.iter (fun mn -> release_orphans t mn ~lease:0.25) t.memnodes;
+          resolve t env;
+          if in_doubt_total t > 0 then loop () else t.settling <- false
+        in
+        loop ())
+  end
+
 let crash t i =
-  (if t.config.fail_stop_at_boundaries then Memnode.crash t.memnodes.(i)
-   else Memnode.crash_now t.memnodes.(i));
+  Memnode.crash t.memnodes.(i);
   Obs.Counter.incr (Obs.mtx t.obs).Obs.crashes
-
-let crash_now t i =
-  Memnode.crash_now t.memnodes.(i);
-  Obs.Counter.incr (Obs.mtx t.obs).Obs.crashes
-
-let can_recover t i =
-  Memnode.crashed t.memnodes.(i)
-  &&
-  match backup_of t i with
-  | None -> false
-  | Some b -> (
-      match Memnode.replica t.memnodes.(b) ~of_node:i with
-      | None -> false
-      | Some store ->
-          (* A replica mid-minitransaction (serving as failover) must
-             finish before its image is copied back, or the restored
-             primary would miss the in-flight writes. *)
-          Memnode.store_serving store = 0)
 
 type recover_error = Not_crashed | No_replica | Replica_busy
 
@@ -289,6 +298,9 @@ let try_recover t i =
         match Memnode.replica t.memnodes.(b) ~of_node:i with
         | None -> Error No_replica
         | Some store ->
+            (* A replica mid-minitransaction (serving as failover) must
+               finish before its image is copied back, or the restored
+               primary would miss the in-flight writes. *)
             if Memnode.store_serving store > 0 then Error Replica_busy
             else begin
               let replayed =
@@ -301,16 +313,17 @@ let try_recover t i =
               Ok ()
             end)
 
-let recover t i =
+(* Recovery waits out a replica serving in-flight failover requests;
+   any other refusal is returned. *)
+let rec recover_when_idle ?(poll = 1e-3) t i =
   match try_recover t i with
-  | Ok () -> ()
-  | Error e -> invalid_arg (Printf.sprintf "Cluster.recover: %s" (recover_error_to_string e))
+  | Error Replica_busy ->
+      Sim.delay poll;
+      recover_when_idle ~poll t i
+  | r -> r
 
 let redo_decisions t =
   Array.to_list t.redo_logs
   |> List.mapi (fun space log ->
          List.map (fun (tid, d) -> (space, tid, d)) (Redo_log.decisions log))
   |> List.concat
-
-let in_doubt_total t =
-  Array.fold_left (fun acc log -> acc + Redo_log.in_doubt_count log) 0 t.redo_logs

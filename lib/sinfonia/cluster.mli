@@ -36,11 +36,6 @@ val obs : t -> Obs.t
     taxonomy, latency histograms and trace spans. One per cluster, so
     distinct runs never share state. *)
 
-val metrics : t -> Sim.Metrics.t
-(** The string-keyed registry backing {!obs} (report layer / legacy
-    inspection). [Sim.Metrics.counter_value (metrics t) "txn.commits"]
-    keeps working. *)
-
 val rng : t -> Sim.Rng.t
 
 val fresh_owner : t -> int64
@@ -66,7 +61,7 @@ val backup_of : t -> int -> int option
 
 exception Unavailable of int
 (** Raised when routing to a memnode whose primary and backup are both
-    down (or still draining toward a crash). *)
+    down. *)
 
 exception Partitioned of int
 (** Raised by the coordinator when an injected network partition blocks
@@ -75,10 +70,7 @@ exception Partitioned of int
 val route : t -> int -> Memnode.t * Memnode.store
 (** [route t i] is the node and store that currently serve memnode [i]'s
     address space: the primary when alive, otherwise its replica on the
-    backup node. Raises {!Unavailable} if neither is available — a node
-    draining toward a requested crash ({!Memnode.crash_pending}) already
-    refuses new requests, and its backup only takes over once the crash
-    lands. *)
+    backup node. Raises {!Unavailable} if neither is alive. *)
 
 val serving_host : t -> int -> int
 (** The id of the physical node {!route} would pick for memnode [i]'s
@@ -112,25 +104,22 @@ val start_recovery : ?lease:float -> ?interval:float -> t -> unit
     Healthy minitransactions hold locks for microseconds, far below the
     lease. *)
 
-val crash : t -> int -> unit
-(** Crash memnode [i]. With {!Config.fail_stop_at_boundaries} (default)
-    the node drains in-flight requests first and the crash lands at a
-    minitransaction boundary ({!Memnode.crash}); otherwise this is
-    {!crash_now}. Either way the node refuses new requests from this
-    call on; once {!Memnode.crashed} flips, operations are served by its
-    backup replica (if any). *)
+val settle_in_doubt : t -> unit
+(** Spawn one process doing {!start_recovery}'s work every 50 ms (lease
+    250 ms) that exits once no transaction is in doubt
+    ({!in_doubt_total} is 0). For callers that crash nodes without the
+    daemons: a crash lands mid-2PC, and its in-doubt transactions keep
+    their write ranges locked until resolved. Unlike the daemons it
+    lets a simulation run out of events and end. No-op while the
+    daemons or another such process run. *)
 
-val crash_now : t -> int -> unit
-(** Crash memnode [i] immediately, mid-request ({!Memnode.crash_now}):
+val crash : t -> int -> unit
+(** Crash memnode [i] immediately, mid-request ({!Memnode.crash}):
     in-flight participant operations die at their next service-time
     boundary, leaving any yes votes in doubt in the redo log for the
     recovery coordinator. Replica promotion runs synchronously via the
-    crash hook. *)
-
-val can_recover : t -> int -> bool
-(** True iff memnode [i] has actually crashed (not merely draining), has
-    a replica to restore from, and that replica is not mid-request as a
-    failover target — i.e. {!try_recover} would succeed right now. *)
+    crash hook, so from this call on operations are served by the
+    backup replica (if any). *)
 
 (** Why a recovery attempt was refused; see {!try_recover}. *)
 type recover_error = Not_crashed | No_replica | Replica_busy
@@ -146,9 +135,9 @@ val try_recover : t -> int -> (unit, recover_error) result
     the replica is mid-request — the chaos nemesis races recovery
     against crashes and retries on [Error]. *)
 
-val recover : t -> int -> unit
-(** {!try_recover}, raising [Invalid_argument] on [Error] (legacy
-    interface; prefer {!try_recover} under concurrency). *)
+val recover_when_idle : ?poll:float -> t -> int -> (unit, recover_error) result
+(** {!try_recover}, waiting [poll] (default 1 ms) between attempts
+    while the answer is [Replica_busy]; any other answer is returned. *)
 
 val redo_decisions : t -> (int * int64 * [ `Committed | `Aborted ]) list
 (** Every retained (space, tid, decision) record across all redo logs —

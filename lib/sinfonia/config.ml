@@ -13,7 +13,6 @@ type t = {
   retry_backoff : float;
   retry_backoff_max : float;
   max_retries : int;
-  fail_stop_at_boundaries : bool;
   in_doubt_grace : float;
   decision_retention : float;
   broken_recovery : bool;
@@ -35,7 +34,6 @@ let default =
     retry_backoff = 50e-6;
     retry_backoff_max = 5e-3;
     max_retries = 10_000;
-    fail_stop_at_boundaries = true;
     in_doubt_grace = 0.25;
     decision_retention = 5.0;
     broken_recovery = false;
@@ -44,9 +42,8 @@ let default =
 let pp fmt t =
   Format.fprintf fmt
     "@[<v>memnode_cores=%d replication=%b net_one_way=%.1fus svc_msg=%.1fus svc_item=%.2fus \
-     svc_per_kb=%.2fus blocking_timeout=%.1fms fail_stop_at_boundaries=%b in_doubt_grace=%.0fms@]"
+     svc_per_kb=%.2fus blocking_timeout=%.1fms in_doubt_grace=%.0fms@]"
     t.memnode_cores t.replication (t.net_one_way *. 1e6) (t.svc_msg *. 1e6) (t.svc_item *. 1e6)
     (t.svc_per_kb *. 1e6)
     (t.blocking_timeout *. 1e3)
-    t.fail_stop_at_boundaries
     (t.in_doubt_grace *. 1e3)

@@ -23,12 +23,6 @@ type t = {
   retry_backoff : float;  (** Initial retry backoff after Busy, seconds. *)
   retry_backoff_max : float;
   max_retries : int;  (** Busy retries before giving up (safety valve). *)
-  fail_stop_at_boundaries : bool;
-      (** When true (default), {!Cluster.crash} drains in-flight
-          requests so a crash lands at a minitransaction boundary — the
-          original drain model, kept for tests that depend on it. When
-          false, crashes land immediately mid-request, leaving in-doubt
-          redo-log entries for the recovery coordinator to resolve. *)
   in_doubt_grace : float;
       (** How long (simulated seconds) a prepared redo-log entry must be
           in doubt before the recovery coordinator resolves it. Must

@@ -26,8 +26,9 @@ let check_reachable cluster ~client node_id =
    [node_id]'s address space: pay the request transfer, route (the node
    may have crashed while the request was in flight), run [f] (which
    spends the memnode CPU while holding any locks it takes), pay the
-   response transfer. [f] runs inside a serving pin, so a crash
-   requested while it runs lands only after it finishes. *)
+   response transfer. [f] runs inside a serving pin, so a replica
+   serving it is never restored from mid-request; a crash landing under
+   [f] surfaces as {!Memnode.Crashed} at its next service boundary. *)
 let round_trip cluster ~client node_id ~bytes_out ~resp_bytes f =
   check_reachable cluster ~client node_id;
   let net = Cluster.net cluster in
@@ -40,10 +41,10 @@ let round_trip cluster ~client node_id ~bytes_out ~resp_bytes f =
   let result =
     try f mn store
     with e ->
-      Memnode.end_serving mn store;
+      Memnode.end_serving store;
       raise e
   in
-  Memnode.end_serving mn store;
+  Memnode.end_serving store;
   Sim.Net.transfer ?src:dst ?dst:client net ~bytes:(resp_bytes result);
   result
 
@@ -104,8 +105,9 @@ let exec_single cluster ~client ~mode (mtx : Mtx.t) node =
       let owner = Cluster.fresh_owner cluster in
       let stamp () = Cluster.take_stamp cluster in
       (* Mirror before the response transfer (ack-after-replication) and
-         inside the serving pin, so a crash never lands between commit
-         and mirror. *)
+         inside the serving pin. A crash between commit and mirror loses
+         nothing: the commit is in the redo log, which promotion replays
+         (and a mirror whose source crashed in flight is skipped). *)
       let run mn store =
         let result =
           match mode with
@@ -181,8 +183,8 @@ let parallel_map cluster nodes f =
 
 (* Per-participant prepare outcome. A prepared participant is pinned:
    the exact (node, store) pair holding its locks, with the serving pin
-   still taken, so phase two never re-routes and the node cannot crash
-   under the held locks. *)
+   still taken, so phase two never re-routes. A crash under the held
+   locks is caught by the epoch check before the stamp draw. *)
 type presult =
   | P_prepared of Memnode.t * Memnode.store * (int * string) list * int
       (* last field: the space's crash epoch captured before the request
@@ -244,16 +246,16 @@ let exec_multi cluster ~client ~mode (mtx : Mtx.t) nodes =
             with
             | Memnode.Prepared reads -> P_prepared (mn, store, reads, ep0)
             | Memnode.Busy_locks ->
-                Memnode.end_serving mn store;
+                Memnode.end_serving store;
                 P_busy
             | Memnode.Compare_failed idxs ->
-                Memnode.end_serving mn store;
+                Memnode.end_serving store;
                 P_compare idxs
             | exception Memnode.Crashed ->
                 (* Crashed mid-prepare: no vote was logged (the append is
                    the last step before a successful return), so the
                    transaction can still only abort. *)
-                Memnode.end_serving mn store;
+                Memnode.end_serving store;
                 P_unreachable false
           in
           Sim.Net.transfer ?src:dst ?dst:client net ~bytes:(resp_bytes result);
@@ -286,7 +288,7 @@ let exec_multi cluster ~client ~mode (mtx : Mtx.t) nodes =
                       participant of this failed attempt never voted). *)
                    (try Memnode.abort_timed mn store ~owner ~cost:cfg.Config.svc_msg
                     with Memnode.Crashed -> ());
-                   Memnode.end_serving mn store)))
+                   Memnode.end_serving store)))
       in
       let failed_compares =
         List.concat_map (fun (_, r) -> match r with P_compare idxs -> idxs | _ -> []) results
@@ -369,7 +371,7 @@ let exec_multi cluster ~client ~mode (mtx : Mtx.t) nodes =
                           if part.p_writes <> [] then
                             Cluster.mirror cluster node ~owner part.p_writes
                         with Memnode.Crashed -> ());
-                       Memnode.end_serving mn store))));
+                       Memnode.end_serving store))));
         Obs.Counter.incr stats.Obs.committed_2pc;
         let reads = List.concat_map (fun (_, _, _, reads, _) -> reads) prepared in
         outcome_of_reads cluster mtx ~stamp (merge_reads [ reads ])
@@ -392,10 +394,12 @@ let exec cluster ?client ?(mode = Normal) mtx =
     | outcome -> outcome
     | exception Cluster.Unavailable _ ->
         (* A participant (and its backup) is down; surface it as an
-           outcome instead of tearing the caller down. Under the drain
-           model no write of this minitransaction can have been applied:
-           single-phase failures happen before execution, multi-phase
-           ones abort every prepared participant. *)
+           outcome instead of tearing the caller down. No write of this
+           minitransaction can have been applied: routing fails before
+           execution, and a multi-phase attempt aborts every prepared
+           participant before raising. (A crash mid-execution is the
+           [Memnode.Crashed] path of [exec_single], which consults the
+           redo log.) *)
         Obs.Counter.incr (Obs.mtx obs).Obs.mtx_unavailable;
         Obs.abort obs ~layer:Obs.Abort.Mtx Obs.Abort.Crashed_host;
         Mtx.Unavailable { maybe_applied = false; partitioned = false }

@@ -24,8 +24,6 @@ type t = {
   mutable primary_store : store;
   replicas : (int, store) Hashtbl.t;
   mutable crashed : bool;
-  mutable crash_pending : bool;
-  mutable serving : int;
   mutable epoch : int; (* bumped on every crash; in-flight ops compare *)
   mutable crash_hook : (unit -> unit) option;
   heap_capacity : int;
@@ -42,8 +40,6 @@ let create ?redo ~id ~cores ~heap_capacity () =
     primary_store = make_store ?redo ~space:id heap_capacity;
     replicas = Hashtbl.create 4;
     crashed = false;
-    crash_pending = false;
-    serving = 0;
     epoch = 0;
     crash_hook = None;
     heap_capacity;
@@ -57,45 +53,28 @@ let primary t = t.primary_store
 
 let crashed t = t.crashed
 
-let crash_pending t = t.crash_pending
-
-let available t = not (t.crashed || t.crash_pending)
-
 let epoch t = t.epoch
 
 let set_crash_hook t f = t.crash_hook <- Some f
 
-let do_crash t =
-  t.crashed <- true;
-  t.crash_pending <- false;
-  t.epoch <- t.epoch + 1;
-  (* Volatile lock state dies with the node; the redo log does not. *)
-  t.primary_store.locks <- Lock_table.create ();
-  match t.crash_hook with None -> () | Some f -> f ()
-
-(* Fail-stop at minitransaction boundaries: a node asked to crash while
-   it is mid-exchange (locks possibly held, writes possibly half
-   mirrored) first drains its in-flight requests. New requests are
-   refused immediately ([available] is already false), so the drain
-   window is bounded by one service time. Kept behind
-   [Config.fail_stop_at_boundaries] for tests that depend on it. *)
-let crash t = if t.serving = 0 then do_crash t else t.crash_pending <- true
-
-(* True mid-request crash: lands immediately, even with requests in
+(* A mid-request crash: lands immediately, even with requests in
    flight. In-flight participant operations observe the epoch bump at
    their next service-time boundary and raise {!Crashed}; whatever they
    had voted survives in the redo log for the recovery coordinator. *)
-let crash_now t = if not t.crashed then do_crash t
+let crash t =
+  if not t.crashed then begin
+    t.crashed <- true;
+    t.epoch <- t.epoch + 1;
+    (* Volatile lock state dies with the node; the redo log does not. *)
+    t.primary_store.locks <- Lock_table.create ();
+    match t.crash_hook with None -> () | Some f -> f ()
+  end
 
 let begin_serving t store =
   if t.crashed then raise Crashed;
-  t.serving <- t.serving + 1;
   store.store_serving <- store.store_serving + 1
 
-let end_serving t store =
-  t.serving <- max 0 (t.serving - 1);
-  store.store_serving <- max 0 (store.store_serving - 1);
-  if t.serving = 0 && t.crash_pending then do_crash t
+let end_serving store = store.store_serving <- max 0 (store.store_serving - 1)
 
 let check_alive t ~epoch = if t.crashed || t.epoch <> epoch then raise Crashed
 
@@ -122,7 +101,6 @@ let recover ?(broken = false) t ~from_replica =
      the restored primary holds them now. *)
   from_replica.locks <- Lock_table.create ();
   t.crashed <- false;
-  t.crash_pending <- false;
   replayed
 
 let add_replica t ~of_node ~heap_capacity ~redo =
@@ -289,7 +267,7 @@ let execute_single_blocking store ~owner p ~timeout =
 (* Timed variants: a small reception cost decides lock acquisition; the
    bulk of the service time is spent holding the locks. Each service
    window is followed by an epoch check: a mid-request crash
-   ([crash_now]) bumps the epoch and the operation raises {!Crashed} at
+   ([crash]) bumps the epoch and the operation raises {!Crashed} at
    its next boundary instead of completing against wiped state. *)
 let reception_cost cost = Float.min cost 2e-6
 

@@ -49,14 +49,7 @@ val cpu : t -> Sim.Resource.t
 val primary : t -> store
 
 val crashed : t -> bool
-
-val crash_pending : t -> bool
-(** True while a drain-mode crash request waits for in-flight requests
-    (see {!crash}). *)
-
-val available : t -> bool
-(** True iff the node is neither crashed nor draining toward a crash;
-    only available nodes accept new requests. *)
+(** Crashed nodes accept no new requests until {!recover}. *)
 
 val epoch : t -> int
 (** Crash epoch: bumped once per crash. In-flight operations capture it
@@ -70,13 +63,6 @@ val set_crash_hook : t -> (unit -> unit) -> unit
     ranges before any request can reach the stale image. *)
 
 val crash : t -> unit
-(** Ask the node to crash, draining in-flight requests first (fail-stop
-    at minitransaction boundaries — the pre-redo-log model, selected by
-    {!Config.fail_stop_at_boundaries}). If the node is idle the crash
-    is immediate; otherwise it lands when the last in-flight request
-    finishes. Poll {!crashed} to observe the flip. *)
-
-val crash_now : t -> unit
 (** Crash immediately, mid-request: volatile lock state is wiped, the
     epoch is bumped, and in-flight participant operations raise
     {!Crashed} at their next service boundary. Transactions they had
@@ -99,14 +85,12 @@ val relock_in_doubt : store -> unit
     lock state, and by replica promotion). *)
 
 val begin_serving : t -> store -> unit
-(** Pin the node (and one of its stores) as serving one in-flight
-    request; a drain-mode crash will not land until the matching
-    {!end_serving}. Raises {!Crashed} on a crashed node — callers must
-    route first. *)
+(** Pin one of the node's stores as serving one in-flight request
+    ({!store_serving}). Raises {!Crashed} on a crashed node — callers
+    must route first. *)
 
-val end_serving : t -> store -> unit
-(** Release one {!begin_serving} pin, landing any pending drain-mode
-    crash once the node goes idle. *)
+val end_serving : store -> unit
+(** Release one {!begin_serving} pin. *)
 
 val add_replica : t -> of_node:int -> heap_capacity:int -> redo:Redo_log.t -> store
 (** Host a replica store for memnode [of_node] on this node, sharing

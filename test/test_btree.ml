@@ -201,9 +201,9 @@ let test_many_inserts_with_splits () =
       let entries = audit_tip tree in
       check Alcotest.int "entry count" n (List.length entries);
       check Alcotest.bool "splits happened" true
-        (Sim.Metrics.counter_value (Cluster.metrics (Ops.cluster tree)) "btree.splits" > 0);
+        (Obs.Counter.value (Obs.btree (Cluster.obs (Ops.cluster tree))).Obs.splits > 0);
       check Alcotest.bool "root split happened" true
-        (Sim.Metrics.counter_value (Cluster.metrics (Ops.cluster tree)) "btree.root_splits" > 0))
+        (Obs.Counter.value (Obs.btree (Cluster.obs (Ops.cluster tree))).Obs.root_splits > 0))
 
 let test_random_order_inserts () =
   with_tree ~max_keys:4 (fun _env tree ->
@@ -349,7 +349,7 @@ let test_snapshot_isolation () =
       check (Alcotest.option Alcotest.string) "tip removed" None (get tree (key 1));
       check (Alcotest.option Alcotest.string) "tip inserted" (Some "new") (get tree (key 100));
       check Alcotest.bool "copies happened" true
-        (Sim.Metrics.counter_value (Cluster.metrics (Ops.cluster tree)) "btree.cow" > 0))
+        (Obs.Counter.value (Obs.btree (Cluster.obs (Ops.cluster tree))).Obs.cow > 0))
 
 let test_snapshot_scan_stable () =
   with_tree ~max_keys:4 (fun _env tree ->
@@ -553,7 +553,7 @@ let test_fig2_no_unnecessary_abort_with_dirty_traversals () =
         done;
         check (Alcotest.option Alcotest.string) "warm" (Some "x") (get t2 (key 0));
         let before =
-          Sim.Metrics.counter_value (Cluster.metrics env.cluster) "btree.op_retries"
+          Obs.Counter.value (Obs.btree (Cluster.obs env.cluster)).Obs.op_retries
         in
         (* Proxy 1 splits a leaf on the left side of the tree (updating
            the shared parent); proxy 2 updates an untouched right-side
@@ -570,7 +570,7 @@ let test_fig2_no_unnecessary_abort_with_dirty_traversals () =
         check (Alcotest.option Alcotest.string) "victim committed" (Some "victim")
           (get t1 (key 58));
         result :=
-          Sim.Metrics.counter_value (Cluster.metrics env.cluster) "btree.op_retries" - before);
+          Obs.Counter.value (Obs.btree (Cluster.obs env.cluster)).Obs.op_retries - before);
     !result
   in
   let dirty_retries = run Ops.Dirty_traversal in
@@ -603,8 +603,8 @@ let test_fig3_fence_keys_prevent_wrong_leaf () =
         put t1 (key i) "v0"
       done;
       let fence_aborts_before =
-        Sim.Metrics.counter_value (Cluster.metrics env.cluster) "btree.abort.fence"
-        + Sim.Metrics.counter_value (Cluster.metrics env.cluster) "btree.abort.height"
+        Obs.Counter.value (Obs.btree (Cluster.obs env.cluster)).Obs.abort_fence
+        + Obs.Counter.value (Obs.btree (Cluster.obs env.cluster)).Obs.abort_height
       in
       (* Every stale-cache lookup must still return the right answer. *)
       for i = 0 to 400 do
@@ -613,8 +613,8 @@ let test_fig3_fence_keys_prevent_wrong_leaf () =
       check (Alcotest.option Alcotest.string) "absent key stays absent" None
         (get t2 (key 401));
       let fence_aborts_after =
-        Sim.Metrics.counter_value (Cluster.metrics env.cluster) "btree.abort.fence"
-        + Sim.Metrics.counter_value (Cluster.metrics env.cluster) "btree.abort.height"
+        Obs.Counter.value (Obs.btree (Cluster.obs env.cluster)).Obs.abort_fence
+        + Obs.Counter.value (Obs.btree (Cluster.obs env.cluster)).Obs.abort_height
       in
       (* The safety checks actually fired (the anomaly was reachable and
          was caught), rather than the answers being right by luck. *)

@@ -1,11 +1,12 @@
-(* Property suite for the slotted (v2) node wire format and its
-   zero-copy view: encode/decode/view agreement, prefix-truncation edge
-   cases, legacy back-compat, corruption detection, stamp stability, and
-   the codec span/checksum helpers the view is built on. *)
+(* Property suite for the slotted node wire format and its zero-copy
+   view: encode/decode/view agreement, prefix-truncation edge cases, the
+   u16 size limits, corruption detection, stamp stability, and the codec
+   span/checksum helpers the view is built on. *)
 
 module Bkey = Btree.Bkey
 module Bnode = Btree.Bnode
 module Bview = Btree.Bview
+module Layout = Btree.Layout
 module Objref = Dyntxn.Objref
 module Address = Sinfonia.Address
 
@@ -41,10 +42,7 @@ let node_equal (a : Bnode.t) (b : Bnode.t) =
       x.keys = y.keys && Array.for_all2 Objref.equal x.children y.children
   | _ -> false
 
-let view_of node =
-  let payload = Bnode.encode node in
-  Alcotest.(check bool) "slotted" true (Bview.is_slotted payload);
-  Bview.of_string payload
+let view_of node = Bview.of_string (Bnode.encode node)
 
 (* ------------------------------------------------------------------ *)
 (* Unit edge cases: prefix truncation, empty keys, fence boundaries     *)
@@ -122,24 +120,28 @@ let test_stamp_stability () =
   let s3 = Bview.stamp (view_of (leaf ~snap:3L [ ("a", "1"); ("b", "changed") ])) in
   check Alcotest.bool "different content, different stamp" true (not (Int64.equal s1 s3));
   check Alcotest.bool "same_stamp on raw payloads" true
-    (Bview.same_stamp (Bnode.encode n) (Bnode.encode n));
-  check Alcotest.bool "same_stamp rejects legacy payloads" false
-    (Bview.same_stamp (Bnode.encode_legacy n) (Bnode.encode_legacy n))
+    (Bview.same_stamp (Bnode.encode n) (Bnode.encode n))
 
-let test_legacy_backcompat () =
-  (* Payloads written before the slotted format (no CRC trailer) must
-     still decode. *)
-  let nodes =
-    [
-      leaf [];
-      leaf ~low:(Bkey.Key "a") ~high:(Bkey.Key "b") ~snap:42L [ ("a", "value") ];
-      internal ~height:1 [ "g" ] [ ref_ 0 4096; ref_ 1 4096 ];
-    ]
-  in
-  List.iter
-    (fun n ->
-      check Alcotest.bool "legacy decode" true (node_equal n (Bnode.decode (Bnode.encode_legacy n))))
-    nodes
+let test_u16_limit_raises () =
+  (* A key longer than a u16 can count does not fit the format. Such a
+     node fits no slot either, so encoding refuses it outright instead
+     of writing a different format. *)
+  let e = Codec.Enc.create () in
+  (match
+     Bview.encode_into e ~height:0 ~low:Bkey.Neg_inf ~high:Bkey.Pos_inf ~snap:0L
+       ~descendants:[||]
+       (Bview.Leaf_spec [| (String.make 70_000 'k', "v") |])
+   with
+  | () -> Alcotest.fail "a node over the u16 limits was encoded"
+  | exception Invalid_argument _ -> ());
+  check Alcotest.int "encoder untouched" 0 (Codec.Enc.length e)
+
+let test_layout_caps_node_size () =
+  (* Slots above 64 KiB could hold nodes the format cannot address. *)
+  ignore (Layout.make ~node_size:65536 () : Layout.t);
+  match Layout.make ~node_size:65537 () with
+  | (_ : Layout.t) -> Alcotest.fail "node_size 65537 accepted"
+  | exception Invalid_argument _ -> ()
 
 let flip_byte s i = String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 0x5a) else c) s
 
@@ -221,40 +223,49 @@ let arbitrary_key =
           (pair (int_range 0 2) (string_size ~gen:printable (int_range 0 6)));
       ])
 
-let arbitrary_leaf_node =
-  let open QCheck in
-  let gen =
-    Gen.(
-      let* entries = small_list (pair arbitrary_key (string_size ~gen:printable (int_range 0 10))) in
-      let* snap = map Int64.of_int small_nat in
-      let* ndesc = int_range 0 3 in
-      let* descs = list_repeat ndesc (map Int64.of_int small_nat) in
-      let sorted =
-        List.sort_uniq (fun (a, _) (b, _) -> Bkey.compare a b) entries |> Array.of_list
-      in
-      return
-        {
-          (Bnode.make_leaf ~low:Bkey.Neg_inf ~high:Bkey.Pos_inf ~snap sorted) with
-          Bnode.descendants = Array.of_list descs;
-        })
-  in
-  make ~print:(Format.asprintf "%a" Bnode.pp) gen
+(* [entries] draws the entry (or separator) list, so the same shapes
+   come in small sizes and in sizes that approach a 4 KiB slot. *)
+let gen_leaf_node ?(entries = QCheck.Gen.small_list) ?(value_len = 10) () =
+  QCheck.Gen.(
+    let* entries =
+      entries (pair arbitrary_key (string_size ~gen:printable (int_range 0 value_len)))
+    in
+    let* snap = map Int64.of_int small_nat in
+    let* ndesc = int_range 0 3 in
+    let* descs = list_repeat ndesc (map Int64.of_int small_nat) in
+    let sorted =
+      List.sort_uniq (fun (a, _) (b, _) -> Bkey.compare a b) entries |> Array.of_list
+    in
+    return
+      {
+        (Bnode.make_leaf ~low:Bkey.Neg_inf ~high:Bkey.Pos_inf ~snap sorted) with
+        Bnode.descendants = Array.of_list descs;
+      })
 
-let arbitrary_internal_node =
-  let open QCheck in
-  let gen =
-    Gen.(
-      let* keys = small_list arbitrary_key in
-      let keys = List.sort_uniq Bkey.compare keys in
-      let keys = if keys = [] then [ "m" ] else keys in
-      let* height = int_range 1 6 in
-      let* snap = map Int64.of_int small_nat in
-      let children = List.mapi (fun i _ -> ref_ (i mod 3) (4096 * (i + 1))) (() :: List.map ignore keys) in
-      return
-        (Bnode.make_internal ~height ~low:Bkey.Neg_inf ~high:Bkey.Pos_inf ~snap
-           ~keys:(Array.of_list keys) ~children:(Array.of_list children)))
-  in
-  make ~print:(Format.asprintf "%a" Bnode.pp) gen
+let gen_internal_node ?(entries = QCheck.Gen.small_list) () =
+  QCheck.Gen.(
+    let* keys = entries arbitrary_key in
+    let keys = List.sort_uniq Bkey.compare keys in
+    let keys = if keys = [] then [ "m" ] else keys in
+    let* height = int_range 1 6 in
+    let* snap = map Int64.of_int small_nat in
+    let children = List.mapi (fun i _ -> ref_ (i mod 3) (4096 * (i + 1))) (() :: List.map ignore keys) in
+    return
+      (Bnode.make_internal ~height ~low:Bkey.Neg_inf ~high:Bkey.Pos_inf ~snap
+         ~keys:(Array.of_list keys) ~children:(Array.of_list children)))
+
+let arbitrary_node gen = QCheck.make ~print:(Format.asprintf "%a" Bnode.pp) gen
+
+let arbitrary_leaf_node = arbitrary_node (gen_leaf_node ())
+
+let arbitrary_internal_node = arbitrary_node (gen_internal_node ())
+
+(* Leaves and internal nodes of up to a few hundred entries: most fit a
+   4 KiB slot, some do not. *)
+let arbitrary_slot_sized_node =
+  let entries g = QCheck.Gen.(list_size (int_range 0 300) g) in
+  arbitrary_node
+    (QCheck.Gen.oneof [ gen_leaf_node ~entries ~value_len:24 (); gen_internal_node ~entries () ])
 
 let prop_slotted_roundtrip =
   QCheck.Test.make ~name:"slotted encode/decode roundtrip" ~count:500 arbitrary_leaf_node (fun n ->
@@ -292,9 +303,15 @@ let prop_view_routes_like_decode =
           i = i' && Objref.equal p p')
         ("" :: queries))
 
-let prop_legacy_roundtrip =
-  QCheck.Test.make ~name:"legacy payloads still decode" ~count:300 arbitrary_leaf_node (fun n ->
-      node_equal n (Bnode.decode (Bnode.encode_legacy n)))
+let prop_slot_sized_roundtrip =
+  (* Every node that fits a 4 KiB slot has exactly one encoding, and
+     both read paths give the node back. *)
+  QCheck.Test.make ~name:"slot-sized nodes roundtrip through view and decode" ~count:300
+    arbitrary_slot_sized_node (fun n ->
+      let payload = Bnode.encode n in
+      String.length payload > 4096
+      || node_equal n (Bnode.of_view (Bview.of_string payload))
+         && node_equal n (Bnode.decode payload))
 
 let prop_stamp_stable =
   QCheck.Test.make ~name:"stamp stable across re-encode" ~count:300 arbitrary_leaf_node (fun n ->
@@ -314,7 +331,8 @@ let () =
         ] );
       ( "robustness",
         [
-          Alcotest.test_case "legacy back-compat" `Quick test_legacy_backcompat;
+          Alcotest.test_case "u16 limit raises" `Quick test_u16_limit_raises;
+          Alcotest.test_case "layout caps node size" `Quick test_layout_caps_node_size;
           Alcotest.test_case "corrupt slot directory" `Quick test_corrupt_slot_directory;
           Alcotest.test_case "truncation rejected" `Quick test_truncation_rejected;
         ] );
@@ -330,7 +348,7 @@ let () =
             prop_internal_roundtrip;
             prop_view_agrees_with_decode;
             prop_view_routes_like_decode;
-            prop_legacy_roundtrip;
+            prop_slot_sized_roundtrip;
             prop_stamp_stable;
           ] );
     ]

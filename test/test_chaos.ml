@@ -30,7 +30,7 @@ let report_string r = Format.asprintf "%a" Runner.pp_report r
 let test_clean_run_passes () =
   let r = Runner.run (small ()) in
   if not (Runner.passed r) then Alcotest.failf "chaos run failed:@.%a" Runner.pp_report r;
-  check Alcotest.bool "ops ran" true (r.Runner.verdict.Check.Checker.ops_checked > 0);
+  check Alcotest.bool "ops ran" true (r.Runner.verdict.Check.Stream.ops_checked > 0);
   check Alcotest.bool "history recorded" true (r.Runner.events > 0);
   check Alcotest.bool "audits ran" true (r.Runner.audits > 0)
 
@@ -71,23 +71,23 @@ let test_broken_mode_caught () =
   let r = Runner.run (small ~seed:11 ~duration:0.5 ~broken:true ()) in
   check Alcotest.bool "broken run fails" false (Runner.passed r);
   check Alcotest.bool "violations reported" true
-    (r.Runner.verdict.Check.Checker.violations <> []);
+    (r.Runner.verdict.Check.Stream.violations <> []);
   (* The counterexample names the operation that exposed the bug. *)
-  let first = List.hd r.Runner.verdict.Check.Checker.violations in
+  let first = List.hd r.Runner.verdict.Check.Stream.violations in
   check Alcotest.bool "counterexample has the event" true
-    (first.Check.Checker.v_event <> None)
+    (first.Check.Stream.v_event <> None)
 
 let test_broken_recovery_caught () =
   (* broken_recovery skips the redo-log replay when a replica is
      promoted or a crashed primary is restored, so committed writes
-     whose mirror never arrived are silently lost. Under mid-2PC
-     crashes the run must fail — either the checker reports lost
+     whose mirror never arrived are silently lost. Under crashes
+     landing mid-2PC the run must fail — either the checker reports lost
      updates, a structural audit catches a torn tree, or the corruption
      crashes the run outright (also reported as a failure). *)
   let r =
     Runner.run
       (small ~seed:7 ~duration:0.5
-         ~kinds:[ Nemesis.Mid_crash; Nemesis.Replica_lag ]
+         ~kinds:[ Nemesis.Crash; Nemesis.Replica_lag ]
          ~broken_recovery:true ())
   in
   check Alcotest.bool "broken recovery caught" false (Runner.passed r)
@@ -101,10 +101,10 @@ let test_staleness_bound_passes () =
 let test_twopc_records_checked () =
   (* Chaos runs retain every 2PC decision record; the final verdict
      must actually cross-check them. *)
-  let r = Runner.run (small ~kinds:[ Nemesis.Mid_crash ] ()) in
-  if not (Runner.passed r) then Alcotest.failf "midcrash run failed:@.%a" Runner.pp_report r;
+  let r = Runner.run (small ~kinds:[ Nemesis.Crash ] ()) in
+  if not (Runner.passed r) then Alcotest.failf "crash run failed:@.%a" Runner.pp_report r;
   check Alcotest.bool "2pc records checked" true
-    (r.Runner.verdict.Check.Checker.twopc_checked > 0)
+    (r.Runner.verdict.Check.Stream.twopc_checked > 0)
 
 let test_kind_names_roundtrip () =
   List.iter

@@ -1,10 +1,10 @@
-(* Tests for the history-based consistency checker, driven by synthetic
+(* Tests for the streaming consistency checker, driven by synthetic
    histories: hand-built event lists exercising each check — commit-order
    replay, real-time order, snapshot freezing, SCS strictness, ambiguity
    resolution, final audits and stamp uniqueness. *)
 
-module Event = Check.History.Event
-module Checker = Check.Checker
+module Event = Minuet.Session.Event
+module Stream = Check.Stream
 
 let check = Alcotest.check
 
@@ -36,25 +36,40 @@ let scan ?client ?index ?stamp ?sid ?ambiguous ~invoked ~returned from count res
 let snapshot ?client ?index ~sid ~invoked ~returned () =
   ev ?client ?index ~sid ~invoked ~returned Event.Snapshot_taken
 
-let run ?final ?strict_scs ?scs_staleness ?twopc ?in_doubt ?(creations = [ (0, []) ]) events =
-  Checker.check ?final ?strict_scs ?scs_staleness ?twopc ?in_doubt ~creations ~events ()
+(* Feed [events] through a fresh stream, in order, and finish it. *)
+let run ?(final = []) ?(strict_scs = true) ?scs_staleness ?(twopc = []) ?(in_doubt = 0)
+    ?(creations = [ (0, []) ]) events =
+  let stream =
+    Stream.create
+      {
+        Stream.Config.default with
+        Stream.Config.strict_scs;
+        scs_staleness;
+        creations;
+        final;
+        twopc;
+        in_doubt;
+      }
+  in
+  List.iter (Stream.feed stream) events;
+  Stream.finish stream
 
 let assert_ok ?(msg = "verdict ok") v =
-  if not (Checker.ok v) then
-    Alcotest.failf "%s, but:@.%a" msg Checker.pp_verdict v
+  if not (Stream.ok v) then
+    Alcotest.failf "%s, but:@.%a" msg Stream.pp_verdict v
 
 let assert_violation ?(msg = "expected a violation") ~mentioning v =
   check Alcotest.bool msg true
     (List.exists
        (fun viol ->
-         let m = viol.Checker.v_message in
+         let m = viol.Stream.v_message in
          (* substring match *)
          let rec contains i =
            i + String.length mentioning <= String.length m
            && (String.sub m i (String.length mentioning) = mentioning || contains (i + 1))
          in
          contains 0)
-       v.Checker.violations)
+       v.Stream.violations)
 
 (* ------------------------------------------------------------------ *)
 (* Commit-order replay                                                 *)
@@ -73,8 +88,8 @@ let test_clean_history () =
       ]
   in
   assert_ok v;
-  check Alcotest.int "ops checked" 6 v.Checker.ops_checked;
-  check Alcotest.int "no snapshot reads" 0 v.Checker.snapshot_reads_checked
+  check Alcotest.int "ops checked" 6 v.Stream.ops_checked;
+  check Alcotest.int "no snapshot reads" 0 v.Stream.snapshot_reads_checked
 
 let test_stale_read_caught () =
   let v =
@@ -85,15 +100,15 @@ let test_stale_read_caught () =
         get ~stamp:3L ~invoked:0.04 ~returned:0.05 "a" (Some "old");
       ]
   in
-  check Alcotest.bool "not ok" false (Checker.ok v);
+  check Alcotest.bool "not ok" false (Stream.ok v);
   assert_violation ~mentioning:"get \"a\"" v;
   (* The counterexample carries the nearby writes on the key. *)
-  let viol = List.hd v.Checker.violations in
-  check Alcotest.bool "context present" true (List.length viol.Checker.v_context >= 2)
+  let viol = List.hd v.Stream.violations in
+  check Alcotest.bool "context present" true (List.length viol.Stream.v_context >= 2)
 
 let test_wrong_remove_caught () =
   let v = run [ remove ~stamp:1L ~invoked:0.0 ~returned:0.1 "ghost" true ] in
-  check Alcotest.bool "not ok" false (Checker.ok v);
+  check Alcotest.bool "not ok" false (Stream.ok v);
   assert_violation ~mentioning:"remove \"ghost\"" v
 
 let test_scan_divergence_caught () =
@@ -105,12 +120,12 @@ let test_scan_divergence_caught () =
         scan ~stamp:3L ~invoked:0.04 ~returned:0.05 "" 10 [ ("a", "1"); ("b", "3") ];
       ]
   in
-  check Alcotest.bool "not ok" false (Checker.ok v);
+  check Alcotest.bool "not ok" false (Stream.ok v);
   assert_violation ~mentioning:"first divergence" v
 
 let test_missing_stamp_caught () =
   let v = run [ get ~invoked:0.0 ~returned:0.1 "a" None ] in
-  check Alcotest.bool "not ok" false (Checker.ok v);
+  check Alcotest.bool "not ok" false (Stream.ok v);
   assert_violation ~mentioning:"no commit stamp" v
 
 (* ------------------------------------------------------------------ *)
@@ -127,7 +142,7 @@ let test_realtime_order_violation () =
         put ~stamp:5L ~invoked:0.2 ~returned:0.3 "b" "2";
       ]
   in
-  check Alcotest.bool "not ok" false (Checker.ok v);
+  check Alcotest.bool "not ok" false (Stream.ok v);
   assert_violation ~mentioning:"real-time order" v
 
 let test_realtime_order_concurrent_ok () =
@@ -149,10 +164,10 @@ let test_duplicate_stamp_caught () =
         put ~stamp:7L ~invoked:0.2 ~returned:0.3 "b" "2";
       ]
   in
-  check Alcotest.bool "not ok" false (Checker.ok v);
+  check Alcotest.bool "not ok" false (Stream.ok v);
   assert_violation ~mentioning:"duplicate commit stamp" v;
   check Alcotest.bool "global violation" true
-    (List.exists (fun viol -> viol.Checker.v_index = -1) v.Checker.violations)
+    (List.exists (fun viol -> viol.Stream.v_index = -1) v.Stream.violations)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)
@@ -171,14 +186,14 @@ let test_snapshot_frozen_prefix () =
   in
   let v = run ~creations (history (Some "frozen")) in
   assert_ok ~msg:"frozen value accepted" v;
-  check Alcotest.int "snapshot read counted" 1 v.Checker.snapshot_reads_checked;
+  check Alcotest.int "snapshot read counted" 1 v.Stream.snapshot_reads_checked;
   let v = run ~creations (history (Some "later")) in
-  check Alcotest.bool "leaked later write" false (Checker.ok v);
+  check Alcotest.bool "leaked later write" false (Stream.ok v);
   assert_violation ~mentioning:"snapshot get" v
 
 let test_snapshot_without_creation_record () =
   let v = run [ get ~sid:999L ~invoked:0.0 ~returned:0.1 "a" None ] in
-  check Alcotest.bool "not ok" false (Checker.ok v);
+  check Alcotest.bool "not ok" false (Stream.ok v);
   assert_violation ~mentioning:"no creation record" v
 
 let test_scs_strictness () =
@@ -193,7 +208,7 @@ let test_scs_strictness () =
     ]
   in
   let v = run ~creations events in
-  check Alcotest.bool "strict mode rejects" false (Checker.ok v);
+  check Alcotest.bool "strict mode rejects" false (Stream.ok v);
   assert_violation ~mentioning:"misses a commit" v;
   (* With a staleness bound (k > 0) the same history is legal. *)
   assert_ok ~msg:"non-strict mode accepts" (run ~strict_scs:false ~creations events)
@@ -212,7 +227,7 @@ let test_scs_staleness_bound () =
   in
   assert_ok ~msg:"inside the staleness bound" (run ~scs_staleness:0.15 ~creations events);
   let v = run ~scs_staleness:0.05 ~creations events in
-  check Alcotest.bool "outside the bound rejected" false (Checker.ok v);
+  check Alcotest.bool "outside the bound rejected" false (Stream.ok v);
   assert_violation ~mentioning:"misses a commit" v
 
 (* ------------------------------------------------------------------ *)
@@ -223,19 +238,19 @@ let test_twopc_consistent () =
   let twopc = [ (0, 7L, `Committed); (1, 7L, `Committed); (0, 9L, `Aborted); (1, 9L, `Aborted) ] in
   let v = run ~twopc [] in
   assert_ok ~msg:"consistent decisions" v;
-  check Alcotest.int "records checked" 4 v.Checker.twopc_checked
+  check Alcotest.int "records checked" 4 v.Stream.twopc_checked
 
 let test_twopc_split_decision_caught () =
   let v = run ~twopc:[ (0, 7L, `Committed); (1, 7L, `Aborted) ] [] in
-  check Alcotest.bool "split decision rejected" false (Checker.ok v);
+  check Alcotest.bool "split decision rejected" false (Stream.ok v);
   assert_violation ~mentioning:"2PC atomicity" v;
-  let first = List.hd v.Checker.violations in
-  check Alcotest.int "global violation" (-1) first.Checker.v_index
+  let first = List.hd v.Stream.violations in
+  check Alcotest.int "global violation" (-1) first.Stream.v_index
 
 let test_in_doubt_residue_caught () =
   assert_ok ~msg:"zero in doubt" (run ~in_doubt:0 []);
   let v = run ~in_doubt:2 [] in
-  check Alcotest.bool "in-doubt residue rejected" false (Checker.ok v);
+  check Alcotest.bool "in-doubt residue rejected" false (Stream.ok v);
   assert_violation ~mentioning:"in doubt" v
 
 (* ------------------------------------------------------------------ *)
@@ -254,7 +269,7 @@ let test_ambiguous_put_resolved_applied () =
       ]
   in
   assert_ok v;
-  check Alcotest.int "resolved" 1 v.Checker.candidates_resolved
+  check Alcotest.int "resolved" 1 v.Stream.candidates_resolved
 
 let test_ambiguous_put_not_applied () =
   let v =
@@ -266,7 +281,7 @@ let test_ambiguous_put_not_applied () =
       ]
   in
   assert_ok v;
-  check Alcotest.int "nothing resolved" 0 v.Checker.candidates_resolved
+  check Alcotest.int "nothing resolved" 0 v.Stream.candidates_resolved
 
 let test_ambiguous_remove_resolved () =
   let v =
@@ -278,7 +293,7 @@ let test_ambiguous_remove_resolved () =
       ]
   in
   assert_ok v;
-  check Alcotest.int "resolved" 1 v.Checker.candidates_resolved
+  check Alcotest.int "resolved" 1 v.Stream.candidates_resolved
 
 let test_candidate_expired_by_overwrite () =
   (* A committed put that started after the ambiguous window closed
@@ -292,7 +307,7 @@ let test_candidate_expired_by_overwrite () =
         get ~stamp:2L ~invoked:0.40 ~returned:0.50 "a" (Some "maybe");
       ]
   in
-  check Alcotest.bool "not ok" false (Checker.ok v);
+  check Alcotest.bool "not ok" false (Stream.ok v);
   assert_violation ~mentioning:"get \"a\"" v
 
 let test_too_many_ambiguous_inconclusive () =
@@ -302,7 +317,7 @@ let test_too_many_ambiguous_inconclusive () =
   in
   let v = run amb in
   assert_ok ~msg:"over-budget is inconclusive, not failed" v;
-  check Alcotest.bool "inconclusive noted" true (v.Checker.inconclusive <> [])
+  check Alcotest.bool "inconclusive noted" true (v.Stream.inconclusive <> [])
 
 (* ------------------------------------------------------------------ *)
 (* Final audit                                                         *)
@@ -314,7 +329,7 @@ let test_final_audit_mismatch () =
       ~final:[ (0, [ ("a", "2") ]) ]
       [ put ~stamp:1L ~invoked:0.0 ~returned:0.1 "a" "1" ]
   in
-  check Alcotest.bool "not ok" false (Checker.ok v);
+  check Alcotest.bool "not ok" false (Stream.ok v);
   assert_violation ~mentioning:"final audit" v
 
 let test_final_audit_match () =
@@ -338,37 +353,17 @@ let test_indexes_checked_independently () =
   (* The same key lives in two indexes with different values; each index
      replays against its own model. *)
   let v =
-    Checker.check
+    run
       ~creations:[ (0, []); (1, []) ]
-      ~events:
-        [
-          put ~index:0 ~stamp:1L ~invoked:0.00 ~returned:0.01 "k" "zero";
-          put ~index:1 ~stamp:2L ~invoked:0.02 ~returned:0.03 "k" "one";
-          get ~index:0 ~stamp:3L ~invoked:0.04 ~returned:0.05 "k" (Some "zero");
-          get ~index:1 ~stamp:4L ~invoked:0.06 ~returned:0.07 "k" (Some "one");
-        ]
-      ()
+      [
+        put ~index:0 ~stamp:1L ~invoked:0.00 ~returned:0.01 "k" "zero";
+        put ~index:1 ~stamp:2L ~invoked:0.02 ~returned:0.03 "k" "one";
+        get ~index:0 ~stamp:3L ~invoked:0.04 ~returned:0.05 "k" (Some "zero");
+        get ~index:1 ~stamp:4L ~invoked:0.06 ~returned:0.07 "k" (Some "one");
+      ]
   in
   assert_ok v;
-  check Alcotest.int "all ops checked" 4 v.Checker.ops_checked
-
-(* ------------------------------------------------------------------ *)
-(* Recorder                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_history_recorder () =
-  let h = Check.History.create () in
-  let e1 = put ~stamp:1L ~invoked:0.0 ~returned:0.1 "a" "1" in
-  let e2 = get ~stamp:2L ~invoked:0.2 ~returned:0.3 "a" (Some "1") in
-  Check.History.record h e1;
-  (Check.History.tracer h) e2;
-  check Alcotest.int "length" 2 (Check.History.length h);
-  (match Check.History.events h with
-  | [ a; b ] ->
-      check Alcotest.bool "order kept" true (a == e1 && b == e2)
-  | _ -> Alcotest.fail "wrong event count");
-  Check.History.clear h;
-  check Alcotest.int "cleared" 0 (Check.History.length h)
+  check Alcotest.int "all ops checked" 4 v.Stream.ops_checked
 
 (* ------------------------------------------------------------------ *)
 (* Branching                                                           *)
@@ -399,7 +394,7 @@ let test_branch_frozen_ancestor () =
   assert_ok ~msg:"frozen ancestor state observed" v;
   (* Only the read pinned at the frozen version exercises the
      frozen-ancestor rule; the stamped tip read replays normally. *)
-  check Alcotest.bool "branch read counted" true (v.Checker.branch_reads_checked >= 1)
+  check Alcotest.bool "branch read counted" true (v.Stream.branch_reads_checked >= 1)
 
 let test_branch_isolation_leak_caught () =
   (* A read pinned at the frozen parent observing the child's write is a
@@ -413,7 +408,7 @@ let test_branch_isolation_leak_caught () =
         branch_get ~at:0L ~invoked:0.06 ~returned:0.07 "a" (Some "child");
       ]
   in
-  check Alcotest.bool "not ok" false (Checker.ok v)
+  check Alcotest.bool "not ok" false (Stream.ok v)
 
 let test_sibling_leak_caught () =
   (* Two children forked from the same parent: a write on one sibling
@@ -427,10 +422,10 @@ let test_sibling_leak_caught () =
         branch_get ~stamp:4L ~at:2L ~invoked:0.06 ~returned:0.07 "k" (Some "from-sibling");
       ]
   in
-  check Alcotest.bool "not ok" false (Checker.ok v)
+  check Alcotest.bool "not ok" false (Stream.ok v)
 
 (* ------------------------------------------------------------------ *)
-(* Synthetic histories (Histgen): streaming vs list, falsifiability    *)
+(* Synthetic histories (Histgen): falsifiability                       *)
 (* ------------------------------------------------------------------ *)
 
 let gen_history cfg =
@@ -441,62 +436,27 @@ let gen_history cfg =
 let histgen_cfg ?(branching = false) ?fault () =
   { Chaos.Histgen.default with Chaos.Histgen.ops = 20_000; branching; fault }
 
-let test_stream_matches_list () =
-  (* Feeding the stream by hand and going through the list wrapper must
-     produce the same verdict on the same history, linear and branching. *)
-  List.iter
-    (fun branching ->
-      let gen, events = gen_history (histgen_cfg ~branching ()) in
-      let listed =
-        Checker.check
-          ~creations:gen.Chaos.Histgen.gen_creations
-          ~final:gen.Chaos.Histgen.gen_final ~events ()
-      in
-      let stream =
-        Check.Stream.create
-          {
-            Check.Stream.Config.default with
-            Check.Stream.Config.creations = gen.Chaos.Histgen.gen_creations;
-          }
-      in
-      List.iter (Check.Stream.feed stream) events;
-      let streamed =
-        Check.Stream.finish ~final:gen.Chaos.Histgen.gen_final stream
-      in
-      check Alcotest.bool
-        (Printf.sprintf "identical verdicts (branching=%b)" branching)
-        true
-        (listed = streamed);
-      assert_ok ~msg:"clean synthetic history passes" listed)
-    [ false; true ]
-
 let test_histgen_branching_clean () =
   let gen, events = gen_history (histgen_cfg ~branching:true ()) in
-  let v =
-    Checker.check ~creations:gen.Chaos.Histgen.gen_creations ~events ()
-  in
+  let v = run ~creations:gen.Chaos.Histgen.gen_creations events in
   assert_ok ~msg:"branching synthetic history passes" v;
-  check Alcotest.bool "branch reads exercised" true (v.Checker.branch_reads_checked > 100)
+  check Alcotest.bool "branch reads exercised" true (v.Stream.branch_reads_checked > 100)
 
 let test_histgen_stale_read_caught () =
   let gen, events =
     gen_history (histgen_cfg ~fault:Chaos.Histgen.Stale_read ())
   in
   let v =
-    Checker.check
-      ~creations:gen.Chaos.Histgen.gen_creations
-      ~final:gen.Chaos.Histgen.gen_final ~events ()
+    run ~creations:gen.Chaos.Histgen.gen_creations ~final:gen.Chaos.Histgen.gen_final events
   in
-  check Alcotest.bool "seeded stale read caught" false (Checker.ok v)
+  check Alcotest.bool "seeded stale read caught" false (Stream.ok v)
 
 let test_histgen_branch_isolation_caught () =
   let gen, events =
     gen_history (histgen_cfg ~branching:true ~fault:Chaos.Histgen.Branch_isolation ())
   in
-  let v =
-    Checker.check ~creations:gen.Chaos.Histgen.gen_creations ~events ()
-  in
-  check Alcotest.bool "seeded isolation leak caught" false (Checker.ok v)
+  let v = run ~creations:gen.Chaos.Histgen.gen_creations events in
+  check Alcotest.bool "seeded isolation leak caught" false (Stream.ok v)
 
 (* ------------------------------------------------------------------ *)
 (* Event JSON                                                          *)
@@ -583,7 +543,6 @@ let () =
       ( "structure",
         [
           Alcotest.test_case "independent indexes" `Quick test_indexes_checked_independently;
-          Alcotest.test_case "history recorder" `Quick test_history_recorder;
         ] );
       ( "branching",
         [
@@ -593,7 +552,6 @@ let () =
         ] );
       ( "synthetic",
         [
-          Alcotest.test_case "stream matches list" `Quick test_stream_matches_list;
           Alcotest.test_case "branching clean" `Quick test_histgen_branching_clean;
           Alcotest.test_case "stale read caught" `Quick test_histgen_stale_read_caught;
           Alcotest.test_case "branch isolation caught" `Quick

@@ -177,12 +177,12 @@ let test_txn_read_only_free_commit () =
       let t0 = Txn.begin_ cluster in
       Txn.write t0 r "v";
       commit_ok t0;
-      let before = Sim.Metrics.counter_value (Cluster.metrics cluster) "txn.free_commits" in
+      let before = Obs.Counter.value (Obs.txn (Cluster.obs cluster)).Obs.free_commits in
       let t = Txn.begin_ cluster in
       check Alcotest.string "value" "v" (Txn.read t r);
       check Alcotest.int "one fetch" 1 (Txn.fetches t);
       commit_ok t;
-      let after = Sim.Metrics.counter_value (Cluster.metrics cluster) "txn.free_commits" in
+      let after = Obs.Counter.value (Obs.txn (Cluster.obs cluster)).Obs.free_commits in
       check Alcotest.int "free commit" (before + 1) after)
 
 let test_txn_occ_conflict () =

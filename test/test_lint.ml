@@ -210,7 +210,7 @@ let test_suppression_window () =
   check Alcotest.bool "window ends one line after" false (allowed "nondet-iteration" 10);
   check Alcotest.bool "trailing same-line directive" true (allowed "wallclock-rng" 11);
   check Alcotest.bool "directive names only its rule" false (allowed "crashed-swallow" 9);
-  check Alcotest.bool "allow-file covers everywhere" true (allowed "stringly-metrics" 13)
+  check Alcotest.bool "allow-file covers everywhere" true (allowed "poly-compare" 13)
 
 let test_json_report () =
   let result = Lazy.force repo_result in

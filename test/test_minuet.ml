@@ -186,6 +186,32 @@ let test_branching_api () =
       | (_ : string option) -> Alcotest.fail "linear op on branching db should fail"
       | exception Invalid_argument _ -> ())
 
+(* Recover [host], waiting out a replica still serving failover
+   requests (the crash lands mid-request, so traffic may be in flight on
+   the replica when recovery is asked for). *)
+let recover_ok db host =
+  match Sinfonia.Cluster.recover_when_idle (Minuet.Db.cluster db) host with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "recover %d: %s" host (Sinfonia.Cluster.recover_error_to_string e)
+
+let test_host_arguments_checked () =
+  run (fun db ->
+      (match Minuet.Db.recover_host db 1 with
+      | Error Sinfonia.Cluster.Not_crashed -> ()
+      | Ok () -> Alcotest.fail "recovered a live host"
+      | Error e -> Alcotest.failf "wrong error: %s" (Sinfonia.Cluster.recover_error_to_string e));
+      let hosts = (Minuet.Db.config db).Minuet.Config.hosts in
+      List.iter
+        (fun host ->
+          (match Minuet.Db.crash_host db host with
+          | () -> Alcotest.failf "crash_host %d accepted" host
+          | exception Invalid_argument _ -> ());
+          match Minuet.Db.recover_host db host with
+          | (_ : (unit, Sinfonia.Cluster.recover_error) result) ->
+              Alcotest.failf "recover_host %d accepted" host
+          | exception Invalid_argument _ -> ())
+        [ -1; hosts; 99 ])
+
 let test_failover_during_workload () =
   run (fun db ->
       let s = Minuet.Session.attach db in
@@ -201,11 +227,60 @@ let test_failover_during_workload () =
       for i = 0 to 49 do
         Minuet.Session.put s (key i) "after"
       done;
-      Minuet.Db.recover_host db 2;
+      recover_ok db 2;
       for i = 0 to 49 do
         check (Alcotest.option Alcotest.string) "read after recovery" (Some "after")
           (Minuet.Session.get s (key i))
       done)
+
+let test_crash_under_writers () =
+  (* Crashes land mid-2PC, so concurrent writers leave transactions in
+     doubt holding their write locks. Db.crash_host's resolver must
+     settle them: once the hosts are back every key is writable again.
+     The run has no horizon, so it also shows the resolver exits once
+     its work is done. *)
+  run (fun db ->
+      let keys = 60 in
+      let hosts = (Minuet.Db.config db).Minuet.Config.hosts in
+      let s = Minuet.Session.attach db in
+      for i = 0 to keys - 1 do
+        Minuet.Session.put s (key i) "seed"
+      done;
+      let stop = ref false in
+      for w = 0 to 3 do
+        let ws = Minuet.Session.attach ~home:(w mod hosts) db in
+        let rng = Sim.Rng.create (w + 11) in
+        Sim.spawn (fun () ->
+            while not !stop do
+              (* Two random keys, usually in leaves on different
+                 memnodes: a distributed (2PC) minitransaction. *)
+              let a = Sim.Rng.int rng keys and b = Sim.Rng.int rng keys in
+              try
+                Minuet.Session.with_txn ws (fun tx ->
+                    Minuet.Session.t_put tx (key a) (Printf.sprintf "w%d" w);
+                    Minuet.Session.t_put tx (key b) (Printf.sprintf "w%d" w))
+              with Btree.Ops.Too_contended _ | Btree.Ops.Ambiguous _ -> ()
+            done)
+      done;
+      for cycle = 0 to 11 do
+        let host = 1 + (cycle mod (hosts - 1)) in
+        Sim.delay 0.03;
+        Minuet.Db.crash_host db host;
+        Sim.delay 0.05;
+        recover_ok db host
+      done;
+      stop := true;
+      Sim.delay 2.0;
+      check Alcotest.bool "a crash left a transaction in doubt" true
+        (Obs.Counter.value (Obs.recovery (Minuet.Db.obs db)).Obs.in_doubt_found > 0);
+      check Alcotest.int "nothing left in doubt" 0
+        (Sinfonia.Cluster.in_doubt_total (Minuet.Db.cluster db));
+      for i = 0 to keys - 1 do
+        Minuet.Session.put s (key i) "final"
+      done;
+      let all = Minuet.Session.scan s ~from:"" ~count:1000 in
+      check Alcotest.int "every key present" keys (List.length all);
+      List.iter (fun (_, v) -> check Alcotest.string "every key rewritten" "final" v) all)
 
 let test_mixed_load_many_sessions () =
   run (fun db ->
@@ -263,7 +338,7 @@ let test_enable_gc () =
       done;
       Sim.delay 5.0;
       check Alcotest.bool "old versions reclaimed" true
-        (Sim.Metrics.counter_value (Minuet.Db.metrics db) "gc.slots_reclaimed" > 0);
+        (Obs.Counter.value (Obs.gc (Minuet.Db.obs db)).Obs.slots_reclaimed > 0);
       (* The tip remains fully intact. *)
       let all = Minuet.Session.scan s ~from:"" ~count:100 in
       check Alcotest.int "tip intact" 30 (List.length all);
@@ -285,7 +360,7 @@ let test_deterministic_replay () =
         done;
         Sim.delay 600.0;
         let contents = Minuet.Session.scan s ~from:"" ~count:1000 in
-        (contents, Sim.Metrics.counters (Minuet.Db.metrics db)))
+        (contents, Obs.counters (Minuet.Db.obs db)))
   in
   let a = run_once () and b = run_once () in
   check Alcotest.bool "identical contents" true (fst a = fst b);
@@ -364,7 +439,7 @@ let test_chaos_mixed_everything () =
           Sim.delay 0.05;
           Minuet.Db.crash_host db 3;
           Sim.delay 0.2;
-          Minuet.Db.recover_host db 3);
+          recover_ok db 3);
       Sim.delay 1200.0;
       check Alcotest.int "writers done" 4 !writers_done;
       check Alcotest.bool "give-ups are rare" true (!gave_up < 30);
@@ -417,6 +492,8 @@ let () =
           Alcotest.test_case "background gc" `Quick test_enable_gc;
           Alcotest.test_case "chaos" `Quick test_chaos_mixed_everything;
           Alcotest.test_case "failover" `Quick test_failover_during_workload;
+          Alcotest.test_case "host arguments checked" `Quick test_host_arguments_checked;
+          Alcotest.test_case "crash under writers" `Quick test_crash_under_writers;
           Alcotest.test_case "mixed load" `Quick test_mixed_load_many_sessions;
         ] );
     ]

@@ -224,7 +224,7 @@ let test_gc_background_process () =
       Sim.spawn (fun () ->
           Sim.delay 20.0;
           check Alcotest.bool "background reclaimed" true
-            (Sim.Metrics.counter_value (Cluster.metrics env.cluster) "gc.slots_reclaimed" > 0);
+            (Obs.Counter.value (Obs.gc (Cluster.obs env.cluster)).Obs.slots_reclaimed > 0);
           Sim.stop ()))
 
 (* ------------------------------------------------------------------ *)
@@ -358,7 +358,7 @@ let test_branch_descendant_sets_bounded () =
         (Branching.get br ~at:b1 (key 0));
       (* A discretionary copy fired and no stored node exceeds β. *)
       check Alcotest.bool "discretionary cow fired" true
-        (Sim.Metrics.counter_value (Cluster.metrics env.cluster) "btree.discretionary_cow" > 0);
+        (Obs.Counter.value (Obs.btree (Cluster.obs env.cluster)).Obs.discretionary_cow > 0);
       let layout = env.layout in
       for node = 0 to Cluster.n_memnodes env.cluster - 1 do
         let _, store = Cluster.route env.cluster node in

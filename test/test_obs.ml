@@ -1,6 +1,6 @@
-(* The observability layer: typed counters backed by the legacy
-   registry, the (layer, reason) abort taxonomy, span nesting across
-   retries, and the JSON report round-trip. *)
+(* The observability layer: typed counters and their report names, the
+   (layer, reason) abort taxonomy, span nesting across retries, and the
+   JSON report round-trip and shape. *)
 
 let check = Alcotest.check
 
@@ -14,12 +14,11 @@ let test_typed_counters () =
   let obs = Obs.create () in
   Obs.Counter.incr (Obs.txn obs).Obs.commits;
   Obs.Counter.add (Obs.btree obs).Obs.splits 3;
-  (* Typed handles write into the string registry under the legacy
-     names, so old-style inspection sees the same numbers. *)
-  check Alcotest.int "txn.commits via registry" 1
-    (Sim.Metrics.counter_value (Obs.metrics obs) "txn.commits");
-  check Alcotest.int "btree.splits via registry" 3
-    (Sim.Metrics.counter_value (Obs.metrics obs) "btree.splits")
+  (* Every typed handle is listed under its report name. *)
+  let counters = Obs.counters obs in
+  check Alcotest.int "txn.commits by name" 1 (List.assoc "txn.commits" counters);
+  check Alcotest.int "btree.splits by name" 3 (List.assoc "btree.splits" counters);
+  check Alcotest.int "untouched counter listed" 0 (List.assoc "cache.hits" counters)
 
 let test_abort_matrix () =
   let obs = Obs.create () in
@@ -32,9 +31,8 @@ let test_abort_matrix () =
   check Alcotest.int "summed over layers" 3 (Obs.abort_count obs Obs.Abort.Lock_busy);
   check Alcotest.int "other reason" 1 (Obs.abort_count obs Obs.Abort.Fence_violation);
   check Alcotest.int "nonzero cells" 3 (List.length (Obs.abort_counts obs));
-  (* The matrix is also visible through the registry. *)
-  check Alcotest.int "registry name" 2
-    (Sim.Metrics.counter_value (Obs.metrics obs) "abort.mtx.lock_busy")
+  (* The matrix is also listed by report name. *)
+  check Alcotest.int "report name" 2 (List.assoc "abort.mtx.lock_busy" (Obs.counters obs))
 
 (* ------------------------------------------------------------------ *)
 (* Span nesting                                                         *)
@@ -127,8 +125,8 @@ let test_crashed_host_abort () =
       | _ -> Alcotest.fail "expected Unavailable against a crashed, unreplicated node");
       check Alcotest.int "crashed_host at mtx layer" 1
         (Obs.abort_count obs ~layer:Obs.Abort.Mtx Obs.Abort.Crashed_host);
-      check Alcotest.int "legacy counter" 1
-        (Sim.Metrics.counter_value (Obs.metrics obs) "mtx.unavailable"))
+      check Alcotest.int "mtx.unavailable" 1
+        (Obs.Counter.value (Obs.mtx obs).Obs.mtx_unavailable))
 
 (* ------------------------------------------------------------------ *)
 (* JSON report                                                          *)
@@ -154,14 +152,14 @@ let test_json_roundtrip () =
       in
       check Alcotest.bool "name" true (member "name" = Obs.Json.String "roundtrip");
       check Alcotest.bool "schema" true (member "schema_version" = Obs.Json.Int 1);
-      (* Counters in the report agree with the registry. *)
+      (* Counters in the report agree with the typed handles. *)
       let commits =
         match Obs.Json.member "txn.commits" (member "counters") with
         | Some (Obs.Json.Int n) -> n
         | _ -> Alcotest.fail "counters.txn.commits missing"
       in
-      check Alcotest.int "report counter = registry counter"
-        (Sim.Metrics.counter_value (Obs.metrics obs) "txn.commits")
+      check Alcotest.int "report counter = typed counter"
+        (Obs.Counter.value (Obs.txn obs).Obs.commits)
         commits;
       (* Both read paths produced latency summaries. *)
       let ops = member "ops" in
@@ -174,6 +172,62 @@ let test_json_roundtrip () =
               | _ -> Alcotest.failf "ops.%s.p99_ms missing" label)
           | None -> Alcotest.failf "ops.%s missing" label)
         [ "get"; "put"; "get@snapshot"; "snapshot" ])
+
+(* The report's field names and order, pinned for a fixed small run:
+   the counters block lists every counter sorted by name, the spans
+   block every span kind seen, also sorted. *)
+let expected_counters =
+  [ "abort.btree.crashed_host"; "abort.btree.fence_violation"; "abort.btree.height_mismatch";
+    "abort.btree.lock_busy"; "abort.btree.partitioned"; "abort.btree.snapshot_stale";
+    "abort.btree.validation_failed"; "abort.mtx.crashed_host"; "abort.mtx.fence_violation";
+    "abort.mtx.height_mismatch"; "abort.mtx.lock_busy"; "abort.mtx.partitioned";
+    "abort.mtx.snapshot_stale"; "abort.mtx.validation_failed"; "abort.scs.crashed_host";
+    "abort.scs.fence_violation"; "abort.scs.height_mismatch"; "abort.scs.lock_busy";
+    "abort.scs.partitioned"; "abort.scs.snapshot_stale"; "abort.scs.validation_failed";
+    "abort.txn.crashed_host"; "abort.txn.fence_violation"; "abort.txn.height_mismatch";
+    "abort.txn.lock_busy"; "abort.txn.partitioned"; "abort.txn.snapshot_stale";
+    "abort.txn.validation_failed"; "alloc.chunk_reservations"; "btree.abort.copied";
+    "btree.abort.fence"; "btree.abort.height"; "btree.abort.version"; "btree.branches_created";
+    "btree.branches_deleted"; "btree.cow"; "btree.discretionary_cow"; "btree.op_retries";
+    "btree.root_splits"; "btree.snapshots_created"; "btree.splits"; "cache.bulk_evictions";
+    "cache.epoch_revalidations"; "cache.epoch_survived"; "cache.evictions"; "cache.hits";
+    "cache.misses"; "cache.stale_epoch_hits"; "chaos.crashes"; "chaos.delay_faults";
+    "chaos.faults_injected"; "chaos.mirror_partitions"; "chaos.partitions";
+    "chaos.replica_lags"; "chaos.scs_outages"; "chaos.stalls"; "gc.branch_slots_reclaimed";
+    "gc.slots_reclaimed"; "memnode.crashes"; "memnode.recoveries"; "mtx.busy_retries";
+    "mtx.committed_1pc"; "mtx.committed_2pc"; "mtx.compare_failed";
+    "mtx.retry_budget_exhausted"; "mtx.unavailable"; "mtx.vote_epoch_aborts";
+    "node.bytes_copied"; "node.materialisations"; "node.stamp_revalidations"; "node.view_hits";
+    "recovery.in_doubt"; "recovery.orphans_released"; "recovery.promotions";
+    "recovery.resolved_abort"; "recovery.resolved_commit"; "redo.replayed";
+    "replication.mirror_skipped"; "replication.mirrors"; "scan.batch_aborts";
+    "scan.batched_leaves"; "scan.batches"; "scan.continuations"; "scan.prefetches";
+    "scs.borrows"; "scs.snapshots_created"; "scs.stale_reuses"; "txn.commits";
+    "txn.free_commits"; "txn.retry_exhausted"; "txn.unavailable"; "txn.validation_failures" ]
+
+let expected_spans =
+  [ "btree.traversal"; "mtx.commit"; "mtx.exec"; "mtx.prepare"; "op.get"; "op.get@snapshot";
+    "op.put"; "op.snapshot"; "scs.create_snapshot"; "scs.request"; "txn"; "txn.attempt";
+    "txn.commit" ]
+
+let test_report_shape () =
+  Minuet.Harness.run ~config:small_config (fun db ->
+      let s = Minuet.Session.attach db in
+      for i = 0 to 49 do
+        Minuet.Session.put s (Printf.sprintf "key%04d" i) "v"
+      done;
+      let (_ : string option) = Minuet.Session.get s "key0007" in
+      let snap = Minuet.Session.snapshot s in
+      let (_ : string option) = Minuet.Session.get_at s snap "key0007" in
+      let json = Obs.Report.to_json ~name:"shape" (Minuet.Db.obs db) in
+      let keys block =
+        match Obs.Json.member block json with
+        | Some (Obs.Json.Obj cells) -> List.map fst cells
+        | _ -> Alcotest.failf "missing %s block" block
+      in
+      let names = Alcotest.(list string) in
+      check names "counter names" expected_counters (keys "counters");
+      check names "span names" expected_spans (keys "spans"))
 
 let test_json_parser () =
   let t = Obs.Json.parse {| {"a": [1, 2.5, true, null, "s\n"], "b": {"c": -3}} |} in
@@ -205,6 +259,7 @@ let () =
       ( "report",
         [
           Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
+          Alcotest.test_case "shape pinned" `Quick test_report_shape;
           Alcotest.test_case "json parser" `Quick test_json_parser;
         ] );
     ]

@@ -544,22 +544,6 @@ let test_series () =
   check (Alcotest.array (Alcotest.float 1e-9)) "times" [| 0.0; 1.0; 2.0 |] times;
   check (Alcotest.array Alcotest.int) "counts" [| 2; 0; 3 |] counts
 
-let test_metrics () =
-  let m = Sim.Metrics.create () in
-  (* This test exercises the raw string-keyed Metrics surface itself. *)
-  Sim.Metrics.incr m "aborts" (* lint: allow stringly-metrics *);
-  Sim.Metrics.incr m "aborts" (* lint: allow stringly-metrics *);
-  Sim.Metrics.add m "messages" 10 (* lint: allow stringly-metrics *);
-  Sim.Metrics.observe m "latency" 0.001 (* lint: allow stringly-metrics *);
-  check Alcotest.int "counter" 2 (Sim.Metrics.counter_value m "aborts");
-  check Alcotest.int "missing counter" 0 (Sim.Metrics.counter_value m "nope");
-  check Alcotest.int "hist count" 1 (Sim.Stats.Hist.count (Sim.Metrics.hist m "latency"));
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
-    "sorted counters"
-    [ ("aborts", 2); ("messages", 10) ]
-    (Sim.Metrics.counters m)
-
 let () =
   Alcotest.run "sim"
     [
@@ -628,6 +612,5 @@ let () =
           Alcotest.test_case "hist merge" `Quick test_hist_merge;
           Alcotest.test_case "moments" `Quick test_moments;
           Alcotest.test_case "series" `Quick test_series;
-          Alcotest.test_case "metrics" `Quick test_metrics;
         ] );
     ]

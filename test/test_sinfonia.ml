@@ -457,7 +457,7 @@ let test_mtx_blocking_mode () =
       in
       let (_ : (Address.t * string) list) = expect_committed outcome in
       check Alcotest.bool "no abort-retry happened" true
-        (Sim.Metrics.counter_value (Cluster.metrics cluster) "mtx.busy_retries" = 0))
+        (Obs.Counter.value (Obs.mtx (Cluster.obs cluster)).Obs.busy_retries = 0))
 
 (* ------------------------------------------------------------------ *)
 (* Replication and failover                                             *)
@@ -470,7 +470,7 @@ let test_replication_mirrors_writes () =
           (exec cluster (Mtx.make ~writes:[ Mtx.write_at (addr 0 0) "replicated" ] ()))
       in
       check Alcotest.bool "mirror happened" true
-        (Sim.Metrics.counter_value (Cluster.metrics cluster) "replication.mirrors" > 0);
+        (Obs.Counter.value (Obs.mtx (Cluster.obs cluster)).Obs.mirrors > 0);
       (* The replica hosted on the backup node holds the data. *)
       match Cluster.backup_of cluster 0 with
       | None -> Alcotest.fail "replication should be on"
@@ -497,7 +497,9 @@ let test_failover_serves_from_backup () =
         expect_committed
           (exec cluster (Mtx.make ~writes:[ Mtx.write_at (addr 0 0) "during" ] ()))
       in
-      Cluster.recover cluster 0;
+      (match Cluster.try_recover cluster 0 with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "recovery refused: %s" (Cluster.recover_error_to_string e));
       match expect_committed (exec cluster (Mtx.make ~reads:[ Mtx.read_at (addr 0 0) 6 ] ())) with
       | [ (_, data) ] -> check Alcotest.string "state recovered" "during" data
       | _ -> Alcotest.fail "read failed")
@@ -538,7 +540,7 @@ let test_recovery_releases_orphans () =
       check Alcotest.bool "orphan released" false
         (Lock_table.holds (Memnode.store_locks store) ~owner:424242L);
       check Alcotest.bool "recovery counted" true
-        (Sim.Metrics.counter_value (Cluster.metrics cluster) "recovery.orphans_released" > 0);
+        (Obs.Counter.value (Obs.mtx (Cluster.obs cluster)).Obs.orphans_released > 0);
       (* The recovery daemon loops forever; end the simulation. *)
       Sim.stop ())
 
@@ -629,7 +631,7 @@ let test_redo_replay_idempotent () =
       check Alcotest.string "heap unchanged" "abcd" (Heap.read heap ~off:0 ~len:4))
 
 let test_mid_crash_raises () =
-  (* crash_now lands under an in-flight timed operation: the operation
+  (* A crash lands under an in-flight timed operation: the operation
      raises Crashed at its next service boundary, before it could log a
      vote against wiped lock state. *)
   Sim.run (fun () ->
@@ -644,7 +646,7 @@ let test_mid_crash_raises () =
           | (_ : Memnode.prepare_result) -> ()
           | exception Memnode.Crashed -> raised := true);
       Sim.delay 0.005;
-      Memnode.crash_now mn;
+      Memnode.crash mn;
       Sim.delay 0.1;
       check Alcotest.bool "raised mid-request" true !raised;
       check Alcotest.bool "epoch bumped" true (Memnode.epoch mn > 0);
@@ -656,45 +658,28 @@ let test_try_recover_typed_errors () =
       | Error Cluster.Not_crashed -> ()
       | Ok () -> Alcotest.fail "recovered an alive node"
       | Error e -> Alcotest.failf "wrong error: %s" (Cluster.recover_error_to_string e));
-      (* The legacy interface still raises. *)
-      (match Cluster.recover cluster 0 with
-      | () -> Alcotest.fail "legacy recover must raise"
-      | exception Invalid_argument _ -> ());
       Cluster.crash cluster 0;
-      let rec wait () =
-        if not (Memnode.crashed (Cluster.memnode cluster 0)) then begin
-          Sim.delay 1e-3;
-          wait ()
-        end
-      in
-      wait ();
+      check Alcotest.bool "crash lands at once" true (Memnode.crashed (Cluster.memnode cluster 0));
       (match Cluster.try_recover cluster 0 with
       | Ok () -> ()
       | Error e -> Alcotest.failf "recovery refused: %s" (Cluster.recover_error_to_string e));
-      check Alcotest.bool "alive again" true (Memnode.available (Cluster.memnode cluster 0)))
+      check Alcotest.bool "alive again" false (Memnode.crashed (Cluster.memnode cluster 0)))
 
 let test_try_recover_no_replica () =
   let config = { Config.default with replication = false } in
   with_cluster ~config (fun cluster ->
       Cluster.crash cluster 0;
-      let rec wait () =
-        if not (Memnode.crashed (Cluster.memnode cluster 0)) then begin
-          Sim.delay 1e-3;
-          wait ()
-        end
-      in
-      wait ();
       match Cluster.try_recover cluster 0 with
       | Error Cluster.No_replica -> ()
       | Ok () -> Alcotest.fail "recovered without a replica"
       | Error e -> Alcotest.failf "wrong error: %s" (Cluster.recover_error_to_string e))
 
-let test_blocking_race_crash_drain () =
-  (* A blocking minitransaction waiting on a busy lock pins the node as
-     serving; a drain-mode crash requested meanwhile stays pending until
-     the blocking wait resolves (here: times out), then lands. The
-     waiter gets a clean outcome either way — served by the replica
-     after failover or reported unavailable — never a torn one. *)
+let test_blocking_race_immediate_crash () =
+  (* A blocking minitransaction waiting on a busy lock is in flight when
+     its node crashes. The crash lands at once — the wait does not hold
+     it off — and the waiter still gets a clean outcome: served by the
+     replica after failover or reported unavailable, never a torn
+     one. *)
   with_cluster (fun cluster ->
       let store = Memnode.primary (Cluster.memnode cluster 0) in
       let locks = Memnode.store_locks store in
@@ -707,18 +692,26 @@ let test_blocking_race_crash_drain () =
               (exec cluster ~mode:Coordinator.Blocking
                  (Mtx.make ~writes:[ Mtx.write_at (addr 0 0) "blocked!" ] ())));
       Sim.delay 1e-3;
+      check Alcotest.bool "waiter still blocked" true (!outcome = None);
       Cluster.crash cluster 0;
-      check Alcotest.bool "drain pending behind blocking wait" true
-        (Memnode.crash_pending (Cluster.memnode cluster 0));
+      check Alcotest.bool "crash landed at once" true (Memnode.crashed (Cluster.memnode cluster 0));
       let rec wait n =
-        if n = 0 then Alcotest.fail "blocking wait never resolved against the drain";
-        if !outcome = None || not (Memnode.crashed (Cluster.memnode cluster 0)) then begin
+        if n = 0 then Alcotest.fail "blocking wait never resolved after the crash";
+        if !outcome = None then begin
           Sim.delay 0.01;
           wait (n - 1)
         end
       in
       wait 10_000;
-      check Alcotest.bool "crash landed" true (Memnode.crashed (Cluster.memnode cluster 0)))
+      match !outcome with
+      | Some (Mtx.Committed _) -> (
+          (* Served by the promoted replica: the write is whole there. *)
+          match expect_committed (exec cluster (Mtx.make ~reads:[ Mtx.read_at (addr 0 0) 8 ] ())) with
+          | [ (_, data) ] -> check Alcotest.string "write landed whole" "blocked!" data
+          | _ -> Alcotest.fail "read failed")
+      | Some (Mtx.Unavailable _) -> ()
+      | Some o -> Alcotest.failf "torn outcome: %a" Mtx.pp_outcome o
+      | None -> assert false)
 
 let test_mid_crash_in_doubt_resolved () =
   (* End to end: 2PC traffic over two spaces, a mid-2PC crash of node 0,
@@ -741,7 +734,7 @@ let test_mid_crash_in_doubt_resolved () =
             incr finished)
       done;
       Sim.delay 0.01;
-      Cluster.crash_now cluster 0;
+      Cluster.crash cluster 0;
       Sim.delay 0.05;
       let rec recover_retry () =
         match Cluster.try_recover cluster 0 with
@@ -840,7 +833,7 @@ let () =
           Alcotest.test_case "mid-crash raises" `Quick test_mid_crash_raises;
           Alcotest.test_case "try_recover typed errors" `Quick test_try_recover_typed_errors;
           Alcotest.test_case "try_recover no replica" `Quick test_try_recover_no_replica;
-          Alcotest.test_case "blocking vs crash drain" `Quick test_blocking_race_crash_drain;
+          Alcotest.test_case "blocking vs immediate crash" `Quick test_blocking_race_immediate_crash;
           Alcotest.test_case "mid-crash in-doubt resolved" `Quick
             test_mid_crash_in_doubt_resolved;
         ] );
