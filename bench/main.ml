@@ -133,7 +133,7 @@ let run_checker_bench () =
       let stream = Check.Stream.create Check.Stream.Config.default in
       let peak = ref 0 in
       let fed = ref 0 in
-      let t0 = Unix.gettimeofday () (* lint: allow wallclock-rng *) in
+      let elapsed_ms = Obs.Bench.stopwatch () in
       let gen =
         Chaos.Histgen.generate
           ~on_creation:(fun ~index ~sid ~stamp ->
@@ -148,7 +148,7 @@ let run_checker_bench () =
             end)
       in
       let verdict = Check.Stream.finish ~final:gen.Chaos.Histgen.gen_final stream in
-      let dt = Unix.gettimeofday () -. t0 (* lint: allow wallclock-rng *) in
+      let dt = elapsed_ms () /. 1e3 in
       if not (Check.Stream.ok verdict) then
         failwith "clean synthetic history failed the streaming checker";
       Printf.printf "%-10s %7d events in %5.2fs  %8.0f ops/sec  peak live %9d words\n%!"
@@ -174,10 +174,9 @@ let run_figures () =
            * (?params:Experiments.Exp_common.params -> unit -> Experiments.Exp_common.row list)) ->
       (* Host-side progress timing for the operator, outside any
          simulation; nothing seeded depends on it. *)
-      let t0 = Unix.gettimeofday () (* lint: allow wallclock-rng *) in
+      let elapsed_ms = Obs.Bench.stopwatch () in
       let (_ : Experiments.Exp_common.row list) = run ~params () in
-      Printf.printf "[%s done in %.0fs]\n%!" name
-        (Unix.gettimeofday () -. t0) (* lint: allow wallclock-rng *))
+      Printf.printf "[%s done in %.0fs]\n%!" name (elapsed_ms () /. 1e3))
     Experiments.all
 
 let () =
@@ -188,5 +187,5 @@ let () =
   if not micro_only then run_figures ();
   (* End-to-end observability report: latency quantiles per operation
      and the abort taxonomy, as machine-readable JSON. *)
-  let report = Experiments.Exp_common.run_observed ~name:"main" () in
-  Printf.printf "\nobservability report written to %s\n%!" report
+  print_newline ();
+  Experiments.Exp_common.run_observed ~name:"main" ()

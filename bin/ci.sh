@@ -2,13 +2,18 @@
 # Repo CI: build, run the test suite, check formatting where an
 # .ocamlformat-governed formatter is available, and smoke-test the
 # observability pipeline end to end (run a workload, emit
-# BENCH_smoke.json, validate it with the in-repo JSON parser).
+# BENCH_smoke.json, validate it with the in-repo JSON parser). Each
+# bench gates its own floors and exits 1 when one fails.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
+
+check_report() {
+  dune exec bin/minuet_bench.exe -- check-report "$smoke_dir/BENCH_$1.json"
+}
 
 echo "== dune build =="
 dune build
@@ -27,28 +32,16 @@ echo "== static analysis (minuet_lint) =="
 # Two-phase invariant linter (DESIGN.md Secs. 13 and 17): per-file
 # expression rules plus the interprocedural pass (transitive nondet
 # reach, crash-swallow through call chains, 2PC op ordering, blocking
-# under held locks). Fails on any unsuppressed finding; emits
-# BENCH_lint.json and runs the fixture self-test, which includes the
-# cross-module xmod/xswallow trees.
+# under held locks). Emits BENCH_lint.json, whose gates fail the run on
+# any unsuppressed finding or parse error and hold the whole-repo pass
+# to a 10 s wall-time budget (a fixpoint or splice pass gone quadratic
+# shows up there long before it hurts CI); then runs the fixture
+# self-test, which includes the cross-module xmod/xswallow trees.
 dune build @lint
 lint="_build/default/bin/minuet_lint.exe"
 "$lint" --json "$smoke_dir/BENCH_lint.json" lib bin test bench examples
+check_report lint
 "$lint" --quiet --fixtures test/lint_fixtures
-
-echo "== lint wall-time budget =="
-# The whole-repo pass above self-reports its wall time; a fixpoint or
-# splice pass gone quadratic shows up here long before it hurts CI.
-wall_ms=$(tr ',' '\n' < "$smoke_dir/BENCH_lint.json" \
-  | sed -n 's/.*"wall_ms": *\([0-9][0-9]*\).*/\1/p' | head -n 1)
-if [ -z "$wall_ms" ]; then
-  echo "ERROR: BENCH_lint.json has no wall_ms field" >&2
-  exit 1
-fi
-if [ "$wall_ms" -gt 10000 ]; then
-  echo "ERROR: whole-repo lint took ${wall_ms}ms (budget 10000ms)" >&2
-  exit 1
-fi
-echo "lint wall time: ${wall_ms}ms (budget 10000ms)"
 
 echo "== lint falsifiability (each rule can fail the build) =="
 # Seed each rule's bad fixture as a protocol source: the linter must
@@ -56,50 +49,31 @@ echo "== lint falsifiability (each rule can fail the build) =="
 # rule that can never fire protects nothing. protocol-order and
 # blocking-under-lock are interprocedural but single-file-triggerable,
 # so they ride the same loop.
+seed_rule() {  # RULE AS SOURCE: SOURCE linted as path AS
+  if "$lint" --quiet --as "$2" "$3" >/dev/null 2>&1; then
+    echo "ERROR: rule $1 did not flag its seeded violation" >&2
+    exit 1
+  fi
+  if ! "$lint" --quiet --as "$2" --disable "$1" "$3" >/dev/null 2>&1; then
+    echo "ERROR: disabling $1 did not silence its seeded violation" >&2
+    exit 1
+  fi
+}
 for rule in crashed-swallow nondet-iteration wallclock-rng \
             partial-stdlib poly-compare \
             protocol-order blocking-under-lock; do
-  seeded="$smoke_dir/seeded.ml"
-  cp "test/lint_fixtures/bad_$(echo "$rule" | tr - _).ml" "$seeded"
-  if "$lint" --quiet --as lib/sinfonia/seeded.ml "$seeded" >/dev/null 2>&1; then
-    echo "ERROR: rule $rule did not flag its seeded violation" >&2
-    exit 1
-  fi
-  if ! "$lint" --quiet --as lib/sinfonia/seeded.ml --disable "$rule" "$seeded" \
-      >/dev/null 2>&1; then
-    echo "ERROR: disabling $rule did not silence its seeded violation" >&2
-    exit 1
-  fi
+  seed_rule "$rule" lib/sinfonia/seeded.ml "test/lint_fixtures/bad_$(echo "$rule" | tr - _).ml"
 done
 
 # crash-swallow-transitive excludes protocol paths (the syntactic rule
 # owns those), so its seed lands on a non-protocol path instead.
-rule=crash-swallow-transitive
-seeded="$smoke_dir/seeded.ml"
-cp test/lint_fixtures/bad_crash_swallow_transitive.ml "$seeded"
-if "$lint" --quiet --as lib/traffic/seeded.ml "$seeded" >/dev/null 2>&1; then
-  echo "ERROR: rule $rule did not flag its seeded violation" >&2
-  exit 1
-fi
-if ! "$lint" --quiet --as lib/traffic/seeded.ml --disable "$rule" "$seeded" \
-    >/dev/null 2>&1; then
-  echo "ERROR: disabling $rule did not silence its seeded violation" >&2
-  exit 1
-fi
+seed_rule crash-swallow-transitive lib/traffic/seeded.ml \
+  test/lint_fixtures/bad_crash_swallow_transitive.ml
 
 # transitive-nondet only fires when the source lives outside the
 # determinism scope of its caller, which no single file can express:
 # seed the cross-module xmod tree as lib/ via the --as directory form.
-rule=transitive-nondet
-if "$lint" --quiet --as lib test/lint_fixtures/xmod/lib >/dev/null 2>&1; then
-  echo "ERROR: rule $rule did not flag its seeded violation" >&2
-  exit 1
-fi
-if ! "$lint" --quiet --as lib --disable "$rule" test/lint_fixtures/xmod/lib \
-    >/dev/null 2>&1; then
-  echo "ERROR: disabling $rule did not silence its seeded violation" >&2
-  exit 1
-fi
+seed_rule transitive-nondet lib test/lint_fixtures/xmod/lib
 
 echo "== benchmark self-test =="
 # The repository benchmark's own correctness-gate falsifiability: a
@@ -109,25 +83,25 @@ dune build @benchmark/selftest
 
 echo "== observability smoke =="
 dune exec bin/minuet_bench.exe -- smoke --dir "$smoke_dir"
-dune exec bin/minuet_bench.exe -- check-report "$smoke_dir/BENCH_smoke.json"
+check_report smoke
 
 echo "== node-path micro-benchmark =="
 # Zero-copy node views vs eager decodes on identical slotted payloads:
 # the view must be at least 3x faster per lookup, and a corrupted slot
 # directory must fail Bnode.decode's CRC. Emits BENCH_node.json
 # (ns/lookup both sides, decodes avoided, bytes copied per scan hop).
-dune exec bin/minuet_bench.exe -- node --dir "$smoke_dir" --min-speedup 3.0
+dune exec bin/minuet_bench.exe -- node --dir "$smoke_dir"
+check_report node
 
 echo "== scan benchmark smoke =="
 # Batched leaf scans vs the per-leaf baseline plus a crash storm; fails
-# the build unless batching clears its speedup floor and post-crash
-# caches recover by epoch revalidation (never by a bulk flush). Emits
-# BENCH_scan.json (ops/s, leaves per round trip, cache hit rate). The
-# absolute floors pin the trimmed-reply scan numbers: the pre-zero-copy
-# baseline measured 1168 batched scans/s, so dropping below 1200 means
-# the response-byte win regressed.
-dune exec bin/minuet_bench.exe -- scan --dir "$smoke_dir" \
-  --min-batched-ops 1200 --min-leaves-per-rt 15.0
+# the build unless batching clears its 2x speedup floor, post-crash
+# caches recover by epoch revalidation (never by a bulk flush), and the
+# batched side holds its absolute floors (1200 scans/s, 15 leaves per
+# round trip: the pre-zero-copy baseline measured 1168 scans/s). Emits
+# BENCH_scan.json (ops/s, leaves per round trip, cache hit rate).
+dune exec bin/minuet_bench.exe -- scan --dir "$smoke_dir"
+check_report scan
 
 echo "== streaming checker: million-op gate =="
 # A million-event synthetic history through Check.Stream, linear and
@@ -135,7 +109,9 @@ echo "== streaming checker: million-op gate =="
 # exceeds the 64M-word budget (the O(active keys + budgets) memory
 # bound). The linear run's BENCH_checker.json is the committed report.
 dune exec bin/minuet_bench.exe -- checker --dir "$smoke_dir"
+check_report checker
 dune exec bin/minuet_bench.exe -- checker --branching --dir "$smoke_dir"
+check_report checker
 
 echo "== streaming checker falsifiability =="
 # One seeded lie must fail the run: a stale stamped read in the linear
@@ -154,17 +130,19 @@ echo "== production traffic: SLO gates through the checker =="
 # pass the streaming serializability checker, and all structural audits
 # must walk clean. Emits BENCH_traffic.json.
 dune exec bin/minuet_bench.exe -- traffic --dir "$smoke_dir"
+check_report traffic
 
 echo "== traffic SLO falsifiability =="
 # A tenant provisioned at one worker against 1500 scans/s: the open-loop
 # queue grows without bound, so the p99 gate must trip and the command
 # must exit nonzero. If this passes, the queueing-delay accounting has
 # quietly turned into a closed loop (coordinated omission).
-if dune exec bin/minuet_bench.exe -- traffic --broken-slo --dir "$smoke_dir" \
+if dune exec bin/minuet_bench.exe -- traffic --scenario broken-slo --dir "$smoke_dir" \
     >/dev/null 2>&1; then
-  echo "ERROR: --broken-slo traffic run met its SLO; queueing delay is not being counted" >&2
+  echo "ERROR: broken-slo traffic run met its SLO; queueing delay is not being counted" >&2
   exit 1
 fi
+check_report traffic
 
 echo "== chaos + serializability check =="
 # Deterministic fault-injection storm with the history checker; fails

@@ -88,65 +88,28 @@ let smoke_cmd =
   let dir_arg =
     Arg.(value & opt string "." & info [ "dir" ] ~docv:"DIR" ~doc:"Output directory.")
   in
-  let action name dir =
-    let path = P.run_observed ~dir ~name () in
-    Printf.printf "observability report written to %s\n%!" path
-  in
+  let action name dir = P.run_observed ~dir ~name () in
   Cmd.v (Cmd.info "smoke" ~doc) Term.(const action $ name_arg $ dir_arg)
 
-(* Validate a BENCH_*.json report: parseable, current schema, and the
-   per-operation quantiles and per-layer abort taxonomy present. Used
-   by bin/ci.sh, which must not depend on external JSON tooling. *)
+(* Validate a BENCH_*.json report against the shared envelope
+   (Obs.Bench); bin/ci.sh needs no external JSON tooling. *)
 let check_report_cmd =
-  let doc = "Validate the structure of a BENCH_*.json observability report." in
+  let doc = "Validate a BENCH_*.json report against the shared bench envelope." in
   let file_arg =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Report to check.")
   in
   let action file =
-    let fail fmt = Printf.ksprintf (fun m -> prerr_endline (file ^ ": " ^ m); exit 1) fmt in
-    let contents =
-      let ic = open_in_bin file in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    in
-    let json =
+    let contents = In_channel.with_open_bin file In_channel.input_all in
+    let verdict =
       match Obs.Json.parse contents with
-      | json -> json
-      | exception Obs.Json.Parse_error m -> fail "invalid JSON: %s" m
+      | json -> Obs.Bench.validate json
+      | exception Obs.Json.Parse_error m -> Error ("invalid JSON: " ^ m)
     in
-    let member name =
-      match Obs.Json.member name json with
-      | Some v -> v
-      | None -> fail "missing field %S" name
-    in
-    (match member "schema_version" with
-    | Obs.Json.Int 1 -> ()
-    | _ -> fail "unsupported schema_version");
-    (match member "counters" with Obs.Json.Obj _ -> () | _ -> fail "counters: not an object");
-    (match member "aborts" with
-    | Obs.Json.Obj layers ->
-        List.iter
-          (fun (layer, v) ->
-            match v with
-            | Obs.Json.Obj _ -> ()
-            | _ -> fail "aborts.%s: not an object" layer)
-          layers
-    | _ -> fail "aborts: not an object");
-    (match member "ops" with
-    | Obs.Json.Obj ops ->
-        List.iter
-          (fun (label, v) ->
-            List.iter
-              (fun field ->
-                match Obs.Json.member field v with
-                | Some (Obs.Json.Int _ | Obs.Json.Float _) -> ()
-                | _ -> fail "ops.%s.%s: missing or not a number" label field)
-              [ "count"; "mean_ms"; "p50_ms"; "p95_ms"; "p99_ms"; "p999_ms"; "max_ms" ])
-          ops
-    | _ -> fail "ops: not an object");
-    Printf.printf "%s: ok\n%!" file
+    match verdict with
+    | Ok () -> Printf.printf "%s: ok\n%!" file
+    | Error m ->
+        prerr_endline (file ^ ": " ^ m);
+        exit 1
   in
   Cmd.v (Cmd.info "check-report" ~doc) Term.(const action $ file_arg)
 
@@ -319,8 +282,8 @@ let checker_cmd =
      creation/deletion, frozen-version reads and multi-version queries), writing \
      BENCH_checker.json (ops checked, ops/sec, peak live heap words). With --inject, one \
      event in the history lies and the run is expected to FAIL — exits 1 if the checker \
-     misses it. Without --inject, exits 1 on any violation or if the checker's live heap \
-     exceeds --max-live-words (the O(active keys + budgets) memory gate)."
+     misses it. Without --inject, exits 1 on any violation or if the checker's peak live \
+     heap exceeds 64M words (the O(active keys + budgets) memory gate)."
   in
   let seed_arg =
     Arg.(value & opt int Chaos.Histgen.default.Chaos.Histgen.seed
@@ -350,12 +313,7 @@ let checker_cmd =
   let dir_arg =
     Arg.(value & opt string "." & info [ "dir" ] ~docv:"DIR" ~doc:"Output directory.")
   in
-  let max_live_arg =
-    Arg.(value & opt int 64_000_000
-        & info [ "max-live-words" ] ~docv:"WORDS"
-            ~doc:"Peak live-heap budget in words (clean runs only).")
-  in
-  let action seed ops keys branching inject dir max_live =
+  let action seed ops keys branching inject dir =
     let fault =
       match inject with
       | None -> None
@@ -375,7 +333,7 @@ let checker_cmd =
       peak := max !peak (Gc.stat ()).Gc.live_words
     in
     let fed = ref 0 in
-    let t0 = Unix.gettimeofday () (* lint: allow wallclock-rng *) in
+    let wall_ms = Obs.Bench.stopwatch () in
     let gen =
       Chaos.Histgen.generate
         ~on_creation:(fun ~index ~sid ~stamp ->
@@ -388,7 +346,7 @@ let checker_cmd =
     in
     let verdict = Check.Stream.finish ~final:gen.Chaos.Histgen.gen_final stream in
     sample ();
-    let elapsed = Unix.gettimeofday () -. t0 (* lint: allow wallclock-rng *) in
+    let elapsed = wall_ms () /. 1e3 in
     let ops_per_sec = float_of_int !fed /. elapsed in
     Format.printf "%a@." Check.Stream.pp_verdict verdict;
     Printf.printf "checked %d events in %.2fs (%.0f ops/sec), peak live heap %d words\n%!" !fed
@@ -401,36 +359,34 @@ let checker_cmd =
         end
         else print_endline "seeded violation caught, as required"
     | None ->
-        let json =
-          Obs.Json.Obj
-            [
-              ("schema_version", Obs.Json.Int 1);
-              ("ops_checked", Obs.Json.Int verdict.Check.Stream.ops_checked);
-              ("events", Obs.Json.Int !fed);
-              ("ops_per_sec", Obs.Json.Float ops_per_sec);
-              ("peak_live_words", Obs.Json.Int !peak);
-              ("snapshot_reads_checked", Obs.Json.Int verdict.Check.Stream.snapshot_reads_checked);
-              ("branch_reads_checked", Obs.Json.Int verdict.Check.Stream.branch_reads_checked);
-              ("violations", Obs.Json.Int (List.length verdict.Check.Stream.violations));
-            ]
-        in
-        let path = Filename.concat dir "BENCH_checker.json" in
-        let oc = open_out path in
-        output_string oc (Obs.Json.to_string json);
-        output_char oc '\n';
-        close_out oc;
-        Printf.printf "checker report written to %s\n%!" path;
-        if not (Check.Stream.ok verdict) then exit 1;
-        if !peak > max_live then begin
-          Printf.eprintf "ERROR: peak live heap %d words exceeds the %d-word budget\n%!" !peak
-            max_live;
-          exit 1
-        end)
+        let violations = List.length verdict.Check.Stream.violations in
+        if not
+          (Obs.Bench.write ~dir
+             {
+               Obs.Bench.bench = "checker";
+               seed = Some seed;
+               wall_ms = wall_ms ();
+               gates =
+                 [
+                   Obs.Bench.at_most "violations" (float_of_int violations) 0.0;
+                   Obs.Bench.at_most "peak_live_words" (float_of_int !peak) 64e6;
+                 ];
+               fields =
+                 [
+                   ("ops_checked", Obs.Json.Int verdict.Check.Stream.ops_checked);
+                   ("events", Obs.Json.Int !fed);
+                   ("ops_per_sec", Obs.Json.Float ops_per_sec);
+                   ("peak_live_words", Obs.Json.Int !peak);
+                   ( "snapshot_reads_checked",
+                     Obs.Json.Int verdict.Check.Stream.snapshot_reads_checked );
+                   ("branch_reads_checked", Obs.Json.Int verdict.Check.Stream.branch_reads_checked);
+                   ("violations", Obs.Json.Int violations);
+                 ];
+             })
+        then exit 1)
   in
   Cmd.v (Cmd.info "checker" ~doc)
-    Term.(
-      const action $ seed_arg $ ops_arg $ keys_arg $ branching_arg $ inject_arg $ dir_arg
-      $ max_live_arg)
+    Term.(const action $ seed_arg $ ops_arg $ keys_arg $ branching_arg $ inject_arg $ dir_arg)
 
 (* Node-path micro-benchmark: zero-copy views against eager decodes on
    the same slotted payloads (wall-clock, so exempt from the
@@ -438,13 +394,14 @@ let checker_cmd =
    simulated workload counting decodes avoided and bytes copied per
    scan hop. Also asserts the format's falsifiability gate: a corrupted
    slot directory must fail Bnode.decode. Writes BENCH_node.json; exits
-   1 on any gate. *)
+   1 unless the view is at least 3x faster and the corruption is
+   caught. *)
 let node_cmd =
   let doc =
     "Micro-benchmark the zero-copy node view against an eager decode (ns/lookup on identical \
      slotted payloads), run a short simulated scan workload to count decodes avoided and bytes \
      copied per scan hop, assert the corruption gate, and write BENCH_node.json. Exits 1 when \
-     the view is less than --min-speedup times faster or any gate fails."
+     the view is less than 3 times faster or a corrupted slot directory decodes."
   in
   let seed_arg =
     Arg.(value & opt int 0x5ca9 & info [ "seed" ] ~docv:"SEED" ~doc:"Deterministic seed.")
@@ -456,12 +413,8 @@ let node_cmd =
   let dir_arg =
     Arg.(value & opt string "." & info [ "dir" ] ~docv:"DIR" ~doc:"Output directory.")
   in
-  let min_speedup_arg =
-    Arg.(value & opt float 3.0
-        & info [ "min-speedup" ] ~docv:"X"
-            ~doc:"Required view-over-decode lookup speedup.")
-  in
-  let action seed iters dir min_speedup =
+  let action seed iters dir =
+    let wall_ms = Obs.Bench.stopwatch () in
     let module Bkey = Btree.Bkey in
     let module Bnode = Btree.Bnode in
     let module Bview = Btree.Bview in
@@ -473,9 +426,9 @@ let node_cmd =
     let payload = Bnode.encode leaf in
     let probes = Array.init 256 (fun i -> key_of ((i * 13) mod (64 * 7))) in
     let time f =
-      let t0 = Unix.gettimeofday () (* lint: allow wallclock-rng *) in
+      let elapsed_ms = Obs.Bench.stopwatch () in
       f ();
-      Unix.gettimeofday () -. t0 (* lint: allow wallclock-rng *)
+      elapsed_ms () /. 1e3
     in
     let sink = ref 0 in
     (* Warm both paths once so the first timed side pays no cold-start
@@ -502,7 +455,7 @@ let node_cmd =
     in
     ignore !sink;
     let ns side = side *. 1e9 /. float_of_int iters in
-    let speedup = if view_s > 0.0 then decode_s /. view_s else infinity in
+    let speedup = decode_s /. view_s in
     (* Falsifiability: flipping any slot-directory byte must fail the
        CRC on the decode path. *)
     let v = Bview.of_string payload in
@@ -548,56 +501,45 @@ let node_cmd =
     in
     let decodes_avoided = view_hits - materialisations in
     let bytes_per_hop = if hops = 0 then 0.0 else float_of_int bytes_copied /. float_of_int hops in
-    let ok_speedup = speedup >= min_speedup in
-    let json =
-      Obs.Json.Obj
-        [
-          ("bench", Obs.Json.String "node");
-          ("schema_version", Obs.Json.Int 1);
-          ("seed", Obs.Json.Int seed);
-          ("iters", Obs.Json.Int iters);
-          ("payload_bytes", Obs.Json.Int (String.length payload));
-          ("view_ns_per_lookup", Obs.Json.Float (ns view_s));
-          ("decode_ns_per_lookup", Obs.Json.Float (ns decode_s));
-          ("speedup", Obs.Json.Float speedup);
-          ("min_speedup", Obs.Json.Float min_speedup);
-          ("workload_view_hits", Obs.Json.Int view_hits);
-          ("workload_materialisations", Obs.Json.Int materialisations);
-          ("decodes_avoided", Obs.Json.Int decodes_avoided);
-          ("bytes_copied_per_scan_hop", Obs.Json.Float bytes_per_hop);
-          ("corrupt_dir_caught", Obs.Json.Bool !corrupt_caught);
-          ("pass", Obs.Json.Bool (ok_speedup && !corrupt_caught));
-        ]
-    in
-    let path = Filename.concat dir "BENCH_node.json" in
-    let oc = open_out path in
-    output_string oc (Obs.Json.to_string json);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf
-      "node bench: view %.0f ns/lookup vs decode %.0f ns/lookup (%.2fx, need %.2fx)\n" (ns view_s)
-      (ns decode_s) speedup min_speedup;
+    Printf.printf "node bench: view %.0f ns/lookup vs decode %.0f ns/lookup (%.2fx)\n"
+      (ns view_s) (ns decode_s) speedup;
     Printf.printf "  workload: %d view hits, %d materialisations (%d decodes avoided)\n" view_hits
       materialisations decodes_avoided;
     Printf.printf "  %.0f bytes copied per batched scan hop over %d hops\n" bytes_per_hop hops;
-    Printf.printf "  report written to %s\n%!" path;
-    if not !corrupt_caught then begin
-      prerr_endline "ERROR: a corrupted slot directory decoded successfully";
-      exit 1
-    end;
-    if not ok_speedup then begin
-      Printf.eprintf "ERROR: view speedup %.2fx below the %.2fx floor\n%!" speedup min_speedup;
-      exit 1
-    end
+    if not
+      (Obs.Bench.write ~dir
+         {
+           Obs.Bench.bench = "node";
+           seed = Some seed;
+           wall_ms = wall_ms ();
+           gates =
+             [
+               Obs.Bench.at_least "speedup" speedup 3.0;
+               Obs.Bench.at_least "corrupt_dir_caught" (if !corrupt_caught then 1.0 else 0.0) 1.0;
+             ];
+           fields =
+             [
+               ("iters", Obs.Json.Int iters);
+               ("payload_bytes", Obs.Json.Int (String.length payload));
+               ("view_ns_per_lookup", Obs.Json.Float (ns view_s));
+               ("decode_ns_per_lookup", Obs.Json.Float (ns decode_s));
+               ("speedup", Obs.Json.Float speedup);
+               ("workload_view_hits", Obs.Json.Int view_hits);
+               ("workload_materialisations", Obs.Json.Int materialisations);
+               ("decodes_avoided", Obs.Json.Int decodes_avoided);
+               ("bytes_copied_per_scan_hop", Obs.Json.Float bytes_per_hop);
+               ("corrupt_dir_caught", Obs.Json.Bool !corrupt_caught);
+             ];
+         })
+    then exit 1
   in
   Cmd.v (Cmd.info "node" ~doc)
-    Term.(const action $ seed_arg $ iters_arg $ dir_arg $ min_speedup_arg)
+    Term.(const action $ seed_arg $ iters_arg $ dir_arg)
 
 (* Scan benchmark: batched leaf scans (scan_batch=16) vs the per-leaf
    baseline (scan_batch=1) on the same seed, plus a crash storm proving
    caches recover by epoch revalidation rather than bulk flushes.
-   Writes BENCH_scan.json; exits 1 if the speedup floor is missed, the
-   storm exercised no epoch revalidation, or any bulk eviction ran. *)
+   Writes BENCH_scan.json; exits 1 when any of its gates fails. *)
 let scan_cmd =
   let doc =
     "Benchmark batched leaf scans against the per-leaf baseline under contended 100-leaf \
@@ -608,39 +550,11 @@ let scan_cmd =
   let seed_arg =
     Arg.(value & opt int 0x5ca9 & info [ "seed" ] ~docv:"SEED" ~doc:"Deterministic seed.")
   in
-  let duration_arg =
-    Arg.(value & opt float 0.5
-        & info [ "duration" ] ~docv:"SECONDS" ~doc:"Measured simulated seconds per side.")
-  in
   let dir_arg =
     Arg.(value & opt string "." & info [ "dir" ] ~docv:"DIR" ~doc:"Output directory.")
   in
-  let min_speedup_arg =
-    Arg.(value & opt float 2.0
-        & info [ "min-speedup" ] ~docv:"X"
-            ~doc:"Required batched-over-per-leaf throughput ratio.")
-  in
-  let min_ops_arg =
-    Arg.(value & opt float 0.0
-        & info [ "min-batched-ops" ] ~docv:"OPS"
-            ~doc:"Absolute regression floor on batched scans/s (0 disables).")
-  in
-  let min_leaves_arg =
-    Arg.(value & opt float 0.0
-        & info [ "min-leaves-per-rt" ] ~docv:"N"
-            ~doc:"Regression floor on batched leaves per round trip (0 disables).")
-  in
-  let action seed duration dir min_speedup min_batched_ops min_leaves_per_rt =
-    if
-      not
-        (Experiments.Scan_bench.run ~seed ~duration ~dir ~min_speedup ~min_batched_ops
-           ~min_leaves_per_rt ())
-    then exit 1
-  in
-  Cmd.v (Cmd.info "scan" ~doc)
-    Term.(
-      const action $ seed_arg $ duration_arg $ dir_arg $ min_speedup_arg $ min_ops_arg
-      $ min_leaves_arg)
+  let action seed dir = if not (Experiments.Scan_bench.run ~seed ~dir ()) then exit 1 in
+  Cmd.v (Cmd.info "scan" ~doc) Term.(const action $ seed_arg $ dir_arg)
 
 (* Open-loop production-traffic scenarios with per-tenant SLO gates.
    Every scenario runs through the streaming checker; the report is
@@ -654,7 +568,9 @@ let traffic_cmd =
      budget), verify every session's history with the streaming serializability checker, \
      and write BENCH_traffic.json. Latency is measured from each operation's scheduled \
      arrival, so queueing delay counts and coordinated omission is impossible. Exits 1 on \
-     any SLO breach, checker violation or audit failure. Deterministic per seed."
+     any SLO breach, checker violation or audit failure. Deterministic per seed. \
+     '--scenario broken-slo' runs the deliberately under-provisioned falsifiability twin \
+     (one worker against 1500 scans/s), which must exit 1."
   in
   let seed_arg =
     Arg.(value & opt int 7 & info [ "seed" ] ~docv:"SEED" ~doc:"Deterministic seed.")
@@ -675,25 +591,21 @@ let traffic_cmd =
   let dir_arg =
     Arg.(value & opt string "." & info [ "dir" ] ~docv:"DIR" ~doc:"Output directory.")
   in
-  let broken_slo_arg =
-    let doc =
-      "Run only the deliberately under-provisioned scenario (one worker against 1500 \
-       scans/s): the open-loop queue grows without bound, so the measured p99 must blow \
-       through the 5 ms target and the command must exit 1. Falsifiability gate for the \
-       queueing-delay accounting."
-    in
-    Arg.(value & flag & info [ "broken-slo" ] ~doc)
-  in
-  let action seed duration scenarios dir broken_slo =
+  let action seed duration scenarios dir =
+    let wall_ms = Obs.Bench.stopwatch () in
     let chosen =
-      if broken_slo then [ ("broken-slo", Traffic.Scenario.broken_slo) ]
-      else
-        match scenarios with
-        | "all" -> Traffic.Scenario.all
-        | s ->
-            List.map
-              (fun name -> (name, Traffic.Scenario.find name))
-              (String.split_on_char ',' s)
+      match scenarios with
+      | "all" -> Traffic.Scenario.all
+      | s ->
+          List.map
+            (fun name ->
+              match Traffic.Scenario.find name with
+              | Some scenario -> (name, scenario)
+              | None ->
+                  Printf.eprintf "unknown scenario: %s (known: %s)\n" name
+                    (String.concat ", " Traffic.Scenario.names);
+                  exit 2)
+            (String.split_on_char ',' s)
     in
     let module E = Traffic.Engine in
     let module Hist = Sim.Stats.Hist in
@@ -742,33 +654,24 @@ let traffic_cmd =
           ("tenants", Obs.Json.List (List.map tenant_json r.E.tenants));
         ]
     in
-    let json =
-      Obs.Json.Obj
-        [
-          ("schema_version", Obs.Json.Int 1);
-          ("seed", Obs.Json.Int seed);
-          ("duration_s", Obs.Json.Float duration);
-          ("scenarios", Obs.Json.List (List.map scenario_json reports));
-        ]
-    in
-    let path = Filename.concat dir "BENCH_traffic.json" in
-    let oc = open_out path in
-    output_string oc (Obs.Json.to_string json);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "traffic report written to %s\n%!" path;
     let failed = List.filter (fun r -> not (E.passed r)) reports in
-    List.iter
-      (fun (r : E.report) ->
-        Printf.eprintf "FAILED: %s (checker %s, %d audit failures, SLO %s)\n%!" r.E.config.E.name
-          (if Check.Stream.ok r.E.verdict then "ok" else "VIOLATED")
-          (List.length r.E.audit_failures)
-          (if E.slo_ok r then "met" else "BREACHED"))
-      failed;
-    if failed <> [] then exit 1
+    if not
+      (Obs.Bench.write ~dir
+         {
+           Obs.Bench.bench = "traffic";
+           seed = Some seed;
+           wall_ms = wall_ms ();
+           gates = [ Obs.Bench.at_most "failed_scenarios" (float_of_int (List.length failed)) 0.0 ];
+           fields =
+             [
+               ("duration_s", Obs.Json.Float duration);
+               ("scenarios", Obs.Json.List (List.map scenario_json reports));
+             ];
+         })
+    then exit 1
   in
   Cmd.v (Cmd.info "traffic" ~doc)
-    Term.(const action $ seed_arg $ duration_arg $ scenario_arg $ dir_arg $ broken_slo_arg)
+    Term.(const action $ seed_arg $ duration_arg $ scenario_arg $ dir_arg)
 
 let () =
   let doc = "Reproduce the evaluation of 'Minuet: A Scalable Distributed Multiversion B-Tree'" in

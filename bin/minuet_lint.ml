@@ -5,9 +5,10 @@
      minuet_lint --fixtures DIR              run the fixture self-test
      minuet_lint --list-rules                describe the rule set
 
-   Exit codes: 0 clean, 1 unsuppressed findings, 2 parse/self-test
-   errors. Run from the repository root so rule scoping (path
-   prefixes like lib/sinfonia/) lines up. *)
+   Exit codes: 0 clean, 1 unsuppressed findings or a failed
+   BENCH_lint.json gate, 2 parse/self-test errors. Run from the
+   repository root so rule scoping (path prefixes like lib/sinfonia/)
+   lines up. *)
 
 let usage = "minuet_lint [options] [paths...]"
 
@@ -21,7 +22,7 @@ let () =
   let list_rules = ref false in
   let spec =
     [
-      ("--json", Arg.Set_string json_path, "FILE write a BENCH_lint.json-style report to FILE");
+      ("--json", Arg.Set_string json_path, "FILE write a gated BENCH_lint.json report to FILE");
       ("--fixtures", Arg.Set_string fixtures, "DIR run the self-test over the fixture tree DIR");
       ( "--disable",
         Arg.String (fun r -> disabled := r :: !disabled),
@@ -84,19 +85,14 @@ let () =
   let live = Lint.Engine.unsuppressed result in
   if not !quiet then
     List.iter (fun d -> Format.printf "%a@." Lint.Diag.pp d) live;
-  if !json_path <> "" then begin
-    let oc = open_out !json_path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc (Obs.Json.to_string (Lint.Engine.to_json result));
-        output_char oc '\n')
-  end;
   Printf.printf "minuet_lint: %d file(s), %d rule(s), %d finding(s), %d suppression(s)%s\n"
     result.Lint.Engine.files_scanned (List.length rules) (List.length live)
     (Lint.Engine.suppressed_count result)
     (if result.Lint.Engine.parse_errors <> [] then
        Printf.sprintf ", %d parse error(s)" (List.length result.Lint.Engine.parse_errors)
      else "");
+  let pass =
+    !json_path = "" || Obs.Bench.write ~path:!json_path (Lint.Engine.report result)
+  in
   if result.Lint.Engine.parse_errors <> [] then exit 2;
-  if live <> [] then exit 1
+  if live <> [] || not pass then exit 1

@@ -25,6 +25,22 @@ let kind_to_string = function
   | Mirror_partition -> "mpartition"
   | Replica_lag -> "replag"
 
+let counter (s : Obs.chaos_stats) = function
+  | Crash -> s.Obs.crashes_injected
+  | Partition -> s.Obs.partitions_injected
+  | Delay -> s.Obs.delay_faults_injected
+  | Stall -> s.Obs.stalls_injected
+  | Scs_outage -> s.Obs.scs_outages_injected
+  | Mirror_partition -> s.Obs.mirror_partitions_injected
+  | Replica_lag -> s.Obs.replica_lags_injected
+
+(* The injected-fault counters a run reports: the total, then one per
+   kind in [all_kinds] order. *)
+let fault_counts obs =
+  let s = Obs.chaos obs in
+  ("total", Obs.Counter.value s.Obs.faults_injected)
+  :: List.map (fun k -> (kind_to_string k, Obs.Counter.value (counter s k))) all_kinds
+
 let kind_of_string = function
   | "crash" -> Some Crash
   | "partition" -> Some Partition
@@ -83,8 +99,12 @@ let heal_links t links =
       Hashtbl.remove t.owned_links (src, dst))
     links
 
-let injected t =
-  Obs.Counter.incr t.stats.Obs.faults_injected
+(* Count one injected fault of [kind] and open its span. *)
+let inject t kind =
+  let span = Obs.span_begin t.obs (Obs.Span.Fault (kind_to_string kind)) in
+  Obs.Counter.incr t.stats.Obs.faults_injected;
+  Obs.Counter.incr (counter t.stats kind);
+  span
 
 (* ------------------------------------------------------------------ *)
 (* Fault cycles: each injects one fault, holds it, and heals it         *)
@@ -128,9 +148,7 @@ let crash_cycle t rng =
   match pick_backed_node t rng with
   | None -> ()
   | Some i ->
-      let span = Obs.span_begin t.obs (Obs.Span.Fault "crash") in
-      injected t;
-      Obs.Counter.incr t.stats.Obs.crashes_injected;
+      let span = inject t Crash in
       Cluster.crash t.cluster i;
       Sim.delay (0.02 +. Sim.Rng.float rng 0.08);
       recover_with_retry t i;
@@ -159,9 +177,7 @@ let partition_cycle t rng =
         [ (c, m); (m, c) ]
     done;
     if !links <> [] then begin
-      let span = Obs.span_begin t.obs (Obs.Span.Fault "partition") in
-      injected t;
-      Obs.Counter.incr t.stats.Obs.partitions_injected;
+      let span = inject t Partition in
       Sim.delay (0.05 +. Sim.Rng.float rng 0.15);
       heal_links t !links;
       Obs.span_end t.obs span
@@ -188,9 +204,7 @@ let delay_cycle t rng =
         [ (c, m); (m, c) ]
     done;
     if !links <> [] then begin
-      let span = Obs.span_begin t.obs (Obs.Span.Fault "delay") in
-      injected t;
-      Obs.Counter.incr t.stats.Obs.delay_faults_injected;
+      let span = inject t Delay in
       Sim.delay (0.05 +. Sim.Rng.float rng 0.15);
       heal_links t !links;
       Obs.span_end t.obs span
@@ -209,9 +223,7 @@ let stall_cycle t rng =
       let owner = Cluster.fresh_owner t.cluster in
       let range = { Lock_table.start = 0; len = max_int / 2; mode = Lock_table.Exclusive } in
       if Lock_table.try_acquire (Memnode.store_locks store) ~owner [ range ] then begin
-        let span = Obs.span_begin t.obs (Obs.Span.Fault "stall") in
-        injected t;
-        Obs.Counter.incr t.stats.Obs.stalls_injected;
+        let span = inject t Stall in
         (* Wait out roughly a lease period before the next stall; the
            orphaned locks are healed by the recovery daemon, not us. *)
         Sim.delay (0.05 +. Sim.Rng.float rng 0.1);
@@ -221,7 +233,7 @@ let stall_cycle t rng =
 (* Set a symmetric fault on the memnode<->backup mirror link of one
    space, hold it, heal it. [mk_fault] installs whatever fault the
    caller wants on each claimed direction. *)
-let mirror_link_cycle t rng ~name ~counter ~hold mk_fault =
+let mirror_link_cycle t rng ~kind ~hold mk_fault =
   let i = Sim.Rng.int rng (n t) in
   match Cluster.backup_of t.cluster i with
   | None -> ()
@@ -236,9 +248,7 @@ let mirror_link_cycle t rng ~name ~counter ~hold mk_fault =
           end)
         [ (i, b); (b, i) ];
       if !links <> [] then begin
-        let span = Obs.span_begin t.obs (Obs.Span.Fault name) in
-        injected t;
-        Obs.Counter.incr counter;
+        let span = inject t kind in
         Sim.delay (hold rng);
         heal_links t !links;
         Obs.span_end t.obs span
@@ -250,8 +260,7 @@ let mirror_link_cycle t rng ~name ~counter ~hold mk_fault =
    daemon — or a promotion replay, if the primary then crashes — must
    deliver. *)
 let mirror_partition_cycle t rng =
-  mirror_link_cycle t rng ~name:"mpartition"
-    ~counter:t.stats.Obs.mirror_partitions_injected
+  mirror_link_cycle t rng ~kind:Mirror_partition
     ~hold:(fun rng -> 0.05 +. Sim.Rng.float rng 0.15)
     (fun net ~src ~dst -> Sim.Net.set_fault net ~src ~dst ~blocked:true ())
 
@@ -261,7 +270,7 @@ let mirror_partition_cycle t rng =
 let replica_lag_cycle t rng =
   let extra = 0.5e-3 +. Sim.Rng.float rng 2e-3 in
   let drop = 0.2 +. Sim.Rng.float rng 0.5 in
-  mirror_link_cycle t rng ~name:"replag" ~counter:t.stats.Obs.replica_lags_injected
+  mirror_link_cycle t rng ~kind:Replica_lag
     ~hold:(fun rng -> 0.05 +. Sim.Rng.float rng 0.15)
     (fun net ~src ~dst -> Sim.Net.set_fault net ~src ~dst ~extra_latency:extra ~drop ())
 
@@ -270,9 +279,7 @@ let scs_outage_cycle t rng =
   else begin
     let scs = t.scs.(Sim.Rng.int rng (Array.length t.scs)) in
     let dur = 0.02 +. Sim.Rng.float rng 0.08 in
-    let span = Obs.span_begin t.obs (Obs.Span.Fault "scs") in
-    injected t;
-    Obs.Counter.incr t.stats.Obs.scs_outages_injected;
+    let span = inject t Scs_outage in
     Mvcc.Scs.set_outage scs ~until:(Sim.now () +. dur);
     Sim.delay dur;
     Obs.span_end t.obs span

@@ -280,26 +280,13 @@ let run_exn cfg =
           Printf.sprintf "%d of %d dual scans: batched result differed from per-leaf scan"
             totals.Workload.scan_mismatches totals.Workload.dual_scans;
         ];
-  let stats = Obs.chaos (Db.obs db) in
-  let fault_counts =
-    [
-      ("total", Obs.Counter.value stats.Obs.faults_injected);
-      ("crash", Obs.Counter.value stats.Obs.crashes_injected);
-      ("partition", Obs.Counter.value stats.Obs.partitions_injected);
-      ("delay", Obs.Counter.value stats.Obs.delay_faults_injected);
-      ("stall", Obs.Counter.value stats.Obs.stalls_injected);
-      ("scs", Obs.Counter.value stats.Obs.scs_outages_injected);
-      ("mpartition", Obs.Counter.value stats.Obs.mirror_partitions_injected);
-      ("replag", Obs.Counter.value stats.Obs.replica_lags_injected);
-    ]
-  in
   {
     verdict;
     totals;
     events = events_fed;
     audits = !audits;
     audit_failures = !audit_failures;
-    fault_counts;
+    fault_counts = Nemesis.fault_counts (Db.obs db);
     sim_time = Sim.now ();
   }
 

@@ -33,7 +33,7 @@ val create :
   t
 (** [capacity] is the maximum number of cached objects (default 65536).
     [stats] mirrors every counter below into typed {!Obs} metrics (and
-    therefore into [Obs.Report.to_json]).
+    therefore into [Obs.Report.fields]).
 
     [same_content] is an optional payload-level equality used by
     {!note_revalidation} to recognise entries that survived a crash

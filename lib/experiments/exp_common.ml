@@ -184,8 +184,10 @@ let in_sim ?(seed = 1) f =
    write the observability report to BENCH_<name>.json: up-to-date and
    snapshot reads, scans, cross-index transactions, and enough
    concurrent writers on a hot key range to produce aborts. *)
-let run_observed ?(dir = ".") ~name () =
-  in_sim ~seed:0xB0B (fun () ->
+let run_observed ?dir ~name () =
+  let seed = 0xB0B in
+  let wall_ms = Obs.Bench.stopwatch () in
+  in_sim ~seed (fun () ->
       let d = deploy ~hosts:3 ~n_trees:2 () in
       let records = 2_000 in
       preload d ~records;
@@ -221,7 +223,11 @@ let run_observed ?(dir = ".") ~name () =
             if !remaining = 0 then Sim.Ivar.fill finished ())
       done;
       Sim.Ivar.read finished;
-      Obs.Report.write ~name ~dir (Minuet.Db.obs d.db))
+      let fields = Obs.Report.fields (Minuet.Db.obs d.db) in
+      ignore
+        (Obs.Bench.write ?dir
+           { Obs.Bench.bench = name; seed = Some seed; wall_ms = wall_ms (); gates = []; fields }
+          : bool))
 
 type row = { label : (string * string) list; metrics : (string * float) list }
 

@@ -79,11 +79,11 @@ val in_sim : ?seed:int -> (unit -> 'a) -> 'a
 (** Run one experiment point in its own simulation and return its
     result. *)
 
-val run_observed : ?dir:string -> name:string -> unit -> string
+val run_observed : ?dir:string -> name:string -> unit -> unit
 (** Run a small mixed workload (reads, writes, snapshot scans,
     cross-index transactions, contended hot keys) against a fresh
-    3-host deployment and write its observability report to
-    [dir/BENCH_<name>.json]. Returns the file path. *)
+    3-host deployment and write its observability report
+    ({!Obs.Report.fields}, no gates) to [dir/BENCH_<name>.json]. *)
 
 (** {1 Result rows} *)
 

@@ -170,11 +170,7 @@ let lint_source ?(ignore_scope = false) ~rules (src : Src_file.t) =
   fst (lint_program ~ignore_scope ~rules [ src ])
 
 let lint_files ?(rules = Rules.all) ?(ignore_scope = false) targets =
-  (* Wall-clock here is observability about the linter itself (the CI
-     budget gate and BENCH_lint.json), not simulated behaviour — the
-     report would be meaningless on Sim time. *)
-  (* lint: allow wallclock-rng *)
-  let t0 = Unix.gettimeofday () in
+  let wall_ms = Obs.Bench.stopwatch () in
   let parse_errors = ref [] in
   let srcs = ref [] in
   List.iter
@@ -185,15 +181,13 @@ let lint_files ?(rules = Rules.all) ?(ignore_scope = false) targets =
           parse_errors := (rel, message) :: !parse_errors)
     targets;
   let findings, stats = lint_program ~ignore_scope ~rules (List.rev !srcs) in
-  (* lint: allow wallclock-rng *)
-  let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
   {
     files_scanned = List.length targets;
     parse_errors = List.rev !parse_errors;
     findings;
     rules_run = rules;
     interproc = Some stats;
-    wall_ms;
+    wall_ms = wall_ms ();
   }
 
 let unsuppressed t = List.filter (fun (d : Diag.t) -> not d.Diag.suppressed) t.findings
@@ -205,11 +199,9 @@ let suppressed_count t =
 (* Report                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* BENCH_lint.json-shaped report through the repo's own JSON codec so
-   the suppression count, the call-graph shape, and the fixpoint cost
-   are trackable across PRs like any other observability artifact.
-   Schema 2 adds the interprocedural block and wall time. *)
-let to_json t =
+(* BENCH_lint.json: no live finding, no parse error, and a 10 s budget
+   that catches a fixpoint or splice pass gone quadratic. *)
+let report t =
   let per_rule (r : Rules.t) =
     let mine = List.filter (fun (d : Diag.t) -> d.Diag.rule = r.Rules.id) t.findings in
     let live = List.filter (fun (d : Diag.t) -> not d.Diag.suppressed) mine in
@@ -239,20 +231,30 @@ let to_json t =
             ("seq_truncated", Obs.Json.Int s.Interproc.st_seq_truncated);
           ]
   in
-  Obs.Json.Obj
-    [
-      ("name", Obs.Json.String "lint");
-      ("schema_version", Obs.Json.Int 2);
-      ("rules_run", Obs.Json.Int (List.length t.rules_run));
-      ("files_scanned", Obs.Json.Int t.files_scanned);
-      ("findings", Obs.Json.Int (List.length (unsuppressed t)));
-      ("suppressions", Obs.Json.Int (suppressed_count t));
-      ("parse_errors", Obs.Json.Int (List.length t.parse_errors));
-      ("interproc", interproc);
-      ("wall_ms", Obs.Json.Float t.wall_ms);
-      ("rules", Obs.Json.List (List.map per_rule t.rules_run));
-      ("diagnostics", Obs.Json.List (List.map Diag.to_json (unsuppressed t)));
-    ]
+  let findings = List.length (unsuppressed t) in
+  let parse_errors = List.length t.parse_errors in
+  {
+    Obs.Bench.bench = "lint";
+    seed = None;
+    wall_ms = t.wall_ms;
+    gates =
+      [
+        Obs.Bench.at_most "findings" (float_of_int findings) 0.0;
+        Obs.Bench.at_most "parse_errors" (float_of_int parse_errors) 0.0;
+        Obs.Bench.at_most "wall_ms" t.wall_ms 10_000.0;
+      ];
+    fields =
+      [
+        ("rules_run", Obs.Json.Int (List.length t.rules_run));
+        ("files_scanned", Obs.Json.Int t.files_scanned);
+        ("findings", Obs.Json.Int findings);
+        ("suppressions", Obs.Json.Int (suppressed_count t));
+        ("parse_errors", Obs.Json.Int parse_errors);
+        ("interproc", interproc);
+        ("rules", Obs.Json.List (List.map per_rule t.rules_run));
+        ("diagnostics", Obs.Json.List (List.map Diag.to_json (unsuppressed t)));
+      ];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Fixture self-test                                                    *)

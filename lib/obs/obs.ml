@@ -1,4 +1,5 @@
 module Json = Json
+module Bench = Bench
 module Counter = Sim.Stats.Counter
 module Hist = Sim.Stats.Hist
 
@@ -575,27 +576,14 @@ module Report = struct
            if Hist.count h > 0 then Some (Span.kind_to_string kind, hist_json h) else None)
          (Sim.Det.sorted_bindings t.span_hists ~cmp:by_name))
 
-  let to_json ?name t =
-    Json.Obj
-      [
-        ("name", match name with Some n -> Json.String n | None -> Json.Null);
-        ("schema_version", Json.Int 1);
-        ("sim_time_s", Json.Float (tnow ()));
-        ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters t)));
-        ("aborts", aborts_json t);
-        ("ops", ops_json t);
-        ("spans", spans_json t);
-      ]
-
-  let write ~name ?(dir = ".") t =
-    let path = Filename.concat dir (Printf.sprintf "BENCH_%s.json" name) in
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc (Json.to_string (to_json ~name t));
-        output_char oc '\n');
-    path
+  let fields t =
+    [
+      ("sim_time_s", Json.Float (tnow ()));
+      ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters t)));
+      ("aborts", aborts_json t);
+      ("ops", ops_json t);
+      ("spans", spans_json t);
+    ]
 
   let pp_hist_line fmt (label, h) =
     Format.fprintf fmt

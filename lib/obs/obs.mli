@@ -1,7 +1,7 @@
 (** Observability for the Minuet stack: typed metric handles, a closed
     abort-reason taxonomy, per-operation latency histograms, and trace
     spans with parent/child links — all exportable as JSON
-    ({!Report.to_json}) so a benchmark trajectory can be tracked across
+    ({!Report.fields}) so a benchmark trajectory can be tracked across
     changes.
 
     One [Obs.t] is owned by each simulated cluster
@@ -11,6 +11,8 @@
     report name ({!counters}); nothing looks a counter up by name. *)
 
 module Json = Json
+
+module Bench = Bench
 
 module Counter = Sim.Stats.Counter
 
@@ -206,7 +208,7 @@ val recovery : t -> recovery_stats
 val counters : t -> (string * int) list
 (** Every counter above and every abort-matrix cell
     (["abort.<layer>.<reason>"]) under its report name, sorted by name
-    — the ["counters"] block of {!Report.to_json}. *)
+    — the ["counters"] block of {!Report.fields}. *)
 
 (** {1 Abort accounting} *)
 
@@ -314,15 +316,11 @@ val clear_spans : t -> unit
 (** {1 Reporting} *)
 
 module Report : sig
-  val to_json : ?name:string -> t -> Json.t
-  (** Machine-readable snapshot: every counter, the (layer, reason)
-      abort matrix, and p50/p95/p99/p999 latency summaries per
+  val fields : t -> (string * Json.t) list
+  (** The report body: simulated time, every counter, the (layer,
+      reason) abort matrix, and p50/p95/p99/p999 latency summaries per
       operation and per span kind. Schema documented in DESIGN.md
       ("Observability"). *)
-
-  val write : name:string -> ?dir:string -> t -> string
-  (** Serialize {!to_json} into [<dir>/BENCH_<name>.json] (default
-      [dir] is the current directory) and return the path. *)
 
   val pp : Format.formatter -> t -> unit
   (** Human-readable latency + abort tables ({!Db.pp_stats} embeds

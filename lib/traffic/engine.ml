@@ -453,19 +453,6 @@ let run_exn (cfg : config) =
            })
          (Array.to_seq tenants))
   in
-  let stats = Obs.chaos (Db.obs db) in
-  let fault_counts =
-    if cfg.chaos = [] then []
-    else
-      [
-        ("total", Obs.Counter.value stats.Obs.faults_injected);
-        ("crash", Obs.Counter.value stats.Obs.crashes_injected);
-        ("partition", Obs.Counter.value stats.Obs.partitions_injected);
-        ("delay", Obs.Counter.value stats.Obs.delay_faults_injected);
-        ("stall", Obs.Counter.value stats.Obs.stalls_injected);
-        ("scs", Obs.Counter.value stats.Obs.scs_outages_injected);
-      ]
-  in
   {
     config = cfg;
     tenants = tenant_results;
@@ -473,7 +460,7 @@ let run_exn (cfg : config) =
     audits = !audits;
     audit_failures = !audit_failures;
     events;
-    fault_counts;
+    fault_counts = (if cfg.chaos = [] then [] else Chaos.Nemesis.fault_counts (Db.obs db));
     sim_time = Sim.now ();
   }
 

@@ -213,10 +213,7 @@ let all =
     ("fig18-traffic", fig18_traffic);
   ]
 
-let find name =
-  match List.assoc_opt name (("broken-slo", broken_slo) :: all) with
-  | Some s -> s
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Traffic.Scenario.find: unknown scenario %S (have: %s)" name
-           (String.concat ", " ("broken-slo" :: List.map fst all)))
+(** Every name {!find} resolves: the suite plus [broken-slo]. *)
+let names = "broken-slo" :: List.map fst all
+
+let find name = List.assoc_opt name (("broken-slo", broken_slo) :: all)

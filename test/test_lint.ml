@@ -214,33 +214,47 @@ let test_suppression_window () =
 
 let test_json_report () =
   let result = Lazy.force repo_result in
-  let report = Lint.Engine.to_json result in
+  let report = Obs.Bench.to_json (Lint.Engine.report result) in
   let parsed = Obs.Json.parse (Obs.Json.to_string report) in
   check Alcotest.bool "report round-trips through the codec" true
     (Obs.Json.equal report parsed);
-  let int_member key =
+  (match Obs.Bench.validate parsed with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail ("envelope: " ^ m));
+  let member key =
     match Obs.Json.member key parsed with
-    | Some (Obs.Json.Int i) -> i
-    | _ -> Alcotest.fail ("missing int member " ^ key)
+    | Some v -> v
+    | None -> Alcotest.fail ("missing member " ^ key)
   in
+  let int_member key =
+    match member key with Obs.Json.Int i -> i | _ -> Alcotest.fail ("not an int: " ^ key)
+  in
+  check Alcotest.bool "bench" true (Obs.Json.equal (member "bench") (Obs.Json.String "lint"));
+  check Alcotest.bool "no seed" true (Obs.Json.equal (member "seed") Obs.Json.Null);
+  (match member "wall_ms" with
+  | Obs.Json.Float _ -> ()
+  | _ -> Alcotest.fail "wall_ms not a float");
+  (match member "gates" with
+  | Obs.Json.List gates ->
+      check Alcotest.(list string) "gate names" [ "findings"; "parse_errors"; "wall_ms" ]
+        (List.map
+           (fun g ->
+             match Obs.Json.member "name" g with
+             | Some (Obs.Json.String n) -> n
+             | _ -> Alcotest.fail "gate without a name")
+           gates)
+  | _ -> Alcotest.fail "missing gates list");
   check Alcotest.int "rules_run" (List.length Lint.Rules.all) (int_member "rules_run");
   check Alcotest.int "findings" 0 (int_member "findings");
   check Alcotest.int "suppressions" (Lint.Engine.suppressed_count result)
     (int_member "suppressions");
-  (match Obs.Json.member "rules" parsed with
-  | Some (Obs.Json.List rules) ->
+  (match member "rules" with
+  | Obs.Json.List rules ->
       check Alcotest.int "per-rule entries" (List.length Lint.Rules.all) (List.length rules)
   | _ -> Alcotest.fail "missing rules list");
-  (match Obs.Json.member "interproc" parsed with
-  | Some ip_json -> (
-      match Obs.Json.member "functions" ip_json with
-      | Some (Obs.Json.Int n) ->
-          check Alcotest.bool "interproc saw the repo's functions" true (n > 100)
-      | _ -> Alcotest.fail "missing interproc.functions")
-  | None -> Alcotest.fail "missing interproc block");
-  match Obs.Json.member "wall_ms" parsed with
-  | Some (Obs.Json.Float _) -> ()
-  | _ -> Alcotest.fail "missing wall_ms"
+  match Obs.Json.member "functions" (member "interproc") with
+  | Some (Obs.Json.Int n) -> check Alcotest.bool "interproc saw the repo's functions" true (n > 100)
+  | _ -> Alcotest.fail "missing interproc.functions"
 
 let () =
   Alcotest.run "lint"

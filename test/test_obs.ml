@@ -142,16 +142,29 @@ let test_json_roundtrip () =
       let snap = Minuet.Session.snapshot s in
       let (_ : string option) = Minuet.Session.get_at s snap "key0007" in
       let obs = Minuet.Db.obs db in
-      let json = Obs.Report.to_json ~name:"roundtrip" obs in
+      let json =
+        Obs.Bench.to_json
+          {
+            Obs.Bench.bench = "roundtrip";
+            seed = Some 1;
+            wall_ms = 0.0;
+            gates = [];
+            fields = Obs.Report.fields obs;
+          }
+      in
       let reparsed = Obs.Json.parse (Obs.Json.to_string json) in
       check Alcotest.bool "serialize/parse round-trip" true (Obs.Json.equal json reparsed);
+      (match Obs.Bench.validate reparsed with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "envelope: %s" m);
       let member name =
         match Obs.Json.member name reparsed with
         | Some v -> v
         | None -> Alcotest.failf "missing %s" name
       in
-      check Alcotest.bool "name" true (member "name" = Obs.Json.String "roundtrip");
-      check Alcotest.bool "schema" true (member "schema_version" = Obs.Json.Int 1);
+      check Alcotest.bool "bench" true (member "bench" = Obs.Json.String "roundtrip");
+      check Alcotest.bool "schema" true
+        (member "schema_version" = Obs.Json.Int Obs.Bench.schema_version);
       (* Counters in the report agree with the typed handles. *)
       let commits =
         match Obs.Json.member "txn.commits" (member "counters") with
@@ -161,17 +174,36 @@ let test_json_roundtrip () =
       check Alcotest.int "report counter = typed counter"
         (Obs.Counter.value (Obs.txn obs).Obs.commits)
         commits;
-      (* Both read paths produced latency summaries. *)
-      let ops = member "ops" in
+      (* Every abort layer is an object of per-reason counts. *)
+      (match member "aborts" with
+      | Obs.Json.Obj layers ->
+          check Alcotest.int "abort layers" (List.length Obs.Abort.layers) (List.length layers);
+          List.iter
+            (function
+              | _, Obs.Json.Obj _ -> ()
+              | layer, _ -> Alcotest.failf "aborts.%s: not an object" layer)
+            layers
+      | _ -> Alcotest.fail "aborts: not an object");
+      (* Both read paths produced latency summaries, and every cell
+         carries all seven quantile fields. *)
+      let ops =
+        match member "ops" with
+        | Obs.Json.Obj cells -> cells
+        | _ -> Alcotest.fail "ops: not an object"
+      in
       List.iter
         (fun label ->
-          match Obs.Json.member label ops with
-          | Some cell -> (
-              match Obs.Json.member "p99_ms" cell with
+          if not (List.mem_assoc label ops) then Alcotest.failf "ops.%s missing" label)
+        [ "get"; "put"; "get@snapshot"; "snapshot" ];
+      List.iter
+        (fun (label, cell) ->
+          List.iter
+            (fun field ->
+              match Obs.Json.member field cell with
               | Some (Obs.Json.Float _ | Obs.Json.Int _) -> ()
-              | _ -> Alcotest.failf "ops.%s.p99_ms missing" label)
-          | None -> Alcotest.failf "ops.%s missing" label)
-        [ "get"; "put"; "get@snapshot"; "snapshot" ])
+              | _ -> Alcotest.failf "ops.%s.%s: missing or not a number" label field)
+            [ "count"; "mean_ms"; "p50_ms"; "p95_ms"; "p99_ms"; "p999_ms"; "max_ms" ])
+        ops)
 
 (* The report's field names and order, pinned for a fixed small run:
    the counters block lists every counter sorted by name, the spans
@@ -219,15 +251,103 @@ let test_report_shape () =
       let (_ : string option) = Minuet.Session.get s "key0007" in
       let snap = Minuet.Session.snapshot s in
       let (_ : string option) = Minuet.Session.get_at s snap "key0007" in
-      let json = Obs.Report.to_json ~name:"shape" (Minuet.Db.obs db) in
+      let fields = Obs.Report.fields (Minuet.Db.obs db) in
       let keys block =
-        match Obs.Json.member block json with
+        match List.assoc_opt block fields with
         | Some (Obs.Json.Obj cells) -> List.map fst cells
         | _ -> Alcotest.failf "missing %s block" block
       in
       let names = Alcotest.(list string) in
       check names "counter names" expected_counters (keys "counters");
       check names "span names" expected_spans (keys "spans"))
+
+(* ------------------------------------------------------------------ *)
+(* Bench envelope                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let report ?(fields = [ ("x", Obs.Json.Int 1) ]) gates =
+  { Obs.Bench.bench = "unit"; seed = Some 7; wall_ms = 1.5; gates; fields }
+
+let envelope_pass json =
+  match Obs.Json.member "pass" json with
+  | Some (Obs.Json.Bool p) -> p
+  | _ -> Alcotest.fail "pass missing"
+
+let test_bench_conjunction () =
+  let ok1 = Obs.Bench.at_least "ratio" 3.5 3.0 in
+  let ok2 = Obs.Bench.at_most "errors" 0.0 0.0 in
+  let bad = Obs.Bench.at_least "floor" 1199.0 1200.0 in
+  check Alcotest.bool "no gates pass" true (Obs.Bench.pass (report []));
+  check Alcotest.bool "all holding" true (Obs.Bench.pass (report [ ok1; ok2 ]));
+  check Alcotest.bool "one failing" false (Obs.Bench.pass (report [ ok1; bad; ok2 ]));
+  check Alcotest.bool "envelope pass agrees" false
+    (envelope_pass (Obs.Bench.to_json (report [ ok1; bad ])));
+  check Alcotest.bool "at_most bound" false (Obs.Bench.holds (Obs.Bench.at_most "n" 1.0 0.0))
+
+let test_bench_non_finite () =
+  (* A ratio over a zero denominator is infinite, which clears any floor
+     under a bare >=, or nan; both serialise as null. *)
+  List.iter
+    (fun v ->
+      check Alcotest.bool "at_least fails" false (Obs.Bench.holds (Obs.Bench.at_least "r" v 3.0));
+      check Alcotest.bool "at_most fails" false (Obs.Bench.holds (Obs.Bench.at_most "r" v 3.0));
+      let json = Obs.Bench.to_json (report [ Obs.Bench.at_least "speedup" v 3.0 ]) in
+      check Alcotest.bool "report fails" false (envelope_pass json);
+      match Obs.Bench.validate (Obs.Json.parse (Obs.Json.to_string json)) with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "null-valued gate rejected: %s" m)
+    [ Float.infinity; Float.neg_infinity; Float.nan ]
+
+let test_bench_written_validates () =
+  let path = Filename.temp_file "bench" ".json" in
+  let gates = [ Obs.Bench.at_least "a" 2.0 1.0; Obs.Bench.at_most "b" 5.0 4.0 ] in
+  let pass = Obs.Bench.write ~path (report gates) in
+  let json = Obs.Json.parse (In_channel.with_open_bin path In_channel.input_all) in
+  Sys.remove path;
+  check Alcotest.bool "write returns pass" false pass;
+  check Alcotest.bool "written pass" false (envelope_pass json);
+  (match Obs.Bench.validate json with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "written report rejected: %s" m);
+  match json with
+  | Obs.Json.Obj fields ->
+      check Alcotest.(list string) "envelope first, then the bench's fields"
+        [ "bench"; "schema_version"; "seed"; "wall_ms"; "gates"; "pass"; "x" ]
+        (List.map fst fields)
+  | _ -> Alcotest.fail "not an object"
+
+let test_bench_validate_rejects () =
+  let good = Obs.Bench.to_json (report [ Obs.Bench.at_least "a" 2.0 1.0 ]) in
+  let fields = match good with Obs.Json.Obj f -> f | _ -> Alcotest.fail "not an object" in
+  let rejected what json =
+    match Obs.Bench.validate json with
+    | Ok () -> Alcotest.failf "accepted %s" what
+    | Error _ -> ()
+  in
+  let without k = Obs.Json.Obj (List.remove_assoc k fields) in
+  let with_ k v =
+    Obs.Json.Obj (List.map (fun (k', v') -> if k' = k then (k, v) else (k', v')) fields)
+  in
+  (match Obs.Bench.validate good with Ok () -> () | Error m -> Alcotest.failf "good: %s" m);
+  rejected "a missing bench" (without "bench");
+  rejected "a missing gates" (without "gates");
+  rejected "a pass that disagrees with its gates" (with_ "pass" (Obs.Json.Bool false));
+  rejected "a stale schema" (with_ "schema_version" (Obs.Json.Int 1));
+  rejected "a gate pass that disagrees with its bound"
+    (with_ "gates"
+       (Obs.Json.List
+          [
+            Obs.Json.Obj
+              [
+                ("name", Obs.Json.String "a");
+                ("value", Obs.Json.Float 0.5);
+                ("op", Obs.Json.String ">=");
+                ("bound", Obs.Json.Float 1.0);
+                ("pass", Obs.Json.Bool true);
+              ];
+          ]));
+  rejected "envelope fields out of order"
+    (Obs.Json.Obj (List.rev fields))
 
 let test_json_parser () =
   let t = Obs.Json.parse {| {"a": [1, 2.5, true, null, "s\n"], "b": {"c": -3}} |} in
@@ -261,5 +381,12 @@ let () =
           Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "shape pinned" `Quick test_report_shape;
           Alcotest.test_case "json parser" `Quick test_json_parser;
+        ] );
+      ( "bench",
+        [
+          Alcotest.test_case "pass is the gate conjunction" `Quick test_bench_conjunction;
+          Alcotest.test_case "non-finite values fail" `Quick test_bench_non_finite;
+          Alcotest.test_case "written report validates" `Quick test_bench_written_validates;
+          Alcotest.test_case "validate rejects" `Quick test_bench_validate_rejects;
         ] );
     ]

@@ -214,15 +214,16 @@ let test_scenarios_catalogued () =
       check Alcotest.bool "has tenants" true (cfg.Traffic.Engine.tenants <> []))
     Traffic.Scenario.all;
   (* The falsifiability twin exists but is not in the default suite. *)
-  check Alcotest.bool "broken-slo resolvable" true
-    (let cfg = Traffic.Scenario.find "broken-slo" ~seed:1 ~duration:1.0 in
-     cfg.Traffic.Engine.name = "broken-slo");
+  (match Traffic.Scenario.find "broken-slo" with
+  | Some s ->
+      check Alcotest.string "broken-slo resolvable" "broken-slo"
+        (s ~seed:1 ~duration:1.0).Traffic.Engine.name
+  | None -> Alcotest.fail "broken-slo not resolvable");
   check Alcotest.bool "broken-slo not canned" true
     (not (List.mem_assoc "broken-slo" Traffic.Scenario.all));
-  match Traffic.Scenario.find "no-such" with
-  | (_ : seed:int -> duration:float -> Traffic.Engine.config) ->
-      Alcotest.fail "unknown scenario accepted"
-  | exception Invalid_argument _ -> ()
+  check Alcotest.bool "broken-slo named" true (List.mem "broken-slo" Traffic.Scenario.names);
+  check Alcotest.bool "unknown scenario rejected" true
+    (Option.is_none (Traffic.Scenario.find "no-such"))
 
 let () =
   Alcotest.run "traffic"
