@@ -470,7 +470,10 @@ let node_cmd =
       | exception Codec.Decode_error _ -> ()
     done;
     (* Short simulated scan workload: decodes avoided and bytes copied
-       per batched scan hop come from the typed node counters. *)
+       per batched scan hop come from the typed node counters. The
+       database's shared view memo must end with at most one entry per
+       node pointer: no more than the node slots ever written, each of
+       which holds a non-empty payload. *)
     let config =
       {
         Minuet.Config.default with
@@ -480,7 +483,7 @@ let node_cmd =
         max_keys_internal = Some 64;
       }
     in
-    let view_hits, materialisations, bytes_copied, hops =
+    let view_hits, materialisations, bytes_copied, hops, memo_entries, node_slots =
       Minuet.Harness.run ~seed ~until:60.0 ~config @@ fun db ->
       let s = Minuet.Session.attach db in
       for i = 0 to 299 do
@@ -496,8 +499,21 @@ let node_cmd =
       let ns_ = Obs.node obs in
       let ss = Obs.scan obs in
       let c = Obs.Counter.value in
+      let layout = config.Minuet.Config.layout in
+      let cluster = Minuet.Db.cluster db in
+      let node_slots = ref 0 in
+      for node = 0 to Sinfonia.Cluster.n_memnodes cluster - 1 do
+        let heap =
+          Sinfonia.Memnode.store_heap
+            (Sinfonia.Memnode.primary (Sinfonia.Cluster.memnode cluster node))
+        in
+        for index = 0 to layout.Btree.Layout.max_slots - 1 do
+          let off = Btree.Layout.slot_off layout ~index + 8 in
+          if Sinfonia.Heap.get_int32_le heap ~off <> 0l then incr node_slots
+        done
+      done;
       (c ns_.Obs.view_hits, c ns_.Obs.materialisations, c ns_.Obs.node_bytes_copied,
-       c ss.Obs.scan_batched_leaves)
+       c ss.Obs.scan_batched_leaves, Btree.View_memo.length (Minuet.Db.view_memo db), !node_slots)
     in
     let decodes_avoided = view_hits - materialisations in
     let bytes_per_hop = if hops = 0 then 0.0 else float_of_int bytes_copied /. float_of_int hops in
@@ -506,6 +522,7 @@ let node_cmd =
     Printf.printf "  workload: %d view hits, %d materialisations (%d decodes avoided)\n" view_hits
       materialisations decodes_avoided;
     Printf.printf "  %.0f bytes copied per batched scan hop over %d hops\n" bytes_per_hop hops;
+    Printf.printf "  view memo: %d entries over %d written node slots\n" memo_entries node_slots;
     if not
       (Obs.Bench.write ~dir
          {
@@ -516,6 +533,8 @@ let node_cmd =
              [
                Obs.Bench.at_least "speedup" speedup 3.0;
                Obs.Bench.at_least "corrupt_dir_caught" (if !corrupt_caught then 1.0 else 0.0) 1.0;
+               Obs.Bench.at_most "view_memo_entries" (float_of_int memo_entries)
+                 (float_of_int node_slots);
              ];
            fields =
              [
@@ -529,6 +548,7 @@ let node_cmd =
                ("decodes_avoided", Obs.Json.Int decodes_avoided);
                ("bytes_copied_per_scan_hop", Obs.Json.Float bytes_per_hop);
                ("corrupt_dir_caught", Obs.Json.Bool !corrupt_caught);
+               ("view_memo_entries", Obs.Json.Int memo_entries);
              ];
          })
     then exit 1

@@ -7,3 +7,4 @@ module Bview = Bview
 module Layout = Layout
 module Node_alloc = Node_alloc
 module Ops = Ops
+module View_memo = View_memo

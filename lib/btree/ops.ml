@@ -36,11 +36,12 @@ type tree = {
      operation returns — safe because the simulator is cooperative and
      operations on one handle do not interleave without a yield. *)
   mutable last_stamp : int64 option;
-  (* Node-view memo keyed by (location, sequence number): node versions
-     are immutable, so a (ptr, seq) pair identifies the parsed view
-     forever. Purely a wall-clock optimization of the simulator — no
-     simulated cost depends on it. *)
-  view_memo : (Objref.t * int64, Bview.t) Hashtbl.t;
+  (* Newest parsed view per node pointer, shared by every handle of one
+     database: a fetch always returns the slot's current sequence
+     number, so an older version could never hit again. Purely a
+     wall-clock optimization of the simulator — no simulated cost
+     depends on it. *)
+  view_memo : View_memo.t;
   (* Reusable encoder for the node-write path: reset per write, the
      framed payload is extracted in a single allocation. *)
   enc : Codec.Enc.t;
@@ -50,8 +51,6 @@ exception Too_contended of string
 
 exception Ambiguous of string
 
-let decode_memo_capacity = 16384
-
 (* Conservative per-entry wire estimates for deriving key capacities
    from the node size (YCSB schema: 14-byte keys, 8-byte values). *)
 let leaf_entry_bytes = 40
@@ -59,8 +58,8 @@ let leaf_entry_bytes = 40
 let internal_entry_bytes = 40
 
 let make_tree ?(mode = Dirty_traversal) ?max_keys_leaf ?max_keys_internal ?(max_op_retries = 64)
-    ?(scan_batch = 16) ?(home = 0) ?client ?(unsafe_dirty_leaf_reads = false) ~cluster ~layout
-    ~tree_id ~alloc ~cache () =
+    ?(scan_batch = 16) ?(home = 0) ?client ?(unsafe_dirty_leaf_reads = false) ?view_memo ~cluster
+    ~layout ~tree_id ~alloc ~cache () =
   let budget = layout.Layout.node_size - 128 in
   let derived_leaf = max 4 (budget / leaf_entry_bytes) in
   let derived_internal = max 4 (budget / internal_entry_bytes) in
@@ -84,7 +83,7 @@ let make_tree ?(mode = Dirty_traversal) ?max_keys_leaf ?max_keys_internal ?(max_
     alloc;
     cache;
     last_stamp = None;
-    view_memo = Hashtbl.create 1024;
+    view_memo = (match view_memo with Some m -> m | None -> View_memo.create ());
     enc = Codec.Enc.create ~initial_size:1024 ();
   }
 
@@ -99,6 +98,8 @@ let home t = t.home
 let layout t = t.layout
 
 let proxy_cache t = t.cache
+
+let view_memo t = t.view_memo
 
 let last_commit_stamp t = t.last_stamp
 
@@ -141,18 +142,16 @@ let view_node_memo tree txn ptr seq payload =
      version. *)
   if Txn.in_write_set txn ptr then view_of_payload txn payload
   else begin
-    let key = (ptr, seq) in
-    match Hashtbl.find_opt tree.view_memo key with
-    | Some v ->
-        Obs.Counter.incr tree.nstats.Obs.view_hits;
-        v
-    | None ->
-        let v = view_of_payload txn payload in
-        Obs.Counter.incr tree.nstats.Obs.view_hits;
-        if Hashtbl.length tree.view_memo >= decode_memo_capacity then
-          Hashtbl.reset tree.view_memo;
-        Hashtbl.add tree.view_memo key v;
-        v
+    let v =
+      match View_memo.find tree.view_memo ptr ~seq with
+      | Some v -> v
+      | None ->
+          let v = view_of_payload txn payload in
+          View_memo.add tree.view_memo ptr ~seq v;
+          v
+    in
+    Obs.Counter.incr tree.nstats.Obs.view_hits;
+    v
   end
 
 (* The write path materialises a view into a [Bnode.t] it can mutate;

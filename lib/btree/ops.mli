@@ -43,6 +43,7 @@ val make_tree :
   ?home:int ->
   ?client:int ->
   ?unsafe_dirty_leaf_reads:bool ->
+  ?view_memo:View_memo.t ->
   cluster:Sinfonia.Cluster.t ->
   layout:Layout.t ->
   tree_id:int ->
@@ -65,7 +66,10 @@ val make_tree :
     [unsafe_dirty_leaf_reads] deliberately breaks the tree for checker
     validation: up-to-date leaf reads skip the read set, so gets can
     serialize against a stale leaf. Only for proving the history
-    checker has teeth. *)
+    checker has teeth.
+
+    [view_memo] is the parsed-view memo to share with the database's
+    other handles (default: a fresh one private to this handle). *)
 
 val cluster : tree -> Sinfonia.Cluster.t
 
@@ -78,6 +82,8 @@ val home : tree -> int
 val layout : tree -> Layout.t
 
 val proxy_cache : tree -> Dyntxn.Objcache.t
+
+val view_memo : tree -> View_memo.t
 
 val last_commit_stamp : tree -> int64 option
 (** Commit stamp of the last operation that committed through this

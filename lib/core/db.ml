@@ -7,20 +7,21 @@ type t = {
   config : Config.t;
   cluster : Cluster.t;
   shared_alloc : Node_alloc.Shared.t;
+  view_memo : Btree.View_memo.t;
   scs : Mvcc.Scs.t array;
   gc_trees : (Ops.tree * Node_alloc.t) array;
   mutable gc_running : bool;
 }
 
 (* Build a tree handle with its own allocator over the shared state. *)
-let make_tree_handle ?client ~config ~cluster ~shared_alloc ~cache ~home ~tree_id () =
+let make_tree_handle ?client ~config ~cluster ~shared_alloc ~view_memo ~cache ~home ~tree_id () =
   let alloc =
     Node_alloc.create ~chunk:config.Config.alloc_chunk ~first_node:home ~cluster
       ~layout:config.Config.layout ~shared:shared_alloc ()
   in
   Ops.make_tree ~mode:config.Config.mode ?max_keys_leaf:config.Config.max_keys_leaf
     ?max_keys_internal:config.Config.max_keys_internal ~scan_batch:config.Config.scan_batch ~home
-    ?client ~unsafe_dirty_leaf_reads:config.Config.unsafe_dirty_leaf_reads ~cluster
+    ?client ~unsafe_dirty_leaf_reads:config.Config.unsafe_dirty_leaf_reads ~view_memo ~cluster
     ~layout:config.Config.layout ~tree_id ~alloc ~cache ()
 
 let start ?(config = Config.default) () =
@@ -38,6 +39,9 @@ let start ?(config = Config.default) () =
   let seed = Sim.Rng.int (Sim.rng ()) 0x3FFFFFFF in
   let cluster = Cluster.create ~config:sinfonia ~seed ~n:config.Config.hosts () in
   let shared_alloc = Node_alloc.Shared.create ~n_memnodes:config.Config.hosts in
+  (* One parsed-view memo for every handle: sessions reading the same
+     node version parse it once. *)
+  let view_memo = Btree.View_memo.create () in
   (* Admin handles used for initialization and the SCS. *)
   let admin_cache =
     (* [same_content]: a crashed epoch's entry whose payload carries the
@@ -51,7 +55,8 @@ let start ?(config = Config.default) () =
   let gc_trees =
     Array.init config.Config.n_trees (fun tree_id ->
         let tree =
-          make_tree_handle ~config ~cluster ~shared_alloc ~cache:admin_cache ~home:0 ~tree_id ()
+          make_tree_handle ~config ~cluster ~shared_alloc ~view_memo ~cache:admin_cache ~home:0
+            ~tree_id ()
         in
         (* The GC handle reuses the tree's allocator so reclaimed slots
            return to the shared free lists. *)
@@ -73,13 +78,15 @@ let start ?(config = Config.default) () =
           ~min_interval:config.Config.scs_min_interval ~tree ())
       gc_trees
   in
-  { config; cluster; shared_alloc; scs; gc_trees; gc_running = false }
+  { config; cluster; shared_alloc; view_memo; scs; gc_trees; gc_running = false }
 
 let config t = t.config
 
 let cluster t = t.cluster
 
 let shared_alloc t = t.shared_alloc
+
+let view_memo t = t.view_memo
 
 let scs t ~index = t.scs.(index)
 

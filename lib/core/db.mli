@@ -15,6 +15,10 @@ val cluster : t -> Sinfonia.Cluster.t
 
 val shared_alloc : t -> Btree.Node_alloc.Shared.t
 
+val view_memo : t -> Btree.View_memo.t
+(** The parsed-node-view memo every tree handle of this database
+    shares (host-side only; see {!Btree.View_memo}). *)
+
 val scs : t -> index:int -> Mvcc.Scs.t
 (** The snapshot creation service for one index (linear mode only). *)
 
@@ -57,6 +61,7 @@ val make_tree_handle :
   config:Config.t ->
   cluster:Sinfonia.Cluster.t ->
   shared_alloc:Btree.Node_alloc.Shared.t ->
+  view_memo:Btree.View_memo.t ->
   cache:Dyntxn.Objcache.t ->
   home:int ->
   tree_id:int ->

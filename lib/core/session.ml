@@ -312,7 +312,8 @@ let attach ?(home = 0) ?client ?tracer db =
   let trees =
     Array.init config.Config.n_trees (fun tree_id ->
         Db.make_tree_handle ?client ~config ~cluster:(Db.cluster db)
-          ~shared_alloc:(Db.shared_alloc db) ~cache ~home ~tree_id ())
+          ~shared_alloc:(Db.shared_alloc db) ~view_memo:(Db.view_memo db) ~cache ~home ~tree_id
+          ())
   in
   let branchings =
     if config.Config.branching then

@@ -1,6 +1,6 @@
 type t = { addr : Sinfonia.Address.t; len : int }
 
-let header_size = 12
+let header_size = Sinfonia.Mtx.slot_header_size
 
 let make ~addr ~len =
   if len <= header_size then invalid_arg "Objref.make: slot too small for header";
@@ -44,4 +44,4 @@ let slot_of ~seq ~payload =
   Bytes.set_int64_le b 0 seq;
   Bytes.set_int32_le b 8 (Int32.of_int (String.length payload));
   Bytes.blit_string payload 0 b header_size (String.length payload);
-  Bytes.to_string b
+  Bytes.unsafe_to_string b

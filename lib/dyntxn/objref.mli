@@ -6,13 +6,11 @@
     the payload itself. *)
 
 type t = { addr : Sinfonia.Address.t; len : int }
-(** [len] is the full slot size including the 12-byte header. *)
-
-val header_size : int
-(** Bytes reserved for the sequence number and payload length (12). *)
+(** [len] is the full slot size including the 12-byte header
+    ({!Sinfonia.Mtx.slot_header_size}). *)
 
 val make : addr:Sinfonia.Address.t -> len:int -> t
-(** Raises [Invalid_argument] if [len <= header_size]. *)
+(** Raises [Invalid_argument] unless [len] exceeds the header size. *)
 
 val payload_capacity : t -> int
 
@@ -38,4 +36,4 @@ val payload_of_slot : string -> string
     [Codec.Decode_error] if the length field is corrupt. *)
 
 val slot_of : seq:int64 -> payload:string -> string
-(** Assemble raw slot bytes. *)
+(** Assemble raw slot bytes (one allocation). *)

@@ -445,7 +445,7 @@ let dirty_read_replicated ?(use_cache = true) t ~off ~len =
 
 let write_replicated t ~off ~len payload =
   check_live t;
-  if String.length payload > len - Objref.header_size then
+  if String.length payload > len - Mtx.slot_header_size then
     invalid_arg "Txn.write_replicated: payload exceeds slot capacity";
   Hashtbl.replace t.repl_writes off (len, payload)
 

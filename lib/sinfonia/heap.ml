@@ -59,13 +59,35 @@ let read t ~off ~len =
   if off + len > t.capacity then invalid_arg "Heap.read: beyond capacity";
   if len = 0 then ""
   else begin
-    let buf = Bytes.make len '\000' in
+    (* Every byte is written exactly once: copied from a resident page
+       or zero-filled for an absent one. *)
+    let buf = Bytes.create len in
     iter_spans ~off ~len (fun ~page ~in_page ~src_off ~span ->
         match Hashtbl.find_opt t.pages page with
         | Some p -> Bytes.blit p in_page buf src_off span
-        | None -> ());
+        | None -> Bytes.fill buf src_off span '\000');
     Bytes.unsafe_to_string buf
   end
+
+(* One byte, without copying; an absent page reads as zero. *)
+let byte_at t off =
+  match Hashtbl.find_opt t.pages (off lsr page_bits) with
+  | Some p -> Bytes.get_uint8 p (off land (page_size - 1))
+  | None -> 0
+
+let get_int32_le t ~off =
+  if off < 0 || off + 4 > t.capacity then invalid_arg "Heap.get_int32_le: out of range";
+  if off land (page_size - 1) <= page_size - 4 then
+    match Hashtbl.find_opt t.pages (off lsr page_bits) with
+    | Some p -> Bytes.get_int32_le p (off land (page_size - 1))
+    | None -> 0l
+  else
+    (* The four bytes straddle a page boundary. *)
+    Int32.of_int
+      (byte_at t off
+      lor (byte_at t (off + 1) lsl 8)
+      lor (byte_at t (off + 2) lsl 16)
+      lor (byte_at t (off + 3) lsl 24))
 
 let equal_at t ~off expected =
   let len = String.length expected in

@@ -29,6 +29,10 @@ val read : t -> off:int -> len:int -> string
 (** Reading past the high-water mark yields zero bytes (within
     capacity); reading past capacity raises [Invalid_argument]. *)
 
+val get_int32_le : t -> off:int -> int32
+(** The little-endian 32-bit integer stored at [off], read in place.
+    Raises [Invalid_argument] when [off, off+4) is out of capacity. *)
+
 val equal_at : t -> off:int -> string -> bool
 (** [equal_at t ~off expected] compares stored bytes with [expected]
     without copying. *)

@@ -203,11 +203,13 @@ let evaluate_and_read store ~owner p =
     let reads =
       List.map
         (fun (idx, r) ->
-          let slot = Heap.read store.heap ~off:r.Mtx.r_addr.Address.off ~len:r.Mtx.r_len in
+          let off = r.Mtx.r_addr.Address.off and len = r.Mtx.r_len in
           (* Trimmed reads reply with the slot's used prefix only; the
              full range was still locked and charged on the request
              side, but the response transfers just the live bytes. *)
-          (idx, if r.Mtx.r_trim then Mtx.trim_slot slot else slot))
+          ( idx,
+            if r.Mtx.r_trim then Mtx.trimmed_read store.heap ~off ~len
+            else Heap.read store.heap ~off ~len ))
         p.p_reads
     in
     Prepared reads

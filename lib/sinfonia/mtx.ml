@@ -20,18 +20,23 @@ let read_at ?(trim = false) addr len =
   if len <= 0 then invalid_arg "Mtx.read_at: length must be positive";
   { r_addr = addr; r_len = len; r_trim = trim }
 
-(* Used prefix of an object slot: the 12-byte header (i64 sequence
-   number, i32 payload length) plus the payload, without the zero
-   padding out to the slot size. An insane length field (corruption, or
-   bytes that are not an object slot) falls back to the full range. *)
+(* Object slots start with a 12-byte header: the i64 sequence number
+   and the i32 payload length. *)
 let slot_header_size = 12
 
-let trim_slot slot =
-  if String.length slot <= slot_header_size then slot
+(* Used prefix of an object slot: the header plus the payload, without
+   the zero padding out to the slot size. The length field is read in
+   place, so only the bytes replied are copied. An insane length field
+   (corruption, or bytes that are not an object slot) falls back to the
+   full range, and so does an out-of-range request, which then raises
+   from [Heap.read] exactly as an untrimmed one would. *)
+let trimmed_read heap ~off ~len =
+  if len <= slot_header_size || off < 0 || off + len > Heap.capacity heap then
+    Heap.read heap ~off ~len
   else
-    let plen = Int32.to_int (String.get_int32_le slot 8) in
-    if plen < 0 || plen > String.length slot - slot_header_size then slot
-    else String.sub slot 0 (slot_header_size + plen)
+    let plen = Int32.to_int (Heap.get_int32_le heap ~off:(off + 8)) in
+    if plen < 0 || plen > len - slot_header_size then Heap.read heap ~off ~len
+    else Heap.read heap ~off ~len:(slot_header_size + plen)
 
 let write_at addr data =
   if String.length data = 0 then invalid_arg "Mtx.write_at: empty write";

@@ -36,10 +36,15 @@ val read_at : ?trim:bool -> Address.t -> int -> read_item
 (** [trim] (default false) requests a reply trimmed to the slot's used
     prefix; see {!read_item}. *)
 
-val trim_slot : string -> string
-(** The used prefix of raw object-slot bytes (12-byte header + stored
-    payload length); returns the input unchanged when the length field
-    is out of range. *)
+val slot_header_size : int
+(** Bytes of an object slot's header (12): the sequence number (i64)
+    and the payload length (i32, at offset 8), both little-endian. *)
+
+val trimmed_read : Heap.t -> off:int -> len:int -> string
+(** The used prefix of the object slot at [off, off+len): the header
+    and the stored payload length's worth of payload, copied once
+    without materialising the padding. Returns the full range when the
+    length field is out of range. Raises like {!Heap.read}. *)
 
 val write_at : Address.t -> string -> write_item
 

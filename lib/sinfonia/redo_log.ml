@@ -101,18 +101,30 @@ let committed_in_order t =
    image — but only as a contiguous stamp-prefix of the committed set.
    Keeping every committed entry above the lowest un-mirrored stamp is
    what lets {!replay} reproduce stamp order on the replica even when
-   mirrors completed out of order. *)
+   mirrors completed out of order. Stamps are unique (one cluster-wide
+   counter, one entry per tid), so the prefix is exactly the mirrored
+   entries below that stamp; the scans allocate nothing unless they
+   find one. *)
+let rec lowest_unmirrored stamp = function
+  | [] -> stamp
+  | e :: rest ->
+      lowest_unmirrored
+        (if e.e_state = `Committed && (not e.e_mirrored) && Int64.compare e.e_stamp stamp < 0 then
+           e.e_stamp
+         else stamp)
+        rest
+
+let truncatable ~below e =
+  e.e_state = `Committed && e.e_mirrored && Int64.compare e.e_stamp below < 0
+
+let rec any_truncatable ~below = function
+  | [] -> false
+  | e :: rest -> truncatable ~below e || any_truncatable ~below rest
+
 let gc t =
-  let dead = Hashtbl.create 8 in
-  let rec prefix = function
-    | e :: rest when e.e_mirrored ->
-        Hashtbl.replace dead e.e_tid ();
-        prefix rest
-    | _ -> ()
-  in
-  prefix (committed_in_order t);
-  if Hashtbl.length dead > 0 then
-    t.entries <- List.filter (fun e -> not (Hashtbl.mem dead e.e_tid)) t.entries
+  let below = lowest_unmirrored Int64.max_int t.entries in
+  if any_truncatable ~below t.entries then
+    t.entries <- List.filter (fun e -> not (truncatable ~below e)) t.entries
 
 let mark_mirrored t ~tid =
   match find t ~tid with

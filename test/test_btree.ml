@@ -32,10 +32,10 @@ let make_env ?(n = 3) () =
   let shared = Node_alloc.Shared.create ~n_memnodes:n in
   { cluster; layout; shared; cache = Objcache.create () }
 
-let make_tree ?(mode = Ops.Dirty_traversal) ?(max_keys = 4) ?(tree_id = 0) ?cache env =
+let make_tree ?(mode = Ops.Dirty_traversal) ?(max_keys = 4) ?(tree_id = 0) ?cache ?view_memo env =
   let alloc = Node_alloc.create ~cluster:env.cluster ~layout:env.layout ~shared:env.shared () in
-  Ops.make_tree ~mode ~max_keys_leaf:max_keys ~max_keys_internal:max_keys ~cluster:env.cluster
-    ~layout:env.layout ~tree_id ~alloc
+  Ops.make_tree ~mode ~max_keys_leaf:max_keys ~max_keys_internal:max_keys ?view_memo
+    ~cluster:env.cluster ~layout:env.layout ~tree_id ~alloc
     ~cache:(Option.value cache ~default:env.cache)
     ()
 
@@ -186,6 +186,71 @@ let test_put_overwrite () =
       put tree (key 1) "second";
       check (Alcotest.option Alcotest.string) "overwritten" (Some "second") (get tree (key 1));
       check Alcotest.int "one entry" 1 (List.length (audit_tip tree)))
+
+(* ------------------------------------------------------------------ *)
+(* Parsed-view memo                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let test_memo_one_entry_per_node () =
+  with_tree (fun _env tree ->
+      for i = 1 to 40 do
+        put tree (key i) (value i)
+      done;
+      ignore (scan tree ~from:(key 0) ~count:100 : (string * string) list);
+      let memo = Ops.view_memo tree in
+      let nodes = View_memo.length memo in
+      (* Updates in place neither split nor copy: every new version
+         replaces its node's entry instead of piling up beside it. *)
+      for round = 1 to 50 do
+        let v = Printf.sprintf "r%03d" round in
+        put tree (key 7) v;
+        check (Alcotest.option Alcotest.string) "new version read" (Some v) (get tree (key 7))
+      done;
+      check Alcotest.int "at most one entry per node pointer" nodes (View_memo.length memo))
+
+let test_memo_skips_buffered_write () =
+  with_tree (fun _env tree ->
+      for i = 1 to 10 do
+        put tree (key i) (value i)
+      done;
+      check (Alcotest.option Alcotest.string) "committed value" (Some (value 3)) (get tree (key 3));
+      let memo = Ops.view_memo tree in
+      let entries = View_memo.length memo and misses = View_memo.misses memo in
+      (* Read back an uncommitted write: the leaf comes from the
+         transaction's own buffer while its sequence number still names
+         the committed version. *)
+      let txn = Txn.begin_ (Ops.cluster tree) in
+      let vctx = tip tree txn in
+      Ops.put_in_txn tree txn vctx (key 3) "uncommitted";
+      check (Alcotest.option Alcotest.string) "own write visible" (Some "uncommitted")
+        (Ops.get_in_txn tree txn vctx (key 3));
+      check Alcotest.int "no entry added" entries (View_memo.length memo);
+      check Alcotest.int "buffered leaf bypassed the memo" misses (View_memo.misses memo);
+      (* The transaction never commits: a memoised buffered view would
+         now answer for the committed version. *)
+      check (Alcotest.option Alcotest.string) "committed value still read" (Some (value 3))
+        (get tree (key 3)))
+
+let test_memo_shared_across_handles () =
+  Sim.run (fun () ->
+      let env = make_env () in
+      let a = make_tree env in
+      Ops.Linear.init_tree a;
+      for i = 1 to 30 do
+        put a (key i) (value i)
+      done;
+      check (Alcotest.option Alcotest.string) "first handle" (Some (value 17)) (get a (key 17));
+      let memo = Ops.view_memo a in
+      let misses = View_memo.misses memo in
+      (* A second proxy with a cold cache of its own, sharing the memo:
+         it fetches the same node versions and parses none of them. *)
+      let b = make_tree ~cache:(Objcache.create ()) ~view_memo:memo env in
+      check (Alcotest.option Alcotest.string) "second handle" (Some (value 17)) (get b (key 17));
+      check Alcotest.int "parsed once" misses (View_memo.misses memo);
+      (* Without the shared memo the second proxy parses its own. *)
+      let c = make_tree ~cache:(Objcache.create ()) env in
+      check (Alcotest.option Alcotest.string) "private memo" (Some (value 17)) (get c (key 17));
+      check Alcotest.bool "private memo parses" true (View_memo.misses (Ops.view_memo c) > 0))
 
 let test_many_inserts_with_splits () =
   with_tree ~max_keys:4 (fun _env tree ->
@@ -871,6 +936,12 @@ let () =
           Alcotest.test_case "scan ranges" `Quick test_scan_ranges;
           Alcotest.test_case "model random ops" `Slow test_model_random_ops;
           Alcotest.test_case "scan matches model" `Quick test_scan_matches_model_random;
+        ] );
+      ( "view memo",
+        [
+          Alcotest.test_case "one entry per node" `Quick test_memo_one_entry_per_node;
+          Alcotest.test_case "skips buffered write" `Quick test_memo_skips_buffered_write;
+          Alcotest.test_case "shared across handles" `Quick test_memo_shared_across_handles;
         ] );
       ( "snapshots",
         [

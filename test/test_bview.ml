@@ -317,6 +317,44 @@ let prop_stamp_stable =
   QCheck.Test.make ~name:"stamp stable across re-encode" ~count:300 arbitrary_leaf_node (fun n ->
       Bview.same_stamp (Bnode.encode n) (Bnode.encode n))
 
+(* ------------------------------------------------------------------ *)
+(* View memo: newest parsed version per node pointer                    *)
+(* ------------------------------------------------------------------ *)
+
+module View_memo = Btree.View_memo
+
+let value_in v k = Bview.leaf_find v k
+
+let test_memo_seq_change_shows_new_content () =
+  let memo = View_memo.create () in
+  let p = ref_ 0 4096 in
+  let v1 = view_of (leaf [ ("k", "old") ]) and v2 = view_of (leaf [ ("k", "new") ]) in
+  View_memo.add memo p ~seq:1L v1;
+  (match View_memo.find memo p ~seq:1L with
+  | Some v -> check Alcotest.bool "held version hits" true (v == v1)
+  | None -> Alcotest.fail "held version missed");
+  View_memo.add memo p ~seq:2L v2;
+  (match View_memo.find memo p ~seq:2L with
+  | Some v -> check (Alcotest.option Alcotest.string) "new content" (Some "new") (value_in v "k")
+  | None -> Alcotest.fail "newer version not held");
+  check Alcotest.bool "superseded version gone" true (View_memo.find memo p ~seq:1L = None);
+  check Alcotest.int "one entry per pointer" 1 (View_memo.length memo)
+
+let test_memo_older_seq_keeps_newer () =
+  let memo = View_memo.create () in
+  let p = ref_ 1 8192 in
+  let v5 = view_of (leaf [ ("k", "five") ]) and v3 = view_of (leaf [ ("k", "three") ]) in
+  View_memo.add memo p ~seq:5L v5;
+  (* A stale proxy-cache entry brings back an older version: it is
+     parsed for its reader but must not evict the newer view. *)
+  check Alcotest.bool "older version misses" true (View_memo.find memo p ~seq:3L = None);
+  View_memo.add memo p ~seq:3L v3;
+  (match View_memo.find memo p ~seq:5L with
+  | Some v -> check Alcotest.bool "newer view kept" true (v == v5)
+  | None -> Alcotest.fail "older seq evicted the newer view");
+  check Alcotest.int "still one entry" 1 (View_memo.length memo);
+  check Alcotest.int "only the older lookup missed" 1 (View_memo.misses memo)
+
 let () =
   Alcotest.run "bview"
     [
@@ -335,6 +373,12 @@ let () =
           Alcotest.test_case "layout caps node size" `Quick test_layout_caps_node_size;
           Alcotest.test_case "corrupt slot directory" `Quick test_corrupt_slot_directory;
           Alcotest.test_case "truncation rejected" `Quick test_truncation_rejected;
+        ] );
+      ( "view memo",
+        [
+          Alcotest.test_case "seq change shows new content" `Quick
+            test_memo_seq_change_shows_new_content;
+          Alcotest.test_case "older seq keeps newer view" `Quick test_memo_older_seq_keeps_newer;
         ] );
       ( "codec",
         [

@@ -27,6 +27,25 @@ let test_sessions_share_data () =
       check (Alcotest.option Alcotest.string) "update visible back" (Some "from-s1")
         (Minuet.Session.get s0 (key 1)))
 
+let test_sessions_share_view_memo () =
+  run (fun db ->
+      let s0 = Minuet.Session.attach ~home:0 db in
+      for i = 0 to 39 do
+        Minuet.Session.put s0 (key i) (string_of_int i)
+      done;
+      check (Alcotest.option Alcotest.string) "first proxy" (Some "17")
+        (Minuet.Session.get s0 (key 17));
+      let memo = Minuet.Db.view_memo db in
+      let misses = Minuet.Btree.View_memo.misses memo in
+      check Alcotest.bool "first proxy parsed through the database's memo" true (misses > 0);
+      (* A second proxy fetches the same node versions through its own
+         cold cache and parses none of them: the memo is per database. *)
+      let s1 = Minuet.Session.attach ~home:1 db in
+      check (Alcotest.option Alcotest.string) "second proxy" (Some "17")
+        (Minuet.Session.get s1 (key 17));
+      check Alcotest.int "leaf parsed once across sessions" misses
+        (Minuet.Btree.View_memo.misses memo))
+
 let test_scan_and_remove () =
   run (fun db ->
       let s = Minuet.Session.attach db in
@@ -465,6 +484,7 @@ let () =
         [
           Alcotest.test_case "put/get" `Quick test_quick_put_get;
           Alcotest.test_case "sessions share data" `Quick test_sessions_share_data;
+          Alcotest.test_case "sessions share view memo" `Quick test_sessions_share_view_memo;
           Alcotest.test_case "scan and remove" `Quick test_scan_and_remove;
           Alcotest.test_case "multi index" `Quick test_multi_index;
           Alcotest.test_case "with_txn read-your-writes" `Quick test_with_txn_read_your_writes;

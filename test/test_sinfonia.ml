@@ -112,6 +112,58 @@ let prop_heap_matches_reference =
         writes;
       Heap.read h ~off:0 ~len:8192 = Bytes.to_string model)
 
+(* The used prefix of raw slot bytes, trimmed after a full copy: the
+   reference the in-place trimmed read must agree with. *)
+let trim_full_read slot =
+  let h = Mtx.slot_header_size in
+  if String.length slot <= h then slot
+  else
+    let plen = Int32.to_int (String.get_int32_le slot 8) in
+    if plen < 0 || plen > String.length slot - h then slot else String.sub slot 0 (h + plen)
+
+let prop_trimmed_read_matches_full_read =
+  (* Slots near the first 64 KiB page boundary (so header, length field
+     or payload may straddle it), on heaps where either page may be
+     absent, with length fields that are in range, negative or too
+     large. *)
+  let gen =
+    QCheck.(
+      quad (int_range (-80) 80) (int_range 1 300)
+        (oneofl [ `Valid; `Negative; `Too_large; `Any ])
+        (pair (int_bound 3) (int_bound 1_000_000)))
+  in
+  QCheck.Test.make ~name:"trimmed read equals trimming a full read" ~count:500 gen
+    (fun (delta, len, field, (pages, salt)) ->
+      let page = 65536 in
+      let h = Heap.create ~capacity:(3 * page) () in
+      let off = page + delta in
+      let plen =
+        match field with
+        | `Valid -> salt mod max 1 (len - Mtx.slot_header_size + 1)
+        | `Negative -> -1 - salt
+        | `Too_large -> len - Mtx.slot_header_size + 1 + salt
+        | `Any -> salt * 7919
+      in
+      let slot = Bytes.init len (fun i -> Char.chr ((i * 31 + salt) land 0xff)) in
+      if len >= 12 then Bytes.set_int32_le slot 8 (Int32.of_int plen);
+      let data = Bytes.to_string slot in
+      (* [pages]: 0 leaves both pages absent, 1 writes only the slot's
+         bytes below the boundary, 2 only those above, 3 all of it. *)
+      let below = max 0 (min len (page - off)) in
+      if pages land 1 = 1 && below > 0 then Heap.write h ~off (String.sub data 0 below);
+      if pages land 2 = 2 && len - below > 0 then
+        Heap.write h ~off:(off + below) (String.sub data below (len - below));
+      Mtx.trimmed_read h ~off ~len = trim_full_read (Heap.read h ~off ~len))
+
+let test_heap_get_int32_straddle () =
+  let h = Heap.create ~capacity:(1 lsl 17) () in
+  let off = 65536 - 2 in
+  let b = Bytes.create 4 in
+  Bytes.set_int32_le b 0 (-123456789l);
+  Heap.write h ~off (Bytes.to_string b);
+  check Alcotest.int32 "straddling" (-123456789l) (Heap.get_int32_le h ~off);
+  check Alcotest.int32 "absent page" 0l (Heap.get_int32_le h ~off:(off + 8))
+
 (* ------------------------------------------------------------------ *)
 (* Lock table                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -630,6 +682,74 @@ let test_redo_replay_idempotent () =
       check Alcotest.int "second replay empty" 0 (Redo_log.replay log ~heap);
       check Alcotest.string "heap unchanged" "abcd" (Heap.read heap ~off:0 ~len:4))
 
+let retained log tids = List.filter (fun tid -> Redo_log.entry log ~tid <> None) tids
+
+let commit_all log commits =
+  List.iter
+    (fun (tid, stamp, data) ->
+      Redo_log.append log ~tid ~participants:[ 0 ] ~writes:[ Mtx.write_at (addr 0 0) data ];
+      match Redo_log.decide_commit log ~tid ~stamp with
+      | `Apply -> ()
+      | `Skip -> Alcotest.fail "first decision must apply")
+    commits
+
+let test_redo_gc_out_of_order_mirrors () =
+  Sim.run (fun () ->
+      let log = Redo_log.create () in
+      (* Append order differs from stamp order: by stamp the commits run
+         tid 2, 4, 3, 1. *)
+      commit_all log [ (1L, 40L, "one."); (2L, 10L, "two."); (3L, 30L, "thr."); (4L, 20L, "fou.") ];
+      let image = Heap.create ~capacity:1024 () in
+      let tids = [ 1L; 2L; 3L; 4L ] in
+      Redo_log.apply_mirror log ~tid:3L ~heap:image;
+      check (Alcotest.list Alcotest.int64) "stamp 30 is above unmirrored 10: none truncated" tids
+        (retained log tids);
+      Redo_log.apply_mirror log ~tid:2L ~heap:image;
+      check (Alcotest.list Alcotest.int64) "only the stamp-10 prefix truncated" [ 1L; 3L; 4L ]
+        (retained log tids);
+      check Alcotest.string "image repaired to stamp order" "thr." (Heap.read image ~off:0 ~len:4);
+      (* A lost replica image is rebuilt from the retained tail in stamp
+         order: tid 4, 3, then 1. *)
+      let fresh = Heap.create ~capacity:1024 () in
+      check Alcotest.int "two un-mirrored commits recovered" 2 (Redo_log.replay log ~heap:fresh);
+      check Alcotest.string "replay ends at the highest stamp" "one."
+        (Heap.read fresh ~off:0 ~len:4);
+      check Alcotest.int "all truncated after replay" 0 (Redo_log.entry_count log))
+
+(* Reference truncation rule: sort the committed entries by stamp and
+   drop their mirrored prefix. (Outside a simulation the log's clock
+   reads 0.) *)
+let prop_redo_gc_matches_sorted_prefix =
+  let gen = QCheck.(pair (int_range 1 8) (int_bound 1_000_000)) in
+  QCheck.Test.make ~name:"redo gc truncates the mirrored stamp prefix" ~count:200 gen
+    (fun (n, salt) ->
+      let rng = Random.State.make [| salt |] in
+      let shuffle l =
+        List.map (fun x -> (Random.State.bits rng, x)) l
+        |> List.sort compare |> List.map snd
+      in
+      let tids = List.init n (fun i -> Int64.of_int (i + 1)) in
+      let stamps = shuffle (List.init n (fun i -> Int64.of_int (10 * (i + 1)))) in
+      let log = Redo_log.create () in
+      commit_all log (List.map2 (fun tid stamp -> (tid, stamp, "data")) tids stamps);
+      let stamp_of = List.combine tids stamps in
+      let by_stamp =
+        List.sort (fun a b -> Int64.compare (List.assoc a stamp_of) (List.assoc b stamp_of)) tids
+      in
+      let mirrored = Hashtbl.create 8 in
+      let image = Heap.create ~capacity:1024 () in
+      List.for_all
+        (fun tid ->
+          Redo_log.apply_mirror log ~tid ~heap:image;
+          Hashtbl.replace mirrored tid ();
+          let rec drop = function
+            | t :: rest when Hashtbl.mem mirrored t -> drop rest
+            | rest -> rest
+          in
+          let expected = List.sort Int64.compare (drop by_stamp) in
+          retained log tids = expected)
+        (shuffle tids))
+
 let test_mid_crash_raises () =
   (* A crash lands under an in-flight timed operation: the operation
      raises Crashed at its next service boundary, before it could log a
@@ -788,6 +908,8 @@ let () =
           Alcotest.test_case "page boundaries" `Quick test_heap_page_boundaries;
           Alcotest.test_case "sparse high offset" `Quick test_heap_sparse_high_offset;
           QCheck_alcotest.to_alcotest prop_heap_matches_reference;
+          Alcotest.test_case "get_int32_le straddle" `Quick test_heap_get_int32_straddle;
+          QCheck_alcotest.to_alcotest prop_trimmed_read_matches_full_read;
         ] );
       ( "locks",
         [
@@ -830,6 +952,9 @@ let () =
       ( "crash recovery",
         [
           Alcotest.test_case "redo replay idempotent" `Quick test_redo_replay_idempotent;
+          Alcotest.test_case "redo gc out-of-order mirrors" `Quick
+            test_redo_gc_out_of_order_mirrors;
+          QCheck_alcotest.to_alcotest prop_redo_gc_matches_sorted_prefix;
           Alcotest.test_case "mid-crash raises" `Quick test_mid_crash_raises;
           Alcotest.test_case "try_recover typed errors" `Quick test_try_recover_typed_errors;
           Alcotest.test_case "try_recover no replica" `Quick test_try_recover_no_replica;
