@@ -473,7 +473,9 @@ let node_cmd =
        per batched scan hop come from the typed node counters. The
        database's shared view memo must end with at most one entry per
        node pointer: no more than the node slots ever written, each of
-       which holds a non-empty payload. *)
+       which holds a non-empty payload. The memnode heaps must store
+       what was written: their resident pages, per written node slot,
+       stay under half a slot. *)
     let config =
       {
         Minuet.Config.default with
@@ -483,7 +485,7 @@ let node_cmd =
         max_keys_internal = Some 64;
       }
     in
-    let view_hits, materialisations, bytes_copied, hops, memo_entries, node_slots =
+    let view_hits, materialisations, bytes_copied, hops, memo_entries, node_slots, resident =
       Minuet.Harness.run ~seed ~until:60.0 ~config @@ fun db ->
       let s = Minuet.Session.attach db in
       for i = 0 to 299 do
@@ -501,20 +503,24 @@ let node_cmd =
       let c = Obs.Counter.value in
       let layout = config.Minuet.Config.layout in
       let cluster = Minuet.Db.cluster db in
-      let node_slots = ref 0 in
+      let node_slots = ref 0 and resident = ref 0 in
       for node = 0 to Sinfonia.Cluster.n_memnodes cluster - 1 do
         let heap =
           Sinfonia.Memnode.store_heap
             (Sinfonia.Memnode.primary (Sinfonia.Cluster.memnode cluster node))
         in
+        resident := !resident + Sinfonia.Heap.resident heap;
         for index = 0 to layout.Btree.Layout.max_slots - 1 do
           let off = Btree.Layout.slot_off layout ~index + 8 in
           if Sinfonia.Heap.get_int32_le heap ~off <> 0l then incr node_slots
         done
       done;
       (c ns_.Obs.view_hits, c ns_.Obs.materialisations, c ns_.Obs.node_bytes_copied,
-       c ss.Obs.scan_batched_leaves, Btree.View_memo.length (Minuet.Db.view_memo db), !node_slots)
+       c ss.Obs.scan_batched_leaves, Btree.View_memo.length (Minuet.Db.view_memo db), !node_slots,
+       !resident)
     in
+    let resident_per_slot = float_of_int resident /. float_of_int (max 1 node_slots) in
+    let node_size = config.Minuet.Config.layout.Btree.Layout.node_size in
     let decodes_avoided = view_hits - materialisations in
     let bytes_per_hop = if hops = 0 then 0.0 else float_of_int bytes_copied /. float_of_int hops in
     Printf.printf "node bench: view %.0f ns/lookup vs decode %.0f ns/lookup (%.2fx)\n"
@@ -523,6 +529,8 @@ let node_cmd =
       materialisations decodes_avoided;
     Printf.printf "  %.0f bytes copied per batched scan hop over %d hops\n" bytes_per_hop hops;
     Printf.printf "  view memo: %d entries over %d written node slots\n" memo_entries node_slots;
+    Printf.printf "  heap: %.0f resident bytes per written %d-byte node slot\n" resident_per_slot
+      node_size;
     if not
       (Obs.Bench.write ~dir
          {
@@ -535,6 +543,8 @@ let node_cmd =
                Obs.Bench.at_least "corrupt_dir_caught" (if !corrupt_caught then 1.0 else 0.0) 1.0;
                Obs.Bench.at_most "view_memo_entries" (float_of_int memo_entries)
                  (float_of_int node_slots);
+               Obs.Bench.at_most "heap_resident_per_node_slot" resident_per_slot
+                 (float_of_int (node_size / 2));
              ];
            fields =
              [
@@ -549,6 +559,7 @@ let node_cmd =
                ("bytes_copied_per_scan_hop", Obs.Json.Float bytes_per_hop);
                ("corrupt_dir_caught", Obs.Json.Bool !corrupt_caught);
                ("view_memo_entries", Obs.Json.Int memo_entries);
+               ("heap_resident_per_node_slot", Obs.Json.Float resident_per_slot);
              ];
          })
     then exit 1

@@ -1355,23 +1355,37 @@ let finish ?final ?twopc ?in_doubt t =
      aborted at another is a torn transaction. The same tid carrying
      both records at a single space (a decide_commit racing a recovery
      force-abort) is the same violation. *)
-  let twopc_checked = List.length twopc in
-  let by_tid = Hashtbl.create 64 in
-  List.iter
-    (fun (space, tid, d) ->
-      let cs, abs = Option.value (Hashtbl.find_opt by_tid tid) ~default:([], []) in
-      Hashtbl.replace by_tid tid
-        (match d with `Committed -> (space :: cs, abs) | `Aborted -> (cs, space :: abs)))
-    twopc;
-  Sim.Det.sorted_bindings by_tid ~cmp:Int64.compare
-  |> List.iter (fun (tid, (cs, abs)) ->
-         if cs <> [] && abs <> [] then
-           global_violate t
-             "2PC atomicity violated: transaction %Ld committed at space(s) %s but aborted at \
-              space(s) %s"
-             tid
-             (String.concat "," (List.map string_of_int (List.sort compare cs)))
-             (String.concat "," (List.map string_of_int (List.sort compare abs))));
+  let records = Array.of_list twopc in
+  let twopc_checked = Array.length records in
+  Array.stable_sort (fun (_, a, _) (_, b, _) -> Int64.compare a b) records;
+  let tid_at i =
+    let _, tid, _ = records.(i) in
+    tid
+  in
+  let spaces run d =
+    List.filter_map (fun (space, _, d') -> if d' = d then Some space else None) run
+    |> List.sort compare |> List.map string_of_int |> String.concat ","
+  in
+  (* One run of equal tids at a time, in tid order. *)
+  let i = ref 0 in
+  while !i < twopc_checked do
+    let tid = tid_at !i in
+    let j = ref !i and committed = ref false and aborted = ref false in
+    while !j < twopc_checked && Int64.equal (tid_at !j) tid do
+      (match records.(!j) with
+      | _, _, `Committed -> committed := true
+      | _, _, `Aborted -> aborted := true);
+      incr j
+    done;
+    if !committed && !aborted then begin
+      let run = Array.to_list (Array.sub records !i (!j - !i)) in
+      global_violate t
+        "2PC atomicity violated: transaction %Ld committed at space(s) %s but aborted at \
+         space(s) %s"
+        tid (spaces run `Committed) (spaces run `Aborted)
+    end;
+    i := !j
+  done;
   (* Every in-doubt transaction must be resolved by the time the run
      quiesces: a leftover means the recovery coordinator wedged (or was
      never run) and its locks block the ranges forever. *)

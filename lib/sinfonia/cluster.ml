@@ -322,8 +322,13 @@ let rec recover_when_idle ?(poll = 1e-3) t i =
       recover_when_idle ~poll t i
   | r -> r
 
+(* Consed back to front in one pass: spaces ascending, each space's
+   records tid-sorted. *)
 let redo_decisions t =
-  Array.to_list t.redo_logs
-  |> List.mapi (fun space log ->
-         List.map (fun (tid, d) -> (space, tid, d)) (Redo_log.decisions log))
-  |> List.concat
+  let acc = ref [] in
+  for space = Array.length t.redo_logs - 1 downto 0 do
+    acc :=
+      Redo_log.fold_decisions t.redo_logs.(space) ~init:!acc (fun tid d acc ->
+          (space, tid, d) :: acc)
+  done;
+  !acc

@@ -1,11 +1,14 @@
 (** A memnode's linear byte-addressable storage.
 
-    Storage is paged and sparse: only written 64 KiB pages consume
-    memory, up to a configurable capacity that mirrors the memnode's
-    DRAM budget. Reads of never-written bytes return zeros (as freshly
-    mapped memory would). *)
+    Storage is paged and sparse: only written 1 KiB pages
+    ({!page_size}) consume memory, up to a configurable capacity that
+    mirrors the memnode's DRAM budget. Reads of never-written bytes
+    return zeros (as freshly mapped memory would). *)
 
 type t
+
+val page_size : int
+(** Bytes per materialized page (1 KiB). *)
 
 val create : ?capacity:int -> unit -> t
 (** Default capacity 1 GiB of simulated address space. *)
@@ -37,9 +40,8 @@ val equal_at : t -> off:int -> string -> bool
 (** [equal_at t ~off expected] compares stored bytes with [expected]
     without copying. *)
 
-val snapshot : t -> string
-(** Copy of the heap contents up to the high-water mark (for
-    replication and tests). *)
-
-val restore : t -> string -> unit
-(** Overwrite contents from a {!snapshot} string. *)
+val copy_into : src:t -> dst:t -> unit
+(** Make [dst] a copy of [src]: its resident pages and high-water mark
+    (crash recovery restores a primary from its replica this way).
+    Only [src]'s resident pages are copied. Raises {!Out_of_space} when
+    [src]'s high-water mark exceeds [dst]'s capacity. *)

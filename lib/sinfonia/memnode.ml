@@ -94,7 +94,7 @@ let recover ?(broken = false) t ~from_replica =
      entries are exactly the writes the replica missed. Skipping this
      ([broken] — the falsifiability hook) silently loses them. *)
   let replayed = if broken then 0 else Redo_log.replay t.primary_store.redo ~heap:from_replica.heap in
-  Heap.restore t.primary_store.heap (Heap.snapshot from_replica.heap);
+  Heap.copy_into ~src:from_replica.heap ~dst:t.primary_store.heap;
   t.primary_store.locks <- Lock_table.create ();
   relock_in_doubt t.primary_store;
   (* The replica store carried the in-doubt locks while it was serving;

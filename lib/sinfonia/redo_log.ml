@@ -20,10 +20,22 @@ type entry = {
   mutable e_reported : bool; (* counted once as in-doubt by recovery *)
 }
 
+(* Decision records are kept unboxed: tids and commit stamps count up
+   from 1 (one cluster-wide counter each), so both fit in an int. A
+   record's table value is its commit stamp, or [aborted] for an abort;
+   the retention ring holds each record's time and tid in push order. *)
+module Itbl = Hashtbl.Make (Int)
+
+let aborted = -1
+
 type t = {
   mutable entries : entry list; (* append order, oldest first; small *)
-  decided : (int64, decision) Hashtbl.t;
-  decided_order : (float * int64) Queue.t;
+  decided : int Itbl.t; (* tid -> commit stamp, or [aborted] *)
+  repeats : int Itbl.t; (* tid -> records in the ring beyond its first *)
+  mutable ring_at : Float.Array.t;
+  mutable ring_tid : int array;
+  mutable ring_head : int; (* index of the oldest record *)
+  mutable ring_len : int;
   mutable conflicts : int64 list; (* tids with contradictory decisions *)
   retention : float;
   mutable watermark : int64; (* highest stamp applied to the replica image *)
@@ -33,8 +45,12 @@ type t = {
 let create ?(retention = 5.0) () =
   {
     entries = [];
-    decided = Hashtbl.create 64;
-    decided_order = Queue.create ();
+    decided = Itbl.create 64;
+    repeats = Itbl.create 8;
+    ring_at = Float.Array.make 64 0.0;
+    ring_tid = Array.make 64 0;
+    ring_head = 0;
+    ring_len = 0;
     conflicts = [];
     retention;
     watermark = 0L;
@@ -43,33 +59,77 @@ let create ?(retention = 5.0) () =
 
 let now () = if Sim.inside () then Sim.now () else 0.0
 
+(* A tid or stamp as a table key; -1 (never a key) when out of range. *)
+let key v =
+  let i = Int64.to_int v in
+  if i >= 0 && Int64.equal (Int64.of_int i) v then i else -1
+
+let small what v =
+  let i = key v in
+  if i < 0 then invalid_arg (Printf.sprintf "Redo_log: %s %Ld out of range" what v);
+  i
+
 let find t ~tid = List.find_opt (fun e -> Int64.equal e.e_tid tid) t.entries
 
 let entry = find
 
 let voted t ~tid = find t ~tid <> None
 
-let decision t ~tid = Hashtbl.find_opt t.decided tid
+let decision t ~tid =
+  match Itbl.find_opt t.decided (key tid) with
+  | None -> None
+  | Some v when v = aborted -> Some Aborted
+  | Some stamp -> Some (Committed (Int64.of_int stamp))
 
-let refused t ~tid = match decision t ~tid with Some Aborted -> true | _ -> false
+let refused t ~tid = Itbl.find_opt t.decided (key tid) = Some aborted
 
+let ring_slot t i = (t.ring_head + i) land (Array.length t.ring_tid - 1)
+
+(* Capacities stay powers of two so [ring_slot] can mask. *)
+let ring_push t ~at tid =
+  let cap = Array.length t.ring_tid in
+  if t.ring_len = cap then begin
+    let ring_at = Float.Array.make (2 * cap) 0.0 and ring_tid = Array.make (2 * cap) 0 in
+    for i = 0 to t.ring_len - 1 do
+      (* [ring_slot] masks into the old capacity; [i] < [cap] < 2 [cap]. *)
+      let j = ring_slot t i in
+      Float.Array.set ring_at i (Float.Array.get t.ring_at j);
+      ring_tid.(i) <- t.ring_tid.(j)
+    done;
+    t.ring_at <- ring_at;
+    t.ring_tid <- ring_tid;
+    t.ring_head <- 0
+  end;
+  let j = ring_slot t t.ring_len in
+  Float.Array.set t.ring_at j at;
+  t.ring_tid.(j) <- tid;
+  t.ring_len <- t.ring_len + 1
+
+(* Expire records older than the retention window, oldest first. A tid
+   decided more than once has one ring record per decision; it is
+   forgotten only when its latest record expires. *)
 let prune_decisions t =
   if t.retention < infinity then begin
     let cutoff = now () -. t.retention in
-    let rec drain () =
-      match Queue.peek_opt t.decided_order with
-      | Some (at, tid) when at < cutoff ->
-          ignore (Queue.pop t.decided_order);
-          Hashtbl.remove t.decided tid;
-          drain ()
-      | _ -> ()
-    in
-    drain ()
+    (* [ring_head] is always a masked slot index, so in range. *)
+    while t.ring_len > 0 && Float.Array.get t.ring_at t.ring_head < cutoff do
+      let tid = t.ring_tid.(t.ring_head) in
+      t.ring_head <- ring_slot t 1;
+      t.ring_len <- t.ring_len - 1;
+      match Itbl.find_opt t.repeats tid with
+      | Some 1 -> Itbl.remove t.repeats tid
+      | Some n -> Itbl.replace t.repeats tid (n - 1)
+      | None -> Itbl.remove t.decided tid
+    done
   end
 
 let record_decision t ~tid d =
-  Hashtbl.replace t.decided tid d;
-  Queue.push (now (), tid) t.decided_order;
+  let tid = small "tid" tid in
+  let v = match d with Committed stamp -> small "stamp" stamp | Aborted -> aborted in
+  if Itbl.mem t.decided tid then
+    Itbl.replace t.repeats tid (1 + Option.value (Itbl.find_opt t.repeats tid) ~default:0);
+  Itbl.replace t.decided tid v;
+  ring_push t ~at:(now ()) tid;
   prune_decisions t
 
 let append t ~tid ~participants ~writes =
@@ -227,23 +287,44 @@ let write_ranges e =
     e.e_writes
 
 (* Every decision this log knows of, for the checker's 2PC-atomicity
-   rule. A tid with contradictory decisions contributes both records. *)
-let decisions t =
-  let base =
-    (* Key-sorted so the checker's 2PC report is identical across runs
-       of the same seed. *)
-    Sim.Det.sorted_bindings t.decided ~cmp:Int64.compare
-    |> List.map (fun (tid, d) ->
-           (tid, match d with Committed _ -> `Committed | Aborted -> `Aborted))
+   rule. A tid with contradictory decisions contributes both records.
+   The retained tids are exactly the ring's (a tid decided twice
+   appears twice), so one sort of an int array gives them key-sorted
+   and the report is identical across runs of the same seed. *)
+let fold_decisions t ~init f =
+  let tids = Array.init t.ring_len (fun i -> t.ring_tid.(ring_slot t i)) in
+  Array.sort Int.compare tids;
+  let n = Array.length tids in
+  let fold_desc f init =
+    let acc = ref init in
+    for i = n - 1 downto 0 do
+      let tid = tids.(i) in
+      if i = n - 1 || tid <> tids.(i + 1) then
+        (* Every tid in the ring has a [decided] entry. *)
+        acc :=
+          f (Int64.of_int tid)
+            (if Itbl.find t.decided tid = aborted then `Aborted else `Committed)
+            !acc
+    done;
+    !acc
   in
-  let conflicting =
-    List.map
-      (fun tid ->
-        match Hashtbl.find_opt t.decided tid with
-        | Some (Committed _) -> (tid, `Aborted)
-        | _ -> (tid, `Committed))
-      (List.sort_uniq Int64.compare t.conflicts)
-  in
-  List.sort compare (base @ conflicting)
+  match t.conflicts with
+  | [] -> fold_desc f init
+  | conflicts ->
+      let base = fold_desc (fun tid d acc -> (tid, d) :: acc) [] in
+      let conflicting =
+        List.map
+          (fun tid ->
+            match decision t ~tid with
+            | Some (Committed _) -> (tid, `Aborted)
+            | _ -> (tid, `Committed))
+          (List.sort_uniq Int64.compare conflicts)
+      in
+      List.fold_left
+        (fun acc (tid, d) -> f tid d acc)
+        init
+        (List.rev (List.merge compare base conflicting))
+
+let decisions t = fold_decisions t ~init:[] (fun tid d acc -> (tid, d) :: acc)
 
 let entry_count t = List.length t.entries

@@ -33,7 +33,10 @@ type t
 
 val create : ?retention:float -> unit -> t
 (** [retention] bounds how long decision records are kept (default 5
-    simulated seconds; [infinity] keeps all). *)
+    simulated seconds; [infinity] keeps all). A tid decided more than
+    once is kept until [retention] after its latest decision. Tids and
+    commit stamps must lie in [\[0, max_int\]] (both count up from 1);
+    deciding one outside raises [Invalid_argument]. *)
 
 val append : t -> tid:int64 -> participants:int list -> writes:Mtx.write_item list -> unit
 (** Log a yes vote: called by phase-one prepare once locks are held and
@@ -98,6 +101,11 @@ val write_ranges : entry -> Lock_table.range list
 val decisions : t -> (int64 * [ `Committed | `Aborted ]) list
 (** Every retained decision, sorted; a tid with contradictory decisions
     contributes both records (the checker's atomicity rule flags it). *)
+
+val fold_decisions :
+  t -> init:'a -> (int64 -> [ `Committed | `Aborted ] -> 'a -> 'a) -> 'a
+(** [List.fold_right] over {!decisions} without building it: the last
+    record is folded first, so consing rebuilds the sorted order. *)
 
 val appends : t -> int
 

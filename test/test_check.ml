@@ -247,6 +247,36 @@ let test_twopc_split_decision_caught () =
   let first = List.hd v.Stream.violations in
   check Alcotest.int "global violation" (-1) first.Stream.v_index
 
+let test_twopc_many_records_one_torn () =
+  (* 3000 tids decided at five spaces each, records shuffled across
+     spaces and tids; tid 1234 committed at spaces 0, 2 and 4 but
+     aborted at spaces 1 and 3. *)
+  let rng = Random.State.make [| 2 |] in
+  let records =
+    List.concat_map
+      (fun i ->
+        let tid = Int64.of_int i in
+        let d = if i mod 3 = 0 then `Aborted else `Committed in
+        List.map
+          (fun space -> (space, tid, if i = 1234 && space mod 2 = 1 then `Aborted else d))
+          [ 4; 2; 0; 3; 1 ])
+      (List.init 3000 (fun i -> i + 1))
+  in
+  let twopc =
+    List.map (fun r -> (Random.State.bits rng, r)) records
+    |> List.sort compare |> List.map snd
+  in
+  let v = run ~twopc [] in
+  check Alcotest.int "records checked" 15000 v.Stream.twopc_checked;
+  check
+    (Alcotest.list Alcotest.string)
+    "one violation, spaces sorted"
+    [
+      "2PC atomicity violated: transaction 1234 committed at space(s) 0,2,4 but aborted at \
+       space(s) 1,3";
+    ]
+    (List.map (fun x -> x.Stream.v_message) v.Stream.violations)
+
 let test_in_doubt_residue_caught () =
   assert_ok ~msg:"zero in doubt" (run ~in_doubt:0 []);
   let v = run ~in_doubt:2 [] in
@@ -524,6 +554,7 @@ let () =
         [
           Alcotest.test_case "consistent decisions" `Quick test_twopc_consistent;
           Alcotest.test_case "split decision caught" `Quick test_twopc_split_decision_caught;
+          Alcotest.test_case "many records, one torn" `Quick test_twopc_many_records_one_torn;
           Alcotest.test_case "in-doubt residue caught" `Quick test_in_doubt_residue_caught;
         ] );
       ( "ambiguity",

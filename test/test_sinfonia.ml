@@ -69,21 +69,41 @@ let test_heap_equal_at () =
   check Alcotest.bool "straddling boundary" true (Heap.equal_at h ~off:6 "ta\000")
 
 let test_heap_snapshot_restore () =
-  let h = Heap.create ~capacity:1024 () in
+  let h = Heap.create ~capacity:(1 lsl 20) () in
   Heap.write h ~off:0 "state one";
-  let image = Heap.snapshot h in
+  Heap.write h ~off:(5 * Heap.page_size) "far";
+  let image = Heap.create ~capacity:(1 lsl 20) () in
+  Heap.copy_into ~src:h ~dst:image;
   Heap.write h ~off:0 "state two";
-  Heap.restore h image;
-  check Alcotest.string "restored" "state one" (Heap.read h ~off:0 ~len:9)
+  Heap.write h ~off:(9 * Heap.page_size) "later";
+  Heap.copy_into ~src:image ~dst:h;
+  check Alcotest.string "restored" "state one" (Heap.read h ~off:0 ~len:9);
+  check Alcotest.string "later page gone" "\000" (Heap.read h ~off:(9 * Heap.page_size) ~len:1);
+  check Alcotest.int "high water restored" ((5 * Heap.page_size) + 3) (Heap.high_water h);
+  check Alcotest.int "only written pages copied" (2 * Heap.page_size) (Heap.resident h);
+  (* The copy is deep: writing the source leaves it alone. *)
+  Heap.write image ~off:0 "state six";
+  check Alcotest.string "independent" "state one" (Heap.read h ~off:0 ~len:9);
+  match Heap.copy_into ~src:h ~dst:(Heap.create ~capacity:Heap.page_size ()) with
+  | () -> Alcotest.fail "copy beyond capacity accepted"
+  | exception Heap.Out_of_space -> ()
 
 let test_heap_page_boundaries () =
-  (* Writes and reads straddling the 64 KiB page boundary. *)
+  (* Writes and reads straddling a page boundary. *)
   let h = Heap.create ~capacity:(1 lsl 20) () in
-  let off = 65536 - 3 in
+  let off = Heap.page_size - 3 in
   Heap.write h ~off "abcdefgh";
   check Alcotest.string "straddling read" "abcdefgh" (Heap.read h ~off ~len:8);
   check Alcotest.bool "straddling equal_at" true (Heap.equal_at h ~off "abcdefgh");
-  check Alcotest.string "partial" "cdefgh\000\000" (Heap.read h ~off:(off + 2) ~len:8)
+  check Alcotest.string "partial" "cdefgh\000\000" (Heap.read h ~off:(off + 2) ~len:8);
+  (* The page directory's 1 MiB chunk boundary, into an untouched chunk. *)
+  let h = Heap.create ~capacity:(1 lsl 21) () in
+  let off = (1 lsl 20) - 3 in
+  Heap.write h ~off "abcdefgh";
+  check Alcotest.string "straddling chunks" "abcdefgh" (Heap.read h ~off ~len:8);
+  check Alcotest.int32 "int32 across chunks" (Bytes.get_int32_le (Bytes.of_string "bcde") 0)
+    (Heap.get_int32_le h ~off:(off + 1));
+  check Alcotest.int "two pages" (2 * Heap.page_size) (Heap.resident h)
 
 let test_heap_sparse_high_offset () =
   (* A write far into the address space must not materialize the
@@ -92,25 +112,29 @@ let test_heap_sparse_high_offset () =
   Heap.write h ~off:((1 lsl 28) + 5) "sparse";
   check Alcotest.string "read back" "sparse" (Heap.read h ~off:((1 lsl 28) + 5) ~len:6);
   check Alcotest.string "prefix zero" "\000" (Heap.read h ~off:1234 ~len:1);
-  check Alcotest.bool "resident is one page despite high water" true
-    (Heap.resident h <= 65536 && Heap.high_water h > 1 lsl 28)
+  check Alcotest.int "resident is one page" Heap.page_size (Heap.resident h);
+  check Alcotest.bool "despite high water" true (Heap.high_water h > 1 lsl 28)
 
 let prop_heap_matches_reference =
-  (* Random writes against a reference Bytes model. *)
+  (* Random writes against a reference Bytes model, over four pages;
+     some writes are longer than a page and span three. *)
+  let size = 4 * Heap.page_size in
   let gen =
-    QCheck.(small_list (pair (int_bound 4000) (string_of_size (Gen.int_range 1 200))))
+    QCheck.(
+      small_list
+        (pair (int_bound (size - 1)) (string_of_size (Gen.int_range 1 (Heap.page_size + 200)))))
   in
   QCheck.Test.make ~name:"heap matches byte-array model" ~count:200 gen (fun writes ->
-      let h = Heap.create ~capacity:8192 () in
-      let model = Bytes.make 8192 '\000' in
+      let h = Heap.create ~capacity:size () in
+      let model = Bytes.make size '\000' in
       List.iter
         (fun (off, data) ->
-          if String.length data > 0 && off + String.length data <= 8192 then begin
+          if String.length data > 0 && off + String.length data <= size then begin
             Heap.write h ~off data;
             Bytes.blit_string data 0 model off (String.length data)
           end)
         writes;
-      Heap.read h ~off:0 ~len:8192 = Bytes.to_string model)
+      Heap.read h ~off:0 ~len:size = Bytes.to_string model)
 
 (* The used prefix of raw slot bytes, trimmed after a full copy: the
    reference the in-place trimmed read must agree with. *)
@@ -122,7 +146,7 @@ let trim_full_read slot =
     if plen < 0 || plen > String.length slot - h then slot else String.sub slot 0 (h + plen)
 
 let prop_trimmed_read_matches_full_read =
-  (* Slots near the first 64 KiB page boundary (so header, length field
+  (* Slots near the first page boundary (so header, length field
      or payload may straddle it), on heaps where either page may be
      absent, with length fields that are in range, negative or too
      large. *)
@@ -134,7 +158,7 @@ let prop_trimmed_read_matches_full_read =
   in
   QCheck.Test.make ~name:"trimmed read equals trimming a full read" ~count:500 gen
     (fun (delta, len, field, (pages, salt)) ->
-      let page = 65536 in
+      let page = Heap.page_size in
       let h = Heap.create ~capacity:(3 * page) () in
       let off = page + delta in
       let plen =
@@ -157,7 +181,7 @@ let prop_trimmed_read_matches_full_read =
 
 let test_heap_get_int32_straddle () =
   let h = Heap.create ~capacity:(1 lsl 17) () in
-  let off = 65536 - 2 in
+  let off = Heap.page_size - 2 in
   let b = Bytes.create 4 in
   Bytes.set_int32_le b 0 (-123456789l);
   Heap.write h ~off (Bytes.to_string b);
@@ -556,6 +580,50 @@ let test_failover_serves_from_backup () =
       | [ (_, data) ] -> check Alcotest.string "state recovered" "during" data
       | _ -> Alcotest.fail "read failed")
 
+let test_recover_copies_resident_pages () =
+  (* Recovery copies the replica's resident pages back, not its whole
+     address space up to the high-water mark. *)
+  with_cluster (fun cluster ->
+      let rng = Random.State.make [| 17 |] in
+      let write () =
+        let off = Random.State.int rng (1 lsl 24) in
+        let data = String.init (1 + Random.State.int rng 300) (fun _ -> Char.chr (65 + Random.State.int rng 26)) in
+        ignore
+          (expect_committed (exec cluster (Mtx.make ~writes:[ Mtx.write_at (addr 0 off) data ] ()))
+            : (Address.t * string) list)
+      in
+      for _ = 1 to 40 do
+        write ()
+      done;
+      Cluster.crash cluster 0;
+      (* Writes during failover land on the replica only. *)
+      for _ = 1 to 10 do
+        write ()
+      done;
+      (match Cluster.try_recover cluster 0 with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "recovery refused: %s" (Cluster.recover_error_to_string e));
+      let primary = Memnode.store_heap (Memnode.primary (Cluster.memnode cluster 0)) in
+      let replica =
+        match Cluster.backup_of cluster 0 with
+        | None -> Alcotest.fail "replication should be on"
+        | Some b -> (
+            match Memnode.replica (Cluster.memnode cluster b) ~of_node:0 with
+            | None -> Alcotest.fail "no replica store"
+            | Some store -> Memnode.store_heap store)
+      in
+      check Alcotest.int "resident equals the replica's" (Heap.resident replica)
+        (Heap.resident primary);
+      check Alcotest.int "high water equals the replica's" (Heap.high_water replica)
+        (Heap.high_water primary);
+      check Alcotest.bool "far below the high-water mark" true
+        (Heap.resident primary < Heap.high_water primary / 10);
+      for _ = 1 to 500 do
+        let off = Random.State.int rng (1 lsl 24) and len = 1 + Random.State.int rng 2000 in
+        if Heap.read primary ~off ~len <> Heap.read replica ~off ~len then
+          Alcotest.failf "primary and replica differ at %d+%d" off len
+      done)
+
 let test_unavailable_without_replication () =
   let config = { Config.default with replication = false } in
   with_cluster ~config (fun cluster ->
@@ -749,6 +817,123 @@ let prop_redo_gc_matches_sorted_prefix =
           let expected = List.sort Int64.compare (drop by_stamp) in
           retained log tids = expected)
         (shuffle tids))
+
+let test_redo_retention_latest_record () =
+  (* A tid decided twice (a recovery force-abort, then the live
+     coordinator's abort) is kept until its latest record expires.
+     Pruning runs when a decision is recorded, so each check records an
+     unrelated one first. *)
+  Sim.run (fun () ->
+      let log = Redo_log.create ~retention:5.0 () in
+      Redo_log.decide_abort log ~tid:1L;
+      Sim.delay 4.0;
+      Redo_log.decide_abort log ~tid:1L;
+      Sim.delay 2.0;
+      Redo_log.decide_abort log ~tid:2L;
+      check Alcotest.bool "refused at t = 6" true (Redo_log.refused log ~tid:1L);
+      Sim.delay 3.5;
+      Redo_log.decide_abort log ~tid:3L;
+      check Alcotest.bool "forgotten at t = 9.5" false (Redo_log.refused log ~tid:1L);
+      check Alcotest.bool "no decision left" true (Redo_log.decision log ~tid:1L = None);
+      check
+        (Alcotest.list Alcotest.int64)
+        "retained tids" [ 2L; 3L ]
+        (List.map fst (Redo_log.decisions log)))
+
+(* Reference decision store: the retention rule spelled out over a list
+   of (time, tid) records in push order. *)
+type ref_log = {
+  r_decided : (int64, Redo_log.decision) Hashtbl.t;
+  mutable r_records : (float * int64) list;
+  mutable r_conflicts : int64 list;
+}
+
+let ref_record r ~retention tid d =
+  Hashtbl.replace r.r_decided tid d;
+  r.r_records <- r.r_records @ [ (Sim.now (), tid) ];
+  let cutoff = Sim.now () -. retention in
+  let rec prune = function
+    | (at, tid) :: rest when at < cutoff ->
+        if not (List.exists (fun (_, t') -> Int64.equal t' tid) rest) then
+          Hashtbl.remove r.r_decided tid;
+        prune rest
+    | rest -> rest
+  in
+  r.r_records <- prune r.r_records
+
+let ref_decisions r =
+  let base =
+    Sim.Det.sorted_bindings r.r_decided ~cmp:Int64.compare
+    |> List.map (fun (tid, d) ->
+           (tid, match d with Redo_log.Committed _ -> `Committed | Redo_log.Aborted -> `Aborted))
+  in
+  let conflicting =
+    List.map
+      (fun tid ->
+        match Hashtbl.find_opt r.r_decided tid with
+        | Some (Redo_log.Committed _) -> (tid, `Aborted)
+        | _ -> (tid, `Committed))
+      (List.sort_uniq Int64.compare r.r_conflicts)
+  in
+  List.sort compare (base @ conflicting)
+
+let prop_redo_decisions_match_reference =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map (fun tid -> `Commit tid) (int_range 1 8));
+          (3, map (fun tid -> `Abort tid) (int_range 1 8));
+          (2, map (fun ms -> `Advance (float_of_int ms /. 1000.0)) (int_bound 700));
+        ])
+  in
+  let pp = function
+    | `Commit tid -> Printf.sprintf "commit %d" tid
+    | `Abort tid -> Printf.sprintf "abort %d" tid
+    | `Advance dt -> Printf.sprintf "advance %.3f" dt
+  in
+  let gen = QCheck.make ~print:QCheck.Print.(list pp) QCheck.Gen.(list_size (int_range 1 60) op) in
+  QCheck.Test.make ~name:"redo decisions match a reference model" ~count:300 gen (fun ops ->
+      let retention = 1.0 in
+      let ok = ref false in
+      Sim.run (fun () ->
+          let log = Redo_log.create ~retention () in
+          let r = { r_decided = Hashtbl.create 8; r_records = []; r_conflicts = [] } in
+          let stamp = ref 0L in
+          let agree () =
+            List.for_all
+              (fun i ->
+                let tid = Int64.of_int i in
+                Redo_log.decision log ~tid = Hashtbl.find_opt r.r_decided tid
+                && Redo_log.refused log ~tid
+                   = (Hashtbl.find_opt r.r_decided tid = Some Redo_log.Aborted))
+              (List.init 9 Fun.id)
+            && Redo_log.decisions log = ref_decisions r
+          in
+          ok :=
+            List.for_all
+            (fun op ->
+              (match op with
+              | `Commit i -> (
+                  let tid = Int64.of_int i in
+                  stamp := Int64.succ !stamp;
+                  let outcome = Redo_log.decide_commit log ~tid ~stamp:!stamp in
+                  match Hashtbl.find_opt r.r_decided tid with
+                  | Some (Redo_log.Committed _) -> assert (outcome = `Skip)
+                  | existing ->
+                      assert (outcome = `Apply);
+                      if existing = Some Redo_log.Aborted then r.r_conflicts <- tid :: r.r_conflicts;
+                      ref_record r ~retention tid (Redo_log.Committed !stamp))
+              | `Abort i -> (
+                  let tid = Int64.of_int i in
+                  Redo_log.decide_abort log ~tid;
+                  match Hashtbl.find_opt r.r_decided tid with
+                  | Some (Redo_log.Committed _) -> r.r_conflicts <- tid :: r.r_conflicts
+                  | _ -> ref_record r ~retention tid Redo_log.Aborted)
+              | `Advance dt -> Sim.delay dt);
+              agree ())
+            ops);
+      !ok)
 
 let test_mid_crash_raises () =
   (* A crash lands under an in-flight timed operation: the operation
@@ -946,6 +1131,8 @@ let () =
             test_lease_live_coordinator_not_stolen;
           Alcotest.test_case "mirrors writes" `Quick test_replication_mirrors_writes;
           Alcotest.test_case "failover" `Quick test_failover_serves_from_backup;
+          Alcotest.test_case "recover copies resident pages" `Quick
+            test_recover_copies_resident_pages;
           Alcotest.test_case "unavailable without replication" `Quick
             test_unavailable_without_replication;
         ] );
@@ -955,6 +1142,9 @@ let () =
           Alcotest.test_case "redo gc out-of-order mirrors" `Quick
             test_redo_gc_out_of_order_mirrors;
           QCheck_alcotest.to_alcotest prop_redo_gc_matches_sorted_prefix;
+          Alcotest.test_case "redo retention keeps the latest record" `Quick
+            test_redo_retention_latest_record;
+          QCheck_alcotest.to_alcotest prop_redo_decisions_match_reference;
           Alcotest.test_case "mid-crash raises" `Quick test_mid_crash_raises;
           Alcotest.test_case "try_recover typed errors" `Quick test_try_recover_typed_errors;
           Alcotest.test_case "try_recover no replica" `Quick test_try_recover_no_replica;
