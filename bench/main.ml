@@ -1,11 +1,7 @@
-(* The benchmark harness.
-
-   Part 1 — bechamel micro-benchmarks of the core data structures
-   (wall-clock costs of the building blocks the simulation runs on).
-
-   Part 2 — the paper's evaluation: every figure of Sec. 6, reproduced
-   at scaled-down "fast" parameters. `bin/minuet_bench` exposes the same
-   experiments with full parameter control (including --full). *)
+(* Bechamel micro-benchmarks of the core data structures: wall-clock
+   costs of the building blocks the simulation runs on. The paper's
+   figures, the gated benches and the observability smoke run through
+   `bin/minuet_bench` (e.g. `dune exec bin/minuet_bench.exe -- all`). *)
 
 open Bechamel
 open Toolkit
@@ -87,7 +83,7 @@ let bench_simulated_op =
              Minuet.Session.put s "key" "value";
              ignore (Minuet.Session.get s "key" : string option))))
 
-let run_micro_benchmarks () =
+let () =
   print_endline "=== micro-benchmarks (bechamel, wall-clock) ===";
   let tests =
     [
@@ -116,76 +112,3 @@ let run_micro_benchmarks () =
           | _ -> Printf.printf "%-36s (no estimate)\n%!" name)
         results)
     tests
-
-(* ------------------------------------------------------------------ *)
-(* Streaming serializability checker                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Million-event synthetic histories through Check.Stream (DESIGN.md
-   §14): wall-clock throughput and peak live heap, linear and
-   branching. The CI-gated variant with heap budget and falsifiability
-   injection lives in `minuet-bench checker`. *)
-let run_checker_bench () =
-  print_endline "\n=== streaming serializability checker (Check.Stream) ===";
-  List.iter
-    (fun branching ->
-      let cfg = { Chaos.Histgen.default with Chaos.Histgen.branching } in
-      let stream = Check.Stream.create Check.Stream.Config.default in
-      let peak = ref 0 in
-      let fed = ref 0 in
-      let elapsed_ms = Obs.Bench.stopwatch () in
-      let gen =
-        Chaos.Histgen.generate
-          ~on_creation:(fun ~index ~sid ~stamp ->
-            Check.Stream.add_creation stream ~index ~sid ~stamp)
-          cfg
-          (fun ev ->
-            Check.Stream.feed stream ev;
-            incr fed;
-            if !fed mod 100_000 = 0 then begin
-              Gc.full_major ();
-              peak := max !peak (Gc.stat ()).Gc.live_words
-            end)
-      in
-      let verdict = Check.Stream.finish ~final:gen.Chaos.Histgen.gen_final stream in
-      let dt = elapsed_ms () /. 1e3 in
-      if not (Check.Stream.ok verdict) then
-        failwith "clean synthetic history failed the streaming checker";
-      Printf.printf "%-10s %7d events in %5.2fs  %8.0f ops/sec  peak live %9d words\n%!"
-        (if branching then "branching" else "linear")
-        !fed dt
-        (float_of_int !fed /. dt)
-        !peak)
-    [ false; true ]
-
-(* ------------------------------------------------------------------ *)
-(* The paper's figures                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let run_figures () =
-  print_endline "\n=== paper experiments (simulated cluster, fast parameters) ===";
-  print_endline
-    "(regenerate any figure with full control: dune exec bin/minuet_bench.exe -- <figN> --help)";
-  let params = Experiments.Exp_common.fast in
-  List.iter
-    (fun ((name, _, run) :
-           string
-           * string
-           * (?params:Experiments.Exp_common.params -> unit -> Experiments.Exp_common.row list)) ->
-      (* Host-side progress timing for the operator, outside any
-         simulation; nothing seeded depends on it. *)
-      let elapsed_ms = Obs.Bench.stopwatch () in
-      let (_ : Experiments.Exp_common.row list) = run ~params () in
-      Printf.printf "[%s done in %.0fs]\n%!" name (elapsed_ms () /. 1e3))
-    Experiments.all
-
-let () =
-  let micro_only = Array.exists (( = ) "--micro-only") Sys.argv in
-  let figures_only = Array.exists (( = ) "--figures-only") Sys.argv in
-  if not figures_only then run_micro_benchmarks ();
-  if not figures_only then run_checker_bench ();
-  if not micro_only then run_figures ();
-  (* End-to-end observability report: latency quantiles per operation
-     and the abort taxonomy, as machine-readable JSON. *)
-  print_newline ();
-  Experiments.Exp_common.run_observed ~name:"main" ()

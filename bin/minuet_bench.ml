@@ -70,9 +70,12 @@ let all_cmd =
   let doc = "Run every figure of the paper's evaluation in sequence." in
   let action params =
     List.iter
-      (fun ((_, _, run) : string * string * (?params:P.params -> unit -> P.row list)) ->
+      (fun ((name, _, run) : string * string * (?params:P.params -> unit -> P.row list)) ->
+        (* Host seconds per figure, measured outside the simulation;
+           nothing seeded depends on them. *)
+        let elapsed_ms = Obs.Bench.stopwatch () in
         let (_ : P.row list) = run ~params () in
-        ())
+        Printf.printf "[%s done in %.0fs]\n%!" name (elapsed_ms () /. 1e3))
       Experiments.all
   in
   Cmd.v (Cmd.info "all" ~doc) Term.(const action $ params_term)

@@ -213,9 +213,8 @@ let delay_cycle t rng =
 
 (* A coordinator that stalls mid-2PC leaves its locks behind. Model the
    worst case: an exclusive range over a whole memnode's address space
-   under a fresh owner that never completes. Only the lease daemon
-   ({!Cluster.start_recovery}) can steal these, so the runner must have
-   it started. *)
+   under a fresh owner that never completes. Only the lease daemon can
+   steal these; {!Checked.start} starts it. *)
 let stall_cycle t rng =
   match Cluster.route t.cluster (Sim.Rng.int rng (n t)) with
   | exception Cluster.Unavailable _ -> ()

@@ -86,40 +86,12 @@ let pp_report fmt r =
   Format.fprintf fmt "@,%a" Check.Stream.pp_verdict r.verdict;
   Format.fprintf fmt "@,simulated time: %.3fs@]" r.sim_time
 
-(* Audit one index at a frozen snapshot (safe under concurrent traffic:
-   snapshots are immutable and GC is off during chaos runs). *)
-let audit_at_snapshot admin idx =
-  let index = Session.index (Session.db admin) idx in
-  let snap = Session.snapshot ~index admin in
-  let tree = Session.tree_of admin index in
-  ignore (Ops.audit tree ~sid:snap.Session.sid ~root:snap.Session.root : (string * string) list)
-
-let audit_tip admin idx =
-  let tree = Session.tree_of admin (Session.index (Session.db admin) idx) in
-  let sid, root = Ops.run_txn tree (fun txn -> Ops.Linear.read_tip tree txn) in
-  Ops.audit tree ~sid ~root
-
-(* Branching mode: structurally audit every frozen version the workload
-   discovered (read-only versions are immutable in content, and GC is
-   off during chaos runs, so this is safe under concurrent traffic). *)
-let audit_branch_versions admin registry idx =
-  let index = Session.index (Session.db admin) idx in
-  let br = Session.branching ~index admin in
-  List.iter
-    (fun sid ->
-      ignore
-        (Ops.audit (Mvcc.Branching.tree br) ~sid ~root:(Mvcc.Branching.root_of br ~sid)
-          : (string * string) list))
-    registry.Workload.frozen
-
-let lease = 0.05
-
 let run_exn cfg =
   if cfg.phases <= 0 then invalid_arg "Chaos.Runner.run: phases must be positive";
   if cfg.clients <= 0 then invalid_arg "Chaos.Runner.run: need at least one client";
   let branching = cfg.branching || cfg.broken_branch in
   let mconfig =
-    Mconfig.small_tree
+    Checked.config
       {
         Mconfig.default with
         Mconfig.hosts = cfg.hosts;
@@ -129,30 +101,12 @@ let run_exn cfg =
         unsafe_dirty_leaf_reads = cfg.broken;
         scs_min_interval = cfg.scs_k;
         sinfonia =
-          {
-            Sinfonia.Config.default with
-            Sinfonia.Config.broken_recovery = cfg.broken_recovery;
-            (* Short in-doubt grace so the resolver actually fires within
-               a chaos phase; infinite decision retention so the final
-               2PC-atomicity cross-check sees every decision record. *)
-            in_doubt_grace = 0.06;
-            decision_retention = infinity;
-          };
+          { Sinfonia.Config.default with Sinfonia.Config.broken_recovery = cfg.broken_recovery };
       }
   in
   Harness.run ~seed:cfg.seed ~until:((cfg.duration *. 3.) +. 10.) ~config:mconfig @@ fun db ->
-  let cluster = Db.cluster db in
-  let n = Cluster.n_memnodes cluster in
-  (* Orphaned-lock recovery must be running: stall faults are healed
-     only by the lease daemon. *)
-  Cluster.start_recovery ~lease ~interval:0.02 cluster;
-  (* The history is never materialized: every traced event feeds the
-     streaming checker the moment it is emitted, so a run's memory
-     footprint is the checker's bounded state, not its op count. *)
-  let scs_staleness = if cfg.scs_k > 0.0 then Some cfg.scs_k else None in
-  let stream =
-    Check.Stream.create { Check.Stream.Config.default with Check.Stream.Config.scs_staleness }
-  in
+  let n = Cluster.n_memnodes (Db.cluster db) in
+  let checked = Checked.start db ~n_clients:cfg.clients in
   let trace_tee =
     match cfg.trace_out with
     | None -> None
@@ -164,22 +118,16 @@ let run_exn cfg =
         output_string oc (Obs.Json.to_string (Session.Event.to_json ev));
         output_char oc '\n'
     | None -> ());
-    Check.Stream.feed stream ev
+    Checked.feed checked ev
   in
   let rng = Sim.Rng.create (cfg.seed lxor 0x1ee7) in
   let sessions =
     Array.init cfg.clients (fun k -> Session.attach ~home:(k mod n) ~client:(n + k) ~tracer db)
   in
-  let admin = Session.attach db in
-  (* Snapshot creations reach the stream as they happen, so snapshot
-     reads never wait for a post-run creation log. *)
-  for idx = 0 to Db.n_trees db - 1 do
-    Mvcc.Scs.set_on_create (Db.scs db ~index:idx) (fun ~sid ~stamp ->
-        Check.Stream.add_creation stream ~index:idx ~sid ~stamp)
-  done;
-  let registry = Workload.branch_registry () in
-  (* Preload half the key space through a traced session so the checker
-     model includes the initial state. *)
+  let registry = Checked.Registry.create ~capacity:24 in
+  (* Preload every other key of the lower half of the key space (a
+     quarter of the keys) through a traced session so the checker model
+     includes the initial state. *)
   for i = 0 to (cfg.keys / 2) - 1 do
     if i mod 2 = 0 then begin
       let k = Workload.key_of i and v = Printf.sprintf "init-%d" i in
@@ -206,88 +154,39 @@ let run_exn cfg =
       in
       Sim.spawn ~name:(Printf.sprintf "client-%d" k) body)
     sessions;
-  let scs = Array.init (Db.n_trees db) (fun i -> Db.scs db ~index:i) in
-  let nemesis = Nemesis.create ~cluster ~scs ~n_clients:cfg.clients in
-  let audits = ref 0 in
-  let audit_failures = ref [] in
-  let audit_all f =
-    for idx = 0 to Db.n_trees db - 1 do
-      match f idx with
-      | () -> incr audits
-      | exception Failure msg ->
-          audit_failures := !audit_failures @ [ Printf.sprintf "index %d: %s" idx msg ]
-    done
+  (* In branching mode, per-version audits stand in for snapshot and tip
+     audits: every surviving read-only version must still walk cleanly. *)
+  let audit_phase () =
+    if branching then Checked.audit_versions checked registry
+    else Checked.audit_snapshots checked
   in
-  let phase_dur = cfg.duration /. float_of_int cfg.phases in
-  for _phase = 1 to cfg.phases do
-    Nemesis.start nemesis ~rng cfg.kinds;
-    Sim.delay phase_dur;
-    Nemesis.stop_and_drain nemesis;
-    Nemesis.recover_all nemesis;
-    (* Let the lease daemon reap any orphaned stall locks and the
-       in-doubt resolver pass its grace period (0.06s) at least once. *)
-    Sim.delay (lease +. 0.12);
-    audit_all (fun idx ->
-        if branching then audit_branch_versions admin registry idx
-        else audit_at_snapshot admin idx)
-  done;
+  Checked.storm checked ~rng cfg.kinds ~phases:cfg.phases ~duration:cfg.duration
+    ~after_phase:audit_phase;
   while !remaining > 0 do
     Sim.delay 1e-3
   done;
-  Nemesis.recover_all nemesis;
-  Sim.delay (lease +. 0.12);
-  (* Quiesce the in-doubt set: every fault is healed, so the resolver
-     must drain it. Bounded wait; a nonzero residue fails the checker. *)
-  let rec drain tries =
-    if tries > 0 && Cluster.in_doubt_total cluster > 0 then begin
-      Sim.delay 0.05;
-      drain (tries - 1)
-    end
-  in
-  drain 40;
-  let final =
-    if branching then begin
-      (* Per-version structural audits stand in for the tip audit: every
-         surviving read-only version must still walk cleanly. *)
-      audit_all (fun idx -> audit_branch_versions admin registry idx);
-      []
-    end
-    else
-      List.init (Db.n_trees db) (fun idx ->
-          match audit_tip admin idx with
-          | entries ->
-              incr audits;
-              [ (idx, entries) ]
-          | exception Failure msg ->
-              audit_failures := !audit_failures @ [ Printf.sprintf "index %d: %s" idx msg ];
-              [])
-      |> List.concat
-  in
+  Checked.quiesce checked;
+  if branching then Checked.audit_versions checked registry;
+  let o = Checked.finish checked in
   Option.iter close_out trace_tee;
-  let events_fed = Check.Stream.fed stream in
-  let verdict =
-    Check.Stream.finish ~final
-      ~twopc:(Cluster.redo_decisions cluster)
-      ~in_doubt:(Cluster.in_doubt_total cluster)
-      stream
-  in
   (* Batched-vs-per-leaf scan equivalence: any snapshot scan whose two
      paths disagreed is as fatal as a structural audit failure. *)
-  if totals.Workload.scan_mismatches > 0 then
-    audit_failures :=
-      !audit_failures
-      @ [
-          Printf.sprintf "%d of %d dual scans: batched result differed from per-leaf scan"
-            totals.Workload.scan_mismatches totals.Workload.dual_scans;
-        ];
+  let scan_failures =
+    if totals.Workload.scan_mismatches > 0 then
+      [
+        Printf.sprintf "%d of %d dual scans: batched result differed from per-leaf scan"
+          totals.Workload.scan_mismatches totals.Workload.dual_scans;
+      ]
+    else []
+  in
   {
-    verdict;
+    verdict = o.Checked.verdict;
     totals;
-    events = events_fed;
-    audits = !audits;
-    audit_failures = !audit_failures;
-    fault_counts = Nemesis.fault_counts (Db.obs db);
-    sim_time = Sim.now ();
+    events = o.Checked.events;
+    audits = o.Checked.audits;
+    audit_failures = o.Checked.audit_failures @ scan_failures;
+    fault_counts = o.Checked.fault_counts;
+    sim_time = o.Checked.sim_time;
   }
 
 (* In the deliberately-broken falsifiability modes the injected bug can

@@ -164,20 +164,11 @@ let run_client ?(scan_heavy = false) ~session ~rng ~client_id ~keys ~hot_keys ~t
 (* Branching-mode traffic (Sec. 5)                                         *)
 (* ---------------------------------------------------------------------- *)
 
-(* Read-only versions discovered by any client, shared so that readers
-   exercise versions other clients froze (and so the runner can audit
-   each of them). The simulation is cooperative, so plain mutation is
-   safe. Bounded: old frozen versions stop receiving traffic. *)
-type branch_registry = { mutable frozen : int64 list }
-
-let branch_registry () = { frozen = [] }
-
-let note_frozen reg sid =
-  if not (List.mem sid reg.frozen) then
-    reg.frozen <- sid :: (if List.length reg.frozen >= 24 then List.filteri (fun i _ -> i < 23) reg.frozen else reg.frozen)
-
-let pick_frozen rng reg =
-  match reg.frozen with
+(* Read-only versions are shared through a {!Checked.Registry} so that
+   readers exercise versions other clients froze (and so the runner can
+   audit each of them). *)
+let pick_frozen rng registry =
+  match Checked.Registry.frozen registry with
   | [] -> None
   | l -> Some (List.nth l (Sim.Rng.int rng (List.length l)))
 
@@ -251,7 +242,7 @@ let run_branch_client ~branching ~rng ~client_id ~registry ~keys ~hot_keys ~thin
             (* [from] is read-only now (it has a branch); the new clone
                is ours to write at. *)
             my_tips := sid :: List.filter (fun t -> not (Int64.equal t from)) !my_tips;
-            note_frozen registry from
+            Checked.Registry.note registry from
         | exception Ops.Ambiguous _ ->
             (* The branch may or may not exist, so [from] may or may not
                be frozen. Either way it is no longer safe to treat as a

@@ -8,25 +8,34 @@ module Db = Minuet.Db
 module Cluster = Sinfonia.Cluster
 
 type side = {
-  s_scan_batch : int;
-  s_scans : int;  (** Scans completed inside the measurement window. *)
-  s_elapsed : float;  (** Simulated seconds of the measurement window. *)
-  s_scan_batches : int;
-  s_batched_leaves : int;
-  s_continuations : int;
-  s_prefetches : int;
-  s_batch_aborts : int;
-  s_cache_hits : int;
-  s_cache_misses : int;
-  s_stale_hits : int;
-  s_epoch_revalidations : int;
-  s_epoch_survived : int;
-  s_bulk_evictions : int;
-  s_view_hits : int;
-  s_materialisations : int;
-  s_stamp_revalidations : int;
-  s_node_bytes_copied : int;
+  scan_batch : int;
+  scans : int;  (** Scans completed inside the measurement window. *)
+  elapsed : float;  (** Simulated seconds of the measurement window. *)
+  counters : (string * int) list;  (** {!side_counters}, read after the run. *)
 }
+
+(* The counters each side reports, in BENCH_scan.json order. *)
+let side_counters obs =
+  let cs = Obs.cache obs and ss = Obs.scan obs and ns = Obs.node obs in
+  List.map
+    (fun (name, c) -> (name, Obs.Counter.value c))
+    [
+      ("scan_batches", ss.Obs.scan_batches);
+      ("scan_batched_leaves", ss.Obs.scan_batched_leaves);
+      ("scan_continuations", ss.Obs.scan_continuations);
+      ("scan_prefetches", ss.Obs.scan_prefetches);
+      ("scan_batch_aborts", ss.Obs.scan_batch_aborts);
+      ("cache_hits", cs.Obs.cache_hits);
+      ("cache_misses", cs.Obs.cache_misses);
+      ("cache_stale_hits", cs.Obs.cache_stale_hits);
+      ("cache_epoch_revalidations", cs.Obs.cache_epoch_revalidations);
+      ("cache_epoch_survived", cs.Obs.cache_epoch_survived);
+      ("cache_bulk_evictions", cs.Obs.cache_bulk_evictions);
+      ("node_view_hits", ns.Obs.view_hits);
+      ("node_materialisations", ns.Obs.materialisations);
+      ("node_stamp_revalidations", ns.Obs.stamp_revalidations);
+      ("node_bytes_copied", ns.Obs.node_bytes_copied);
+    ]
 
 let key_of i = Printf.sprintf "k%05d" i
 
@@ -138,57 +147,19 @@ let run_side ~seed ~scan_batch ~storm =
   end;
   stop := true;
   Sim.delay 0.05;
-  let obs = Db.obs db in
-  let v = Obs.Counter.value in
-  let cs = Obs.cache obs in
-  let ss = Obs.scan obs in
-  let ns = Obs.node obs in
-  {
-    s_scan_batch = scan_batch;
-    s_scans = measured;
-    s_elapsed = elapsed;
-    s_scan_batches = v ss.Obs.scan_batches;
-    s_batched_leaves = v ss.Obs.scan_batched_leaves;
-    s_continuations = v ss.Obs.scan_continuations;
-    s_prefetches = v ss.Obs.scan_prefetches;
-    s_batch_aborts = v ss.Obs.scan_batch_aborts;
-    s_cache_hits = v cs.Obs.cache_hits;
-    s_cache_misses = v cs.Obs.cache_misses;
-    s_stale_hits = v cs.Obs.cache_stale_hits;
-    s_epoch_revalidations = v cs.Obs.cache_epoch_revalidations;
-    s_epoch_survived = v cs.Obs.cache_epoch_survived;
-    s_bulk_evictions = v cs.Obs.cache_bulk_evictions;
-    s_view_hits = v ns.Obs.view_hits;
-    s_materialisations = v ns.Obs.materialisations;
-    s_stamp_revalidations = v ns.Obs.stamp_revalidations;
-    s_node_bytes_copied = v ns.Obs.node_bytes_copied;
-  }
+  { scan_batch; scans = measured; elapsed; counters = side_counters (Db.obs db) }
 
-let ops_per_s side = float_of_int side.s_scans /. side.s_elapsed
+let ops_per_s side = float_of_int side.scans /. side.elapsed
+
+let count side name = List.assoc name side.counters
 
 let side_json side =
   Obs.Json.Obj
-    [
-      ("scan_batch", Obs.Json.Int side.s_scan_batch);
-      ("scans", Obs.Json.Int side.s_scans);
-      ("window_s", Obs.Json.Float side.s_elapsed);
-      ("ops_per_s", Obs.Json.Float (ops_per_s side));
-      ("scan_batches", Obs.Json.Int side.s_scan_batches);
-      ("scan_batched_leaves", Obs.Json.Int side.s_batched_leaves);
-      ("scan_continuations", Obs.Json.Int side.s_continuations);
-      ("scan_prefetches", Obs.Json.Int side.s_prefetches);
-      ("scan_batch_aborts", Obs.Json.Int side.s_batch_aborts);
-      ("cache_hits", Obs.Json.Int side.s_cache_hits);
-      ("cache_misses", Obs.Json.Int side.s_cache_misses);
-      ("cache_stale_hits", Obs.Json.Int side.s_stale_hits);
-      ("cache_epoch_revalidations", Obs.Json.Int side.s_epoch_revalidations);
-      ("cache_epoch_survived", Obs.Json.Int side.s_epoch_survived);
-      ("cache_bulk_evictions", Obs.Json.Int side.s_bulk_evictions);
-      ("node_view_hits", Obs.Json.Int side.s_view_hits);
-      ("node_materialisations", Obs.Json.Int side.s_materialisations);
-      ("node_stamp_revalidations", Obs.Json.Int side.s_stamp_revalidations);
-      ("node_bytes_copied", Obs.Json.Int side.s_node_bytes_copied);
-    ]
+    (("scan_batch", Obs.Json.Int side.scan_batch)
+    :: ("scans", Obs.Json.Int side.scans)
+    :: ("window_s", Obs.Json.Float side.elapsed)
+    :: ("ops_per_s", Obs.Json.Float (ops_per_s side))
+    :: List.map (fun (name, v) -> (name, Obs.Json.Int v)) side.counters)
 
 (* Run both sides and write [dir]/BENCH_scan.json, gated on a 2x
    batched speedup, epoch revalidation exercised by the storm, no bulk
@@ -199,25 +170,25 @@ let run ?(seed = 0x5ca9) ?dir () =
   let batched = run_side ~seed ~scan_batch:16 ~storm:true in
   let per_leaf = run_side ~seed ~scan_batch:1 ~storm:false in
   let speedup = ops_per_s batched /. ops_per_s per_leaf in
+  let b = count batched in
   let leaves_per_roundtrip =
-    if batched.s_scan_batches = 0 then 0.0
-    else float_of_int batched.s_batched_leaves /. float_of_int batched.s_scan_batches
+    if b "scan_batches" = 0 then 0.0
+    else float_of_int (b "scan_batched_leaves") /. float_of_int (b "scan_batches")
   in
-  let lookups =
-    batched.s_cache_hits + batched.s_cache_misses + batched.s_stale_hits
-  in
+  let lookups = b "cache_hits" + b "cache_misses" + b "cache_stale_hits" in
   let hit_rate =
-    if lookups = 0 then 0.0 else float_of_int batched.s_cache_hits /. float_of_int lookups
+    if lookups = 0 then 0.0 else float_of_int (b "cache_hits") /. float_of_int lookups
   in
-  let bulk_evictions = batched.s_bulk_evictions + per_leaf.s_bulk_evictions in
+  let epoch_revalidations = b "cache_epoch_revalidations" in
+  let bulk_evictions = b "cache_bulk_evictions" + count per_leaf "cache_bulk_evictions" in
   Printf.printf "scan bench: batched %.0f scans/s vs per-leaf %.0f scans/s (speedup %.2fx)\n"
     (ops_per_s batched) (ops_per_s per_leaf) speedup;
   Printf.printf "  leaves/roundtrip %.1f, cache hit rate %.3f, prefetches %d, batch aborts %d\n"
-    leaves_per_roundtrip hit_rate batched.s_prefetches batched.s_batch_aborts;
+    leaves_per_roundtrip hit_rate (b "scan_prefetches") (b "scan_batch_aborts");
   Printf.printf "  crash storm: %d epoch revalidations (%d survived), %d bulk evictions\n"
-    batched.s_epoch_revalidations batched.s_epoch_survived bulk_evictions;
+    epoch_revalidations (b "cache_epoch_survived") bulk_evictions;
   Printf.printf "  node path: %d view hits, %d materialisations, %d stamp revalidations\n"
-    batched.s_view_hits batched.s_materialisations batched.s_stamp_revalidations;
+    (b "node_view_hits") (b "node_materialisations") (b "node_stamp_revalidations");
   Obs.Bench.write ?dir
     {
       Obs.Bench.bench = "scan";
@@ -229,7 +200,7 @@ let run ?(seed = 0x5ca9) ?dir () =
           Obs.Bench.at_least "batched_ops_per_s" (ops_per_s batched) 1200.0;
           Obs.Bench.at_least "leaves_per_roundtrip" leaves_per_roundtrip 15.0;
           Obs.Bench.at_least "epoch_revalidations"
-            (float_of_int batched.s_epoch_revalidations) 1.0;
+            (float_of_int epoch_revalidations) 1.0;
           Obs.Bench.at_most "bulk_evictions" (float_of_int bulk_evictions) 0.0;
         ];
       fields =
@@ -241,13 +212,11 @@ let run ?(seed = 0x5ca9) ?dir () =
           ("speedup", Obs.Json.Float speedup);
           ("leaves_per_roundtrip", Obs.Json.Float leaves_per_roundtrip);
           ("cache_hit_rate", Obs.Json.Float hit_rate);
-          ("epoch_revalidations", Obs.Json.Int batched.s_epoch_revalidations);
+          ("epoch_revalidations", Obs.Json.Int epoch_revalidations);
           ("epoch_survival_rate",
            Obs.Json.Float
-             (if batched.s_epoch_revalidations = 0 then 0.0
-              else
-                float_of_int batched.s_epoch_survived
-                /. float_of_int batched.s_epoch_revalidations));
+             (if epoch_revalidations = 0 then 0.0
+              else float_of_int (b "cache_epoch_survived") /. float_of_int epoch_revalidations));
           ("bulk_evictions", Obs.Json.Int bulk_evictions);
         ];
     }

@@ -21,6 +21,7 @@ module Mconfig = Minuet.Config
 module Cluster = Sinfonia.Cluster
 module Ops = Btree.Ops
 module Hist = Sim.Stats.Hist
+module Checked = Chaos.Checked
 
 type config = {
   name : string;
@@ -112,20 +113,6 @@ type meter = {
 
 type queue_msg = Arrive of float | Stop
 
-(* Shared frozen-version registry for branching traffic (cooperative
-   sim: plain mutation is safe). Bounded like the chaos registry; the
-   survivors get a structural audit at the end of the run. *)
-type branch_state = { mutable frozen : int64 list; mutable tips : int64 list }
-
-let note_frozen bs sid =
-  if not (List.mem sid bs.frozen) then
-    bs.frozen <-
-      sid
-      :: (if List.length bs.frozen >= 16 then List.filteri (fun i _ -> i < 15) bs.frozen
-          else bs.frozen)
-
-let lease = 0.05
-
 let key_of ~offset ordinal = Ycsb.Keygen.key_of_int (offset + ordinal)
 
 let run_exn (cfg : config) =
@@ -134,33 +121,21 @@ let run_exn (cfg : config) =
   if cfg.chaos <> [] && cfg.chaos_phases <= 0 then
     invalid_arg "Traffic.Engine.run: chaos_phases must be positive";
   let mconfig =
-    Mconfig.small_tree
+    Checked.config
       {
         Mconfig.default with
         Mconfig.hosts = cfg.hosts;
         branching = cfg.branching;
         scs_min_interval = cfg.scs_k;
-        sinfonia =
-          {
-            Sinfonia.Config.default with
-            Sinfonia.Config.in_doubt_grace = 0.06;
-            decision_retention = infinity;
-          };
       }
   in
   Harness.run ~seed:cfg.seed ~until:((cfg.duration *. 6.) +. 30.) ~config:mconfig @@ fun db ->
-  let cluster = Db.cluster db in
-  let n = Cluster.n_memnodes cluster in
-  Cluster.start_recovery ~lease ~interval:0.02 cluster;
-  let scs_staleness = if cfg.scs_k > 0.0 then Some cfg.scs_k else None in
-  let stream =
-    Check.Stream.create { Check.Stream.Config.default with Check.Stream.Config.scs_staleness }
+  let n = Cluster.n_memnodes (Db.cluster db) in
+  let workers =
+    List.fold_left (fun acc (t : Tenant.t) -> acc + t.Tenant.concurrency) 0 cfg.tenants
   in
-  let tracer ev = Check.Stream.feed stream ev in
-  for idx = 0 to Db.n_trees db - 1 do
-    Mvcc.Scs.set_on_create (Db.scs db ~index:idx) (fun ~sid ~stamp ->
-        Check.Stream.add_creation stream ~index:idx ~sid ~stamp)
-  done;
+  let checked = Checked.start db ~n_clients:workers in
+  let tracer = Checked.feed checked in
   (* Slice the ordinal space: tenant i owns [offsets.(i), offsets.(i) +
      keys), mapped through the order-preserving key format. *)
   let tenants = Array.of_list cfg.tenants in
@@ -189,9 +164,7 @@ let run_exn (cfg : config) =
   (* Per-tenant schedules, meters, queues and RNG streams. *)
   let op_rng_root = Sim.Rng.create (Arrival.stream_seed ~seed:cfg.seed ~tenant_id:0x0ddba11) in
   let finished = Sim.Ivar.create () in
-  let live_workers =
-    ref (Array.fold_left (fun acc (t : Tenant.t) -> acc + t.Tenant.concurrency) 0 tenants)
-  in
+  let live_workers = ref workers in
   let worker_seq = ref 0 in
   let meters = Array.map (fun _ -> {
         m_completed = 0;
@@ -208,7 +181,7 @@ let run_exn (cfg : config) =
         Arrival.schedule t.Tenant.arrival ~seed:cfg.seed ~tenant_id:i ~until:cfg.duration)
       tenants
   in
-  let bstates = Array.map (fun _ -> { frozen = []; tips = [] }) tenants in
+  let registries = Array.map (fun _ -> Checked.Registry.create ~capacity:16) tenants in
   (* Schedules are offsets from the start of traffic, not from sim time
      zero: the preload above consumed simulated time, and anchoring at
      zero would make every arrival scheduled during it instantly late. *)
@@ -220,7 +193,7 @@ let run_exn (cfg : config) =
       let queue : queue_msg Sim.Mailbox.t = Sim.Mailbox.create () in
       let keygen = Tenant.keygen tenant in
       let rng = Sim.Rng.split op_rng_root in
-      let bstate = bstates.(ti) in
+      let registry = registries.(ti) in
       let pick_key () = key_of ~offset (Ycsb.Keygen.next keygen rng) in
       let exec_linear session op_id kind =
         let k = pick_key () in
@@ -255,7 +228,7 @@ let run_exn (cfg : config) =
             (* Pin scans to a frozen version when one exists: immutable,
                so they never abort under concurrent updates (the
                branching-mode analogue of scan_at, Sec. 6.3). *)
-            match bstate.frozen with
+            match Checked.Registry.frozen registry with
             | [] ->
                 ignore (B.scan br ~from:k ~count:tenant.Tenant.scan_count : (string * string) list)
             | sid :: _ ->
@@ -264,7 +237,7 @@ let run_exn (cfg : config) =
                     : (string * string) list))
         | Tenant.Snapshot_read -> (
             (* Version-pinned read: the frozen-ancestor rule checks it. *)
-            match bstate.frozen with
+            match Checked.Registry.frozen registry with
             | [] -> ignore (B.get br k : string option)
             | sid :: _ ->
                 ignore (B.get br ~at:sid k : string option);
@@ -281,7 +254,7 @@ let run_exn (cfg : config) =
                 let from = match !tips with tip :: _ -> tip | [] -> 0L in
                 let cleanup () =
                   tips := List.filter (fun t -> not (Int64.equal t from)) !tips;
-                  note_frozen bstate from
+                  Checked.Registry.note registry from
                 in
                 let sid =
                   try B.create_branch br ~from
@@ -353,82 +326,26 @@ let run_exn (cfg : config) =
             loop ())
       done)
     tenants;
-  (* Optional chaos overlap: phased storms while the traffic runs, the
-     same start/drain/heal cycle as the chaos runner. *)
-  let scs = Array.init (Db.n_trees db) (fun i -> Db.scs db ~index:i) in
-  let nemesis = Chaos.Nemesis.create ~cluster ~scs ~n_clients:!worker_seq in
-  if cfg.chaos <> [] then begin
-    let nrng = Sim.Rng.create (cfg.seed lxor 0xc4a05) in
-    let phase_dur = cfg.duration /. float_of_int cfg.chaos_phases in
-    for _phase = 1 to cfg.chaos_phases do
-      Chaos.Nemesis.start nemesis ~rng:nrng cfg.chaos;
-      Sim.delay phase_dur;
-      Chaos.Nemesis.stop_and_drain nemesis;
-      Chaos.Nemesis.recover_all nemesis;
-      Sim.delay (lease +. 0.12)
-    done
-  end;
+  (* Optional chaos overlap: phased storms while the traffic runs. *)
+  if cfg.chaos <> [] then
+    Checked.storm checked
+      ~rng:(Sim.Rng.create (cfg.seed lxor 0xc4a05))
+      cfg.chaos ~phases:cfg.chaos_phases ~duration:cfg.duration;
   Sim.Ivar.read finished;
-  if cfg.chaos <> [] then begin
-    Chaos.Nemesis.recover_all nemesis;
-    Sim.delay (lease +. 0.12);
-    (* Quiesce the in-doubt set before the final cross-checks. *)
-    let rec drain tries =
-      if tries > 0 && Cluster.in_doubt_total cluster > 0 then begin
-        Sim.delay 0.05;
-        drain (tries - 1)
-      end
-    in
-    drain 40
-  end;
-  (* Final structural audits, then the checker verdict. *)
-  let admin = Session.attach db in
-  let audits = ref 0 in
-  let audit_failures = ref [] in
-  let final =
-    if cfg.branching then begin
-      (* No meaningful tip in branching mode; structurally audit every
-         frozen version the tenants created instead (immutable, so safe
-         to walk while the mainline keeps its final state). *)
-      let br = branch_handle admin in
-      Array.iteri
-        (fun ti bstate ->
-          List.iter
-            (fun sid ->
-              match
-                (Ops.audit (Mvcc.Branching.tree br) ~sid ~root:(Mvcc.Branching.root_of br ~sid)
-                  : (string * string) list)
-              with
-              | (_ : (string * string) list) -> incr audits
-              | exception Failure msg ->
-                  audit_failures :=
-                    !audit_failures
-                    @ [ Printf.sprintf "tenant %d version %Ld audit: %s" ti sid msg ])
-            bstate.frozen)
-        bstates;
-      []
-    end
-    else
-      List.init (Db.n_trees db) (fun idx ->
-          let index = Session.index db idx in
-          let tree = Session.tree_of admin index in
-          let sid, root = Ops.run_txn tree (fun txn -> Ops.Linear.read_tip tree txn) in
-          match Ops.audit tree ~sid ~root with
-          | entries ->
-              incr audits;
-              [ (idx, entries) ]
-          | exception Failure msg ->
-              audit_failures := !audit_failures @ [ Printf.sprintf "index %d: %s" idx msg ];
-              [])
-      |> List.concat
-  in
-  let events = Check.Stream.fed stream in
-  let verdict =
-    Check.Stream.finish ~final
-      ~twopc:(Cluster.redo_decisions cluster)
-      ~in_doubt:(Cluster.in_doubt_total cluster)
-      stream
-  in
+  if cfg.chaos <> [] then Checked.quiesce checked;
+  (* No meaningful tip in branching mode: audit every frozen version the
+     tenants created instead (immutable, so safe to walk). *)
+  if cfg.branching then
+    Array.iteri
+      (fun ti registry ->
+        List.iter
+          (fun sid ->
+            Checked.audit checked
+              ~label:(Printf.sprintf "tenant %d version %Ld audit" ti sid)
+              (fun () -> Checked.audit_version checked ~index:0 sid))
+          (Checked.Registry.frozen registry))
+      registries;
+  let o = Checked.finish checked in
   let tenant_results =
     List.of_seq
       (Seq.mapi
@@ -456,12 +373,12 @@ let run_exn (cfg : config) =
   {
     config = cfg;
     tenants = tenant_results;
-    verdict;
-    audits = !audits;
-    audit_failures = !audit_failures;
-    events;
-    fault_counts = (if cfg.chaos = [] then [] else Chaos.Nemesis.fault_counts (Db.obs db));
-    sim_time = Sim.now ();
+    verdict = o.Checked.verdict;
+    audits = o.Checked.audits;
+    audit_failures = o.Checked.audit_failures;
+    events = o.Checked.events;
+    fault_counts = (if cfg.chaos = [] then [] else o.Checked.fault_counts);
+    sim_time = o.Checked.sim_time;
   }
 
 let run = run_exn

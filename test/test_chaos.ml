@@ -115,6 +115,43 @@ let test_kind_names_roundtrip () =
     Nemesis.all_kinds;
   check Alcotest.bool "unknown rejected" true (Nemesis.kind_of_string "meteor" = None)
 
+let test_registry_bounded () =
+  (* Duplicates are ignored; past capacity the oldest version drops. *)
+  let reg = Chaos.Checked.Registry.create ~capacity:3 in
+  List.iter (Chaos.Checked.Registry.note reg) [ 1L; 2L; 2L; 3L; 1L; 4L; 5L ];
+  check
+    Alcotest.(list int64)
+    "newest three, newest first" [ 5L; 4L; 3L ]
+    (Chaos.Checked.Registry.frozen reg)
+
+let test_failed_audit_recorded () =
+  (* A raising audit is recorded under its label and does not stop the
+     audits after it, including finish's tip audit. *)
+  let o =
+    Minuet.Harness.run ~seed:3 ~until:5.0
+      ~config:(Chaos.Checked.config { Minuet.Config.default with Minuet.Config.hosts = 2 })
+    @@ fun db ->
+    let checked = Chaos.Checked.start db ~n_clients:1 in
+    Chaos.Checked.audit checked ~label:"torn" (fun () -> failwith "bad fence");
+    Chaos.Checked.audit checked ~label:"fine" ignore;
+    Chaos.Checked.finish checked
+  in
+  check Alcotest.(list string) "failure labelled" [ "torn: bad fence" ]
+    o.Chaos.Checked.audit_failures;
+  check Alcotest.int "later audits ran" 2 o.Chaos.Checked.audits
+
+let test_trace_tee () =
+  (* --trace writes one JSON line per event the checker was fed. *)
+  let path = Filename.temp_file "chaos-trace" ".jsonl" in
+  let r = Runner.run { (small ~duration:0.2 ()) with Runner.trace_out = Some path } in
+  let lines = In_channel.with_open_text path In_channel.input_lines in
+  Sys.remove path;
+  check Alcotest.int "one line per event" r.Runner.events (List.length lines);
+  List.iter
+    (fun line ->
+      ignore (Minuet.Session.Event.of_json (Obs.Json.parse line) : Minuet.Session.Event.t))
+    lines
+
 (* Any short chaos schedule — any seed, any subset of fault kinds — must
    produce a history the checker accepts. On failure qcheck shrinks the
    schedule: the seed toward 0 and the fault mask toward the empty mix,
@@ -144,6 +181,9 @@ let () =
           Alcotest.test_case "staleness bound passes" `Quick test_staleness_bound_passes;
           Alcotest.test_case "2pc records checked" `Quick test_twopc_records_checked;
           Alcotest.test_case "kind names roundtrip" `Quick test_kind_names_roundtrip;
+          Alcotest.test_case "registry bounded" `Quick test_registry_bounded;
+          Alcotest.test_case "failed audit recorded" `Quick test_failed_audit_recorded;
+          Alcotest.test_case "trace tee" `Quick test_trace_tee;
         ] );
       ( "schedules",
         [ QCheck_alcotest.to_alcotest prop_any_schedule_passes ] );

@@ -176,6 +176,34 @@ let test_engine_deterministic () =
     r1.Traffic.Engine.tenants r2.Traffic.Engine.tenants;
   check Alcotest.int "events equal" r1.Traffic.Engine.events r2.Traffic.Engine.events
 
+let test_engine_branching_storm () =
+  (* Branching mode under a nemesis overlay: the storm, quiesce and
+     frozen-version audit steps of a checked run. *)
+  let cfg =
+    {
+      Traffic.Engine.default with
+      Traffic.Engine.name = "branch-storm";
+      seed = 13;
+      duration = 0.4;
+      branching = true;
+      chaos = [ Chaos.Nemesis.Crash; Chaos.Nemesis.Partition ];
+      tenants =
+        [
+          Traffic.Tenant.make "v" ~keys:96 ~mix:Traffic.Tenant.branchy ~concurrency:3
+            ~arrival:(Traffic.Arrival.constant 200.0)
+            ~slo:(Traffic.Slo.make ~p99_ms:1500.0 ~p999_ms:6000.0 ~max_error_rate:0.10 ());
+        ];
+    }
+  in
+  let r = Traffic.Engine.run cfg in
+  if not (Traffic.Engine.passed r) then
+    Alcotest.failf "branching storm failed:@.%a" Traffic.Engine.pp_report r;
+  check Alcotest.bool "faults injected" true
+    (List.assoc "total" r.Traffic.Engine.fault_counts > 0);
+  check Alcotest.bool "frozen versions audited" true (r.Traffic.Engine.audits > 0);
+  let report r = Format.asprintf "%a" Traffic.Engine.pp_report r in
+  check Alcotest.string "same seed, same report" (report r) (report (Traffic.Engine.run cfg))
+
 let test_engine_underprovision_breaches_slo () =
   (* One worker against a paced 800/s stream of scans: the queue grows
      without bound, so open-loop p99 must blow through a 5ms target even
@@ -242,6 +270,7 @@ let () =
         [
           Alcotest.test_case "smoke through checker" `Quick test_engine_smoke_checked;
           Alcotest.test_case "deterministic" `Quick test_engine_deterministic;
+          Alcotest.test_case "branching storm" `Quick test_engine_branching_storm;
           Alcotest.test_case "underprovision breaches SLO" `Quick
             test_engine_underprovision_breaches_slo;
           Alcotest.test_case "scenario catalogue" `Quick test_scenarios_catalogued;
