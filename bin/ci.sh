@@ -201,7 +201,15 @@ if dune exec bin/minuet_bench.exe -- chaos --seed 7 --duration 1 \
   exit 1
 fi
 
-echo "== fault-tolerance example (asserting) =="
-dune exec examples/fault_tolerance.exe
+echo "== examples (asserting) =="
+# Each example exits 1 when the guarantee it prints fails: reads and
+# writes survive a failover (fault_tolerance), money is conserved under
+# concurrent transfers and snapshot audits (bank_transfers), every
+# snapshot scan returns the whole book and GC reclaims old versions
+# (hybrid_analytics), and what-if branches conserve value and a deleted
+# branch's storage is reclaimed (what_if_analysis).
+for ex in fault_tolerance bank_transfers hybrid_analytics what_if_analysis; do
+  dune exec "examples/$ex.exe"
+done
 
 echo "CI OK"

@@ -6,7 +6,8 @@
    transfer processes race on a small set of accounts; optimistic
    concurrency control retries the conflicts, and the invariant (total
    money is conserved) must hold at the end — and at every instant, as
-   a concurrent snapshot-based auditor verifies.
+   a concurrent snapshot-based auditor verifies. It exits nonzero if
+   either check fails.
 
    Run with:  dune exec examples/bank_transfers.exe *)
 
@@ -85,4 +86,8 @@ let () =
         Minuet.Session.scan session ~from:"acct:" ~count:accounts
         |> List.fold_left (fun acc (_, v) -> acc + balance_of v) 0
       in
-      Printf.printf "final total: %d (conserved: %b)\n" final (final = total))
+      Printf.printf "final total: %d (conserved: %b)\n" final (final = total);
+      if final <> total || !violations > 0 then begin
+        print_endline "FAILED: money was not conserved";
+        exit 1
+      end)

@@ -4,7 +4,8 @@
    transactional updates (orders being placed and amended) runs
    continuously while an analytics job repeatedly scans the whole order
    book from consistent snapshots to compute revenue — without blocking
-   the updates and without ever aborting.
+   the updates and without ever aborting. It exits nonzero if a scan
+   misses an order or GC reclaims nothing.
 
    Run with:  dune exec examples/hybrid_analytics.exe *)
 
@@ -44,7 +45,7 @@ let () =
       (* Analytics: every 250 simulated ms, scan the full book from a
          fresh snapshot and total the revenue. Each scan sees one
          consistent point-in-time state. *)
-      let scans = ref 0 in
+      let scans = ref 0 and short_scans = ref 0 in
       Sim.spawn (fun () ->
           while Sim.now () < deadline do
             Sim.delay 0.25;
@@ -55,6 +56,7 @@ let () =
               List.fold_left (fun acc (_, v) -> acc + int_of_string v) 0 book
             in
             incr scans;
+            if List.length book <> orders then incr short_scans;
             Printf.printf
               "t=%5.2fs scan #%d: %d orders, revenue=%d cents (snapshot %Ld, %.1f ms)\n%!"
               (Sim.now ()) !scans (List.length book) revenue snapshot.Minuet.Session.sid
@@ -65,7 +67,13 @@ let () =
       Sim.delay 2.2;
       Printf.printf "\ncompleted %d updates concurrently with %d full-book scans\n" !updates
         !scans;
-      Printf.printf "every scan saw a consistent snapshot; no scan ever aborted or blocked\n";
-      Printf.printf "gc reclaimed %d superseded node versions along the way\n"
-        (Obs.Counter.value (Obs.gc (Minuet.Db.obs db)).Obs.slots_reclaimed);
+      let reclaimed = Obs.Counter.value (Obs.gc (Minuet.Db.obs db)).Obs.slots_reclaimed in
+      if !short_scans = 0 then
+        Printf.printf "every scan saw a consistent snapshot; no scan ever aborted or blocked\n";
+      Printf.printf "gc reclaimed %d superseded node versions along the way\n" reclaimed;
+      if !short_scans > 0 || reclaimed = 0 then begin
+        Printf.printf "FAILED: %d scan(s) missed orders; gc reclaimed %d slots\n" !short_scans
+          reclaimed;
+        exit 1
+      end;
       Sim.stop ())

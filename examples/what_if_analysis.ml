@@ -4,7 +4,9 @@
    She wants to evaluate two rebalancing strategies without touching the
    live book: each strategy gets its own writable clone (branch) of the
    data, is applied there, and the outcomes are compared — "like
-   revision control, but for B-trees".
+   revision control, but for B-trees". It exits nonzero if a strategy
+   changes the book's total value or the rejected branch's storage is
+   not reclaimed.
 
    Run with:  dune exec examples/what_if_analysis.exe *)
 
@@ -67,11 +69,15 @@ let () =
       (* Integrity check across versions: no strategy may change the
          total book value. *)
       let base = total book 0L in
-      List.iter
-        (fun (name, sid) ->
-          let t = total book sid in
-          Printf.printf "%s conserves value: %b (%d vs %d)\n" name (t = base) t base)
-        [ ("strategy A", mainline); ("strategy B", aggressive) ];
+      let conserved =
+        List.map
+          (fun (name, sid) ->
+            let t = total book sid in
+            Printf.printf "%s conserves value: %b (%d vs %d)\n" name (t = base) t base;
+            t = base)
+          [ ("strategy A", mainline); ("strategy B", aggressive) ]
+        |> List.for_all Fun.id
+      in
 
       (* Sub-branch strategy A for a further tweak, demonstrating deeper
          version trees. *)
@@ -128,4 +134,8 @@ let () =
       in
       Printf.printf "\nstrategy B rejected: branch %Ld deleted, %d node versions reclaimed\n"
         aggressive freed;
-      show book ~label:"strategy A (kept)" mainline)
+      show book ~label:"strategy A (kept)" mainline;
+      if (not conserved) || freed = 0 then begin
+        print_endline "FAILED: a what-if guarantee did not hold";
+        exit 1
+      end)

@@ -16,7 +16,6 @@ type tree = {
   mode : mode;
   max_keys_leaf : int;
   max_keys_internal : int;
-  max_op_retries : int;
   (* Leaves fetched per minitransaction round trip by batched scans;
      1 disables batching (per-leaf re-traversal, the old behaviour). *)
   scan_batch : int;
@@ -47,9 +46,9 @@ type tree = {
   enc : Codec.Enc.t;
 }
 
-exception Too_contended of string
+exception Too_contended = Txn.Too_contended
 
-exception Ambiguous of string
+exception Ambiguous = Txn.Ambiguous
 
 (* Conservative per-entry wire estimates for deriving key capacities
    from the node size (YCSB schema: 14-byte keys, 8-byte values). *)
@@ -57,9 +56,9 @@ let leaf_entry_bytes = 40
 
 let internal_entry_bytes = 40
 
-let make_tree ?(mode = Dirty_traversal) ?max_keys_leaf ?max_keys_internal ?(max_op_retries = 64)
-    ?(scan_batch = 16) ?(home = 0) ?client ?(unsafe_dirty_leaf_reads = false) ?view_memo ~cluster
-    ~layout ~tree_id ~alloc ~cache () =
+let make_tree ?(mode = Dirty_traversal) ?max_keys_leaf ?max_keys_internal ?(scan_batch = 16)
+    ?(home = 0) ?client ?(unsafe_dirty_leaf_reads = false) ?view_memo ~cluster ~layout ~tree_id
+    ~alloc ~cache () =
   let budget = layout.Layout.node_size - 128 in
   let derived_leaf = max 4 (budget / leaf_entry_bytes) in
   let derived_internal = max 4 (budget / internal_entry_bytes) in
@@ -75,7 +74,6 @@ let make_tree ?(mode = Dirty_traversal) ?max_keys_leaf ?max_keys_internal ?(max_
     mode;
     max_keys_leaf = Option.value max_keys_leaf ~default:derived_leaf;
     max_keys_internal = Option.value max_keys_internal ~default:derived_internal;
-    max_op_retries;
     scan_batch = max 1 scan_batch;
     home;
     client;
@@ -450,72 +448,14 @@ and split_root tree txn (root_ptr : Objref.t) (updated : Bnode.t) =
 (* Retry wrapper                                                          *)
 (* -------------------------------------------------------------------- *)
 
-(* Aborts caused by an outage (crashed or partitioned memnode) back off
-   on the outage's timescale — milliseconds, waiting out failover or a
-   partition heal — instead of the microsecond contention backoff. The
-   fetch path surfaces outages as [Txn.Aborted] with these messages. *)
-let outage_abort_msg = function "memnode unavailable" | "memnode partitioned" -> true | _ -> false
-
-let outage_backoff tree attempt =
-  let cap = 1e-3 *. float_of_int (min (attempt + 1) 16) in
-  Sim.delay (Sim.Rng.float (Cluster.rng tree.cluster) cap)
-
-let with_retries tree op_name f =
-  Obs.with_span tree.obs Obs.Span.Txn @@ fun () ->
-  let rec go attempt =
-    if attempt >= tree.max_op_retries then
-      raise (Too_contended (Printf.sprintf "%s: %d attempts" op_name attempt));
-    if attempt > 0 then begin
-      Obs.Counter.incr tree.stats.Obs.op_retries;
-      (* Jittered backoff decorrelates repeatedly conflicting
-         operations. *)
-      let cap = 20e-6 *. float_of_int (min attempt 6) in
-      Sim.delay (Sim.Rng.float (Cluster.rng tree.cluster) cap)
-    end;
-    let span = Obs.span_begin tree.obs Obs.Span.Attempt in
-    let txn = Txn.begin_ ~cache:tree.cache ?client:tree.client ~home:tree.home tree.cluster in
-    match f txn with
-    | result -> (
-        match Txn.commit txn with
-        | Txn.Committed ->
-            tree.last_stamp <- Txn.commit_stamp txn;
-            Obs.span_end tree.obs span;
-            result
-        | Txn.Validation_failed ->
-            Obs.span_end tree.obs span
-              ~outcome:(Obs.Span.Aborted Obs.Abort.Validation_failed);
-            Txn.evict_dirty txn;
-            go (attempt + 1)
-        | Txn.Retry_exhausted ->
-            Obs.span_end tree.obs span ~outcome:(Obs.Span.Aborted Obs.Abort.Lock_busy);
-            Txn.evict_dirty txn;
-            go (attempt + 1)
-        | Txn.Unavailable { maybe_applied = true } ->
-            (* Cannot retry: the commit may already be in. The caller
-               must treat the operation's effect as unknown (the history
-               checker resolves it from later reads). *)
-            Obs.span_end tree.obs span ~outcome:(Obs.Span.Aborted Obs.Abort.Crashed_host);
-            raise (Ambiguous (Printf.sprintf "%s: commit outcome unknown" op_name))
-        | Txn.Unavailable { maybe_applied = false } ->
-            (* An outage says nothing about the freshness of what was
-               dirty-read: keep the cache. Entries that really are stale
-               (from a promoted backup's older image) carry a pre-crash
-               epoch tag and are lazily revalidated on next use instead
-               of being flushed here — the old behaviour turned every
-               crash into an invalidation storm. *)
-            Obs.span_end tree.obs span ~outcome:(Obs.Span.Aborted Obs.Abort.Crashed_host);
-            outage_backoff tree attempt;
-            go (attempt + 1))
-    | exception Txn.Aborted msg ->
-        Obs.span_end tree.obs span ~outcome:(Obs.Span.Failed msg);
-        if outage_abort_msg msg then outage_backoff tree attempt
-        else Txn.evict_dirty txn;
-        go (attempt + 1)
-    | exception e ->
-        Obs.span_end tree.obs span ~outcome:(Obs.Span.Failed (Printexc.to_string e));
-        raise e
+(* Every operation commits through the shared loop; the handle keeps
+   the stamp for session-level tracing. *)
+let with_retries tree name f =
+  let result, stamp =
+    Txn.run ~cache:tree.cache ?client:tree.client ~home:tree.home ~name tree.cluster f
   in
-  go 0
+  tree.last_stamp <- stamp;
+  result
 
 (* -------------------------------------------------------------------- *)
 (* Operations                                                             *)
@@ -823,15 +763,12 @@ module Linear = struct
     }
 
   let init_tree tree =
-    let txn = Txn.begin_ ~home:tree.home tree.cluster in
     let root_ptr = Node_alloc.alloc tree.alloc in
-    write_node tree txn root_ptr (Bnode.empty_root ~snap:0L);
-    Txn.write_replicated txn ~off:(tip_id_off tree) ~len:slot_len (encode_sid 0L);
-    Txn.write_replicated txn ~off:(tip_root_off tree) ~len:slot_len (encode_ref root_ptr);
-    match Txn.commit txn with
-    | Txn.Committed -> ()
-    | Txn.Validation_failed | Txn.Retry_exhausted | Txn.Unavailable _ ->
-        failwith "Ops.Linear.init_tree: could not initialize tree"
+    fst
+      (Txn.run ~home:tree.home ~name:"init_tree" tree.cluster (fun txn ->
+           write_node tree txn root_ptr (Bnode.empty_root ~snap:0L);
+           Txn.write_replicated txn ~off:(tip_id_off tree) ~len:slot_len (encode_sid 0L);
+           Txn.write_replicated txn ~off:(tip_root_off tree) ~len:slot_len (encode_ref root_ptr)))
 
   (* Fig. 6. The snapshot becomes real when the caller commits the
      transaction (the SCS uses a blocking commit, Sec. 4.1). *)

@@ -38,7 +38,6 @@ val make_tree :
   ?mode:mode ->
   ?max_keys_leaf:int ->
   ?max_keys_internal:int ->
-  ?max_op_retries:int ->
   ?scan_batch:int ->
   ?home:int ->
   ?client:int ->
@@ -93,17 +92,16 @@ val last_commit_stamp : tree -> int64 option
     session-level history tracing. *)
 
 exception Too_contended of string
-(** An operation exhausted its retry budget. The operation certainly
-    did not take effect (every attempt aborted before its commit was
-    applied). *)
+(** An operation exhausted its retry budget ({!Txn.Too_contended},
+    re-exported). The operation certainly did not take effect (every
+    attempt aborted before its commit was applied). *)
 
 exception Ambiguous of string
 (** An operation's commit round ended [Unavailable] with
-    [maybe_applied = true]: the operation may or may not have taken
-    effect, and retrying could double-apply it. Never raised under the
-    drain-based crash model (which only fails nodes at minitransaction
-    boundaries); the history checker resolves such operations from
-    later reads. *)
+    [maybe_applied = true] ({!Txn.Ambiguous}, re-exported): a participant
+    crashed mid-commit, so the operation may or may not have taken
+    effect, and retrying could double-apply it. The history checker
+    resolves such operations from later reads. *)
 
 (** {1 Version contexts} *)
 
@@ -135,8 +133,9 @@ type vctx = {
     Each operation runs in its own retrying dynamic transaction; the
     version context is rebuilt per attempt by [vctx_of] (which reads
     and registers tip/catalog validations on the transaction). All must
-    be called inside a simulation. Raise {!Too_contended} after
-    exhausting retries. *)
+    be called inside a simulation. They commit through {!Txn.run}, so
+    they raise {!Too_contended} after 64 attempts and {!Ambiguous} when
+    a commit's outcome is unknown. *)
 
 val get : tree -> vctx_of:(Txn.t -> vctx) -> Bkey.t -> string option
 
@@ -171,11 +170,11 @@ val scan :
     against). *)
 
 val run_txn : tree -> (Txn.t -> 'a) -> 'a
-(** Run [f] in a retrying dynamic transaction (the same wrapper the
-    operations above use): on abort or validation failure the
-    transaction is retried with a fresh context and an evicted dirty
-    cache. Use with {!get_in_txn}/{!scan_in_txn} for multi-operation
-    transactions (e.g. reading several versions atomically). *)
+(** Run [f] through {!Txn.run}, the retry loop every transaction shares
+    (the operations above use it too), with this handle's cache, client
+    and home memnode; records {!last_commit_stamp}. Use with
+    {!get_in_txn}/{!scan_in_txn} for multi-operation transactions (e.g.
+    reading several versions atomically). *)
 
 val get_in_txn : tree -> Txn.t -> vctx -> Bkey.t -> string option
 

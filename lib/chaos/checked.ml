@@ -109,7 +109,9 @@ let attempt t ~label f =
   | v ->
       t.audits <- t.audits + 1;
       Some v
-  | exception Failure msg ->
+  | exception (Failure msg | Ops.Too_contended msg | Ops.Ambiguous msg) ->
+      (* A structural audit failed, or the audit's own transaction (the
+         snapshot it reads at) gave up. *)
       t.failures <- Printf.sprintf "%s: %s" label msg :: t.failures;
       None
 

@@ -57,8 +57,10 @@ val quiesce : t -> unit
     A nonzero residue fails {!finish}'s verdict. *)
 
 val audit : t -> label:string -> (unit -> unit) -> unit
-(** Run one structural audit. A [Failure] is recorded as
-    ["label: message"] and does not stop later audits. *)
+(** Run one structural audit. A [Failure], or an audit transaction
+    that gives up ([Too_contended]) or ends with an unknown outcome
+    ([Ambiguous]), is recorded as ["label: message"] and does not stop
+    later audits. *)
 
 val audit_snapshots : t -> unit
 (** Audit every index at a fresh snapshot, labelled ["index i"]. Safe

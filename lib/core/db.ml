@@ -123,8 +123,15 @@ let enable_gc ?(interval = 5.0) ~keep t =
         Sim.spawn ~name:"gc-policy" (fun () ->
             let rec loop () =
               Sim.delay interval;
-              Mvcc.Gc.keep_recent tree ~n:keep;
-              let (_ : int) = Mvcc.Gc.sweep tree ~alloc in
+              (* A round whose transactions give up is skipped: the
+                 watermark update is idempotent, and the next round
+                 sweeps again. *)
+              (match
+                 Mvcc.Gc.keep_recent tree ~n:keep;
+                 Mvcc.Gc.sweep tree ~alloc
+               with
+              | (_ : int) -> ()
+              | exception (Ops.Too_contended _ | Ops.Ambiguous _) -> ());
               loop ()
             in
             loop ()))

@@ -38,8 +38,10 @@ val enable_gc : ?interval:float -> keep:int -> t -> unit
 (** Start background garbage collection for every index (Sec. 4.4):
     every [interval] simulated seconds (default 5) the watermark is
     advanced so that the [keep] most recent snapshots stay queryable,
-    and superseded node versions are swept back to the allocator.
-    Linear-snapshot mode only. *)
+    and superseded node versions are swept back to the allocator. A
+    round whose watermark transactions give up (an outage or contention
+    outlasting their attempt budget) is skipped, and the next round
+    tries again. Linear-snapshot mode only. *)
 
 val crash_host : t -> int -> unit
 (** Crash a memnode mid-request; operations fail over to its backup

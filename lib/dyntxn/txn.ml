@@ -2,6 +2,10 @@ open Sinfonia
 
 exception Aborted of string
 
+exception Too_contended of string
+
+exception Ambiguous of string
+
 type read_entry = {
   ref_ : Objref.t;
   seq : int64;
@@ -144,6 +148,14 @@ let piggyback_compares t ~nodes =
         compares := seq_compare_at (Address.make ~node:repl_node ~off) seq :: !compares);
   (!compares, !covered, !all_covered)
 
+(* Abort messages of a fetch that hit a crashed or partitioned memnode;
+   [run] tells an outage from contention by them. *)
+let unavailable_msg = "memnode unavailable"
+
+let partitioned_msg = "memnode partitioned"
+
+let is_outage msg = String.equal msg unavailable_msg || String.equal msg partitioned_msg
+
 (* Multi-object fetch minitransaction, optionally piggy-backing read-set
    validation (Sec. 2.2). Items are coalesced per memnode by the
    Mtx/Coordinator machinery: one round trip for a single participant,
@@ -200,7 +212,7 @@ let fetch_refs t ~validate (refs : Objref.t list) =
          layers. *)
       let reason = if partitioned then Obs.Abort.Partitioned else Obs.Abort.Crashed_host in
       Obs.abort t.obs ~layer:Obs.Abort.Txn reason;
-      fail t (if partitioned then "memnode partitioned" else "memnode unavailable")
+      fail t (if partitioned then partitioned_msg else unavailable_msg)
 
 let fetch_slot t ~validate (addr : Address.t) ~len =
   match fetch_refs t ~validate [ Objref.make ~addr ~len ] with
@@ -640,9 +652,73 @@ let commit ?(blocking = false) t =
         Obs.abort t.obs ~layer:Obs.Abort.Txn reason;
         Unavailable { maybe_applied }
 
-let commit_exn ?blocking t =
-  match commit ?blocking t with
-  | Committed -> ()
-  | Validation_failed -> raise (Aborted "validation failed")
-  | Retry_exhausted -> raise (Aborted "retry budget exhausted")
-  | Unavailable _ -> raise (Aborted "memnode unavailable")
+(* -------------------------------------------------------------------- *)
+(* The retry loop                                                         *)
+(* -------------------------------------------------------------------- *)
+
+let max_attempts = 64
+
+(* Aborts caused by an outage (crashed or partitioned memnode) back off
+   on the outage's timescale — milliseconds, waiting out failover or a
+   partition heal — instead of the microsecond contention backoff. *)
+let outage_backoff cluster attempt =
+  let cap = 1e-3 *. float_of_int (min (attempt + 1) 16) in
+  Sim.delay (Sim.Rng.float (Cluster.rng cluster) cap)
+
+let run ?cache ?client ?home ?(blocking = false) ~name cluster f =
+  let obs = Cluster.obs cluster in
+  let retries = (Obs.btree obs).Obs.op_retries in
+  Obs.with_span obs Obs.Span.Txn @@ fun () ->
+  let rec go attempt =
+    if attempt >= max_attempts then
+      raise (Too_contended (Printf.sprintf "%s: %d attempts" name attempt));
+    if attempt > 0 then begin
+      Obs.Counter.incr retries;
+      (* Jittered backoff decorrelates repeatedly conflicting
+         transactions. A blocking commit already waited for its locks
+         at the memnode, so it retries at once. *)
+      if not blocking then begin
+        let cap = 20e-6 *. float_of_int (min attempt 6) in
+        Sim.delay (Sim.Rng.float (Cluster.rng cluster) cap)
+      end
+    end;
+    let span = Obs.span_begin obs Obs.Span.Attempt in
+    let txn = begin_ ?cache ?client ?home cluster in
+    match f txn with
+    | result -> (
+        match commit ~blocking txn with
+        | Committed ->
+            Obs.span_end obs span;
+            (result, txn.commit_stamp_)
+        | Validation_failed ->
+            Obs.span_end obs span ~outcome:(Obs.Span.Aborted Obs.Abort.Validation_failed);
+            evict_dirty txn;
+            go (attempt + 1)
+        | Retry_exhausted ->
+            Obs.span_end obs span ~outcome:(Obs.Span.Aborted Obs.Abort.Lock_busy);
+            evict_dirty txn;
+            go (attempt + 1)
+        | Unavailable { maybe_applied = true } ->
+            (* Cannot retry: the commit may already be in. The caller
+               must treat the effect as unknown (the history checker
+               resolves it from later reads). *)
+            Obs.span_end obs span ~outcome:(Obs.Span.Aborted Obs.Abort.Crashed_host);
+            raise (Ambiguous (Printf.sprintf "%s: commit outcome unknown" name))
+        | Unavailable { maybe_applied = false } ->
+            (* An outage says nothing about the freshness of what was
+               dirty-read: keep the cache. Entries that really are stale
+               (from a promoted backup's older image) carry a pre-crash
+               epoch tag and are lazily revalidated on next use instead
+               of being flushed here. *)
+            Obs.span_end obs span ~outcome:(Obs.Span.Aborted Obs.Abort.Crashed_host);
+            outage_backoff cluster attempt;
+            go (attempt + 1))
+    | exception Aborted msg ->
+        Obs.span_end obs span ~outcome:(Obs.Span.Failed msg);
+        if is_outage msg then outage_backoff cluster attempt else evict_dirty txn;
+        go (attempt + 1)
+    | exception e ->
+        Obs.span_end obs span ~outcome:(Obs.Span.Failed (Printexc.to_string e));
+        raise e
+  in
+  go 0

@@ -16,8 +16,20 @@
     one-phase commits); writes update every replica atomically. *)
 
 exception Aborted of string
-(** Raised by {!abort} and by reads that detect a stale read set via
-    piggy-backed validation. B-tree operations catch it and retry. *)
+(** Raised by {!abort}, by reads that detect a stale read set via
+    piggy-backed validation, and by fetches that hit an outage. {!run}
+    catches it and retries. *)
+
+exception Too_contended of string
+(** {!run} exhausted its attempt budget. The transaction certainly did
+    not take effect (every attempt aborted before its commit was
+    applied). *)
+
+exception Ambiguous of string
+(** {!run}'s commit ended [Unavailable] with [maybe_applied = true]: a
+    participant crashed or was cut off mid-commit, so the transaction
+    may or may not have taken effect, and retrying could apply it twice.
+    The history checker resolves such operations from later reads. *)
 
 type t
 
@@ -149,8 +161,37 @@ val commit_stamp : t -> int64 option
     transactions, which are checked against their snapshot id
     instead). *)
 
-val commit_exn : ?blocking:bool -> t -> unit
-(** Like {!commit} but raises {!Aborted} unless committed. *)
+(** {1 The retry loop} *)
+
+val run :
+  ?cache:Objcache.t ->
+  ?client:int ->
+  ?home:int ->
+  ?blocking:bool ->
+  name:string ->
+  Sinfonia.Cluster.t ->
+  (t -> 'a) ->
+  'a * int64 option
+(** [run ~name cluster f] runs [f] in a fresh transaction ({!begin_}'s
+    arguments) and commits it ({!commit}'s [blocking]), retrying until a
+    commit lands. Returns [f]'s result and the {!commit_stamp}. Every
+    transaction in the system commits through here, except the node
+    allocator's chunk reservation.
+    - {b Contention} (a validation failure, lock-busy, or an {!Aborted}
+      read that is not an outage): evict the attempt's dirty cache
+      entries and retry; a non-blocking transaction first sleeps a
+      jittered backoff of up to 120 µs, a blocking one retries at once
+      (its locks were already waited for at the memnode).
+    - {b Outage} ([Unavailable {maybe_applied = false}], or a read that
+      aborted on a crashed or partitioned memnode): sleep a jittered
+      backoff of up to 16 ms, keep the cache, retry.
+    - {b Unknown outcome} ([Unavailable {maybe_applied = true}]): raise
+      {!Ambiguous}; never retried.
+    - {b Budget}: after 64 attempts raise
+      [Too_contended "<name>: 64 attempts"].
+    Any other exception from [f] ends the loop and propagates. One
+    [txn] span covers the call and one [txn.attempt] span each
+    attempt. Must run inside a simulation. *)
 
 (** {1 Introspection (tests, reporting)} *)
 

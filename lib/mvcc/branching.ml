@@ -197,30 +197,34 @@ let at_snapshot t ~sid txn =
 (* Tree and branch creation                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* Catalog transactions commit through the shared retry loop with this
+   handle's proxy cache and home memnode. *)
+let run ?blocking t ~name f =
+  Txn.run ~cache:(Ops.proxy_cache t.tree) ~home:(Ops.home t.tree) ?blocking ~name
+    (Ops.cluster t.tree) f
+
 let init_tree t =
-  let txn = Txn.begin_ (Ops.cluster t.tree) ~cache:(Ops.proxy_cache t.tree) ~home:(Ops.home t.tree) in
   let root_ptr = Ops.alloc_node t.tree in
-  Ops.write_node_txn t.tree txn root_ptr (Bnode.empty_root ~snap:0L);
-  Catalog.write t.tree txn ~sid:0L
-    {
-      Catalog.root = root_ptr;
-      parent = Catalog.no_parent;
-      first_branch = 0L;
-      nbranches = 0;
-      deleted = false;
-    };
-  Catalog.write_counter t.tree txn 0L;
-  match Txn.commit txn with
-  | Txn.Committed -> ()
-  | Txn.Validation_failed | Txn.Retry_exhausted | Txn.Unavailable _ ->
-      failwith "Branching.init_tree: could not initialize tree"
+  fst
+    (run t ~name:"Branching.init_tree" (fun txn ->
+         Ops.write_node_txn t.tree txn root_ptr (Bnode.empty_root ~snap:0L);
+         Catalog.write t.tree txn ~sid:0L
+           {
+             Catalog.root = root_ptr;
+             parent = Catalog.no_parent;
+             first_branch = 0L;
+             nbranches = 0;
+             deleted = false;
+           };
+         Catalog.write_counter t.tree txn 0L))
 
 let create_branch t ~from =
   let invoked = Sim.now () in
-  let rec attempt tries =
-    if tries > 64 then raise (Ops.Too_contended "Branching.create_branch: starved");
-    let txn = Txn.begin_ (Ops.cluster t.tree) ~cache:(Ops.proxy_cache t.tree) ~home:(Ops.home t.tree) in
-    match
+  (* Blocking commit (Sec. 4.1); an unknown outcome raises
+     [Ops.Ambiguous] and is never retried, so [from] gains at most one
+     branch per call. *)
+  let new_sid, stamp =
+    run t ~blocking:true ~name:"Branching.create_branch" (fun txn ->
       let counter = Catalog.read_counter t.tree txn in
       let entry =
         match Catalog.read t.tree txn ~sid:from with
@@ -253,25 +257,11 @@ let create_branch t ~from =
           nbranches = entry.Catalog.nbranches + 1;
         };
       Catalog.write_counter t.tree txn new_sid;
-      new_sid
-    with
-    | new_sid -> (
-        match Txn.commit ~blocking:true txn with
-        | Txn.Committed ->
-            Obs.Counter.incr
-              (Obs.btree (Sinfonia.Cluster.obs (Ops.cluster t.tree))).Obs.branches_created;
-            emit t ~invoked
-              ?stamp:(Txn.commit_stamp txn)
-              (Trace.Branch_created { parent = from; sid = new_sid });
-            new_sid
-        | Txn.Validation_failed | Txn.Retry_exhausted | Txn.Unavailable _ ->
-            Txn.evict_dirty txn;
-            attempt (tries + 1))
-    | exception Txn.Aborted _ ->
-        Txn.evict_dirty txn;
-        attempt (tries + 1)
+      new_sid)
   in
-  attempt 0
+  Obs.Counter.incr (Obs.btree (Sinfonia.Cluster.obs (Ops.cluster t.tree))).Obs.branches_created;
+  emit t ~invoked ?stamp (Trace.Branch_created { parent = from; sid = new_sid });
+  new_sid
 
 (* ------------------------------------------------------------------ *)
 (* Convenience operations                                               *)
@@ -414,10 +404,8 @@ exception Not_deletable of string
 let delete_branch t sid =
   if Int64.equal sid 0L then raise (Not_deletable "the initial version cannot be deleted");
   let invoked = Sim.now () in
-  let rec attempt tries =
-    if tries > 64 then raise (Ops.Too_contended "Branching.delete_branch: starved");
-    let txn = Txn.begin_ (Ops.cluster t.tree) ~cache:(Ops.proxy_cache t.tree) ~home:(Ops.home t.tree) in
-    match
+  let (), stamp =
+    run t ~blocking:true ~name:"Branching.delete_branch" (fun txn ->
       let entry =
         match Catalog.read t.tree txn ~sid with
         | Some e when not e.Catalog.deleted -> e
@@ -429,10 +417,10 @@ let delete_branch t sid =
       Catalog.write t.tree txn ~sid { entry with Catalog.deleted = true };
       (* The parent sheds a branch; shedding the last one makes it a
          writable tip again. *)
-      (match
-         if Int64.equal entry.Catalog.parent Catalog.no_parent then None
-         else Catalog.read t.tree txn ~sid:entry.Catalog.parent
-       with
+      match
+        if Int64.equal entry.Catalog.parent Catalog.no_parent then None
+        else Catalog.read t.tree txn ~sid:entry.Catalog.parent
+      with
       | None -> ()
       | Some parent_entry ->
           let first_branch =
@@ -445,82 +433,42 @@ let delete_branch t sid =
               Catalog.first_branch;
               nbranches = max 0 (parent_entry.Catalog.nbranches - 1);
             })
-    with
-    | () -> (
-        match Txn.commit ~blocking:true txn with
-        | Txn.Committed ->
-            Obs.Counter.incr
-              (Obs.btree (Sinfonia.Cluster.obs (Ops.cluster t.tree))).Obs.branches_deleted;
-            emit t ~invoked ?stamp:(Txn.commit_stamp txn) (Trace.Branch_deleted { sid })
-        | Txn.Validation_failed | Txn.Retry_exhausted | Txn.Unavailable _ ->
-            Txn.evict_dirty txn;
-            attempt (tries + 1))
-    | exception Txn.Aborted _ ->
-        Txn.evict_dirty txn;
-        attempt (tries + 1)
   in
-  attempt 0
+  Obs.Counter.incr (Obs.btree (Sinfonia.Cluster.obs (Ops.cluster t.tree))).Obs.branches_deleted;
+  emit t ~invoked ?stamp (Trace.Branch_deleted { sid })
 
 let is_deleted t ~sid =
-  let txn = Txn.begin_ (Ops.cluster t.tree) ~cache:(Ops.proxy_cache t.tree) ~home:(Ops.home t.tree) in
-  let r =
-    match Catalog.dirty_read t.tree txn ~sid with
-    | Some e -> e.Catalog.deleted
-    | None -> false
-  in
-  (* Read-only bookkeeping commit: the answer above is already in hand,
-     so a failed commit changes nothing — but match it exhaustively so
-     Memnode.Crashed / Txn.Aborted keep propagating to the caller. *)
-  (match Txn.commit txn with
-  | Txn.Committed -> ()
-  | Txn.Validation_failed | Txn.Retry_exhausted | Txn.Unavailable _ -> Txn.evict_dirty txn);
-  r
+  fst
+    (run t ~name:"Branching.is_deleted" (fun txn ->
+         match Catalog.dirty_read t.tree txn ~sid with
+         | Some e -> e.Catalog.deleted
+         | None -> false))
 
+(* Roots of every non-deleted version (the mark phase of the branching
+   GC). *)
 let live_roots t =
-  (* Roots of every non-deleted version, read outside any transaction
-     (used by the mark phase of the branching GC). *)
-  let txn = Txn.begin_ (Ops.cluster t.tree) ~cache:(Ops.proxy_cache t.tree) ~home:(Ops.home t.tree) in
-  let counter =
-    (* An aborted fetch (stale read set or outage) means no catalog is
-       reachable right now: report no roots. Memnode.Crashed and every
-       other exception propagate to the GC driver's retry. *)
-    match Catalog.read_counter t.tree txn with c -> c | exception Txn.Aborted _ -> 0L
-  in
-  let roots = ref [] in
-  let rec collect sid =
-    if Int64.compare sid counter <= 0 then begin
-      (match Catalog.dirty_read t.tree txn ~sid with
-      | Some e when not e.Catalog.deleted -> roots := e.Catalog.root :: !roots
-      | Some _ | None -> ());
-      collect (Int64.add sid 1L)
-    end
-  in
-  collect 0L;
-  (* Read-only bookkeeping commit; exhaustive so crashes propagate. *)
-  (match Txn.commit txn with
-  | Txn.Committed -> ()
-  | Txn.Validation_failed | Txn.Retry_exhausted | Txn.Unavailable _ -> Txn.evict_dirty txn);
-  !roots
+  fst
+    (run t ~name:"Branching.live_roots" (fun txn ->
+         let counter = Catalog.read_counter t.tree txn in
+         let rec collect acc sid =
+           if Int64.compare sid counter > 0 then acc
+           else
+             match Catalog.dirty_read t.tree txn ~sid with
+             | Some e when not e.Catalog.deleted -> collect (e.Catalog.root :: acc) (Int64.add sid 1L)
+             | Some _ | None -> collect acc (Int64.add sid 1L)
+         in
+         collect [] 0L))
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let with_ro_txn t f =
-  let txn = Txn.begin_ (Ops.cluster t.tree) ~cache:(Ops.proxy_cache t.tree) ~home:(Ops.home t.tree) in
-  let v = f txn in
-  (* Read-only bookkeeping commit; exhaustive so crashes propagate. *)
-  (match Txn.commit txn with
-  | Txn.Committed -> ()
-  | Txn.Validation_failed | Txn.Retry_exhausted | Txn.Unavailable _ -> Txn.evict_dirty txn);
-  v
-
-let root_of t ~sid = with_ro_txn t (fun txn -> root_of_dirty t txn sid)
+let root_of t ~sid = fst (run t ~name:"Branching.root_of" (fun txn -> root_of_dirty t txn sid))
 
 let snapshot_exists t ~sid =
-  with_ro_txn t (fun txn -> Catalog.dirty_read t.tree txn ~sid <> None)
+  fst (run t ~name:"Branching.snapshot_exists" (fun txn -> Catalog.dirty_read t.tree txn ~sid <> None))
 
 let writable t ~sid =
-  with_ro_txn t (fun txn -> Catalog.is_writable (entry_exn t txn sid))
+  fst (run t ~name:"Branching.writable" (fun txn -> Catalog.is_writable (entry_exn t txn sid)))
 
-let parent t ~sid = with_ro_txn t (fun txn -> parent_of t txn sid)
+let parent t ~sid = fst (run t ~name:"Branching.parent" (fun txn -> parent_of t txn sid))

@@ -76,7 +76,9 @@ val create_branch : t -> from:int64 -> int64
 (** Create a new writable snapshot branching from [from] (which may be
     a writable tip — that is exactly "creating a snapshot" — or an
     existing read-only version). Returns the new snapshot id. Uses a
-    blocking commit like Fig. 6. *)
+    blocking commit like Fig. 6, through {!Dyntxn.Txn.run}: a commit
+    whose outcome is unknown raises {!Btree.Ops.Ambiguous} and is never
+    retried, so [from] gains at most one branch per call. *)
 
 val mainline_tip : t -> Dyntxn.Txn.t -> from:int64 -> int64
 (** Follow first-branch pointers from [from] down to a writable tip:
@@ -133,7 +135,8 @@ val delete_branch : t -> int64 -> unit
     Its parent sheds a branch — shedding the last one makes the parent
     writable again. Storage is reclaimed by [Gc.sweep_branching].
     Raises {!Not_deletable} for the initial version, internal versions,
-    or already-deleted ids. *)
+    or already-deleted ids, and {!Btree.Ops.Ambiguous} (never retried)
+    when the deletion may or may not have landed. *)
 
 val is_deleted : t -> sid:int64 -> bool
 

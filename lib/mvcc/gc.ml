@@ -13,33 +13,27 @@ let encode_sid sid =
 
 let decode_sid s = if String.length s = 0 then 0L else Codec.Dec.i64 (Codec.Dec.of_string s)
 
-let with_txn tree f =
-  let rec attempt tries =
-    if tries > 64 then failwith "Gc: transaction starved";
-    let txn = Txn.begin_ (Ops.cluster tree) ~home:(Ops.home tree) in
-    let v = f txn in
-    match Txn.commit txn with
-    | Txn.Committed -> v
-    | Txn.Validation_failed | Txn.Retry_exhausted | Txn.Unavailable _ -> attempt (tries + 1)
-  in
-  attempt 0
-
 let lowest_off tree = Layout.lowest_sid_off (Ops.layout tree) ~tree:(Ops.tree_id tree)
 
+(* GC transactions are cache-less and commit through the shared retry
+   loop: an outage backs off and retries, and a round that still fails
+   raises to the policy loop. *)
 let set_lowest tree sid =
-  with_txn tree (fun txn ->
-      Txn.write_replicated txn ~off:(lowest_off tree) ~len:Layout.slot_len_small (encode_sid sid))
+  fst
+    (Txn.run ~home:(Ops.home tree) ~name:"gc.set_lowest" (Ops.cluster tree) (fun txn ->
+         Txn.write_replicated txn ~off:(lowest_off tree) ~len:Layout.slot_len_small
+           (encode_sid sid)))
 
 let get_lowest tree =
-  with_txn tree (fun txn ->
-      decode_sid
-        (Txn.dirty_read_replicated txn ~off:(lowest_off tree) ~len:Layout.slot_len_small))
+  fst
+    (Txn.run ~home:(Ops.home tree) ~name:"gc.get_lowest" (Ops.cluster tree) (fun txn ->
+         decode_sid
+           (Txn.dirty_read_replicated txn ~off:(lowest_off tree) ~len:Layout.slot_len_small)))
 
 let keep_recent tree ~n =
-  let tip =
-    with_txn tree (fun txn ->
-        let sid, _ = Ops.Linear.read_tip tree txn in
-        sid)
+  let (tip, _), _ =
+    Txn.run ~home:(Ops.home tree) ~name:"gc.keep_recent" (Ops.cluster tree) (fun txn ->
+        Ops.Linear.read_tip tree txn)
   in
   let watermark = Int64.sub tip (Int64.of_int n) in
   if Int64.compare watermark 0L > 0 then set_lowest tree watermark

@@ -68,49 +68,18 @@ let outage_until t = t.outage_until
 
 let outage_stalls t = t.outage_stalled
 
-(* Execute Fig. 6 to completion with a blocking commit, retrying on
-   validation failures (e.g. a racing up-to-date operation bumped a
-   cached tip). *)
-let outage_msg = function "memnode unavailable" | "memnode partitioned" -> true | _ -> false
-
-let outage_backoff outages = Sim.delay (1e-3 *. float_of_int (min (outages + 1) 16))
-
+(* Execute Fig. 6 to completion with a blocking commit (Sec. 4.1)
+   through the shared retry loop. Cache-less: [Txn.read_replicated]
+   would otherwise serve the tip from a proxy cache. *)
 let create_snapshot_now t =
   Obs.with_span t.obs Obs.Span.Snapshot_create @@ fun () ->
-  (* Contention retries are bounded tightly; outage retries (a crashed
-     or partitioned memnode) get a far larger budget with millisecond
-     backoff so the service survives chaos storms and resumes when the
-     cluster heals. *)
-  let rec attempt tries outages =
-    if tries > 64 then failwith "Scs: snapshot creation starved";
-    if outages > 512 then failwith "Scs: snapshot creation starved by outage";
-    let txn = Txn.begin_ (Ops.cluster t.tree) ~home:(Ops.home t.tree) in
-    match
-      let sid, loc = Ops.Linear.create_snapshot t.tree txn in
-      ((sid, loc), Txn.commit ~blocking:true txn)
-    with
-    | result, Txn.Committed ->
-        (* A snapshot creation always writes the tip objects, so its
-           blocking commit always carries a stamp. *)
-        (result, Option.get (Txn.commit_stamp txn))
-    | _, (Txn.Validation_failed | Txn.Retry_exhausted) ->
-        Txn.evict_dirty txn;
-        attempt (tries + 1) outages
-    | _, Txn.Unavailable _ ->
-        Txn.evict_dirty txn;
-        outage_backoff outages;
-        attempt tries (outages + 1)
-    | exception Txn.Aborted msg ->
-        (* The transaction's own reads aborted: piggy-backed validation
-           caught a racing tip update, or a fetch hit an outage. *)
-        Txn.evict_dirty txn;
-        if outage_msg msg then begin
-          outage_backoff outages;
-          attempt tries (outages + 1)
-        end
-        else attempt (tries + 1) outages
+  let ((sid, _) as result), stamp =
+    Txn.run ~home:(Ops.home t.tree) ~blocking:true ~name:"scs.create_snapshot"
+      (Ops.cluster t.tree) (fun txn -> Ops.Linear.create_snapshot t.tree txn)
   in
-  let ((sid, _) as result), stamp = attempt 0 0 in
+  (* A snapshot creation always writes the tip objects, so its blocking
+     commit always carries a stamp. *)
+  let stamp = Option.get stamp in
   t.created <- t.created + 1;
   Obs.Counter.incr t.stats.Obs.scs_created;
   t.last <- Some result;
@@ -148,35 +117,31 @@ let request t =
     end
     else begin
       let tmp1 = t.num_snapshots in
-      Sim.Mutex.lock t.mutex;
-      let result =
-        if fresh_enough () then begin
-          t.stale_reused <- t.stale_reused + 1;
-          Obs.Counter.incr t.stats.Obs.scs_stale_reused;
-          (* Invariant: fresh_enough just proved t.last <> None. *)
-          Option.get t.last
-        end
-        else begin
-          let tmp2 = t.num_snapshots in
-          (* Fig. 7 line 4: if two or more snapshots completed while we
-             were waiting, the most recent one was created entirely
-             within our request window — borrow it. *)
-          if t.borrowing && tmp2 >= tmp1 + 2 then begin
-            t.borrowed <- t.borrowed + 1;
-            Obs.Counter.incr t.stats.Obs.scs_borrowed;
-            (* Invariant: tmp2 >= tmp1 + 2 means a snapshot completed,
-               so t.last was set by that completion. *)
+      Sim.Mutex.with_lock t.mutex (fun () ->
+          if fresh_enough () then begin
+            t.stale_reused <- t.stale_reused + 1;
+            Obs.Counter.incr t.stats.Obs.scs_stale_reused;
+            (* Invariant: fresh_enough just proved t.last <> None. *)
             Option.get t.last
           end
           else begin
-            let result = create_snapshot_now t in
-            t.num_snapshots <- t.num_snapshots + 1;
-            result
-          end
-        end
-      in
-      Sim.Mutex.unlock t.mutex;
-      result
+            let tmp2 = t.num_snapshots in
+            (* Fig. 7 line 4: if two or more snapshots completed while
+               we were waiting, the most recent one was created entirely
+               within our request window — borrow it. *)
+            if t.borrowing && tmp2 >= tmp1 + 2 then begin
+              t.borrowed <- t.borrowed + 1;
+              Obs.Counter.incr t.stats.Obs.scs_borrowed;
+              (* Invariant: tmp2 >= tmp1 + 2 means a snapshot completed,
+                 so t.last was set by that completion. *)
+              Option.get t.last
+            end
+            else begin
+              let result = create_snapshot_now t in
+              t.num_snapshots <- t.num_snapshots + 1;
+              result
+            end
+          end)
     end
   in
   (* Service → proxy reply. *)

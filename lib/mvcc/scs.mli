@@ -31,7 +31,12 @@ val create :
 val request : t -> int64 * Dyntxn.Objref.t
 (** Obtain a snapshot to run a query against: the id and root location
     of a read-only snapshot that reflects all transactions that
-    completed before this call started. Must run inside a simulation. *)
+    completed before this call started. Must run inside a simulation.
+    A creation commits through {!Dyntxn.Txn.run} with a blocking commit,
+    so an outage that outlasts its attempt budget raises
+    {!Dyntxn.Txn.Too_contended} and a creation whose commit outcome is
+    unknown raises {!Dyntxn.Txn.Ambiguous}. Either way the service's
+    lock is released and the next request starts afresh. *)
 
 val snapshots_created : t -> int
 (** Number of snapshots actually created (vs. borrowed/reused). *)

@@ -723,6 +723,72 @@ let test_txn_concurrent_increments () =
         (string_of_int (workers * per_worker))
         (Txn.read t r))
 
+(* ------------------------------------------------------------------ *)
+(* The shared retry loop (Txn.run)                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A body that aborts every attempt: the loop makes exactly 64 attempts,
+   then raises Too_contended naming the operation. *)
+let run_always_aborting ~blocking =
+  let attempts = ref 0 in
+  let outcome = ref "" in
+  let elapsed = ref 0.0 in
+  with_cluster (fun cluster ->
+      match
+        Txn.run ~blocking ~name:"probe" cluster (fun txn ->
+            incr attempts;
+            Txn.abort txn)
+      with
+      | (_ : unit * int64 option) -> Alcotest.fail "an always-aborting body committed"
+      | exception Txn.Too_contended msg ->
+          outcome := msg;
+          elapsed := Sim.now ());
+  (!attempts, !outcome, !elapsed)
+
+let test_run_blocking_budget () =
+  let attempts, msg, elapsed = run_always_aborting ~blocking:true in
+  check Alcotest.int "exactly 64 attempts" 64 attempts;
+  check Alcotest.string "names the operation" "probe: 64 attempts" msg;
+  (* A blocking transaction's locks were already waited for at the
+     memnode: contention retries at once. *)
+  check (Alcotest.float 0.0) "no backoff sleeps" 0.0 elapsed
+
+let test_run_nonblocking_backs_off () =
+  let attempts, msg, elapsed = run_always_aborting ~blocking:false in
+  check Alcotest.int "exactly 64 attempts" 64 attempts;
+  check Alcotest.string "names the operation" "probe: 64 attempts" msg;
+  check Alcotest.bool "jittered contention backoff" true (elapsed > 0.0)
+
+let test_run_outage_waits_for_recovery () =
+  (* Space 0 loses its primary and its backup (memnode 1), so a read of
+     it fails as an outage until memnode 0 is restored from the replica
+     memnode 1 still holds. The loop backs off on the millisecond scale
+     and the transaction commits once the space is back. *)
+  with_cluster (fun cluster ->
+      let r = slot 0 base in
+      let t0 = Txn.begin_ cluster in
+      Txn.write t0 r "before";
+      commit_ok t0;
+      Cluster.crash cluster 1;
+      Cluster.crash cluster 0;
+      Sim.spawn (fun () ->
+          Sim.delay 0.05;
+          match Cluster.try_recover cluster 0 with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "recovery: %s" (Cluster.recover_error_to_string e));
+      let attempts = ref 0 in
+      let v, stamp =
+        Txn.run ~name:"outage" cluster (fun txn ->
+            incr attempts;
+            let v = Txn.read txn r in
+            Txn.write txn r "after";
+            v)
+      in
+      check Alcotest.string "read the pre-outage value" "before" v;
+      check Alcotest.bool "write commit carries a stamp" true (stamp <> None);
+      check Alcotest.bool "retried through the outage" true (!attempts > 1);
+      check Alcotest.bool "waited for the recovery" true (Sim.now () >= 0.05))
+
 let () =
   Alcotest.run "dyntxn"
     [
@@ -782,6 +848,12 @@ let () =
           Alcotest.test_case "validate_replicated staleness" `Quick
             test_validate_replicated_catches_stale;
           Alcotest.test_case "read_with_seq" `Quick test_read_with_seq;
+        ] );
+      ( "retry-loop",
+        [
+          Alcotest.test_case "blocking gives up after 64 attempts" `Quick test_run_blocking_budget;
+          Alcotest.test_case "non-blocking backs off" `Quick test_run_nonblocking_backs_off;
+          Alcotest.test_case "outage waits for recovery" `Quick test_run_outage_waits_for_recovery;
         ] );
       ( "replicated",
         [

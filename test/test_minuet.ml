@@ -364,6 +364,73 @@ let test_enable_gc () =
       List.iter (fun (_, v) -> check Alcotest.string "latest round" "v4" v) all;
       Sim.stop ())
 
+(* Space 0 — home of every index's SCS and GC handle — loses its
+   primary and its backup (memnode 1): an outage that lasts until
+   [end_space0_outage] restores both from their replicas. *)
+let start_space0_outage db =
+  Minuet.Db.crash_host db 1;
+  Minuet.Db.crash_host db 0
+
+let end_space0_outage db =
+  List.iter
+    (fun host ->
+      match Minuet.Db.recover_host db host with
+      | Ok () -> ()
+      | Error e ->
+          Alcotest.failf "recover host %d: %s" host (Sinfonia.Cluster.recover_error_to_string e))
+    [ 0; 1 ]
+
+let test_scs_survives_failed_creation () =
+  (* A creation that gives up during a long outage must release the
+     service's lock: the next request, after the outage, gets a
+     snapshot. *)
+  Minuet.Harness.run ~until:120.0 ~config:small_config (fun db ->
+      let s = Minuet.Session.attach db in
+      for i = 0 to 9 do
+        Minuet.Session.put s (key i) "v0"
+      done;
+      start_space0_outage db;
+      (match Minuet.Session.snapshot s with
+      | (_ : Minuet.Session.snapshot) -> Alcotest.fail "snapshot created while its space was down"
+      | exception Btree.Ops.Too_contended _ -> ());
+      Sim.delay 5.0;
+      end_space0_outage db;
+      let snap = Minuet.Session.snapshot s in
+      Minuet.Session.put s (key 0) "v1";
+      check (Alcotest.option Alcotest.string) "snapshot after the outage" (Some "v0")
+        (Minuet.Session.get_at s snap (key 0)))
+
+let test_gc_survives_outage () =
+  (* GC rounds at t = 2, 4 and 6 s fall inside the outage: each gives up
+     and is skipped, the simulation keeps running, and rounds after the
+     recovery reclaim superseded versions again. *)
+  Minuet.Harness.run ~until:200.0 ~config:small_config (fun db ->
+      Minuet.Db.enable_gc ~interval:2.0 ~keep:1 db;
+      let s = Minuet.Session.attach db in
+      let generation round =
+        let (_ : Minuet.Session.snapshot) = Minuet.Session.snapshot s in
+        for i = 0 to 29 do
+          Minuet.Session.put s (key i) (Printf.sprintf "v%d" round)
+        done
+      in
+      generation 0;
+      generation 1;
+      Sim.delay (1.0 -. Sim.now ());
+      start_space0_outage db;
+      Sim.delay 6.0;
+      end_space0_outage db;
+      let reclaimed () = Obs.Counter.value (Obs.gc (Minuet.Db.obs db)).Obs.slots_reclaimed in
+      let before = reclaimed () in
+      for round = 2 to 4 do
+        generation round;
+        Sim.delay 3.0
+      done;
+      check Alcotest.bool "reclaims after the recovery" true (reclaimed () > before);
+      let all = Minuet.Session.scan s ~from:"" ~count:100 in
+      check Alcotest.int "tip intact" 30 (List.length all);
+      List.iter (fun (_, v) -> check Alcotest.string "latest round" "v4" v) all;
+      Sim.stop ())
+
 let test_deterministic_replay () =
   (* The whole distributed system is a pure function of the seed: two
      identical runs produce identical contents AND identical metrics. *)
@@ -510,6 +577,9 @@ let () =
       ( "resilience",
         [
           Alcotest.test_case "background gc" `Quick test_enable_gc;
+          Alcotest.test_case "gc survives an outage" `Quick test_gc_survives_outage;
+          Alcotest.test_case "scs survives a failed creation" `Quick
+            test_scs_survives_failed_creation;
           Alcotest.test_case "chaos" `Quick test_chaos_mixed_everything;
           Alcotest.test_case "failover" `Quick test_failover_during_workload;
           Alcotest.test_case "host arguments checked" `Quick test_host_arguments_checked;

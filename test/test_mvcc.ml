@@ -545,6 +545,90 @@ let test_branch_delete_first_of_two () =
       check (Alcotest.option Alcotest.string) "direct" (Some "direct")
         (Branching.get br ~at:0L (key 3)))
 
+(* Branches ever created in tree 0, read straight from memnode 0's heap
+   (the global sid counter), so it works while the memnode is down. *)
+let branches_created env =
+  let heap = Sinfonia.Memnode.store_heap (Sinfonia.Memnode.primary (Cluster.memnode env.cluster 0)) in
+  let slot =
+    Sinfonia.Heap.read heap ~off:(Layout.global_sid_off env.layout ~tree:0) ~len:Layout.slot_len_small
+  in
+  match Objref.payload_of_slot slot with
+  | "" -> 0L
+  | payload -> Codec.Dec.i64 (Codec.Dec.of_string payload)
+
+let test_branch_create_outage_budget () =
+  (* A one-memnode cluster whose only memnode is down: every attempt of
+     the blocking catalog transaction aborts on the outage, and the
+     shared loop gives up after exactly 64 of them. *)
+  with_branching ~n:1 (fun env br ->
+      let unavailable () =
+        Obs.Counter.value (Obs.mtx (Cluster.obs env.cluster)).Obs.mtx_unavailable
+      in
+      Cluster.crash env.cluster 0;
+      let before = unavailable () in
+      (match Branching.create_branch br ~from:0L with
+      | (_ : int64) -> Alcotest.fail "branch created on a crashed cluster"
+      | exception Ops.Too_contended msg ->
+          check Alcotest.string "budget" "Branching.create_branch: 64 attempts" msg);
+      check Alcotest.int "one aborted fetch per attempt" 64 (unavailable () - before))
+
+(* Run one branch creation on a one-memnode cluster, whose catalog
+   commit is therefore a single-memnode (1PC) minitransaction. With
+   [crash_from], memnode 0 crashes at the first instant after that time
+   that it is serving a request, and the crasher records the commit
+   decision for the transaction in flight. Returns the creation's
+   outcome, the start time of the last commit span, and the branches
+   created. *)
+let create_branch_with_crash ~crash_from =
+  let result = ref (`Created 0L, 0.0, 0L) in
+  with_branching ~n:1 (fun env br ->
+      Branching.put br (key 1) "base";
+      let obs = Cluster.obs env.cluster in
+      Obs.clear_spans obs;
+      (match crash_from with
+      | None -> ()
+      | Some at ->
+          Sim.spawn (fun () ->
+              Sim.delay (at -. Sim.now ());
+              let store = Sinfonia.Memnode.primary (Cluster.memnode env.cluster 0) in
+              while Sinfonia.Memnode.store_serving store = 0 do
+                Sim.delay 1e-7
+              done;
+              Cluster.crash env.cluster 0;
+              let tid = Int64.pred (Cluster.owner_watermark env.cluster) in
+              let (_ : [ `Apply | `Skip ]) =
+                Sinfonia.Redo_log.decide_commit (Cluster.redo_log env.cluster 0) ~tid
+                  ~stamp:(Cluster.take_stamp env.cluster)
+              in
+              ()));
+      let outcome =
+        match Branching.create_branch br ~from:0L with
+        | sid -> `Created sid
+        | exception Ops.Ambiguous _ -> `Ambiguous
+      in
+      let commit_start =
+        List.fold_left
+          (fun acc (sp : Obs.Span.info) -> if sp.kind = Obs.Span.Commit then sp.start else acc)
+          0.0 (Obs.spans obs)
+      in
+      result := (outcome, commit_start, branches_created env));
+  !result
+
+let test_branch_create_maybe_applied_not_retried () =
+  (* The coordinator logs a 1PC commit decision and replies with no
+     yield in between, so no crash timing alone leaves a commit's
+     outcome unknown. The crasher therefore records the decision itself,
+     as a crash just after the decision would leave the log; the
+     coordinator then reports Unavailable {maybe_applied = true}. The
+     loop must raise Ambiguous and never retry: a retry after a landed
+     commit would give [from] a second, untraced branch. *)
+  let outcome, commit_start, created = create_branch_with_crash ~crash_from:None in
+  check Alcotest.bool "crash-free creation" true (outcome = `Created 1L);
+  check Alcotest.int64 "one branch" 1L created;
+  let outcome, _, created = create_branch_with_crash ~crash_from:(Some commit_start) in
+  check Alcotest.bool "unknown outcome raises Ambiguous" true (outcome = `Ambiguous);
+  check Alcotest.bool "from gains at most one child" true (Int64.compare created 1L <= 0)
+
 let test_branch_gc_reclaims_deleted () =
   with_branching ~beta:2 (fun env br ->
       for i = 0 to 29 do
@@ -673,5 +757,9 @@ let () =
           Alcotest.test_case "delete first of two" `Quick test_branch_delete_first_of_two;
           Alcotest.test_case "gc reclaims deleted" `Quick test_branch_gc_reclaims_deleted;
           Alcotest.test_case "gc concurrent safe" `Quick test_branch_gc_concurrent_updates_safe;
+          Alcotest.test_case "create gives up after 64 attempts" `Quick
+            test_branch_create_outage_budget;
+          Alcotest.test_case "maybe-applied create not retried" `Quick
+            test_branch_create_maybe_applied_not_retried;
         ] );
     ]
