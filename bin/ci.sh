@@ -157,6 +157,16 @@ echo "== branching chaos (writable clones, version tree) =="
 dune exec bin/minuet_bench.exe -- chaos --seed 7 --duration 1 --branching
 dune exec bin/minuet_bench.exe -- chaos --seed 42 --duration 1 --branching
 
+echo "== staleness-bound chaos (SCS reuse window) =="
+# A staleness-bounded SCS (k = 20 ms) under the default fault storm: a
+# snapshot may be reused for k seconds from when its creation started,
+# never from when a creation slowed by lock waits or replica lag
+# finished. Seeds 5 and 10 failed the checker when the window counted
+# from completion.
+for seed in 5 10; do
+  dune exec bin/minuet_bench.exe -- chaos --seed "$seed" --duration 0.3 --scs-k 0.02
+done
+
 echo "== chaos checker catches broken branch isolation =="
 # With copy-on-write sharing deliberately broken, writes leak into
 # frozen ancestor versions; the branching chaos run must FAIL.

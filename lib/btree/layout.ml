@@ -8,6 +8,14 @@ type t = {
 
 let slot_len_small = 64
 
+let encode_i64 v =
+  let e = Codec.Enc.create ~initial_size:8 () in
+  Codec.Enc.i64 e v;
+  Codec.Enc.to_string e
+
+(* A never-written slot reads back empty. *)
+let decode_i64 s = if String.length s = 0 then 0L else Codec.Dec.i64 (Codec.Dec.of_string s)
+
 let catalog_entry_len = 128
 
 let seq_entry_len = 16

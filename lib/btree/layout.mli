@@ -46,6 +46,14 @@ val heap_capacity_needed : t -> int
 val slot_len_small : int
 (** Slot size used for metadata objects (64 bytes). *)
 
+val encode_i64 : int64 -> string
+(** Payload of a small slot holding one int64 (a snapshot id, a
+    counter, an allocation pointer). *)
+
+val decode_i64 : string -> int64
+(** Inverse of {!encode_i64}; an empty (never-written) slot reads as
+    0. *)
+
 val tip_id_off : t -> tree:int -> int
 (** Tip snapshot id for a tree (payload: i64 sid). *)
 

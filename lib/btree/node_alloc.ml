@@ -35,13 +35,6 @@ let create ?(chunk = 64) ?(first_node = 0) ~cluster ~layout ~shared () =
     next_node = first_node mod n;
   }
 
-let encode_i64 v =
-  let e = Codec.Enc.create ~initial_size:8 () in
-  Codec.Enc.i64 e v;
-  Codec.Enc.to_string e
-
-let decode_i64 s = if String.length s = 0 then 0L else Codec.Dec.i64 (Codec.Dec.of_string s)
-
 let alloc_ptr_ref t ~node =
   Objref.make
     ~addr:(Address.make ~node ~off:(Layout.alloc_ptr_off t.layout))
@@ -53,7 +46,7 @@ let reserve_chunk t ~node =
   let rec attempt tries =
     if tries > 64 then raise (Out_of_slots node);
     let txn = Txn.begin_ t.cluster ~home:node in
-    let next = Int64.to_int (decode_i64 (Txn.read txn (alloc_ptr_ref t ~node))) in
+    let next = Int64.to_int (Layout.decode_i64 (Txn.read txn (alloc_ptr_ref t ~node))) in
     if next >= t.layout.Layout.max_slots then begin
       (* Nothing left to extend; rely on the free list. The read-only
          commit's outcome cannot change that, but match it exhaustively
@@ -65,7 +58,7 @@ let reserve_chunk t ~node =
     end
     else begin
       let take = min t.chunk (t.layout.Layout.max_slots - next) in
-      Txn.write txn (alloc_ptr_ref t ~node) (encode_i64 (Int64.of_int (next + take)));
+      Txn.write txn (alloc_ptr_ref t ~node) (Layout.encode_i64 (Int64.of_int (next + take)));
       match Txn.commit txn with
       | Txn.Committed ->
           for i = next to next + take - 1 do

@@ -705,13 +705,6 @@ let multi_put triples ~vctx_of =
 (* -------------------------------------------------------------------- *)
 
 module Linear = struct
-  let encode_sid sid =
-    let e = Codec.Enc.create ~initial_size:8 () in
-    Codec.Enc.i64 e sid;
-    Codec.Enc.to_string e
-
-  let decode_sid s = if String.length s = 0 then 0L else Codec.Dec.i64 (Codec.Dec.of_string s)
-
   let encode_ref r =
     let e = Codec.Enc.create ~initial_size:16 () in
     Objref.encode e r;
@@ -735,12 +728,14 @@ module Linear = struct
     { old_descendants = [| snap |]; discretionary = [] }
 
   let read_tip tree txn =
-    let sid = decode_sid (Txn.dirty_read_replicated txn ~off:(tip_id_off tree) ~len:slot_len) in
+    let sid =
+      Layout.decode_i64 (Txn.dirty_read_replicated txn ~off:(tip_id_off tree) ~len:slot_len)
+    in
     let root = decode_ref (Txn.dirty_read_replicated txn ~off:(tip_root_off tree) ~len:slot_len) in
     (sid, root)
 
   let tip tree txn =
-    let sid = decode_sid (Txn.read_replicated txn ~off:(tip_id_off tree) ~len:slot_len) in
+    let sid = Layout.decode_i64 (Txn.read_replicated txn ~off:(tip_id_off tree) ~len:slot_len) in
     let root = decode_ref (Txn.read_replicated txn ~off:(tip_root_off tree) ~len:slot_len) in
     {
       snap = sid;
@@ -767,13 +762,13 @@ module Linear = struct
     fst
       (Txn.run ~home:tree.home ~name:"init_tree" tree.cluster (fun txn ->
            write_node tree txn root_ptr (Bnode.empty_root ~snap:0L);
-           Txn.write_replicated txn ~off:(tip_id_off tree) ~len:slot_len (encode_sid 0L);
+           Txn.write_replicated txn ~off:(tip_id_off tree) ~len:slot_len (Layout.encode_i64 0L);
            Txn.write_replicated txn ~off:(tip_root_off tree) ~len:slot_len (encode_ref root_ptr)))
 
   (* Fig. 6. The snapshot becomes real when the caller commits the
      transaction (the SCS uses a blocking commit, Sec. 4.1). *)
   let create_snapshot tree txn =
-    let sid = decode_sid (Txn.read_replicated txn ~off:(tip_id_off tree) ~len:slot_len) in
+    let sid = Layout.decode_i64 (Txn.read_replicated txn ~off:(tip_id_off tree) ~len:slot_len) in
     let root_loc = decode_ref (Txn.read_replicated txn ~off:(tip_root_off tree) ~len:slot_len) in
     let new_tip = Int64.add sid 1L in
     (* Copy the root eagerly so the new tip's root address is fixed for
@@ -784,7 +779,7 @@ module Linear = struct
     (* Mark the old root as copied so stale traversals abort, and so the
        GC can eventually collect it. *)
     write_node tree txn root_loc (Bnode.add_descendant root_node new_tip);
-    Txn.write_replicated txn ~off:(tip_id_off tree) ~len:slot_len (encode_sid new_tip);
+    Txn.write_replicated txn ~off:(tip_id_off tree) ~len:slot_len (Layout.encode_i64 new_tip);
     Txn.write_replicated txn ~off:(tip_root_off tree) ~len:slot_len (encode_ref new_root_ptr);
     Obs.Counter.incr tree.stats.Obs.snapshots_created;
     (sid, root_loc)

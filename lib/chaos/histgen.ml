@@ -53,7 +53,8 @@ let default =
 type result = {
   gen_events : int;
   gen_creations : (int * (int64 * int64) list) list;
-      (** Snapshot creation log, as [Check.Stream.Config.t]'s [creations]. *)
+      (** Snapshot creation log per index, as [(sid, stamp)] pairs for
+          {!Check.Stream.add_creation}. *)
   gen_final : (int * (string * string) list) list;
       (** Final ground-truth entries (linear mode only). *)
 }

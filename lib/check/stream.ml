@@ -7,37 +7,9 @@ module I64map = Map.Make (Int64)
 (* -------------------------------------------------------------------- *)
 
 module Config = struct
-  type t = {
-    strict_scs : bool;
-    scs_staleness : float option;
-    creations : (int * (int64 * int64) list) list;
-    final : (int * (string * string) list) list;
-    twopc : (int * int64 * [ `Committed | `Aborted ]) list;
-    in_doubt : int;
-    reorder_window : int;
-    max_frozen : int;
-    max_deferred : int;
-    workers : int;
-  }
+  type t = { scs_staleness : float option; reorder_window : int }
 
-  let default =
-    {
-      strict_scs = true;
-      scs_staleness = None;
-      creations = [];
-      final = [];
-      twopc = [];
-      in_doubt = 0;
-      reorder_window = 4096;
-      max_frozen = 1024;
-      max_deferred = 65536;
-      workers = 1;
-    }
-
-  let scs_slack t =
-    match t.scs_staleness with
-    | Some s -> Some s
-    | None -> if t.strict_scs then Some 0.0 else None
+  let default = { scs_staleness = None; reorder_window = 4096 }
 end
 
 (* -------------------------------------------------------------------- *)
@@ -118,6 +90,14 @@ let max_candidates_per_key = 8
 let max_candidates_total = 64
 
 let max_pending = 256
+
+(* Frozen snapshot states retained per index; the oldest is evicted
+   first, turning its late reads inconclusive. *)
+let max_frozen = 1024
+
+(* Reads parked per index awaiting their snapshot's freeze, a branch
+   epoch verdict or the end of the stream. *)
+let max_deferred = 65536
 
 (* A sequential map model plus its ambiguity bookkeeping: the linear
    model of an index, or one version of a branching index. *)
@@ -561,9 +541,9 @@ let check_snapshot_read sh ev m sid =
    model (persistent maps), and the live table is bounded: the oldest
    frozen snapshot is evicted first, turning its late reads
    inconclusive rather than growing without bound. *)
-let freeze_snapshot cfg sh sid =
+let freeze_snapshot sh sid =
   sh.s_frozen <- I64map.add sid sh.s_realm.r_model sh.s_frozen;
-  if I64map.cardinal sh.s_frozen > cfg.Config.max_frozen then begin
+  if I64map.cardinal sh.s_frozen > max_frozen then begin
     let oldest, _ = I64map.min_binding sh.s_frozen in
     sh.s_frozen <- I64map.remove oldest sh.s_frozen
   end;
@@ -576,12 +556,12 @@ let freeze_snapshot cfg sh sid =
 
 (* Freeze every snapshot whose creation stamp lies strictly below the
    commit stamp about to be applied. *)
-let run_freezes cfg sh ~below =
+let run_freezes sh ~below =
   let rec go () =
     match sh.s_pending_creations with
     | (cstamp, sid) :: rest when Int64.compare cstamp below < 0 ->
         sh.s_pending_creations <- rest;
-        freeze_snapshot cfg sh sid;
+        freeze_snapshot sh sid;
         go ()
     | _ -> ()
   in
@@ -589,7 +569,7 @@ let run_freezes cfg sh ~below =
 
 let creation_pending sh sid = List.exists (fun (_, s) -> Int64.equal s sid) sh.s_pending_creations
 
-let snapshot_read cfg sh ev sid =
+let snapshot_read sh ev sid =
   match I64map.find_opt sid sh.s_frozen with
   | Some m -> check_snapshot_read sh ev m sid
   | None ->
@@ -599,7 +579,7 @@ let snapshot_read cfg sh ev sid =
           sid
       end
       else if creation_pending sh sid then
-        if sh.s_ndeferred >= cfg.Config.max_deferred then
+        if sh.s_ndeferred >= max_deferred then
           inconclusive sh "index %d: deferred-read budget exhausted; snapshot read at sid %Ld unchecked"
             sh.s_idx sid
         else begin
@@ -881,8 +861,8 @@ let apply_branch_read sh ev at =
    refreeze can still sit in the reorder buffer ahead of us. The read
    resolves as soon as the applied-stamp horizon proves which epoch it
    ran inside (usually within one reorder window). *)
-let defer_branch_read cfg sh ev at =
-  if sh.s_ndeferred >= cfg.Config.max_deferred then
+let defer_branch_read sh ev at =
+  if sh.s_ndeferred >= max_deferred then
     inconclusive sh "index %d: deferred-read budget exhausted; branch read at version %Ld unchecked"
       sh.s_idx at
   else begin
@@ -958,9 +938,9 @@ let check_history_chain sh ev ~from results =
 (* Apply one stamped event in commit-stamp order: freeze snapshots whose
    creation stamps have passed, enforce real-time order, sweep open SCS
    checks, then replay the operation against its model. *)
-let shard_apply cfg sh ev =
+let shard_apply ~slack sh ev =
   let stamp = Option.get ev.Event.stamp in
-  run_freezes cfg sh ~below:stamp;
+  run_freezes sh ~below:stamp;
   sh.s_ops <- sh.s_ops + 1;
   (* Real-time order, O(1): events apply in stamp order, so a violation
      pairs this event with an already-applied one that was invoked
@@ -980,7 +960,7 @@ let shard_apply cfg sh ev =
     sh.s_max_invoked <- ev.Event.invoked_at;
     sh.s_max_invoked_ev <- Some ev
   end;
-  (match Config.scs_slack cfg with Some slack -> scs_sweep sh ev slack | None -> ());
+  scs_sweep sh ev slack;
   sh.s_ring.(sh.s_ring_pos) <- (stamp, ev.Event.invoked_at, ev.Event.returned_at);
   sh.s_ring_pos <- (sh.s_ring_pos + 1) mod ring_size;
   sh.s_applied <- sh.s_applied + 1;
@@ -988,13 +968,13 @@ let shard_apply cfg sh ev =
   (match ev.Event.op with
   | Event.Get { key; result } -> (
       match ev.Event.sid with
-      | Some sid -> snapshot_read cfg sh ev sid
+      | Some sid -> snapshot_read sh ev sid
       | None -> apply_get sh sh.s_realm ev key result)
   | Event.Put { key; value } -> apply_put sh sh.s_realm ev key value
   | Event.Remove { key; removed } -> apply_remove sh sh.s_realm ev key removed
   | Event.Scan { from; count; result } -> (
       match ev.Event.sid with
-      | Some sid -> snapshot_read cfg sh ev sid
+      | Some sid -> snapshot_read sh ev sid
       | None -> apply_scan sh sh.s_realm ev from count result)
   | Event.Snapshot_taken -> ()
   | Event.Branch_created { parent; sid } -> apply_branch_created sh ev ~parent ~sid
@@ -1017,7 +997,7 @@ let shard_apply cfg sh ev =
 (* Events without a commit stamp: ambiguity candidates, snapshot and
    branch reads serialized by their version, SCS grants — or up-to-date
    operations that should have carried one. *)
-let shard_unstamped cfg sh ev =
+let shard_unstamped ~slack sh ev =
   if ev.Event.ambiguous then (
     match ev.Event.op with
     | Event.Put { key; value } -> add_candidate sh sh.s_realm ev key (Some value)
@@ -1032,24 +1012,19 @@ let shard_unstamped cfg sh ev =
     | Event.Snapshot_taken -> (
         match ev.Event.sid with
         | None -> violate sh ~event:ev "snapshot request event carries no sid"
-        | Some sid -> (
-            match Config.scs_slack cfg with
-            | Some slack -> scs_register sh ev sid slack
-            | None ->
-                if not (Hashtbl.mem sh.s_creation_log sid) then
-                  violate sh ~event:ev "granted snapshot sid %Ld has no creation record" sid))
+        | Some sid -> scs_register sh ev sid slack)
     | Event.Get _ | Event.Scan _ when ev.Event.sid <> None ->
-        snapshot_read cfg sh ev (Option.get ev.Event.sid)
+        snapshot_read sh ev (Option.get ev.Event.sid)
     | Event.Get _ | Event.Put _ | Event.Remove _ | Event.Scan _ ->
         violate sh ~event:ev ?key:(op_key ev) "up-to-date operation carries no commit stamp"
-    | Event.Branch_get { at; _ } | Event.Branch_scan { at; _ } -> defer_branch_read cfg sh ev at
+    | Event.Branch_get { at; _ } | Event.Branch_scan { at; _ } -> defer_branch_read sh ev at
     | Event.Branch_created _ | Event.Branch_deleted _ | Event.Branch_put _
     | Event.Branch_remove _ ->
         violate sh ~event:ev ?key:(op_key ev) "catalog/branch operation carries no commit stamp"
     | Event.Get_many _ | Event.History _ ->
         (* Dirty multi-version query: judged at finish, when every
            referenced version has reached its final state. *)
-        if sh.s_ndeferred >= cfg.Config.max_deferred then
+        if sh.s_ndeferred >= max_deferred then
           inconclusive sh "index %d: deferred-read budget exhausted; multi-version query unchecked"
             sh.s_idx
         else begin
@@ -1060,8 +1035,8 @@ let shard_unstamped cfg sh ev =
 (* End-of-stream resolution for one shard: freeze the remaining
    creations, drain every deferred read, settle pending mismatches and
    run the final audit. *)
-let shard_finish cfg sh ~final =
-  List.iter (fun (_, sid) -> freeze_snapshot cfg sh sid) sh.s_pending_creations;
+let shard_finish sh ~final =
+  List.iter (fun (_, sid) -> freeze_snapshot sh sid) sh.s_pending_creations;
   sh.s_pending_creations <- [];
   I64map.iter
     (fun sid reads ->
@@ -1144,84 +1119,14 @@ let shard_finish cfg sh ~final =
 (* The stream                                                            *)
 (* -------------------------------------------------------------------- *)
 
-(* Parallel model shards: each worker domain owns the shards of the
-   indexes assigned to it (all versions of a branching index live with
-   their index, so [Branch_created] forks hand off within one worker)
-   and consumes a FIFO of shard operations. The per-shard operation
-   sequence is identical to the single-threaded order, so verdicts are
-   deterministic regardless of domain scheduling. *)
-type wmsg =
-  | W_apply of Event.t
-  | W_unstamped of Event.t
-  | W_creation of int * int64 * int64
-
-type worker = {
-  w_queue : wmsg Queue.t;
-  w_mutex : Mutex.t;
-  w_nonempty : Condition.t;
-  w_nonfull : Condition.t;
-  mutable w_closed : bool;
-  mutable w_domain : (int, shard) Hashtbl.t Domain.t option;
-}
-
-let queue_cap = 8192
-
-let worker_push w msg =
-  Mutex.lock w.w_mutex;
-  while Queue.length w.w_queue >= queue_cap do
-    Condition.wait w.w_nonfull w.w_mutex
-  done;
-  Queue.push msg w.w_queue;
-  Condition.signal w.w_nonempty;
-  Mutex.unlock w.w_mutex
-
-let worker_close w =
-  Mutex.lock w.w_mutex;
-  w.w_closed <- true;
-  Condition.signal w.w_nonempty;
-  Mutex.unlock w.w_mutex
-
-let worker_loop cfg w () =
-  let shards : (int, shard) Hashtbl.t = Hashtbl.create 8 in
-  let ensure idx =
-    match Hashtbl.find_opt shards idx with
-    | Some sh -> sh
-    | None ->
-        let sh = shard_create idx in
-        Hashtbl.replace shards idx sh;
-        sh
-  in
-  let rec drain () =
-    Mutex.lock w.w_mutex;
-    while Queue.is_empty w.w_queue && not w.w_closed do
-      Condition.wait w.w_nonempty w.w_mutex
-    done;
-    let msg = if Queue.is_empty w.w_queue then None else Some (Queue.pop w.w_queue) in
-    Condition.signal w.w_nonfull;
-    Mutex.unlock w.w_mutex;
-    match msg with
-    | None -> shards
-    | Some (W_apply ev) ->
-        shard_apply cfg (ensure ev.Event.index) ev;
-        drain ()
-    | Some (W_unstamped ev) ->
-        shard_unstamped cfg (ensure ev.Event.index) ev;
-        drain ()
-    | Some (W_creation (idx, sid, stamp)) ->
-        add_creation_shard (ensure idx) ~sid ~stamp;
-        drain ()
-  in
-  drain ()
-
 type t = {
-  cfg : Config.t;
+  slack : float; (* SCS staleness bound; 0 is strict *)
+  reorder_window : int;
   mutable buffer : Event.t I64map.t; (* stamped events awaiting application *)
   mutable buffered : int;
   mutable watermark : int64; (* highest applied stamp *)
-  shards : (int, shard) Hashtbl.t; (* single-threaded path *)
-  workers : worker array; (* parallel path; empty when cfg.workers <= 1 *)
+  shards : (int, shard) Hashtbl.t;
   mutable global_violations : violation list; (* newest first *)
-  mutable global_inconclusive : string list; (* newest first *)
   mutable fed : int;
   mutable finished : bool;
 }
@@ -1241,58 +1146,27 @@ let ensure_shard t idx =
       Hashtbl.replace t.shards idx sh;
       sh
 
-let dispatch t idx msg =
-  if Array.length t.workers = 0 then (
-    let sh = ensure_shard t idx in
-    match msg with
-    | W_apply ev -> shard_apply t.cfg sh ev
-    | W_unstamped ev -> shard_unstamped t.cfg sh ev
-    | W_creation (_, sid, stamp) -> add_creation_shard sh ~sid ~stamp)
-  else worker_push t.workers.(idx mod Array.length t.workers) msg
+let add_creation t ~index ~sid ~stamp = add_creation_shard (ensure_shard t index) ~sid ~stamp
 
-let add_creation t ~index ~sid ~stamp = dispatch t index (W_creation (index, sid, stamp))
-
-let create cfg =
-  let nworkers = max 1 cfg.Config.workers in
-  let workers =
-    if nworkers <= 1 then [||]
-    else
-      Array.init nworkers (fun _ ->
-          {
-            w_queue = Queue.create ();
-            w_mutex = Mutex.create ();
-            w_nonempty = Condition.create ();
-            w_nonfull = Condition.create ();
-            w_closed = false;
-            w_domain = None;
-          })
-  in
-  Array.iter (fun w -> w.w_domain <- Some (Domain.spawn (worker_loop cfg w))) workers;
-  let t =
-    {
-      cfg;
-      buffer = I64map.empty;
-      buffered = 0;
-      watermark = Int64.min_int;
-      shards = Hashtbl.create 8;
-      workers;
-      global_violations = [];
-      global_inconclusive = [];
-      fed = 0;
-      finished = false;
-    }
-  in
-  List.iter
-    (fun (index, log) -> List.iter (fun (sid, stamp) -> add_creation t ~index ~sid ~stamp) log)
-    cfg.Config.creations;
-  t
+let create (cfg : Config.t) =
+  {
+    slack = Option.value cfg.scs_staleness ~default:0.0;
+    reorder_window = cfg.reorder_window;
+    buffer = I64map.empty;
+    buffered = 0;
+    watermark = Int64.min_int;
+    shards = Hashtbl.create 8;
+    global_violations = [];
+    fed = 0;
+    finished = false;
+  }
 
 let apply_min t =
   let stamp, ev = I64map.min_binding t.buffer in
   t.buffer <- I64map.remove stamp t.buffer;
   t.buffered <- t.buffered - 1;
   t.watermark <- stamp;
-  dispatch t ev.Event.index (W_apply ev)
+  shard_apply ~slack:t.slack (ensure_shard t ev.Event.index) ev
 
 (* Feed one event, in any order consistent with its arrival: stamped
    events are re-sequenced into commit-stamp order through a bounded
@@ -1304,12 +1178,7 @@ let feed t ev =
   if t.finished then invalid_arg "Check.Stream.feed: stream already finished";
   t.fed <- t.fed + 1;
   match ev.Event.stamp with
-  | Some _ when ev.Event.ambiguous ->
-      (* Ambiguous ops never carry a stamp; be safe and treat the event
-         as unstamped so its candidate is still registered. *)
-      dispatch t ev.Event.index (W_unstamped ev)
-  | None -> dispatch t ev.Event.index (W_unstamped ev)
-  | Some stamp ->
+  | Some stamp when not ev.Event.ambiguous ->
       if I64map.mem stamp t.buffer then global_violate t "duplicate commit stamp %Ld" stamp
       else if Int64.compare stamp t.watermark <= 0 then
         global_violate t
@@ -1319,37 +1188,25 @@ let feed t ev =
       else begin
         t.buffer <- I64map.add stamp ev t.buffer;
         t.buffered <- t.buffered + 1;
-        while t.buffered > t.cfg.Config.reorder_window do
+        while t.buffered > t.reorder_window do
           apply_min t
         done
       end
+  | Some _ | None ->
+      (* Ambiguous ops never carry a stamp; be safe and treat a stamped
+         one as unstamped so its candidate is still registered. *)
+      shard_unstamped ~slack:t.slack (ensure_shard t ev.Event.index) ev
 
 let fed t = t.fed
 
-let finish ?final ?twopc ?in_doubt t =
+let finish ?(final = []) ?(twopc = []) ?(in_doubt = 0) t =
   if t.finished then invalid_arg "Check.Stream.finish: stream already finished";
   t.finished <- true;
-  let final = Option.value final ~default:t.cfg.Config.final in
-  let twopc = Option.value twopc ~default:t.cfg.Config.twopc in
-  let in_doubt = Option.value in_doubt ~default:t.cfg.Config.in_doubt in
   while t.buffered > 0 do
     apply_min t
   done;
-  let shards =
-    if Array.length t.workers = 0 then t.shards
-    else begin
-      Array.iter worker_close t.workers;
-      let merged = Hashtbl.create 8 in
-      Array.iter
-        (fun w ->
-          let shards = Domain.join (Option.get w.w_domain) in
-          Sim.Det.iter_sorted shards ~cmp:compare (fun idx sh -> Hashtbl.replace merged idx sh))
-        t.workers;
-      merged
-    end
-  in
-  let ordered = Sim.Det.sorted_bindings shards ~cmp:compare in
-  List.iter (fun (_, sh) -> shard_finish t.cfg sh ~final) ordered;
+  let ordered = Sim.Det.sorted_bindings t.shards ~cmp:compare in
+  List.iter (fun (_, sh) -> shard_finish sh ~final) ordered;
   (* 2PC atomicity: the participants' redo logs must agree on every
      transaction's fate — a tid committed at one address space and
      aborted at another is a torn transaction. The same tid carrying
@@ -1399,7 +1256,6 @@ let finish ?final ?twopc ?in_doubt t =
   in
   let inconclusive =
     List.concat_map (fun (_, sh) -> List.rev sh.s_inconclusive) ordered
-    @ List.rev t.global_inconclusive
   in
   let sum f = List.fold_left (fun acc (_, sh) -> acc + f sh) 0 ordered in
   {

@@ -13,9 +13,10 @@
     equivalent serial order; any divergence between an observed result
     and the model is a serializability violation. Events may be fed in
     any arrival order: a bounded reorder buffer
-    ({!Config.t.reorder_window}) re-sequences them by stamp, and a
-    stamp at or below the applied watermark is itself reported (the
-    run's in-flight concurrency bounds the needed window).
+    ({!Config.t.reorder_window}, 4096 by default) re-sequences them by
+    stamp, and a stamp at or below the applied watermark is itself
+    reported (the run's in-flight concurrency bounds the needed
+    window).
 
     {b Strictness} is checked in O(1) per event: a violation exists iff
     some operation's stamp is below that of an operation invoked after
@@ -25,10 +26,11 @@
     {b Snapshots.} A read at snapshot [sid] must observe exactly the
     frozen prefix — the model state after the last commit stamped below
     [sid]'s creation stamp. The stream freezes a persistent-map copy of
-    the model when the replay crosses a creation stamp and evicts the
-    oldest frozen snapshots beyond {!Config.t.max_frozen}; reads that
-    arrive before their snapshot freezes are deferred (bounded by
-    {!Config.t.max_deferred}).
+    the model when the replay crosses a creation stamp and keeps at
+    most 1024 frozen states per index, evicting the oldest first (a
+    read against an evicted snapshot is reported inconclusive); reads
+    that arrive before their snapshot freezes are deferred, at most
+    65536 per index.
 
     {b Branches} (Sec. 5): each version id gets its own model realm,
     forked from its parent's at {!Minuet.Session.Event.Branch_created};
@@ -40,49 +42,20 @@
     ([Get_many], [History]) are checked against every version's realm,
     and [History] additionally against the recorded parent chain.
 
-    {b Sharding.} Indexes are independent serialization domains, so
-    with [workers > 1] shards are distributed over worker domains by
-    index; each shard still consumes its operations in a single
-    deterministic order, so the verdict does not depend on domain
-    scheduling. *)
+    Indexes are independent serialization domains: each gets its own
+    shard of models and budgets, all checked in the caller's domain. *)
 
 module Event = Minuet.Session.Event
 
 module Config : sig
   type t = {
-    strict_scs : bool;
-        (** A granted snapshot must reflect every commit that completed
-            before the request started (disable for staleness-bound
-            SCS configs). Default [true]. *)
     scs_staleness : float option;
-        (** Time-bound variant: the snapshot may miss commits completed
-            within the last [scs_staleness] seconds, nothing older.
-            Takes precedence over [strict_scs]. Default [None]. *)
-    creations : (int * (int64 * int64) list) list;
-        (** Per-index snapshot creation logs ([(sid, stamp)] pairs, any
-            order) known up front; more can arrive incrementally via
-            {!add_creation}. *)
-    final : (int * (string * string) list) list;
-        (** Per-index post-run audits of the surviving tip entries. *)
-    twopc : (int * int64 * [ `Committed | `Aborted ]) list;
-        (** Every address space's redo-log decision records
-            ({!Sinfonia.Cluster.redo_decisions}). *)
-    in_doubt : int;
-        (** Transactions still undecided when the run quiesced; any
-            nonzero value is a violation. *)
+        (** SCS staleness bound k: a granted snapshot must reflect every
+            commit that returned more than [k] seconds before the
+            request started. [None] is strict (k = 0). Default [None]. *)
     reorder_window : int;
-        (** Stamped events buffered before the lowest is applied.
-            Default 4096. *)
-    max_frozen : int;
-        (** Frozen snapshot states retained per index; oldest evicted
-            first (reads against evicted snapshots report
-            inconclusive). Default 1024. *)
-    max_deferred : int;
-        (** Reads parked awaiting their snapshot's freeze, per index.
-            Default 65536. *)
-    workers : int;
-        (** Worker domains to shard indexes over; [<= 1] checks
-            in-process. Default 1. *)
+        (** Stamped events buffered before the lowest is applied; must
+            exceed the run's in-flight concurrency. Default 4096. *)
   }
 
   val default : t
@@ -120,8 +93,8 @@ val pp_verdict : Format.formatter -> verdict -> unit
 (** Deterministic rendering: same history, same output. *)
 
 type t
-(** A live checking stream. Not thread-safe: feed from one domain
-    (worker parallelism is internal). *)
+(** A live checking stream. Not thread-safe: feed it from one domain;
+    every check runs in the caller's domain. *)
 
 val create : Config.t -> t
 
@@ -129,9 +102,9 @@ val feed : t -> Event.t -> unit
 (** Consume one event. Raises [Invalid_argument] after {!finish}. *)
 
 val add_creation : t -> index:int -> sid:int64 -> stamp:int64 -> unit
-(** Register a snapshot creation observed mid-run (e.g. from
-    {!Mvcc.Scs.set_on_create}); equivalent to listing it in
-    {!Config.t.creations} up front. *)
+(** Register a snapshot creation ([sid] froze at commit stamp
+    [stamp]), up front or as it happens (e.g. from
+    {!Mvcc.Scs.set_on_create}). *)
 
 val fed : t -> int
 (** Events fed so far. *)
@@ -143,6 +116,13 @@ val finish : ?final:(int * (string * string) list) list ->
              verdict
 (** Drain the reorder buffer, resolve end-of-stream obligations
     (deferred snapshot and branch reads, pending ambiguous reads,
-    final audits) and assemble the verdict. The optional arguments
-    override their {!Config.t} counterparts for data only known at the
-    end of the run. The stream cannot be used afterwards. *)
+    final audits) and assemble the verdict. The stream cannot be used
+    afterwards.
+
+    The optional arguments carry data only known at the end of the
+    run: [final] is the per-index post-run audit of the surviving tip
+    entries (default none); [twopc] is every address space's redo-log
+    decision records ({!Sinfonia.Cluster.redo_decisions}), cross-checked
+    for 2PC atomicity (default none); [in_doubt] counts transactions
+    still undecided when the run quiesced, and any nonzero value is a
+    violation (default 0). *)

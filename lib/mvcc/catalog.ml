@@ -52,11 +52,7 @@ let write tree txn ~sid entry =
 let counter_off tree = Layout.global_sid_off (Ops.layout tree) ~tree:(Ops.tree_id tree)
 
 let read_counter tree txn =
-  let s = Txn.read_replicated txn ~off:(counter_off tree) ~len:Layout.slot_len_small in
-  if String.length s = 0 then 0L else Codec.Dec.i64 (Codec.Dec.of_string s)
+  Layout.decode_i64 (Txn.read_replicated txn ~off:(counter_off tree) ~len:Layout.slot_len_small)
 
 let write_counter tree txn v =
-  let e = Codec.Enc.create ~initial_size:8 () in
-  Codec.Enc.i64 e v;
-  Txn.write_replicated txn ~off:(counter_off tree) ~len:Layout.slot_len_small
-    (Codec.Enc.to_string e)
+  Txn.write_replicated txn ~off:(counter_off tree) ~len:Layout.slot_len_small (Layout.encode_i64 v)

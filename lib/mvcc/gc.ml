@@ -6,13 +6,6 @@ module Node_alloc = Btree.Node_alloc
 module Txn = Dyntxn.Txn
 module Objref = Dyntxn.Objref
 
-let encode_sid sid =
-  let e = Codec.Enc.create ~initial_size:8 () in
-  Codec.Enc.i64 e sid;
-  Codec.Enc.to_string e
-
-let decode_sid s = if String.length s = 0 then 0L else Codec.Dec.i64 (Codec.Dec.of_string s)
-
 let lowest_off tree = Layout.lowest_sid_off (Ops.layout tree) ~tree:(Ops.tree_id tree)
 
 (* GC transactions are cache-less and commit through the shared retry
@@ -22,12 +15,12 @@ let set_lowest tree sid =
   fst
     (Txn.run ~home:(Ops.home tree) ~name:"gc.set_lowest" (Ops.cluster tree) (fun txn ->
          Txn.write_replicated txn ~off:(lowest_off tree) ~len:Layout.slot_len_small
-           (encode_sid sid)))
+           (Layout.encode_i64 sid)))
 
 let get_lowest tree =
   fst
     (Txn.run ~home:(Ops.home tree) ~name:"gc.get_lowest" (Ops.cluster tree) (fun txn ->
-         decode_sid
+         Layout.decode_i64
            (Txn.dirty_read_replicated txn ~off:(lowest_off tree) ~len:Layout.slot_len_small)))
 
 let keep_recent tree ~n =

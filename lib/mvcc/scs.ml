@@ -73,6 +73,11 @@ let outage_stalls t = t.outage_stalled
    would otherwise serve the tip from a proxy cache. *)
 let create_snapshot_now t =
   Obs.with_span t.obs Obs.Span.Snapshot_create @@ fun () ->
+  (* The reuse window counts from the creation's start, not its end:
+     every commit that returned before this instant has a stamp below
+     the creation stamp, but one returning during a creation slowed by
+     lock waits or replica lag may not. *)
+  let started = Sim.now () in
   let ((sid, _) as result), stamp =
     Txn.run ~home:(Ops.home t.tree) ~blocking:true ~name:"scs.create_snapshot"
       (Ops.cluster t.tree) (fun txn -> Ops.Linear.create_snapshot t.tree txn)
@@ -83,7 +88,7 @@ let create_snapshot_now t =
   t.created <- t.created + 1;
   Obs.Counter.incr t.stats.Obs.scs_created;
   t.last <- Some result;
-  t.last_created_at <- Sim.now ();
+  t.last_created_at <- started;
   t.creations <- (sid, stamp) :: t.creations;
   (match t.on_create with Some f -> f ~sid ~stamp | None -> ());
   result

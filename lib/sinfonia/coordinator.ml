@@ -1,7 +1,5 @@
 type mode = Normal | Blocking
 
-let round_trips mtx = if List.length (Mtx.memnodes mtx) <= 1 then 1 else 2
-
 let request_overhead = 64
 
 let response_overhead = 32
@@ -89,8 +87,13 @@ let outcome_of_reads cluster (mtx : Mtx.t) ~stamp indexed =
       epochs = reply_epochs cluster mtx;
     }
 
+(* Blocking minitransactions wait at the memnode for busy locks, up to
+   the configured threshold (Sec. 4.1); normal ones try them once. *)
+let lock_wait cfg = function Normal -> None | Blocking -> Some cfg.Config.blocking_timeout
+
 let exec_single cluster ~client ~mode (mtx : Mtx.t) node =
   let cfg = Cluster.config cluster in
+  let lock_wait = lock_wait cfg mode in
   let obs = Cluster.obs cluster in
   let stats = Obs.mtx obs in
   let part = Memnode.part_of_mtx mtx ~node in
@@ -109,13 +112,7 @@ let exec_single cluster ~client ~mode (mtx : Mtx.t) node =
          nothing: the commit is in the redo log, which promotion replays
          (and a mirror whose source crashed in flight is skipped). *)
       let run mn store =
-        let result =
-          match mode with
-          | Normal -> Memnode.execute_single_timed mn store ~owner ~stamp part ~cost
-          | Blocking ->
-              Memnode.execute_single_blocking_timed mn store ~owner ~stamp part ~cost
-                ~timeout:cfg.Config.blocking_timeout
-        in
+        let result = Memnode.execute_single_timed mn store ~owner ~stamp ?lock_wait part ~cost in
         (match result with
         | Memnode.Prepared _, _ when part.p_writes <> [] ->
             Cluster.mirror cluster node ~owner part.p_writes
@@ -196,6 +193,7 @@ type presult =
 
 let exec_multi cluster ~client ~mode (mtx : Mtx.t) nodes =
   let cfg = Cluster.config cluster in
+  let lock_wait = lock_wait cfg mode in
   let obs = Cluster.obs cluster in
   let stats = Obs.mtx obs in
   let parts = List.map (fun node -> (node, Memnode.part_of_mtx mtx ~node)) nodes in
@@ -231,18 +229,7 @@ let exec_multi cluster ~client ~mode (mtx : Mtx.t) nodes =
           Memnode.begin_serving mn store;
           let result =
             match
-              match mode with
-              | Normal -> Memnode.prepare_timed mn store ~owner ~participants:nodes part ~cost
-              | Blocking ->
-                  (* Normal/Blocking are alternative arms of this match;
-                     the linter's linearization sees the Normal arm's
-                     append before this arm's compare-fail lock release,
-                     but only one arm runs — and that release is the
-                     refusing memnode dropping its own not-yet-voted
-                     ranges, which presumed-abort permits. *)
-                  (* lint: allow protocol-order *)
-                  Memnode.prepare_blocking_timed mn store ~owner ~participants:nodes part ~cost
-                    ~timeout:cfg.Config.blocking_timeout
+              Memnode.prepare_timed mn store ~owner ~participants:nodes ?lock_wait part ~cost
             with
             | Memnode.Prepared reads -> P_prepared (mn, store, reads, ep0)
             | Memnode.Busy_locks ->

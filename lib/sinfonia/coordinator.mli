@@ -30,7 +30,3 @@ val exec : Cluster.t -> ?client:int -> ?mode:mode -> Mtx.t -> Mtx.outcome
     locks were held (after the last prepare, before the first commit),
     so stamp order is serialization order for conflicting
     minitransactions. *)
-
-val round_trips : Mtx.t -> int
-(** Round trips a successful execution takes (1 for single-memnode, 2
-    for distributed), exposed for tests and cost reasoning. *)

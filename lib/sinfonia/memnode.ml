@@ -214,63 +214,15 @@ let evaluate_and_read store ~owner p =
     in
     Prepared reads
 
-let prepare store ~owner p =
-  if Lock_table.try_acquire store.locks ~owner (ranges_of_part p) then
-    evaluate_and_read store ~owner p
-  else Busy_locks
-
-let prepare_blocking store ~owner p ~timeout =
-  if Lock_table.acquire_blocking store.locks ~owner (ranges_of_part p) ~timeout then
-    evaluate_and_read store ~owner p
-  else Busy_locks
-
 let apply_writes store writes =
   List.iter (fun w -> Heap.write store.heap ~off:w.Mtx.w_addr.Address.off w.Mtx.w_data) writes
 
-let commit store ~owner p =
-  apply_writes store p.p_writes;
-  Lock_table.release store.locks ~owner
-
-let abort store ~owner = Lock_table.release store.locks ~owner
-
-(* The commit stamp is drawn between a successful prepare and the
-   commit, i.e. while this (single-participant) minitransaction holds
-   every lock it will ever need — which is what makes stamp order a
-   serialization order for conflicting minitransactions. *)
-let finish_single store ~owner ~stamp p = function
-  | Prepared _ as r ->
-      let s = stamp () in
-      commit store ~owner p;
-      (r, Some s)
-  | (Busy_locks | Compare_failed _) as r -> (r, None)
-
-(* Coordinator-path variant: the 1PC commit goes through the redo log so
-   a crash after the commit but before the write reaches the replica
-   image cannot lose it (promotion replays the log). Stamp draw, log
-   append, decision and apply happen with no scheduler yield between
-   them, so the entry is never observable in the Prepared state. *)
-let finish_single_logged store ~owner ~stamp p = function
-  | Prepared _ as r ->
-      let s = stamp () in
-      Redo_log.append store.redo ~tid:owner ~participants:[ store.space ] ~writes:p.p_writes;
-      (match Redo_log.decide_commit store.redo ~tid:owner ~stamp:s with
-      | `Apply -> apply_writes store p.p_writes
-      | `Skip -> ());
-      Lock_table.release store.locks ~owner;
-      (r, Some s)
-  | (Busy_locks | Compare_failed _) as r -> (r, None)
-
-let execute_single store ~owner p =
-  fst (finish_single store ~owner ~stamp:(fun () -> 0L) p (prepare store ~owner p))
-
-let execute_single_blocking store ~owner p ~timeout =
-  fst (finish_single store ~owner ~stamp:(fun () -> 0L) p (prepare_blocking store ~owner p ~timeout))
-
-(* Timed variants: a small reception cost decides lock acquisition; the
-   bulk of the service time is spent holding the locks. Each service
-   window is followed by an epoch check: a mid-request crash
-   ([crash]) bumps the epoch and the operation raises {!Crashed} at
-   its next boundary instead of completing against wiped state. *)
+(* Participant operations: a small reception cost decides lock
+   acquisition; the bulk of the service time is spent holding the
+   locks. Each service window is followed by an epoch check: a
+   mid-request crash ([crash]) bumps the epoch and the operation raises
+   {!Crashed} at its next boundary instead of completing against wiped
+   state. *)
 let reception_cost cost = Float.min cost 2e-6
 
 (* Evaluate under held locks, then vote. The refusal re-check and the
@@ -295,24 +247,19 @@ let finish_prepare store ~owner ~participants p =
       end
   | r -> r
 
-let prepare_timed t store ~owner ?participants p ~cost =
+(* [lock_wait] bounds a blocking minitransaction's wait at this memnode
+   for busy locks (Sec. 4.1); without it the locks are tried once. *)
+let prepare_timed t store ~owner ?participants ?lock_wait p ~cost =
   let ep = t.epoch in
   serve t ~cost:(reception_cost cost);
   check_alive t ~epoch:ep;
   if Redo_log.refused store.redo ~tid:owner then Busy_locks
-  else if Lock_table.try_acquire store.locks ~owner (ranges_of_part p) then begin
-    serve t ~cost:(cost -. reception_cost cost);
-    check_alive t ~epoch:ep;
-    finish_prepare store ~owner ~participants p
-  end
-  else Busy_locks
-
-let prepare_blocking_timed t store ~owner ?participants p ~cost ~timeout =
-  let ep = t.epoch in
-  serve t ~cost:(reception_cost cost);
-  check_alive t ~epoch:ep;
-  if Redo_log.refused store.redo ~tid:owner then Busy_locks
-  else if Lock_table.acquire_blocking store.locks ~owner (ranges_of_part p) ~timeout then begin
+  else if
+    match lock_wait with
+    | Some timeout -> Lock_table.acquire_blocking store.locks ~owner (ranges_of_part p) ~timeout
+    | None -> Lock_table.try_acquire store.locks ~owner (ranges_of_part p)
+  then begin
+    (* A crash may have landed while we waited for the locks. *)
     check_alive t ~epoch:ep;
     serve t ~cost:(cost -. reception_cost cost);
     check_alive t ~epoch:ep;
@@ -324,12 +271,13 @@ let commit_timed t store ~owner p ~stamp ~cost =
   let ep = t.epoch in
   serve t ~cost;
   check_alive t ~epoch:ep;
-  match Redo_log.decide_commit store.redo ~tid:owner ~stamp with
-  | `Apply -> commit store ~owner p
+  (match Redo_log.decide_commit store.redo ~tid:owner ~stamp with
+  | `Apply -> apply_writes store p.p_writes
   | `Skip ->
       (* The recovery coordinator resolved this transaction first; the
          writes are already in place (possibly under later commits). *)
-      Lock_table.release store.locks ~owner
+      ());
+  Lock_table.release store.locks ~owner
 
 let abort_timed t store ~owner ~cost =
   let ep = t.epoch in
@@ -338,8 +286,19 @@ let abort_timed t store ~owner ~cost =
   Redo_log.decide_abort store.redo ~tid:owner;
   Lock_table.release store.locks ~owner
 
-let execute_single_timed t store ~owner ~stamp p ~cost =
-  finish_single_logged store ~owner ~stamp p (prepare_timed t store ~owner p ~cost)
-
-let execute_single_blocking_timed t store ~owner ~stamp p ~cost ~timeout =
-  finish_single_logged store ~owner ~stamp p (prepare_blocking_timed t store ~owner p ~cost ~timeout)
+(* One-phase execution. The 1PC commit goes through the redo log so a
+   crash after the commit but before the write reaches the replica
+   image cannot lose it (promotion replays the log). Stamp draw, log
+   append, decision and apply happen with no scheduler yield between
+   them, so the entry is never observable in the Prepared state. *)
+let execute_single_timed t store ~owner ~stamp ?lock_wait p ~cost =
+  match prepare_timed t store ~owner ?lock_wait p ~cost with
+  | Prepared _ as r ->
+      let s = stamp () in
+      Redo_log.append store.redo ~tid:owner ~participants:[ store.space ] ~writes:p.p_writes;
+      (match Redo_log.decide_commit store.redo ~tid:owner ~stamp:s with
+      | `Apply -> apply_writes store p.p_writes
+      | `Skip -> ());
+      Lock_table.release store.locks ~owner;
+      (r, Some s)
+  | (Busy_locks | Compare_failed _) as r -> (r, None)

@@ -8,9 +8,7 @@
     Every store carries the {!Redo_log} of the address space it images;
     a space's primary store and its replica store share one log (it
     models stable storage, surviving crashes of either host). Timed
-    participant operations — the coordinator path — log yes votes and
-    decisions through it; the untimed variants below are log-free state
-    transitions for unit tests. *)
+    participant operations log yes votes and decisions through it. *)
 
 (** One store: a heap plus its lock table plus the space's redo log. *)
 type store
@@ -111,10 +109,7 @@ val serve : t -> cost:float -> unit
 (** Occupy one CPU core of this memnode for [cost] simulated seconds
     (FCFS). *)
 
-(** {1 Participant-side minitransaction logic}
-
-    These functions are pure state transitions on a [store]; the caller
-    is responsible for paying network and CPU costs first. *)
+(** {1 Participant-side minitransaction logic} *)
 
 (** The slice of a minitransaction addressed to one memnode. Compare and
     read items carry their index in the original minitransaction. *)
@@ -140,34 +135,12 @@ type prepare_result =
   | Busy_locks
   | Compare_failed of int list  (** Locks released. *)
 
-val prepare : store -> owner:int64 -> part -> prepare_result
-(** Phase one: acquire locks all-or-nothing, evaluate compares, perform
-    reads. On success, locks remain held until {!commit} or {!abort}. *)
-
-val prepare_blocking : store -> owner:int64 -> part -> timeout:float -> prepare_result
-(** Like {!prepare} but waits (bounded) for busy locks instead of
-    failing. Returns [Busy_locks] only on timeout. *)
-
-val commit : store -> owner:int64 -> part -> unit
-(** Phase two: apply the part's writes and release the owner's locks. *)
-
-val abort : store -> owner:int64 -> unit
-(** Release the owner's locks without writing. *)
-
-val execute_single : store -> owner:int64 -> part -> prepare_result
-(** One-phase execution for single-memnode minitransactions: prepare,
-    and on success immediately commit. No locks survive the call. *)
-
-val execute_single_blocking :
-  store -> owner:int64 -> part -> timeout:float -> prepare_result
-
 (** {1 Timed participant operations}
 
-    Same state transitions as above, but the memnode's CPU service time
-    is spent {e while the locks are held}, which is what makes lock
-    contention real: a concurrent minitransaction arriving during the
-    service window sees busy locks (or waits, for blocking
-    minitransactions). Used by {!Coordinator}.
+    The memnode's CPU service time is spent {e while the locks are
+    held}, which is what makes lock contention real: a concurrent
+    minitransaction arriving during the service window sees busy locks
+    (or waits, for blocking minitransactions). Used by {!Coordinator}.
 
     These are also the logged operations. A prepare called with
     [?participants] appends a yes-vote entry (tid, participants, write
@@ -179,17 +152,20 @@ val execute_single_blocking :
     state. *)
 
 val prepare_timed :
-  t -> store -> owner:int64 -> ?participants:int list -> part -> cost:float -> prepare_result
-
-val prepare_blocking_timed :
   t ->
   store ->
   owner:int64 ->
   ?participants:int list ->
+  ?lock_wait:float ->
   part ->
   cost:float ->
-  timeout:float ->
   prepare_result
+(** Phase one: acquire the part's locks all-or-nothing, evaluate its
+    compares and perform its reads. On [Prepared] the locks stay held
+    until {!commit_timed} or {!abort_timed}; on [Compare_failed] they
+    are released. [lock_wait] is a blocking minitransaction's bound
+    (Sec. 4.1): wait up to that many seconds for busy locks, and return
+    [Busy_locks] only on timeout. Without it the locks are tried once. *)
 
 val commit_timed : t -> store -> owner:int64 -> part -> stamp:int64 -> cost:float -> unit
 (** Phase two at one participant: records the commit decision (stamp
@@ -200,19 +176,17 @@ val commit_timed : t -> store -> owner:int64 -> part -> stamp:int64 -> cost:floa
 val abort_timed : t -> store -> owner:int64 -> cost:float -> unit
 
 val execute_single_timed :
-  t -> store -> owner:int64 -> stamp:(unit -> int64) -> part -> cost:float ->
-  prepare_result * int64 option
-(** Like {!execute_single}, but on success draws a commit stamp from
+  t -> store -> owner:int64 -> stamp:(unit -> int64) -> ?lock_wait:float -> part ->
+  cost:float -> prepare_result * int64 option
+(** One-phase execution for single-memnode minitransactions: prepare
+    (as {!prepare_timed}), and on success draw a commit stamp from
     [stamp] {e between} prepare and commit — while the
-    minitransaction's locks are held — and returns it. Stamp order of
-    two conflicting minitransactions is their serialization order. The
-    commit is routed through the redo log (append + decide, no
-    scheduler yield in between) so a crash after the 1PC commit but
-    before the mirror cannot lose it. *)
-
-val execute_single_blocking_timed :
-  t -> store -> owner:int64 -> stamp:(unit -> int64) -> part -> cost:float -> timeout:float ->
-  prepare_result * int64 option
+    minitransaction's locks are held — commit, and return the stamp.
+    No locks survive the call. Stamp order of two conflicting
+    minitransactions is their serialization order. The commit is
+    routed through the redo log (append + decide, no scheduler yield
+    in between) so a crash after the 1PC commit but before the mirror
+    cannot lose it. *)
 
 val apply_writes : store -> Mtx.write_item list -> unit
 (** Raw write application (used by replication mirroring). *)

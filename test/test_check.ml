@@ -37,39 +37,30 @@ let snapshot ?client ?index ~sid ~invoked ~returned () =
   ev ?client ?index ~sid ~invoked ~returned Event.Snapshot_taken
 
 (* Feed [events] through a fresh stream, in order, and finish it. *)
-let run ?(final = []) ?(strict_scs = true) ?scs_staleness ?(twopc = []) ?(in_doubt = 0)
-    ?(creations = [ (0, []) ]) events =
-  let stream =
-    Stream.create
-      {
-        Stream.Config.default with
-        Stream.Config.strict_scs;
-        scs_staleness;
-        creations;
-        final;
-        twopc;
-        in_doubt;
-      }
-  in
+let run ?final ?scs_staleness ?twopc ?in_doubt ?(creations = []) events =
+  let stream = Stream.create { Stream.Config.default with Stream.Config.scs_staleness } in
+  List.iter
+    (fun (index, log) ->
+      List.iter (fun (sid, stamp) -> Stream.add_creation stream ~index ~sid ~stamp) log)
+    creations;
   List.iter (Stream.feed stream) events;
-  Stream.finish stream
+  Stream.finish ?final ?twopc ?in_doubt stream
 
 let assert_ok ?(msg = "verdict ok") v =
   if not (Stream.ok v) then
     Alcotest.failf "%s, but:@.%a" msg Stream.pp_verdict v
 
+(* Substring match. *)
+let mentions ~sub m =
+  let rec from i =
+    i + String.length sub <= String.length m
+    && (String.sub m i (String.length sub) = sub || from (i + 1))
+  in
+  from 0
+
 let assert_violation ?(msg = "expected a violation") ~mentioning v =
   check Alcotest.bool msg true
-    (List.exists
-       (fun viol ->
-         let m = viol.Stream.v_message in
-         (* substring match *)
-         let rec contains i =
-           i + String.length mentioning <= String.length m
-           && (String.sub m i (String.length mentioning) = mentioning || contains (i + 1))
-         in
-         contains 0)
-       v.Stream.violations)
+    (List.exists (fun viol -> mentions ~sub:mentioning viol.Stream.v_message) v.Stream.violations)
 
 (* ------------------------------------------------------------------ *)
 (* Commit-order replay                                                 *)
@@ -169,6 +160,23 @@ let test_duplicate_stamp_caught () =
   check Alcotest.bool "global violation" true
     (List.exists (fun viol -> viol.Stream.v_index = -1) v.Stream.violations)
 
+let test_reorder_window_bound () =
+  (* The reorder window holds 4096 stamped events: an event arriving
+     after 4096 higher-stamped ones is still re-sequenced, one arriving
+     after 4097 lands below the applied watermark. *)
+  let late_after n =
+    run
+      (List.init n (fun i ->
+           let t = 0.01 +. (0.001 *. float_of_int i) in
+           put ~stamp:(Int64.of_int (i + 2)) ~invoked:t ~returned:(t +. 0.0005) "k"
+             (string_of_int i))
+      @ [ put ~stamp:1L ~invoked:0.0 ~returned:0.0005 "early" "1" ])
+  in
+  assert_ok ~msg:"inside the window" (late_after 4096);
+  let v = late_after 4097 in
+  check Alcotest.bool "not ok" false (Stream.ok v);
+  assert_violation ~mentioning:"at or below the applied watermark" v
+
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -196,6 +204,26 @@ let test_snapshot_without_creation_record () =
   check Alcotest.bool "not ok" false (Stream.ok v);
   assert_violation ~mentioning:"no creation record" v
 
+let test_frozen_state_evicted () =
+  (* At most 1024 frozen states are kept per index: the 1025th
+     creation to freeze evicts the oldest, and a read at the evicted
+     sid is inconclusive, not a violation. *)
+  let creations =
+    [ (0, List.init 1025 (fun i -> (Int64.of_int (i + 1), Int64.of_int (i + 1)))) ]
+  in
+  let events =
+    [
+      put ~stamp:2000L ~invoked:0.0 ~returned:0.1 "a" "1";
+      get ~stamp:2001L ~sid:1L ~invoked:0.2 ~returned:0.3 "a" None;
+      get ~stamp:2002L ~sid:2L ~invoked:0.4 ~returned:0.5 "a" None;
+    ]
+  in
+  let v = run ~creations events in
+  assert_ok ~msg:"eviction is not a violation" v;
+  check Alcotest.bool "evicted read inconclusive" true
+    (List.exists (mentions ~sub:"frozen state for sid 1 was evicted") v.Stream.inconclusive);
+  check Alcotest.int "the retained sid is still checked" 1 v.Stream.snapshot_reads_checked
+
 let test_scs_strictness () =
   (* The put committed (stamp 5) and returned before the snapshot request
      started, but the granted snapshot's creation stamp is 2: the
@@ -209,9 +237,7 @@ let test_scs_strictness () =
   in
   let v = run ~creations events in
   check Alcotest.bool "strict mode rejects" false (Stream.ok v);
-  assert_violation ~mentioning:"misses a commit" v;
-  (* With a staleness bound (k > 0) the same history is legal. *)
-  assert_ok ~msg:"non-strict mode accepts" (run ~strict_scs:false ~creations events)
+  assert_violation ~mentioning:"misses a commit" v
 
 let test_scs_staleness_bound () =
   (* Same history as {!test_scs_strictness}: the missed commit completed
@@ -541,12 +567,14 @@ let () =
           Alcotest.test_case "real-time violation" `Quick test_realtime_order_violation;
           Alcotest.test_case "concurrent ok" `Quick test_realtime_order_concurrent_ok;
           Alcotest.test_case "duplicate stamp" `Quick test_duplicate_stamp_caught;
+          Alcotest.test_case "reorder window bound" `Quick test_reorder_window_bound;
         ] );
       ( "snapshots",
         [
           Alcotest.test_case "frozen prefix" `Quick test_snapshot_frozen_prefix;
           Alcotest.test_case "missing creation record" `Quick
             test_snapshot_without_creation_record;
+          Alcotest.test_case "frozen state evicted" `Quick test_frozen_state_evicted;
           Alcotest.test_case "scs strictness" `Quick test_scs_strictness;
           Alcotest.test_case "scs staleness bound" `Quick test_scs_staleness_bound;
         ] );

@@ -141,6 +141,42 @@ let test_scs_staleness_bound () =
       check Alcotest.bool "fresh after k" true (Int64.compare s3 s1 > 0);
       check Alcotest.int "two creations total" 2 (Scs.snapshots_created scs))
 
+let test_scs_reuse_window_from_creation_start () =
+  (* A creation slowed past k by a lock wait: a commit returning during
+     it may be missing from the snapshot, so the k-second reuse window
+     must count from when the creation started, not from when it
+     finished. *)
+  with_linear_tree (fun env tree ->
+      put tree (key 1) "v";
+      let k = 0.2 in
+      let scs = Scs.create ~min_interval:k ~tree () in
+      (* Strand a foreign lock on the tip id slot for 0.5 s. *)
+      let locks =
+        Sinfonia.Memnode.(store_locks (primary (Cluster.memnode env.cluster 0)))
+      in
+      let owner = 424242L in
+      let range =
+        {
+          Sinfonia.Lock_table.start = Layout.tip_id_off env.layout ~tree:0;
+          len = Layout.slot_len_small;
+          mode = Sinfonia.Lock_table.Exclusive;
+        }
+      in
+      check Alcotest.bool "lock stranded" true
+        (Sinfonia.Lock_table.try_acquire locks ~owner [ range ]);
+      Sim.spawn (fun () ->
+          Sim.delay 0.5;
+          Sinfonia.Lock_table.release locks ~owner);
+      let started = Sim.now () in
+      let s1, _ = Scs.request scs in
+      check Alcotest.bool "creation outlasted k" true (Sim.now () -. started > k);
+      (* More than k after the creation started, less than k after it
+         finished. *)
+      Sim.delay 0.05;
+      let s2, _ = Scs.request scs in
+      check Alcotest.bool "fresh sid" true (Int64.compare s2 s1 > 0);
+      check Alcotest.int "two creations" 2 (Scs.snapshots_created scs))
+
 (* ------------------------------------------------------------------ *)
 (* Garbage collection                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -731,6 +767,8 @@ let () =
             test_scs_borrowing_strictly_serializable;
           Alcotest.test_case "no-borrowing mode" `Quick test_scs_no_borrowing_mode;
           Alcotest.test_case "staleness bound" `Quick test_scs_staleness_bound;
+          Alcotest.test_case "reuse window from creation start" `Quick
+            test_scs_reuse_window_from_creation_start;
         ] );
       ( "gc",
         [
