@@ -46,7 +46,7 @@ let bench_hist =
   Test.make ~name:"stats hist add" (Staged.stage (fun () -> Sim.Stats.Hist.add h 0.00042))
 
 let bench_cache =
-  let cache = Dyntxn.Objcache.create ~capacity:1024 () in
+  let cache = Dyntxn.Objcache.create ~capacity:1024 (Obs.create ()) in
   let refs =
     Array.init 512 (fun i ->
         Dyntxn.Objref.make ~addr:(Sinfonia.Address.make ~node:0 ~off:(i * 1024)) ~len:1024)

@@ -28,6 +28,57 @@ else
   echo "== skipping @fmt (ocamlformat not installed) =="
 fi
 
+echo "== unused exports =="
+# Every [val] a lib/**/*.mli declares must be named, as a word, in some
+# .ml file other than its own implementation: an export nothing uses is
+# surface that tests, lint and benches must cover for nothing. One awk
+# pass reads each file once: the .mli files collect the declared names,
+# then every .ml file marks the names it mentions.
+unused_exports() {
+  # Declarations first: the .mli files, then every .ml file, all in one
+  # argv so a single awk process sees them.
+  awk '
+      FILENAME ~ /\.mli$/ {
+        if (match($0, /^[ \t]*val[ \t]+[a-z_][A-Za-z0-9_'"'"']*/)) {
+          name = substr($0, RSTART, RLENGTH)
+          sub(/^[ \t]*val[ \t]+/, "", name)
+          impl = FILENAME; sub(/\.mli$/, ".ml", impl)
+          n++; decl_file[n] = FILENAME; decl_line[n] = FNR; decl_name[n] = name
+          decl_impl[n] = impl; declared[name] = 1
+        }
+        next
+      }
+      FNR == 1 { split("", seen) }
+      {
+        line = $0
+        gsub(/[^A-Za-z0-9_'"'"']+/, " ", line)
+        k = split(line, words, " ")
+        for (i = 1; i <= k; i++) {
+          w = words[i]
+          if ((w in declared) && !(w in seen)) {
+            seen[w] = 1
+            nusers[w]++
+            user[w, nusers[w]] = FILENAME
+          }
+        }
+      }
+      END {
+        for (d = 1; d <= n; d++) {
+          name = decl_name[d]; used = 0
+          for (u = 1; u <= nusers[name]; u++)
+            if (user[name, u] != decl_impl[d]) { used = 1; break }
+          if (!used) printf "%s:%d: val %s is used nowhere else\n", decl_file[d], decl_line[d], name
+        }
+      }' $(find lib -name '*.mli' | LC_ALL=C sort) \
+         $(find lib bin bench benchmark examples test -name '*.ml' | LC_ALL=C sort)
+}
+unused="$(unused_exports)"
+if [ -n "$unused" ]; then
+  echo "$unused" >&2
+  echo "ERROR: exports above have no user outside their own module; delete them or drop them from the .mli" >&2
+  exit 1
+fi
+
 echo "== static analysis (minuet_lint) =="
 # Two-phase invariant linter (DESIGN.md Secs. 13 and 17): per-file
 # expression rules plus the interprocedural pass (transitive nondet

@@ -21,12 +21,6 @@ val fence_equal : fence -> fence -> bool
 val in_range : t -> low:fence -> high:fence -> bool
 (** [in_range k ~low ~high] is [low <= k < high]. *)
 
-val fence_le_key : fence -> t -> bool
-(** [fence_le_key f k] is [f <= k] treating [f] as a lower bound. *)
-
-val key_lt_fence : t -> fence -> bool
-(** [key_lt_fence k f] is [k < f] treating [f] as an upper bound. *)
-
 val pp : Format.formatter -> t -> unit
 
 val pp_fence : Format.formatter -> fence -> unit

@@ -12,9 +12,6 @@
 
 type t
 
-val magic : int
-(** Leading byte of every node payload (0xB5). *)
-
 val of_string : string -> t
 (** Parse and bounds-validate the header and slot directory. Raises
     {!Codec.Decode_error} on truncation, bad magic, or any slot/entry
@@ -45,11 +42,6 @@ val descendants : t -> int64 array
 
 (** {1 In-place search} *)
 
-val search : t -> Bkey.t -> (int, int) result
-(** [Ok i] when the key is the [i]th key of the node, [Error i] with the
-    insertion point otherwise. The query is compared against the common
-    prefix once; binary-search probes compare suffix spans only. *)
-
 val lower_bound : t -> Bkey.t -> int
 (** Index of the first key [>=] the argument ([nkeys] if none). *)
 
@@ -58,7 +50,6 @@ val leaf_find : t -> Bkey.t -> string option
 val key : t -> int -> string
 (** Materialise one key (prefix ^ suffix). *)
 
-val leaf_value : t -> int -> string
 val leaf_entry : t -> int -> Bkey.t * string
 
 (** {1 Child routing (internal nodes)} *)

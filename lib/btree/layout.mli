@@ -78,8 +78,6 @@ val seq_entry_off : t -> Sinfonia.Address.t -> int
 (** Replicated sequence-number slot for the B-tree node stored at the
     given slot address. *)
 
-val seq_entry_len : int
-
 (** {1 Per-memnode slot region} *)
 
 val alloc_ptr_off : t -> int

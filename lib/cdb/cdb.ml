@@ -2,65 +2,59 @@ module SMap = Map.Make (String)
 
 type partition = { mutable store : string SMap.t; lane : Sim.Resource.t }
 
-type t = {
-  hosts : int;
-  partitions_per_host : int;
-  partitions : partition array;
-  svc_single : float;
-  svc_multi_coord : float;
-  client_overhead : float;
-  scan_limit : int;
-  net : Sim.Net.t;
-  mutable ops : int;
-}
+type t = { hosts : int; partitions : partition array; net : Sim.Net.t }
 
 exception Scan_too_large of int
 
-let create ?(partitions_per_host = 5) ?(svc_single = 100e-6) ?(svc_multi_coord = 300e-6)
-    ?(client_overhead = 3.2e-3) ?(scan_limit = 100_000) ?(net_one_way = 25e-6) ?(seed = 0xCDB)
-    ~hosts () =
+(* The cost model. The paper gives CDB five cores per host, one
+   single-threaded partition each. *)
+let partitions_per_host = 5
+
+(* Execution-thread time of one single-partition stored procedure. *)
+let svc_single = 100e-6
+
+(* Fixed coordination cost of a multi-partition transaction, on top of
+   25 µs per participating partition. *)
+let svc_multi_coord = 300e-6
+
+(* The commercial system's synchronous client-stack overhead. *)
+let client_overhead = 3.2e-3
+
+(* Keys one scan query may return before the per-query memory limit. *)
+let scan_limit = 100_000
+
+let create ~hosts =
   if hosts <= 0 then invalid_arg "Cdb.create: hosts must be positive";
-  if partitions_per_host <= 0 then invalid_arg "Cdb.create: partitions_per_host must be positive";
   let n = hosts * partitions_per_host in
-  let rng = Sim.Rng.create seed in
   {
     hosts;
-    partitions_per_host;
     partitions =
       Array.init n (fun i ->
           {
             store = SMap.empty;
             lane = Sim.Resource.create ~name:(Printf.sprintf "cdb-partition-%d" i) ~servers:1 ();
           });
-    svc_single;
-    svc_multi_coord;
-    client_overhead;
-    scan_limit;
-    net = Sim.Net.create ~one_way:net_one_way ~rng ();
-    ops = 0;
+    net = Sim.Net.create ~rng:(Sim.Rng.create 0xCDB) ();
   }
 
 let hosts t = t.hosts
 
 let partitions t = Array.length t.partitions
 
-let ops_executed t = t.ops
-
 let partition_of t key = Hashtbl.hash key mod Array.length t.partitions
 
 (* The synchronous replica partition for [p] lives on the next host. *)
-let replica_of t p = (p + t.partitions_per_host) mod Array.length t.partitions
+let replica_of t p = (p + partitions_per_host) mod Array.length t.partitions
 
 (* One synchronous stored-procedure call against partition [p]:
    client-stack overhead, request hop, a slice of the partition's single
    execution thread, reply hop. *)
 let call t p f =
-  t.ops <- t.ops + 1;
-  Sim.delay t.client_overhead;
+  Sim.delay client_overhead;
   Sim.Net.transfer t.net ~bytes:96;
   let part = t.partitions.(p) in
   Sim.Resource.acquire part.lane;
-  Sim.delay t.svc_single;
+  Sim.delay svc_single;
   let result = f part in
   Sim.Resource.release part.lane;
   Sim.Net.transfer t.net ~bytes:64;
@@ -74,7 +68,7 @@ let mirror t p apply =
     Sim.Net.transfer t.net ~bytes:96;
     let part = t.partitions.(r) in
     Sim.Resource.acquire part.lane;
-    Sim.delay (t.svc_single *. 0.6);
+    Sim.delay (svc_single *. 0.6);
     apply part;
     Sim.Resource.release part.lane;
     Sim.Net.transfer t.net ~bytes:64
@@ -109,8 +103,7 @@ let remove t key =
    in index order (no deadlocks; single-partition calls never wait while
    holding a lane). *)
 let multi t f =
-  t.ops <- t.ops + 1;
-  Sim.delay t.client_overhead;
+  Sim.delay client_overhead;
   Sim.Net.transfer t.net ~bytes:128;
   let n = Array.length t.partitions in
   for p = 0 to n - 1 do
@@ -118,7 +111,7 @@ let multi t f =
   done;
   (* Coordination work grows with participant count: every partition
      exchanges prepare/commit messages with the coordinator. *)
-  Sim.delay (t.svc_multi_coord +. (25e-6 *. float_of_int n));
+  Sim.delay (svc_multi_coord +. (25e-6 *. float_of_int n));
   let result = f () in
   for p = 0 to n - 1 do
     Sim.Resource.release t.partitions.(p).lane
@@ -143,7 +136,7 @@ let multi_write t pairs =
         pairs)
 
 let scan t ~from ~count =
-  if count > t.scan_limit then raise (Scan_too_large count);
+  if count > scan_limit then raise (Scan_too_large count);
   multi t (fun () ->
       (* Gather candidates from every partition and merge. *)
       let candidates = ref [] in

@@ -4,8 +4,8 @@
     stored procedures, multi-partition transactions engaging every
     server, per-query memory limits on scans — matches VoltDB/H-Store).
 
-    Each host contributes [partitions_per_host] single-threaded
-    partitions. Data is hash-partitioned by key; every record is also
+    Each host contributes five single-threaded partitions (the paper
+    gives CDB five cores per host). Data is hash-partitioned by key; every record is also
     written synchronously to a replica partition on the next host
     (mirroring the paper's one-replica configuration). Multi-partition
     transactions coordinate {e all} partitions, which is why they do not
@@ -13,23 +13,12 @@
 
 type t
 
-val create :
-  ?partitions_per_host:int ->
-  ?svc_single:float ->
-  ?svc_multi_coord:float ->
-  ?client_overhead:float ->
-  ?scan_limit:int ->
-  ?net_one_way:float ->
-  ?seed:int ->
-  hosts:int ->
-  unit ->
-  t
-(** Defaults: 5 partitions/host (the paper gives CDB five cores per
-    host), 100 µs single-partition service time, multi-partition
-    transactions cost [svc_multi_coord] plus 25 µs per participating
-    partition (all partitions blocked meanwhile), 3.2 ms fixed
-    client-stack overhead (the commercial system's synchronous client
-    path), scans limited to 100k keys per query. *)
+val create : hosts:int -> t
+(** Costs: 100 µs single-partition service time, multi-partition
+    transactions cost 300 µs plus 25 µs per participating partition
+    (all partitions blocked meanwhile), 3.2 ms fixed client-stack
+    overhead (the commercial system's synchronous client path), scans
+    limited to 100k keys per query. *)
 
 val hosts : t -> int
 
@@ -66,5 +55,3 @@ val scan : t -> from:string -> count:int -> (string * string) list
 
 val size : t -> int
 (** Number of records (primaries only). *)
-
-val ops_executed : t -> int

@@ -45,13 +45,6 @@ let fnv1a64_fold h get pos len =
   done;
   !h
 
-let fnv1a64_sub s pos len =
-  if pos < 0 || len < 0 || pos + len > String.length s then
-    invalid_arg "Codec.fnv1a64_sub: range out of bounds";
-  fnv1a64_fold fnv_offset_basis (fun i -> Char.code (String.unsafe_get s i)) pos len
-
-let fnv1a64 s = fnv1a64_sub s 0 (String.length s)
-
 module Enc = struct
   (* A growable byte buffer like [Buffer.t], but with [reset] for reuse
      across encodings, in-place patching (version stamps are computed
@@ -147,11 +140,6 @@ module Enc = struct
     | Some v ->
         bool t true;
         write v
-
-  let patch_u16 t ~pos v =
-    if v < 0 || v > 0xffff then invalid_arg "Codec.Enc.patch_u16: out of range";
-    if pos < 0 || pos + 2 > t.len then invalid_arg "Codec.Enc.patch_u16: position out of bounds";
-    Bytes.set_uint16_le t.buf pos v
 
   let patch_i64 t ~pos v =
     if pos < 0 || pos + 8 > t.len then invalid_arg "Codec.Enc.patch_i64: position out of bounds";

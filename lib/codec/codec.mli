@@ -51,9 +51,6 @@ module Enc : sig
   val array : t -> ('a -> unit) -> 'a array -> unit
   val option : t -> ('a -> unit) -> 'a option -> unit
 
-  val patch_u16 : t -> pos:int -> int -> unit
-  (** Overwrite 2 already-written bytes at [pos] (little-endian). *)
-
   val patch_i64 : t -> pos:int -> int64 -> unit
   (** Overwrite 8 already-written bytes at [pos] (little-endian). Used
       to stamp headers with values computed over the encoded body. *)
@@ -103,16 +100,6 @@ end
 
 val crc32 : string -> int32
 (** CRC-32 (IEEE 802.3 polynomial) of the whole string. *)
-
-val crc32_sub : string -> int -> int -> int
-(** [crc32_sub s pos len]: CRC-32 of a range, as a non-negative int in
-    [\[0, 2^32)]. Raises [Invalid_argument] on out-of-bounds ranges. *)
-
-val fnv1a64 : string -> int64
-(** FNV-1a 64-bit hash of the whole string. *)
-
-val fnv1a64_sub : string -> int -> int -> int64
-(** FNV-1a 64-bit hash of a range. *)
 
 val with_checksum : string -> string
 (** Append a CRC-32 trailer to a payload. *)

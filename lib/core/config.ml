@@ -37,8 +37,6 @@ let default =
     broken_branch_isolation = false;
   }
 
-let with_hosts hosts t = { t with hosts }
-
 let small_tree t =
   {
     t with

@@ -36,8 +36,6 @@ val default : t
 (** Paper-like settings at laptop scale: 4 hosts, 4 KiB nodes, dirty
     traversals, one linear-snapshot tree, borrowing on, k = 0. *)
 
-val with_hosts : int -> t -> t
-
 val small_tree : t -> t
 (** Shrink nodes (512 B) and fanout (4 keys) so tests exercise deep
     trees and frequent splits with little data. *)

@@ -48,9 +48,7 @@ let start ?(config = Config.default) () =
        same node stamp as the fresh bytes survives revalidation without
        a decode (see Btree.Bview). *)
     Dyntxn.Objcache.create ~capacity:config.Config.cache_capacity
-      ~stats:(Obs.cache (Cluster.obs cluster))
-      ~node_stats:(Obs.node (Cluster.obs cluster))
-      ~same_content:Btree.Bview.same_stamp ()
+      ~same_content:Btree.Bview.same_stamp (Cluster.obs cluster)
   in
   let gc_trees =
     Array.init config.Config.n_trees (fun tree_id ->

@@ -305,9 +305,7 @@ let attach ?(home = 0) ?client ?tracer db =
   if home < 0 || home >= config.Config.hosts then invalid_arg "Session.attach: home out of range";
   let cache =
     Dyntxn.Objcache.create ~capacity:config.Config.cache_capacity
-      ~stats:(Obs.cache (Db.obs db))
-      ~node_stats:(Obs.node (Db.obs db))
-      ~same_content:Btree.Bview.same_stamp ()
+      ~same_content:Btree.Bview.same_stamp (Db.obs db)
   in
   let trees =
     Array.init config.Config.n_trees (fun tree_id ->
@@ -465,9 +463,6 @@ let t_put ?(index = 0) txn k v =
 
 let t_remove ?(index = 0) txn k =
   Ops.remove_in_txn txn.session.trees.(index) txn.raw (t_vctx txn index) k
-
-let t_scan ?(index = 0) txn ~from ~count =
-  Ops.scan_in_txn txn.session.trees.(index) txn.raw (t_vctx txn index) ~from ~count
 
 type snapshot = { index : int; sid : int64; root : Dyntxn.Objref.t }
 

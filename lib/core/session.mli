@@ -143,8 +143,6 @@ val t_put : ?index:index -> txn -> string -> string -> unit
 
 val t_remove : ?index:index -> txn -> string -> bool
 
-val t_scan : ?index:index -> txn -> from:string -> count:int -> (string * string) list
-
 (** {1 Multi-index transactions (Sec. 6.2)} *)
 
 val multi_get : t -> (int * string) list -> string option list

@@ -18,8 +18,8 @@ type lru_node = {
 type t = {
   table : (Objref.t, lru_node) Hashtbl.t;
   capacity : int;
-  stats : Obs.cache_stats option; (* typed Obs mirror, when attached *)
-  node_stats : Obs.node_stats option;
+  stats : Obs.cache_stats;
+  node_stats : Obs.node_stats;
   same_content : (string -> string -> bool) option;
       (* Payload-level content equality (in practice the B-tree's
          version-stamp compare, {!Btree.Bview.same_stamp}), injected by
@@ -27,38 +27,20 @@ type t = {
   space_epochs : (int, int) Hashtbl.t; (* current crash epoch per space *)
   mutable head : lru_node option; (* most recently used *)
   mutable tail : lru_node option; (* least recently used *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  mutable bulk_evictions : int;
-  mutable stale_hits : int;
-  mutable epoch_revalidations : int;
-  mutable epoch_survived : int;
-  mutable stamp_revalidations : int;
 }
 
-let create ?(capacity = 65536) ?stats ?node_stats ?same_content () =
+let create ?(capacity = 65536) ?same_content obs =
   if capacity <= 0 then invalid_arg "Objcache.create: capacity must be positive";
   {
     table = Hashtbl.create 1024;
     capacity;
-    stats;
-    node_stats;
+    stats = Obs.cache obs;
+    node_stats = Obs.node obs;
     same_content;
     space_epochs = Hashtbl.create 8;
     head = None;
     tail = None;
-    hits = 0;
-    misses = 0;
-    evictions = 0;
-    bulk_evictions = 0;
-    stale_hits = 0;
-    epoch_revalidations = 0;
-    epoch_survived = 0;
-    stamp_revalidations = 0;
   }
-
-let mirror t f = match t.stats with None -> () | Some s -> Obs.Counter.incr (f s)
 
 let space_epoch t space =
   match Hashtbl.find_opt t.space_epochs space with Some e -> e | None -> 0
@@ -82,30 +64,32 @@ let push_front t node =
   (match t.head with Some h -> h.prev <- Some node | None -> t.tail <- Some node);
   t.head <- Some node
 
+let is_fresh t key node = node.epoch = space_epoch t (Objref.node key)
+
 let find_status t key =
   match Hashtbl.find_opt t.table key with
   | None ->
-      t.misses <- t.misses + 1;
-      mirror t (fun s -> s.Obs.cache_misses);
+      Obs.Counter.incr t.stats.Obs.cache_misses;
       Miss
   | Some node ->
       unlink t node;
       push_front t node;
-      if node.epoch = space_epoch t (Objref.node key) then begin
-        t.hits <- t.hits + 1;
-        mirror t (fun s -> s.Obs.cache_hits);
+      if is_fresh t key node then begin
+        Obs.Counter.incr t.stats.Obs.cache_hits;
         Fresh node.value
       end
       else begin
         (* The entry predates a crash of its space. Not counted as a
            hit: the caller must revalidate it before trusting it. *)
-        t.stale_hits <- t.stale_hits + 1;
-        mirror t (fun s -> s.Obs.cache_stale_hits);
+        Obs.Counter.incr t.stats.Obs.cache_stale_hits;
         Stale node.value
       end
 
 let find t key =
   match find_status t key with Fresh e -> Some e | Stale _ | Miss -> None
+
+let mem t key =
+  match Hashtbl.find_opt t.table key with Some node -> is_fresh t key node | None -> false
 
 (* An epoch-stale entry was re-fetched. It "survived" (the flush would
    have been wasted) when the sequence number is unchanged, or — after a
@@ -115,23 +99,14 @@ let find t key =
    caller stores the fresh payload regardless, and this cache is
    deliberately incoherent, so no correctness rests on the compare. *)
 let note_revalidation t ~old ~seq ~payload =
-  t.epoch_revalidations <- t.epoch_revalidations + 1;
-  mirror t (fun s -> s.Obs.cache_epoch_revalidations);
+  Obs.Counter.incr t.stats.Obs.cache_epoch_revalidations;
   let survived_seq = Int64.equal old.seq seq in
   let survived_stamp =
     (not survived_seq)
     && match t.same_content with Some same -> same old.payload payload | None -> false
   in
-  if survived_stamp then begin
-    t.stamp_revalidations <- t.stamp_revalidations + 1;
-    match t.node_stats with
-    | Some s -> Obs.Counter.incr s.Obs.stamp_revalidations
-    | None -> ()
-  end;
-  if survived_seq || survived_stamp then begin
-    t.epoch_survived <- t.epoch_survived + 1;
-    mirror t (fun s -> s.Obs.cache_epoch_survived)
-  end
+  if survived_stamp then Obs.Counter.incr t.node_stats.Obs.stamp_revalidations;
+  if survived_seq || survived_stamp then Obs.Counter.incr t.stats.Obs.cache_epoch_survived
 
 let evict_lru t =
   match t.tail with
@@ -139,8 +114,7 @@ let evict_lru t =
   | Some node ->
       unlink t node;
       Hashtbl.remove t.table node.key;
-      t.evictions <- t.evictions + 1;
-      mirror t (fun s -> s.Obs.cache_evictions)
+      Obs.Counter.incr t.stats.Obs.cache_evictions
 
 let insert t key value =
   let epoch = space_epoch t (Objref.node key) in
@@ -162,30 +136,12 @@ let invalidate t key =
   | Some node ->
       unlink t node;
       Hashtbl.remove t.table key;
-      t.evictions <- t.evictions + 1;
-      mirror t (fun s -> s.Obs.cache_evictions)
+      Obs.Counter.incr t.stats.Obs.cache_evictions
 
 let clear t =
   Hashtbl.reset t.table;
   t.head <- None;
   t.tail <- None;
-  t.bulk_evictions <- t.bulk_evictions + 1;
-  mirror t (fun s -> s.Obs.cache_bulk_evictions)
+  Obs.Counter.incr t.stats.Obs.cache_bulk_evictions
 
 let size t = Hashtbl.length t.table
-
-let hits t = t.hits
-
-let misses t = t.misses
-
-let evictions t = t.evictions
-
-let bulk_evictions t = t.bulk_evictions
-
-let stale_hits t = t.stale_hits
-
-let epoch_revalidations t = t.epoch_revalidations
-
-let epoch_survived t = t.epoch_survived
-
-let stamp_revalidations t = t.stamp_revalidations

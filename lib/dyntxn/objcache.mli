@@ -24,23 +24,18 @@ type entry = { seq : int64; payload : string }
     before use (their [seq] is the comparison point). *)
 type status = Fresh of entry | Stale of entry | Miss
 
-val create :
-  ?capacity:int ->
-  ?stats:Obs.cache_stats ->
-  ?node_stats:Obs.node_stats ->
-  ?same_content:(string -> string -> bool) ->
-  unit ->
-  t
+val create : ?capacity:int -> ?same_content:(string -> string -> bool) -> Obs.t -> t
 (** [capacity] is the maximum number of cached objects (default 65536).
-    [stats] mirrors every counter below into typed {!Obs} metrics (and
-    therefore into [Obs.Report.fields]).
+    Every hit, miss, eviction and revalidation is counted in the typed
+    {!Obs.cache_stats} of the given [Obs.t] (and therefore in
+    [Obs.Report.fields]); the cache keeps no counters of its own.
 
     [same_content] is an optional payload-level equality used by
     {!note_revalidation} to recognise entries that survived a crash
     under a new sequence number — in practice the B-tree's per-node
     version-stamp compare ({!Btree.Bview.same_stamp}), injected from
     above so the cache stays node-format agnostic. Stamp survivals are
-    mirrored into [node_stats]. *)
+    counted in [Obs.node_stats]. *)
 
 val find : t -> Objref.t -> entry option
 (** Refreshes LRU position on hit. Stale-epoch entries count as misses
@@ -49,6 +44,10 @@ val find : t -> Objref.t -> entry option
 val find_status : t -> Objref.t -> status
 (** Like {!find} but distinguishing stale-epoch entries from true
     misses. *)
+
+val mem : t -> Objref.t -> bool
+(** [mem t r] is [find t r <> None], but counts nothing and leaves the
+    LRU order alone. *)
 
 val insert : t -> Objref.t -> entry -> unit
 (** Insert or overwrite (tagging with the space's current epoch); may
@@ -74,24 +73,3 @@ val clear : t -> unit
     this; the counter proves it). *)
 
 val size : t -> int
-
-val hits : t -> int
-
-val misses : t -> int
-(** {!find}/{!find_status} misses (for reporting cache effectiveness). *)
-
-val evictions : t -> int
-(** Entries dropped individually: LRU pressure plus {!invalidate}. *)
-
-val bulk_evictions : t -> int
-(** Number of {!clear} calls. *)
-
-val stale_hits : t -> int
-
-val epoch_revalidations : t -> int
-
-val epoch_survived : t -> int
-
-val stamp_revalidations : t -> int
-(** Survivals established by content stamp rather than sequence
-    number. *)

@@ -493,10 +493,6 @@ type commit_result =
   | Retry_exhausted
   | Unavailable of { maybe_applied : bool }
 
-let read_set_size t = Hashtbl.length t.reads + Hashtbl.length t.repl_reads
-
-let write_set_size t = Hashtbl.length t.writes + Hashtbl.length t.repl_writes
-
 let fetches t = t.fetches
 
 (* Post-commit: refresh the proxy cache for objects we just wrote, but
@@ -508,10 +504,7 @@ let refresh_cache t written =
   | Some cache ->
       List.iter
         (fun (ref_, seq, payload, _echo) ->
-          let known =
-            Hashtbl.mem t.dirty_seen ref_
-            || (match Objcache.find cache ref_ with Some _ -> true | None -> false)
-          in
+          let known = Hashtbl.mem t.dirty_seen ref_ || Objcache.mem cache ref_ in
           if known then Objcache.insert cache ref_ { Objcache.seq; payload })
         written
 

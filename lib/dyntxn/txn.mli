@@ -195,9 +195,5 @@ val run :
 
 (** {1 Introspection (tests, reporting)} *)
 
-val read_set_size : t -> int
-
-val write_set_size : t -> int
-
 val fetches : t -> int
 (** Number of minitransaction fetches this transaction performed. *)

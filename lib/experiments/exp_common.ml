@@ -41,7 +41,6 @@ let experiment_sinfonia =
     Sinfonia.Config.svc_msg = 8e-6;
     svc_item = 1e-6;
     svc_per_kb = 12e-6;
-    blocking_timeout = 20e-3;
   }
 
 type deployment = {
@@ -158,12 +157,6 @@ let minuet_exec d ~client op =
       (* Scans run against a snapshot from the SCS (Sec. 6.3). *)
       let snap = Minuet.Session.snapshot s in
       ignore (Minuet.Session.scan_at s snap ~from:k ~count:n : (string * string) list)
-
-let minuet_exec_tip_scan d ~client op =
-  let s = session_of d ~client in
-  match op with
-  | W.Scan (k, n) -> ignore (Minuet.Session.scan s ~from:k ~count:n : (string * string) list)
-  | other -> minuet_exec d ~client other
 
 let cdb_client_factor = 8
 

@@ -4,7 +4,8 @@
 
     Parameters are scaled down from the paper's testbed (100 M rows,
     60 s runs, 35 hosts) to laptop-size defaults; `bin/minuet_bench`
-    exposes every knob. EXPERIMENTS.md records the mapping. *)
+    exposes these workload parameters (not the cost model).
+    EXPERIMENTS.md records the mapping. *)
 
 type params = {
   hosts : int list;  (** Cluster sizes to sweep. *)
@@ -62,11 +63,6 @@ val preload_cdb : Cdb.t -> records:int -> unit
 val minuet_exec : deployment -> client:int -> Ycsb.Workload.op -> unit
 (** Single-key ops against the session of the client's host; scans run
     against a fresh/borrowed SCS snapshot (Sec. 6.3). *)
-
-val minuet_exec_tip_scan : deployment -> client:int -> Ycsb.Workload.op -> unit
-(** Like {!minuet_exec} but scans run against the writable tip without
-    a snapshot (they abort under updates — the paper's motivation for
-    snapshot scans). *)
 
 val cdb_exec : Cdb.t -> client:int -> Ycsb.Workload.op -> unit
 

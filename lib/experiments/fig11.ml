@@ -57,7 +57,7 @@ let measure_minuet ~params ~hosts ~mix_name ~mix ~clients =
 
 let measure_cdb ~params ~hosts ~mix_name ~mix ~clients =
   in_sim ~seed:params.seed (fun () ->
-      let cdb = Cdb.create ~hosts () in
+      let cdb = Cdb.create ~hosts in
       preload_cdb cdb ~records:params.records;
       let shared = Ycsb.Workload.create ~record_count:params.records ~mix () in
       let workload_of _ = shared in

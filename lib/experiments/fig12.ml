@@ -27,7 +27,7 @@ let measure ~params ~hosts ~mix_name ~mix ~system =
             preload d ~records:params.records;
             fun ~client op -> minuet_exec d ~client op
         | `Cdb ->
-            let cdb = Cdb.create ~hosts () in
+            let cdb = Cdb.create ~hosts in
             preload_cdb cdb ~records:params.records;
             fun ~client op -> cdb_exec cdb ~client op
       in

@@ -66,7 +66,7 @@ let measure ~params ~hosts ~mix_name ~mix ~system =
             done;
             fun ~client op -> minuet_dual d ~records ~client op
         | `Cdb ->
-            let cdb = Cdb.create ~hosts () in
+            let cdb = Cdb.create ~hosts in
             preload_cdb cdb ~records;
             fun ~client:_ op -> cdb_dual cdb ~records op
       in

@@ -47,7 +47,8 @@ let measure ~params ~hosts ~scan_size ~borrowing =
           ~default:(Sim.Stats.Hist.create ())
       in
       let scans = Sim.Stats.Hist.count scan_hist in
-      let scs = Minuet.Db.scs d.db ~index:0 in
+      let scs = Obs.scs (Minuet.Db.obs d.db) in
+      let count c = float_of_int (Obs.Counter.value c) in
       {
         label =
           [
@@ -58,8 +59,8 @@ let measure ~params ~hosts ~scan_size ~borrowing =
         metrics =
           [
             ("scan_tput_s", float_of_int scans /. result.Ycsb.Driver.measured_seconds);
-            ("snapshots_created", float_of_int (Mvcc.Scs.snapshots_created scs));
-            ("borrows", float_of_int (Mvcc.Scs.borrows scs));
+            ("snapshots_created", count scs.Obs.scs_created);
+            ("borrows", count scs.Obs.scs_borrowed);
           ];
       })
 

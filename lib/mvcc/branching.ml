@@ -160,6 +160,8 @@ let mainline_tip t txn ~from =
   in
   follow from
 
+(* Up-to-date context on the mainline tip reached from [from] (default:
+   snapshot 0, i.e. the original mainline). *)
 let tip_vctx t ?(from = 0L) txn =
   let sid = mainline_tip t txn ~from in
   (* Validated read: commits fail if this tip stops being writable (a
@@ -375,10 +377,10 @@ let history t ~from k =
 
 type change = Added of string | Removed of string | Changed of string * string
 
-let diff ?(max_keys = max_int) t ~base ~other =
+let diff t ~base ~other =
   (* Horizontal comparison of two full versions in one transaction. *)
   Ops.run_txn t.tree (fun txn ->
-      let scan sid = Ops.scan_in_txn t.tree txn (at_snapshot t ~sid txn) ~from:"" ~count:max_keys in
+      let scan sid = Ops.scan_in_txn t.tree txn (at_snapshot t ~sid txn) ~from:"" ~count:max_int in
       let a = scan base and b = scan other in
       let rec merge acc a b =
         match (a, b) with

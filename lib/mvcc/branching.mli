@@ -87,12 +87,6 @@ val mainline_tip : t -> Dyntxn.Txn.t -> from:int64 -> int64
 val is_ancestor : t -> Dyntxn.Txn.t -> int64 -> int64 -> bool
 (** [is_ancestor t txn a b]: [a] is [b] or one of its ancestors. *)
 
-val tip_vctx : t -> ?from:int64 -> Dyntxn.Txn.t -> Btree.Ops.vctx
-(** Up-to-date context on the mainline tip reached from [from]
-    (default: snapshot 0, i.e. the original mainline). The tip's catalog
-    entry is registered for commit-time validation, so a concurrent
-    "make this tip read-only" aborts the operation. *)
-
 val at_snapshot : t -> sid:int64 -> Dyntxn.Txn.t -> Btree.Ops.vctx
 (** Read-only context on any version. *)
 
@@ -121,8 +115,7 @@ val history : t -> from:int64 -> Btree.Bkey.t -> (int64 * string option) list
 
 type change = Added of string | Removed of string | Changed of string * string
 
-val diff :
-  ?max_keys:int -> t -> base:int64 -> other:int64 -> (Btree.Bkey.t * change) list
+val diff : t -> base:int64 -> other:int64 -> (Btree.Bkey.t * change) list
 (** Compare two whole versions atomically: entries added, removed or
     changed going from [base] to [other], in key order. *)
 

@@ -7,16 +7,12 @@ type t = {
   stats : Obs.scs_stats;
   borrowing : bool;
   min_interval : float;
-  rpc_one_way : float;
   mutex : Sim.Mutex.t;
   (* Fig. 7 shared state. [last] is the (sid, root) pair of the most
      recently created read-only snapshot. *)
   mutable num_snapshots : int;
   mutable last : (int64 * Dyntxn.Objref.t) option;
   mutable last_created_at : float;
-  mutable created : int;
-  mutable borrowed : int;
-  mutable stale_reused : int;
   (* Creation log for the consistency checker: (sid, commit stamp of
      the snapshot-creation transaction), newest first. The stamp is the
      serialization point at which snapshot [sid] froze. *)
@@ -27,10 +23,12 @@ type t = {
   (* Chaos: the service is down until this simulated time; requests
      queue until it is back. *)
   mutable outage_until : float;
-  mutable outage_stalled : int;
 }
 
-let create ?(borrowing = true) ?(min_interval = 0.0) ?(rpc_one_way = 25e-6) ~tree () =
+(* The proxy -> service hop, each way. *)
+let rpc_one_way = 25e-6
+
+let create ?(borrowing = true) ?(min_interval = 0.0) ~tree () =
   let obs = Sinfonia.Cluster.obs (Ops.cluster tree) in
   {
     tree;
@@ -38,35 +36,20 @@ let create ?(borrowing = true) ?(min_interval = 0.0) ?(rpc_one_way = 25e-6) ~tre
     stats = Obs.scs obs;
     borrowing;
     min_interval;
-    rpc_one_way;
     mutex = Sim.Mutex.create ();
     num_snapshots = 0;
     last = None;
     last_created_at = neg_infinity;
-    created = 0;
-    borrowed = 0;
-    stale_reused = 0;
     creations = [];
     on_create = None;
     outage_until = neg_infinity;
-    outage_stalled = 0;
   }
-
-let snapshots_created t = t.created
-
-let borrows t = t.borrowed
-
-let stale_reuses t = t.stale_reused
 
 let creations t = t.creations
 
 let set_on_create t f = t.on_create <- Some f
 
 let set_outage t ~until = if until > t.outage_until then t.outage_until <- until
-
-let outage_until t = t.outage_until
-
-let outage_stalls t = t.outage_stalled
 
 (* Execute Fig. 6 to completion with a blocking commit (Sec. 4.1)
    through the shared retry loop. Cache-less: [Txn.read_replicated]
@@ -85,7 +68,6 @@ let create_snapshot_now t =
   (* A snapshot creation always writes the tip objects, so its blocking
      commit always carries a stamp. *)
   let stamp = Option.get stamp in
-  t.created <- t.created + 1;
   Obs.Counter.incr t.stats.Obs.scs_created;
   t.last <- Some result;
   t.last_created_at <- started;
@@ -96,15 +78,12 @@ let create_snapshot_now t =
 let request t =
   Obs.with_span t.obs Obs.Span.Scs_request @@ fun () ->
   (* Proxy → service hop. *)
-  Sim.delay t.rpc_one_way;
+  Sim.delay rpc_one_way;
   (* Chaos: requests arriving during a service outage queue until the
      service is back up. *)
-  if Sim.now () < t.outage_until then begin
-    t.outage_stalled <- t.outage_stalled + 1;
-    while Sim.now () < t.outage_until do
-      Sim.delay (t.outage_until -. Sim.now ())
-    done
-  end;
+  while Sim.now () < t.outage_until do
+    Sim.delay (t.outage_until -. Sim.now ())
+  done;
   let result =
     (* Staleness bound (Sec. 6.3): reuse the latest snapshot if it is
        younger than k. Checked again under the lock to serialize
@@ -115,7 +94,6 @@ let request t =
       && Sim.now () -. t.last_created_at < t.min_interval
     in
     if fresh_enough () then begin
-      t.stale_reused <- t.stale_reused + 1;
       Obs.Counter.incr t.stats.Obs.scs_stale_reused;
       (* Invariant: fresh_enough just proved t.last <> None. *)
       Option.get t.last
@@ -124,7 +102,6 @@ let request t =
       let tmp1 = t.num_snapshots in
       Sim.Mutex.with_lock t.mutex (fun () ->
           if fresh_enough () then begin
-            t.stale_reused <- t.stale_reused + 1;
             Obs.Counter.incr t.stats.Obs.scs_stale_reused;
             (* Invariant: fresh_enough just proved t.last <> None. *)
             Option.get t.last
@@ -135,7 +112,6 @@ let request t =
                we were waiting, the most recent one was created entirely
                within our request window — borrow it. *)
             if t.borrowing && tmp2 >= tmp1 + 2 then begin
-              t.borrowed <- t.borrowed + 1;
               Obs.Counter.incr t.stats.Obs.scs_borrowed;
               (* Invariant: tmp2 >= tmp1 + 2 means a snapshot completed,
                  so t.last was set by that completion. *)
@@ -150,5 +126,5 @@ let request t =
     end
   in
   (* Service → proxy reply. *)
-  Sim.delay t.rpc_one_way;
+  Sim.delay rpc_one_way;
   result

@@ -15,18 +15,13 @@
 
 type t
 
-val create :
-  ?borrowing:bool ->
-  ?min_interval:float ->
-  ?rpc_one_way:float ->
-  tree:Btree.Ops.tree ->
-  unit ->
-  t
+val create : ?borrowing:bool -> ?min_interval:float -> tree:Btree.Ops.tree -> unit -> t
 (** [borrowing] (default true) enables Fig. 7 borrowing; disabling it
     makes every request create its own snapshot (the paper's comparison
     baseline in Fig. 15). [min_interval] is the staleness bound [k]
-    (default 0). [rpc_one_way] models the proxy→service hop (default
-    25 µs). The [tree] handle is the service's own proxy handle. *)
+    (default 0). The proxy→service hop costs 25 µs each way. The [tree]
+    handle is the service's own proxy handle. Creations, borrows and
+    stale reuses are counted in the cluster's [Obs.scs]. *)
 
 val request : t -> int64 * Dyntxn.Objref.t
 (** Obtain a snapshot to run a query against: the id and root location
@@ -37,14 +32,6 @@ val request : t -> int64 * Dyntxn.Objref.t
     {!Dyntxn.Txn.Too_contended} and a creation whose commit outcome is
     unknown raises {!Dyntxn.Txn.Ambiguous}. Either way the service's
     lock is released and the next request starts afresh. *)
-
-val snapshots_created : t -> int
-(** Number of snapshots actually created (vs. borrowed/reused). *)
-
-val borrows : t -> int
-
-val stale_reuses : t -> int
-(** Requests served by the staleness bound (k > 0). *)
 
 val creations : t -> (int64 * int64) list
 (** Creation log for the consistency checker: [(sid, stamp)] pairs,
@@ -64,8 +51,3 @@ val set_outage : t -> until:float -> unit
 (** Declare the service unreachable until simulated time [until]:
     requests arriving before then queue and are served once the outage
     lifts (extends, never shortens, a current outage). *)
-
-val outage_until : t -> float
-
-val outage_stalls : t -> int
-(** Requests that had to wait out an outage. *)

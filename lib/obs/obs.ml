@@ -249,8 +249,11 @@ type t = {
   mutable next_span_id : int;
 }
 
-let create ?(span_capacity = 65536) () =
-  if span_capacity <= 0 then invalid_arg "Obs.create: span_capacity must be positive";
+(* Finished-span ring size; older spans are overwritten, aggregates are
+   unaffected. *)
+let span_capacity = 65536
+
+let create () =
   (* The name table: every counter is registered here, once, under the
      name reports print it by. *)
   let named = ref [] in

@@ -42,15 +42,13 @@ module Abort : sig
   type layer = Mtx | Txn | Btree | Scs
 
   val layers : layer list
-
-  val layer_to_string : layer -> string
 end
 
 type t
 
-val create : ?span_capacity:int -> unit -> t
-(** [span_capacity] bounds the finished-span ring buffer (default
-    65536); older spans are overwritten, aggregates are unaffected. *)
+val create : unit -> t
+(** The finished-span ring buffer holds 65536 spans; older spans are
+    overwritten, aggregates are unaffected. *)
 
 (** {1 Typed metric handles}
 
@@ -236,12 +234,6 @@ module Op : sig
   val label : op -> path -> string
   (** Report key: ["get"], ["get\@snapshot"], ... *)
 end
-
-val op_hist : t -> op:Op.op -> path:Op.path -> Sim.Stats.Hist.t
-(** The latency histogram (seconds of simulated time) for one
-    (operation, path) cell. *)
-
-val observe_op : t -> op:Op.op -> path:Op.path -> float -> unit
 
 val time_op : t -> op:Op.op -> path:Op.path -> (unit -> 'a) -> 'a
 (** Run the thunk inside an operation span, recording its simulated

@@ -2,9 +2,12 @@ type fault = { drop : float; extra_latency : float; blocked : bool }
 
 let benign = { drop = 0.0; extra_latency = 0.0; blocked = false }
 
+(* Base one-way latency and per-byte wire cost of a 10 GigE LAN. *)
+let one_way = 25e-6
+
+let per_byte = 1e-9
+
 type t = {
-  one_way : float;
-  per_byte : float;
   jitter : float;
   rto : float;
   rng : Rng.t;
@@ -17,10 +20,8 @@ type t = {
   faults : (int * int, fault) Hashtbl.t;
 }
 
-let create ?(one_way = 25e-6) ?(per_byte = 1e-9) ?(jitter = 5e-6) ?(rto = 1e-3) ~rng () =
+let create ?(jitter = 5e-6) ?(rto = 1e-3) ~rng () =
   {
-    one_way;
-    per_byte;
     jitter;
     rto;
     rng;
@@ -34,7 +35,7 @@ let sample_one_way t ~bytes =
   t.messages <- t.messages + 1;
   t.bytes <- t.bytes + bytes;
   let jitter = if t.jitter > 0.0 then Rng.exponential t.rng ~mean:t.jitter else 0.0 in
-  t.one_way +. (t.per_byte *. float_of_int bytes) +. jitter
+  one_way +. (per_byte *. float_of_int bytes) +. jitter
 
 let set_fault t ~src ~dst ?(drop = 0.0) ?(extra_latency = 0.0) ?(blocked = false) () =
   if drop < 0.0 || drop > 1.0 then invalid_arg "Net.set_fault: drop must be in [0, 1]";
@@ -44,14 +45,6 @@ let set_fault t ~src ~dst ?(drop = 0.0) ?(extra_latency = 0.0) ?(blocked = false
   else Hashtbl.replace t.faults (src, dst) f
 
 let clear_fault t ~src ~dst = Hashtbl.remove t.faults (src, dst)
-
-let set_fault_pair t ~a ~b ?drop ?extra_latency ?blocked () =
-  set_fault t ~src:a ~dst:b ?drop ?extra_latency ?blocked ();
-  set_fault t ~src:b ~dst:a ?drop ?extra_latency ?blocked ()
-
-let clear_fault_pair t ~a ~b =
-  clear_fault t ~src:a ~dst:b;
-  clear_fault t ~src:b ~dst:a
 
 let clear_all_faults t = Hashtbl.reset t.faults
 

@@ -1,7 +1,8 @@
 (** Network model: message delays for a data-center LAN, plus per-link
     fault injection for chaos testing.
 
-    A message delay is [one_way + per_byte * size + Exp(jitter)]. The
+    A message delay is [one_way + per_byte * size + Exp(jitter)], with
+    [one_way] = 25 µs and [per_byte] = 1 ns (≈ 8 Gb/s effective). The
     model is deliberately simple — the experiments in the paper depend on
     round-trip counts and server-side service times far more than on
     wire-level detail.
@@ -22,17 +23,9 @@
 
 type t
 
-val create :
-  ?one_way:float ->
-  ?per_byte:float ->
-  ?jitter:float ->
-  ?rto:float ->
-  rng:Rng.t ->
-  unit ->
-  t
-(** Defaults: [one_way] = 25 µs, [per_byte] = 1 ns (≈ 8 Gb/s effective),
-    [jitter] mean = 5 µs, [rto] (retransmission timeout for dropped
-    messages) = 1 ms. *)
+val create : ?jitter:float -> ?rto:float -> rng:Rng.t -> unit -> t
+(** Defaults: [jitter] mean = 5 µs, [rto] (retransmission timeout for
+    dropped messages) = 1 ms. *)
 
 val sample_one_way : t -> bytes:int -> float
 (** Sample a one-way delay for a message of [bytes] bytes. *)
@@ -55,15 +48,6 @@ val set_fault :
     [extra_latency] is negative. *)
 
 val clear_fault : t -> src:int -> dst:int -> unit
-
-val set_fault_pair :
-  t -> a:int -> b:int -> ?drop:float -> ?extra_latency:float -> ?blocked:bool -> unit -> unit
-(** {!set_fault} in both directions of the [a <-> b] link — the natural
-    shape for symmetric faults such as memnode-to-memnode mirror
-    partitions and replica-lag injection, where a one-directional fault
-    would let acks or votes leak around the failure. *)
-
-val clear_fault_pair : t -> a:int -> b:int -> unit
 
 val clear_all_faults : t -> unit
 

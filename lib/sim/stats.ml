@@ -49,7 +49,8 @@ module Hist = struct
 
   let add t v =
     let v = if v < 0.0 then 0.0 else v in
-    t.buckets.(bucket_of v) <- t.buckets.(bucket_of v) + 1;
+    let b = bucket_of v in
+    t.buckets.(b) <- t.buckets.(b) + 1;
     t.count <- t.count + 1;
     t.sum <- t.sum +. v;
     if v < t.minv then t.minv <- v;
@@ -86,8 +87,6 @@ module Hist = struct
       if v > t.maxv then t.maxv else if v < t.minv then t.minv else v
     end
 
-  let percentile t p = quantile t (p /. 100.0)
-
   let p999 t = quantile t 0.999
 
   let merge_into ~dst src =
@@ -115,24 +114,6 @@ module Hist = struct
         (quantile t 0.999 *. 1e3) (max t *. 1e3)
 end
 
-module Moments = struct
-  type t = { mutable n : int; mutable mean : float; mutable m2 : float }
-
-  let create () = { n = 0; mean = 0.0; m2 = 0.0 }
-
-  let add t x =
-    t.n <- t.n + 1;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean))
-
-  let count t = t.n
-
-  let mean t = t.mean
-
-  let stddev t = if t.n < 2 then 0.0 else sqrt (t.m2 /. float_of_int (t.n - 1))
-end
-
 module Series = struct
   type t = { width : float; mutable counts : int array; mutable last : int }
 
@@ -154,8 +135,6 @@ module Series = struct
     ensure t i;
     t.counts.(i) <- t.counts.(i) + k;
     if i > t.last then t.last <- i
-
-  let bucket_count t = t.last + 1
 
   let buckets t =
     Array.init (t.last + 1) (fun i -> (float_of_int i *. t.width, t.counts.(i)))

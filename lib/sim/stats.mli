@@ -30,9 +30,6 @@ module Hist : sig
   (** [quantile t q] for q in [\[0,1\]]; 0. when empty. Returns the
       upper edge of the bucket containing the q-th sample. *)
 
-  val percentile : t -> float -> float
-  (** [percentile t 95.] = [quantile t 0.95]. *)
-
   val p999 : t -> float
   (** [p999 t] = [quantile t 0.999] — the tail-latency quantile SLO
       gates are written against. The geometric buckets (ratio 1.04)
@@ -45,18 +42,6 @@ module Hist : sig
   (** "n=… mean=…ms p50=… p95=… p99=… p999=… max=…" *)
 end
 
-(** Welford running mean / standard deviation. *)
-module Moments : sig
-  type t
-
-  val create : unit -> t
-  val add : t -> float -> unit
-  val count : t -> int
-  val mean : t -> float
-  val stddev : t -> float
-  (** Sample standard deviation; 0. for fewer than two samples. *)
-end
-
 (** Counts bucketed by fixed-width windows of simulated time, e.g.
     per-second throughput time series. *)
 module Series : sig
@@ -66,7 +51,6 @@ module Series : sig
   (** [width] is the bucket width in seconds; must be positive. *)
 
   val add : t -> time:float -> int -> unit
-  val bucket_count : t -> int
   val buckets : t -> (float * int) array
   (** [(bucket_start_time, count)] for every bucket from time 0 to the
       last nonempty one, including empty buckets in between. *)

@@ -40,17 +40,17 @@ let promote t i =
           Memnode.relock_in_doubt store;
           Obs.Counter.incr (Obs.recovery t.obs).Obs.promotions)
 
+(* CPU servers per memnode: the paper pins each memnode to two cores. *)
+let memnode_cores = 2
+
 let create ?(config = Config.default) ?(seed = 0xC1057E4) ~n () =
   if n <= 0 then invalid_arg "Cluster.create: need at least one memnode";
   let rng = Sim.Rng.create seed in
-  let net =
-    Sim.Net.create ~one_way:config.net_one_way ~per_byte:config.net_per_byte
-      ~jitter:config.net_jitter ~rng:(Sim.Rng.split rng) ()
-  in
+  let net = Sim.Net.create ~rng:(Sim.Rng.split rng) () in
   let redo_logs = Array.init n (fun _ -> Redo_log.create ~retention:config.decision_retention ()) in
   let memnodes =
     Array.init n (fun id ->
-        Memnode.create ~redo:redo_logs.(id) ~id ~cores:config.memnode_cores
+        Memnode.create ~redo:redo_logs.(id) ~id ~cores:memnode_cores
           ~heap_capacity:config.heap_capacity ())
   in
   if config.replication && n > 1 then
@@ -107,8 +107,6 @@ let take_stamp t =
   t.next_stamp <- Int64.add t.next_stamp 1L;
   s
 
-let stamp_watermark t = t.next_stamp
-
 let backup_of t i = backup_index ~config:t.config ~n:(Array.length t.memnodes) i
 
 let route t i =
@@ -128,6 +126,10 @@ let route t i =
 let serving_host t i =
   let mn, _ = route t i in
   Memnode.id mn
+
+(* Fraction of the primary's apply cost the backup pays to apply a
+   mirror. *)
+let backup_factor = 0.6
 
 (* Synchronous primary-backup mirror of one committed minitransaction's
    writes. Outcomes are recorded honestly in the redo log: only a mirror
@@ -166,7 +168,7 @@ let mirror t i ~owner writes =
                 in
                 Sim.Net.transfer ~src:i ~dst:b t.net ~bytes;
                 let cost =
-                  t.config.backup_factor
+                  backup_factor
                   *. (t.config.svc_msg +. (t.config.svc_per_kb *. (float_of_int bytes /. 1024.0)))
                 in
                 Memnode.serve bn ~cost;

@@ -53,9 +53,6 @@ val take_stamp : t -> int64
     that discipline, stamp order of conflicting minitransactions equals
     their serialization order, which is what [minuet.check] replays. *)
 
-val stamp_watermark : t -> int64
-(** The next stamp {!take_stamp} would hand out. *)
-
 val backup_of : t -> int -> int option
 (** The node hosting [i]'s replica, if replication is on and [n > 1]. *)
 

@@ -4,25 +4,22 @@
     Defaults approximate the paper's testbed: memnodes pinned to two
     cores of a 2.67 GHz Xeon, a 10 GigE LAN, primary-backup replication
     with logging disabled. The absolute values matter less than their
-    ratios; EXPERIMENTS.md records the calibration. *)
+    ratios; EXPERIMENTS.md records the calibration.
+
+    Only the settings some caller varies live here. The rest of the
+    cost model is constants next to their one reader: memnode cores and
+    the backup's share of the apply cost in {!Cluster}, the blocking
+    lock-wait bound and the retry cap and budget in {!Coordinator}, and
+    the network latency terms in [Sim.Net]. [bin/minuet_bench] exposes
+    the workload parameters, not this cost model. *)
 
 type t = {
-  memnode_cores : int;  (** CPU servers per memnode (paper: 2). *)
   heap_capacity : int;  (** Bytes of storage per memnode. *)
   replication : bool;  (** Synchronous primary-backup (paper: on). *)
-  net_one_way : float;  (** Base one-way message latency, seconds. *)
-  net_per_byte : float;
-  net_jitter : float;  (** Mean of the exponential jitter term. *)
   svc_msg : float;  (** Memnode CPU per message, seconds. *)
   svc_item : float;  (** Memnode CPU per minitransaction item. *)
   svc_per_kb : float;  (** Memnode CPU per KiB of payload. *)
-  backup_factor : float;
-      (** Fraction of the primary's apply cost charged to the backup. *)
-  blocking_timeout : float;
-      (** Lock wait bound for blocking minitransactions, seconds. *)
   retry_backoff : float;  (** Initial retry backoff after Busy, seconds. *)
-  retry_backoff_max : float;
-  max_retries : int;  (** Busy retries before giving up (safety valve). *)
   in_doubt_grace : float;
       (** How long (simulated seconds) a prepared redo-log entry must be
           in doubt before the recovery coordinator resolves it. Must
@@ -42,5 +39,3 @@ type t = {
 }
 
 val default : t
-
-val pp : Format.formatter -> t -> unit

@@ -60,10 +60,16 @@ let round_trip_pinned cluster ~client mn ~bytes_out ~resp_bytes f =
   Sim.Net.transfer ?src:dst ?dst:client net ~bytes:(resp_bytes result);
   result
 
+(* Cap of the randomized exponential backoff after Busy, seconds. *)
+let retry_backoff_max = 5e-3
+
+(* Busy retries before a minitransaction gives up (a safety valve). *)
+let max_retries = 10_000
+
 let backoff_delay cluster attempt =
   let cfg = Cluster.config cluster in
   let base = cfg.Config.retry_backoff *. (2.0 ** float_of_int (min attempt 8)) in
-  let capped = Float.min base cfg.Config.retry_backoff_max in
+  let capped = Float.min base retry_backoff_max in
   Sim.delay (Sim.Rng.float (Cluster.rng cluster) capped)
 
 let merge_reads parts_results =
@@ -88,19 +94,21 @@ let outcome_of_reads cluster (mtx : Mtx.t) ~stamp indexed =
     }
 
 (* Blocking minitransactions wait at the memnode for busy locks, up to
-   the configured threshold (Sec. 4.1); normal ones try them once. *)
-let lock_wait cfg = function Normal -> None | Blocking -> Some cfg.Config.blocking_timeout
+   this threshold in seconds (Sec. 4.1); normal ones try them once. *)
+let blocking_timeout = 20e-3
+
+let lock_wait = function Normal -> None | Blocking -> Some blocking_timeout
 
 let exec_single cluster ~client ~mode (mtx : Mtx.t) node =
   let cfg = Cluster.config cluster in
-  let lock_wait = lock_wait cfg mode in
+  let lock_wait = lock_wait mode in
   let obs = Cluster.obs cluster in
   let stats = Obs.mtx obs in
   let part = Memnode.part_of_mtx mtx ~node in
   let cost = Memnode.part_cost cfg part in
   let bytes_out = Memnode.part_bytes part + request_overhead in
   let rec attempt n =
-    if n > cfg.Config.max_retries then begin
+    if n > max_retries then begin
       Obs.Counter.incr stats.Obs.retry_budget_exhausted;
       Mtx.Busy
     end
@@ -193,12 +201,12 @@ type presult =
 
 let exec_multi cluster ~client ~mode (mtx : Mtx.t) nodes =
   let cfg = Cluster.config cluster in
-  let lock_wait = lock_wait cfg mode in
+  let lock_wait = lock_wait mode in
   let obs = Cluster.obs cluster in
   let stats = Obs.mtx obs in
   let parts = List.map (fun node -> (node, Memnode.part_of_mtx mtx ~node)) nodes in
   let rec attempt n =
-    if n > cfg.Config.max_retries then begin
+    if n > max_retries then begin
       Obs.Counter.incr stats.Obs.retry_budget_exhausted;
       Mtx.Busy
     end

@@ -5,16 +5,16 @@
     trip); multi-memnode minitransactions use two-phase commit. A busy
     lock aborts the attempt and the coordinator retries transparently
     with randomized exponential backoff (Sec. 2.1). Blocking
-    minitransactions instead wait at the memnode for locks, up to the
-    configured threshold (Sec. 4.1). *)
+    minitransactions instead wait at the memnode for locks, up to a
+    20 ms threshold (Sec. 4.1). *)
 
 type mode =
   | Normal  (** Abort-and-retry on busy locks. *)
-  | Blocking  (** Wait at memnodes for locks, bounded by the config threshold. *)
+  | Blocking  (** Wait at memnodes for locks, bounded by the 20 ms threshold. *)
 
 val exec : Cluster.t -> ?client:int -> ?mode:mode -> Mtx.t -> Mtx.outcome
 (** Execute a minitransaction to completion. [Busy] is only returned
-    if the retry budget ([Config.max_retries]) is exhausted — callers
+    if the retry budget (10 000 Busy retries) is exhausted — callers
     treat it as an abort. Must run inside a simulation.
 
     [client] is the calling host's id for the network fault model: when

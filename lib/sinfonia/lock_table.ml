@@ -35,10 +35,6 @@ let conflicts t ~owner ranges =
         t.held)
     ranges
 
-let would_conflict t ~owner ranges =
-  validate ranges;
-  conflicts t ~owner ranges
-
 let try_acquire t ~owner ranges =
   validate ranges;
   if conflicts t ~owner ranges then false

@@ -40,8 +40,6 @@ val holds : t -> owner:int64 -> bool
 val held_ranges : t -> int
 (** Number of currently-held ranges (for tests and reporting). *)
 
-val would_conflict : t -> owner:int64 -> range list -> bool
-
 val owners_older_than : t -> float -> int64 list
 (** Owners holding at least one lock acquired before the given
     simulated time (candidates for crash recovery). Must be called

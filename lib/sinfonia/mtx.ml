@@ -56,11 +56,6 @@ let memnodes t =
 
 let item_count t = List.length t.compares + List.length t.reads + List.length t.writes
 
-let byte_count t =
-  List.fold_left (fun acc c -> acc + String.length c.c_expected) 0 t.compares
-  + List.fold_left (fun acc r -> acc + r.r_len) 0 t.reads
-  + List.fold_left (fun acc w -> acc + String.length w.w_data) 0 t.writes
-
 type outcome =
   | Committed of {
       stamp : int64;

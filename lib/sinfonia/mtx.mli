@@ -57,10 +57,6 @@ val memnodes : t -> int list
 
 val item_count : t -> int
 
-val byte_count : t -> int
-(** Total payload bytes (compares + reads + writes), used for cost
-    modelling. *)
-
 type outcome =
   | Committed of {
       stamp : int64;

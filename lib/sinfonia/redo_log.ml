@@ -39,7 +39,6 @@ type t = {
   mutable conflicts : int64 list; (* tids with contradictory decisions *)
   retention : float;
   mutable watermark : int64; (* highest stamp applied to the replica image *)
-  mutable appended : int;
 }
 
 let create ?(retention = 5.0) () =
@@ -54,7 +53,6 @@ let create ?(retention = 5.0) () =
     conflicts = [];
     retention;
     watermark = 0L;
-    appended = 0;
   }
 
 let now () = if Sim.inside () then Sim.now () else 0.0
@@ -134,7 +132,6 @@ let record_decision t ~tid d =
 
 let append t ~tid ~participants ~writes =
   if not (voted t ~tid) then begin
-    t.appended <- t.appended + 1;
     t.entries <-
       t.entries
       @ [
@@ -150,8 +147,6 @@ let append t ~tid ~participants ~writes =
           };
         ]
   end
-
-let appends t = t.appended
 
 let committed_in_order t =
   List.filter (fun e -> e.e_state = `Committed) t.entries

@@ -107,6 +107,4 @@ val fold_decisions :
 (** [List.fold_right] over {!decisions} without building it: the last
     record is folded first, so consing rebuilds the sorted order. *)
 
-val appends : t -> int
-
 val entry_count : t -> int

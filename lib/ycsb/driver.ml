@@ -99,37 +99,3 @@ let run ?(warmup = 0.0) ?(series_width = 1.0) ?(seed = 0x9C5B) ~clients ~duratio
   done;
   Sim.Ivar.read finished;
   finalize shared ~measured_seconds:(Sim.now () -. shared.warmup_end)
-
-let run_load ?(seed = 0x10AD) ~clients ~n ~workload ~exec () =
-  if clients <= 0 then invalid_arg "Driver.run_load: clients must be positive";
-  let start = Sim.now () in
-  let shared =
-    {
-      ops = 0;
-      failures = 0;
-      hists = Hashtbl.create 4;
-      series = Sim.Stats.Series.create ~width:1.0;
-      warmup_end = start;
-    }
-  in
-  let rng = Sim.Rng.create seed in
-  let finished = Sim.Ivar.create () in
-  let remaining = ref clients in
-  (* Divide the n inserts among clients round-robin so keys stay
-     distinct. *)
-  for client = 0 to clients - 1 do
-    let value_rng = Sim.Rng.split rng in
-    Sim.spawn ~name:(Printf.sprintf "ycsb-loader-%d" client) (fun () ->
-        let i = ref client in
-        while !i < n do
-          let op =
-            Workload.Insert (Workload.key_of workload !i, Sim.Rng.bytes value_rng 8)
-          in
-          execute_one shared ~exec ~client op;
-          i := !i + clients
-        done;
-        decr remaining;
-        if !remaining = 0 then Sim.Ivar.fill finished ())
-  done;
-  Sim.Ivar.read finished;
-  finalize shared ~measured_seconds:(Sim.now () -. start)

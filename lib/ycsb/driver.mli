@@ -41,13 +41,3 @@ val run :
     [exec] exceptions are counted as failures (the client keeps going).
     [series_width] (default 1 s) sets the time-series bucket width. *)
 
-val run_load :
-  ?seed:int ->
-  clients:int ->
-  n:int ->
-  workload:Workload.t ->
-  exec:(client:int -> Workload.op -> unit) ->
-  unit ->
-  result
-(** The YCSB load phase: [n] inserts of distinct hashed keys divided
-    among [clients] clients; measures the whole phase. *)

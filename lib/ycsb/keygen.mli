@@ -13,9 +13,6 @@ val hashed_key_of_int : int -> string
 (** Key for ordinal [i] under FNV hashing, spreading inserts across the
     key space (YCSB's default insert order). *)
 
-val fnv64 : int -> int64
-(** FNV-1a of the little-endian bytes of an int (YCSB's scramble). *)
-
 (** Distribution over item ordinals [\[0, n)]. *)
 type t
 

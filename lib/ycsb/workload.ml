@@ -28,15 +28,15 @@ type t = {
   mix : mix;
   total : float;
   keygen : Keygen.t;
-  value_size : int;
   scan_length : int;
   mutable record_count : int;
   mutable next_insert : int;
 }
 
-let create ?(distribution = `Uniform) ?(value_size = 8) ?(scan_length = 100)
-    ?(record_count = 100_000) ~mix () =
-  if value_size <= 0 then invalid_arg "Workload.create: value_size must be positive";
+(* Bytes per value (Sec. 6.1). *)
+let value_size = 8
+
+let create ?(distribution = `Uniform) ?(scan_length = 100) ?(record_count = 100_000) ~mix () =
   if record_count <= 0 then invalid_arg "Workload.create: record_count must be positive";
   let total = mix.read +. mix.update +. mix.insert +. mix.scan in
   if total <= 0.0 then invalid_arg "Workload.create: empty mix";
@@ -47,27 +47,24 @@ let create ?(distribution = `Uniform) ?(value_size = 8) ?(scan_length = 100)
     | `Latest -> Keygen.latest ~n:record_count
     | `Hotspot (op_frac, key_frac) -> Keygen.hotspot ~op_frac ~key_frac ~n:record_count ()
   in
-  { mix; total; keygen; value_size; scan_length; record_count; next_insert = record_count }
+  { mix; total; keygen; scan_length; record_count; next_insert = record_count }
 
 let record_count t = t.record_count
 
 let key_of _t i = Keygen.hashed_key_of_int i
 
-let value t rng = Sim.Rng.bytes rng t.value_size
-
-let load_ops t ~n ~rng =
-  Seq.init n (fun i -> Insert (key_of t i, value t rng))
+let value rng = Sim.Rng.bytes rng value_size
 
 let next_op t rng =
   let pick = Sim.Rng.float rng t.total in
   let existing () = key_of t (Keygen.next t.keygen rng) in
   if pick < t.mix.read then Read (existing ())
-  else if pick < t.mix.read +. t.mix.update then Update (existing (), value t rng)
+  else if pick < t.mix.read +. t.mix.update then Update (existing (), value rng)
   else if pick < t.mix.read +. t.mix.update +. t.mix.insert then begin
     let ordinal = t.next_insert in
     t.next_insert <- t.next_insert + 1;
     t.record_count <- t.record_count + 1;
     Keygen.set_n t.keygen t.record_count;
-    Insert (key_of t ordinal, value t rng)
+    Insert (key_of t ordinal, value rng)
   end
   else Scan (existing (), t.scan_length)

@@ -36,23 +36,18 @@ type t
 
 val create :
   ?distribution:[ `Uniform | `Zipfian | `Latest | `Hotspot of float * float ] ->
-  ?value_size:int ->
   ?scan_length:int ->
   ?record_count:int ->
   mix:mix ->
   unit ->
   t
 (** [record_count] (default 100_000) is the initial logical key-space
-    size; inserts extend it. [value_size] defaults to 8 bytes
-    (Sec. 6.1); [scan_length] to 100. [`Hotspot (op_frac, key_frac)]
+    size; inserts extend it. Values are 8 bytes (Sec. 6.1);
+    [scan_length] defaults to 100. [`Hotspot (op_frac, key_frac)]
     sends [op_frac] of the operations to the first [key_frac] of the
     ordinal space ({!Keygen.hotspot}). *)
 
 val record_count : t -> int
-
-val load_ops : t -> n:int -> rng:Sim.Rng.t -> op Seq.t
-(** The YCSB load phase: [n] inserts of distinct keys in hashed
-    (uniformly spread) order, as used in Fig. 10. *)
 
 val next_op : t -> Sim.Rng.t -> op
 (** Draw the next operation from the mix. Inserts use fresh keys and

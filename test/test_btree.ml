@@ -30,7 +30,7 @@ let make_env ?(n = 3) () =
   in
   let cluster = Cluster.create ~config ~n () in
   let shared = Node_alloc.Shared.create ~n_memnodes:n in
-  { cluster; layout; shared; cache = Objcache.create () }
+  { cluster; layout; shared; cache = Objcache.create (Obs.create ()) }
 
 let make_tree ?(mode = Ops.Dirty_traversal) ?(max_keys = 4) ?(tree_id = 0) ?cache ?view_memo env =
   let alloc = Node_alloc.create ~cluster:env.cluster ~layout:env.layout ~shared:env.shared () in
@@ -244,11 +244,11 @@ let test_memo_shared_across_handles () =
       let misses = View_memo.misses memo in
       (* A second proxy with a cold cache of its own, sharing the memo:
          it fetches the same node versions and parses none of them. *)
-      let b = make_tree ~cache:(Objcache.create ()) ~view_memo:memo env in
+      let b = make_tree ~cache:(Objcache.create (Obs.create ())) ~view_memo:memo env in
       check (Alcotest.option Alcotest.string) "second handle" (Some (value 17)) (get b (key 17));
       check Alcotest.int "parsed once" misses (View_memo.misses memo);
       (* Without the shared memo the second proxy parses its own. *)
-      let c = make_tree ~cache:(Objcache.create ()) env in
+      let c = make_tree ~cache:(Objcache.create (Obs.create ())) env in
       check (Alcotest.option Alcotest.string) "private memo" (Some (value 17)) (get c (key 17));
       check Alcotest.bool "private memo parses" true (View_memo.misses (Ops.view_memo c) > 0))
 
@@ -467,7 +467,7 @@ let test_concurrent_disjoint_inserts () =
       (* Several proxies, each with its own cache and allocator, insert
          disjoint key ranges concurrently. *)
       let proxies =
-        List.init 4 (fun p -> (p, make_tree env ~cache:(Objcache.create ()) ~max_keys:4))
+        List.init 4 (fun p -> (p, make_tree env ~cache:(Objcache.create (Obs.create ())) ~max_keys:4))
       in
       ignore tree0;
       let done_count = ref 0 in
@@ -487,7 +487,7 @@ let test_concurrent_disjoint_inserts () =
 let test_concurrent_same_key_updates () =
   with_tree ~n:2 ~max_keys:4 (fun env tree0 ->
       put tree0 (key 0) "init";
-      let proxies = List.init 3 (fun p -> (p, make_tree env ~cache:(Objcache.create ()))) in
+      let proxies = List.init 3 (fun p -> (p, make_tree env ~cache:(Objcache.create (Obs.create ())))) in
       let done_count = ref 0 in
       List.iter
         (fun (p, tree) ->
@@ -509,7 +509,7 @@ let test_concurrent_updates_with_snapshot () =
       for i = 0 to 39 do
         put tree0 (key i) "base"
       done;
-      let writer = make_tree env ~cache:(Objcache.create ()) in
+      let writer = make_tree env ~cache:(Objcache.create (Obs.create ())) in
       let snapshot = ref None in
       let writes_done = ref false in
       Sim.spawn (fun () ->
@@ -557,9 +557,9 @@ let test_validated_mode_detects_stale_internal () =
      (with a now-stale cache) must not commit against them. *)
   Sim.run (fun () ->
       let env = make_env ~n:2 () in
-      let t1 = make_tree env ~mode:Ops.Validated_traversal ~cache:(Objcache.create ()) in
+      let t1 = make_tree env ~mode:Ops.Validated_traversal ~cache:(Objcache.create (Obs.create ())) in
       Ops.Linear.init_tree t1;
-      let t2 = make_tree env ~mode:Ops.Validated_traversal ~cache:(Objcache.create ()) in
+      let t2 = make_tree env ~mode:Ops.Validated_traversal ~cache:(Objcache.create (Obs.create ())) in
       (* Warm both proxies. *)
       for i = 0 to 20 do
         put t1 (key i) "a"
@@ -609,9 +609,9 @@ let test_fig2_no_unnecessary_abort_with_dirty_traversals () =
     let result = ref 0 in
     Sim.run (fun () ->
         let env = make_env ~n:2 () in
-        let t1 = make_tree env ~mode ~cache:(Objcache.create ()) in
+        let t1 = make_tree env ~mode ~cache:(Objcache.create (Obs.create ())) in
         Ops.Linear.init_tree t1;
-        let t2 = make_tree env ~mode ~cache:(Objcache.create ()) in
+        let t2 = make_tree env ~mode ~cache:(Objcache.create (Obs.create ())) in
         (* Grow a two-level tree and warm both proxies. *)
         for i = 0 to 29 do
           put t1 (key (2 * i)) "x"
@@ -653,9 +653,9 @@ let test_fig3_fence_keys_prevent_wrong_leaf () =
      2 (stale cache) looks up keys that now live elsewhere. *)
   Sim.run (fun () ->
       let env = make_env ~n:2 () in
-      let t1 = make_tree env ~cache:(Objcache.create ()) in
+      let t1 = make_tree env ~cache:(Objcache.create (Obs.create ())) in
       Ops.Linear.init_tree t1;
-      let t2 = make_tree env ~cache:(Objcache.create ()) in
+      let t2 = make_tree env ~cache:(Objcache.create (Obs.create ())) in
       for i = 0 to 39 do
         put t1 (key i) "v0"
       done;
@@ -785,9 +785,9 @@ let test_batched_scan_crossing_concurrent_splits mode () =
      values some committed state held. *)
   Sim.run (fun () ->
       let env = make_env ~n:3 () in
-      let t1 = make_tree env ~mode ~max_keys:4 ~cache:(Objcache.create ()) in
+      let t1 = make_tree env ~mode ~max_keys:4 ~cache:(Objcache.create (Obs.create ())) in
       Ops.Linear.init_tree t1;
-      let t2 = make_tree env ~mode ~max_keys:4 ~cache:(Objcache.create ()) in
+      let t2 = make_tree env ~mode ~max_keys:4 ~cache:(Objcache.create (Obs.create ())) in
       for i = 0 to 199 do
         put t1 (key i) "base"
       done;
@@ -850,15 +850,15 @@ let test_batched_scan_aborts_when_leaf_moves mode () =
       in
       let cluster = Cluster.create ~config ~n:2 () in
       let shared = Node_alloc.Shared.create ~n_memnodes:2 in
-      let env = { cluster; layout; shared; cache = Objcache.create () } in
+      let env = { cluster; layout; shared; cache = Objcache.create (Obs.create ()) } in
       let mk cache =
         let alloc = Node_alloc.create ~cluster ~layout ~shared () in
         Ops.make_tree ~mode ~max_keys_leaf:4 ~max_keys_internal:32 ~cluster ~layout ~tree_id:0
           ~alloc ~cache ()
       in
-      let t1 = mk (Objcache.create ()) in
+      let t1 = mk (Objcache.create (Obs.create ())) in
       Ops.Linear.init_tree t1;
-      let t2 = mk (Objcache.create ()) in
+      let t2 = mk (Objcache.create (Obs.create ())) in
       for i = 0 to 149 do
         put t1 (key (2 * i)) "v0"
       done;

@@ -4,7 +4,7 @@ let check = Alcotest.check
 
 let key i = Printf.sprintf "k%06d" i
 
-let with_cdb ?(hosts = 3) f = Sim.run (fun () -> f (Cdb.create ~hosts ()))
+let with_cdb ?(hosts = 3) f = Sim.run (fun () -> f (Cdb.create ~hosts))
 
 let test_basic_crud () =
   with_cdb (fun db ->

@@ -55,8 +55,13 @@ let test_objref_zero_slot_seq () =
 
 let entry seq payload = { Objcache.seq; payload }
 
+(* The cache counts into an [Obs.t]; these read its counters. *)
+let cache_count obs f = Obs.Counter.value (f (Obs.cache obs))
+
+let stamp_count obs = Obs.Counter.value (Obs.node obs).Obs.stamp_revalidations
+
 let test_cache_basic () =
-  let c = Objcache.create ~capacity:10 () in
+  let c = Objcache.create ~capacity:10 (Obs.create ()) in
   let r = slot 0 base in
   check Alcotest.bool "miss" true (Objcache.find c r = None);
   Objcache.insert c r (entry 1L "v1");
@@ -72,7 +77,7 @@ let test_cache_basic () =
   check Alcotest.bool "invalidated" true (Objcache.find c r = None)
 
 let test_cache_lru_eviction () =
-  let c = Objcache.create ~capacity:3 () in
+  let c = Objcache.create ~capacity:3 (Obs.create ()) in
   let refs = Array.init 4 (fun i -> slot 0 (base + (i * 64))) in
   for i = 0 to 2 do
     Objcache.insert c refs.(i) (entry (Int64.of_int i) "x")
@@ -86,23 +91,32 @@ let test_cache_lru_eviction () =
   check Alcotest.bool "newest kept" true (Objcache.find c refs.(3) <> None)
 
 let test_cache_stats () =
-  let c = Objcache.create () in
+  let obs = Obs.create () in
+  let c = Objcache.create obs in
   let r = slot 0 base in
   ignore (Objcache.find c r);
   Objcache.insert c r (entry 1L "v");
   ignore (Objcache.find c r);
-  check Alcotest.int "hits" 1 (Objcache.hits c);
-  check Alcotest.int "misses" 1 (Objcache.misses c)
+  check Alcotest.int "hits" 1 (cache_count obs (fun s -> s.Obs.cache_hits));
+  check Alcotest.int "misses" 1 (cache_count obs (fun s -> s.Obs.cache_misses));
+  (* [mem] answers like [find] but counts nothing. *)
+  check Alcotest.bool "mem hit" true (Objcache.mem c r);
+  check Alcotest.bool "mem miss" false (Objcache.mem c (slot 0 (base + 64)));
+  check Alcotest.int "mem counts no hit" 1 (cache_count obs (fun s -> s.Obs.cache_hits));
+  check Alcotest.int "mem counts no miss" 1 (cache_count obs (fun s -> s.Obs.cache_misses))
 
 let test_cache_clear () =
-  let c = Objcache.create () in
+  let obs = Obs.create () in
+  let c = Objcache.create obs in
   Objcache.insert c (slot 0 base) (entry 1L "v");
   Objcache.clear c;
   check Alcotest.int "cleared" 0 (Objcache.size c);
-  check Alcotest.int "bulk eviction counted" 1 (Objcache.bulk_evictions c)
+  check Alcotest.int "bulk eviction counted" 1
+    (cache_count obs (fun s -> s.Obs.cache_bulk_evictions))
 
 let test_cache_epoch_staleness () =
-  let c = Objcache.create () in
+  let obs = Obs.create () in
+  let c = Objcache.create obs in
   let r0 = slot 0 base and r1 = slot 1 base in
   Objcache.insert c r0 (entry 1L "space0");
   Objcache.insert c r1 (entry 2L "space1");
@@ -114,9 +128,10 @@ let test_cache_epoch_staleness () =
   (match Objcache.find_status c r1 with
   | Objcache.Fresh { Objcache.payload = "space1"; _ } -> ()
   | _ -> Alcotest.fail "space-1 entry must stay fresh");
-  check Alcotest.int "stale hit counted" 1 (Objcache.stale_hits c);
+  check Alcotest.int "stale hit counted" 1 (cache_count obs (fun s -> s.Obs.cache_stale_hits));
   (* find treats stale as a miss but keeps the entry for revalidation. *)
   check Alcotest.bool "find skips stale" true (Objcache.find c r0 = None);
+  check Alcotest.bool "mem skips stale" false (Objcache.mem c r0);
   check Alcotest.int "entry retained" 2 (Objcache.size c);
   (* Epoch observations are monotonic: an older epoch changes nothing. *)
   Objcache.observe_epoch c ~space:0 ~epoch:0;
@@ -128,33 +143,38 @@ let test_cache_epoch_staleness () =
   let stale_entry = entry 1L "space0" in
   Objcache.note_revalidation c ~old:stale_entry ~seq:1L ~payload:"space0";
   Objcache.note_revalidation c ~old:stale_entry ~seq:9L ~payload:"different";
-  check Alcotest.int "revalidations" 2 (Objcache.epoch_revalidations c);
-  check Alcotest.int "survived" 1 (Objcache.epoch_survived c);
-  check Alcotest.int "no stamp matches without a comparator" 0 (Objcache.stamp_revalidations c);
+  check Alcotest.int "revalidations" 2
+    (cache_count obs (fun s -> s.Obs.cache_epoch_revalidations));
+  check Alcotest.int "survived" 1 (cache_count obs (fun s -> s.Obs.cache_epoch_survived));
+  check Alcotest.int "no stamp matches without a comparator" 0 (stamp_count obs);
   Objcache.insert c r0 (entry 1L "space0");
   (match Objcache.find_status c r0 with
   | Objcache.Fresh _ -> ()
   | _ -> Alcotest.fail "re-inserted entry must carry the current epoch");
-  check Alcotest.int "no bulk eviction anywhere" 0 (Objcache.bulk_evictions c)
+  check Alcotest.int "no bulk eviction anywhere" 0
+    (cache_count obs (fun s -> s.Obs.cache_bulk_evictions))
 
 let test_cache_stamp_revalidation () =
   (* With a content comparator installed, a stale entry whose payload
      matches the fresh bytes survives revalidation even though its
      sequence number changed (a promoted backup renumbers slots without
      changing node content). *)
-  let c = Objcache.create ~same_content:String.equal () in
+  let obs = Obs.create () in
+  let c = Objcache.create ~same_content:String.equal obs in
+  let survived () = cache_count obs (fun s -> s.Obs.cache_epoch_survived) in
   let old = entry 1L "node-bytes" in
   Objcache.note_revalidation c ~old ~seq:7L ~payload:"node-bytes";
-  check Alcotest.int "stamp match counted" 1 (Objcache.stamp_revalidations c);
-  check Alcotest.int "stamp match survives" 1 (Objcache.epoch_survived c);
+  check Alcotest.int "stamp match counted" 1 (stamp_count obs);
+  check Alcotest.int "stamp match survives" 1 (survived ());
   Objcache.note_revalidation c ~old ~seq:8L ~payload:"other-bytes";
-  check Alcotest.int "content mismatch not counted" 1 (Objcache.stamp_revalidations c);
-  check Alcotest.int "content mismatch does not survive" 1 (Objcache.epoch_survived c);
+  check Alcotest.int "content mismatch not counted" 1 (stamp_count obs);
+  check Alcotest.int "content mismatch does not survive" 1 (survived ());
   (* Same seq short-circuits: no stamp comparison is recorded. *)
   Objcache.note_revalidation c ~old ~seq:1L ~payload:"node-bytes";
-  check Alcotest.int "same seq needs no stamp" 1 (Objcache.stamp_revalidations c);
-  check Alcotest.int "same seq survives" 2 (Objcache.epoch_survived c);
-  check Alcotest.int "all three counted" 3 (Objcache.epoch_revalidations c)
+  check Alcotest.int "same seq needs no stamp" 1 (stamp_count obs);
+  check Alcotest.int "same seq survives" 2 (survived ());
+  check Alcotest.int "all three counted" 3
+    (cache_count obs (fun s -> s.Obs.cache_epoch_revalidations))
 
 (* ------------------------------------------------------------------ *)
 (* Transactions                                                         *)
@@ -322,7 +342,7 @@ let test_txn_payload_capacity_checked () =
 
 let test_txn_dirty_read_uses_cache () =
   with_cluster (fun cluster ->
-      let cache = Objcache.create () in
+      let cache = Objcache.create (Cluster.obs cluster) in
       let r = slot 0 base in
       let t0 = Txn.begin_ cluster in
       Txn.write t0 r "cached-value";
@@ -340,7 +360,7 @@ let test_txn_dirty_read_uses_cache () =
 
 let test_txn_stale_cache_detected_on_write () =
   with_cluster (fun cluster ->
-      let cache = Objcache.create () in
+      let cache = Objcache.create (Cluster.obs cluster) in
       let r = slot 0 base in
       let t0 = Txn.begin_ cluster in
       Txn.write t0 r "v1";
@@ -367,7 +387,7 @@ let test_txn_stale_cache_detected_on_write () =
 
 let test_txn_evict_dirty () =
   with_cluster (fun cluster ->
-      let cache = Objcache.create () in
+      let cache = Objcache.create (Cluster.obs cluster) in
       let r = slot 0 base in
       let t0 = Txn.begin_ cluster in
       Txn.write t0 r "v";
@@ -379,7 +399,7 @@ let test_txn_evict_dirty () =
 
 let test_txn_commit_refreshes_cached_objects () =
   with_cluster (fun cluster ->
-      let cache = Objcache.create () in
+      let cache = Objcache.create (Cluster.obs cluster) in
       let r = slot 0 base in
       let t0 = Txn.begin_ cluster in
       Txn.write t0 r "old";
@@ -393,6 +413,29 @@ let test_txn_commit_refreshes_cached_objects () =
       | Some { Objcache.payload = "new"; _ } -> ()
       | Some { Objcache.payload; _ } -> Alcotest.failf "cache has %S" payload
       | None -> Alcotest.fail "cache entry missing")
+
+let test_txn_blind_write_commit_counts_no_lookup () =
+  (* Refreshing the cache after a commit is bookkeeping, not a lookup:
+     blind writes (every leaf a put writes) must not show up as cache
+     misses, nor refreshes of cached objects as hits. *)
+  with_cluster (fun cluster ->
+      let obs = Cluster.obs cluster in
+      let cache = Objcache.create obs in
+      let lookups () =
+        (cache_count obs (fun s -> s.Obs.cache_hits), cache_count obs (fun s -> s.Obs.cache_misses))
+      in
+      let uncached = slot 0 base and cached = slot 0 (base + 64) in
+      Objcache.insert cache cached (entry 1L "old");
+      let before = lookups () in
+      let t = Txn.begin_ cluster ~cache in
+      Txn.write t uncached "blind";
+      Txn.write t cached "new";
+      commit_ok t;
+      check Alcotest.(pair int int) "no hit or miss counted" before (lookups ());
+      check Alcotest.bool "uncached object stays uncached" false (Objcache.mem cache uncached);
+      match Objcache.find cache cached with
+      | Some { Objcache.payload = "new"; _ } -> ()
+      | _ -> Alcotest.fail "cached object not refreshed")
 
 let test_txn_read_many_single_round_trip () =
   with_cluster (fun cluster ->
@@ -442,7 +485,7 @@ let test_txn_read_many_validates_read_set () =
 
 let test_txn_negative_entries_not_cached () =
   with_cluster (fun cluster ->
-      let cache = Objcache.create () in
+      let cache = Objcache.create (Cluster.obs cluster) in
       let r = slot 0 base in
       (* Dirty-reading an unallocated (empty-payload) slot must not
          create a cache entry: negative entries would mask later
@@ -464,7 +507,7 @@ let test_txn_negative_entries_not_cached () =
 
 let test_txn_evict_dirty_drops_negative_read () =
   with_cluster (fun cluster ->
-      let cache = Objcache.create () in
+      let cache = Objcache.create (Cluster.obs cluster) in
       let r = slot 0 base in
       (* The cache holds a positive entry; a validated read then shows
          the slot is actually empty (deleted). evict_dirty must drop the
@@ -477,7 +520,7 @@ let test_txn_evict_dirty_drops_negative_read () =
 
 let test_txn_cache_epoch_revalidation_after_crash () =
   with_cluster ~n:2 (fun cluster ->
-      let cache = Objcache.create () in
+      let cache = Objcache.create (Cluster.obs cluster) in
       let r = slot 1 base and r2 = slot 1 (base + 64) in
       let t0 = Txn.begin_ cluster ~cache in
       Txn.write t0 r "epoch-v";
@@ -494,7 +537,8 @@ let test_txn_cache_epoch_revalidation_after_crash () =
       | Error _ -> Alcotest.fail "recovery failed");
       (* The proxy has not heard about the crash yet: the cached entry
          still serves (incoherent by design, same as any stale entry). *)
-      check Alcotest.int "no revalidation yet" 0 (Objcache.epoch_revalidations cache);
+      let count f = cache_count (Cluster.obs cluster) f in
+      check Alcotest.int "no revalidation yet" 0 (count (fun s -> s.Obs.cache_epoch_revalidations));
       (* Any minitransaction touching the space teaches the cache the
          new epoch via the reply... *)
       let t2 = Txn.begin_ cluster ~cache in
@@ -506,9 +550,9 @@ let test_txn_cache_epoch_revalidation_after_crash () =
       check Alcotest.string "revalidated value" "epoch-v" (Txn.dirty_read t3 r);
       check Alcotest.int "revalidation fetch" 1 (Txn.fetches t3);
       commit_ok t3;
-      check Alcotest.int "one revalidation" 1 (Objcache.epoch_revalidations cache);
-      check Alcotest.int "entry survived" 1 (Objcache.epoch_survived cache);
-      check Alcotest.int "no bulk eviction" 0 (Objcache.bulk_evictions cache);
+      check Alcotest.int "one revalidation" 1 (count (fun s -> s.Obs.cache_epoch_revalidations));
+      check Alcotest.int "entry survived" 1 (count (fun s -> s.Obs.cache_epoch_survived));
+      check Alcotest.int "no bulk eviction" 0 (count (fun s -> s.Obs.cache_bulk_evictions));
       (* Fully revalidated: a further dirty read is a plain cache hit. *)
       let t4 = Txn.begin_ cluster ~cache in
       check Alcotest.string "fresh again" "epoch-v" (Txn.dirty_read t4 r);
@@ -593,7 +637,7 @@ let test_replicated_cached_then_validated () =
   (* A replicated read served from the proxy cache is still validated at
      commit: stale cache => validation failure => eviction => retry ok. *)
   with_cluster (fun cluster ->
-      let cache = Objcache.create () in
+      let cache = Objcache.create (Cluster.obs cluster) in
       let t0 = Txn.begin_ cluster in
       Txn.write_replicated t0 ~off:repl_off ~len:repl_len "tip=1";
       commit_ok t0;
@@ -831,6 +875,8 @@ let () =
           Alcotest.test_case "evict dirty" `Quick test_txn_evict_dirty;
           Alcotest.test_case "commit refreshes cache" `Quick
             test_txn_commit_refreshes_cached_objects;
+          Alcotest.test_case "blind write counts no lookup" `Quick
+            test_txn_blind_write_commit_counts_no_lookup;
           Alcotest.test_case "read_many single round trip" `Quick
             test_txn_read_many_single_round_trip;
           Alcotest.test_case "read_many validates read set" `Quick

@@ -98,6 +98,30 @@ let test_fig16_scans_scale () =
   let s hosts = metric rows [ ("hosts", string_of_int hosts) ] "scan_keys_s" in
   check Alcotest.bool "scan keys/s scale" true (s 12 > 1.8 *. s 4)
 
+let test_ablation_proxy_cache_pays () =
+  (* The no-proxy-cache variant (capacity 1, the only run that evicts
+     from the proxy cache) fetches every internal node from the
+     memnodes: slower and higher latency than the default. *)
+  let module A = Experiments.Ablations in
+  let measure name =
+    A.measure ~params:tiny ~hosts:4 (List.find (fun v -> String.equal v.A.name name) A.variants)
+  in
+  let default = measure "default" and uncached = measure "no-proxy-cache" in
+  check Alcotest.bool "cache-less throughput well below default" true
+    (P.row_value uncached "tput_ops_s" < 0.75 *. P.row_value default "tput_ops_s");
+  check Alcotest.bool "cache-less latency above default" true
+    (P.row_value uncached "mean_ms" > P.row_value default "mean_ms")
+
+let test_fig11_cdb_latency_gap () =
+  (* One point of Fig. 11: at the same offered load CDB's synchronous
+     client path keeps its read latency several times Minuet's. *)
+  let point measure =
+    measure ~params:tiny ~hosts:4 ~mix_name:"read" ~mix:Ycsb.Workload.read_only ~clients:8
+  in
+  let minuet = point Experiments.Fig11.measure_minuet and cdb = point Experiments.Fig11.measure_cdb in
+  check Alcotest.bool "cdb read latency several times minuet's" true
+    (P.row_value cdb "mean_ms" > 4.0 *. P.row_value minuet "mean_ms")
+
 let test_fig14_dip_and_recovery () =
   (* Use a smaller tree than the defaults so the test stays fast, but
      still big enough to see the dip. *)
@@ -123,5 +147,7 @@ let () =
           Alcotest.test_case "fig15 borrowing" `Slow test_fig15_borrowing_helps_short_scans;
           Alcotest.test_case "fig16 scan scaling" `Slow test_fig16_scans_scale;
           Alcotest.test_case "fig17 k ordering" `Slow test_fig17_k_ordering;
+          Alcotest.test_case "fig11 cdb latency gap" `Slow test_fig11_cdb_latency_gap;
+          Alcotest.test_case "ablation proxy cache pays" `Slow test_ablation_proxy_cache_pays;
         ] );
     ]

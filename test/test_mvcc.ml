@@ -30,7 +30,7 @@ let make_env ?(n = 3) () =
 let make_tree ?(max_keys = 4) ?(tree_id = 0) env =
   let alloc = Node_alloc.create ~cluster:env.cluster ~layout:env.layout ~shared:env.shared () in
   Ops.make_tree ~max_keys_leaf:max_keys ~max_keys_internal:max_keys ~cluster:env.cluster
-    ~layout:env.layout ~tree_id ~alloc ~cache:(Objcache.create ()) ()
+    ~layout:env.layout ~tree_id ~alloc ~cache:(Objcache.create (Obs.create ())) ()
 
 let with_linear_tree ?n f =
   Sim.run (fun () ->
@@ -49,16 +49,23 @@ let _get tree k = Ops.get tree ~vctx_of:(tip tree) k
 (* SCS                                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* The SCS counts into its cluster's Obs. *)
+let scs_count env f = Obs.Counter.value (f (Obs.scs (Cluster.obs env.cluster)))
+
+let scs_created env = scs_count env (fun s -> s.Obs.scs_created)
+
+let scs_borrows env = scs_count env (fun s -> s.Obs.scs_borrowed)
+
 let test_scs_sequential_creates () =
-  with_linear_tree (fun _env tree ->
+  with_linear_tree (fun env tree ->
       let scs = Scs.create ~tree () in
       put tree (key 1) "v1";
       let s1, r1 = Scs.request scs in
       put tree (key 2) "v2";
       let s2, _ = Scs.request scs in
       check Alcotest.bool "ids increase" true (Int64.compare s1 s2 < 0);
-      check Alcotest.int "two created" 2 (Scs.snapshots_created scs);
-      check Alcotest.int "no borrows (sequential)" 0 (Scs.borrows scs);
+      check Alcotest.int "two created" 2 (scs_created env);
+      check Alcotest.int "no borrows (sequential)" 0 (scs_borrows env);
       (* The first snapshot contains key1 but not key2. *)
       let entries = Ops.audit tree ~sid:s1 ~root:r1 in
       check
@@ -66,7 +73,7 @@ let test_scs_sequential_creates () =
         "snapshot 1 contents" [ key 1 ] (List.map fst entries))
 
 let test_scs_concurrent_borrowing () =
-  with_linear_tree (fun _env tree ->
+  with_linear_tree (fun env tree ->
       put tree (key 1) "v";
       let scs = Scs.create ~tree () in
       let requesters = 8 in
@@ -78,10 +85,10 @@ let test_scs_concurrent_borrowing () =
       done;
       Sim.delay 60.0;
       check Alcotest.int "all served" requesters (List.length !results);
-      check Alcotest.bool "some borrowed" true (Scs.borrows scs > 0);
-      check Alcotest.int "accounting" requesters (Scs.snapshots_created scs + Scs.borrows scs);
+      check Alcotest.bool "some borrowed" true (scs_borrows env > 0);
+      check Alcotest.int "accounting" requesters (scs_created env + scs_borrows env);
       check Alcotest.bool "fewer creations than requests" true
-        (Scs.snapshots_created scs < requesters);
+        (scs_created env < requesters);
       (* Every returned snapshot is readable and contains the key. *)
       List.iter
         (fun (sid, root) ->
@@ -110,7 +117,7 @@ let test_scs_borrowing_strictly_serializable () =
       check Alcotest.int "no staleness violations" 0 !violations)
 
 let test_scs_no_borrowing_mode () =
-  with_linear_tree (fun _env tree ->
+  with_linear_tree (fun env tree ->
       put tree (key 1) "v";
       let scs = Scs.create ~borrowing:false ~tree () in
       let served = ref 0 in
@@ -121,11 +128,11 @@ let test_scs_no_borrowing_mode () =
       done;
       Sim.delay 60.0;
       check Alcotest.int "all served" 5 !served;
-      check Alcotest.int "each created its own" 5 (Scs.snapshots_created scs);
-      check Alcotest.int "no borrows" 0 (Scs.borrows scs))
+      check Alcotest.int "each created its own" 5 (scs_created env);
+      check Alcotest.int "no borrows" 0 (scs_borrows env))
 
 let test_scs_staleness_bound () =
-  with_linear_tree (fun _env tree ->
+  with_linear_tree (fun env tree ->
       put tree (key 1) "v";
       let scs = Scs.create ~min_interval:10.0 ~tree () in
       let s1, _ = Scs.request scs in
@@ -134,12 +141,12 @@ let test_scs_staleness_bound () =
       Sim.delay 1.0;
       let s2, _ = Scs.request scs in
       check Alcotest.int64 "stale reuse" s1 s2;
-      check Alcotest.bool "reuse counted" true (Scs.stale_reuses scs > 0);
+      check Alcotest.bool "reuse counted" true (scs_count env (fun s -> s.Obs.scs_stale_reused) > 0);
       (* After k seconds: a fresh snapshot. *)
       Sim.delay 11.0;
       let s3, _ = Scs.request scs in
       check Alcotest.bool "fresh after k" true (Int64.compare s3 s1 > 0);
-      check Alcotest.int "two creations total" 2 (Scs.snapshots_created scs))
+      check Alcotest.int "two creations total" 2 (scs_created env))
 
 let test_scs_reuse_window_from_creation_start () =
   (* A creation slowed past k by a lock wait: a commit returning during
@@ -175,7 +182,7 @@ let test_scs_reuse_window_from_creation_start () =
       Sim.delay 0.05;
       let s2, _ = Scs.request scs in
       check Alcotest.bool "fresh sid" true (Int64.compare s2 s1 > 0);
-      check Alcotest.int "two creations" 2 (Scs.snapshots_created scs))
+      check Alcotest.int "two creations" 2 (scs_created env))
 
 (* ------------------------------------------------------------------ *)
 (* Garbage collection                                                   *)
@@ -202,7 +209,7 @@ let test_gc_reclaims_superseded_nodes () =
       in
       let tree =
         Ops.make_tree ~max_keys_leaf:4 ~max_keys_internal:4 ~cluster:env.cluster
-          ~layout:env.layout ~tree_id:0 ~alloc ~cache:(Objcache.create ()) ()
+          ~layout:env.layout ~tree_id:0 ~alloc ~cache:(Objcache.create (Obs.create ())) ()
       in
       Ops.Linear.init_tree tree;
       for i = 0 to 49 do
@@ -245,7 +252,7 @@ let test_gc_background_process () =
       in
       let tree =
         Ops.make_tree ~max_keys_leaf:4 ~max_keys_internal:4 ~cluster:env.cluster
-          ~layout:env.layout ~tree_id:0 ~alloc ~cache:(Objcache.create ()) ()
+          ~layout:env.layout ~tree_id:0 ~alloc ~cache:(Objcache.create (Obs.create ())) ()
       in
       Ops.Linear.init_tree tree;
       Gc.run_background tree ~alloc ~interval:5.0;

@@ -527,12 +527,6 @@ let test_hist_merge () =
   check (Alcotest.float 1e-9) "merged mean" 2.0 (Sim.Stats.Hist.mean a);
   check (Alcotest.float 1e-9) "merged max" 3.0 (Sim.Stats.Hist.max a)
 
-let test_moments () =
-  let m = Sim.Stats.Moments.create () in
-  List.iter (Sim.Stats.Moments.add m) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
-  check (Alcotest.float 1e-9) "mean" 5.0 (Sim.Stats.Moments.mean m);
-  check Alcotest.bool "stddev" true (abs_float (Sim.Stats.Moments.stddev m -. 2.138) < 0.01)
-
 let test_series () =
   let s = Sim.Stats.Series.create ~width:1.0 in
   Sim.Stats.Series.add s ~time:0.5 1;
@@ -610,7 +604,6 @@ let () =
           Alcotest.test_case "hist quantiles" `Quick test_hist_quantiles;
           Alcotest.test_case "hist p999 tail resolution" `Quick test_hist_p999_tail_resolution;
           Alcotest.test_case "hist merge" `Quick test_hist_merge;
-          Alcotest.test_case "moments" `Quick test_moments;
           Alcotest.test_case "series" `Quick test_series;
         ] );
     ]

@@ -190,21 +190,6 @@ let test_scan_ops () =
   | Ycsb.Workload.Scan (_, n) -> check Alcotest.int "scan length" 42 n
   | _ -> Alcotest.fail "expected scan"
 
-let test_load_ops () =
-  let w = Ycsb.Workload.create ~record_count:10 ~mix:Ycsb.Workload.read_only () in
-  let ops = Ycsb.Workload.load_ops w ~n:10 ~rng:(rng ()) |> List.of_seq in
-  check Alcotest.int "count" 10 (List.length ops);
-  let keys =
-    List.map
-      (function Ycsb.Workload.Insert (k, _) -> k | _ -> Alcotest.fail "expected insert")
-      ops
-  in
-  check Alcotest.int "distinct" 10 (List.length (List.sort_uniq compare keys))
-
-(* ------------------------------------------------------------------ *)
-(* Driver                                                               *)
-(* ------------------------------------------------------------------ *)
-
 let test_driver_closed_loop () =
   Sim.run (fun () ->
       let workload_of _ = Ycsb.Workload.create ~record_count:100 ~mix:Ycsb.Workload.read_only () in
@@ -242,21 +227,6 @@ let test_driver_failures_counted () =
       check Alcotest.bool "failures counted" true (r.Ycsb.Driver.failures > 0);
       check Alcotest.bool "successes counted" true (r.Ycsb.Driver.ops > 0))
 
-let test_driver_load_phase () =
-  Sim.run (fun () ->
-      let workload = Ycsb.Workload.create ~record_count:100 ~mix:Ycsb.Workload.insert_only () in
-      let seen = Hashtbl.create 128 in
-      let exec ~client:_ = function
-        | Ycsb.Workload.Insert (k, _) ->
-            Sim.delay 0.0001;
-            if Hashtbl.mem seen k then Alcotest.fail "duplicate load key";
-            Hashtbl.add seen k ()
-        | _ -> Alcotest.fail "load phase must insert"
-      in
-      let r = Ycsb.Driver.run_load ~clients:5 ~n:100 ~workload ~exec () in
-      check Alcotest.int "all inserted" 100 r.Ycsb.Driver.ops;
-      check Alcotest.int "distinct keys" 100 (Hashtbl.length seen))
-
 let () =
   Alcotest.run "ycsb"
     [
@@ -279,13 +249,11 @@ let () =
           Alcotest.test_case "mix proportions" `Quick test_mix_proportions;
           Alcotest.test_case "inserts fresh keys" `Quick test_inserts_fresh_keys;
           Alcotest.test_case "scan ops" `Quick test_scan_ops;
-          Alcotest.test_case "load ops" `Quick test_load_ops;
         ] );
       ( "driver",
         [
           Alcotest.test_case "closed loop" `Quick test_driver_closed_loop;
           Alcotest.test_case "warmup excluded" `Quick test_driver_warmup_excluded;
           Alcotest.test_case "failures counted" `Quick test_driver_failures_counted;
-          Alcotest.test_case "load phase" `Quick test_driver_load_phase;
         ] );
     ]
