@@ -57,26 +57,32 @@ let params_term =
     const params $ full_arg $ hosts_arg $ records_arg $ duration_arg $ warmup_arg $ clients_arg
     $ scan_arg $ seed_arg)
 
-let figure_cmd
-    ((name, title, run) : string * string * (?params:P.params -> unit -> P.row list)) =
-  let doc = title in
-  let action params =
-    let (_ : P.row list) = run ~params () in
-    ()
-  in
-  Cmd.v (Cmd.info name ~doc) Term.(const action $ params_term)
+let figure_cmd ((name, title, _) as figure) =
+  let action params = ignore (P.run_figure params figure : P.row list) in
+  Cmd.v (Cmd.info name ~doc:title) Term.(const action $ params_term)
 
 let all_cmd =
-  let doc = "Run every figure of the paper's evaluation in sequence." in
+  let doc =
+    "Run every figure of the paper's evaluation in sequence; exit 1 if any figure returns no \
+     rows."
+  in
   let action params =
-    List.iter
-      (fun ((name, _, run) : string * string * (?params:P.params -> unit -> P.row list)) ->
-        (* Host seconds per figure, measured outside the simulation;
-           nothing seeded depends on them. *)
-        let elapsed_ms = Obs.Bench.stopwatch () in
-        let (_ : P.row list) = run ~params () in
-        Printf.printf "[%s done in %.0fs]\n%!" name (elapsed_ms () /. 1e3))
-      Experiments.all
+    let empty =
+      List.filter
+        (fun ((name, _, _) as figure) ->
+          (* Host seconds per figure, measured outside the simulation;
+             nothing seeded depends on them. *)
+          let elapsed_ms = Obs.Bench.stopwatch () in
+          let rows = P.run_figure params figure in
+          Printf.printf "[%s done in %.0fs]\n%!" name (elapsed_ms () /. 1e3);
+          List.is_empty rows)
+        Experiments.all
+    in
+    if not (List.is_empty empty) then begin
+      prerr_endline
+        ("figures with no rows: " ^ String.concat " " (List.map (fun (name, _, _) -> name) empty));
+      exit 1
+    end
   in
   Cmd.v (Cmd.info "all" ~doc) Term.(const action $ params_term)
 

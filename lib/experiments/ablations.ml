@@ -20,8 +20,6 @@
 
 open Exp_common
 
-let figure = "ablate"
-
 let title = "Design-choice ablations (50/50 read-update mix)"
 
 type variant = {
@@ -66,12 +64,10 @@ let measure ~params ~hosts variant =
           ~mix:Ycsb.Workload.update_heavy ()
       in
       let result =
-        Ycsb.Driver.run ~seed:params.seed ~warmup:params.warmup
+        closed_loop params
           ~clients:(params.clients_per_host * hosts)
-          ~duration:(params.warmup +. params.duration)
           ~workload_of:(fun _ -> shared)
-          ~exec:(fun ~client op -> minuet_exec d ~client op)
-          ()
+          ~exec:(minuet_exec d)
       in
       let lat = Ycsb.Driver.overall_latency result in
       let obs = Minuet.Db.obs d.db in
@@ -91,9 +87,3 @@ let measure ~params ~hosts variant =
 let compute params =
   let hosts = min 15 (List.fold_left max 1 params.hosts) in
   List.map (fun v -> measure ~params ~hosts v) variants
-
-let run ?(params = fast) () =
-  print_header figure title;
-  let rows = compute params in
-  List.iter (print_row ~figure) rows;
-  rows

@@ -96,18 +96,19 @@ let deploy ?(mode = Btree.Ops.Dirty_traversal) ?(n_trees = 1) ?(k = 0.0) ?(borro
   in
   { db; sessions; proxies }
 
-let preload d ~records =
-  let hosts = Array.length d.sessions in
+(* Load [records] hashed keys through [hosts] parallel clients: client
+   [h] puts keys h, h + hosts, ..., each with 8 random bytes from its own
+   split of [seed]'s stream. *)
+let parallel_load ~hosts ~seed ~records put =
   let finished = Sim.Ivar.create () in
   let remaining = ref hosts in
-  let rng = Sim.Rng.create 0x42 in
+  let rng = Sim.Rng.create seed in
   for h = 0 to hosts - 1 do
     let value_rng = Sim.Rng.split rng in
     Sim.spawn (fun () ->
         let i = ref h in
         while !i < records do
-          Minuet.Session.put d.sessions.(h) (Ycsb.Keygen.hashed_key_of_int !i)
-            (Sim.Rng.bytes value_rng 8);
+          put h (Ycsb.Keygen.hashed_key_of_int !i) (Sim.Rng.bytes value_rng 8);
           i := !i + hosts
         done;
         decr remaining;
@@ -115,25 +116,14 @@ let preload d ~records =
   done;
   Sim.Ivar.read finished
 
+let preload d ~records =
+  parallel_load ~hosts:(Array.length d.sessions) ~seed:0x42 ~records (fun h k v ->
+      Minuet.Session.put d.sessions.(h) k v)
+
+(* CDB loads through parallel clients too (cost charged to its
+   partitions), one per host. *)
 let preload_cdb cdb ~records =
-  (* CDB loads through parallel clients too (cost charged to its
-     partitions), one per host. *)
-  let hosts = Cdb.hosts cdb in
-  let finished = Sim.Ivar.create () in
-  let remaining = ref hosts in
-  let rng = Sim.Rng.create 0x43 in
-  for h = 0 to hosts - 1 do
-    let value_rng = Sim.Rng.split rng in
-    Sim.spawn (fun () ->
-        let i = ref h in
-        while !i < records do
-          Cdb.insert cdb (Ycsb.Keygen.hashed_key_of_int !i) (Sim.Rng.bytes value_rng 8);
-          i := !i + hosts
-        done;
-        decr remaining;
-        if !remaining = 0 then Sim.Ivar.fill finished ())
-  done;
-  Sim.Ivar.read finished
+  parallel_load ~hosts:(Cdb.hosts cdb) ~seed:0x43 ~records (fun _ k v -> Cdb.insert cdb k v)
 
 let session_of d ~client = d.sessions.(client mod Array.length d.sessions)
 
@@ -172,6 +162,11 @@ let in_sim ?(seed = 1) f =
   let r = ref None in
   Sim.run ~seed (fun () -> r := Some (f ()));
   match !r with Some v -> v | None -> failwith "Exp_common.in_sim: did not complete"
+
+let closed_loop params ~clients ~workload_of ~exec =
+  Ycsb.Driver.run ~seed:params.seed ~warmup:params.warmup ~clients
+    ~duration:(params.warmup +. params.duration)
+    ~workload_of ~exec ()
 
 (* Exercise every observable code path against a small deployment and
    write the observability report to BENCH_<name>.json: up-to-date and
@@ -239,5 +234,11 @@ let print_row ~figure r =
       r.metrics
   in
   Printf.printf "%-6s %s | %s\n%!" figure (String.concat " " labels) (String.concat " " metrics)
+
+let run_figure params (figure, title, compute) =
+  print_header figure title;
+  let rows = compute params in
+  List.iter (print_row ~figure) rows;
+  rows
 
 let ms s = s *. 1e3

@@ -1,6 +1,7 @@
 (** Shared infrastructure for reproducing the paper's experiments
-    (Sec. 6): deployment builders, preloading, workload executors and
-    result rows.
+    (Sec. 6): deployment builders, the parallel loader, workload
+    executors, the closed-loop point every figure measures, and the
+    result rows with their printer.
 
     Parameters are scaled down from the paper's testbed (100 M rows,
     60 s runs, 35 hosts) to laptop-size defaults; `bin/minuet_bench`
@@ -54,9 +55,11 @@ val deploy :
     SCS borrowing on/off. *)
 
 val preload : deployment -> records:int -> unit
-(** Load [records] hashed keys through all sessions in parallel. *)
+(** Load [records] hashed keys through all sessions in parallel, one
+    loading client per host. *)
 
 val preload_cdb : Cdb.t -> records:int -> unit
+(** The same parallel loader against CDB (its own value stream). *)
 
 (** {1 Executors} *)
 
@@ -75,6 +78,16 @@ val in_sim : ?seed:int -> (unit -> 'a) -> 'a
 (** Run one experiment point in its own simulation and return its
     result. *)
 
+val closed_loop :
+  params ->
+  clients:int ->
+  workload_of:(int -> Ycsb.Workload.t) ->
+  exec:(client:int -> Ycsb.Workload.op -> unit) ->
+  Ycsb.Driver.result
+(** One closed-loop point: {!Ycsb.Driver.run} seeded with
+    [params.seed], measuring [params.duration] seconds after
+    [params.warmup]. Runs inside {!in_sim}. *)
+
 val run_observed : ?dir:string -> name:string -> unit -> unit
 (** Run a small mixed workload (reads, writes, snapshot scans,
     cross-index transactions, contended hot keys) against a fresh
@@ -88,11 +101,11 @@ type row = { label : (string * string) list; metrics : (string * float) list }
 val row_value : row -> string -> float
 (** Metric by name; raises [Not_found]. *)
 
-val print_header : string -> string -> unit
-(** [print_header "fig12" "Single-key scalability ..."] *)
-
-val print_row : figure:string -> row -> unit
-(** One aligned line: "fig12  hosts=5 system=minuet ... tput=12345". *)
+val run_figure : params -> string * string * (params -> row list) -> row list
+(** [run_figure params (name, title, compute)] prints the figure's
+    header ("=== fig12: Single-key scalability ... ==="), computes its
+    rows and prints each as one aligned line
+    ("fig12  hosts=5 system=minuet ... | tput=12345"). *)
 
 val ms : float -> float
 (** Seconds to milliseconds. *)

@@ -1,7 +1,9 @@
 (** Umbrella module of the [experiments] library: one module per figure
-    of the paper's evaluation (Sec. 6), each reproducing the workload,
-    parameter sweep and reported metric. See DESIGN.md's per-experiment
-    index and EXPERIMENTS.md for paper-vs-measured results. *)
+    of the paper's evaluation (Sec. 6), each giving its title and a
+    [compute] that sweeps its parameters, one {!Exp_common.in_sim} point
+    per row. {!Exp_common} owns the point's closed loop, the loader and
+    the printer. See DESIGN.md's per-experiment index and EXPERIMENTS.md
+    for paper-vs-measured results. *)
 
 module Exp_common = Exp_common
 module Fig10 = Fig10
@@ -16,17 +18,16 @@ module Fig18 = Fig18
 module Ablations = Ablations
 module Scan_bench = Scan_bench
 
-let all :
-    (string * string * (?params:Exp_common.params -> unit -> Exp_common.row list)) list =
+let all : (string * string * (Exp_common.params -> Exp_common.row list)) list =
   [
-    ("fig10", Fig10.title, Fig10.run);
-    ("fig11", Fig11.title, Fig11.run);
-    ("fig12", Fig12.title, Fig12.run);
-    ("fig13", Fig13.title, Fig13.run);
-    ("fig14", Fig14.title, Fig14.run);
-    ("fig15", Fig15.title, Fig15.run);
-    ("fig16", Fig16.title, Fig16.run);
-    ("fig17", Fig17.title, Fig17.run);
-    ("fig18", Fig18.title, Fig18.run);
-    ("ablate", Ablations.title, Ablations.run);
+    ("fig10", Fig10.title, Fig10.compute);
+    ("fig11", Fig11.title, Fig11.compute);
+    ("fig12", Fig12.title, Fig12.compute);
+    ("fig13", Fig13.title, Fig13.compute);
+    ("fig14", Fig14.title, fun params -> Fig14.compute params);
+    ("fig15", Fig15.title, Fig15.compute);
+    ("fig16", Fig16.title, Fig16.compute);
+    ("fig17", Fig17.title, Fig17.compute);
+    ("fig18", Fig18.title, Fig18.compute);
+    ("ablate", Ablations.title, Ablations.compute);
   ]

@@ -9,8 +9,6 @@
 
 open Exp_common
 
-let figure = "fig10"
-
 let title = "Load throughput: dirty traversals vs baseline (Aguilera et al.)"
 
 let mode_name = function
@@ -30,12 +28,10 @@ let point ~params ~hosts ~mode =
         Ycsb.Workload.create ~record_count:params.records ~mix:Ycsb.Workload.insert_only ()
       in
       let result =
-        Ycsb.Driver.run ~seed:params.seed ~warmup:params.warmup
+        closed_loop params
           ~clients:(params.clients_per_host * hosts)
-          ~duration:(params.warmup +. params.duration)
           ~workload_of:(fun _ -> shared)
-          ~exec:(fun ~client op -> minuet_exec d ~client op)
-          ()
+          ~exec:(minuet_exec d)
       in
       let lat = Ycsb.Driver.overall_latency result in
       {
@@ -56,9 +52,3 @@ let compute params =
         (fun mode -> point ~params ~hosts ~mode)
         [ Btree.Ops.Dirty_traversal; Btree.Ops.Validated_traversal ])
     params.hosts
-
-let run ?(params = fast) () =
-  print_header figure title;
-  let rows = compute params in
-  List.iter (print_row ~figure) rows;
-  rows

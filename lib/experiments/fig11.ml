@@ -8,8 +8,6 @@
 
 open Exp_common
 
-let figure = "fig11"
-
 let title = "Latency vs throughput, Minuet and CDB (fixed cluster)"
 
 let default_hosts params =
@@ -27,53 +25,33 @@ let mixes = [ ("read", Ycsb.Workload.read_only); ("update", Ycsb.Workload.update
 
 let client_sweep = [ 2; 8; 24; 64; 128 ]
 
-let measure_minuet ~params ~hosts ~mix_name ~mix ~clients =
+let measure ~params ~hosts ~mix_name ~mix ~clients ~system =
   in_sim ~seed:params.seed (fun () ->
-      let d = deploy ~hosts () in
-      preload d ~records:params.records;
+      let exec =
+        match system with
+        | `Minuet ->
+            let d = deploy ~hosts () in
+            preload d ~records:params.records;
+            minuet_exec d
+        | `Cdb ->
+            let cdb = Cdb.create ~hosts in
+            preload_cdb cdb ~records:params.records;
+            cdb_exec cdb
+      in
       let shared = Ycsb.Workload.create ~record_count:params.records ~mix () in
-      let workload_of _ = shared in
       let result =
-        Ycsb.Driver.run ~seed:params.seed ~warmup:params.warmup ~clients
-          ~duration:(params.warmup +. params.duration)
-          ~workload_of
-          ~exec:(fun ~client op -> minuet_exec d ~client op)
-          ()
+        closed_loop params
+          ~clients:(clients * match system with `Minuet -> 1 | `Cdb -> cdb_client_factor)
+          ~workload_of:(fun _ -> shared)
+          ~exec
       in
       let lat = Ycsb.Driver.overall_latency result in
       {
         label =
           [
-            ("system", "minuet"); ("op", mix_name); ("hosts", string_of_int hosts);
-            ("clients", string_of_int clients);
-          ];
-        metrics =
-          [
-            ("tput_ops_s", result.Ycsb.Driver.throughput);
-            ("mean_ms", ms (Sim.Stats.Hist.mean lat));
-            ("p95_ms", ms (Sim.Stats.Hist.quantile lat 0.95));
-          ];
-      })
-
-let measure_cdb ~params ~hosts ~mix_name ~mix ~clients =
-  in_sim ~seed:params.seed (fun () ->
-      let cdb = Cdb.create ~hosts in
-      preload_cdb cdb ~records:params.records;
-      let shared = Ycsb.Workload.create ~record_count:params.records ~mix () in
-      let workload_of _ = shared in
-      let result =
-        Ycsb.Driver.run ~seed:params.seed ~warmup:params.warmup
-          ~clients:(clients * cdb_client_factor)
-          ~duration:(params.warmup +. params.duration)
-          ~workload_of
-          ~exec:(fun ~client op -> cdb_exec cdb ~client op)
-          ()
-      in
-      let lat = Ycsb.Driver.overall_latency result in
-      {
-        label =
-          [
-            ("system", "cdb"); ("op", mix_name); ("hosts", string_of_int hosts);
+            ("system", match system with `Minuet -> "minuet" | `Cdb -> "cdb");
+            ("op", mix_name);
+            ("hosts", string_of_int hosts);
             ("clients", string_of_int clients);
           ];
         metrics =
@@ -91,14 +69,8 @@ let compute params =
       List.concat_map
         (fun clients ->
           [
-            measure_minuet ~params ~hosts ~mix_name ~mix ~clients;
-            measure_cdb ~params ~hosts ~mix_name ~mix ~clients;
+            measure ~params ~hosts ~mix_name ~mix ~clients ~system:`Minuet;
+            measure ~params ~hosts ~mix_name ~mix ~clients ~system:`Cdb;
           ])
         client_sweep)
     mixes
-
-let run ?(params = fast) () =
-  print_header figure title;
-  let rows = compute params in
-  List.iter (print_row ~figure) rows;
-  rows

@@ -7,8 +7,6 @@
 
 open Exp_common
 
-let figure = "fig12"
-
 let title = "Single-key throughput scalability, Minuet vs CDB"
 
 let mixes =
@@ -25,23 +23,18 @@ let measure ~params ~hosts ~mix_name ~mix ~system =
         | `Minuet ->
             let d = deploy ~hosts () in
             preload d ~records:params.records;
-            fun ~client op -> minuet_exec d ~client op
+            minuet_exec d
         | `Cdb ->
             let cdb = Cdb.create ~hosts in
             preload_cdb cdb ~records:params.records;
-            fun ~client op -> cdb_exec cdb ~client op
+            cdb_exec cdb
       in
       let shared = Ycsb.Workload.create ~record_count:params.records ~mix () in
-      let workload_of _ = shared in
       let clients =
         params.clients_per_host * hosts
         * (match system with `Minuet -> 1 | `Cdb -> cdb_client_factor)
       in
-      let result =
-        Ycsb.Driver.run ~seed:params.seed ~warmup:params.warmup ~clients
-          ~duration:(params.warmup +. params.duration)
-          ~workload_of ~exec ()
-      in
+      let result = closed_loop params ~clients ~workload_of:(fun _ -> shared) ~exec in
       let lat = Ycsb.Driver.overall_latency result in
       {
         label =
@@ -68,9 +61,3 @@ let compute params =
           ])
         mixes)
     params.hosts
-
-let run ?(params = fast) () =
-  print_header figure title;
-  let rows = compute params in
-  List.iter (print_row ~figure) rows;
-  rows

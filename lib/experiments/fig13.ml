@@ -9,8 +9,6 @@
 
 open Exp_common
 
-let figure = "fig13"
-
 let title = "Dual-key (multi-index) transaction throughput"
 
 (* Second key for a dual operation, derived deterministically from the
@@ -71,12 +69,11 @@ let measure ~params ~hosts ~mix_name ~mix ~system =
             fun ~client:_ op -> cdb_dual cdb ~records op
       in
       let shared = Ycsb.Workload.create ~record_count:records ~mix () in
-      let workload_of _ = shared in
       let result =
-        Ycsb.Driver.run ~seed:params.seed ~warmup:params.warmup
+        closed_loop params
           ~clients:(params.clients_per_host * hosts)
-          ~duration:(params.warmup +. params.duration)
-          ~workload_of ~exec ()
+          ~workload_of:(fun _ -> shared)
+          ~exec
       in
       {
         label =
@@ -103,9 +100,3 @@ let compute params =
           ])
         mixes)
     params.hosts
-
-let run ?(params = fast) () =
-  print_header figure title;
-  let rows = compute params in
-  List.iter (print_row ~figure) rows;
-  rows

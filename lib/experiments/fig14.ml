@@ -8,8 +8,6 @@
 
 open Exp_common
 
-let figure = "fig14"
-
 let title = "Update throughput around one snapshot creation (time series)"
 
 let choose_hosts params =
@@ -36,11 +34,9 @@ let compute ?(snapshot_at = 4.0) ?(total = 14.0) params =
         Ycsb.Workload.create ~record_count:records ~mix:Ycsb.Workload.update_only ()
       in
       let result =
-        Ycsb.Driver.run ~seed:params.seed ~series_width:1.0
+        Ycsb.Driver.run ~seed:params.seed
           ~clients:(params.clients_per_host * hosts)
-          ~duration:total ~workload_of
-          ~exec:(fun ~client op -> minuet_exec d ~client op)
-          ()
+          ~duration:total ~workload_of ~exec:(minuet_exec d) ()
       in
       let buckets = Array.to_list result.Ycsb.Driver.series in
       (* Series timestamps are absolute simulation time (the preload
@@ -63,9 +59,3 @@ let compute ?(snapshot_at = 4.0) ?(total = 14.0) params =
                  ];
                metrics = [ ("tput_ops_s", float_of_int n) ];
              }))
-
-let run ?(params = fast) () =
-  print_header figure title;
-  let rows = compute params in
-  List.iter (print_row ~figure) rows;
-  rows

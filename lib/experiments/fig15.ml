@@ -9,8 +9,6 @@
 
 open Exp_common
 
-let figure = "fig15"
-
 let title = "Borrowed snapshots: scan throughput vs scan size"
 
 (* The paper partitions 15 YCSB client processes 3:12; each process
@@ -34,19 +32,11 @@ let measure ~params ~hosts ~scan_size ~borrowing =
         else Ycsb.Workload.create ~record_count:params.records ~mix:Ycsb.Workload.update_only ()
       in
       let result =
-        Ycsb.Driver.run ~seed:params.seed ~warmup:params.warmup
+        closed_loop params
           ~clients:(scan_clients params + update_clients params)
-          ~duration:(params.warmup +. params.duration)
-          ~workload_of
-          ~exec:(fun ~client op -> minuet_exec d ~client op)
-          ()
+          ~workload_of ~exec:(minuet_exec d)
       in
-      let scan_hist =
-        Option.value
-          (List.assoc_opt "scan" result.Ycsb.Driver.latency_by_kind)
-          ~default:(Sim.Stats.Hist.create ())
-      in
-      let scans = Sim.Stats.Hist.count scan_hist in
+      let scans = Sim.Stats.Hist.count (Ycsb.Driver.kind_latency result "scan") in
       let scs = Obs.scs (Minuet.Db.obs d.db) in
       let count c = float_of_int (Obs.Counter.value c) in
       {
@@ -73,9 +63,3 @@ let compute params =
         measure ~params ~hosts ~scan_size ~borrowing:false;
       ])
     (default_sizes params)
-
-let run ?(params = fast) () =
-  print_header figure title;
-  let rows = compute params in
-  List.iter (print_row ~figure) rows;
-  rows

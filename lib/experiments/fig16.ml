@@ -7,8 +7,6 @@
 
 open Exp_common
 
-let figure = "fig16"
-
 let title = "Scan scalability (keys/s), 80% update / 20% scan clients"
 
 (* The paper's k = 30 s against 60 s runs; keep the same ratio. *)
@@ -26,18 +24,8 @@ let measure ~params ~hosts =
             ~mix:Ycsb.Workload.scan_only ()
         else Ycsb.Workload.create ~record_count:params.records ~mix:Ycsb.Workload.update_only ()
       in
-      let result =
-        Ycsb.Driver.run ~seed:params.seed ~warmup:params.warmup ~clients
-          ~duration:(params.warmup +. params.duration)
-          ~workload_of
-          ~exec:(fun ~client op -> minuet_exec d ~client op)
-          ()
-      in
-      let scan_hist =
-        Option.value
-          (List.assoc_opt "scan" result.Ycsb.Driver.latency_by_kind)
-          ~default:(Sim.Stats.Hist.create ())
-      in
+      let result = closed_loop params ~clients ~workload_of ~exec:(minuet_exec d) in
+      let scan_hist = Ycsb.Driver.kind_latency result "scan" in
       let scans = Sim.Stats.Hist.count scan_hist in
       let keys_per_s =
         float_of_int (scans * params.scan_count) /. result.Ycsb.Driver.measured_seconds
@@ -53,9 +41,3 @@ let measure ~params ~hosts =
       })
 
 let compute params = List.map (fun hosts -> measure ~params ~hosts) params.hosts
-
-let run ?(params = fast) () =
-  print_header figure title;
-  let rows = compute params in
-  List.iter (print_row ~figure) rows;
-  rows

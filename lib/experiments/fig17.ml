@@ -11,16 +11,14 @@
 
 open Exp_common
 
-let figure = "fig17"
-
 let title = "Update throughput with concurrent scans, for staleness bounds k"
 
 (* Paper k values 0/5/30/60 against 60 s runs, rescaled to the measured
    duration. *)
 let k_values params =
   let scale = params.duration /. 60.0 in
-  [ ("none", None); ("k=0", Some 0.0); ("k=5", Some (5.0 *. scale)); ("k=30", Some (30.0 *. scale));
-    ("k=60", Some (60.0 *. scale)) ]
+  [ ("none", None); ("0", Some 0.0); ("5", Some (5.0 *. scale)); ("30", Some (30.0 *. scale));
+    ("60", Some (60.0 *. scale)) ]
 
 let measure ~params ~hosts ~label ~k =
   in_sim ~seed:params.seed (fun () ->
@@ -35,18 +33,8 @@ let measure ~params ~hosts ~label ~k =
             ~mix:Ycsb.Workload.scan_only ()
         else Ycsb.Workload.create ~record_count:params.records ~mix:Ycsb.Workload.update_only ()
       in
-      let result =
-        Ycsb.Driver.run ~seed:params.seed ~warmup:params.warmup ~clients
-          ~duration:(params.warmup +. params.duration)
-          ~workload_of
-          ~exec:(fun ~client op -> minuet_exec d ~client op)
-          ()
-      in
-      let update_hist =
-        Option.value
-          (List.assoc_opt "update" result.Ycsb.Driver.latency_by_kind)
-          ~default:(Sim.Stats.Hist.create ())
-      in
+      let result = closed_loop params ~clients ~workload_of ~exec:(minuet_exec d) in
+      let update_hist = Ycsb.Driver.kind_latency result "update" in
       let updates = Sim.Stats.Hist.count update_hist in
       {
         label = [ ("hosts", string_of_int hosts); ("k", label) ];
@@ -63,9 +51,3 @@ let compute params =
     (fun hosts ->
       List.map (fun (label, k) -> measure ~params ~hosts ~label ~k) (k_values params))
     params.hosts
-
-let run ?(params = fast) () =
-  print_header figure title;
-  let rows = compute params in
-  List.iter (print_row ~figure) rows;
-  rows

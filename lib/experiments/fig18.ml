@@ -10,13 +10,11 @@
 
 open Exp_common
 
-let figure = "fig18"
-
 let title = "Scan latency vs staleness bound k (with concurrent updates)"
 
 let k_sweep params =
   let scale = params.duration /. 60.0 in
-  List.map (fun k -> (Printf.sprintf "k=%g" k, k *. scale)) [ 0.0; 5.0; 15.0; 30.0; 60.0 ]
+  List.map (fun k -> (Printf.sprintf "%g" k, k *. scale)) [ 0.0; 5.0; 15.0; 30.0; 60.0 ]
 
 let measure ~params ~hosts ~label ~k ~with_updates =
   in_sim ~seed:params.seed (fun () ->
@@ -30,19 +28,9 @@ let measure ~params ~hosts ~label ~k ~with_updates =
             ~mix:Ycsb.Workload.scan_only ()
         else Ycsb.Workload.create ~record_count:params.records ~mix:Ycsb.Workload.update_only ()
       in
-      let result =
-        Ycsb.Driver.run ~seed:params.seed ~warmup:params.warmup ~clients
-          ~duration:(params.warmup +. params.duration)
-          ~workload_of
-          ~exec:(fun ~client op -> minuet_exec d ~client op)
-          ()
-      in
-      let hist kind =
-        Option.value
-          (List.assoc_opt kind result.Ycsb.Driver.latency_by_kind)
-          ~default:(Sim.Stats.Hist.create ())
-      in
-      let scan_hist = hist "scan" and update_hist = hist "update" in
+      let result = closed_loop params ~clients ~workload_of ~exec:(minuet_exec d) in
+      let scan_hist = Ycsb.Driver.kind_latency result "scan" in
+      let update_hist = Ycsb.Driver.kind_latency result "update" in
       {
         label =
           [
@@ -62,13 +50,7 @@ let measure ~params ~hosts ~label ~k ~with_updates =
 let compute params =
   let hosts = min 15 (List.fold_left max 1 params.hosts) in
   (* Reference point: scan latency without any updates. *)
-  let baseline = measure ~params ~hosts ~label:"k=30(idle)" ~k:0.5 ~with_updates:false in
+  let baseline = measure ~params ~hosts ~label:"30(idle)" ~k:0.5 ~with_updates:false in
   baseline
   :: List.map (fun (label, k) -> measure ~params ~hosts ~label ~k ~with_updates:true)
        (k_sweep params)
-
-let run ?(params = fast) () =
-  print_header figure title;
-  let rows = compute params in
-  List.iter (print_row ~figure) rows;
-  rows

@@ -104,14 +104,6 @@ module Hist = struct
     t.sum <- 0.0;
     t.minv <- infinity;
     t.maxv <- neg_infinity
-
-  let pp_summary fmt t =
-    if t.count = 0 then Format.fprintf fmt "n=0"
-    else
-      Format.fprintf fmt
-        "n=%d mean=%.3fms p50=%.3fms p95=%.3fms p99=%.3fms p999=%.3fms max=%.3fms" t.count
-        (mean t *. 1e3) (quantile t 0.5 *. 1e3) (quantile t 0.95 *. 1e3) (quantile t 0.99 *. 1e3)
-        (quantile t 0.999 *. 1e3) (max t *. 1e3)
 end
 
 module Series = struct

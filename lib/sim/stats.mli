@@ -37,9 +37,6 @@ module Hist : sig
 
   val merge_into : dst:t -> t -> unit
   val reset : t -> unit
-
-  val pp_summary : Format.formatter -> t -> unit
-  (** "n=… mean=…ms p50=… p95=… p99=… p999=… max=…" *)
 end
 
 (** Counts bucketed by fixed-width windows of simulated time, e.g.

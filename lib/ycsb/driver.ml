@@ -14,14 +14,8 @@ let overall_latency r =
   List.iter (fun (_, h) -> Hist.merge_into ~dst:merged h) r.latency_by_kind;
   merged
 
-let pp_result fmt r =
-  Format.fprintf fmt "@[<v>ops=%d failures=%d throughput=%.0f ops/s over %.2fs@," r.ops r.failures
-    r.throughput r.measured_seconds;
-  List.iter
-    (fun (kind, h) ->
-      if Hist.count h > 0 then Format.fprintf fmt "  %-8s %a@," kind Hist.pp_summary h)
-    r.latency_by_kind;
-  Format.fprintf fmt "@]"
+let kind_latency r kind =
+  match List.assoc_opt kind r.latency_by_kind with Some h -> h | None -> Hist.create ()
 
 type shared = {
   mutable ops : int;
@@ -65,8 +59,7 @@ let finalize shared ~measured_seconds =
     series = Sim.Stats.Series.buckets shared.series;
   }
 
-let run ?(warmup = 0.0) ?(series_width = 1.0) ?(seed = 0x9C5B) ~clients ~duration ~workload_of
-    ~exec () =
+let run ?(warmup = 0.0) ?(seed = 0x9C5B) ~clients ~duration ~workload_of ~exec () =
   if clients <= 0 then invalid_arg "Driver.run: clients must be positive";
   if duration <= warmup then invalid_arg "Driver.run: duration must exceed warmup";
   let start = Sim.now () in
@@ -76,7 +69,7 @@ let run ?(warmup = 0.0) ?(series_width = 1.0) ?(seed = 0x9C5B) ~clients ~duratio
       ops = 0;
       failures = 0;
       hists = Hashtbl.create 8;
-      series = Sim.Stats.Series.create ~width:series_width;
+      series = Sim.Stats.Series.create ~width:1.0;
       warmup_end = start +. warmup;
     }
   in

@@ -13,18 +13,19 @@ type result = {
   latency_by_kind : (string * Sim.Stats.Hist.t) list;
       (** Completion latency histograms keyed by operation kind. *)
   series : (float * int) array;
-      (** Per-bucket completed-op counts over the whole run (including
+      (** Per-second completed-op counts over the whole run (including
           warmup), for time-series plots. *)
 }
 
 val overall_latency : result -> Sim.Stats.Hist.t
 (** All kinds merged. *)
 
-val pp_result : Format.formatter -> result -> unit
+val kind_latency : result -> string -> Sim.Stats.Hist.t
+(** The latency histogram of one operation kind ("read", "update",
+    "insert", "scan"); empty when no such operation completed. *)
 
 val run :
   ?warmup:float ->
-  ?series_width:float ->
   ?seed:int ->
   clients:int ->
   duration:float ->
@@ -38,6 +39,5 @@ val run :
     passed (measurement starts after [warmup], default 0). Blocks until
     every client stops. Must run inside a simulation.
 
-    [exec] exceptions are counted as failures (the client keeps going).
-    [series_width] (default 1 s) sets the time-series bucket width. *)
+    [exec] exceptions are counted as failures (the client keeps going). *)
 

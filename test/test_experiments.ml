@@ -89,9 +89,27 @@ let test_fig17_k_ordering () =
   let params = { tiny with P.hosts = [ 8 ] } in
   let rows = Experiments.Fig17.compute params in
   let t k = metric rows [ ("hosts", "8"); ("k", k) ] "update_tput_s" in
-  check Alcotest.bool "k=0 is the worst" true (t "k=0" < t "k=5" && t "k=0" < t "k=30");
-  check Alcotest.bool "no scans is the best" true (t "none" >= t "k=60" && t "none" >= t "k=30");
-  check Alcotest.bool "k=0 below half of no-scan" true (t "k=0" < 0.5 *. t "none")
+  check Alcotest.bool "k=0 is the worst" true (t "0" < t "5" && t "0" < t "30");
+  check Alcotest.bool "no scans is the best" true (t "none" >= t "60" && t "none" >= t "30");
+  check Alcotest.bool "k=0 below half of no-scan" true (t "0" < 0.5 *. t "none")
+
+let test_fig18_k_tradeoff () =
+  (* Small k makes updates pay for frequent snapshot creation (the
+     copy-on-write churn after each one) and makes scans wait for fresh
+     snapshots; the largest k relieves both. *)
+  let rows = Experiments.Fig18.compute tiny in
+  let k0 = find rows [ ("k", "0") ] and k60 = find rows [ ("k", "60") ] in
+  check Alcotest.bool "update latency at the largest k below a quarter of k=0's" true
+    (P.row_value k60 "update_mean_ms" < 0.25 *. P.row_value k0 "update_mean_ms");
+  List.iter
+    (fun (r : P.row) ->
+      if not (List.mem ("k", "0") r.P.label) then
+        check Alcotest.bool
+          ("k=0 scan latency above "
+          ^ String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) r.P.label))
+          true
+          (P.row_value k0 "scan_mean_ms" > P.row_value r "scan_mean_ms"))
+    rows
 
 let test_fig16_scans_scale () =
   let rows = Experiments.Fig16.compute tiny in
@@ -115,10 +133,11 @@ let test_ablation_proxy_cache_pays () =
 let test_fig11_cdb_latency_gap () =
   (* One point of Fig. 11: at the same offered load CDB's synchronous
      client path keeps its read latency several times Minuet's. *)
-  let point measure =
-    measure ~params:tiny ~hosts:4 ~mix_name:"read" ~mix:Ycsb.Workload.read_only ~clients:8
+  let point system =
+    Experiments.Fig11.measure ~params:tiny ~hosts:4 ~mix_name:"read" ~mix:Ycsb.Workload.read_only
+      ~clients:8 ~system
   in
-  let minuet = point Experiments.Fig11.measure_minuet and cdb = point Experiments.Fig11.measure_cdb in
+  let minuet = point `Minuet and cdb = point `Cdb in
   check Alcotest.bool "cdb read latency several times minuet's" true
     (P.row_value cdb "mean_ms" > 4.0 *. P.row_value minuet "mean_ms")
 
@@ -147,6 +166,7 @@ let () =
           Alcotest.test_case "fig15 borrowing" `Slow test_fig15_borrowing_helps_short_scans;
           Alcotest.test_case "fig16 scan scaling" `Slow test_fig16_scans_scale;
           Alcotest.test_case "fig17 k ordering" `Slow test_fig17_k_ordering;
+          Alcotest.test_case "fig18 k trade-off" `Slow test_fig18_k_tradeoff;
           Alcotest.test_case "fig11 cdb latency gap" `Slow test_fig11_cdb_latency_gap;
           Alcotest.test_case "ablation proxy cache pays" `Slow test_ablation_proxy_cache_pays;
         ] );
