@@ -29,48 +29,122 @@ else
 fi
 
 echo "== unused exports =="
-# Every [val] a lib/**/*.mli declares must be named, as a word, in some
-# .ml file other than its own implementation: an export nothing uses is
-# surface that tests, lint and benches must cover for nothing. One awk
-# pass reads each file once: the .mli files collect the declared names,
-# then every .ml file marks the names it mentions.
+# Every [val] a lib/**/*.mli declares must be used by some .ml file
+# other than its own implementation: an export nothing uses is surface
+# that tests, lint and benches must cover for nothing. A use is code
+# (comments and string literals do not count) that names the value
+#   - qualified, as M.name through any module path, where M is the
+#     declaring module (the .mli's own or a [module M : sig] inside it)
+#     or a module that includes it (Sim includes Scheduler);
+#   - through a file-local alias [module X = ...M], as X.name;
+#   - unqualified, in a file that opens or includes M.
+# A bare word match would let a local binding of the same name (a
+# [pp_result] in one file) keep a dead export alive in another. The .mli
+# files are read once, then every .ml file twice: pass 1 collects
+# top-level [include]s, pass 2 marks the uses.
 unused_exports() {
-  # Declarations first: the .mli files, then every .ml file, all in one
-  # argv so a single awk process sees them.
+  mls="$(find lib bin bench benchmark examples test -name '*.ml' | LC_ALL=C sort)"
   awk '
+      function modname(path,   m) {
+        m = path; sub(/^.*\//, "", m); sub(/\.mli?$/, "", m)
+        return toupper(substr(m, 1, 1)) substr(m, 2)
+      }
+      function last(path,   k, parts) { k = split(path, parts, "."); return parts[k] }
+      # The current file uses [n] through module [m], and so through
+      # every module [m] includes.
+      function use(m, n,   i) {
+        used[m, n, FILENAME] = 1
+        for (i = 1; i <= nincl[m]; i++) use(incl[m, i], n)
+      }
+      # [s] with comments and string literals blanked out; a comment or
+      # string left open carries over to the next line.
+      function strip(s,   out, tok) {
+        gsub(/[\047]\\?"[\047]/, "_", s)
+        out = ""
+        while (s != "") {
+          if (incomment) {
+            if (match(s, /[(][*]|[*][)]/)) {
+              tok = substr(s, RSTART, RLENGTH); s = substr(s, RSTART + RLENGTH)
+              incomment += (tok == "(*") ? 1 : -1
+            } else s = ""
+          } else if (instring) {
+            if (match(s, /^([^"\\]|\\.)*"/)) { s = substr(s, RLENGTH + 1); instring = 0; out = out " " }
+            else s = ""
+          } else if (inquoted) {
+            if (match(s, /[|][}]/)) { s = substr(s, RSTART + 2); inquoted = 0; out = out " " }
+            else s = ""
+          } else if (match(s, /[(][*]|"|[{][|]/)) {
+            tok = substr(s, RSTART, RLENGTH)
+            out = out substr(s, 1, RSTART - 1); s = substr(s, RSTART + RLENGTH)
+            if (tok == "(*") incomment = 1; else if (tok == "\"") instring = 1; else inquoted = 1
+          } else { out = out s; s = "" }
+        }
+        return out
+      }
       FILENAME ~ /\.mli$/ {
+        if (FNR == 1) { depth = 0; scope[0] = modname(FILENAME) }
+        if (match($0, /^[ \t]*module[ \t]+[A-Z][A-Za-z0-9_]*[ \t]*:[ \t]*sig/)) {
+          m = substr($0, RSTART, RLENGTH)
+          sub(/^[ \t]*module[ \t]+/, "", m); sub(/[ \t]*:.*$/, "", m)
+          if ($0 !~ /end[ \t]*$/) scope[++depth] = m
+        } else if ($0 ~ /^[ \t]*end([ \t]|$)/ && depth > 0) depth--
         if (match($0, /^[ \t]*val[ \t]+[a-z_][A-Za-z0-9_'"'"']*/)) {
           name = substr($0, RSTART, RLENGTH)
           sub(/^[ \t]*val[ \t]+/, "", name)
           impl = FILENAME; sub(/\.mli$/, ".ml", impl)
           n++; decl_file[n] = FILENAME; decl_line[n] = FNR; decl_name[n] = name
-          decl_impl[n] = impl; declared[name] = 1
+          decl_mod[n] = scope[depth]; decl_impl[n] = impl; declared[name] = 1
         }
         next
       }
-      FNR == 1 { split("", seen) }
+      pass == 1 {
+        if (match($0, /^include[ \t]+[A-Z][A-Za-z0-9_.]*/)) {
+          m = modname(FILENAME); nincl[m]++
+          incl[m, nincl[m]] = last(substr($0, RSTART + 8, RLENGTH - 8))
+        }
+        next
+      }
+      FNR == 1 {
+        nfiles++; files[nfiles] = FILENAME; split("", alias); split("", opened)
+        incomment = 0; instring = 0; inquoted = 0
+      }
       {
-        line = $0
+        line = strip($0)
+        if (match(line, /^[ \t]*module[ \t]+[A-Z][A-Za-z0-9_]*[ \t]*=[ \t]*[A-Z][A-Za-z0-9_.]*[ \t]*$/)) {
+          x = line; sub(/^[ \t]*module[ \t]+/, "", x); sub(/[ \t]*=.*$/, "", x)
+          rhs = line; sub(/^[^=]*=[ \t]*/, "", rhs); sub(/[ \t]*$/, "", rhs)
+          alias[x] = last(rhs)
+        }
+        rest = line
+        while (match(rest, /(open!?|include)[ \t]+[A-Z][A-Za-z0-9_.]*|[A-Z][A-Za-z0-9_.]*\.\(/)) {
+          o = substr(rest, RSTART, RLENGTH); rest = substr(rest, RSTART + RLENGTH)
+          sub(/^(open!?|include)[ \t]+/, "", o); sub(/\.\($/, "", o)
+          o = last(o); opened[o] = 1
+          if (o in alias) opened[alias[o]] = 1
+        }
+        rest = line
+        while (match(rest, /[A-Z][A-Za-z0-9_'"'"']*(\.[A-Z][A-Za-z0-9_'"'"']*)*\.[a-z_][A-Za-z0-9_'"'"']*/)) {
+          q = substr(rest, RSTART, RLENGTH); rest = substr(rest, RSTART + RLENGTH)
+          k = split(q, parts, "."); name = parts[k]; m = parts[k - 1]
+          if (name in declared) { use(m, name); if (m in alias) use(alias[m], name) }
+        }
+        gsub(/[A-Z][A-Za-z0-9_'"'"']*(\.[A-Z][A-Za-z0-9_'"'"']*)*\.[a-z_][A-Za-z0-9_'"'"']*/, " ", line)
+        gsub(/\.[a-z_][A-Za-z0-9_'"'"']*/, " ", line)
         gsub(/[^A-Za-z0-9_'"'"']+/, " ", line)
         k = split(line, words, " ")
-        for (i = 1; i <= k; i++) {
-          w = words[i]
-          if ((w in declared) && !(w in seen)) {
-            seen[w] = 1
-            nusers[w]++
-            user[w, nusers[w]] = FILENAME
-          }
-        }
+        for (i = 1; i <= k; i++)
+          if (words[i] in declared)
+            for (o in opened) use(o, words[i])
       }
       END {
         for (d = 1; d <= n; d++) {
-          name = decl_name[d]; used = 0
-          for (u = 1; u <= nusers[name]; u++)
-            if (user[name, u] != decl_impl[d]) { used = 1; break }
-          if (!used) printf "%s:%d: val %s is used nowhere else\n", decl_file[d], decl_line[d], name
+          ok = 0
+          for (f = 1; f <= nfiles && !ok; f++)
+            if (files[f] != decl_impl[d] && ((decl_mod[d], decl_name[d], files[f]) in used)) ok = 1
+          if (!ok)
+            printf "%s:%d: val %s.%s is used nowhere else\n", decl_file[d], decl_line[d], decl_mod[d], decl_name[d]
         }
-      }' $(find lib -name '*.mli' | LC_ALL=C sort) \
-         $(find lib bin bench benchmark examples test -name '*.ml' | LC_ALL=C sort)
+      }' $(find lib -name '*.mli' | LC_ALL=C sort) pass=1 $mls pass=2 $mls
 }
 unused="$(unused_exports)"
 if [ -n "$unused" ]; then

@@ -2,8 +2,6 @@ type t = string
 
 let compare = String.compare
 
-let equal = String.equal
-
 type fence = Neg_inf | Key of t | Pos_inf
 
 let fence_compare a b =
@@ -25,27 +23,21 @@ let key_lt_fence k f =
 
 let in_range k ~low ~high = fence_le_key low k && key_lt_fence k high
 
-let pp fmt k = Format.fprintf fmt "%S" k
-
 let pp_fence fmt = function
   | Neg_inf -> Format.pp_print_string fmt "-inf"
   | Pos_inf -> Format.pp_print_string fmt "+inf"
-  | Key k -> pp fmt k
-
-let encode enc k = Codec.Enc.bytes enc k
-
-let decode dec = Codec.Dec.bytes dec
+  | Key k -> Format.fprintf fmt "%S" k
 
 let encode_fence enc = function
   | Neg_inf -> Codec.Enc.u8 enc 0
   | Pos_inf -> Codec.Enc.u8 enc 1
   | Key k ->
       Codec.Enc.u8 enc 2;
-      encode enc k
+      Codec.Enc.bytes enc k
 
 let decode_fence dec =
   match Codec.Dec.u8 dec with
   | 0 -> Neg_inf
   | 1 -> Pos_inf
-  | 2 -> Key (decode dec)
+  | 2 -> Key (Codec.Dec.bytes dec)
   | b -> raise (Codec.Decode_error (Printf.sprintf "Bkey.decode_fence: bad tag %d" b))

@@ -9,8 +9,6 @@ type t = string
 
 val compare : t -> t -> int
 
-val equal : t -> t -> bool
-
 (** Fence: a key or an infinity. The root spans [\[Neg_inf, Pos_inf)]. *)
 type fence = Neg_inf | Key of t | Pos_inf
 
@@ -21,14 +19,8 @@ val fence_equal : fence -> fence -> bool
 val in_range : t -> low:fence -> high:fence -> bool
 (** [in_range k ~low ~high] is [low <= k < high]. *)
 
-val pp : Format.formatter -> t -> unit
-
 val pp_fence : Format.formatter -> fence -> unit
 
 val encode_fence : Codec.Enc.t -> fence -> unit
 
 val decode_fence : Codec.Dec.t -> fence
-
-val encode : Codec.Enc.t -> t -> unit
-
-val decode : Codec.Dec.t -> t

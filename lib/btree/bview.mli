@@ -47,9 +47,6 @@ val lower_bound : t -> Bkey.t -> int
 
 val leaf_find : t -> Bkey.t -> string option
 
-val key : t -> int -> string
-(** Materialise one key (prefix ^ suffix). *)
-
 val leaf_entry : t -> int -> Bkey.t * string
 
 (** {1 Child routing (internal nodes)} *)
@@ -57,7 +54,6 @@ val leaf_entry : t -> int -> Bkey.t * string
 val child_count : t -> int
 (** [nkeys + 1] for internal nodes, 0 for leaves. *)
 
-val child_index : t -> Bkey.t -> int
 val child_at : t -> int -> Dyntxn.Objref.t
 val child_for : t -> Bkey.t -> int * Dyntxn.Objref.t
 

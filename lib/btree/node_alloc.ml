@@ -90,5 +90,3 @@ let free t (ref_ : Objref.t) =
   let node = Objref.node ref_ in
   let index = Layout.slot_index t.layout ~off:ref_.Objref.addr.Address.off in
   Queue.add index t.shared.Shared.free.(node)
-
-let reserved t ~node = Queue.length t.local.(node)

@@ -44,6 +44,3 @@ val alloc_on : t -> node:int -> Dyntxn.Objref.t
 val free : t -> Dyntxn.Objref.t -> unit
 (** Return a slot to the shared free list (used by the GC). The slot
     must belong to the layout's slot region. *)
-
-val reserved : t -> node:int -> int
-(** Locally reserved slots not yet handed out (tests). *)

@@ -30,7 +30,7 @@ type tree = {
   alloc : Node_alloc.t;
   cache : Objcache.t;
   (* Commit stamp of the last operation that committed through this
-     handle (see [Txn.commit_stamp]); [None] for dirty-only (snapshot)
+     handle (see [Txn.run]); [None] for dirty-only (snapshot)
      transactions. Read back by session-level tracing right after an
      operation returns — safe because the simulator is cooperative and
      operations on one handle do not interleave without a yield. *)
@@ -113,7 +113,6 @@ type vctx = {
   plan_cow : created:int64 -> descendants:int64 array -> cow_plan;
   root_of : Txn.t -> int64 -> Objref.t;
 }
-
 
 (* -------------------------------------------------------------------- *)
 (* Node I/O                                                              *)

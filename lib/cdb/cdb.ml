@@ -29,17 +29,11 @@ let create ~hosts =
   {
     hosts;
     partitions =
-      Array.init n (fun i ->
-          {
-            store = SMap.empty;
-            lane = Sim.Resource.create ~name:(Printf.sprintf "cdb-partition-%d" i) ~servers:1 ();
-          });
+      Array.init n (fun _ -> { store = SMap.empty; lane = Sim.Resource.create ~servers:1 () });
     net = Sim.Net.create ~rng:(Sim.Rng.create 0xCDB) ();
   }
 
 let hosts t = t.hosts
-
-let partitions t = Array.length t.partitions
 
 let partition_of t key = Hashtbl.hash key mod Array.length t.partitions
 

@@ -22,8 +22,6 @@ val create : hosts:int -> t
 
 val hosts : t -> int
 
-val partitions : t -> int
-
 (** {1 Single-key stored procedures} (must run inside a simulation) *)
 
 val read : t -> string -> string option

@@ -72,7 +72,6 @@ module Dec : sig
 
   val of_string : ?pos:int -> string -> t
   val pos : t -> int
-  val remaining : t -> int
   val at_end : t -> bool
 
   val u8 : t -> int

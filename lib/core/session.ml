@@ -359,10 +359,6 @@ let attach ?(home = 0) ?client ?tracer db =
 
 let db t = t.db
 
-let home t = t.home
-
-let client t = t.client
-
 let tree_of t index = t.trees.(index)
 
 let check_linear t =
@@ -494,5 +490,3 @@ let branching ?(index = 0) t =
   if not (Db.config t.db).Config.branching then
     invalid_arg "Session.branching: database not started in branching mode";
   t.branchings.(index)
-
-let branch ?(index = 0) t ~from = Mvcc.Branching.create_branch (branching ~index t) ~from

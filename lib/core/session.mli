@@ -91,10 +91,6 @@ val attach : ?home:int -> ?client:int -> ?tracer:tracer -> Db.t -> t
 
 val db : t -> Db.t
 
-val home : t -> int
-
-val client : t -> int option
-
 (** {1 Index handles}
 
     Operations address one of the database's B-tree indexes through an
@@ -172,8 +168,3 @@ val branching : ?index:index -> t -> Mvcc.Branching.t
     [config.branching = true]. Raises [Invalid_argument] otherwise.
     When the session has a tracer, operations run through this handle
     emit branch-scoped {!Event}s. *)
-
-val branch : ?index:index -> t -> from:int64 -> int64
-(** Create a writable clone branching from version [from] (traced as
-    {!Event.Branch_created}). Shorthand for
-    [Mvcc.Branching.create_branch (branching t) ~from]. *)

@@ -17,8 +17,6 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
-let pp fmt t = Format.fprintf fmt "%a+%d" Sinfonia.Address.pp t.addr t.len
-
 let encode enc t =
   Sinfonia.Address.encode enc t.addr;
   Codec.Enc.u32 enc t.len

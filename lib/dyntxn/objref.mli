@@ -21,8 +21,6 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
-val pp : Format.formatter -> t -> unit
-
 val encode : Codec.Enc.t -> t -> unit
 
 val decode : Codec.Dec.t -> t

@@ -52,7 +52,7 @@ type t = {
      successful [commit]. None for transactions with no validated
      footprint (e.g. dirty-read-only snapshot transactions — those are
      checked against their snapshot id instead). *)
-  mutable commit_stamp_ : int64 option;
+  mutable commit_stamp : int64 option;
 }
 
 let begin_ ?cache ?client ?(home = 0) cluster =
@@ -78,12 +78,8 @@ let begin_ ?cache ?client ?(home = 0) cluster =
     footprint_gen = 0;
     fully_validated = true;
     last_validated_stamp = None;
-    commit_stamp_ = None;
+    commit_stamp = None;
   }
-
-let cluster t = t.cluster
-
-let commit_stamp t = t.commit_stamp_
 
 let is_aborted t = t.aborted
 
@@ -107,10 +103,7 @@ let seq_bytes seq =
 
 let seq_compare_at addr seq = Mtx.compare_at addr (seq_bytes seq)
 
-let repl_addr t off = Address.make ~node:t.home ~off
-
-let cache_key_of_repl t off len =
-  Objref.make ~addr:(repl_addr t off) ~len
+let cache_key_of_repl t off len = Objref.make ~addr:(Address.make ~node:t.home ~off) ~len
 
 (* Keep the proxy cache's view of per-space crash epochs current from
    every reply that carries them. *)
@@ -214,27 +207,78 @@ let fetch_refs t ~validate (refs : Objref.t list) =
       Obs.abort t.obs ~layer:Obs.Abort.Txn reason;
       fail t (if partitioned then partitioned_msg else unavailable_msg)
 
-let fetch_slot t ~validate (addr : Address.t) ~len =
-  match fetch_refs t ~validate [ Objref.make ~addr ~len ] with
-  | [ r ] -> r
-  | _ -> assert false
-
 let in_write_set t ref_ = Hashtbl.mem t.writes ref_
 
-let read_with_seq t (ref_ : Objref.t) =
-  check_live t;
-  match Hashtbl.find_opt t.writes ref_ with
+(* What the transaction already holds of [r]: its own buffered write,
+   reported at the sequence number the object was first observed at (0
+   for blind writes), then its read set, then — for dirty reads only —
+   what it dirty-read before. *)
+let local t ~dirty r =
+  match Hashtbl.find_opt t.writes r with
   | Some (payload, _) ->
-      let seq = match Hashtbl.find_opt t.reads ref_ with Some e -> e.seq | None -> 0L in
-      (seq, payload)
+      let seq = match Hashtbl.find_opt t.reads r with Some e -> e.seq | None -> 0L in
+      Some (seq, payload)
   | None -> (
-      match Hashtbl.find_opt t.reads ref_ with
-      | Some entry -> (entry.seq, entry.payload)
-      | None ->
-          let seq, payload = fetch_slot t ~validate:true ref_.Objref.addr ~len:ref_.Objref.len in
-          Hashtbl.replace t.reads ref_ { ref_; seq; payload; validated = true };
-          note_footprint t;
-          (seq, payload))
+      match Hashtbl.find_opt t.reads r with
+      | Some e -> Some (e.seq, e.payload)
+      | None -> if dirty then Hashtbl.find_opt t.dirty_seen r else None)
+
+(* [per_distinct f refs] is [f] applied to [refs] without repeats
+   (first-occurrence order), its per-object results mapped back onto
+   [refs]. A list without repeats builds no result table, and a list of
+   at most one object none at all. *)
+let per_distinct f refs =
+  match refs with
+  | [] | [ _ ] -> f refs
+  | _ ->
+      let seen = Hashtbl.create 16 in
+      let distinct =
+        List.filter
+          (fun r ->
+            if Hashtbl.mem seen r then false
+            else begin
+              Hashtbl.add seen r ();
+              true
+            end)
+          refs
+      in
+      if List.compare_lengths distinct refs = 0 then f refs
+      else begin
+        let results = Hashtbl.create 16 in
+        List.iter2 (Hashtbl.replace results) distinct (f distinct);
+        List.map (Hashtbl.find results) refs
+      end
+
+let read_many_with_seq t refs =
+  check_live t;
+  per_distinct
+    (fun refs ->
+      (match List.filter (fun r -> Option.is_none (local t ~dirty:false r)) refs with
+      | [] -> ()
+      | missing ->
+          (* One minitransaction for every missing object (coalesced per
+             memnode by the coordinator), piggy-backing read-set
+             validation so the batch joins the read set atomically
+             validated. *)
+          let fetched = fetch_refs t ~validate:true missing in
+          List.iter2
+            (fun ref_ (seq, payload) ->
+              Hashtbl.replace t.reads ref_ { ref_; seq; payload; validated = true };
+              note_footprint t)
+            missing fetched;
+          (* A concurrent fiber of this transaction (the scan prefetch
+             window) may have aborted or committed it meanwhile. *)
+          check_live t);
+      List.map
+        (fun r ->
+          match local t ~dirty:false r with
+          | Some v -> v
+          | None -> assert false (* every missing object just joined the read set *))
+        refs)
+    refs
+
+let read_with_seq t ref_ =
+  match read_many_with_seq t [ ref_ ] with [ v ] -> v | _ -> assert false
 
 let read t ref_ = snd (read_with_seq t ref_)
 
@@ -265,122 +309,53 @@ let cache_store t ref_ ~seq ~payload st =
       if String.length payload > 0 then Objcache.insert cache ref_ { Objcache.seq; payload }
       else Objcache.invalidate cache ref_
 
-let dirty_read_with_seq ?(use_cache = true) t (ref_ : Objref.t) =
-  check_live t;
-  match Hashtbl.find_opt t.writes ref_ with
-  | Some (payload, _) ->
-      (* Reading our own buffered write; report the sequence number the
-         object was first observed at (0 for blind writes). *)
-      let seq =
-        match Hashtbl.find_opt t.reads ref_ with Some e -> e.seq | None -> 0L
-      in
-      (seq, payload)
-  | None -> (
-      match Hashtbl.find_opt t.reads ref_ with
-      | Some entry -> (entry.seq, entry.payload)
-      | None -> (
-          match Hashtbl.find_opt t.dirty_seen ref_ with
-          | Some (seq, payload) -> (seq, payload)
-          | None -> (
-              let status = if use_cache then cache_lookup t ref_ else `Absent in
-              match status with
-              | `Fresh (seq, payload) ->
-                  Hashtbl.replace t.dirty_seen ref_ (seq, payload);
-                  (seq, payload)
-              | (`Stale _ | `Absent) as st ->
-                  let seq, payload =
-                    fetch_slot t ~validate:false ref_.Objref.addr ~len:ref_.Objref.len
-                  in
-                  Hashtbl.replace t.dirty_seen ref_ (seq, payload);
-                  if use_cache then cache_store t ref_ ~seq ~payload st;
-                  (seq, payload))))
-
-let dirty_read ?use_cache t ref_ = snd (dirty_read_with_seq ?use_cache t ref_)
-
-(* De-duplicate while preserving first-occurrence order. *)
-let dedup_refs refs =
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun r ->
-      if Hashtbl.mem seen r then false
-      else begin
-        Hashtbl.add seen r ();
-        true
-      end)
-    refs
-
-let read_many_with_seq t refs =
-  check_live t;
-  let missing =
-    dedup_refs refs
-    |> List.filter (fun r -> not (Hashtbl.mem t.writes r || Hashtbl.mem t.reads r))
-  in
-  (match missing with
-  | [] -> ()
-  | _ ->
-      (* One minitransaction for every missing object (coalesced per
-         memnode by the coordinator), piggy-backing read-set validation
-         so the batch joins the read set atomically validated. *)
-      let fetched = fetch_refs t ~validate:true missing in
-      List.iter2
-        (fun ref_ (seq, payload) ->
-          Hashtbl.replace t.reads ref_ { ref_; seq; payload; validated = true };
-          note_footprint t)
-        missing fetched);
-  List.map (fun r -> read_with_seq t r) refs
-
 let dirty_read_many_with_seq ?(use_cache = true) t refs =
   check_live t;
-  let resolved = Hashtbl.create 16 in
-  let local r =
-    match Hashtbl.find_opt t.writes r with
-    | Some (payload, _) ->
-        let seq = match Hashtbl.find_opt t.reads r with Some e -> e.seq | None -> 0L in
-        Some (seq, payload)
-    | None -> (
-        match Hashtbl.find_opt t.reads r with
-        | Some e -> Some (e.seq, e.payload)
-        | None -> Hashtbl.find_opt t.dirty_seen r)
-  in
-  (* Resolve from local state / the cache first; whatever remains is
-     fetched in one batched minitransaction. Stale-epoch cache entries
-     are fetched too and accounted as lazy revalidations. *)
-  let missing = ref [] in
-  List.iter
-    (fun r ->
-      if not (Hashtbl.mem resolved r) then
-        match local r with
-        | Some v -> Hashtbl.add resolved r (`Done v)
-        | None -> (
-            let status = if use_cache then cache_lookup t r else `Absent in
-            match status with
-            | `Fresh (seq, payload) ->
-                Hashtbl.replace t.dirty_seen r (seq, payload);
-                Hashtbl.add resolved r (`Done (seq, payload))
-            | `Stale entry ->
-                Hashtbl.add resolved r (`Fetch (`Stale entry));
-                missing := r :: !missing
-            | `Absent ->
-                Hashtbl.add resolved r (`Fetch `Absent);
-                missing := r :: !missing))
-    refs;
-  let missing = List.rev !missing in
-  (match missing with
-  | [] -> ()
-  | _ ->
-      let fetched = fetch_refs t ~validate:false missing in
-      List.iter2
-        (fun r (seq, payload) ->
-          Hashtbl.replace t.dirty_seen r (seq, payload);
-          (match Hashtbl.find_opt resolved r with
-          | Some (`Fetch st) -> if use_cache then cache_store t r ~seq ~payload st
-          | _ -> ());
-          Hashtbl.replace resolved r (`Done (seq, payload)))
-        missing fetched);
-  List.map
-    (fun r ->
-      match Hashtbl.find_opt resolved r with Some (`Done v) -> v | _ -> assert false)
+  per_distinct
+    (fun refs ->
+      (* Resolve from local state / the cache first; whatever remains is
+         fetched in one batched minitransaction. Stale-epoch cache
+         entries are fetched too and accounted as lazy revalidations. *)
+      let resolved =
+        List.map
+          (fun r ->
+            match local t ~dirty:true r with
+            | Some v -> `Done v
+            | None -> (
+                match if use_cache then cache_lookup t r else `Absent with
+                | `Fresh v ->
+                    Hashtbl.replace t.dirty_seen r v;
+                    `Done v
+                | (`Stale _ | `Absent) as st -> `Fetch (r, st)))
+          refs
+      in
+      let missing = List.filter_map (function `Fetch m -> Some m | `Done _ -> None) resolved in
+      let fetched =
+        match missing with
+        | [] -> []
+        | _ ->
+            let fetched = fetch_refs t ~validate:false (List.map fst missing) in
+            List.iter2
+              (fun (r, st) ((seq, payload) as v) ->
+                Hashtbl.replace t.dirty_seen r v;
+                if use_cache then cache_store t r ~seq ~payload st)
+              missing fetched;
+            fetched
+      in
+      (* Fetched values fill the [`Fetch] holes in order. *)
+      let rec fill resolved fetched =
+        match (resolved, fetched) with
+        | [], _ -> []
+        | `Done v :: tl, fetched | `Fetch _ :: tl, v :: fetched -> v :: fill tl fetched
+        | `Fetch _ :: _, [] -> assert false (* one fetched value per [`Fetch] *)
+      in
+      fill resolved fetched)
     refs
+
+let dirty_read_with_seq ?use_cache t ref_ =
+  match dirty_read_many_with_seq ?use_cache t [ ref_ ] with [ v ] -> v | _ -> assert false
+
+let dirty_read ?use_cache t ref_ = snd (dirty_read_with_seq ?use_cache t ref_)
 
 let write_gen t (ref_ : Objref.t) payload ~echo =
   check_live t;
@@ -436,12 +411,15 @@ let read_replicated t ~off ~len =
                  or commit. *)
               t.fully_validated <- false;
               payload
-          | (`Stale _ | `Absent) as st ->
-              let seq, payload = fetch_slot t ~validate:true (repl_addr t off) ~len in
-              Hashtbl.replace t.repl_reads off { rr_len = len; rr_seq = seq; rr_payload = payload };
-              note_footprint t;
-              cache_store t key ~seq ~payload st;
-              payload))
+          | (`Stale _ | `Absent) as st -> (
+              match fetch_refs t ~validate:true [ key ] with
+              | [ (seq, payload) ] ->
+                  Hashtbl.replace t.repl_reads off
+                    { rr_len = len; rr_seq = seq; rr_payload = payload };
+                  note_footprint t;
+                  cache_store t key ~seq ~payload st;
+                  payload
+              | _ -> assert false (* one result per ref *))))
 
 let dirty_read_replicated ?(use_cache = true) t ~off ~len =
   check_live t;
@@ -450,10 +428,12 @@ let dirty_read_replicated ?(use_cache = true) t ~off ~len =
   let status = if use_cache then cache_lookup t key else `Absent in
   match status with
   | `Fresh (_, payload) -> payload
-  | (`Stale _ | `Absent) as st ->
-      let seq, payload = fetch_slot t ~validate:false (repl_addr t off) ~len in
-      if use_cache then cache_store t key ~seq ~payload st;
-      payload
+  | (`Stale _ | `Absent) as st -> (
+      match fetch_refs t ~validate:false [ key ] with
+      | [ (seq, payload) ] ->
+          if use_cache then cache_store t key ~seq ~payload st;
+          payload
+      | _ -> assert false (* one result per ref *))
 
 let write_replicated t ~off ~len payload =
   check_live t;
@@ -517,7 +497,7 @@ let commit ?(blocking = false) t =
     (* Free commit: serialization point is the last fetch that validated
        the whole read set (None for a transaction that never validated
        anything, e.g. dirty-only snapshot reads). *)
-    t.commit_stamp_ <- t.last_validated_stamp;
+    t.commit_stamp <- t.last_validated_stamp;
     Obs.Counter.incr t.stats.Obs.free_commits;
     Committed
   end
@@ -599,7 +579,7 @@ let commit ?(blocking = false) t =
     let mode = if blocking then Coordinator.Blocking else Coordinator.Normal in
     match Coordinator.exec t.cluster ?client:t.client ~mode mtx with
     | Mtx.Committed { stamp; epochs; _ } ->
-        t.commit_stamp_ <- Some stamp;
+        t.commit_stamp <- Some stamp;
         observe_epochs t epochs;
         refresh_cache t written;
         (* Keep the proxy's view of replicated objects it just updated
@@ -682,7 +662,7 @@ let run ?cache ?client ?home ?(blocking = false) ~name cluster f =
         match commit ~blocking txn with
         | Committed ->
             Obs.span_end obs span;
-            (result, txn.commit_stamp_)
+            (result, txn.commit_stamp)
         | Validation_failed ->
             Obs.span_end obs span ~outcome:(Obs.Span.Aborted Obs.Abort.Validation_failed);
             evict_dirty txn;

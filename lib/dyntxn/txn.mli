@@ -40,8 +40,6 @@ val begin_ : ?cache:Objcache.t -> ?client:int -> ?home:int -> Sinfonia.Cluster.t
     omitted, the transaction's traffic is anonymous and never faulted.
     [home] is the memnode used to fetch replicated objects (default 0). *)
 
-val cluster : t -> Sinfonia.Cluster.t
-
 val is_aborted : t -> bool
 
 (** {1 Operations} *)
@@ -151,16 +149,6 @@ val commit : ?blocking:bool -> t -> commit_result
     minitransactions (Sec. 4.1), appropriate for updates to heavily
     contended replicated objects. *)
 
-val commit_stamp : t -> int64 option
-(** After a successful {!commit}: the transaction's commit stamp — the
-    cluster-global stamp of its serialization point. For write (or
-    validating read-only) commits this is the commit minitransaction's
-    stamp; for free commits it is the stamp of the last fetch that
-    validated the whole read set. [None] before commit, and for
-    transactions with no validated footprint (dirty-read-only snapshot
-    transactions, which are checked against their snapshot id
-    instead). *)
-
 (** {1 The retry loop} *)
 
 val run :
@@ -174,7 +162,14 @@ val run :
   'a * int64 option
 (** [run ~name cluster f] runs [f] in a fresh transaction ({!begin_}'s
     arguments) and commits it ({!commit}'s [blocking]), retrying until a
-    commit lands. Returns [f]'s result and the {!commit_stamp}. Every
+    commit lands. Returns [f]'s result and the commit stamp: the
+    cluster-global stamp of the transaction's serialization point. For
+    write (or validating read-only) commits this is the commit
+    minitransaction's stamp; for free commits it is the stamp of the
+    last fetch that validated the whole read set. It is [None] for
+    transactions with no validated footprint (dirty-read-only snapshot
+    transactions, which are checked against their snapshot id
+    instead). Every
     transaction in the system commits through here, except the node
     allocator's chunk reservation.
     - {b Contention} (a validation failure, lock-busy, or an {!Aborted}

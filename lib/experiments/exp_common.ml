@@ -90,10 +90,7 @@ let deploy ?(mode = Btree.Ops.Dirty_traversal) ?(n_trees = 1) ?(k = 0.0) ?(borro
   in
   let db = Minuet.Db.start ~config () in
   let sessions = Array.init hosts (fun h -> Minuet.Session.attach ~home:h db) in
-  let proxies =
-    Array.init hosts (fun h ->
-        Sim.Resource.create ~name:(Printf.sprintf "proxy-%d" h) ~servers:3 ())
-  in
+  let proxies = Array.init hosts (fun _ -> Sim.Resource.create ~servers:3 ()) in
   { db; sessions; proxies }
 
 (* Load [records] hashed keys through [hosts] parallel clients: client

@@ -12,9 +12,11 @@ open Exp_common
 
 let title = "Scan latency vs staleness bound k (with concurrent updates)"
 
+(* The paper's k in seconds of a 60 s run, scaled to [params.duration]. *)
+let scaled_k params k = k *. params.duration /. 60.0
+
 let k_sweep params =
-  let scale = params.duration /. 60.0 in
-  List.map (fun k -> (Printf.sprintf "%g" k, k *. scale)) [ 0.0; 5.0; 15.0; 30.0; 60.0 ]
+  List.map (fun k -> (Printf.sprintf "%g" k, scaled_k params k)) [ 0.0; 5.0; 15.0; 30.0; 60.0 ]
 
 let measure ~params ~hosts ~label ~k ~with_updates =
   in_sim ~seed:params.seed (fun () ->
@@ -49,8 +51,11 @@ let measure ~params ~hosts ~label ~k ~with_updates =
 
 let compute params =
   let hosts = min 15 (List.fold_left max 1 params.hosts) in
-  (* Reference point: scan latency without any updates. *)
-  let baseline = measure ~params ~hosts ~label:"30(idle)" ~k:0.5 ~with_updates:false in
+  (* Reference point: scan latency without any updates, at the k=30
+     sweep value. *)
+  let baseline =
+    measure ~params ~hosts ~label:"30(idle)" ~k:(scaled_k params 30.0) ~with_updates:false
+  in
   baseline
   :: List.map (fun (label, k) -> measure ~params ~hosts ~label ~k ~with_updates:true)
        (k_sweep params)

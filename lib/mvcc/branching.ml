@@ -52,8 +52,6 @@ let emit t ~invoked ?stamp ?(ambiguous = false) op =
 
 let tree t = t.tree
 
-let beta t = t.beta
-
 let entry_exn ?(allow_deleted = false) t txn sid =
   match Catalog.dirty_read t.tree txn ~sid with
   | Some e when allow_deleted || not e.Catalog.deleted -> e

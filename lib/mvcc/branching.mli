@@ -56,8 +56,6 @@ val set_tracer : t -> (Trace.t -> unit) -> unit
 
 val tree : t -> Btree.Ops.tree
 
-val beta : t -> int
-
 val init_tree : t -> unit
 (** Create the empty tree as snapshot 0 (a writable tip) and publish
     the catalog entry and global id counter. Once per tree id. *)
@@ -86,9 +84,6 @@ val mainline_tip : t -> Dyntxn.Txn.t -> from:int64 -> int64
 
 val is_ancestor : t -> Dyntxn.Txn.t -> int64 -> int64 -> bool
 (** [is_ancestor t txn a b]: [a] is [b] or one of its ancestors. *)
-
-val at_snapshot : t -> sid:int64 -> Dyntxn.Txn.t -> Btree.Ops.vctx
-(** Read-only context on any version. *)
 
 (** {1 Convenience operations} *)
 

@@ -7,18 +7,15 @@ type t = {
   stats : Obs.scs_stats;
   borrowing : bool;
   min_interval : float;
-  mutex : Sim.Mutex.t;
+  mutex : Sim.Semaphore.t; (* one slot: creations are serialised *)
   (* Fig. 7 shared state. [last] is the (sid, root) pair of the most
      recently created read-only snapshot. *)
   mutable num_snapshots : int;
   mutable last : (int64 * Dyntxn.Objref.t) option;
   mutable last_created_at : float;
-  (* Creation log for the consistency checker: (sid, commit stamp of
-     the snapshot-creation transaction), newest first. The stamp is the
-     serialization point at which snapshot [sid] froze. *)
-  mutable creations : (int64 * int64) list;
-  (* Streaming checkers subscribe here to learn creations as they
-     happen instead of reading [creations] post-run. *)
+  (* Streaming checkers subscribe here to learn each creation as it
+     happens: (sid, commit stamp of the snapshot-creation transaction),
+     the serialization point at which snapshot [sid] froze. *)
   mutable on_create : (sid:int64 -> stamp:int64 -> unit) option;
   (* Chaos: the service is down until this simulated time; requests
      queue until it is back. *)
@@ -36,16 +33,13 @@ let create ?(borrowing = true) ?(min_interval = 0.0) ~tree () =
     stats = Obs.scs obs;
     borrowing;
     min_interval;
-    mutex = Sim.Mutex.create ();
+    mutex = Sim.Semaphore.create 1;
     num_snapshots = 0;
     last = None;
     last_created_at = neg_infinity;
-    creations = [];
     on_create = None;
     outage_until = neg_infinity;
   }
-
-let creations t = t.creations
 
 let set_on_create t f = t.on_create <- Some f
 
@@ -71,7 +65,6 @@ let create_snapshot_now t =
   Obs.Counter.incr t.stats.Obs.scs_created;
   t.last <- Some result;
   t.last_created_at <- started;
-  t.creations <- (sid, stamp) :: t.creations;
   (match t.on_create with Some f -> f ~sid ~stamp | None -> ());
   result
 
@@ -100,7 +93,7 @@ let request t =
     end
     else begin
       let tmp1 = t.num_snapshots in
-      Sim.Mutex.with_lock t.mutex (fun () ->
+      Sim.Semaphore.with_acquired t.mutex (fun () ->
           if fresh_enough () then begin
             Obs.Counter.incr t.stats.Obs.scs_stale_reused;
             (* Invariant: fresh_enough just proved t.last <> None. *)

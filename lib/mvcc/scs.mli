@@ -33,17 +33,13 @@ val request : t -> int64 * Dyntxn.Objref.t
     unknown raises {!Dyntxn.Txn.Ambiguous}. Either way the service's
     lock is released and the next request starts afresh. *)
 
-val creations : t -> (int64 * int64) list
-(** Creation log for the consistency checker: [(sid, stamp)] pairs,
-    newest first, where [stamp] is the commit stamp of the transaction
-    that created snapshot [sid] — the serialization point at which the
-    state frozen into [sid] stopped changing. *)
-
 val set_on_create : t -> (sid:int64 -> stamp:int64 -> unit) -> unit
-(** Subscribe to snapshot creations as they happen (streaming
-    checkers feed them via [Check.Stream.add_creation] instead of
-    reading {!creations} post-run). One subscriber; later calls
-    replace earlier ones. *)
+(** Subscribe to snapshot creations as they happen: [f ~sid ~stamp]
+    runs once per created snapshot, where [stamp] is the commit stamp
+    of the transaction that created snapshot [sid] — the serialization
+    point at which the state frozen into [sid] stopped changing.
+    Streaming checkers feed these to [Check.Stream.add_creation]. One
+    subscriber; later calls replace earlier ones. *)
 
 (** {1 Chaos hooks} *)
 

@@ -61,21 +61,6 @@ let to_string t =
   emit buf t;
   Buffer.contents buf
 
-let rec pp fmt = function
-  | (Null | Bool _ | Int _ | Float _ | String _) as v -> Format.pp_print_string fmt (to_string v)
-  | List items ->
-      Format.fprintf fmt "@[<v 2>[%a@]@,]"
-        (Format.pp_print_list
-           ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ",")
-           (fun fmt v -> Format.fprintf fmt "@,%a" pp v))
-        items
-  | Obj fields ->
-      Format.fprintf fmt "@[<v 2>{%a@]@,}"
-        (Format.pp_print_list
-           ~pp_sep:(fun fmt () -> Format.pp_print_string fmt ",")
-           (fun fmt (k, v) -> Format.fprintf fmt "@,%s: %a" (to_string (String k)) pp v))
-        fields
-
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                              *)
 (* ------------------------------------------------------------------ *)

@@ -16,9 +16,6 @@ type t =
 val to_string : t -> string
 (** Compact rendering (no insignificant whitespace). *)
 
-val pp : Format.formatter -> t -> unit
-(** Indented rendering, for humans. *)
-
 exception Parse_error of string
 
 val parse : string -> t

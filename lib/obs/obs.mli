@@ -34,11 +34,6 @@ module Abort : sig
     | Crashed_host  (** Memnode (and backup) unreachable. *)
     | Partitioned  (** A participant is behind an injected network partition. *)
 
-  val all : reason list
-
-  val to_string : reason -> string
-  (** Stable snake_case name used in reports ("lock_busy", ...). *)
-
   type layer = Mtx | Txn | Btree | Scs
 
   val layers : layer list
@@ -226,13 +221,6 @@ module Op : sig
   (** Whether the operation read the writable tip (strictly
       serializable) or a read-only snapshot. *)
   type path = Up_to_date | At_snapshot
-
-  val all : op list
-
-  val to_string : op -> string
-
-  val label : op -> path -> string
-  (** Report key: ["get"], ["get\@snapshot"], ... *)
 end
 
 val time_op : t -> op:Op.op -> path:Op.path -> (unit -> 'a) -> 'a

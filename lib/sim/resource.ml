@@ -1,5 +1,4 @@
 type t = {
-  name : string;
   servers : int;
   mutable busy : int;
   waiters : (unit -> unit) Queue.t;
@@ -7,11 +6,9 @@ type t = {
   mutable last_update : float;
 }
 
-let create ?(name = "resource") ~servers () =
+let create ?name:_ ~servers () =
   if servers <= 0 then invalid_arg "Resource.create: servers must be positive";
-  { name; servers; busy = 0; waiters = Queue.create (); busy_integral = 0.0; last_update = 0.0 }
-
-let name t = t.name
+  { servers; busy = 0; waiters = Queue.create (); busy_integral = 0.0; last_update = 0.0 }
 
 let servers t = t.servers
 
@@ -26,7 +23,7 @@ let acquire t =
     t.busy <- t.busy + 1
   end
   else begin
-    Scheduler.suspend (fun wake -> Queue.add (fun () -> wake ()) t.waiters);
+    Scheduler.suspend (fun wake -> Queue.add wake t.waiters);
     (* The releasing process already transferred its server slot to us:
        [busy] stays unchanged across the hand-off. *)
     ()

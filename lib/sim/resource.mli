@@ -9,9 +9,8 @@
 type t
 
 val create : ?name:string -> servers:int -> unit -> t
-(** [servers] must be positive. *)
-
-val name : t -> string
+(** [servers] must be positive. [name] labels the call site only; it is
+    not stored. *)
 
 val servers : t -> int
 

@@ -22,8 +22,6 @@ let of_seed64 (seed : int64) : t =
 
 let create seed = of_seed64 (Int64.of_int seed)
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
-
 let rotl (x : int64) (k : int) : int64 =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
@@ -67,8 +65,6 @@ let unit_float t =
 
 let float t bound = unit_float t *. bound
 
-let bool t = Int64.compare (Int64.logand (bits64 t) 1L) 0L <> 0
-
 let exponential t ~mean =
   let u = 1.0 -. unit_float t in
   -.mean *. log u
@@ -80,10 +76,6 @@ let shuffle t arr =
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
-
-let pick t arr =
-  if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
-  arr.(int t (Array.length arr))
 
 let bytes t n =
   String.init n (fun _ -> Char.chr (int t 256))

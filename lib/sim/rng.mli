@@ -16,9 +16,6 @@ val split : t -> t
     independent of [t]'s future output. Both generators advance
     deterministically. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state (same future stream). *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit value. *)
 
@@ -28,25 +25,17 @@ val int : t -> int -> int
 val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform in [\[lo, hi\]] inclusive. *)
 
-val int64 : t -> int64 -> int64
-(** [int64 t bound] is uniform in [\[0, bound)]. *)
-
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
 val unit_float : t -> float
 (** Uniform in [\[0, 1)]. *)
 
-val bool : t -> bool
-
 val exponential : t -> mean:float -> float
 (** Exponentially distributed sample with the given mean. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val pick : t -> 'a array -> 'a
-(** Uniformly random element of a non-empty array. *)
 
 val bytes : t -> int -> string
 (** [bytes t n] is a string of [n] uniformly random bytes. *)

@@ -1,7 +1,5 @@
 type time = float
 
-exception Stopped
-
 type scheduler = {
   queue : (unit -> unit) Event_queue.t;
   mutable clock : time;
@@ -22,20 +20,21 @@ let get () =
   | Some s -> s
   | None -> invalid_arg "Sim: called outside of Scheduler.run"
 
+(* Only the operations that capture a continuation are effects; the
+   clock and the run queue are plain fields of the one global
+   scheduler. *)
 type _ Effect.t +=
-  | Now : time Effect.t
   | Delay : time -> unit Effect.t
-  | Spawn : string option * (unit -> unit) -> unit Effect.t
   | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
 
 let now () =
-  if inside () then Effect.perform Now else invalid_arg "Sim.now: outside of Scheduler.run"
+  match !current with
+  | Some s -> s.clock
+  | None -> invalid_arg "Sim.now: outside of Scheduler.run"
 
 let delay d = Effect.perform (Delay (if d < 0.0 then 0.0 else d))
 
 let yield () = Effect.perform (Delay 0.0)
-
-let spawn ?name f = Effect.perform (Spawn (name, f))
 
 let suspend register = Effect.perform (Suspend register)
 
@@ -58,10 +57,12 @@ let schedule s thunk = Event_queue.push s.queue ~time:s.clock thunk
 
 let schedule_at s ~time thunk = Event_queue.push s.queue ~time thunk
 
-(* Execute a process body under the effect handler. Each [spawn]ed
-   process gets its own (deep) handler, so continuations captured inside
-   it resume under the same handler. *)
-let rec exec : scheduler -> string option -> (unit -> unit) -> unit =
+(* Execute a process body under the effect handler. Each process gets
+   its own (deep) handler, so continuations captured inside it resume
+   under the same handler. A [Suspend] registration runs inline in the
+   handler, outside any process: it may spawn, read the clock and wake,
+   but an effect it performs has no handler and aborts the run. *)
+let exec : scheduler -> string option -> (unit -> unit) -> unit =
  fun s name body ->
   let open Effect.Deep in
   match_with body ()
@@ -69,20 +70,13 @@ let rec exec : scheduler -> string option -> (unit -> unit) -> unit =
       retc = (fun () -> ());
       exnc =
         (fun e ->
-          match e with
-          | Stopped -> ()
-          | e ->
-              let bt = Printexc.get_raw_backtrace () in
-              Logs.err (fun m ->
-                  m "process %s died: %s"
-                    (Option.value name ~default:"<anon>")
-                    (Printexc.to_string e));
-              Printexc.raise_with_backtrace e bt);
+          let bt = Printexc.get_raw_backtrace () in
+          Logs.err (fun m ->
+              m "process %s died: %s" (Option.value name ~default:"<anon>") (Printexc.to_string e));
+          Printexc.raise_with_backtrace e bt);
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Now ->
-              Some (fun (k : (a, unit) continuation) -> continue k s.clock)
           | Delay d ->
               Some
                 (fun (k : (a, unit) continuation) ->
@@ -90,14 +84,6 @@ let rec exec : scheduler -> string option -> (unit -> unit) -> unit =
                   schedule_at s ~time:(s.clock +. d) (fun () ->
                       ctx := saved;
                       continue k ()))
-          | Spawn (child_name, f) ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  let inherited = !ctx in
-                  schedule s (fun () ->
-                      ctx := inherited;
-                      exec s child_name f);
-                  continue k ())
           | Suspend register ->
               Some
                 (fun (k : (a, unit) continuation) ->
@@ -111,12 +97,16 @@ let rec exec : scheduler -> string option -> (unit -> unit) -> unit =
                           continue k v)
                     end
                   in
-                  (* Run the registration under its own handler so that
-                     it may itself perform effects (e.g. spawn a timeout
-                     process). *)
-                  exec s (Some "suspend-register") (fun () -> register wake))
+                  register wake)
           | _ -> None);
     }
+
+let spawn ?name f =
+  let s = get () in
+  let inherited = !ctx in
+  schedule s (fun () ->
+      ctx := inherited;
+      exec s name f)
 
 let run ?(seed = 0x4d696e) ?until main =
   if inside () then invalid_arg "Scheduler.run: simulations do not nest";
@@ -200,7 +190,7 @@ module Semaphore = struct
 
   let acquire t =
     if t.free > 0 then t.free <- t.free - 1
-    else suspend (fun wake -> Queue.add (fun () -> wake ()) t.waiters)
+    else suspend (fun wake -> Queue.add wake t.waiters)
 
   let release t =
     match Queue.take_opt t.waiters with
@@ -216,18 +206,4 @@ module Semaphore = struct
     | exception e ->
         release t;
         raise e
-
-  let available t = t.free
-end
-
-module Mutex = struct
-  type t = Semaphore.t
-
-  let create () = Semaphore.create 1
-
-  let lock = Semaphore.acquire
-
-  let unlock = Semaphore.release
-
-  let with_lock = Semaphore.with_acquired
 end

@@ -2,17 +2,15 @@
     processes implemented with OCaml effect handlers.
 
     A simulation is started with {!run}. Inside it, code may call the
-    process operations ({!delay}, {!spawn}, {!suspend}, ...) freely; they
-    are implemented as effects handled by the scheduler. The entire run is
-    a deterministic function of the seed and of the program itself.
+    process operations ({!delay}, {!spawn}, {!suspend}, ...) freely. Only
+    the two that block the calling process, {!delay} and {!suspend}, are
+    effects handled by the scheduler; the rest act on the running
+    scheduler directly. The entire run is a deterministic function of the
+    seed and of the program itself.
 
     Simulated time is a [float] in seconds. *)
 
 type time = float
-
-exception Stopped
-(** Raised inside a process when the simulation is being torn down and
-    the process tries to block. Processes normally never observe it. *)
 
 (** {1 Running} *)
 
@@ -30,7 +28,7 @@ val inside : unit -> bool
     All of these must be called from inside a simulation. *)
 
 val now : unit -> time
-(** Current simulated time. *)
+(** Current simulated time. Raises [Invalid_argument] outside {!run}. *)
 
 val delay : time -> unit
 (** Suspend the calling process for the given amount of simulated time.
@@ -41,16 +39,22 @@ val yield : unit -> unit
     ready processes run first. *)
 
 val spawn : ?name:string -> (unit -> unit) -> unit
-(** Start a new process at the current time. An exception escaping the
-    process aborts the whole simulation (it propagates out of {!run}),
-    except {!Stopped} which is swallowed. *)
+(** Start a new process at the current time. It inherits the caller's
+    {!trace_context}. An exception escaping the process aborts the whole
+    simulation (it propagates out of {!run}). *)
 
 val suspend : (('a -> unit) -> unit) -> 'a
 (** [suspend register] blocks the calling process and calls
     [register wake]. Some other process (or event) may later call
     [wake v] exactly once, which reschedules the blocked process at the
     then-current time with result [v]. Extra calls to [wake] are
-    ignored. *)
+    ignored.
+
+    [register] runs at once, at the suspending process's time and with
+    its trace context, but outside any process. It may {!spawn} (a
+    timeout, say), read {!now} and call [wake], but it must not block:
+    a {!delay} or {!suspend} inside it aborts the simulation with
+    [Effect.Unhandled], which propagates out of {!run}. *)
 
 val rng : unit -> Rng.t
 (** The simulation's root random stream. Derive independent component
@@ -104,18 +108,8 @@ module Semaphore : sig
   type t
 
   val create : int -> t
-  val acquire : t -> unit
-  val release : t -> unit
   val with_acquired : t -> (unit -> 'a) -> 'a
-  val available : t -> int
-end
-
-(** Mutual-exclusion lock (semaphore of one). *)
-module Mutex : sig
-  type t
-
-  val create : unit -> t
-  val lock : t -> unit
-  val unlock : t -> unit
-  val with_lock : t -> (unit -> 'a) -> 'a
+  (** [with_acquired t f] runs [f] holding one unit of [t], waiting
+      (FIFO) while none is free, and gives the unit back however [f]
+      ends. *)
 end

@@ -97,13 +97,6 @@ module Hist = struct
     dst.sum <- dst.sum +. src.sum;
     if src.minv < dst.minv then dst.minv <- src.minv;
     if src.maxv > dst.maxv then dst.maxv <- src.maxv
-
-  let reset t =
-    Array.fill t.buckets 0 nbuckets 0;
-    t.count <- 0;
-    t.sum <- 0.0;
-    t.minv <- infinity;
-    t.maxv <- neg_infinity
 end
 
 module Series = struct

@@ -36,7 +36,6 @@ module Hist : sig
       resolve it to within ~4% relative error at any magnitude. *)
 
   val merge_into : dst:t -> t -> unit
-  val reset : t -> unit
 end
 
 (** Counts bucketed by fixed-width windows of simulated time, e.g.

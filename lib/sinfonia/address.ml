@@ -11,12 +11,6 @@ let compare a b =
 
 let equal a b = a.node = b.node && a.off = b.off
 
-let hash a = Hashtbl.hash (a.node, a.off)
-
-let pp fmt a = Format.fprintf fmt "%d:%d" a.node a.off
-
-let to_string a = Format.asprintf "%a" pp a
-
 (* Wire format: u32 node, i64 offset. The null sentinel encodes node as
    0xffff_ffff. *)
 let encoded_size = 12

@@ -12,13 +12,6 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
-val hash : t -> int
-
-val pp : Format.formatter -> t -> unit
-(** "node:off" *)
-
-val to_string : t -> string
-
 val encode : Codec.Enc.t -> t -> unit
 
 val decode : Codec.Dec.t -> t

@@ -169,8 +169,7 @@ let exec_single cluster ~client ~mode (mtx : Mtx.t) node =
   attempt 0
 
 (* Run [f node] for every node in parallel and wait for all results. *)
-let parallel_map cluster nodes f =
-  ignore cluster;
+let parallel_map nodes f =
   let ivars = List.map (fun node -> (node, Sim.Ivar.create ())) nodes in
   List.iter
     (fun (node, ivar) ->
@@ -260,7 +259,7 @@ let exec_multi cluster ~client ~mode (mtx : Mtx.t) nodes =
         | Cluster.Partitioned _ -> P_unreachable true
       in
       let results =
-        Obs.with_span obs Obs.Span.Mtx_prepare (fun () -> parallel_map cluster nodes prepare)
+        Obs.with_span obs Obs.Span.Mtx_prepare (fun () -> parallel_map nodes prepare)
       in
       let prepared =
         List.filter_map
@@ -274,7 +273,7 @@ let exec_multi cluster ~client ~mode (mtx : Mtx.t) nodes =
          prepared (pinned) participant, then drop the serving pins. *)
       let abort_prepared () =
         ignore
-          (parallel_map cluster prepared (fun (_, mn, store, _, _) ->
+          (parallel_map prepared (fun (_, mn, store, _, _) ->
                round_trip_pinned cluster ~client mn ~bytes_out:request_overhead
                  ~resp_bytes:(fun () -> response_overhead)
                  (fun () ->
@@ -350,7 +349,7 @@ let exec_multi cluster ~client ~mode (mtx : Mtx.t) nodes =
         let stamp = Cluster.take_stamp cluster in
         Obs.with_span obs Obs.Span.Mtx_commit (fun () ->
             ignore
-              (parallel_map cluster prepared (fun (node, mn, store, _, _) ->
+              (parallel_map prepared (fun (node, mn, store, _, _) ->
                    let part = List.assoc node parts in
                    round_trip_pinned cluster ~client mn
                      ~bytes_out:(Memnode.part_bytes part + request_overhead)

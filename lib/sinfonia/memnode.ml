@@ -36,7 +36,7 @@ let make_store ?redo ~space capacity =
 let create ?redo ~id ~cores ~heap_capacity () =
   {
     id;
-    cpu = Sim.Resource.create ~name:(Printf.sprintf "memnode-%d" id) ~servers:cores ();
+    cpu = Sim.Resource.create ~servers:cores ();
     primary_store = make_store ?redo ~space:id heap_capacity;
     replicas = Hashtbl.create 4;
     crashed = false;

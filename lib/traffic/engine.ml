@@ -115,7 +115,7 @@ type queue_msg = Arrive of float | Stop
 
 let key_of ~offset ordinal = Ycsb.Keygen.key_of_int (offset + ordinal)
 
-let run_exn (cfg : config) =
+let run (cfg : config) =
   if cfg.tenants = [] then invalid_arg "Traffic.Engine.run: no tenants";
   if cfg.duration <= 0.0 then invalid_arg "Traffic.Engine.run: duration must be positive";
   if cfg.chaos <> [] && cfg.chaos_phases <= 0 then
@@ -380,5 +380,3 @@ let run_exn (cfg : config) =
     fault_counts = (if cfg.chaos = [] then [] else o.Checked.fault_counts);
     sim_time = o.Checked.sim_time;
   }
-
-let run = run_exn

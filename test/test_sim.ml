@@ -193,6 +193,53 @@ let test_suspend_double_wake_ignored () =
       Sim.delay 1.0);
   check Alcotest.int "resumed once" 1 !count
 
+(* A registration that arms its own timeout, as Lock_table's blocking
+   acquire does: it reads the clock and spawns the timer inline, at the
+   suspending process's time and trace context. The process suspends at
+   t = 1 with a 2 s timeout (t = 3); an outside waker fires at
+   [wake_at]. *)
+let register_with_timeout ~wake_at =
+  let resumed = ref [] and reg_now = ref nan and timer_ctx = ref (-1) in
+  Sim.run (fun () ->
+      let wakener = ref None in
+      Sim.spawn (fun () ->
+          Sim.delay 1.0;
+          Sim.set_trace_context 77;
+          let outcome =
+            Sim.suspend (fun wake ->
+                reg_now := Sim.now ();
+                wakener := Some wake;
+                Sim.spawn (fun () ->
+                    timer_ctx := Sim.trace_context ();
+                    Sim.delay 2.0;
+                    wake `Timeout))
+          in
+          resumed := (outcome, Sim.now ()) :: !resumed);
+      Sim.delay wake_at;
+      (match !wakener with Some wake -> wake `Woken | None -> Alcotest.fail "not registered");
+      Sim.delay 10.0);
+  (!resumed, !reg_now, !timer_ctx)
+
+let outcome =
+  Alcotest.testable
+    (fun ppf o -> Format.pp_print_string ppf (match o with `Woken -> "woken" | `Timeout -> "timeout"))
+    ( = )
+
+let test_register_timeout () =
+  List.iter
+    (fun (wake_at, expected) ->
+      let resumed, reg_now, timer_ctx = register_with_timeout ~wake_at in
+      check (Alcotest.list (Alcotest.pair outcome (Alcotest.float 1e-9))) "resumed once" [ expected ]
+        resumed;
+      checkf "now inside registration" 1.0 reg_now;
+      check Alcotest.int "timer inherits trace context" 77 timer_ctx)
+    [ (2.0, (`Woken, 2.0)); (5.0, (`Timeout, 3.0)) ]
+
+let test_register_must_not_block () =
+  match Sim.run (fun () -> Sim.suspend (fun (_ : unit -> unit) -> Sim.delay 1.0)) with
+  | () -> Alcotest.fail "a blocking registration should abort the run"
+  | exception Effect.Unhandled _ -> ()
+
 let test_until_cutoff () =
   let reached = ref false in
   Sim.run ~until:10.0 (fun () ->
@@ -323,10 +370,10 @@ let test_semaphore_limits_concurrency () =
 let test_mutex () =
   let in_critical = ref false in
   Sim.run (fun () ->
-      let m = Sim.Mutex.create () in
+      let m = Sim.Semaphore.create 1 in
       for _ = 1 to 5 do
         Sim.spawn (fun () ->
-            Sim.Mutex.with_lock m (fun () ->
+            Sim.Semaphore.with_acquired m (fun () ->
                 check Alcotest.bool "exclusive" false !in_critical;
                 in_critical := true;
                 Sim.delay 0.5;
@@ -565,6 +612,8 @@ let () =
           Alcotest.test_case "yield fairness" `Quick test_yield_fairness;
           Alcotest.test_case "suspend/wake" `Quick test_suspend_wake;
           Alcotest.test_case "double wake ignored" `Quick test_suspend_double_wake_ignored;
+          Alcotest.test_case "registration with timeout" `Quick test_register_timeout;
+          Alcotest.test_case "registration must not block" `Quick test_register_must_not_block;
           Alcotest.test_case "until cutoff" `Quick test_until_cutoff;
           Alcotest.test_case "stop" `Quick test_stop;
           Alcotest.test_case "no nesting" `Quick test_no_nesting;
