@@ -213,16 +213,19 @@ check_report smoke
 echo "== paper figures smoke =="
 # Every figure of the paper's evaluation (Figs. 10-18 and the
 # ablations) at toy size, through the same harness and printer as the
-# full runs; all exits 1 when any figure returns no rows. Most of its
-# time is Fig. 14, whose tree never shrinks below 150 k keys.
+# full runs; all exits 1 when any figure returns no rows. Fig. 14
+# preloads 6x --records (12 k keys here; 150 k at the fast and full
+# sizes).
 dune exec bin/minuet_bench.exe -- all --hosts 2 --records 2000 --duration 0.1 \
   --warmup 0.05 --clients-per-host 2 --scan-count 50
 
 echo "== node-path micro-benchmark =="
 # Zero-copy node views vs eager decodes on identical slotted payloads:
-# the view must be at least 3x faster per lookup, and a corrupted slot
-# directory must fail Bnode.decode's CRC. Emits BENCH_node.json
-# (ns/lookup both sides, decodes avoided, bytes copied per scan hop).
+# the view must be at least 3x faster per lookup, the spliced leaf
+# rewrite at least 2x faster than decode/edit/encode and byte-identical
+# to it, and a corrupted slot directory must fail Bnode.decode's CRC.
+# Emits BENCH_node.json (ns/lookup and ns/rewrite both sides, decodes
+# avoided, bytes copied per scan hop).
 dune exec bin/minuet_bench.exe -- node --dir "$smoke_dir"
 check_report node
 

@@ -398,19 +398,22 @@ let checker_cmd =
     Term.(const action $ seed_arg $ ops_arg $ keys_arg $ branching_arg $ inject_arg $ dir_arg)
 
 (* Node-path micro-benchmark: zero-copy views against eager decodes on
-   the same slotted payloads (wall-clock, so exempt from the
+   the same slotted payloads, and spliced leaf rewrites against
+   decode/edit/encode ones (wall-clock, so exempt from the
    deterministic-time lint like the checker bench above), plus a short
    simulated workload counting decodes avoided and bytes copied per
    scan hop. Also asserts the format's falsifiability gate: a corrupted
    slot directory must fail Bnode.decode. Writes BENCH_node.json; exits
-   1 unless the view is at least 3x faster and the corruption is
-   caught. *)
+   1 unless the view is at least 3x faster, the splice at least 2x
+   faster and byte-identical, and the corruption is caught. *)
 let node_cmd =
   let doc =
     "Micro-benchmark the zero-copy node view against an eager decode (ns/lookup on identical \
-     slotted payloads), run a short simulated scan workload to count decodes avoided and bytes \
-     copied per scan hop, assert the corruption gate, and write BENCH_node.json. Exits 1 when \
-     the view is less than 3 times faster or a corrupted slot directory decodes."
+     slotted payloads) and the spliced leaf rewrite against decode/edit/encode (ns/rewrite), \
+     run a short simulated scan workload to count decodes avoided and bytes copied per scan \
+     hop, assert the corruption gate, and write BENCH_node.json. Exits 1 when the view is less \
+     than 3 times faster, the splice less than 2 times faster or not byte-identical, or a \
+     corrupted slot directory decodes."
   in
   let seed_arg =
     Arg.(value & opt int 0x5ca9 & info [ "seed" ] ~docv:"SEED" ~doc:"Deterministic seed.")
@@ -441,7 +444,7 @@ let node_cmd =
     in
     let sink = ref 0 in
     (* Warm both paths once so the first timed side pays no cold-start
-       penalty (lazy CRC table, allocator warmup). *)
+       penalty (allocator warmup). *)
     ignore (Bnode.decode payload : Bnode.t);
     ignore (Bview.of_string payload : Bview.t);
     let view_s =
@@ -462,9 +465,48 @@ let node_cmd =
             | None -> ()
           done)
     in
+    (* Rewrites of the same leaf, as a put at the leaf's own snapshot
+       does them from the view its traversal parsed: verify the CRC,
+       then splice the bytes, or materialise, edit and re-encode. The
+       probes replace keys or insert new ones across the leaf, none of
+       which changes its common prefix, so every one splices. *)
+    let leaf_view = Bview.of_string payload in
+    let enc = Codec.Enc.create ~initial_size:2048 () in
+    let spliced k =
+      Bview.verify_crc leaf_view;
+      Codec.Enc.reset enc;
+      match Bview.leaf_splice enc leaf_view ~max_keys:max_int k (Some "rewritten") with
+      | Bview.Spliced -> Codec.Enc.to_string_with_checksum enc
+      | Bview.Absent | Bview.Fallback -> failwith "node bench: a probe rewrite did not splice"
+    in
+    let decoded k =
+      Bview.verify_crc leaf_view;
+      Codec.Enc.reset enc;
+      Bnode.encode_into enc (Bnode.leaf_insert (Bnode.of_view leaf_view) k "rewritten");
+      Codec.Enc.to_string_with_checksum enc
+    in
+    let rewrite_identical = Array.for_all (fun k -> String.equal (spliced k) (decoded k)) probes in
+    (* The two sides alternate over five rounds, so a burst of host
+       noise lands on both rather than on one. *)
+    let rounds = 5 in
+    let per_round = max 1 (iters / 20) in
+    let rewrites = rounds * per_round in
+    let rewrite_block f () =
+      for i = 0 to per_round - 1 do
+        sink := !sink + String.length (f (Array.unsafe_get probes (i land 255)))
+      done
+    in
+    let splice_s = ref 0.0 and reencode_s = ref 0.0 in
+    for _ = 1 to rounds do
+      splice_s := !splice_s +. time (rewrite_block spliced);
+      reencode_s := !reencode_s +. time (rewrite_block decoded)
+    done;
+    let splice_s = !splice_s and reencode_s = !reencode_s in
     ignore !sink;
     let ns side = side *. 1e9 /. float_of_int iters in
+    let ns_rewrite side = side *. 1e9 /. float_of_int rewrites in
     let speedup = decode_s /. view_s in
+    let rewrite_speedup = reencode_s /. splice_s in
     (* Falsifiability: flipping any slot-directory byte must fail the
        CRC on the decode path. *)
     let v = Bview.of_string payload in
@@ -534,6 +576,9 @@ let node_cmd =
     let bytes_per_hop = if hops = 0 then 0.0 else float_of_int bytes_copied /. float_of_int hops in
     Printf.printf "node bench: view %.0f ns/lookup vs decode %.0f ns/lookup (%.2fx)\n"
       (ns view_s) (ns decode_s) speedup;
+    Printf.printf "  rewrite: splice %.0f ns vs decode+encode %.0f ns (%.2fx)%s\n"
+      (ns_rewrite splice_s) (ns_rewrite reencode_s) rewrite_speedup
+      (if rewrite_identical then "" else ", BYTES DIFFER");
     Printf.printf "  workload: %d view hits, %d materialisations (%d decodes avoided)\n" view_hits
       materialisations decodes_avoided;
     Printf.printf "  %.0f bytes copied per batched scan hop over %d hops\n" bytes_per_hop hops;
@@ -549,6 +594,8 @@ let node_cmd =
            gates =
              [
                Obs.Bench.at_least "speedup" speedup 3.0;
+               Obs.Bench.at_least "rewrite_speedup" rewrite_speedup 2.0;
+               Obs.Bench.at_least "rewrite_identical" (if rewrite_identical then 1.0 else 0.0) 1.0;
                Obs.Bench.at_least "corrupt_dir_caught" (if !corrupt_caught then 1.0 else 0.0) 1.0;
                Obs.Bench.at_most "view_memo_entries" (float_of_int memo_entries)
                  (float_of_int node_slots);
@@ -562,6 +609,11 @@ let node_cmd =
                ("view_ns_per_lookup", Obs.Json.Float (ns view_s));
                ("decode_ns_per_lookup", Obs.Json.Float (ns decode_s));
                ("speedup", Obs.Json.Float speedup);
+               ("rewrites", Obs.Json.Int rewrites);
+               ("splice_ns_per_rewrite", Obs.Json.Float (ns_rewrite splice_s));
+               ("decode_encode_ns_per_rewrite", Obs.Json.Float (ns_rewrite reencode_s));
+               ("rewrite_speedup", Obs.Json.Float rewrite_speedup);
+               ("rewrite_identical", Obs.Json.Bool rewrite_identical);
                ("workload_view_hits", Obs.Json.Int view_hits);
                ("workload_materialisations", Obs.Json.Int materialisations);
                ("decodes_avoided", Obs.Json.Int decodes_avoided);

@@ -107,8 +107,10 @@ val split : t -> t * Bkey.t * t
 
     The wire format is the slotted layout ({!Bview}) framed with a
     CRC-32 trailer. Traversals and scans read payloads in place through
-    {!Bview}; only the write/split path materialises a node, through
-    {!of_view} after {!Bview.verify_crc}. *)
+    {!Bview}; the write path verifies the CRC ({!Bview.verify_crc}),
+    then splices a leaf's bytes in place ({!Bview.leaf_splice}) or, for
+    splits, copy-on-write and internal nodes, materialises the node
+    through {!of_view}. *)
 
 val encode : t -> string
 

@@ -3,8 +3,10 @@
    A view wraps the raw payload string fetched from a memnode and
    answers point lookups, child routing and fence checks by reading
    offsets in place: binary search probes compare byte spans against the
-   query key, and no per-key string is materialised. Decoding into a
-   {!Bnode.t} happens only on the write/split path ({!Bnode.of_view}).
+   query key, and no per-key string is materialised. A put or remove
+   on a leaf rewrites its bytes directly ([leaf_splice]); decoding into
+   a {!Bnode.t} happens only on the split, copy-on-write and
+   internal-node write paths ({!Bnode.of_view}).
 
    Wire layout (all integers little-endian):
 
@@ -36,8 +38,9 @@
    construction instead. The CRC trailer is *not* folded on the hot read
    path: dirty traversals are already guarded by fence/height/version
    checks and OCC validation, exactly like every other unvalidated read
-   in the system. The write path ({!materialise} via [Bnode.decode])
-   verifies the CRC before trusting bytes enough to rewrite them. *)
+   in the system. The write path verifies the CRC before trusting bytes
+   enough to rewrite them, whether it splices a leaf ([leaf_splice]) or
+   decodes the node ([Bnode.of_view]). *)
 
 module Objref = Dyntxn.Objref
 
@@ -78,15 +81,24 @@ let compare_span a apos alen b bpos blen =
   in
   go 0
 
-let read_varint buf pos limit =
+(* The end of a value: the position just past the varint length at
+   [pos] plus that length. One walk, no tuple — [of_string] runs it for
+   every entry of every fetched leaf. Raises when the varint runs past
+   [limit] or is too long. *)
+let value_end buf pos limit =
   let rec go pos shift acc =
     if pos >= limit then decode_error "Bview: varint past entry region";
     if shift > 62 then decode_error "Bview: varint too long";
     let b = Char.code (String.unsafe_get buf pos) in
     let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then (acc, pos + 1) else go (pos + 1) (shift + 7) acc
+    if b land 0x80 = 0 then pos + 1 + acc else go (pos + 1) (shift + 7) acc
   in
   go pos 0 0
+
+(* The position just past the varint at [pos], which [value_end] has
+   already bounded. *)
+let rec varint_end buf pos =
+  if Char.code (String.unsafe_get buf pos) land 0x80 = 0 then pos + 1 else varint_end buf (pos + 1)
 
 let decode_fence d =
   match Codec.Dec.u8 d with
@@ -114,10 +126,8 @@ let validate_entry t i =
   let slen = String.get_uint16_le t.buf eoff in
   let spos = eoff + 2 in
   if spos + slen > t.content_end then decode_error "Bview: slot %d suffix out of bounds" i;
-  if t.kind = 0 then begin
-    let vlen, vpos = read_varint t.buf (spos + slen) t.content_end in
-    if vpos + vlen > t.content_end then decode_error "Bview: slot %d value out of bounds" i
-  end
+  if t.kind = 0 && value_end t.buf (spos + slen) t.content_end > t.content_end then
+    decode_error "Bview: slot %d value out of bounds" i
 
 let of_string s =
   let len = String.length s in
@@ -250,8 +260,10 @@ let leaf_value t i =
   if i < 0 || i >= t.nkeys then invalid_arg "Bview.leaf_value: index out of bounds";
   let eoff = entry_off t i in
   let slen = String.get_uint16_le t.buf eoff in
-  let vlen, vpos = read_varint t.buf (eoff + 2 + slen) t.content_end in
-  String.sub t.buf vpos vlen
+  let lpos = eoff + 2 + slen in
+  let vend = value_end t.buf lpos t.content_end in
+  let vpos = varint_end t.buf lpos in
+  String.sub t.buf vpos (vend - vpos)
 
 let leaf_entry t i = (key t i, leaf_value t i)
 
@@ -345,6 +357,29 @@ let common_prefix_len keys =
     go 0
   end
 
+(* Wire emission shared by [encode_into] and [leaf_splice]: [nkeys]
+   and the slot directory, given each slot's start within the entries
+   region ([offset_of] is asked in slot order), so the directory is
+   emitted before the entries without patching; one leaf entry; and the
+   stamp over everything from [start]. *)
+let emit_directory e nkeys offset_of =
+  Codec.Enc.u16 e nkeys;
+  for i = 0 to nkeys - 1 do
+    Codec.Enc.u16 e (offset_of i)
+  done
+
+let emit_leaf_entry e ~prefix_len k v =
+  let open Codec.Enc in
+  let suffix = String.length k - prefix_len in
+  u16 e suffix;
+  raw_sub e k prefix_len suffix;
+  varint e (String.length v);
+  raw e v
+
+let seal e ~start =
+  Codec.Enc.patch_i64 e ~pos:(start + stamp_pos)
+    (Codec.Enc.fnv1a64_from e ~pos:(start + stamped_from))
+
 type body_spec =
   | Leaf_spec of (Bkey.t * string) array
   | Internal_spec of Bkey.t array * Objref.t array
@@ -379,31 +414,17 @@ let encode_into e ~height ~low ~high ~snap ~descendants body =
     encode_fence e high;
     u16 e prefix_len;
     if prefix_len > 0 then raw_sub e keys.(0) 0 prefix_len;
-    let nkeys = Array.length keys in
-    u16 e nkeys;
-    (* Slot directory: entry offsets are computed incrementally from the
-       entry sizes, so the directory is emitted before the entries
-       without patching. *)
-    let off = ref 0 in
-    Array.iteri
-      (fun i k ->
-        u16 e !off;
-        let suffix = String.length k - prefix_len in
-        off := !off + 2 + suffix + entry_extra i)
-      keys;
+    (* Offsets accumulate the entry sizes. *)
+    let next = ref 0 in
+    emit_directory e (Array.length keys) (fun i ->
+        let off = !next in
+        next := off + 2 + String.length keys.(i) - prefix_len + entry_extra i;
+        off);
     (match body with
     | Leaf_spec _ -> ()
     | Internal_spec (_, children) -> Array.iter (Objref.encode e) children);
     (match body with
-    | Leaf_spec entries ->
-        Array.iter
-          (fun (k, v) ->
-            let suffix = String.length k - prefix_len in
-            u16 e suffix;
-            raw_sub e k prefix_len suffix;
-            varint e (String.length v);
-            raw e v)
-          entries
+    | Leaf_spec entries -> Array.iter (fun (k, v) -> emit_leaf_entry e ~prefix_len k v) entries
     | Internal_spec (keys, _) ->
         Array.iter
           (fun k ->
@@ -411,5 +432,83 @@ let encode_into e ~height ~low ~high ~snap ~descendants body =
             u16 e suffix;
             raw_sub e k prefix_len suffix)
           keys);
-    patch_i64 e ~pos:(start + stamp_pos) (fnv1a64_from e ~pos:(start + stamped_from))
+    seal e ~start
   end
+
+(* {1 Leaf splice} *)
+
+type splice = Spliced | Absent | Fallback
+
+(* Rewrite one entry of a leaf straight from its wire bytes: the header
+   (through the common prefix) is copied, [nkeys] and the slot
+   directory are re-emitted with offsets shifted by the size change,
+   the entries region is copied as at most two blits around the one new
+   entry, and the stamp is recomputed. The result is byte-identical to
+   encoding the decoded leaf after [Bnode.leaf_insert] /
+   [Bnode.leaf_remove]: the splice keeps the source's common prefix, so
+   it steps aside ([Fallback]) whenever the edit would change it, or
+   would break a u16 limit the encoder checks. *)
+let leaf_splice e t ~max_keys k edit =
+  if t.kind <> 0 then invalid_arg "Bview.leaf_splice: internal node";
+  let n = t.nkeys and plen = t.prefix_len in
+  let region = t.content_end - t.entries_off in
+  (* Start of slot [i] within the entries region; [n] is its end. *)
+  let off i = if i = n then region else String.get_uint16_le t.buf (t.dir_off + (2 * i)) in
+  let suffix_byte0 i = Char.code (String.unsafe_get t.buf (t.entries_off + off i + 2)) in
+  let suffix_len i = String.get_uint16_le t.buf (t.entries_off + off i) in
+  match (search t k, edit) with
+  | Error _, None -> Absent
+  | found, _ ->
+      let at, replaced = match found with Ok i -> (i, true) | Error i -> (i, false) in
+      let klen = String.length k in
+      (* The edited slot's bytes: [before] is where it starts in the old
+         region, [resume] where the copy picks up after it. *)
+      let before = off at in
+      let resume = if replaced then off (at + 1) else before in
+      let new_size =
+        match edit with
+        | None -> 0
+        | Some v -> 2 + (klen - plen) + varint_size (String.length v) + String.length v
+      in
+      let n' = match edit with None -> n - 1 | Some _ -> if replaced then n else n + 1 in
+      let region' = region - (resume - before) + new_size in
+      let prefix_kept =
+        match edit with
+        | Some _ when replaced -> true
+        | Some _ when n = 0 -> klen = 0 (* a lone key is its own prefix *)
+        | Some _ -> klen >= plen && compare_span k 0 plen t.buf t.prefix_off plen = 0
+        | None when n' = 0 -> plen = 0
+        | None ->
+            (* The keys' common prefix stays [plen] long exactly when the
+               new first and last keys part at their first suffix byte. *)
+            let a = if at = 0 then 1 else 0 and b = if at = n - 1 then n - 2 else n - 1 in
+            suffix_len a = 0 || suffix_len b = 0 || suffix_byte0 a <> suffix_byte0 b
+      in
+      let fits =
+        n' <= max_keys
+        &&
+        match edit with
+        | None -> true (* offsets only shrink *)
+        | Some _ ->
+            let last_start = if at = n' - 1 then before else region' - (region - off (n - 1)) in
+            n' <= 0xffff && klen - plen <= 0xffff && last_start <= 0xffff
+      in
+      if not (prefix_kept && fits) then Fallback
+      else begin
+        let open Codec.Enc in
+        let start = length e in
+        raw_sub e t.buf 0 (t.prefix_off + plen);
+        (* Slots before the edit keep their offsets; those past it are
+           old slot [j + shift], moved by the size change. *)
+        let shift = match edit with None -> 1 | Some _ -> if replaced then 0 else -1 in
+        let delta = region' - region in
+        emit_directory e n' (fun j ->
+            if j < at then off j
+            else if j = at && edit <> None then before
+            else off (j + shift) + delta);
+        raw_sub e t.buf t.entries_off before;
+        Option.iter (emit_leaf_entry e ~prefix_len:plen k) edit;
+        raw_sub e t.buf (t.entries_off + resume) (region - resume);
+        seal e ~start;
+        Spliced
+      end

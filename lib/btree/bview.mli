@@ -95,3 +95,25 @@ val encode_into :
     exceeds the format's u16 limits. Such a node would encode to more
     than 64 KiB and so fits no slot ({!Layout.make} caps [node_size] at
     64 KiB). *)
+
+(** {1 Leaf splice} *)
+
+type splice =
+  | Spliced  (** The rewritten leaf was appended to the encoder. *)
+  | Absent  (** A removal of a key the leaf does not hold: nothing to write. *)
+  | Fallback
+      (** The splice cannot produce the encoder's bytes: the edit would
+          change the keys' common prefix, break a u16 limit, or leave
+          more than [max_keys] entries. The encoder is untouched. *)
+
+val leaf_splice :
+  Codec.Enc.t -> t -> max_keys:int -> Bkey.t -> string option -> splice
+(** [leaf_splice e v ~max_keys k edit] appends to [e] the content of
+    leaf [v] with [k] bound to the value ([Some]) or removed ([None]),
+    built from [v]'s bytes in one pass: the header is copied, the slot
+    directory re-emitted with shifted offsets, the entries region copied
+    around the one edited entry, and the stamp recomputed. The result is
+    byte-identical to [Bnode.encode_into] of the edited decoded leaf;
+    frame it with {!Codec.Enc.to_string_with_checksum}. [v] must come
+    from a payload whose CRC was verified ({!verify_crc}). Raises
+    [Invalid_argument] on an internal node. *)

@@ -151,16 +151,20 @@ let view_node_memo tree txn ptr seq payload =
     v
   end
 
-(* The write path materialises a view into a [Bnode.t] it can mutate;
-   this is the copy boundary, and the only place the slotted payload's
-   checksum is verified (reads are guarded by the traversal safety
-   checks instead, like any other unvalidated data). *)
-let materialise tree txn v =
+(* The write path's copy boundary, and the only place the slotted
+   payload's checksum is verified (reads are guarded by the traversal
+   safety checks instead, like any other unvalidated data): a node is
+   rewritten only from bytes that pass it. Counts one materialisation,
+   whether the rewrite then decodes the node or splices its bytes. *)
+let verify_for_rewrite tree txn v =
   Obs.Counter.incr tree.nstats.Obs.materialisations;
   Obs.Counter.add tree.nstats.Obs.node_bytes_copied (Bview.payload_length v);
-  match Bview.verify_crc v with
-  | () -> Bnode.of_view v
-  | exception Codec.Decode_error _ -> Txn.abort txn
+  match Bview.verify_crc v with () -> () | exception Codec.Decode_error _ -> Txn.abort txn
+
+(* Materialise a view into a [Bnode.t] the write path can mutate. *)
+let materialise tree txn v =
+  verify_for_rewrite tree txn v;
+  Bnode.of_view v
 
 (* Read an internal node during traversal. In dirty mode this is a plain
    dirty read (cache-friendly, unvalidated). In the baseline mode it is
@@ -464,22 +468,48 @@ let get_in_txn tree txn vctx k =
   let _, _, leaf = traverse ~read_only:true tree txn vctx k in
   Bview.leaf_find leaf k
 
+(* Bind [k] to the value ([Some]) or remove it ([None]) in the leaf
+   responsible for it. A leaf that already belongs to [vctx.snap] and
+   stays within capacity is rewritten by splicing its verified bytes
+   ([Bview.leaf_splice]), which writes what [place_node] would; a leaf
+   of an earlier snapshot, one that must split, and an edit that would
+   change the keys' common prefix go through the decoded node. Returns
+   [false] for the removal of an absent key. *)
+let edit_leaf tree txn vctx k edit =
+  let path, leaf_ptr, leaf_view = traverse tree txn vctx k in
+  verify_for_rewrite tree txn leaf_view;
+  let splice =
+    if Int64.equal (Bview.snap_created leaf_view) vctx.snap then begin
+      Codec.Enc.reset tree.enc;
+      Bview.leaf_splice tree.enc leaf_view ~max_keys:tree.max_keys_leaf k edit
+    end
+    else Bview.Fallback
+  in
+  match splice with
+  | Bview.Spliced ->
+      Txn.write txn leaf_ptr (Codec.Enc.to_string_with_checksum tree.enc);
+      true
+  | Bview.Absent -> false
+  | Bview.Fallback -> (
+      let leaf = Bnode.of_view leaf_view in
+      let updated =
+        match edit with
+        | Some v -> Some (Bnode.leaf_insert leaf k v)
+        | None -> Bnode.leaf_remove leaf k
+      in
+      match updated with
+      | None -> false
+      | Some updated ->
+          place_node tree txn vctx ~path:(List.rev path) ~ptr:leaf_ptr ~old:leaf ~updated;
+          true)
+
 let put_in_txn tree txn vctx k v =
   if not vctx.writable then invalid_arg "Ops.put: read-only snapshot";
-  let path, leaf_ptr, leaf_view = traverse tree txn vctx k in
-  let leaf = materialise tree txn leaf_view in
-  let updated = Bnode.leaf_insert leaf k v in
-  place_node tree txn vctx ~path:(List.rev path) ~ptr:leaf_ptr ~old:leaf ~updated
+  ignore (edit_leaf tree txn vctx k (Some v) : bool)
 
 let remove_in_txn tree txn vctx k =
   if not vctx.writable then invalid_arg "Ops.remove: read-only snapshot";
-  let path, leaf_ptr, leaf_view = traverse tree txn vctx k in
-  let leaf = materialise tree txn leaf_view in
-  match Bnode.leaf_remove leaf k with
-  | None -> false
-  | Some updated ->
-      place_node tree txn vctx ~path:(List.rev path) ~ptr:leaf_ptr ~old:leaf ~updated;
-      true
+  edit_leaf tree txn vctx k None
 
 let get tree ~vctx_of k = with_retries tree "get" (fun txn -> get_in_txn tree txn (vctx_of txn) k)
 

@@ -2,46 +2,87 @@ exception Decode_error of string
 
 let decode_error fmt = Format.kasprintf (fun s -> raise (Decode_error s)) fmt
 
-(* CRC-32, IEEE 802.3 reflected polynomial 0xEDB88320. The table and the
-   folding loop work in plain [int] arithmetic (the polynomial fits in 32
-   bits, so the intermediate values do too); boxed [Int32] per-byte
-   arithmetic was the dominant cost of framing a node. *)
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
-         done;
-         !c))
+(* CRC-32, IEEE 802.3 reflected polynomial 0xEDB88320, slicing-by-8:
+   eight 256-entry tables let the loop fold eight bytes per step with
+   eight independent lookups instead of a serial chain of eight. Table
+   [k] (at [k * 256]) maps a byte to its CRC contribution when [k] more
+   bytes follow it within the step; table 0 is the classic bytewise
+   table, which also folds the tail. Everything is plain [int]
+   arithmetic (the register fits in 32 bits). *)
+let crc_tables =
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for k = 1 to 7 do
+    for n = 0 to 255 do
+      let prev = t.(((k - 1) * 256) + n) in
+      t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xff)
+    done
+  done;
+  t
 
-let crc32_fold crc get pos len =
-  let table = Lazy.force crc_table in
-  let crc = ref crc in
-  for i = pos to pos + len - 1 do
-    crc := table.((!crc lxor get i) land 0xff) lxor (!crc lsr 8)
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+(* Fold [s.(pos .. pos+len)] into the (pre-inverted) register [crc]. *)
+let crc32_update crc s pos len =
+  (* Table lookups are written out: a local helper would be a closure
+     call per lookup. Every index is a byte plus a table base. *)
+  let t = crc_tables in
+  let crc = ref crc and i = ref pos in
+  let stop = pos + len in
+  while !i + 8 <= stop do
+    (* One unaligned little-endian load; the caller bounds [i + 8]. *)
+    let w = get64u s !i in
+    let w = if Sys.big_endian then swap64 w else w in
+    let lo = !crc lxor (Int64.to_int w land 0xffff_ffff)
+    and hi = Int64.to_int (Int64.shift_right_logical w 32) in
+    crc :=
+      Array.unsafe_get t (1792 + (lo land 0xff))
+      lxor Array.unsafe_get t (1536 + ((lo lsr 8) land 0xff))
+      lxor Array.unsafe_get t (1280 + ((lo lsr 16) land 0xff))
+      lxor Array.unsafe_get t (1024 + (lo lsr 24))
+      lxor Array.unsafe_get t (768 + (hi land 0xff))
+      lxor Array.unsafe_get t (512 + ((hi lsr 8) land 0xff))
+      lxor Array.unsafe_get t (256 + ((hi lsr 16) land 0xff))
+      lxor Array.unsafe_get t (hi lsr 24);
+    i := !i + 8
+  done;
+  while !i < stop do
+    crc :=
+      Array.unsafe_get t ((!crc lxor Char.code (String.unsafe_get s !i)) land 0xff)
+      lxor (!crc lsr 8);
+    incr i
   done;
   !crc
 
 let crc32_sub s pos len =
   if pos < 0 || len < 0 || pos + len > String.length s then
     invalid_arg "Codec.crc32_sub: range out of bounds";
-  0xFFFFFFFF land lnot (crc32_fold 0xFFFFFFFF (fun i -> Char.code (String.unsafe_get s i)) pos len)
+  0xFFFFFFFF land lnot (crc32_update 0xFFFFFFFF s pos len)
 
 let crc32 s = Int32.of_int (crc32_sub s 0 (String.length s))
 
 (* FNV-1a 64-bit: the content stamp for slotted B-tree nodes. Cheap, has
    no alignment requirements, and — crucially for stamp-based cache
    revalidation — depends only on the hashed bytes, so two encodings of
-   the same logical node always agree. *)
+   the same logical node always agree. The hash is byte-serial by
+   definition; the loop reads bytes directly (no per-byte closure), so
+   the [Int64] register stays unboxed. *)
 let fnv_offset_basis = 0xcbf29ce484222325L
 
 let fnv_prime = 0x100000001b3L
 
-let fnv1a64_fold h get pos len =
-  let h = ref h in
+let fnv1a64 s pos len =
+  let h = ref fnv_offset_basis in
   for i = pos to pos + len - 1 do
-    h := Int64.mul (Int64.logxor !h (Int64.of_int (get i))) fnv_prime
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i)))) fnv_prime
   done;
   !h
 
@@ -61,17 +102,22 @@ module Enc = struct
 
   let to_string t = Bytes.sub_string t.buf 0 t.len
 
-  let ensure t n =
-    let needed = t.len + n in
-    if needed > Bytes.length t.buf then begin
-      let cap = ref (Bytes.length t.buf * 2) in
-      while !cap < needed do
-        cap := !cap * 2
-      done;
-      let buf = Bytes.create !cap in
-      Bytes.blit t.buf 0 buf 0 t.len;
-      t.buf <- buf
-    end
+  let grow t needed =
+    let cap = ref (Bytes.length t.buf * 2) in
+    while !cap < needed do
+      cap := !cap * 2
+    done;
+    let buf = Bytes.create !cap in
+    Bytes.blit t.buf 0 buf 0 t.len;
+    t.buf <- buf
+
+  (* Inlined: the writers below pay one compare unless the buffer must
+     grow. *)
+  let[@inline] ensure t n = if t.len + n > Bytes.length t.buf then grow t (t.len + n)
+
+  external set16u : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+
+  external swap16 : int -> int = "%bswap16"
 
   let u8 t v =
     if v < 0 || v > 0xff then invalid_arg "Codec.Enc.u8: out of range";
@@ -82,7 +128,7 @@ module Enc = struct
   let u16 t v =
     if v < 0 || v > 0xffff then invalid_arg "Codec.Enc.u16: out of range";
     ensure t 2;
-    Bytes.set_uint16_le t.buf t.len v;
+    set16u t.buf t.len (if Sys.big_endian then swap16 v else v);
     t.len <- t.len + 2
 
   let u32 t v =
@@ -147,7 +193,8 @@ module Enc = struct
 
   let fnv1a64_from t ~pos =
     if pos < 0 || pos > t.len then invalid_arg "Codec.Enc.fnv1a64_from: position out of bounds";
-    fnv1a64_fold fnv_offset_basis (fun i -> Char.code (Bytes.unsafe_get t.buf i)) pos (t.len - pos)
+    (* The buffer is only read here, never mutated while hashing. *)
+    fnv1a64 (Bytes.unsafe_to_string t.buf) pos (t.len - pos)
 
   let to_string_with_checksum t =
     (* One allocation for payload + trailer; the old idiom
@@ -155,9 +202,7 @@ module Enc = struct
     let n = t.len in
     let out = Bytes.create (n + 4) in
     Bytes.blit t.buf 0 out 0 n;
-    let crc =
-      0xFFFFFFFF land lnot (crc32_fold 0xFFFFFFFF (fun i -> Char.code (Bytes.unsafe_get t.buf i)) 0 n)
-    in
+    let crc = crc32_sub (Bytes.unsafe_to_string t.buf) 0 n in
     Bytes.set_int32_le out n (Int32.of_int crc);
     Bytes.unsafe_to_string out
 end

@@ -19,8 +19,10 @@ let compute ?(snapshot_at = 4.0) ?(total = 14.0) params =
   let hosts = choose_hosts params in
   (* The dip's duration is the time to first-touch-copy every hot leaf
      (the paper's 100M-key tree takes 20-30 s at ~200k updates/s). Scale
-     the tree so the recovery spans several buckets at our rates. *)
-  let records = max params.records 150_000 in
+     the tree so the recovery spans several buckets at our rates: at
+     least 150k keys at the fast and full sizes, and a proportionate
+     floor (6x) when [--records] asks for a toy tree. *)
+  let records = max params.records (min 150_000 (6 * params.records)) in
   in_sim ~seed:params.seed (fun () ->
       let d = deploy ~hosts () in
       preload d ~records;

@@ -204,7 +204,7 @@ let source_of_dotted = function
   | "Random", fn -> Some (Wallclock, "Random." ^ fn)
   | "Ivar", "read" -> Some (Blocking, "Ivar.read")
   | "Mailbox", "recv" -> Some (Blocking, "Mailbox.recv")
-  | "Semaphore", "acquire" -> Some (Blocking, "Semaphore.acquire")
+  | "Semaphore", (("acquire" | "with_acquired") as fn) -> Some (Blocking, "Semaphore." ^ fn)
   | "Mutex", "lock" -> Some (Blocking, "Mutex.lock")
   | "Sim", "suspend" -> Some (Blocking, "Sim.suspend")
   | _ -> None

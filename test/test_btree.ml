@@ -252,6 +252,35 @@ let test_memo_shared_across_handles () =
       check (Alcotest.option Alcotest.string) "private memo" (Some (value 17)) (get c (key 17));
       check Alcotest.bool "private memo parses" true (View_memo.misses (Ops.view_memo c) > 0))
 
+(* A leaf rewrite trusts only bytes that pass the CRC: with one payload
+   byte flipped in the memnode heap, a put on the leaf aborts and
+   buffers no write. The flipped byte sits inside a value, so the view
+   still parses and only the checksum can catch it. *)
+let test_put_on_corrupt_leaf_aborts () =
+  with_tree (fun env tree ->
+      put tree (key 1) (value 1);
+      put tree (key 2) "MARKER";
+      let _, root = read_tip tree in
+      let heap =
+        Sinfonia.Memnode.store_heap
+          (Sinfonia.Memnode.primary (Cluster.memnode env.cluster (Objref.node root)))
+      in
+      let off = root.Objref.addr.Sinfonia.Address.off in
+      let slot = Sinfonia.Heap.read heap ~off ~len:root.Objref.len in
+      let rec find i = if String.sub slot i 6 = "MARKER" then i else find (i + 1) in
+      let at = off + find 0 in
+      Sinfonia.Heap.write heap ~off:at "N";
+      let corrupt = Sinfonia.Heap.read heap ~off ~len:root.Objref.len in
+      (* A fresh handle: its view memo holds no parse of the old bytes. *)
+      let fresh = make_tree ~cache:(Objcache.create (Obs.create ())) env in
+      let txn = Txn.begin_ (Ops.cluster fresh) in
+      (match Ops.put_in_txn fresh txn (tip fresh txn) (key 3) (value 3) with
+      | () -> Alcotest.fail "put on a corrupt leaf went through"
+      | exception Txn.Aborted _ -> ());
+      check Alcotest.bool "no write buffered" false (Txn.in_write_set txn root);
+      check Alcotest.bool "heap untouched" true
+        (String.equal corrupt (Sinfonia.Heap.read heap ~off ~len:root.Objref.len)))
+
 let test_many_inserts_with_splits () =
   with_tree ~max_keys:4 (fun _env tree ->
       let n = 300 in
@@ -930,6 +959,7 @@ let () =
           Alcotest.test_case "empty tree" `Quick test_empty_tree;
           Alcotest.test_case "put/get single" `Quick test_put_get_single;
           Alcotest.test_case "overwrite" `Quick test_put_overwrite;
+          Alcotest.test_case "put on a corrupt leaf aborts" `Quick test_put_on_corrupt_leaf_aborts;
           Alcotest.test_case "many inserts with splits" `Quick test_many_inserts_with_splits;
           Alcotest.test_case "random order inserts" `Quick test_random_order_inserts;
           Alcotest.test_case "remove" `Quick test_remove;

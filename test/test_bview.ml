@@ -318,6 +318,142 @@ let prop_stamp_stable =
       Bview.same_stamp (Bnode.encode n) (Bnode.encode n))
 
 (* ------------------------------------------------------------------ *)
+(* Leaf splice: one-pass rewrite against the decode/edit/encode oracle  *)
+(* ------------------------------------------------------------------ *)
+
+(* The oracle is the decoded path: [Bnode.leaf_insert] /
+   [Bnode.leaf_remove] on the materialised leaf, then the full encoder.
+   Returns the splice's outcome, its framed bytes (when it spliced) and
+   the oracle's bytes (when the edit changes the leaf). *)
+let splice_vs_oracle ?(max_keys = max_int) node k edit =
+  let v = Bview.of_string (Bnode.encode node) in
+  Bview.verify_crc v;
+  let e = Codec.Enc.create () in
+  let outcome = Bview.leaf_splice e v ~max_keys k edit in
+  let spliced = Codec.Enc.to_string_with_checksum e in
+  let decoded = Bnode.of_view v in
+  let oracle =
+    match edit with
+    | Some value -> Some (Bnode.leaf_insert decoded k value)
+    | None -> Bnode.leaf_remove decoded k
+  in
+  (outcome, spliced, Option.map Bnode.encode oracle)
+
+let common_prefix_len (n : Bnode.t) =
+  let keys = Array.map fst (Bnode.leaf_entries n) in
+  let len = Array.length keys in
+  if len = 0 then 0
+  else begin
+    let a = keys.(0) and b = keys.(len - 1) in
+    let m = min (String.length a) (String.length b) in
+    let rec go i = if i < m && a.[i] = b.[i] then go (i + 1) else i in
+    go 0
+  end
+
+let expect_spliced what node k edit =
+  match splice_vs_oracle node k edit with
+  | Bview.Spliced, spliced, Some oracle -> check Alcotest.string what oracle spliced
+  | Bview.Spliced, _, None -> Alcotest.failf "%s: spliced a no-op edit" what
+  | Bview.Absent, _, _ -> Alcotest.failf "%s: reported absent" what
+  | Bview.Fallback, _, _ -> Alcotest.failf "%s: fell back" what
+
+let expect_fallback what node k edit =
+  match splice_vs_oracle node k edit with
+  | Bview.Fallback, spliced, _ ->
+      (* The encoder is untouched: only the empty content's trailer. *)
+      check Alcotest.int (what ^ ": encoder untouched") 4 (String.length spliced)
+  | (Bview.Spliced | Bview.Absent), _, _ -> Alcotest.failf "%s: did not fall back" what
+
+let user i = Printf.sprintf "user%04d" i
+
+let five = leaf (List.init 5 (fun i -> (user (10 * (i + 1)), "v" ^ string_of_int i)))
+
+let test_splice_positions () =
+  expect_spliced "insert at 0" five (user 5) (Some "first");
+  expect_spliced "insert in the middle" five (user 25) (Some "mid");
+  expect_spliced "insert at the end" five (user 99) (Some "last");
+  expect_spliced "replace first" five (user 10) (Some "new first value");
+  expect_spliced "replace middle" five (user 30) (Some "");
+  expect_spliced "replace last" five (user 50) (Some "x");
+  expect_spliced "remove middle" five (user 30) None;
+  (match splice_vs_oracle five (user 31) None with
+  | Bview.Absent, _, None -> ()
+  | _ -> Alcotest.fail "removing an absent key is not Absent");
+  (* Removing the first or last key keeps the prefix when the new ends
+     still part at their first suffix byte ("0020" vs "0050"). *)
+  expect_spliced "remove first" five (user 10) None;
+  expect_spliced "remove last" five (user 50) None
+
+let test_splice_one_key () =
+  let one = leaf [ ("solo", "1") ] in
+  (* A one-key leaf's prefix is the whole key. *)
+  expect_spliced "replace the only key" one "solo" (Some "2");
+  expect_spliced "insert an extension of the only key" one "solo+" (Some "3");
+  expect_fallback "insert a key that shrinks the prefix" one "sold" (Some "4");
+  expect_fallback "remove the only key" one "solo" None;
+  expect_fallback "insert into an empty leaf" (leaf []) "a" (Some "1");
+  expect_spliced "remove the empty key" (leaf [ ("", "e") ]) "" None
+
+let test_splice_varint_boundary () =
+  let v127 = String.make 127 'a' and v128 = String.make 128 'b' in
+  let node = leaf [ ("k1", "x"); ("k2", v127); ("k3", "y") ] in
+  expect_spliced "127 -> 128 byte value" node "k2" (Some v128);
+  expect_spliced "insert a 128-byte value" node "k25" (Some v128);
+  let node = leaf [ ("k1", "x"); ("k2", v128); ("k3", "y") ] in
+  expect_spliced "128 -> 127 byte value" node "k2" (Some v127);
+  expect_spliced "remove a 128-byte value" node "k2" None
+
+let test_splice_prefix_changes_fall_back () =
+  expect_fallback "prefix-shrinking insert below" five "use" (Some "z");
+  expect_fallback "prefix-shrinking insert above" five "uses" (Some "z");
+  (* Removing an end key can grow the prefix: "user0020".."user0050"
+     without "user0010" still parts at byte 6, but these two do not. *)
+  let node = leaf [ ("ab1", "1"); ("b1", "2"); ("b2", "3") ] in
+  expect_fallback "prefix-growing removal" node "ab1" None
+
+let test_splice_capacity () =
+  match splice_vs_oracle ~max_keys:5 five (user 25) (Some "six") with
+  | Bview.Fallback, _, _ -> ()
+  | _ -> Alcotest.fail "an insert past max_keys must fall back to the split path"
+
+(* Edits draw their key from the leaf (replace / remove) or fresh, and
+   their values across the 1-to-2-byte varint boundary. *)
+let arbitrary_splice_case =
+  let open QCheck.Gen in
+  let gen =
+    let* node = gen_leaf_node ~value_len:200 () in
+    let keys = Array.map fst (Bnode.leaf_entries node) in
+    let* k =
+      if Array.length keys = 0 then arbitrary_key
+      else oneof [ arbitrary_key; map (fun i -> keys.(i)) (int_bound (Array.length keys - 1)) ]
+    in
+    let* edit = opt (string_size ~gen:printable (int_range 0 200)) in
+    return (node, k, edit)
+  in
+  QCheck.make
+    ~print:(fun (n, k, edit) ->
+      Format.asprintf "%a key=%S edit=%s" Bnode.pp n k
+        (match edit with None -> "remove" | Some v -> Printf.sprintf "%S" v))
+    gen
+
+let prop_splice_matches_oracle =
+  (* Where the splice runs, its bytes are the oracle's; it falls back
+     exactly when the edit changes the keys' common prefix. *)
+  QCheck.Test.make ~name:"leaf splice = decode/edit/encode" ~count:1000 arbitrary_splice_case
+    (fun (node, k, edit) ->
+      let oracle_node =
+        match edit with
+        | Some value -> Some (Bnode.leaf_insert node k value)
+        | None -> Bnode.leaf_remove node k
+      in
+      match (splice_vs_oracle node k edit, oracle_node) with
+      | (Bview.Spliced, spliced, Some oracle), Some _ -> String.equal spliced oracle
+      | (Bview.Absent, _, None), None -> true
+      | (Bview.Fallback, spliced, _), Some o ->
+          String.length spliced = 4 && common_prefix_len o <> common_prefix_len node
+      | _ -> false)
+
+(* ------------------------------------------------------------------ *)
 (* View memo: newest parsed version per node pointer                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -380,6 +516,14 @@ let () =
             test_memo_seq_change_shows_new_content;
           Alcotest.test_case "older seq keeps newer view" `Quick test_memo_older_seq_keeps_newer;
         ] );
+      ( "splice",
+        [
+          Alcotest.test_case "insert, replace, remove positions" `Quick test_splice_positions;
+          Alcotest.test_case "one-key and empty leaves" `Quick test_splice_one_key;
+          Alcotest.test_case "127- and 128-byte values" `Quick test_splice_varint_boundary;
+          Alcotest.test_case "prefix changes fall back" `Quick test_splice_prefix_changes_fall_back;
+          Alcotest.test_case "capacity falls back" `Quick test_splice_capacity;
+        ] );
       ( "codec",
         [
           Alcotest.test_case "checksum framing" `Quick test_enc_checksum_framing;
@@ -394,5 +538,6 @@ let () =
             prop_view_routes_like_decode;
             prop_slot_sized_roundtrip;
             prop_stamp_stable;
+            prop_splice_matches_oracle;
           ] );
     ]

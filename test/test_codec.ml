@@ -127,6 +127,76 @@ let test_checksum_too_short () =
   | (_ : string) -> Alcotest.fail "short input accepted"
   | exception Codec.Decode_error _ -> ()
 
+(* Bytewise references for the word-at-a-time kernels: a table-free,
+   bit-at-a-time CRC-32 and the textbook FNV-1a-64 loop. *)
+let ref_crc32 s pos len =
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  !c lxor 0xFFFFFFFF
+
+let ref_fnv1a64 s pos len =
+  let h = ref 0xcbf29ce484222325L in
+  for i = pos to pos + len - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) 0x100000001b3L
+  done;
+  !h
+
+(* [payload] placed at offset [off] behind filler bytes, so the kernels
+   see every alignment: the whole-string CRC, the in-place frame check
+   at [off], the encoder's FNV from [off] and its CRC trailer must all
+   equal the references. *)
+let kernels_agree ~off payload =
+  let len = String.length payload in
+  let filler = String.init off (fun i -> Char.chr ((i * 37) land 0xff)) in
+  let crc = ref_crc32 payload 0 len in
+  let trailer = Bytes.create 4 in
+  Bytes.set_int32_le trailer 0 (Int32.of_int crc);
+  let frame = filler ^ payload ^ Bytes.to_string trailer in
+  let e = Codec.Enc.create () in
+  Codec.Enc.raw e filler;
+  Codec.Enc.raw e payload;
+  let framed = Codec.Enc.to_string_with_checksum e in
+  let whole = filler ^ payload in
+  Int32.equal (Codec.crc32 payload) (Int32.of_int crc)
+  && (match Codec.verify_checksum_in_place frame off (len + 4) with
+     | () -> true
+     | exception Codec.Decode_error _ -> false)
+  && Int64.equal (Codec.Enc.fnv1a64_from e ~pos:off) (ref_fnv1a64 payload 0 len)
+  && Int32.to_int (String.get_int32_le framed (off + len)) land 0xFFFFFFFF
+     = ref_crc32 whole 0 (off + len)
+
+let test_kernels_small () =
+  for len = 0 to 40 do
+    for off = 0 to 8 do
+      let payload = String.init len (fun i -> Char.chr ((i * 131 + len) land 0xff)) in
+      if not (kernels_agree ~off payload) then Alcotest.failf "len %d off %d disagrees" len off
+    done
+  done
+
+let prop_kernels_match_reference =
+  let gen = QCheck.(pair (int_bound 15) (string_of_size (Gen.int_bound 4100))) in
+  QCheck.Test.make ~name:"crc32/fnv1a64 match bytewise references" ~count:300 gen
+    (fun (off, payload) -> kernels_agree ~off payload)
+
+let prop_crc_detects_flip =
+  let gen = QCheck.(pair (int_bound 15) (string_of_size (Gen.int_range 1 4100))) in
+  QCheck.Test.make ~name:"in-place check rejects any flipped payload byte" ~count:200 gen
+    (fun (off, payload) ->
+      let e = Codec.Enc.create () in
+      Codec.Enc.raw e (String.make off 'x');
+      Codec.Enc.raw e payload;
+      let framed = Bytes.of_string (Codec.Enc.to_string_with_checksum e) in
+      let at = off + (Hashtbl.hash payload mod String.length payload) in
+      Bytes.set framed at (Char.chr (Char.code (Bytes.get framed at) lxor 0x01));
+      match Codec.verify_checksum_in_place (Bytes.to_string framed) 0 (Bytes.length framed) with
+      | () -> false
+      | exception Codec.Decode_error _ -> true)
+
 let prop_bytes_roundtrip =
   QCheck.Test.make ~name:"bytes roundtrip" ~count:500 QCheck.(string)
     (fun s -> roundtrip Codec.Enc.bytes Codec.Dec.bytes s = s)
@@ -186,6 +256,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_checksum_roundtrip;
           Alcotest.test_case "detects corruption" `Quick test_checksum_detects_corruption;
           Alcotest.test_case "too short" `Quick test_checksum_too_short;
+          Alcotest.test_case "kernels at every small length and offset" `Quick test_kernels_small;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -194,6 +265,8 @@ let () =
             prop_varint_roundtrip;
             prop_i64_roundtrip;
             prop_checksum_roundtrip;
+            prop_kernels_match_reference;
+            prop_crc_detects_flip;
             prop_mixed_roundtrip;
           ] );
     ]
