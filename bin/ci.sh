@@ -290,8 +290,17 @@ echo "== branching chaos (writable clones, version tree) =="
 # storm: branch-scoped operations are traced and every read pinned at a
 # frozen version is checked against its frozen ancestor state. Seed 7
 # pins the prepare-vote/stamp-draw crash window regression.
-dune exec bin/minuet_bench.exe -- chaos --seed 7 --duration 1 --branching
+dune exec bin/minuet_bench.exe -- chaos --seed 7 --duration 1 --branching \
+  --trace "$smoke_dir/history_a.jsonl"
 dune exec bin/minuet_bench.exe -- chaos --seed 42 --duration 1 --branching
+
+echo "== same-seed history determinism =="
+# The simulator is a pure function of the seed: a second run of the
+# seed-7 branching storm must dump a byte-identical event history
+# (every event field, JSON-encoded one per line).
+dune exec bin/minuet_bench.exe -- chaos --seed 7 --duration 1 --branching \
+  --trace "$smoke_dir/history_b.jsonl" >/dev/null
+cmp "$smoke_dir/history_a.jsonl" "$smoke_dir/history_b.jsonl"
 
 echo "== staleness-bound chaos (SCS reuse window) =="
 # A staleness-bounded SCS (k = 20 ms) under the default fault storm: a

@@ -221,8 +221,8 @@ let chaos_cmd =
   in
   let trace_arg =
     let doc =
-      "Tee every traced event to $(docv) as JSON lines (the Session.Event codec), for \
-       offline re-checking and debugging."
+      "Tee every traced event to $(docv) as JSON lines (Session.Event.to_json), for \
+       debugging."
     in
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
   in

@@ -84,14 +84,17 @@ let compare_span a apos alen b bpos blen =
 (* The end of a value: the position just past the varint length at
    [pos] plus that length. One walk, no tuple — [of_string] runs it for
    every entry of every fetched leaf. Raises when the varint runs past
-   [limit] or is too long. *)
+   [limit] or is too long, or the value would: a length whose top group
+   sets the sign bit wraps negative, so it is bounded on both sides. *)
 let value_end buf pos limit =
   let rec go pos shift acc =
     if pos >= limit then decode_error "Bview: varint past entry region";
     if shift > 62 then decode_error "Bview: varint too long";
     let b = Char.code (String.unsafe_get buf pos) in
     let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then pos + 1 + acc else go (pos + 1) (shift + 7) acc
+    if b land 0x80 <> 0 then go (pos + 1) (shift + 7) acc
+    else if acc < 0 || acc > limit - (pos + 1) then decode_error "Bview: value past entry region"
+    else pos + 1 + acc
   in
   go pos 0 0
 
@@ -126,8 +129,7 @@ let validate_entry t i =
   let slen = String.get_uint16_le t.buf eoff in
   let spos = eoff + 2 in
   if spos + slen > t.content_end then decode_error "Bview: slot %d suffix out of bounds" i;
-  if t.kind = 0 && value_end t.buf (spos + slen) t.content_end > t.content_end then
-    decode_error "Bview: slot %d value out of bounds" i
+  if t.kind = 0 then ignore (value_end t.buf (spos + slen) t.content_end : int)
 
 let of_string s =
   let len = String.length s in

@@ -89,6 +89,8 @@ let cluster t = t.cluster
 
 let tree_id t = t.tree_id
 
+let client t = t.client
+
 let mode t = t.mode
 
 let home t = t.home

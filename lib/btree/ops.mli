@@ -74,6 +74,9 @@ val cluster : tree -> Sinfonia.Cluster.t
 
 val tree_id : tree -> int
 
+val client : tree -> int option
+(** The [client] the handle was made with. *)
+
 val mode : tree -> mode
 
 val home : tree -> int

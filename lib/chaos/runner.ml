@@ -40,8 +40,7 @@ type config = {
           [k] ([?scs_staleness]) instead of switched off. *)
   trace_out : string option;
       (** Tee every traced event to this file as JSON lines
-          ({!Minuet.Session.Event.to_json}), for offline re-checking and
-          debugging. *)
+          ({!Minuet.Session.Event.to_json}), for debugging. *)
 }
 
 let default =

@@ -15,73 +15,15 @@ type t
 (** {1 History events}
 
     With a [tracer], every single-index session operation emits one
-    event when it returns, carrying the simulated invocation/response
-    times and the operation's serialization point — its commit stamp
-    (up-to-date operations) or snapshot id (snapshot reads). On a
-    branching database ({!Config.t.branching}), branch-aware operations
-    run through the index's {!Mvcc.Branching.t} handle are traced too:
-    version creation/deletion and branch-scoped reads and writes carry
-    the version id they resolved to. The streaming consistency checker
-    ([Check.Stream]) consumes these.
+    {!Event.t} when it returns. On a branching database
+    ({!Config.t.branching}), branch-aware operations run through the
+    index's {!Mvcc.Branching.t} handle are traced too. The streaming
+    consistency checker ([Check.Stream]) consumes these.
     Multi-index operations and {!with_txn} bodies are not traced. *)
 
-module Event : sig
-  type operation =
-    | Get of { key : string; result : string option }
-    | Put of { key : string; value : string }
-    | Remove of { key : string; removed : bool }
-    | Scan of { from : string; count : int; result : (string * string) list }
-    | Snapshot_taken
-    | Branch_created of { parent : int64; sid : int64 }
-        (** A writable clone [sid] was created from version [parent]
-            (branching mode; Sec. 5.1). *)
-    | Branch_deleted of { sid : int64 }
-    | Branch_get of { at : int64; key : string; result : string option }
-        (** Branch-scoped read; [at] is the version the operation
-            resolved to (the requested read-only version, or the
-            mainline tip reached from the requested version). *)
-    | Branch_put of { at : int64; key : string; value : string }
-    | Branch_remove of { at : int64; key : string; removed : bool }
-    | Branch_scan of { at : int64; from : string; count : int; result : (string * string) list }
-    | Get_many of { key : string; results : (int64 * string option) list }
-        (** Horizontal multi-version query: one key across versions,
-            read atomically. *)
-    | History of { from : int64; key : string; results : (int64 * string option) list }
-        (** Vertical multi-version query: one key at [from] and each
-            ancestor, root-first, read atomically. *)
+module Event = Mvcc.Event
 
-  type t = {
-    client : int option;  (** The session's client host id. *)
-    index : int;  (** B-tree index operated on. *)
-    op : operation;
-    invoked_at : float;  (** Simulated time the operation started. *)
-    returned_at : float;  (** Simulated time it returned. *)
-    stamp : int64 option;
-        (** Cluster-global commit stamp of the operation's serialization
-            point; [None] for snapshot reads (serialized by [sid]) and
-            for ambiguous operations. *)
-    sid : int64 option;
-        (** Snapshot the operation ran against ([Snapshot_taken]: the
-            snapshot granted). [None] for up-to-date operations. *)
-    ambiguous : bool;
-        (** The operation raised {!Btree.Ops.Ambiguous}: its effect is
-            unknown (event emitted just before re-raising). *)
-  }
-
-  val pp : Format.formatter -> t -> unit
-
-  val to_json : t -> Obs.Json.t
-  (** Lossless encoding for offline re-checking: int64s as decimal
-      strings (JSON numbers are doubles), [None] as [null]. *)
-
-  val of_json : Obs.Json.t -> t
-  (** Inverse of {!to_json}. Raises [Invalid_argument] on events
-      {!to_json} could not have produced. *)
-end
-
-type tracer = Event.t -> unit
-
-val attach : ?home:int -> ?client:int -> ?tracer:tracer -> Db.t -> t
+val attach : ?home:int -> ?client:int -> ?tracer:(Event.t -> unit) -> Db.t -> t
 (** [home] defaults to 0; benchmarks attach one session per host with
     [home = host]. [client] is this proxy's host id for the network
     fault model: injected per-link faults (partitions, drops, delays)

@@ -3,52 +3,20 @@ module Bnode = Btree.Bnode
 module Txn = Dyntxn.Txn
 module Objref = Dyntxn.Objref
 
-(* Raw trace of branch-aware operations. Branching cannot name
-   [Session.Event] (lib/core depends on this library), so it emits a
-   neutral record; [Session.attach] installs a converter that lifts
-   these into session events. *)
-module Trace = struct
-  type op =
-    | Branch_created of { parent : int64; sid : int64 }
-    | Branch_deleted of { sid : int64 }
-    | Get of { at : int64; key : string; result : string option }
-    | Put of { at : int64; key : string; value : string }
-    | Remove of { at : int64; key : string; removed : bool }
-    | Scan of { at : int64; from : string; count : int; result : (string * string) list }
-    | Get_many of { key : string; results : (int64 * string option) list }
-    | History of { from : int64; key : string; results : (int64 * string option) list }
-
-  type t = {
-    op : op;
-    invoked_at : float;
-    returned_at : float;
-    stamp : int64 option;
-    ambiguous : bool;
-  }
-end
-
 type t = {
   tree : Ops.tree;
   beta : int;
   broken_isolation : bool;
-  mutable tracer : (Trace.t -> unit) option;
+  tracer : (Event.t -> unit) option;
 }
 
 exception Too_many_branches of int64
 
 exception No_mainline of int64
 
-let attach ?(broken_isolation = false) ~tree ~beta () =
+let attach ?(broken_isolation = false) ?tracer ~tree ~beta () =
   if beta < 2 then invalid_arg "Branching.attach: beta must be >= 2";
-  { tree; beta; broken_isolation; tracer = None }
-
-let set_tracer t f = t.tracer <- Some f
-
-let emit t ~invoked ?stamp ?(ambiguous = false) op =
-  match t.tracer with
-  | None -> ()
-  | Some f ->
-      f { Trace.op; invoked_at = invoked; returned_at = Sim.now (); stamp; ambiguous }
+  { tree; beta; broken_isolation; tracer }
 
 let tree t = t.tree
 
@@ -260,7 +228,8 @@ let create_branch t ~from =
       new_sid)
   in
   Obs.Counter.incr (Obs.btree (Sinfonia.Cluster.obs (Ops.cluster t.tree))).Obs.branches_created;
-  emit t ~invoked ?stamp (Trace.Branch_created { parent = from; sid = new_sid });
+  Event.emit t.tracer t.tree ~invoked ?stamp
+    (Event.Branch_created { parent = from; sid = new_sid });
   new_sid
 
 (* ------------------------------------------------------------------ *)
@@ -297,47 +266,28 @@ let vctx_for_write t at report txn =
   v
 
 let get t ?at k =
-  let invoked = Sim.now () in
   let report = ref (Option.value at ~default:0L) in
-  let result = Ops.get t.tree ~vctx_of:(vctx_for_read t at report) k in
-  emit t ~invoked
-    ?stamp:(Ops.last_commit_stamp t.tree)
-    (Trace.Get { at = !report; key = k; result });
-  result
+  Event.traced t.tracer t.tree
+    (fun () -> Ops.get t.tree ~vctx_of:(vctx_for_read t at report) k)
+    (fun result -> Event.Branch_get { at = !report; key = k; result })
 
 let put t ?at k v =
-  let invoked = Sim.now () in
   let report = ref (Option.value at ~default:0L) in
-  try
-    Ops.put t.tree ~vctx_of:(vctx_for_write t at report) k v;
-    emit t ~invoked
-      ?stamp:(Ops.last_commit_stamp t.tree)
-      (Trace.Put { at = !report; key = k; value = v })
-  with Ops.Ambiguous _ as e ->
-    emit t ~invoked ~ambiguous:true (Trace.Put { at = !report; key = k; value = v });
-    raise e
+  Event.traced_write t.tracer t.tree ~unknown:()
+    (fun () -> Ops.put t.tree ~vctx_of:(vctx_for_write t at report) k v)
+    (fun () -> Event.Branch_put { at = !report; key = k; value = v })
 
 let remove t ?at k =
-  let invoked = Sim.now () in
   let report = ref (Option.value at ~default:0L) in
-  try
-    let removed = Ops.remove t.tree ~vctx_of:(vctx_for_write t at report) k in
-    emit t ~invoked
-      ?stamp:(Ops.last_commit_stamp t.tree)
-      (Trace.Remove { at = !report; key = k; removed });
-    removed
-  with Ops.Ambiguous _ as e ->
-    emit t ~invoked ~ambiguous:true (Trace.Remove { at = !report; key = k; removed = false });
-    raise e
+  Event.traced_write t.tracer t.tree ~unknown:false
+    (fun () -> Ops.remove t.tree ~vctx_of:(vctx_for_write t at report) k)
+    (fun removed -> Event.Branch_remove { at = !report; key = k; removed })
 
 let scan ?at t ~from ~count =
-  let invoked = Sim.now () in
   let report = ref (Option.value at ~default:0L) in
-  let result = Ops.scan t.tree ~vctx_of:(vctx_for_read t at report) ~from ~count in
-  emit t ~invoked
-    ?stamp:(Ops.last_commit_stamp t.tree)
-    (Trace.Scan { at = !report; from; count; result });
-  result
+  Event.traced t.tracer t.tree
+    (fun () -> Ops.scan t.tree ~vctx_of:(vctx_for_read t at report) ~from ~count)
+    (fun result -> Event.Branch_scan { at = !report; from; count; result })
 
 (* ------------------------------------------------------------------ *)
 (* Multi-version queries (Sec. 5.1: "transactional queries across
@@ -348,30 +298,26 @@ let scan ?at t ~from ~count =
 
 let get_many t ~at k =
   (* Horizontal query: one key across several versions, atomically. *)
-  let invoked = Sim.now () in
-  let results =
-    Ops.run_txn t.tree (fun txn ->
-        List.map (fun sid -> (sid, Ops.get_in_txn t.tree txn (at_snapshot t ~sid txn) k)) at)
-  in
-  emit t ~invoked ?stamp:(Ops.last_commit_stamp t.tree) (Trace.Get_many { key = k; results });
-  results
+  Event.traced t.tracer t.tree
+    (fun () ->
+      Ops.run_txn t.tree (fun txn ->
+          List.map (fun sid -> (sid, Ops.get_in_txn t.tree txn (at_snapshot t ~sid txn) k)) at))
+    (fun results -> Event.Get_many { key = k; results })
 
 let history t ~from k =
   (* Vertical query: the key's value at [from] and every ancestor, from
      the root version down to [from], read in one transaction. *)
-  let invoked = Sim.now () in
-  let results =
-    Ops.run_txn t.tree (fun txn ->
-        let rec ancestry acc sid =
-          let acc = sid :: acc in
-          match parent_of t txn sid with None -> acc | Some p -> ancestry acc p
-        in
-        List.map
-          (fun sid -> (sid, Ops.get_in_txn t.tree txn (at_snapshot t ~sid txn) k))
-          (ancestry [] from))
-  in
-  emit t ~invoked ?stamp:(Ops.last_commit_stamp t.tree) (Trace.History { from; key = k; results });
-  results
+  Event.traced t.tracer t.tree
+    (fun () ->
+      Ops.run_txn t.tree (fun txn ->
+          let rec ancestry acc sid =
+            let acc = sid :: acc in
+            match parent_of t txn sid with None -> acc | Some p -> ancestry acc p
+          in
+          List.map
+            (fun sid -> (sid, Ops.get_in_txn t.tree txn (at_snapshot t ~sid txn) k))
+            (ancestry [] from)))
+    (fun results -> Event.History { from; key = k; results })
 
 type change = Added of string | Removed of string | Changed of string * string
 
@@ -435,7 +381,7 @@ let delete_branch t sid =
             })
   in
   Obs.Counter.incr (Obs.btree (Sinfonia.Cluster.obs (Ops.cluster t.tree))).Obs.branches_deleted;
-  emit t ~invoked ?stamp (Trace.Branch_deleted { sid })
+  Event.emit t.tracer t.tree ~invoked ?stamp (Event.Branch_deleted { sid })
 
 let is_deleted t ~sid =
   fst

@@ -13,46 +13,23 @@
     discretionary copy at their common ancestor — performed atomically
     inside the same dynamic transaction as the triggering write. *)
 
-(** Raw trace of branch-aware operations, emitted through
-    {!set_tracer}. This module cannot name [Session.Event] (the core
-    library depends on it), so it emits a neutral record; the session
-    layer converts these into history events for the checker. *)
-module Trace : sig
-  type op =
-    | Branch_created of { parent : int64; sid : int64 }
-    | Branch_deleted of { sid : int64 }
-    | Get of { at : int64; key : string; result : string option }
-    | Put of { at : int64; key : string; value : string }
-    | Remove of { at : int64; key : string; removed : bool }
-    | Scan of { at : int64; from : string; count : int; result : (string * string) list }
-    | Get_many of { key : string; results : (int64 * string option) list }
-    | History of { from : int64; key : string; results : (int64 * string option) list }
-
-  type t = {
-    op : op;
-    invoked_at : float;  (** Simulated time the operation started. *)
-    returned_at : float;  (** Simulated time it returned. *)
-    stamp : int64 option;
-        (** Commit stamp of the operation's transaction; [None] for
-            dirty (read-only snapshot) commits and ambiguous ops. *)
-    ambiguous : bool;
-        (** The operation raised {!Btree.Ops.Ambiguous}: its effect is
-            unknown (emitted just before re-raising). *)
-  }
-end
-
 type t
 
-val attach : ?broken_isolation:bool -> tree:Btree.Ops.tree -> beta:int -> unit -> t
+val attach :
+  ?broken_isolation:bool ->
+  ?tracer:(Event.t -> unit) ->
+  tree:Btree.Ops.tree ->
+  beta:int ->
+  unit ->
+  t
 (** Per-proxy handle. [beta] >= 2 bounds both the version tree's
     branching factor and descendant-set sizes. [broken_isolation]
     (default false) deliberately routes reads at read-only versions to
-    the mainline tip below them — checker falsifiability only. *)
-
-val set_tracer : t -> (Trace.t -> unit) -> unit
-(** Install a trace sink. Branch-scoped {!get}/{!put}/{!remove}/{!scan},
-    {!get_many}, {!history}, {!create_branch} and {!delete_branch}
-    each emit one record when they return. *)
+    the mainline tip below them — checker falsifiability only. With a
+    [tracer], branch-scoped {!get}/{!put}/{!remove}/{!scan},
+    {!get_many}, {!history}, {!create_branch} and {!delete_branch} each
+    emit one {!Event.t} (index and client from [tree]) when they
+    return. *)
 
 val tree : t -> Btree.Ops.tree
 

@@ -157,12 +157,3 @@ let sweep_branching trees ~alloc ~roots =
     done
   done;
   !freed
-
-let run_background tree ~alloc ~interval =
-  Sim.spawn ~name:"gc" (fun () ->
-      let rec loop () =
-        Sim.delay interval;
-        let (_ : int) = sweep tree ~alloc in
-        loop ()
-      in
-      loop ())

@@ -21,10 +21,6 @@ val sweep : Btree.Ops.tree -> alloc:Btree.Node_alloc.t -> int
     slot is transactional (compare current sequence number, write
     zeros), so racing writers are never clobbered. *)
 
-val run_background : Btree.Ops.tree -> alloc:Btree.Node_alloc.t -> interval:float -> unit
-(** Spawn a process sweeping every [interval] simulated seconds, forever
-    (bounded by the simulation horizon). *)
-
 val sweep_branching :
   Btree.Ops.tree list -> alloc:Btree.Node_alloc.t -> roots:Dyntxn.Objref.t list -> int
 (** Mark-and-sweep reclamation for branching versions (Sec. 5.2:

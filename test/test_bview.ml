@@ -175,6 +175,24 @@ let test_truncation_rejected () =
     | exception Codec.Decode_error _ -> ()
   done
 
+let test_negative_value_length_rejected () =
+  (* A 9-byte length varint whose top group sets bit 62 wraps to a
+     negative int; the view must reject it as a decode error (what the
+     read path aborts and retries on), not fail a String.sub later. *)
+  let value = "VVVVVVVVVVVV" in
+  let payload = Bnode.encode (leaf [ ("k", value) ]) in
+  let rec find i =
+    if String.equal (String.sub payload i (String.length value)) value then i else find (i + 1)
+  in
+  let len_pos = find 0 - 1 in
+  let corrupt = Bytes.of_string payload in
+  List.iteri
+    (fun j b -> Bytes.set corrupt (len_pos + j) (Char.chr b))
+    [ 0x80; 0x80; 0x80; 0x80; 0x80; 0x80; 0x80; 0x80; 0x40 ];
+  match Bview.leaf_find (Bview.of_string (Bytes.to_string corrupt)) "k" with
+  | (_ : string option) -> Alcotest.fail "negative value length accepted"
+  | exception Codec.Decode_error _ -> ()
+
 (* ------------------------------------------------------------------ *)
 (* Codec helpers under the view                                         *)
 (* ------------------------------------------------------------------ *)
@@ -509,6 +527,8 @@ let () =
           Alcotest.test_case "layout caps node size" `Quick test_layout_caps_node_size;
           Alcotest.test_case "corrupt slot directory" `Quick test_corrupt_slot_directory;
           Alcotest.test_case "truncation rejected" `Quick test_truncation_rejected;
+          Alcotest.test_case "negative value length rejected" `Quick
+            test_negative_value_length_rejected;
         ] );
       ( "view memo",
         [

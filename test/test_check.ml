@@ -514,43 +514,6 @@ let test_histgen_branch_isolation_caught () =
   let v = run ~creations:gen.Chaos.Histgen.gen_creations events in
   check Alcotest.bool "seeded isolation leak caught" false (Stream.ok v)
 
-(* ------------------------------------------------------------------ *)
-(* Event JSON                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_event_json_roundtrip () =
-  let samples =
-    [
-      put ~client:3 ~stamp:7L ~invoked:0.5 ~returned:0.625 "k" "v";
-      get ~index:2 ~sid:9L ~invoked:1.0 ~returned:1.25 "k" None;
-      remove ~stamp:8L ~ambiguous:true ~invoked:2.0 ~returned:2.5 "k" false;
-      scan ~stamp:9L ~invoked:3.0 ~returned:3.5 "a" 4 [ ("a", "1"); ("b", "2") ];
-      snapshot ~sid:11L ~invoked:4.0 ~returned:4.5 ();
-      branch_created ~stamp:12L ~parent:0L ~sid:5L ~invoked:5.0 ~returned:5.5 ();
-      ev ~stamp:13L ~invoked:6.0 ~returned:6.5 (Event.Branch_deleted { sid = 5L });
-      branch_get ~stamp:14L ~at:5L ~invoked:7.0 ~returned:7.5 "k" (Some "v");
-      branch_put ~stamp:15L ~at:5L ~invoked:8.0 ~returned:8.5 "k" "w";
-      ev ~stamp:16L ~invoked:9.0 ~returned:9.5
-        (Event.Branch_remove { at = 5L; key = "k"; removed = true });
-      ev ~stamp:17L ~invoked:10.0 ~returned:10.5
-        (Event.Branch_scan { at = 5L; from = "a"; count = 2; result = [ ("a", "1") ] });
-      ev ~stamp:18L ~invoked:11.0 ~returned:11.5
-        (Event.Get_many { key = "k"; results = [ (0L, Some "x"); (5L, None) ] });
-      ev ~stamp:19L ~invoked:12.0 ~returned:12.5
-        (Event.History { from = 5L; key = "k"; results = [ (0L, None); (5L, Some "w") ] });
-    ]
-  in
-  List.iteri
-    (fun i e ->
-      let e' = Event.of_json (Event.to_json e) in
-      if e' <> e then
-        Alcotest.failf "sample %d did not roundtrip:@.%a@.vs@.%a" i Event.pp e Event.pp e')
-    samples;
-  (* A non-event payload is rejected, not misparsed. *)
-  match Event.of_json (Obs.Json.String "nope") with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "of_json accepted a non-event"
-
 let () =
   Alcotest.run "check"
     [
@@ -616,6 +579,4 @@ let () =
           Alcotest.test_case "branch isolation caught" `Quick
             test_histgen_branch_isolation_caught;
         ] );
-      ( "json",
-        [ Alcotest.test_case "event roundtrip" `Quick test_event_json_roundtrip ] );
     ]

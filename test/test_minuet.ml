@@ -205,6 +205,105 @@ let test_branching_api () =
       | (_ : string option) -> Alcotest.fail "linear op on branching db should fail"
       | exception Invalid_argument _ -> ())
 
+(* One traced event as the fields the checker relies on: constructor,
+   client, index, whether a commit stamp is present, the snapshot id and
+   the ambiguity flag. *)
+let event_shape (e : Minuet.Session.Event.t) =
+  let open Minuet.Session.Event in
+  let name =
+    match e.op with
+    | Get _ -> "get"
+    | Put _ -> "put"
+    | Remove _ -> "remove"
+    | Scan _ -> "scan"
+    | Snapshot_taken -> "snapshot"
+    | Branch_created _ -> "branch_created"
+    | Branch_deleted _ -> "branch_deleted"
+    | Branch_get _ -> "branch_get"
+    | Branch_put _ -> "branch_put"
+    | Branch_remove _ -> "branch_remove"
+    | Branch_scan _ -> "branch_scan"
+    | Get_many _ -> "get_many"
+    | History _ -> "history"
+  in
+  Printf.sprintf "%s client=%s index=%d stamp=%b sid=%s ambiguous=%b" name
+    (Option.fold ~none:"-" ~some:string_of_int e.client)
+    e.index (Option.is_some e.stamp)
+    (Option.fold ~none:"-" ~some:Int64.to_string e.sid)
+    e.ambiguous
+
+(* Run [f] with a session on index 1 of a 2-index database, attached as
+   client 2 with a collecting tracer; returns the traced event shapes. *)
+let traced_shapes ~branching f =
+  let config = { small_config with Minuet.Config.n_trees = 2; branching } in
+  run ~config (fun db ->
+      let events = ref [] in
+      let s =
+        Minuet.Session.attach ~home:1 ~client:2 ~tracer:(fun e -> events := e :: !events) db
+      in
+      f s (Minuet.Session.index db 1);
+      List.rev_map event_shape !events)
+
+let test_traced_linear_events () =
+  let shapes =
+    traced_shapes ~branching:false (fun s index ->
+        Minuet.Session.put ~index s "a" "1";
+        ignore (Minuet.Session.get ~index s "a" : string option);
+        ignore (Minuet.Session.scan ~index s ~from:"" ~count:5 : (string * string) list);
+        let snap = Minuet.Session.snapshot ~index s in
+        ignore (Minuet.Session.get_at s snap "a" : string option);
+        ignore (Minuet.Session.scan_at s snap ~from:"" ~count:5 : (string * string) list);
+        ignore (Minuet.Session.remove ~index s "a" : bool);
+        (* Untraced: multi-index operations and transactions. *)
+        Minuet.Session.multi_put s [ (1, "b", "2") ];
+        Minuet.Session.with_txn s (fun txn -> Minuet.Session.t_put ~index txn "c" "3"))
+  in
+  check
+    (Alcotest.list Alcotest.string)
+    "linear events"
+    [
+      "put client=2 index=1 stamp=true sid=- ambiguous=false";
+      "get client=2 index=1 stamp=true sid=- ambiguous=false";
+      "scan client=2 index=1 stamp=true sid=- ambiguous=false";
+      "snapshot client=2 index=1 stamp=false sid=0 ambiguous=false";
+      "get client=2 index=1 stamp=false sid=0 ambiguous=false";
+      "scan client=2 index=1 stamp=false sid=0 ambiguous=false";
+      "remove client=2 index=1 stamp=true sid=- ambiguous=false";
+    ]
+    shapes
+
+let test_traced_branching_events () =
+  let shapes =
+    traced_shapes ~branching:true (fun s index ->
+        let br = Minuet.Session.branching ~index s in
+        Mvcc.Branching.put br "a" "1";
+        let clone = Mvcc.Branching.create_branch br ~from:0L in
+        Mvcc.Branching.put br ~at:clone "a" "2";
+        ignore (Mvcc.Branching.get br ~at:0L "a" : string option);
+        ignore (Mvcc.Branching.get br ~at:clone "a" : string option);
+        ignore (Mvcc.Branching.scan br ~at:clone ~from:"" ~count:5 : (string * string) list);
+        ignore (Mvcc.Branching.get_many br ~at:[ 0L; clone ] "a" : (int64 * string option) list);
+        ignore (Mvcc.Branching.history br ~from:clone "a" : (int64 * string option) list);
+        ignore (Mvcc.Branching.remove br ~at:clone "a" : bool);
+        Mvcc.Branching.delete_branch br clone)
+  in
+  check
+    (Alcotest.list Alcotest.string)
+    "branching events"
+    [
+      "branch_put client=2 index=1 stamp=true sid=- ambiguous=false";
+      "branch_created client=2 index=1 stamp=true sid=- ambiguous=false";
+      "branch_put client=2 index=1 stamp=true sid=- ambiguous=false";
+      "branch_get client=2 index=1 stamp=false sid=- ambiguous=false";
+      "branch_get client=2 index=1 stamp=true sid=- ambiguous=false";
+      "branch_scan client=2 index=1 stamp=true sid=- ambiguous=false";
+      "get_many client=2 index=1 stamp=false sid=- ambiguous=false";
+      "history client=2 index=1 stamp=false sid=- ambiguous=false";
+      "branch_remove client=2 index=1 stamp=true sid=- ambiguous=false";
+      "branch_deleted client=2 index=1 stamp=true sid=- ambiguous=false";
+    ]
+    shapes
+
 (* Recover [host], waiting out a replica still serving failover
    requests (the crash lands mid-request, so traffic may be in flight on
    the replica when recovery is asked for). *)
@@ -573,6 +672,11 @@ let () =
         [
           Alcotest.test_case "baseline mode" `Quick test_baseline_mode_api;
           Alcotest.test_case "branching mode" `Quick test_branching_api;
+        ] );
+      ( "trace",
+        [
+          Alcotest.test_case "linear events" `Quick test_traced_linear_events;
+          Alcotest.test_case "branching events" `Quick test_traced_branching_events;
         ] );
       ( "resilience",
         [

@@ -244,32 +244,6 @@ let test_gc_reclaims_superseded_nodes () =
       check Alcotest.bool "free list populated" true (free_total > 0);
       check Alcotest.int "sweep idempotent" 0 (Gc.sweep tree ~alloc))
 
-let test_gc_background_process () =
-  Sim.run ~until:100.0 (fun () ->
-      let env = make_env () in
-      let alloc =
-        Node_alloc.create ~cluster:env.cluster ~layout:env.layout ~shared:env.shared ()
-      in
-      let tree =
-        Ops.make_tree ~max_keys_leaf:4 ~max_keys_internal:4 ~cluster:env.cluster
-          ~layout:env.layout ~tree_id:0 ~alloc ~cache:(Objcache.create (Obs.create ())) ()
-      in
-      Ops.Linear.init_tree tree;
-      Gc.run_background tree ~alloc ~interval:5.0;
-      for i = 0 to 29 do
-        put tree (key i) "v0"
-      done;
-      let (_ : int64 * Objref.t) = create_snapshot tree in
-      for i = 0 to 29 do
-        put tree (key i) "v1"
-      done;
-      Gc.keep_recent tree ~n:0;
-      Sim.spawn (fun () ->
-          Sim.delay 20.0;
-          check Alcotest.bool "background reclaimed" true
-            (Obs.Counter.value (Obs.gc (Cluster.obs env.cluster)).Obs.slots_reclaimed > 0);
-          Sim.stop ()))
-
 (* ------------------------------------------------------------------ *)
 (* Branching versions                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -781,7 +755,6 @@ let () =
         [
           Alcotest.test_case "watermark" `Quick test_gc_watermark;
           Alcotest.test_case "reclaims superseded nodes" `Quick test_gc_reclaims_superseded_nodes;
-          Alcotest.test_case "background process" `Quick test_gc_background_process;
         ] );
       ( "branching",
         [
