@@ -326,6 +326,10 @@ echo "== scan-heavy chaos (both concurrency-control modes) =="
 # leaves, every snapshot scan double-checked against the per-leaf path.
 dune exec bin/minuet_bench.exe -- chaos --seed 11 --duration 1 --scan-heavy --cc dirty
 dune exec bin/minuet_bench.exe -- chaos --seed 11 --duration 1 --scan-heavy --cc validated
+# Dirty batch fetches read each memnode in its own one-phase
+# minitransaction; crashes and partitions must abort them cleanly.
+dune exec bin/minuet_bench.exe -- chaos --seed 12 --duration 1 --scan-heavy \
+  --faults crash,partition,mpartition --cc dirty
 
 echo "== mid-2PC crash storm (3 seeds) =="
 # Mid-transaction crashes, mirror-link partitions and replica lag: the

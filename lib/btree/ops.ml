@@ -559,8 +559,9 @@ let scan_per_leaf tree txn vctx ~from ~count =
 
 (* Batched scan (the leaf-chaining fast path): traverse once, then chase
    fence keys sideways, fetching up to [batch] sibling leaves per
-   minitransaction round trip (items coalesced per memnode by the
-   Txn/Coordinator machinery) instead of re-walking the tree per leaf.
+   round trip (one Txn fetch, coalesced per memnode: a validated batch
+   is one minitransaction, a dirty one a one-phase read per memnode)
+   instead of re-walking the tree per leaf.
    Only the fetched leaves are validated — not the full path — so each
    batched leaf re-runs the Fig. 5 safety checks itself: it must be a
    leaf (height 0), its low fence must continue exactly where the

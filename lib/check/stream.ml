@@ -149,6 +149,113 @@ and pend_what =
       expected : (string * string) list;
     }
 
+(* A snapshot read parked until its snapshot freezes. A scan's result
+   is packed into one string (see [pack_pairs]) and its event keeps an
+   empty result: parked scans are most of the checker's resident state
+   under snapshot-scan load, and a 1000-pair list costs several times
+   its bytes in cons cells, tuples and string headers. *)
+type parked = Parked of Event.t | Parked_scan of { ev : Event.t; packed : string }
+
+(* Length-prefixed pairs: per pair, the key's length as an unsigned
+   LEB128 varint, the key, then the value the same way. Sized up front
+   and written once: a scan's packing is one allocation. *)
+let rec varint_size n = if n < 0x80 then 1 else 1 + varint_size (n lsr 7)
+
+let pack_pairs pairs =
+  let field_size s = varint_size (String.length s) + String.length s in
+  let size = List.fold_left (fun acc (k, v) -> acc + field_size k + field_size v) 0 pairs in
+  let b = Bytes.create size in
+  let field pos s =
+    let rec len pos n =
+      if n < 0x80 then begin
+        Bytes.set b pos (Char.unsafe_chr n);
+        pos + 1
+      end
+      else begin
+        Bytes.set b pos (Char.unsafe_chr (n land 0x7f lor 0x80));
+        len (pos + 1) (n lsr 7)
+      end
+    in
+    let pos = len pos (String.length s) in
+    Bytes.blit_string s 0 b pos (String.length s);
+    pos + String.length s
+  in
+  ignore (List.fold_left (fun pos (k, v) -> field (field pos k) v) 0 pairs);
+  Bytes.unsafe_to_string b
+
+(* The field at [pos]: its start and length. *)
+let packed_field packed pos =
+  let rec len pos shift acc =
+    let c = Char.code packed.[pos] in
+    let acc = acc lor ((c land 0x7f) lsl shift) in
+    if c < 0x80 then (pos + 1, acc) else len (pos + 1) (shift + 7) acc
+  in
+  len pos 0 0
+
+let unpack_pairs packed =
+  let n = String.length packed in
+  let rec go pos acc =
+    if pos = n then List.rev acc
+    else
+      let kpos, klen = packed_field packed pos in
+      let vpos, vlen = packed_field packed (kpos + klen) in
+      go (vpos + vlen) ((String.sub packed kpos klen, String.sub packed vpos vlen) :: acc)
+  in
+  go 0 []
+
+(* Position past the field at [pos] when it holds [s], or -1. *)
+let field_equal packed pos s =
+  let len = String.length s in
+  let rec prefix pos n =
+    if n < 0x80 then if Char.code packed.[pos] = n then pos + 1 else -1
+    else if Char.code packed.[pos] = n land 0x7f lor 0x80 then prefix (pos + 1) (n lsr 7)
+    else -1
+  in
+  let start = prefix pos len in
+  (* Eight bytes a step, then bytewise; bounds are checked once below. *)
+  let rec same i =
+    if i + 8 <= len then
+      Int64.equal (String.get_int64_ne packed (start + i)) (String.get_int64_ne s i)
+      && same (i + 8)
+    else i = len || (String.unsafe_get packed (start + i) = String.unsafe_get s i && same (i + 1))
+  in
+  if start >= 0 && start + len <= String.length packed && same 0 then start + len else -1
+
+(* [packed_matches packed seq ~count] is [unpack_pairs packed] equal to
+   the first [count] entries of [seq] (all of them for a negative
+   [count], like [model_scan]), compared in place. *)
+let packed_matches packed seq ~count =
+  let n = String.length packed in
+  let rec walk pos left seq =
+    if pos = n then left = 0 || Seq.is_empty seq
+    else if left = 0 then false
+    else
+      match seq () with
+      | Seq.Nil -> false
+      | Seq.Cons ((k, v), rest) ->
+          let pos = field_equal packed pos k in
+          pos >= 0
+          &&
+          let pos = field_equal packed pos v in
+          pos >= 0 && walk pos (left - 1) rest
+  in
+  walk 0 count seq
+
+let park ev =
+  match ev.Event.op with
+  | Event.Scan { from; count; result } ->
+      let ev = { ev with Event.op = Event.Scan { from; count; result = [] } } in
+      Parked_scan { ev; packed = pack_pairs result }
+  | _ -> Parked ev
+
+let unpark = function
+  | Parked ev -> ev
+  | Parked_scan { ev; packed } -> (
+      match ev.Event.op with
+      | Event.Scan { from; count; _ } ->
+          { ev with Event.op = Event.Scan { from; count; result = unpack_pairs packed } }
+      | _ -> assert false (* [park] packs scans only *))
+
 (* One version of a branching index's version tree. The model is forked
    from the parent when [Branch_created] is applied; freezing it (the
    version stops being a writable tip) makes it the reference state for
@@ -180,7 +287,7 @@ type shard = {
   mutable s_frozen : string Smap.t I64map.t; (* linear sid -> frozen model *)
   s_creation_log : (int64, int64) Hashtbl.t; (* sid -> creation stamp *)
   mutable s_pending_creations : (int64 * int64) list; (* (cstamp, sid), ascending *)
-  mutable s_deferred_snap : Event.t list I64map.t; (* sid -> reads, newest first *)
+  mutable s_deferred_snap : parked list I64map.t; (* sid -> reads, newest first *)
   mutable s_deferred_multi : Event.t list; (* unstamped get_many/history, newest first *)
   mutable s_ndeferred : int;
   s_versions : (int64, version) Hashtbl.t;
@@ -535,6 +642,14 @@ let check_snapshot_read sh ev m sid =
       check_frozen_scan sh ev m ~sid ~from ~count ~result ~realm:sh.s_realm
   | _ -> ()
 
+(* A parked scan that matches the frozen state is counted without
+   unpacking it; any other parked read is checked as it arrived. *)
+let check_parked sh m sid = function
+  | Parked_scan { ev = { Event.op = Event.Scan { from; count; _ }; _ }; packed }
+    when packed_matches packed (Smap.to_seq_from from m) ~count ->
+      sh.s_snap_reads <- sh.s_snap_reads + 1
+  | p -> check_snapshot_read sh (unpark p) m sid
+
 (* Freeze snapshot [sid]: the model now holds exactly the commits with
    stamps below the creation stamp, and can be checked against every
    read claiming [sid]. Frozen states share structure with the live
@@ -552,7 +667,7 @@ let freeze_snapshot sh sid =
   | Some reads ->
       sh.s_deferred_snap <- I64map.remove sid sh.s_deferred_snap;
       sh.s_ndeferred <- sh.s_ndeferred - List.length reads;
-      List.iter (fun ev -> check_snapshot_read sh ev sh.s_realm.r_model sid) (List.rev reads)
+      List.iter (check_parked sh sh.s_realm.r_model sid) (List.rev reads)
 
 (* Freeze every snapshot whose creation stamp lies strictly below the
    commit stamp about to be applied. *)
@@ -585,7 +700,7 @@ let snapshot_read sh ev sid =
         else begin
           sh.s_deferred_snap <-
             I64map.update sid
-              (fun prev -> Some (ev :: Option.value prev ~default:[]))
+              (fun prev -> Some (park ev :: Option.value prev ~default:[]))
               sh.s_deferred_snap;
           sh.s_ndeferred <- sh.s_ndeferred + 1
         end
@@ -1041,7 +1156,8 @@ let shard_finish sh ~final =
   I64map.iter
     (fun sid reads ->
       List.iter
-        (fun ev ->
+        (fun p ->
+          let ev = unpark p in
           sh.s_snap_reads <- sh.s_snap_reads + 1;
           violate sh ~event:ev ?key:(op_key ev)
             "snapshot read at sid %Ld left unresolved at end of stream" sid)

@@ -149,12 +149,14 @@ let partitioned_msg = "memnode partitioned"
 
 let is_outage msg = String.equal msg unavailable_msg || String.equal msg partitioned_msg
 
-(* Multi-object fetch minitransaction, optionally piggy-backing read-set
-   validation (Sec. 2.2). Items are coalesced per memnode by the
-   Mtx/Coordinator machinery: one round trip for a single participant,
-   one parallel 2PC for several. Results are in the order of [refs].
-   Raises [Aborted] when a piggy-backed comparison fails: the read set
-   is stale and the transaction cannot commit. *)
+(* Multi-object fetch, optionally piggy-backing read-set validation
+   (Sec. 2.2). Items are coalesced per memnode by the Mtx/Coordinator
+   machinery: one round trip for a single participant. A validating
+   fetch over several runs one parallel 2PC, so the batch joins the
+   read set atomically; a dirty one runs one parallel one-phase read
+   per memnode. Results are in the order of [refs]. Raises [Aborted]
+   when a piggy-backed comparison fails: the read set is stale and the
+   transaction cannot commit. *)
 let fetch_refs t ~validate (refs : Objref.t list) =
   check_live t;
   let nodes = List.sort_uniq Int.compare (List.map Objref.node refs) in
@@ -168,9 +170,11 @@ let fetch_refs t ~validate (refs : Objref.t list) =
   let reads =
     List.map (fun (r : Objref.t) -> Mtx.read_at ~trim:true r.Objref.addr r.Objref.len) refs
   in
-  let mtx = Mtx.make ~compares ~reads () in
   t.fetches <- t.fetches + 1;
-  match Coordinator.exec t.cluster ?client:t.client mtx with
+  match
+    if validate then Coordinator.exec t.cluster ?client:t.client (Mtx.make ~compares ~reads ())
+    else Coordinator.read_per_memnode t.cluster ?client:t.client reads
+  with
   | Mtx.Committed { stamp; reads = results; epochs } ->
       observe_epochs t epochs;
       if validate then begin

@@ -85,8 +85,10 @@ val read_many_with_seq : t -> Objref.t list -> (int64 * string) list
 
 val dirty_read_many_with_seq : ?use_cache:bool -> t -> Objref.t list -> (int64 * string) list
 (** Batched {!dirty_read_with_seq}: objects not resolvable from local
-    state (or the cache, unless [~use_cache:false]) are fetched by one
-    unvalidated minitransaction, coalesced per memnode. *)
+    state (or the cache, unless [~use_cache:false]) are fetched in one
+    unvalidated fetch: one one-phase read per memnode, all in parallel
+    ({!Sinfonia.Coordinator.read_per_memnode}). The batch is not atomic
+    across memnodes; callers check each object on its own. *)
 
 val write : t -> Objref.t -> string -> unit
 (** Buffer a write. If the object was previously dirty-read (and is not

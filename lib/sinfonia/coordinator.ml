@@ -401,3 +401,43 @@ let exec cluster ?client ?(mode = Normal) mtx =
         Obs.Counter.incr (Obs.mtx obs).Obs.mtx_unavailable;
         Obs.abort obs ~layer:Obs.Abort.Mtx Obs.Abort.Partitioned;
         Mtx.Unavailable { maybe_applied = false; partitioned = true }
+
+(* Dirty reads need no cross-memnode atomicity: each memnode's share
+   runs as its own one-phase minitransaction, all in parallel, so no
+   shared lock outlives its own round trip. Every part has returned
+   before an outage or an exhausted retry budget fails the batch. *)
+let read_per_memnode cluster ?client (reads : Mtx.read_item list) =
+  let mtx = Mtx.make ~reads () in
+  match Mtx.memnodes mtx with
+  | [] | [ _ ] -> exec cluster ?client mtx
+  | nodes -> (
+      let indexed = List.mapi (fun i (r : Mtx.read_item) -> (i, r)) reads in
+      let parts =
+        parallel_map nodes (fun node ->
+            let mine = List.filter (fun (_, (r : Mtx.read_item)) -> r.r_addr.node = node) indexed in
+            (List.map fst mine, exec cluster ?client (Mtx.make ~reads:(List.map snd mine) ())))
+      in
+      let outcomes = List.map (fun (_, (_, o)) -> o) parts in
+      match
+        List.filter_map (function Mtx.Unavailable u -> Some u.partitioned | _ -> None) outcomes
+      with
+      | _ :: _ as partitioned ->
+          (* A read applies nothing. *)
+          Mtx.Unavailable { maybe_applied = false; partitioned = List.exists Fun.id partitioned }
+      | [] when List.exists (function Mtx.Busy -> true | _ -> false) outcomes -> Mtx.Busy
+      | [] ->
+          let committed =
+            List.map
+              (fun (_, (idxs, outcome)) ->
+                match outcome with
+                | Mtx.Committed { stamp; reads; epochs } -> (stamp, epochs, List.combine idxs reads)
+                | Mtx.Failed_compare _ | Mtx.Busy | Mtx.Unavailable _ ->
+                    assert false (* no compares; failures returned above *))
+              parts
+          in
+          Mtx.Committed
+            {
+              stamp = List.fold_left (fun acc (s, _, _) -> Int64.max acc s) Int64.min_int committed;
+              reads = List.map snd (merge_reads (List.map (fun (_, _, r) -> r) committed));
+              epochs = List.concat_map (fun (_, e, _) -> e) committed;
+            })

@@ -224,6 +224,43 @@ let test_frozen_state_evicted () =
     (List.exists (mentions ~sub:"frozen state for sid 1 was evicted") v.Stream.inconclusive);
   check Alcotest.int "the retained sid is still checked" 1 v.Stream.snapshot_reads_checked
 
+let test_parked_scan () =
+  (* A snapshot scan that arrives before its snapshot freezes is parked
+     with its result packed. Keys and values holding NUL bytes or empty
+     strings must survive the packing: a matching scan passes, and one
+     value off reports the scan exactly as it arrived. *)
+  let creations = [ (0, [ (100L, 4L) ]) ] in
+  let frozen = [ ("", "e"); ("\000", ""); ("a\000b", "x\000y") ] in
+  let history ~count result =
+    [
+      put ~stamp:1L ~invoked:0.00 ~returned:0.01 "" "e";
+      put ~stamp:2L ~invoked:0.02 ~returned:0.03 "\000" "";
+      put ~stamp:3L ~invoked:0.04 ~returned:0.05 "a\000b" "x\000y";
+      put ~stamp:5L ~invoked:0.06 ~returned:0.07 "a\000b" "later";
+      scan ~sid:100L ~invoked:0.08 ~returned:0.09 "" count result;
+    ]
+  in
+  let v = run ~creations (history ~count:10 frozen) in
+  assert_ok ~msg:"frozen scan accepted" v;
+  check Alcotest.int "snapshot read counted" 1 v.Stream.snapshot_reads_checked;
+  assert_ok ~msg:"count-limited scan accepted"
+    (run ~creations (history ~count:2 [ ("", "e"); ("\000", "") ]));
+  let off = [ ("", "e"); ("\000", ""); ("a\000b", "x\000z") ] in
+  let events = history ~count:10 off in
+  let v = run ~creations events in
+  match v.Stream.violations with
+  | [ viol ] ->
+      check Alcotest.string "message"
+        "snapshot scan from \"\" at sid 100 returned 3 entries, frozen state has 3"
+        viol.Stream.v_message;
+      check Alcotest.bool "the scan as it arrived" true
+        (viol.Stream.v_event = Some (List.nth events 4));
+      check Alcotest.string "rendering"
+        "index 0: snapshot scan from \"\" at sid 100 returned 3 entries, frozen state has 3\n\
+        \  at: [0.080000,0.090000] sid:100 idx0 scan from:\"\" count:10 -> 3 entries"
+        (Format.asprintf "%a" Stream.pp_violation viol)
+  | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs)
+
 let test_scs_strictness () =
   (* The put committed (stamp 5) and returned before the snapshot request
      started, but the granted snapshot's creation stamp is 2: the
@@ -538,6 +575,7 @@ let () =
           Alcotest.test_case "missing creation record" `Quick
             test_snapshot_without_creation_record;
           Alcotest.test_case "frozen state evicted" `Quick test_frozen_state_evicted;
+          Alcotest.test_case "parked scan" `Quick test_parked_scan;
           Alcotest.test_case "scs strictness" `Quick test_scs_strictness;
           Alcotest.test_case "scs staleness bound" `Quick test_scs_staleness_bound;
         ] );

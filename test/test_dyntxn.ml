@@ -463,6 +463,75 @@ let test_txn_read_many_single_round_trip () =
       check Alcotest.int "one dirty coalesced fetch" 1 (Txn.fetches t2);
       commit_ok t2)
 
+(* Committed minitransactions so far: (one-phase, two-phase). *)
+let commit_counts cluster =
+  let m = Obs.mtx (Cluster.obs cluster) in
+  (Obs.Counter.value m.Obs.committed_1pc, Obs.Counter.value m.Obs.committed_2pc)
+
+(* Lock ranges held and serving pins taken at the store serving space
+   [i]. *)
+let residue cluster i =
+  let _, store = Cluster.route cluster i in
+  (Lock_table.held_ranges (Memnode.store_locks store), Memnode.store_serving store)
+
+let write_three cluster refs =
+  let t0 = Txn.begin_ cluster in
+  List.iteri (fun i r -> Txn.write t0 r (Printf.sprintf "m%d" i)) refs;
+  commit_ok t0
+
+let test_txn_dirty_batch_per_memnode () =
+  with_cluster (fun cluster ->
+      (* A dirty batch over three memnodes runs three one-phase reads; a
+         validated batch over the same objects is still one 2PC. *)
+      let refs = [ slot 0 base; slot 1 base; slot 2 base ] in
+      write_three cluster refs;
+      let ones, twos = commit_counts cluster in
+      let t = Txn.begin_ cluster in
+      (match Txn.dirty_read_many_with_seq t refs with
+      | [ (_, "m0"); (_, "m1"); (_, "m2") ] -> ()
+      | _ -> Alcotest.fail "dirty batch: wrong values or order");
+      check Alcotest.int "one fetch" 1 (Txn.fetches t);
+      check
+        Alcotest.(pair int int)
+        "one 1PC per memnode, no 2PC" (ones + 3, twos) (commit_counts cluster);
+      List.iter
+        (fun i -> check Alcotest.(pair int int) "no lock or pin left" (0, 0) (residue cluster i))
+        [ 0; 1; 2 ];
+      commit_ok t;
+      let ones, twos = commit_counts cluster in
+      let t = Txn.begin_ cluster in
+      (match Txn.read_many_with_seq t refs with
+      | [ (_, "m0"); (_, "m1"); (_, "m2") ] -> ()
+      | _ -> Alcotest.fail "validated batch: wrong values or order");
+      check
+        Alcotest.(pair int int)
+        "validated batch is one 2PC" (ones, twos + 1) (commit_counts cluster);
+      commit_ok t)
+
+(* A dirty batch over three memnodes, one of which [fault] takes away,
+   aborts with [msg] and leaves the two healthy memnodes clean. *)
+let dirty_batch_outage ~fault ~msg () =
+  with_cluster ~n:4 (fun cluster ->
+      let refs = [ slot 0 base; slot 1 base; slot 2 base ] in
+      write_three cluster refs;
+      let client = 100 in
+      fault cluster ~client 2;
+      let t = Txn.begin_ cluster ~client in
+      (match Txn.dirty_read_many_with_seq t refs with
+      | _ -> Alcotest.fail "dirty batch read an unreachable memnode"
+      | exception Txn.Aborted m -> check Alcotest.string "outage message" msg m);
+      List.iter
+        (fun i -> check Alcotest.(pair int int) "no lock or pin left" (0, 0) (residue cluster i))
+        [ 0; 1 ])
+
+let crash_with_backup cluster ~client:_ i =
+  Cluster.crash cluster (Option.get (Cluster.backup_of cluster i));
+  Cluster.crash cluster i
+
+let partition cluster ~client i =
+  Sim.Net.set_fault (Cluster.net cluster) ~src:client ~dst:(Cluster.serving_host cluster i)
+    ~blocked:true ()
+
 let test_txn_read_many_validates_read_set () =
   with_cluster (fun cluster ->
       (* Same memnode: the compare for r0 can piggy-back on r1's fetch. *)
@@ -881,6 +950,12 @@ let () =
             test_txn_read_many_single_round_trip;
           Alcotest.test_case "read_many validates read set" `Quick
             test_txn_read_many_validates_read_set;
+          Alcotest.test_case "dirty batch reads per memnode" `Quick
+            test_txn_dirty_batch_per_memnode;
+          Alcotest.test_case "dirty batch with a crashed memnode" `Quick
+            (dirty_batch_outage ~fault:crash_with_backup ~msg:"memnode unavailable");
+          Alcotest.test_case "dirty batch with a partitioned memnode" `Quick
+            (dirty_batch_outage ~fault:partition ~msg:"memnode partitioned");
           Alcotest.test_case "negative entries not cached" `Quick
             test_txn_negative_entries_not_cached;
           Alcotest.test_case "evict_dirty drops negative read" `Quick
