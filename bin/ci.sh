@@ -15,6 +15,14 @@ check_report() {
   dune exec bin/minuet_bench.exe -- check-report "$smoke_dir/BENCH_$1.json"
 }
 
+# The scan and traffic benches are pure functions of their seeds: the
+# fresh report must also equal the committed one outside wall_ms, or
+# the committed file has gone stale.
+check_pinned() {
+  dune exec bin/minuet_bench.exe -- check-report --pinned "BENCH_$1.json" \
+    "$smoke_dir/BENCH_$1.json"
+}
+
 echo "== dune build =="
 dune build
 
@@ -234,10 +242,13 @@ echo "== scan benchmark smoke =="
 # the build unless batching clears its 2x speedup floor, post-crash
 # caches recover by epoch revalidation (never by a bulk flush), and the
 # batched side holds its absolute floors (1200 scans/s, 15 leaves per
-# round trip: the pre-zero-copy baseline measured 1168 scans/s). Emits
-# BENCH_scan.json (ops/s, leaves per round trip, cache hit rate).
+# round trip: the pre-zero-copy baseline measured 1168 scans/s) and its
+# demand-sizing ratchets (at least 14.5 consumed leaves per round trip
+# and at most 1.05 leaves fetched per leaf consumed; fetching every
+# sibling read 14.37 and 1.066). Emits BENCH_scan.json (ops/s, leaves
+# per round trip, cache hit rate).
 dune exec bin/minuet_bench.exe -- scan --dir "$smoke_dir"
-check_report scan
+check_pinned scan
 
 echo "== streaming checker: million-op gate =="
 # A million-event synthetic history through Check.Stream, linear and
@@ -266,7 +277,7 @@ echo "== production traffic: SLO gates through the checker =="
 # pass the streaming serializability checker, and all structural audits
 # must walk clean. Emits BENCH_traffic.json.
 dune exec bin/minuet_bench.exe -- traffic --dir "$smoke_dir"
-check_report traffic
+check_pinned traffic
 
 echo "== traffic SLO falsifiability =="
 # A tenant provisioned at one worker against 1500 scans/s: the open-loop

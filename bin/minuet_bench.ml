@@ -101,26 +101,50 @@ let smoke_cmd =
   Cmd.v (Cmd.info "smoke" ~doc) Term.(const action $ name_arg $ dir_arg)
 
 (* Validate a BENCH_*.json report against the shared envelope
-   (Obs.Bench); bin/ci.sh needs no external JSON tooling. *)
+   (Obs.Bench); bin/ci.sh needs no external JSON tooling. With
+   [--pinned], also require the report to equal a committed one outside
+   [wall_ms], so a committed report of a seeded bench cannot go stale. *)
 let check_report_cmd =
   let doc = "Validate a BENCH_*.json report against the shared bench envelope." in
   let file_arg =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"Report to check.")
   in
-  let action file =
-    let contents = In_channel.with_open_bin file In_channel.input_all in
+  let pinned_arg =
+    Arg.(
+      value
+      & opt (some file) None
+      & info [ "pinned" ] ~docv:"PINNED"
+          ~doc:
+            "Committed report FILE must equal everywhere but its envelope's wall_ms (the bench is \
+             a pure function of its seed).")
+  in
+  let action file pinned =
+    let load file =
+      match Obs.Json.parse (In_channel.with_open_bin file In_channel.input_all) with
+      | json -> Ok json
+      | exception Obs.Json.Parse_error m -> Error (file ^ ": invalid JSON: " ^ m)
+    in
+    let ( let* ) = Result.bind in
     let verdict =
-      match Obs.Json.parse contents with
-      | json -> Obs.Bench.validate json
-      | exception Obs.Json.Parse_error m -> Error ("invalid JSON: " ^ m)
+      let* json = load file in
+      let* () = Result.map_error (fun m -> file ^ ": " ^ m) (Obs.Bench.validate json) in
+      match pinned with
+      | None -> Ok ()
+      | Some pinned_file -> (
+          let* pinned = load pinned_file in
+          match Obs.Bench.first_difference ~pinned json with
+          | None -> Ok ()
+          | Some path ->
+              Error
+                (Printf.sprintf "%s: differs from the committed %s at %s" file pinned_file path))
     in
     match verdict with
     | Ok () -> Printf.printf "%s: ok\n%!" file
     | Error m ->
-        prerr_endline (file ^ ": " ^ m);
+        prerr_endline m;
         exit 1
   in
-  Cmd.v (Cmd.info "check-report" ~doc) Term.(const action $ file_arg)
+  Cmd.v (Cmd.info "check-report" ~doc) Term.(const action $ file_arg $ pinned_arg)
 
 (* Chaos run: deterministic fault injection plus the history-based
    consistency checker. Exits nonzero (with a minimal counterexample)

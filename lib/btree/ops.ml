@@ -35,6 +35,10 @@ type tree = {
      operation returns — safe because the simulator is cooperative and
      operations on one handle do not interleave without a yield. *)
   mutable last_stamp : int64 option;
+  (* Keys and leaves checked by this handle's completed batched scans:
+     the keys-per-leaf estimate that sizes a scan's first group. *)
+  mutable scan_keys : int;
+  mutable scan_leaves : int;
   (* Newest parsed view per node pointer, shared by every handle of one
      database: a fetch always returns the slot's current sequence
      number, so an older version could never hit again. Purely a
@@ -81,6 +85,8 @@ let make_tree ?(mode = Dirty_traversal) ?max_keys_leaf ?max_keys_internal ?(scan
     alloc;
     cache;
     last_stamp = None;
+    scan_keys = 0;
+    scan_leaves = 0;
     view_memo = (match view_memo with Some m -> m | None -> View_memo.create ());
     enc = Codec.Enc.create ~initial_size:1024 ();
   }
@@ -246,8 +252,12 @@ let check_node tree txn vctx (v : Bview.t) k =
 type step = { s_ptr : Objref.t; s_view : Bview.t; s_child : int }
 
 (* Traverse from the root to the leaf responsible for [k] at
-   [vctx.snap]. Returns the internal path (root first) and the leaf. *)
-let traverse ?(read_only = false) tree txn vctx k =
+   [vctx.snap]. Returns the internal path (root first) and the leaf.
+   With [to_parent] the descent stops one level short, at the leaf's
+   deepest parent (returned in the leaf's place, the path above it), so
+   a batched scan can fetch the leaf together with its siblings; a
+   one-level tree still returns its root leaf. *)
+let traverse ?(read_only = false) ?(to_parent = false) tree txn vctx k =
   Obs.with_span tree.obs
     ~outcome_of_exn:(function
       | Txn.Aborted msg -> Some (Obs.Span.Failed msg) | _ -> None)
@@ -265,7 +275,7 @@ let traverse ?(read_only = false) tree txn vctx k =
   in
   check_node tree txn vctx root k;
   let rec descend path ptr (v : Bview.t) =
-    if Bview.is_leaf v then (List.rev path, ptr, v)
+    if Bview.is_leaf v || (to_parent && Bview.height v = 1) then (List.rev path, ptr, v)
     else begin
       let idx, child_ptr = Bview.child_for v k in
       let child =
@@ -557,18 +567,26 @@ let scan_per_leaf tree txn vctx ~from ~count =
   in
   collect [] count from
 
-(* Batched scan (the leaf-chaining fast path): traverse once, then chase
-   fence keys sideways, fetching up to [batch] sibling leaves per
-   round trip (one Txn fetch, coalesced per memnode: a validated batch
-   is one minitransaction, a dirty one a one-phase read per memnode)
-   instead of re-walking the tree per leaf.
+(* Batched scan (the leaf-chaining fast path): descend once to the
+   cursor's deepest parent (the internal levels are cached and
+   dirty-read), then fetch the cursor's leaf and the siblings to its
+   right in groups of up to [batch] siblings per round trip, the first
+   group carrying the cursor's leaf on top (one Txn fetch, coalesced per
+   memnode: a validated group is one minitransaction, a dirty one a
+   one-phase read per memnode) instead of re-walking the tree per leaf.
+   Groups are sized to demand: the keys still needed over an estimate of
+   keys per leaf, taken from the leaves this scan has checked or, before
+   the first, from the handle's earlier scans. The first group carries
+   one leaf more for the cursor's partly consumed leaf. While a group is
+   in flight the next one is armed (the prefetch window) only when the
+   groups in flight are estimated short of the keys still needed, so a
+   scan overlaps its round trips without fetching far past its end.
    Only the fetched leaves are validated — not the full path — so each
-   batched leaf re-runs the Fig. 5 safety checks itself: it must be a
-   leaf (height 0), its low fence must continue exactly where the
-   previous leaf ended, and its version must pass [check_node] for the
-   probe key at its low fence. Any violation aborts the attempt and the
-   retry re-traverses. A one-group prefetch window overlaps the next
-   group's round trip with consumption of the current one. *)
+   leaf re-runs the Fig. 5 safety checks itself: it must be a leaf
+   (height 0) and pass [check_node] for the cursor (the first leaf) or
+   for the probe key at its low fence, which must continue exactly where
+   the previous leaf ended. Any violation aborts the attempt and the
+   retry re-traverses. *)
 let scan_batched tree txn vctx ~from ~count ~batch =
   let s = tree.sstats in
   let fetch_group ptrs =
@@ -587,7 +605,9 @@ let scan_batched tree txn vctx ~from ~count ~batch =
     List.iter (fun _ -> Obs.Counter.incr s.Obs.scan_batched_leaves) ptrs;
     results
   in
-  let spawn_fetch ptrs =
+  (* Fetch [parent]'s children [first, first + n) in the background. *)
+  let spawn_group parent first n =
+    let ptrs = List.init n (fun i -> Bview.child_at parent (first + i)) in
     let iv = Sim.Ivar.create () in
     Sim.spawn (fun () ->
         (* Transport, not a swallow: [await] re-raises the Error arm in
@@ -600,39 +620,54 @@ let scan_batched tree txn vctx ~from ~count ~batch =
   let await (ptrs, iv) =
     match Sim.Ivar.read iv with Ok results -> List.combine ptrs results | Error e -> raise e
   in
-  let rec chunk = function
-    | [] -> []
-    | l ->
-        let rec split i acc = function
-          | tl when i = batch -> (List.rev acc, tl)
-          | [] -> (List.rev acc, [])
-          | x :: tl -> split (i + 1) (x :: acc) tl
-        in
-        let g, rest = split 0 [] l in
-        g :: chunk rest
+  (* Keys per leaf over every leaf this scan has checked, or before the
+     first over the handle's earlier scans (half-full leaves before
+     any). *)
+  let seen_keys = ref 0 and seen_leaves = ref 0 in
+  let leaves_for remaining =
+    let keys, leaves =
+      if !seen_leaves > 0 then (!seen_keys, !seen_leaves)
+      else if tree.scan_leaves > 0 then (tree.scan_keys, tree.scan_leaves)
+      else (tree.max_keys_leaf / 2, 1)
+    in
+    let per_leaf = Float.max 1.0 (float_of_int keys /. float_of_int leaves) in
+    int_of_float (Float.ceil (float_of_int remaining /. per_leaf))
   in
-  (* Validate one batched leaf against the fence chain, then run the
-     standard per-node checks with the probe key at its low fence. *)
-  let check_leaf (node : Bview.t) expected_low =
+  (* Leaves still needed from [pos] on: a leaf entered at the cursor is
+     only partly consumed, so it counts for none of [remaining]. *)
+  let needed remaining pos =
+    leaves_for remaining + match pos with `Cursor _ -> 1 | `Low _ -> 0
+  in
+  (* The size of the next group from [parent]'s child [next] on. *)
+  let group_size ?(cap = batch) parent next wanted =
+    min cap (min wanted (Bview.child_count parent - next))
+  in
+  (* Validate one batched leaf: the first against the cursor, each later
+     one against the fence chain and then the probe key at its low fence.
+     Returns the key the leaf is read from. *)
+  let check_leaf (node : Bview.t) pos =
     if Bview.height node <> 0 then begin
       Obs.Counter.incr s.Obs.scan_batch_aborts;
       Obs.Counter.incr tree.stats.Obs.abort_height;
       Obs.abort tree.obs ~layer:Obs.Abort.Btree Obs.Abort.Height_mismatch;
       Txn.abort txn
     end;
-    if not (Bkey.fence_equal (Bview.low node) expected_low) then begin
-      (* The leaf no longer starts where its left neighbour ended: it
-         split, merged or moved since the parent was read. *)
-      Obs.Counter.incr s.Obs.scan_batch_aborts;
-      Obs.Counter.incr tree.stats.Obs.abort_fence;
-      Obs.abort tree.obs ~layer:Obs.Abort.Btree Obs.Abort.Fence_violation;
-      Txn.abort txn
-    end;
     let probe =
-      match expected_low with
-      | Bkey.Key k -> k
-      | Bkey.Neg_inf -> ""
-      | Bkey.Pos_inf -> assert false
+      match pos with
+      | `Cursor k -> k
+      | `Low expected_low -> (
+          if not (Bkey.fence_equal (Bview.low node) expected_low) then begin
+            (* The leaf no longer starts where its left neighbour ended:
+               it split, merged or moved since the parent was read. *)
+            Obs.Counter.incr s.Obs.scan_batch_aborts;
+            Obs.Counter.incr tree.stats.Obs.abort_fence;
+            Obs.abort tree.obs ~layer:Obs.Abort.Btree Obs.Abort.Fence_violation;
+            Txn.abort txn
+          end;
+          match expected_low with
+          | Bkey.Key k -> k
+          | Bkey.Neg_inf -> ""
+          | Bkey.Pos_inf -> assert false)
     in
     (match check_node tree txn vctx node probe with
     | () -> ()
@@ -642,57 +677,61 @@ let scan_batched tree txn vctx ~from ~count ~batch =
     probe
   in
   let rec collect acc remaining cursor =
-    let path, _, leaf = traverse ~read_only:true tree txn vctx cursor in
-    let acc, remaining, stopped =
-      take_entries tree acc remaining leaf (Bview.lower_bound leaf cursor)
-    in
-    if remaining = 0 || stopped then List.rev acc
-    else begin
-      (* Leaf pointers to the right of the leaf just consumed, under its
-         (already checked) deepest parent. *)
-      let siblings =
-        match List.rev path with
-        | [] -> [] (* the root is the leaf: nothing beside it *)
-        | { s_view; s_child; _ } :: _ ->
-            List.init
-              (Bview.child_count s_view - s_child - 1)
-              (fun i -> Bview.child_at s_view (s_child + 1 + i))
+    let _, _, node = traverse ~read_only:true ~to_parent:true tree txn vctx cursor in
+    if Bview.is_leaf node then begin
+      (* A one-level tree: the root is the only leaf. *)
+      let acc, remaining, stopped =
+        take_entries tree acc remaining node (Bview.lower_bound node cursor)
       in
-      match chunk siblings with
-      | [] -> continue_after acc remaining (Bview.high leaf)
-      | g :: rest -> consume_groups acc remaining (Bview.high leaf) (spawn_fetch g) rest
+      if remaining = 0 || stopped then List.rev acc
+      else continue_after acc remaining (Bview.high node)
     end
-  and consume_groups acc remaining expected_low pending rest =
-    (* Kick off the next group's fetch before consuming the current one
-       so its round trip overlaps consumption (the prefetch window). *)
-    let next =
-      match rest with
-      | [] -> None
-      | g :: tl ->
-          Obs.Counter.incr s.Obs.scan_prefetches;
-          Some (spawn_fetch g, tl)
-    in
-    let results = await pending in
-    let rec eat acc remaining expected_low = function
-      | [] -> `More (acc, remaining, expected_low)
-      | (ptr, (seq, payload)) :: tl ->
-          let node = view_node_memo tree txn ptr seq payload in
-          let probe = check_leaf node expected_low in
-          let acc, remaining, stopped =
-            take_entries tree acc remaining node (Bview.lower_bound node probe)
-          in
-          if remaining = 0 || stopped then `Done acc
-          else eat acc remaining (Bview.high node) tl
-    in
-    match eat acc remaining expected_low results with
-    | `Done acc -> List.rev acc
-    | `More (acc, remaining, expected_low) -> (
-        match next with
-        | Some (pending, tl) -> consume_groups acc remaining expected_low pending tl
-        | None -> continue_after acc remaining expected_low)
+    else
+      let first, _ = Bview.child_for node cursor in
+      consume acc remaining (`Cursor cursor) node first None
+  and consume acc remaining pos parent next = function
+    | None -> (
+        (* Nothing in flight: the first group under [parent], which also
+           carries the cursor's leaf, or the estimate fell short. *)
+        let cap = match pos with `Cursor _ -> batch + 1 | `Low _ -> batch in
+        let n = group_size ~cap parent next (needed remaining pos) in
+        if n > 0 then consume acc remaining pos parent (next + n) (Some (spawn_group parent next n))
+        else
+          match pos with
+          | `Low high -> continue_after acc remaining high
+          | `Cursor _ -> assert false (* the cursor's leaf is a child of [parent] *))
+    | Some pending -> (
+        (* Arm the next group before consuming the one in flight, so its
+           round trip overlaps consumption — but only when the estimate
+           says the group in flight falls short. *)
+        let n = group_size parent next (needed remaining pos - List.length (fst pending)) in
+        let prefetch =
+          if n > 0 then begin
+            Obs.Counter.incr s.Obs.scan_prefetches;
+            Some (spawn_group parent next n)
+          end
+          else None
+        in
+        let rec eat acc remaining pos = function
+          | [] -> `More (acc, remaining, pos)
+          | (ptr, (seq, payload)) :: tl ->
+              let node = view_node_memo tree txn ptr seq payload in
+              let probe = check_leaf node pos in
+              Obs.Counter.incr s.Obs.scan_consumed_leaves;
+              seen_keys := !seen_keys + Bview.nkeys node;
+              incr seen_leaves;
+              let acc, remaining, stopped =
+                take_entries tree acc remaining node (Bview.lower_bound node probe)
+              in
+              if remaining = 0 || stopped then `Done acc
+              else eat acc remaining (`Low (Bview.high node)) tl
+        in
+        match eat acc remaining pos (await pending) with
+        | `Done acc -> List.rev acc
+        | `More (acc, remaining, pos) -> consume acc remaining pos parent (next + max 0 n) prefetch)
   and continue_after acc remaining expected_low =
     (* The deepest parent's children are exhausted: continue the scan at
-       the last leaf's high fence with a fresh traversal. *)
+       the last leaf's high fence with a fresh descent. *)
     match expected_low with
     | Bkey.Pos_inf -> List.rev acc
     | Bkey.Key next ->
@@ -700,7 +739,10 @@ let scan_batched tree txn vctx ~from ~count ~batch =
         collect acc remaining next
     | Bkey.Neg_inf -> assert false
   in
-  collect [] count from
+  let result = collect [] count from in
+  tree.scan_keys <- tree.scan_keys + !seen_keys;
+  tree.scan_leaves <- tree.scan_leaves + !seen_leaves;
+  result
 
 let scan_in_txn ?batch tree txn vctx ~from ~count =
   let batch = match batch with Some b -> max 1 b | None -> tree.scan_batch in

@@ -54,9 +54,10 @@ val make_tree :
     assuming short keys and values (the YCSB schema: 14-byte keys,
     8-byte values).
 
-    [scan_batch] is the number of leaves fetched per minitransaction
-    round trip by batched scans (default 16; clamped to >= 1, where 1
-    disables batching and scans re-traverse per leaf).
+    [scan_batch] caps the sibling leaves a batched scan fetches per
+    minitransaction round trip; the first round trip after a descent
+    also carries the cursor's own leaf (default 16; clamped to >= 1,
+    where 1 disables batching and scans re-traverse per leaf).
 
     [client] is this proxy's host id for the network fault model: all
     transactions the tree runs carry it, so injected per-link faults
@@ -162,15 +163,20 @@ val scan :
     concurrent updates (Sec. 6.3 explains why tip scans are
     impractical).
 
-    After the first root-to-leaf traversal the scan chases fence keys
-    sideways, fetching up to [batch] (default: the tree's [scan_batch])
-    sibling leaves per minitransaction round trip and overlapping the
-    next batch's fetch with consumption of the current one. Batched
-    leaves are validated individually — fence-key continuity, height,
-    and the Fig. 5 version checks — rather than through a re-traversal;
-    any violation aborts the attempt. [~batch:1] forces the per-leaf
-    path (the oracle the chaos checker compares batched scans
-    against). *)
+    The scan descends to the deepest parent of the leaf holding [from]
+    (internal nodes are dirty-read, mostly from the proxy cache), then
+    fetches that leaf together with its right siblings and chases fence
+    keys sideways, up to [batch] (default: the tree's [scan_batch])
+    siblings per minitransaction round trip. Each group is sized to the
+    keys still needed, over the keys per leaf this scan (or, before its
+    first leaf, this handle's earlier scans) has seen, so a scan fetches
+    about the leaves it consumes; the next group is fetched while the
+    current one is consumed only when the groups in flight are estimated
+    short. Batched leaves are validated individually — fence-key
+    continuity, height, and the Fig. 5 version checks — rather than
+    through a re-traversal; any violation aborts the attempt.
+    [~batch:1] forces the per-leaf path (the oracle the chaos checker
+    compares batched scans against). *)
 
 val run_txn : tree -> (Txn.t -> 'a) -> 'a
 (** Run [f] through {!Txn.run}, the retry loop every transaction shares

@@ -15,9 +15,10 @@ type t = {
   cache_capacity : int;  (** Proxy object-cache entries. *)
   alloc_chunk : int;  (** Slots reserved per allocator refill. *)
   scan_batch : int;
-      (** Leaves fetched per minitransaction round trip by batched
-          scans (default 16); 1 re-traverses per leaf (pre-batching
-          behaviour). *)
+      (** Most sibling leaves a batched scan fetches per
+          minitransaction round trip (default 16; the first round trip
+          also carries the cursor's leaf); 1 re-traverses per leaf
+          (pre-batching behaviour). *)
   unsafe_dirty_leaf_reads : bool;
       (** Deliberately broken concurrency control for checker
           validation: up-to-date leaf reads skip commit-time validation,

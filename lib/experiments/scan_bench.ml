@@ -22,6 +22,7 @@ let side_counters obs =
     [
       ("scan_batches", ss.Obs.scan_batches);
       ("scan_batched_leaves", ss.Obs.scan_batched_leaves);
+      ("scan_consumed_leaves", ss.Obs.scan_consumed_leaves);
       ("scan_continuations", ss.Obs.scan_continuations);
       ("scan_prefetches", ss.Obs.scan_prefetches);
       ("scan_batch_aborts", ss.Obs.scan_batch_aborts);
@@ -164,17 +165,22 @@ let side_json side =
 (* Run both sides and write [dir]/BENCH_scan.json, gated on a 2x
    batched speedup, epoch revalidation exercised by the storm, no bulk
    eviction, and batched floors pinned above the pre-zero-copy 1168
-   scans/s, so an outright slowdown fails even if the ratio survives. *)
+   scans/s, so an outright slowdown fails even if the ratio survives.
+   Leaves per round trip counts every fetched leaf, so two ratchets on
+   the leaves the scans consumed keep it honest: scans that fetched
+   every sibling under a parent, with a full prefetch group beyond it,
+   read 14.37 consumed leaves per round trip and fetched 1.066 leaves
+   per leaf consumed. *)
 let run ?(seed = 0x5ca9) ?dir () =
   let wall_ms = Obs.Bench.stopwatch () in
   let batched = run_side ~seed ~scan_batch:16 ~storm:true in
   let per_leaf = run_side ~seed ~scan_batch:1 ~storm:false in
   let speedup = ops_per_s batched /. ops_per_s per_leaf in
   let b = count batched in
-  let leaves_per_roundtrip =
-    if b "scan_batches" = 0 then 0.0
-    else float_of_int (b "scan_batched_leaves") /. float_of_int (b "scan_batches")
-  in
+  let ratio num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den in
+  let leaves_per_roundtrip = ratio (b "scan_batched_leaves") (b "scan_batches") in
+  let consumed_per_roundtrip = ratio (b "scan_consumed_leaves") (b "scan_batches") in
+  let overfetch = ratio (b "scan_batched_leaves") (b "scan_consumed_leaves") in
   let lookups = b "cache_hits" + b "cache_misses" + b "cache_stale_hits" in
   let hit_rate =
     if lookups = 0 then 0.0 else float_of_int (b "cache_hits") /. float_of_int lookups
@@ -185,6 +191,8 @@ let run ?(seed = 0x5ca9) ?dir () =
     (ops_per_s batched) (ops_per_s per_leaf) speedup;
   Printf.printf "  leaves/roundtrip %.1f, cache hit rate %.3f, prefetches %d, batch aborts %d\n"
     leaves_per_roundtrip hit_rate (b "scan_prefetches") (b "scan_batch_aborts");
+  Printf.printf "  consumed leaves/roundtrip %.2f, fetched/consumed %.3f\n" consumed_per_roundtrip
+    overfetch;
   Printf.printf "  crash storm: %d epoch revalidations (%d survived), %d bulk evictions\n"
     epoch_revalidations (b "cache_epoch_survived") bulk_evictions;
   Printf.printf "  node path: %d view hits, %d materialisations, %d stamp revalidations\n"
@@ -199,6 +207,8 @@ let run ?(seed = 0x5ca9) ?dir () =
           Obs.Bench.at_least "speedup" speedup 2.0;
           Obs.Bench.at_least "batched_ops_per_s" (ops_per_s batched) 1200.0;
           Obs.Bench.at_least "leaves_per_roundtrip" leaves_per_roundtrip 15.0;
+          Obs.Bench.at_least "consumed_leaves_per_roundtrip" consumed_per_roundtrip 14.5;
+          Obs.Bench.at_most "overfetch_ratio" overfetch 1.05;
           Obs.Bench.at_least "epoch_revalidations"
             (float_of_int epoch_revalidations) 1.0;
           Obs.Bench.at_most "bulk_evictions" (float_of_int bulk_evictions) 0.0;
@@ -211,6 +221,8 @@ let run ?(seed = 0x5ca9) ?dir () =
           ("per_leaf", side_json per_leaf);
           ("speedup", Obs.Json.Float speedup);
           ("leaves_per_roundtrip", Obs.Json.Float leaves_per_roundtrip);
+          ("consumed_leaves_per_roundtrip", Obs.Json.Float consumed_per_roundtrip);
+          ("overfetch_ratio", Obs.Json.Float overfetch);
           ("cache_hit_rate", Obs.Json.Float hit_rate);
           ("epoch_revalidations", Obs.Json.Int epoch_revalidations);
           ("epoch_survival_rate",

@@ -143,6 +143,7 @@ type cache_stats = {
 type scan_stats = {
   scan_batches : Counter.t;
   scan_batched_leaves : Counter.t;
+  scan_consumed_leaves : Counter.t;
   scan_continuations : Counter.t;
   scan_prefetches : Counter.t;
   scan_batch_aborts : Counter.t;
@@ -318,6 +319,7 @@ let create () =
     {
       scan_batches = c "scan.batches";
       scan_batched_leaves = c "scan.batched_leaves";
+      scan_consumed_leaves = c "scan.consumed_leaves";
       scan_continuations = c "scan.continuations";
       scan_prefetches = c "scan.prefetches";
       scan_batch_aborts = c "scan.batch_aborts";

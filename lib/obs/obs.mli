@@ -117,6 +117,9 @@ type cache_stats = {
 type scan_stats = {
   scan_batches : Counter.t;  (** Multi-leaf fetch rounds issued. *)
   scan_batched_leaves : Counter.t;  (** Leaves fetched via batch rounds. *)
+  scan_consumed_leaves : Counter.t;
+      (** Batched leaves whose entries the scan read: fetched leaves past
+          the one where the scan ended (or aborted) are not counted. *)
   scan_continuations : Counter.t;
       (** Fence-key continuations: re-traversals after exhausting a
           parent's children. *)

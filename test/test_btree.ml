@@ -777,9 +777,39 @@ let scan_b tree ~batch ~from ~count = Ops.scan ~batch tree ~vctx_of:(tip tree) ~
 
 let scan_counters env = Obs.scan (Cluster.obs env.cluster)
 
+(* The leftmost deepest parent of the tip, read outside any operation,
+   and the [i]th of its leaves. *)
+let first_parent tree =
+  let _, root = read_tip tree in
+  let txn = Txn.begin_ (Ops.cluster tree) in
+  let rec down ptr =
+    let node = Ops.read_node_txn tree txn ptr in
+    match node.Bnode.body with
+    | Bnode.Internal { children; _ } when node.Bnode.height > 1 -> down children.(0)
+    | Bnode.Internal _ -> node
+    | Bnode.Leaf _ -> Alcotest.fail "first_parent: one-level tree"
+  in
+  let parent = down root in
+  (match Txn.commit txn with _ -> ());
+  parent
+
+let leaf_of tree parent i =
+  let txn = Txn.begin_ (Ops.cluster tree) in
+  let leaf = Ops.read_node_txn tree txn (Bnode.child_at parent i) in
+  (match Txn.commit txn with _ -> ());
+  leaf
+
+let fence_key = function Bkey.Key k -> k | Bkey.Neg_inf -> "" | Bkey.Pos_inf -> assert false
+
 let test_batched_scan_matches_per_leaf mode () =
-  (* Every batch size must return exactly the per-leaf sequence, and the
-     batched path must actually run (batch rounds + continuations). *)
+  (* Every batch size must return exactly the per-leaf sequence, against
+     the writable tip (validated batches) and a read-only snapshot (dirty
+     batches), and the batched path must actually run (batch rounds +
+     continuations). The cases include the edges of the first group,
+     which carries the cursor's leaf: [count = 1], counts ending exactly
+     at a leaf boundary, a scan entering at a parent's last leaf (its
+     first group exhausts the parent, so it continues at once), and a
+     one-level tree whose root is its only leaf. *)
   Sim.run (fun () ->
       let env = make_env ~n:3 () in
       let tree = make_tree env ~mode ~max_keys:4 in
@@ -788,24 +818,105 @@ let test_batched_scan_matches_per_leaf mode () =
       for i = 0 to 249 do
         put tree (key (Sim.Rng.int rng 600)) (value i)
       done;
+      let small = make_tree env ~mode ~max_keys:4 ~tree_id:1 in
+      Ops.Linear.init_tree small;
+      for i = 0 to 2 do
+        put small (key (2 * i)) (value i)
+      done;
+      let parent = first_parent tree in
+      let first_leaf = leaf_of tree parent 0 in
+      let last_leaf = leaf_of tree parent (Bnode.nkeys parent) in
+      let last_from = fence_key last_leaf.Bnode.low in
+      let contexts t =
+        let sid, root = create_snapshot t in
+        [ ("tip", tip t); ("snapshot", fun _txn -> Ops.Linear.at_snapshot t ~sid ~root) ]
+      in
       let ss = scan_counters env in
       let batches_before = Obs.Counter.value ss.Obs.scan_batches in
-      List.iter
-        (fun (from, count) ->
-          let oracle = scan_b tree ~batch:1 ~from ~count in
-          List.iter
-            (fun batch ->
-              let got = scan_b tree ~batch ~from ~count in
-              if got <> oracle then
-                Alcotest.fail
-                  (Printf.sprintf "batch=%d diverged from per-leaf at from=%S count=%d" batch
-                     from count))
-            [ 2; 4; 16; 64 ])
-        [ ("", 1000); ("", 37); (key 100, 80); (key 300, 200); (key 599, 10); (key 600, 5) ];
+      let agree t cases =
+        List.iter
+          (fun (ctx, vctx_of) ->
+            List.iter
+              (fun (from, count) ->
+                let oracle = Ops.scan ~batch:1 t ~vctx_of ~from ~count in
+                List.iter
+                  (fun batch ->
+                    let got = Ops.scan ~batch t ~vctx_of ~from ~count in
+                    if got <> oracle then
+                      Alcotest.fail
+                        (Printf.sprintf "%s: batch=%d diverged from per-leaf at from=%S count=%d"
+                           ctx batch from count))
+                  [ 2; 4; 16; 64 ])
+              cases)
+          (contexts t)
+      in
+      let two_leaves = Bnode.nkeys first_leaf + Bnode.nkeys (leaf_of tree parent 1) in
+      agree tree
+        [
+          ("", 1000); ("", 37); (key 100, 80); (key 300, 200); (key 599, 10); (key 600, 5);
+          ("", 1); (key 300, 1);
+          ("", Bnode.nkeys first_leaf);
+          (fence_key first_leaf.Bnode.low, two_leaves);
+          (last_from, Bnode.nkeys last_leaf);
+          (last_from, 20);
+        ];
+      agree small [ ("", 10); ("", 1); (key 1, 2); (key 4, 1); (key 5, 3) ];
       check Alcotest.bool "batch rounds ran" true
         (Obs.Counter.value ss.Obs.scan_batches > batches_before);
       check Alcotest.bool "continuations ran" true
         (Obs.Counter.value ss.Obs.scan_continuations > 0))
+
+(* Demand-sized groups: a scan fetches about the leaves it consumes.
+   Ascending inserts build 29 leaves under the root, 50 keys each but
+   the last; a 1000-key scan from the start needs 20 of them, and its
+   first group (the 20 that the half-full prior asks for, plus one for
+   the cursor's leaf) covers them in one round trip. A scan that fetched
+   every remaining sibling would read all 29. *)
+let test_batched_scan_fetch_bound () =
+  Sim.run (fun () ->
+      let layout = Layout.make ~node_size:4096 ~max_slots:512 ~max_trees:4 ~max_snapshots:256 () in
+      let config =
+        { Sinfonia.Config.default with heap_capacity = Layout.heap_capacity_needed layout }
+      in
+      let cluster = Cluster.create ~config ~n:2 () in
+      let shared = Node_alloc.Shared.create ~n_memnodes:2 in
+      let alloc = Node_alloc.create ~cluster ~layout ~shared () in
+      let tree =
+        Ops.make_tree ~max_keys_leaf:100 ~max_keys_internal:64 ~cluster ~layout ~tree_id:0 ~alloc
+          ~cache:(Objcache.create (Obs.create ()))
+          ()
+      in
+      Ops.Linear.init_tree tree;
+      (* Ascending inserts leave every full leaf split in half. *)
+      for i = 0 to 1499 do
+        put tree (key i) (value i)
+      done;
+      let sid, root = create_snapshot tree in
+      let ss = Obs.scan (Cluster.obs cluster) in
+      let counted ~from ~count =
+        let v = Obs.Counter.value in
+        let b0 = v ss.Obs.scan_batches
+        and f0 = v ss.Obs.scan_batched_leaves
+        and c0 = v ss.Obs.scan_consumed_leaves in
+        let r =
+          Ops.scan ~batch:32 tree
+            ~vctx_of:(fun _txn -> Ops.Linear.at_snapshot tree ~sid ~root)
+            ~from ~count
+        in
+        (r, v ss.Obs.scan_batches - b0, v ss.Obs.scan_batched_leaves - f0,
+         v ss.Obs.scan_consumed_leaves - c0)
+      in
+      let entries lo n = List.init n (fun i -> (key (lo + i), value (lo + i))) in
+      let pairs = Alcotest.(list (pair string string)) in
+      let r, batches, fetched, consumed = counted ~from:"" ~count:1000 in
+      check pairs "1000 keys" (entries 0 1000) r;
+      check Alcotest.int "consumed leaves" 20 consumed;
+      check Alcotest.int "one round trip" 1 batches;
+      if fetched > consumed + 2 then
+        Alcotest.failf "fetched %d leaves for %d consumed" fetched consumed;
+      let r, _, fetched, _ = counted ~from:(key 777) ~count:1 in
+      check pairs "one key" (entries 777 1) r;
+      if fetched > 2 then Alcotest.failf "a one-key scan fetched %d leaves" fetched)
 
 let test_batched_scan_crossing_concurrent_splits mode () =
   (* A batched scan runs while a second proxy splits and empties leaves
@@ -1009,6 +1120,7 @@ let () =
             (test_batched_scan_matches_per_leaf Ops.Dirty_traversal);
           Alcotest.test_case "matches per-leaf (validated)" `Quick
             (test_batched_scan_matches_per_leaf Ops.Validated_traversal);
+          Alcotest.test_case "fetches what it consumes" `Quick test_batched_scan_fetch_bound;
           Alcotest.test_case "concurrent splits/merges (dirty)" `Quick
             (test_batched_scan_crossing_concurrent_splits Ops.Dirty_traversal);
           Alcotest.test_case "concurrent splits/merges (validated)" `Quick

@@ -233,7 +233,8 @@ let expected_counters =
     "recovery.in_doubt"; "recovery.orphans_released"; "recovery.promotions";
     "recovery.resolved_abort"; "recovery.resolved_commit"; "redo.replayed";
     "replication.mirror_skipped"; "replication.mirrors"; "scan.batch_aborts";
-    "scan.batched_leaves"; "scan.batches"; "scan.continuations"; "scan.prefetches";
+    "scan.batched_leaves"; "scan.batches"; "scan.consumed_leaves"; "scan.continuations";
+    "scan.prefetches";
     "scs.borrows"; "scs.snapshots_created"; "scs.stale_reuses"; "txn.commits";
     "txn.free_commits"; "txn.retry_exhausted"; "txn.unavailable"; "txn.validation_failures" ]
 
@@ -361,6 +362,22 @@ let test_json_parser () =
   | exception Obs.Json.Parse_error _ -> ()
   | _ -> Alcotest.fail "parser accepted garbage")
 
+(* A committed report matches a fresh one everywhere but wall_ms; the
+   first difference is named by its path. *)
+let test_bench_pinned () =
+  let rows ns =
+    [ ("rows", Obs.Json.List (List.map (fun n -> Obs.Json.Obj [ ("n", Obs.Json.Int n) ]) ns)) ]
+  in
+  let json ?(fields = rows [ 1; 2 ]) wall_ms =
+    Obs.Bench.to_json { (report ~fields [ Obs.Bench.at_least "a" 2.0 1.0 ]) with Obs.Bench.wall_ms }
+  in
+  let diff = Alcotest.(option string) in
+  check diff "only wall_ms differs" None (Obs.Bench.first_difference ~pinned:(json 1.0) (json 9.0));
+  check diff "nested value" (Some ".rows[1].n")
+    (Obs.Bench.first_difference ~pinned:(json 1.0) (json ~fields:(rows [ 1; 3 ]) 1.0));
+  check diff "missing field" (Some ".rows")
+    (Obs.Bench.first_difference ~pinned:(json 1.0) (json ~fields:[] 1.0))
+
 let () =
   Alcotest.run "obs"
     [
@@ -388,5 +405,6 @@ let () =
           Alcotest.test_case "non-finite values fail" `Quick test_bench_non_finite;
           Alcotest.test_case "written report validates" `Quick test_bench_written_validates;
           Alcotest.test_case "validate rejects" `Quick test_bench_validate_rejects;
+          Alcotest.test_case "pinned report" `Quick test_bench_pinned;
         ] );
     ]
