@@ -17,10 +17,13 @@ check_report() {
 
 # The scan and traffic benches are pure functions of their seeds: the
 # fresh report must also equal the committed one outside wall_ms, or
-# the committed file has gone stale.
+# the committed file has gone stale; on failure both are printed.
 check_pinned() {
   dune exec bin/minuet_bench.exe -- check-report --pinned "BENCH_$1.json" \
-    "$smoke_dir/BENCH_$1.json"
+    "$smoke_dir/BENCH_$1.json" || {
+    diff "BENCH_$1.json" "$smoke_dir/BENCH_$1.json" || true
+    return 1
+  }
 }
 
 echo "== dune build =="

@@ -132,11 +132,8 @@ let check_report_cmd =
       | None -> Ok ()
       | Some pinned_file -> (
           let* pinned = load pinned_file in
-          match Obs.Bench.first_difference ~pinned json with
-          | None -> Ok ()
-          | Some path ->
-              Error
-                (Printf.sprintf "%s: differs from the committed %s at %s" file pinned_file path))
+          if Obs.Bench.matches_pinned ~pinned json then Ok ()
+          else Error (Printf.sprintf "%s: differs from the committed %s" file pinned_file))
     in
     match verdict with
     | Ok () -> Printf.printf "%s: ok\n%!" file

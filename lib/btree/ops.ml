@@ -631,7 +631,10 @@ let scan_batched tree txn vctx ~from ~count ~batch =
       else (tree.max_keys_leaf / 2, 1)
     in
     let per_leaf = Float.max 1.0 (float_of_int keys /. float_of_int leaves) in
-    int_of_float (Float.ceil (float_of_int remaining /. per_leaf))
+    (* Capped at two groups, past which no group size changes, so that a
+       [count] near [max_int] cannot overflow the conversion. *)
+    let cap = float_of_int (2 * (batch + 1)) in
+    int_of_float (Float.min cap (Float.ceil (float_of_int remaining /. per_leaf)))
   in
   (* Leaves still needed from [pos] on: a leaf entered at the cursor is
      only partly consumed, so it counts for none of [remaining]. *)

@@ -113,35 +113,13 @@ let validate = function
                 (String.concat ", " envelope) schema_version))
   | _ -> err "not a JSON object"
 
-let first_difference ~pinned fresh =
-  let rec diff path a b =
-    match (a, b) with
-    | Json.Obj xs, Json.Obj ys ->
-        let rec fields = function
-          | [], [] -> None
-          | (k, x) :: xs, (k', y) :: ys when String.equal k k' -> (
-              match diff (path ^ "." ^ k) x y with None -> fields (xs, ys) | d -> d)
-          | (k, _) :: _, _ | [], (k, _) :: _ -> Some (path ^ "." ^ k)
-        in
-        fields (xs, ys)
-    | Json.List xs, Json.List ys ->
-        let rec items i = function
-          | [], [] -> None
-          | x :: xs, y :: ys -> (
-              match diff (Printf.sprintf "%s[%d]" path i) x y with
-              | None -> items (i + 1) (xs, ys)
-              | d -> d)
-          | _ -> Some (Printf.sprintf "%s[%d]" path i)
-        in
-        items 0 (xs, ys)
-    | _ -> if Json.equal a b then None else Some (if String.equal path "" then "." else path)
-  in
+let matches_pinned ~pinned fresh =
   let host_free = function
     | Json.Obj fields ->
         Json.Obj (List.filter (fun (k, _) -> not (String.equal k "wall_ms")) fields)
     | j -> j
   in
-  diff "" (host_free pinned) (host_free fresh)
+  Json.equal (host_free pinned) (host_free fresh)
 
 (* Host time of a bench run, reported beside its simulated results;
    nothing simulated reads it. *)

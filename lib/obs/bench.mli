@@ -37,11 +37,10 @@ val validate : Json.t -> (unit, string) result
 (** Check a parsed report against the envelope, recomputing each
     gate's [pass] and their conjunction. *)
 
-val first_difference : pinned:Json.t -> Json.t -> string option
-(** Compare a fresh report with a committed ([pinned]) one everywhere
+val matches_pinned : pinned:Json.t -> Json.t -> bool
+(** Whether a fresh report equals a committed ([pinned]) one everywhere
     but the envelope's [wall_ms], the only host measurement a seeded
-    bench writes: [None] when they agree, or the path of the first
-    field that differs (as [.scenarios[2].events]). *)
+    bench writes. *)
 
 val stopwatch : unit -> unit -> float
 (** [stopwatch ()] starts a host wall clock; the returned function

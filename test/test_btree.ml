@@ -861,6 +861,18 @@ let test_batched_scan_matches_per_leaf mode () =
           (last_from, 20);
         ];
       agree small [ ("", 10); ("", 1); (key 1, 2); (key 4, 1); (key 5, 3) ];
+      (* [remove] never merges leaves, so emptying the first parent's
+         leaves drops the keys-per-leaf estimate to one; an unbounded
+         count must still size its groups without overflowing. *)
+      let parent_high =
+        match parent.Bnode.high with
+        | Bkey.Key k -> k
+        | _ -> Alcotest.fail "first parent is the last"
+      in
+      List.iter
+        (fun (k, _) -> if k < parent_high then ignore (remove tree k : bool))
+        (Ops.scan ~batch:1 tree ~vctx_of:(tip tree) ~from:"" ~count:max_int);
+      agree tree [ ("", max_int); ("", 3); (key 100, max_int) ];
       check Alcotest.bool "batch rounds ran" true
         (Obs.Counter.value ss.Obs.scan_batches > batches_before);
       check Alcotest.bool "continuations ran" true

@@ -67,10 +67,11 @@ let test_each_kind_alone () =
 let test_broken_mode_caught () =
   (* unsafe_dirty_leaf_reads skips leaf validation on read-only
      traversals; the checker must catch the resulting stale reads and
-     report a counterexample. Whether one short run happens to serialize
-     a stale read is a matter of timing: over seeds 1-60 this
-     configuration is caught on 38, so the seed is one that is caught. *)
-  let r = Runner.run (small ~seed:1 ~duration:0.5 ~broken:true ()) in
+     report a counterexample. Whether a run serializes a stale read is a
+     matter of timing, so the run is long enough that the outcome does
+     not hang on the seed: at 0.5 s this configuration is caught on
+     about two seeds in three, at 4 s on every one of seeds 1-250. *)
+  let r = Runner.run (small ~seed:11 ~duration:4.0 ~broken:true ()) in
   check Alcotest.bool "broken run fails" false (Runner.passed r);
   check Alcotest.bool "violations reported" true
     (r.Runner.verdict.Check.Stream.violations <> []);
