@@ -588,7 +588,7 @@ let node_cmd =
         done
       done;
       (c ns_.Obs.view_hits, c ns_.Obs.materialisations, c ns_.Obs.node_bytes_copied,
-       c ss.Obs.scan_batched_leaves, Btree.View_memo.length (Minuet.Db.view_memo db), !node_slots,
+       c ss.Obs.scan_consumed_leaves, Btree.View_memo.length (Minuet.Db.view_memo db), !node_slots,
        !resident)
     in
     let resident_per_slot = float_of_int resident /. float_of_int (max 1 node_slots) in

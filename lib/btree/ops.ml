@@ -192,7 +192,7 @@ let read_internal tree txn (ptr : Objref.t) =
       if not (Bview.is_leaf v) then
         Txn.validate_replicated txn
           ~off:(Layout.seq_entry_off tree.layout ptr.Objref.addr)
-          ~seq;
+          ~seq ~obj:ptr;
       v
 
 (* Leaves are always fetched from Sinfonia, never from the proxy cache

@@ -161,29 +161,31 @@ type parked = Parked of Event.t | Parked_scan of { ev : Event.t; packed : string
    and written once: a scan's packing is one allocation. *)
 let rec varint_size n = if n < 0x80 then 1 else 1 + varint_size (n lsr 7)
 
+(* Write [n >= 0] as a varint at [pos]; the position after it. *)
+let rec set_varint b pos n =
+  if n < 0x80 then begin
+    Bytes.set b pos (Char.unsafe_chr n);
+    pos + 1
+  end
+  else begin
+    Bytes.set b pos (Char.unsafe_chr (n land 0x7f lor 0x80));
+    set_varint b (pos + 1) (n lsr 7)
+  end
+
 let pack_pairs pairs =
   let field_size s = varint_size (String.length s) + String.length s in
   let size = List.fold_left (fun acc (k, v) -> acc + field_size k + field_size v) 0 pairs in
   let b = Bytes.create size in
   let field pos s =
-    let rec len pos n =
-      if n < 0x80 then begin
-        Bytes.set b pos (Char.unsafe_chr n);
-        pos + 1
-      end
-      else begin
-        Bytes.set b pos (Char.unsafe_chr (n land 0x7f lor 0x80));
-        len (pos + 1) (n lsr 7)
-      end
-    in
-    let pos = len pos (String.length s) in
+    let pos = set_varint b pos (String.length s) in
     Bytes.blit_string s 0 b pos (String.length s);
     pos + String.length s
   in
   ignore (List.fold_left (fun pos (k, v) -> field (field pos k) v) 0 pairs);
   Bytes.unsafe_to_string b
 
-(* The field at [pos]: its start and length. *)
+(* The field at [pos]: its start and length. Also reads a bare varint:
+   the position after it and its value. *)
 let packed_field packed pos =
   let rec len pos shift acc =
     let c = Char.code packed.[pos] in
@@ -241,6 +243,194 @@ let packed_matches packed seq ~count =
   in
   walk 0 count seq
 
+(* The violation context: the last [depth] keyed events applied on a
+   key. Every key ever touched keeps one, so it is packed into one
+   string, newest event first, each as its body's length (varint) and
+   the body. A body omits the key (the context's owner) and holds a
+   header byte (bits 0-2 the operation, then ambiguous, client, stamp,
+   sid present), the operation's fields (strings length-prefixed, an
+   optional string as 0 for [None] or its length + 1, [at]/[from] and
+   version ids as 8 little-endian bytes, bools as one byte), the index
+   and client as zigzag varints, both times, and the stamp and sid as 8
+   bytes each. Unpacked only to report a violation. *)
+module Context = struct
+  let depth = 4
+
+  let add_varint b n =
+    let rec go n =
+      if n land lnot 0x7f = 0 then Buffer.add_char b (Char.unsafe_chr n)
+      else begin
+        Buffer.add_char b (Char.unsafe_chr (n land 0x7f lor 0x80));
+        go (n lsr 7)
+      end
+    in
+    go n
+
+  let add_int b n = add_varint b ((n lsl 1) lxor (n asr (Sys.int_size - 1)))
+
+  let add_string b s =
+    add_varint b (String.length s);
+    Buffer.add_string b s
+
+  let add_opt b = function
+    | None -> add_varint b 0
+    | Some s ->
+        add_varint b (String.length s + 1);
+        Buffer.add_string b s
+
+  let add_bool b x = Buffer.add_char b (if x then '\001' else '\000')
+
+  let add_versioned b results =
+    add_varint b (List.length results);
+    List.iter
+      (fun (sid, r) ->
+        Buffer.add_int64_le b sid;
+        add_opt b r)
+      results
+
+  (* The header byte first, then the operation's fields, then the
+     fields every event has. *)
+  let encode b (ev : Event.t) =
+    let flag present bit = if present then bit else 0 in
+    let flags =
+      flag ev.ambiguous 8
+      lor flag (Option.is_some ev.client) 16
+      lor flag (Option.is_some ev.stamp) 32
+      lor flag (Option.is_some ev.sid) 64
+    in
+    let header tag = Buffer.add_char b (Char.unsafe_chr (tag lor flags)) in
+    (match ev.op with
+    | Event.Get { result; _ } ->
+        header 0;
+        add_opt b result
+    | Event.Put { value; _ } ->
+        header 1;
+        add_string b value
+    | Event.Remove { removed; _ } ->
+        header 2;
+        add_bool b removed
+    | Event.Branch_get { at; result; _ } ->
+        header 3;
+        Buffer.add_int64_le b at;
+        add_opt b result
+    | Event.Branch_put { at; value; _ } ->
+        header 4;
+        Buffer.add_int64_le b at;
+        add_string b value
+    | Event.Branch_remove { at; removed; _ } ->
+        header 5;
+        Buffer.add_int64_le b at;
+        add_bool b removed
+    | Event.Get_many { results; _ } ->
+        header 6;
+        add_versioned b results
+    | Event.History { from; results; _ } ->
+        header 7;
+        Buffer.add_int64_le b from;
+        add_versioned b results
+    | Event.Scan _ | Event.Branch_scan _ | Event.Snapshot_taken | Event.Branch_created _
+    | Event.Branch_deleted _ ->
+        invalid_arg "Stream.Context.push: operation without a key");
+    add_int b ev.index;
+    Option.iter (add_int b) ev.client;
+    Buffer.add_int64_le b (Int64.bits_of_float ev.invoked_at);
+    Buffer.add_int64_le b (Int64.bits_of_float ev.returned_at);
+    Option.iter (Buffer.add_int64_le b) ev.stamp;
+    Option.iter (Buffer.add_int64_le b) ev.sid
+
+  let push packed ev =
+    let b = Buffer.create 64 in
+    encode b ev;
+    let body = Buffer.length b in
+    (* Bytes of the newest [depth - 1] events already held. *)
+    let rec kept pos n =
+      if n = 0 || pos = String.length packed then pos
+      else
+        let start, len = packed_field packed pos in
+        kept (start + len) (n - 1)
+    in
+    let kept = kept 0 (depth - 1) in
+    let out = Bytes.create (varint_size body + body + kept) in
+    let pos = set_varint out 0 body in
+    Buffer.blit b 0 out pos body;
+    Bytes.blit_string packed 0 out (pos + body) kept;
+    Bytes.unsafe_to_string out
+
+  (* The event whose body starts at [pos]. Fields are read in encoding
+     order, so each is bound before the record is built. *)
+  let decode ~key packed pos =
+    let pos = ref pos in
+    let varint () =
+      let next, n = packed_field packed !pos in
+      pos := next;
+      n
+    in
+    let chars n =
+      let s = String.sub packed !pos n in
+      pos := !pos + n;
+      s
+    in
+    let string () = chars (varint ()) in
+    let opt () = match varint () with 0 -> None | n -> Some (chars (n - 1)) in
+    let int () =
+      let z = varint () in
+      (z lsr 1) lxor -(z land 1)
+    in
+    let i64 () =
+      let v = String.get_int64_le packed !pos in
+      pos := !pos + 8;
+      v
+    in
+    let bool () = chars 1 <> "\000" in
+    let versioned () =
+      let rec go n acc =
+        if n = 0 then List.rev acc
+        else
+          let sid = i64 () in
+          let r = opt () in
+          go (n - 1) ((sid, r) :: acc)
+      in
+      go (varint ()) []
+    in
+    let header = Char.code packed.[!pos] in
+    incr pos;
+    let op =
+      match header land 7 with
+      | 0 -> Event.Get { key; result = opt () }
+      | 1 -> Event.Put { key; value = string () }
+      | 2 -> Event.Remove { key; removed = bool () }
+      | 3 ->
+          let at = i64 () in
+          Event.Branch_get { at; key; result = opt () }
+      | 4 ->
+          let at = i64 () in
+          Event.Branch_put { at; key; value = string () }
+      | 5 ->
+          let at = i64 () in
+          Event.Branch_remove { at; key; removed = bool () }
+      | 6 -> Event.Get_many { key; results = versioned () }
+      | _ ->
+          let from = i64 () in
+          Event.History { from; key; results = versioned () }
+    in
+    let index = int () in
+    let client = if header land 16 <> 0 then Some (int ()) else None in
+    let invoked_at = Int64.float_of_bits (i64 ()) in
+    let returned_at = Int64.float_of_bits (i64 ()) in
+    let stamp = if header land 32 <> 0 then Some (i64 ()) else None in
+    let sid = if header land 64 <> 0 then Some (i64 ()) else None in
+    { Event.client; index; op; invoked_at; returned_at; stamp; sid; ambiguous = header land 8 <> 0 }
+
+  let events ~key packed =
+    let rec go pos acc =
+      if pos = String.length packed then acc
+      else
+        let start, len = packed_field packed pos in
+        go (start + len) (decode ~key packed start :: acc)
+    in
+    go 0 []
+end
+
 let park ev =
   match ev.Event.op with
   | Event.Scan { from; count; result } ->
@@ -281,7 +471,7 @@ type shard = {
   s_idx : int;
   s_realm : realm;
   mutable s_ncand : int;
-  s_recent : (string, Event.t list) Hashtbl.t;
+  s_recent : (string, string) Hashtbl.t; (* key -> packed [Context] *)
   mutable s_pending : pending list; (* newest first *)
   mutable s_npending : int;
   mutable s_frozen : string Smap.t I64map.t; (* linear sid -> frozen model *)
@@ -356,9 +546,8 @@ let op_key ev =
       None
 
 let note_recent sh key ev =
-  let prev = Option.value (Hashtbl.find_opt sh.s_recent key) ~default:[] in
-  let rec cap n = function [] -> [] | x :: tl -> if n = 0 then [] else x :: cap (n - 1) tl in
-  Hashtbl.replace sh.s_recent key (cap 4 (ev :: prev))
+  let prev = Option.value (Hashtbl.find_opt sh.s_recent key) ~default:"" in
+  Hashtbl.replace sh.s_recent key (Context.push prev ev)
 
 let violate sh ?event ?key fmt =
   Format.kasprintf
@@ -366,7 +555,7 @@ let violate sh ?event ?key fmt =
       let ctx =
         match key with
         | None -> []
-        | Some k -> List.rev (Option.value (Hashtbl.find_opt sh.s_recent k) ~default:[])
+        | Some k -> Context.events ~key:k (Option.value (Hashtbl.find_opt sh.s_recent k) ~default:"")
       in
       sh.s_violations <-
         { v_index = sh.s_idx; v_message = msg; v_event = event; v_context = ctx }

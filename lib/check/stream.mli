@@ -84,6 +84,19 @@ type verdict = {
   twopc_checked : int;  (** 2PC decision records cross-checked. *)
 }
 
+(** The packed per-key context behind {!violation.v_context}; exposed
+    for tests. *)
+module Context : sig
+  val push : string -> Event.t -> string
+  (** [push ctx ev] adds [ev] to the context [ctx] ([""] when empty),
+      keeping the newest 4 events. [ev] must carry a key ([Get], [Put],
+      [Remove], their [Branch_] forms, [Get_many] or [History]); the
+      key is not stored. Raises [Invalid_argument] otherwise. *)
+
+  val events : key:string -> string -> Event.t list
+  (** The events of a context, oldest first, each given [key]. *)
+end
+
 val ok : verdict -> bool
 (** No violations (inconclusive notes allowed). *)
 

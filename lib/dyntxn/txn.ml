@@ -29,7 +29,8 @@ type t = {
   dirty_seen : (Objref.t, int64 * string) Hashtbl.t;
   repl_reads : (int, repl_read) Hashtbl.t; (* keyed by offset *)
   repl_writes : (int, int * string) Hashtbl.t; (* offset -> slot len, payload *)
-  repl_validates : (int, int64) Hashtbl.t; (* offset -> expected seq, no fetch *)
+  repl_validates : (int, int64 * Objref.t) Hashtbl.t;
+      (* offset -> expected seq and the object it numbers, no fetch *)
   dirty_repl_seen : (int, int) Hashtbl.t; (* offset -> len, for cache eviction *)
   mutable aborted : bool;
   mutable fetches : int;
@@ -136,7 +137,7 @@ let piggyback_compares t ~nodes =
       else all_covered := false);
   Sim.Det.iter_sorted t.repl_reads ~cmp:Int.compare (fun off rr ->
       compares := seq_compare_at (Address.make ~node:repl_node ~off) rr.rr_seq :: !compares);
-  Sim.Det.iter_sorted t.repl_validates ~cmp:Int.compare (fun off seq ->
+  Sim.Det.iter_sorted t.repl_validates ~cmp:Int.compare (fun off (seq, _) ->
       if not (Hashtbl.mem t.repl_reads off) then
         compares := seq_compare_at (Address.make ~node:repl_node ~off) seq :: !compares);
   (!compares, !covered, !all_covered)
@@ -389,10 +390,10 @@ let write t ref_ payload = write_gen t ref_ payload ~echo:None
 
 let write_linked t ref_ payload ~repl_off = write_gen t ref_ payload ~echo:(Some repl_off)
 
-let validate_replicated t ~off ~seq =
+let validate_replicated t ~off ~seq ~obj =
   check_live t;
   if not (Hashtbl.mem t.repl_validates off) then begin
-    Hashtbl.replace t.repl_validates off seq;
+    Hashtbl.replace t.repl_validates off (seq, obj);
     note_footprint t;
     t.fully_validated <- false
   end
@@ -446,21 +447,25 @@ let write_replicated t ~off ~len payload =
   Hashtbl.replace t.repl_writes off (len, payload)
 
 (* Each iter below only invalidates cache entries — idempotent per key,
-   so iteration order cannot reach the resulting cache state. *)
+   so iteration order cannot reach the resulting cache state.
+
+   Negative entries: a read-set entry observed with an empty payload
+   names a deleted or unallocated slot. Drop any cached copy so a
+   post-abort retry cannot dirty-read the dead node out of the cache and
+   traverse into freed space. *)
+let evict_negative t cache =
+  (* lint: allow transitive-nondet *)
+  Hashtbl.iter
+    (fun ref_ e -> if String.length e.payload = 0 then Objcache.invalidate cache ref_)
+    t.reads
+
 let evict_dirty t =
   match t.cache with
   | None -> ()
   | Some cache ->
       (* lint: allow transitive-nondet *)
       Hashtbl.iter (fun ref_ _ -> Objcache.invalidate cache ref_) t.dirty_seen;
-      (* Negative entries: a read-set entry observed with an empty
-         payload names a deleted or unallocated slot. Drop any cached
-         copy so a post-abort retry cannot dirty-read the dead node out
-         of the cache and traverse into freed space. *)
-      (* lint: allow transitive-nondet *)
-      Hashtbl.iter
-        (fun ref_ e -> if String.length e.payload = 0 then Objcache.invalidate cache ref_)
-        t.reads;
+      evict_negative t cache;
       (* Replicated reads may also have come from the cache. *)
       (* lint: allow transitive-nondet *)
       Hashtbl.iter
@@ -568,10 +573,9 @@ let commit ?(blocking = false) t =
     in
     let repl_validate_compares =
       Sim.Det.fold_sorted t.repl_validates ~cmp:Int.compare
-        (fun off seq acc ->
+        (fun off (seq, obj) acc ->
           if Hashtbl.mem t.repl_reads off then acc
-          else
-            (seq_compare_at (Address.make ~node:preferred_node ~off) seq, `Repl_seq off) :: acc)
+          else (seq_compare_at (Address.make ~node:preferred_node ~off) seq, `Repl_seq obj) :: acc)
         []
     in
     let compares = read_compares @ repl_compares @ repl_validate_compares in
@@ -610,7 +614,7 @@ let commit ?(blocking = false) t =
                   match tagged.(i) with
                   | `Obj ref_ -> Objcache.invalidate cache ref_
                   | `Repl (off, len) -> Objcache.invalidate cache (cache_key_of_repl t off len)
-                  | `Repl_seq _ -> ())
+                  | `Repl_seq obj -> Objcache.invalidate cache obj)
               idxs);
         Obs.Counter.incr t.stats.Obs.validation_failures;
         Obs.abort t.obs ~layer:Obs.Abort.Txn Obs.Abort.Validation_failed;
@@ -668,12 +672,17 @@ let run ?cache ?client ?home ?(blocking = false) ~name cluster f =
             Obs.span_end obs span;
             (result, txn.commit_stamp)
         | Validation_failed ->
+            (* [commit] already evicted the entries whose compares
+               failed: a stale leaf proves nothing about the cached path
+               above it. If that path is stale too, the retry's safety
+               checks raise [Aborted], which evicts it. *)
             Obs.span_end obs span ~outcome:(Obs.Span.Aborted Obs.Abort.Validation_failed);
-            evict_dirty txn;
+            Option.iter (evict_negative txn) cache;
             go (attempt + 1)
         | Retry_exhausted ->
+            (* A busy lock says nothing about what the attempt read. *)
             Obs.span_end obs span ~outcome:(Obs.Span.Aborted Obs.Abort.Lock_busy);
-            evict_dirty txn;
+            Option.iter (evict_negative txn) cache;
             go (attempt + 1)
         | Unavailable { maybe_applied = true } ->
             (* Cannot retry: the commit may already be in. The caller
@@ -691,6 +700,9 @@ let run ?cache ?client ?home ?(blocking = false) ~name cluster f =
             outage_backoff cluster attempt;
             go (attempt + 1))
     | exception Aborted msg ->
+        (* Traversal safety checks, decode and CRC errors and failed
+           piggy-backed validation abort here: this is where a stale
+           cached node is detected, so the whole dirty set goes. *)
         Obs.span_end obs span ~outcome:(Obs.Span.Failed msg);
         if is_outage msg then outage_backoff cluster attempt else evict_dirty txn;
         go (attempt + 1)

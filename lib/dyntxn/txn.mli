@@ -63,7 +63,8 @@ val dirty_read : ?use_cache:bool -> t -> Objref.t -> string
 (** Read without validation: from the write set, the read set, the
     cache, or (on miss) the memnode — caching the result. The object is
     remembered so that a later {!write} adds it to the read set, and so
-    that {!evict_dirty} can purge the traversal path on abort.
+    that {!evict_dirty} can purge the traversal path after an {!Aborted}
+    read.
     [~use_cache:false] bypasses the proxy cache entirely (no lookup, no
     insert): the paper always fetches leaf nodes directly from Sinfonia
     (Sec. 4.2). *)
@@ -110,13 +111,15 @@ val write_replicated : t -> off:int -> len:int -> string -> unit
 (** Buffer a write to a replicated object; commit will update all
     replicas atomically (engaging every memnode). *)
 
-val validate_replicated : t -> off:int -> seq:int64 -> unit
+val validate_replicated : t -> off:int -> seq:int64 -> obj:Objref.t -> unit
 (** Add a commit-time comparison asserting that the replicated object at
     [off] still has sequence number [seq], without fetching it. Used by
     the baseline mode of Aguilera et al.: internal-node sequence numbers
     are replicated at every memnode ({!write_linked}), so a traversal can
     validate cached internal nodes at whatever memnode the commit runs
-    on. Re-asserting the same offset keeps the earliest expectation. *)
+    on. [obj] is the object [seq] numbers: a failed comparison evicts
+    its cached copy. Re-asserting the same offset keeps the earliest
+    expectation. *)
 
 val write_linked : t -> Objref.t -> string -> repl_off:int -> unit
 (** Like {!write}, additionally republishing the object's fresh
@@ -128,14 +131,17 @@ val abort : t -> 'a
 (** Mark the transaction aborted and raise {!Aborted}. *)
 
 val evict_dirty : t -> unit
-(** Invalidate every cache entry this transaction dirty-read. Called by
-    retry loops after an abort caused by stale cached data. *)
+(** Invalidate every cache entry this transaction dirty-read, and any
+    cached copy of a read-set entry observed empty. {!run} calls it
+    after an {!Aborted} attempt, where stale cached data is detected. *)
 
 (** {1 Commit} *)
 
 type commit_result =
   | Committed
-  | Validation_failed  (** Some read-set entry was stale; stale cache entries evicted. *)
+  | Validation_failed
+      (** Some read-set entry was stale; the cached copies of the
+          entries whose comparisons failed are evicted. *)
   | Retry_exhausted  (** Lock contention exceeded the retry budget. *)
   | Unavailable of { maybe_applied : bool }
       (** A participant was crashed or partitioned off; distinct from
@@ -175,10 +181,15 @@ val run :
     transaction in the system commits through here, except the node
     allocator's chunk reservation.
     - {b Contention} (a validation failure, lock-busy, or an {!Aborted}
-      read that is not an outage): evict the attempt's dirty cache
-      entries and retry; a non-blocking transaction first sleeps a
-      jittered backoff of up to 120 µs, a blocking one retries at once
-      (its locks were already waited for at the memnode).
+      read that is not an outage): retry; a non-blocking transaction
+      first sleeps a jittered backoff of up to 120 µs, a blocking one
+      retries at once (its locks were already waited for at the
+      memnode). What the cache loses depends on the abort: after an
+      {!Aborted} read (a failed safety check, decode or CRC error, or
+      piggy-backed validation) {!evict_dirty}; after [Validation_failed]
+      only what {!commit} proved stale; after [Retry_exhausted]
+      nothing. Either commit result also drops cached copies of
+      read-set entries observed empty.
     - {b Outage} ([Unavailable {maybe_applied = false}], or a read that
       aborted on a crashed or partitioned memnode): sleep a jittered
       backoff of up to 16 ms, keep the cache, retry.

@@ -715,6 +715,89 @@ let test_fig3_fence_keys_prevent_wrong_leaf () =
       check Alcotest.bool "safety checks fired" true (fence_aborts_after > fence_aborts_before))
 
 (* ------------------------------------------------------------------ *)
+(* What an aborted attempt evicts from the proxy cache                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Two proxies over a multi-level tree holding keys 0, 10, ..., 390;
+   the second one ([t2], counting into [obs2]) has every internal node
+   cached. *)
+let with_warm_proxies f =
+  Sim.run (fun () ->
+      let env = make_env ~n:2 () in
+      let t1 = make_tree env ~cache:(Objcache.create (Obs.create ())) in
+      Ops.Linear.init_tree t1;
+      let obs2 = Obs.create () in
+      let cache2 = Objcache.create obs2 in
+      let t2 = make_tree env ~cache:cache2 in
+      for i = 0 to 39 do
+        put t1 (key (10 * i)) "v0"
+      done;
+      for i = 0 to 39 do
+        check (Alcotest.option Alcotest.string) "warm" (Some "v0") (get t2 (key (10 * i)))
+      done;
+      f env t1 t2 obs2 cache2)
+
+let test_leaf_validation_keeps_cached_path () =
+  (* A rival proxy rewrites the leaf between the put's leaf read and
+     its commit, so the commit fails validation. That proves the leaf
+     stale, not the path above it: the retry finds the tip, the root
+     and the internal nodes still cached. *)
+  with_warm_proxies (fun env t1 t2 obs2 _ ->
+      let k = key 170 in
+      let txn_stats = Obs.txn (Cluster.obs env.cluster) in
+      let failures0 = Obs.Counter.value txn_stats.Obs.validation_failures in
+      let misses () = Obs.Counter.value (Obs.cache obs2).Obs.cache_misses in
+      let misses0 = misses () in
+      let attempts = ref 0 in
+      Ops.run_txn t2 (fun txn ->
+          incr attempts;
+          Ops.put_in_txn t2 txn (tip t2 txn) k "mine";
+          if !attempts = 1 then put t1 k "rival");
+      check Alcotest.int "one retry" 2 !attempts;
+      check Alcotest.int "first commit failed validation" 1
+        (Obs.Counter.value txn_stats.Obs.validation_failures - failures0);
+      check Alcotest.int "no cache misses" 0 (misses () - misses0);
+      check (Alcotest.option Alcotest.string) "retry committed" (Some "mine") (get t1 k))
+
+(* The height-1 node [tree] routes [k] through, read from the memnodes. *)
+let routing_parent tree k =
+  let _, root = read_tip tree in
+  let txn = Txn.begin_ (Ops.cluster tree) in
+  let rec down ptr =
+    let node = Ops.read_node_txn tree txn ptr in
+    if node.Bnode.height > 1 then down (snd (Bnode.child_for node k)) else ptr
+  in
+  let parent = down root in
+  (match Txn.commit txn with _ -> ());
+  parent
+
+let test_fence_abort_evicts_stale_parent () =
+  (* The rival proxy fills the gap between keys 200 and 210, splitting
+     the leaf that held them: the parent the other proxy cached no
+     longer routes every key in the gap to the right leaf. A put routed
+     through it fails the leaf's fence check; that abort must evict the
+     stale parent, or every retry would route the same way until the
+     attempt budget runs out ([Too_contended]). *)
+  with_warm_proxies (fun env t1 t2 _ cache2 ->
+      let parent = routing_parent t2 (key 200) in
+      let stale = Objcache.find cache2 parent in
+      check Alcotest.bool "parent cached" true (stale <> None);
+      for i = 201 to 209 do
+        put t1 (key i) "v1"
+      done;
+      let stats = Obs.btree (Cluster.obs env.cluster) in
+      let fence_aborts () = Obs.Counter.value stats.Obs.abort_fence in
+      let aborts0 = fence_aborts () in
+      for i = 201 to 209 do
+        put t2 (key i) "v2"
+      done;
+      check Alcotest.bool "a put was misrouted" true (fence_aborts () > aborts0);
+      check Alcotest.bool "stale parent evicted" true (Objcache.find cache2 parent <> stale);
+      for i = 201 to 209 do
+        check (Alcotest.option Alcotest.string) (key i) (Some "v2") (get t1 (key i))
+      done)
+
+(* ------------------------------------------------------------------ *)
 (* Multi-tree transactions                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -1120,6 +1203,13 @@ let () =
           Alcotest.test_case "fig2 unnecessary aborts" `Quick
             test_fig2_no_unnecessary_abort_with_dirty_traversals;
           Alcotest.test_case "fig3 fence keys" `Quick test_fig3_fence_keys_prevent_wrong_leaf;
+        ] );
+      ( "abort-eviction",
+        [
+          Alcotest.test_case "leaf validation keeps the cached path" `Quick
+            test_leaf_validation_keeps_cached_path;
+          Alcotest.test_case "fence abort evicts the stale parent" `Quick
+            test_fence_abort_evicts_stale_parent;
         ] );
       ( "multi-tree",
         [

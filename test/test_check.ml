@@ -551,6 +551,54 @@ let test_histgen_branch_isolation_caught () =
   let v = run ~creations:gen.Chaos.Histgen.gen_creations events in
   check Alcotest.bool "seeded isolation leak caught" false (Stream.ok v)
 
+(* ------------------------------------------------------------------ *)
+(* Packed violation context                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Events on one key, of every keyed operation, with [None] and [Some]
+   in each optional field and keys and values that may be empty or
+   hold NUL bytes. *)
+let gen_context_case =
+  let open QCheck.Gen in
+  let bytes = oneof [ return ""; return "\000"; string_size ~gen:char (int_range 0 12) ] in
+  let i64 = oneof [ return 0L; return Int64.min_int; return Int64.max_int; int64 ] in
+  let versioned = list_size (int_range 0 4) (pair i64 (opt bytes)) in
+  let op key =
+    oneof
+      [
+        map (fun result -> Event.Get { key; result }) (opt bytes);
+        map (fun value -> Event.Put { key; value }) bytes;
+        map (fun removed -> Event.Remove { key; removed }) bool;
+        map2 (fun at result -> Event.Branch_get { at; key; result }) i64 (opt bytes);
+        map2 (fun at value -> Event.Branch_put { at; key; value }) i64 bytes;
+        map2 (fun at removed -> Event.Branch_remove { at; key; removed }) i64 bool;
+        map (fun results -> Event.Get_many { key; results }) versioned;
+        map2 (fun from results -> Event.History { from; key; results }) i64 versioned;
+      ]
+  in
+  let event key =
+    map
+      (fun ((client, index, op), (invoked_at, returned_at), (stamp, sid, ambiguous)) ->
+        { Event.client; index; op; invoked_at; returned_at; stamp; sid; ambiguous })
+      (triple (triple (opt int) int (op key)) (pair float float) (triple (opt i64) (opt i64) bool))
+  in
+  bytes >>= fun key -> map (fun evs -> (key, evs)) (list_size (int_range 1 9) (event key))
+
+(* Pushing events one by one keeps the newest four, oldest first, equal
+   field for field ([compare]: NaN times round-trip too). *)
+let prop_context_roundtrip =
+  let print (key, evs) =
+    Format.asprintf "key %S:@ %a" key
+      (Format.pp_print_list ~pp_sep:Format.pp_print_space Event.pp)
+      evs
+  in
+  QCheck.Test.make ~name:"context round trip" ~count:1000
+    (QCheck.make ~print gen_context_case)
+    (fun (key, evs) ->
+      let packed = List.fold_left Stream.Context.push "" evs in
+      let newest = List.filteri (fun i _ -> i >= List.length evs - 4) evs in
+      compare (Stream.Context.events ~key packed) newest = 0)
+
 let () =
   Alcotest.run "check"
     [
@@ -561,6 +609,7 @@ let () =
           Alcotest.test_case "wrong remove caught" `Quick test_wrong_remove_caught;
           Alcotest.test_case "scan divergence caught" `Quick test_scan_divergence_caught;
           Alcotest.test_case "missing stamp caught" `Quick test_missing_stamp_caught;
+          QCheck_alcotest.to_alcotest prop_context_roundtrip;
         ] );
       ( "order",
         [

@@ -772,7 +772,7 @@ let test_validate_replicated_catches_stale () =
       let seq1, _ = Txn.dirty_read_with_seq (Txn.begin_ cluster) r in
       (* A transaction validating against seq1 succeeds... *)
       let ta = Txn.begin_ cluster in
-      Txn.validate_replicated ta ~off:echo_off ~seq:seq1;
+      Txn.validate_replicated ta ~off:echo_off ~seq:seq1 ~obj:r;
       Txn.write ta (slot 1 base) "x";
       commit_ok ta;
       (* ...the object is republished (seq changes)... *)
@@ -782,7 +782,7 @@ let test_validate_replicated_catches_stale () =
       commit_ok t1;
       (* ...and now the stale expectation fails validation. *)
       let tb = Txn.begin_ cluster in
-      Txn.validate_replicated tb ~off:echo_off ~seq:seq1;
+      Txn.validate_replicated tb ~off:echo_off ~seq:seq1 ~obj:r;
       Txn.write tb (slot 1 base) "y";
       expect_validation_failure tb)
 
@@ -871,6 +871,67 @@ let test_run_nonblocking_backs_off () =
   check Alcotest.int "exactly 64 attempts" 64 attempts;
   check Alcotest.string "names the operation" "probe: 64 attempts" msg;
   check Alcotest.bool "jittered contention backoff" true (elapsed > 0.0)
+
+let test_run_lock_busy_keeps_cache () =
+  (* A commit that finds a write lock held past the coordinator's retry
+     budget ends Retry_exhausted. A busy lock says nothing about what
+     the attempt read, so the retry starts from the cache the first
+     attempt left. *)
+  with_cluster (fun cluster ->
+      let cache = Objcache.create (Cluster.obs cluster) in
+      let r = slot 0 base and w = slot 1 base in
+      let t0 = Txn.begin_ cluster in
+      Txn.write t0 r "cached";
+      Txn.write t0 w "w0";
+      commit_ok t0;
+      let warm = Txn.begin_ cluster ~cache in
+      check Alcotest.string "warm" "cached" (Txn.dirty_read warm r);
+      commit_ok warm;
+      let locks = Memnode.store_locks (Memnode.primary (Cluster.memnode cluster 1)) in
+      let owner = -1L in
+      let range =
+        { Lock_table.start = w.Objref.addr.Address.off; len = w.Objref.len; mode = Lock_table.Exclusive }
+      in
+      check Alcotest.bool "lock taken" true (Lock_table.try_acquire locks ~owner [ range ]);
+      let exhausted () = Obs.Counter.value (Obs.txn (Cluster.obs cluster)).Obs.retry_exhausted in
+      let exhausted0 = exhausted () in
+      let seen = ref [] in
+      let (), _ =
+        Txn.run ~cache ~name:"busy" cluster (fun txn ->
+            seen := (Objcache.size cache, Objcache.find cache r) :: !seen;
+            ignore (Txn.dirty_read txn r : string);
+            Txn.write txn w "w1";
+            if List.length !seen = 2 then Lock_table.release locks ~owner)
+      in
+      check Alcotest.int "one commit ran out of retries" 1 (exhausted () - exhausted0);
+      match !seen with
+      | [ retry; first ] ->
+          check Alcotest.bool "cache unchanged across the abort" true (retry = first);
+          check Alcotest.bool "entry still cached" true (snd retry <> None)
+      | _ -> Alcotest.failf "%d attempts, expected 2" (List.length !seen))
+
+let test_validate_replicated_failure_evicts_object () =
+  (* The baseline mode validates a cached internal node through its
+     replicated sequence-number entry. When that compare fails, the
+     node's cached copy is what proved stale and is evicted. *)
+  with_cluster (fun cluster ->
+      let cache = Objcache.create (Cluster.obs cluster) in
+      let r = slot 0 base in
+      let echo_off = 1024 in
+      let t0 = Txn.begin_ cluster in
+      Txn.write_linked t0 r "v1" ~repl_off:echo_off;
+      commit_ok t0;
+      let seq1, _ = Txn.dirty_read_with_seq (Txn.begin_ cluster ~cache) r in
+      let t1 = Txn.begin_ cluster in
+      let (_ : string) = Txn.read t1 r in
+      Txn.write_linked t1 r "v2" ~repl_off:echo_off;
+      commit_ok t1;
+      let tb = Txn.begin_ cluster ~cache in
+      check Alcotest.string "stale copy served" "v1" (Txn.dirty_read tb r);
+      Txn.validate_replicated tb ~off:echo_off ~seq:seq1 ~obj:r;
+      Txn.write tb (slot 1 base) "y";
+      expect_validation_failure tb;
+      check Alcotest.bool "stale copy evicted" true (Objcache.find cache r = None))
 
 let test_run_outage_waits_for_recovery () =
   (* Space 0 loses its primary and its backup (memnode 1), so a read of
@@ -969,12 +1030,15 @@ let () =
           Alcotest.test_case "validate_replicated staleness" `Quick
             test_validate_replicated_catches_stale;
           Alcotest.test_case "read_with_seq" `Quick test_read_with_seq;
+          Alcotest.test_case "validate_replicated failure evicts" `Quick
+            test_validate_replicated_failure_evicts_object;
         ] );
       ( "retry-loop",
         [
           Alcotest.test_case "blocking gives up after 64 attempts" `Quick test_run_blocking_budget;
           Alcotest.test_case "non-blocking backs off" `Quick test_run_nonblocking_backs_off;
           Alcotest.test_case "outage waits for recovery" `Quick test_run_outage_waits_for_recovery;
+          Alcotest.test_case "lock-busy abort keeps the cache" `Quick test_run_lock_busy_keeps_cache;
         ] );
       ( "replicated",
         [
