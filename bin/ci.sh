@@ -260,6 +260,20 @@ echo "== streaming checker: million-op gate =="
 # bound). The linear run's BENCH_checker.json is the committed report.
 dune exec bin/minuet_bench.exe -- checker --dir "$smoke_dir"
 check_report checker
+# The linear run's counts are a pure function of its seed, so they must
+# equal the committed report's; on a difference both are printed.
+# peak_live_words and ops_per_sec vary from run to run and are skipped.
+checker_counts() {
+  for field in events ops_checked snapshot_reads_checked branch_reads_checked violations; do
+    grep -o "\"$field\":[0-9]*" "$1" || echo "$field missing"
+  done
+}
+checker_counts BENCH_checker.json >"$smoke_dir/checker_committed.txt"
+checker_counts "$smoke_dir/BENCH_checker.json" >"$smoke_dir/checker_fresh.txt"
+diff "$smoke_dir/checker_committed.txt" "$smoke_dir/checker_fresh.txt" || {
+  echo "ERROR: a fresh checker run's counts differ from BENCH_checker.json" >&2
+  exit 1
+}
 dune exec bin/minuet_bench.exe -- checker --branching --dir "$smoke_dir"
 check_report checker
 

@@ -1,4 +1,6 @@
 module Event = Minuet.Session.Event
+module Enc = Codec.Enc
+module Dec = Codec.Dec
 module Smap = Map.Make (String)
 module I64map = Map.Make (Int64)
 
@@ -118,6 +120,21 @@ let find_candidate realm key ~observed ~returned_at =
     (fun c -> c.c_live && c.c_invoked <= returned_at && c.c_value = observed)
     (candidates_for realm key)
 
+(* A live candidate invoked before [returned_at] that explains a remove
+   returning [removed] where the model disagrees: an ambiguous put
+   landed first (removed on an absent key) or an ambiguous remove did
+   (not removed, key present). *)
+let find_remove_candidate realm key ~removed ~returned_at =
+  List.find_opt
+    (fun c -> c.c_live && c.c_invoked <= returned_at && Option.is_some c.c_value = removed)
+    (candidates_for realm key)
+
+(* No committed write on [key] is stamped after [stamp]. *)
+let unwritten_since realm key stamp =
+  match Smap.find_opt key realm.r_last_write with
+  | Some w -> Int64.compare w stamp <= 0
+  | None -> true
+
 let expire_candidates realm key ~invoked_at =
   List.iter
     (fun c -> if c.c_live && c.c_returned <= invoked_at then c.c_live <- false)
@@ -150,300 +167,189 @@ and pend_what =
     }
 
 (* A snapshot read parked until its snapshot freezes. A scan's result
-   is packed into one string (see [pack_pairs]) and its event keeps an
-   empty result: parked scans are most of the checker's resident state
-   under snapshot-scan load, and a 1000-pair list costs several times
-   its bytes in cons cells, tuples and string headers. *)
+   is packed into one string, each key and value as [Enc.bytes] writes
+   it, and its event keeps an empty result: parked scans are most of
+   the checker's resident state under snapshot-scan load, and a
+   1000-pair list costs several times its bytes in cons cells, tuples
+   and string headers. *)
 type parked = Parked of Event.t | Parked_scan of { ev : Event.t; packed : string }
 
-(* Length-prefixed pairs: per pair, the key's length as an unsigned
-   LEB128 varint, the key, then the value the same way. Sized up front
-   and written once: a scan's packing is one allocation. *)
-let rec varint_size n = if n < 0x80 then 1 else 1 + varint_size (n lsr 7)
-
-(* Write [n >= 0] as a varint at [pos]; the position after it. *)
-let rec set_varint b pos n =
-  if n < 0x80 then begin
-    Bytes.set b pos (Char.unsafe_chr n);
-    pos + 1
-  end
-  else begin
-    Bytes.set b pos (Char.unsafe_chr (n land 0x7f lor 0x80));
-    set_varint b (pos + 1) (n lsr 7)
-  end
-
-let pack_pairs pairs =
-  let field_size s = varint_size (String.length s) + String.length s in
-  let size = List.fold_left (fun acc (k, v) -> acc + field_size k + field_size v) 0 pairs in
-  let b = Bytes.create size in
-  let field pos s =
-    let pos = set_varint b pos (String.length s) in
-    Bytes.blit_string s 0 b pos (String.length s);
-    pos + String.length s
-  in
-  ignore (List.fold_left (fun pos (k, v) -> field (field pos k) v) 0 pairs);
-  Bytes.unsafe_to_string b
-
-(* The field at [pos]: its start and length. Also reads a bare varint:
-   the position after it and its value. *)
-let packed_field packed pos =
-  let rec len pos shift acc =
-    let c = Char.code packed.[pos] in
-    let acc = acc lor ((c land 0x7f) lsl shift) in
-    if c < 0x80 then (pos + 1, acc) else len (pos + 1) (shift + 7) acc
-  in
-  len pos 0 0
-
-let unpack_pairs packed =
-  let n = String.length packed in
-  let rec go pos acc =
-    if pos = n then List.rev acc
-    else
-      let kpos, klen = packed_field packed pos in
-      let vpos, vlen = packed_field packed (kpos + klen) in
-      go (vpos + vlen) ((String.sub packed kpos klen, String.sub packed vpos vlen) :: acc)
-  in
-  go 0 []
-
-(* Position past the field at [pos] when it holds [s], or -1. *)
-let field_equal packed pos s =
-  let len = String.length s in
-  let rec prefix pos n =
-    if n < 0x80 then if Char.code packed.[pos] = n then pos + 1 else -1
-    else if Char.code packed.[pos] = n land 0x7f lor 0x80 then prefix (pos + 1) (n lsr 7)
-    else -1
-  in
-  let start = prefix pos len in
-  (* Eight bytes a step, then bytewise; bounds are checked once below. *)
+(* [s] equals the [len] bytes of [packed] at [pos]: eight bytes a step,
+   then bytewise. *)
+let equal_at packed (pos, len) s =
   let rec same i =
     if i + 8 <= len then
-      Int64.equal (String.get_int64_ne packed (start + i)) (String.get_int64_ne s i)
-      && same (i + 8)
-    else i = len || (String.unsafe_get packed (start + i) = String.unsafe_get s i && same (i + 1))
+      Int64.equal (String.get_int64_ne packed (pos + i)) (String.get_int64_ne s i) && same (i + 8)
+    else i = len || (String.get packed (pos + i) = String.get s i && same (i + 1))
   in
-  if start >= 0 && start + len <= String.length packed && same 0 then start + len else -1
+  len = String.length s && same 0
 
-(* [packed_matches packed seq ~count] is [unpack_pairs packed] equal to
-   the first [count] entries of [seq] (all of them for a negative
-   [count], like [model_scan]), compared in place. *)
+(* [packed_matches packed seq ~count] is the packed pairs equal to the
+   first [count] entries of [seq] (all of them for a negative [count],
+   like [model_scan]), compared in place. *)
 let packed_matches packed seq ~count =
-  let n = String.length packed in
-  let rec walk pos left seq =
-    if pos = n then left = 0 || Seq.is_empty seq
+  let d = Dec.of_string packed in
+  let rec walk left seq =
+    if Dec.at_end d then left = 0 || Seq.is_empty seq
     else if left = 0 then false
     else
       match seq () with
       | Seq.Nil -> false
       | Seq.Cons ((k, v), rest) ->
-          let pos = field_equal packed pos k in
-          pos >= 0
-          &&
-          let pos = field_equal packed pos v in
-          pos >= 0 && walk pos (left - 1) rest
+          equal_at packed (Dec.bytes_view d) k
+          && equal_at packed (Dec.bytes_view d) v
+          && walk (left - 1) rest
   in
-  walk 0 count seq
+  walk count seq
 
 (* The violation context: the last [depth] keyed events applied on a
    key. Every key ever touched keeps one, so it is packed into one
-   string, newest event first, each as its body's length (varint) and
-   the body. A body omits the key (the context's owner) and holds a
-   header byte (bits 0-2 the operation, then ambiguous, client, stamp,
-   sid present), the operation's fields (strings length-prefixed, an
-   optional string as 0 for [None] or its length + 1, [at]/[from] and
-   version ids as 8 little-endian bytes, bools as one byte), the index
-   and client as zigzag varints, both times, and the stamp and sid as 8
-   bytes each. Unpacked only to report a violation. *)
+   string with [Codec], newest event first, each as its body's length
+   and the body. A body omits the key (the context's owner): the
+   operation's tag, its fields, then the fields every event has.
+   Unpacked only to report a violation. *)
 module Context = struct
   let depth = 4
 
-  let add_varint b n =
-    let rec go n =
-      if n land lnot 0x7f = 0 then Buffer.add_char b (Char.unsafe_chr n)
-      else begin
-        Buffer.add_char b (Char.unsafe_chr (n land 0x7f lor 0x80));
-        go (n lsr 7)
-      end
-    in
-    go n
+  let opt_string e = Enc.option e (Enc.bytes e)
 
-  let add_int b n = add_varint b ((n lsl 1) lxor (n asr (Sys.int_size - 1)))
+  let versioned e =
+    Enc.list e (fun (sid, r) ->
+        Enc.i64 e sid;
+        opt_string e r)
 
-  let add_string b s =
-    add_varint b (String.length s);
-    Buffer.add_string b s
-
-  let add_opt b = function
-    | None -> add_varint b 0
-    | Some s ->
-        add_varint b (String.length s + 1);
-        Buffer.add_string b s
-
-  let add_bool b x = Buffer.add_char b (if x then '\001' else '\000')
-
-  let add_versioned b results =
-    add_varint b (List.length results);
-    List.iter
-      (fun (sid, r) ->
-        Buffer.add_int64_le b sid;
-        add_opt b r)
-      results
-
-  (* The header byte first, then the operation's fields, then the
-     fields every event has. *)
-  let encode b (ev : Event.t) =
-    let flag present bit = if present then bit else 0 in
-    let flags =
-      flag ev.ambiguous 8
-      lor flag (Option.is_some ev.client) 16
-      lor flag (Option.is_some ev.stamp) 32
-      lor flag (Option.is_some ev.sid) 64
-    in
-    let header tag = Buffer.add_char b (Char.unsafe_chr (tag lor flags)) in
+  let encode e (ev : Event.t) =
     (match ev.op with
     | Event.Get { result; _ } ->
-        header 0;
-        add_opt b result
+        Enc.u8 e 0;
+        opt_string e result
     | Event.Put { value; _ } ->
-        header 1;
-        add_string b value
+        Enc.u8 e 1;
+        Enc.bytes e value
     | Event.Remove { removed; _ } ->
-        header 2;
-        add_bool b removed
+        Enc.u8 e 2;
+        Enc.bool e removed
     | Event.Branch_get { at; result; _ } ->
-        header 3;
-        Buffer.add_int64_le b at;
-        add_opt b result
+        Enc.u8 e 3;
+        Enc.i64 e at;
+        opt_string e result
     | Event.Branch_put { at; value; _ } ->
-        header 4;
-        Buffer.add_int64_le b at;
-        add_string b value
+        Enc.u8 e 4;
+        Enc.i64 e at;
+        Enc.bytes e value
     | Event.Branch_remove { at; removed; _ } ->
-        header 5;
-        Buffer.add_int64_le b at;
-        add_bool b removed
+        Enc.u8 e 5;
+        Enc.i64 e at;
+        Enc.bool e removed
     | Event.Get_many { results; _ } ->
-        header 6;
-        add_versioned b results
+        Enc.u8 e 6;
+        versioned e results
     | Event.History { from; results; _ } ->
-        header 7;
-        Buffer.add_int64_le b from;
-        add_versioned b results
+        Enc.u8 e 7;
+        Enc.i64 e from;
+        versioned e results
     | Event.Scan _ | Event.Branch_scan _ | Event.Snapshot_taken | Event.Branch_created _
     | Event.Branch_deleted _ ->
         invalid_arg "Stream.Context.push: operation without a key");
-    add_int b ev.index;
-    Option.iter (add_int b) ev.client;
-    Buffer.add_int64_le b (Int64.bits_of_float ev.invoked_at);
-    Buffer.add_int64_le b (Int64.bits_of_float ev.returned_at);
-    Option.iter (Buffer.add_int64_le b) ev.stamp;
-    Option.iter (Buffer.add_int64_le b) ev.sid
+    Enc.int_as_i64 e ev.index;
+    Enc.option e (Enc.int_as_i64 e) ev.client;
+    Enc.float e ev.invoked_at;
+    Enc.float e ev.returned_at;
+    Enc.option e (Enc.i64 e) ev.stamp;
+    Enc.option e (Enc.i64 e) ev.sid;
+    Enc.bool e ev.ambiguous
 
-  let push packed ev =
-    let b = Buffer.create 64 in
-    encode b ev;
-    let body = Buffer.length b in
+  (* [push] through the caller's reusable encoder [e]. *)
+  let push_with e packed ev =
+    Enc.reset e;
+    encode e ev;
+    let body = Enc.to_string e in
     (* Bytes of the newest [depth - 1] events already held. *)
-    let rec kept pos n =
-      if n = 0 || pos = String.length packed then pos
-      else
-        let start, len = packed_field packed pos in
-        kept (start + len) (n - 1)
-    in
-    let kept = kept 0 (depth - 1) in
-    let out = Bytes.create (varint_size body + body + kept) in
-    let pos = set_varint out 0 body in
-    Buffer.blit b 0 out pos body;
-    Bytes.blit_string packed 0 out (pos + body) kept;
-    Bytes.unsafe_to_string out
+    let d = Dec.of_string packed in
+    for _ = 2 to depth do
+      if not (Dec.at_end d) then ignore (Dec.bytes_view d)
+    done;
+    Enc.reset e;
+    Enc.bytes e body;
+    Enc.raw_sub e packed 0 (Dec.pos d);
+    Enc.to_string e
 
-  (* The event whose body starts at [pos]. Fields are read in encoding
-     order, so each is bound before the record is built. *)
-  let decode ~key packed pos =
-    let pos = ref pos in
-    let varint () =
-      let next, n = packed_field packed !pos in
-      pos := next;
-      n
+  let push packed ev = push_with (Enc.create ~initial_size:64 ()) packed ev
+
+  (* The event whose body [d] is at. Fields are read in encoding order,
+     so each is bound before the record is built. *)
+  let decode ~key d =
+    let opt_string d = Dec.option d Dec.bytes in
+    let versioned d =
+      Dec.list d (fun d ->
+          let sid = Dec.i64 d in
+          (sid, opt_string d))
     in
-    let chars n =
-      let s = String.sub packed !pos n in
-      pos := !pos + n;
-      s
-    in
-    let string () = chars (varint ()) in
-    let opt () = match varint () with 0 -> None | n -> Some (chars (n - 1)) in
-    let int () =
-      let z = varint () in
-      (z lsr 1) lxor -(z land 1)
-    in
-    let i64 () =
-      let v = String.get_int64_le packed !pos in
-      pos := !pos + 8;
-      v
-    in
-    let bool () = chars 1 <> "\000" in
-    let versioned () =
-      let rec go n acc =
-        if n = 0 then List.rev acc
-        else
-          let sid = i64 () in
-          let r = opt () in
-          go (n - 1) ((sid, r) :: acc)
-      in
-      go (varint ()) []
-    in
-    let header = Char.code packed.[!pos] in
-    incr pos;
     let op =
-      match header land 7 with
-      | 0 -> Event.Get { key; result = opt () }
-      | 1 -> Event.Put { key; value = string () }
-      | 2 -> Event.Remove { key; removed = bool () }
+      match Dec.u8 d with
+      | 0 -> Event.Get { key; result = opt_string d }
+      | 1 -> Event.Put { key; value = Dec.bytes d }
+      | 2 -> Event.Remove { key; removed = Dec.bool d }
       | 3 ->
-          let at = i64 () in
-          Event.Branch_get { at; key; result = opt () }
+          let at = Dec.i64 d in
+          Event.Branch_get { at; key; result = opt_string d }
       | 4 ->
-          let at = i64 () in
-          Event.Branch_put { at; key; value = string () }
+          let at = Dec.i64 d in
+          Event.Branch_put { at; key; value = Dec.bytes d }
       | 5 ->
-          let at = i64 () in
-          Event.Branch_remove { at; key; removed = bool () }
-      | 6 -> Event.Get_many { key; results = versioned () }
+          let at = Dec.i64 d in
+          Event.Branch_remove { at; key; removed = Dec.bool d }
+      | 6 -> Event.Get_many { key; results = versioned d }
       | _ ->
-          let from = i64 () in
-          Event.History { from; key; results = versioned () }
+          let from = Dec.i64 d in
+          Event.History { from; key; results = versioned d }
     in
-    let index = int () in
-    let client = if header land 16 <> 0 then Some (int ()) else None in
-    let invoked_at = Int64.float_of_bits (i64 ()) in
-    let returned_at = Int64.float_of_bits (i64 ()) in
-    let stamp = if header land 32 <> 0 then Some (i64 ()) else None in
-    let sid = if header land 64 <> 0 then Some (i64 ()) else None in
-    { Event.client; index; op; invoked_at; returned_at; stamp; sid; ambiguous = header land 8 <> 0 }
+    let index = Dec.int_as_i64 d in
+    let client = Dec.option d Dec.int_as_i64 in
+    let invoked_at = Dec.float d in
+    let returned_at = Dec.float d in
+    let stamp = Dec.option d Dec.i64 in
+    let sid = Dec.option d Dec.i64 in
+    { Event.client; index; op; invoked_at; returned_at; stamp; sid; ambiguous = Dec.bool d }
 
   let events ~key packed =
-    let rec go pos acc =
-      if pos = String.length packed then acc
-      else
-        let start, len = packed_field packed pos in
-        go (start + len) (decode ~key packed start :: acc)
+    let d = Dec.of_string packed in
+    let rec go acc =
+      if Dec.at_end d then acc
+      else begin
+        ignore (Dec.varint d : int);
+        go (decode ~key d :: acc)
+      end
     in
-    go 0 []
+    go []
 end
 
-let park ev =
+let park e ev =
   match ev.Event.op with
   | Event.Scan { from; count; result } ->
+      Enc.reset e;
+      List.iter
+        (fun (k, v) ->
+          Enc.bytes e k;
+          Enc.bytes e v)
+        result;
       let ev = { ev with Event.op = Event.Scan { from; count; result = [] } } in
-      Parked_scan { ev; packed = pack_pairs result }
+      Parked_scan { ev; packed = Enc.to_string e }
   | _ -> Parked ev
 
 let unpark = function
   | Parked ev -> ev
   | Parked_scan { ev; packed } -> (
+      let d = Dec.of_string packed in
+      let rec pairs acc =
+        if Dec.at_end d then List.rev acc
+        else
+          let k = Dec.bytes d in
+          pairs ((k, Dec.bytes d) :: acc)
+      in
       match ev.Event.op with
       | Event.Scan { from; count; _ } ->
-          { ev with Event.op = Event.Scan { from; count; result = unpack_pairs packed } }
+          { ev with Event.op = Event.Scan { from; count; result = pairs [] } }
       | _ -> assert false (* [park] packs scans only *))
 
 (* One version of a branching index's version tree. The model is forked
@@ -472,6 +378,7 @@ type shard = {
   s_realm : realm;
   mutable s_ncand : int;
   s_recent : (string, string) Hashtbl.t; (* key -> packed [Context] *)
+  s_enc : Enc.t; (* reused by every [Context] push and parked scan *)
   mutable s_pending : pending list; (* newest first *)
   mutable s_npending : int;
   mutable s_frozen : string Smap.t I64map.t; (* linear sid -> frozen model *)
@@ -502,6 +409,7 @@ let shard_create idx =
     s_realm = realm_create ();
     s_ncand = 0;
     s_recent = Hashtbl.create 256;
+    s_enc = Enc.create ();
     s_pending = [];
     s_npending = 0;
     s_frozen = I64map.empty;
@@ -547,7 +455,7 @@ let op_key ev =
 
 let note_recent sh key ev =
   let prev = Option.value (Hashtbl.find_opt sh.s_recent key) ~default:"" in
-  Hashtbl.replace sh.s_recent key (Context.push prev ev)
+  Hashtbl.replace sh.s_recent key (Context.push_with sh.s_enc prev ev)
 
 let violate sh ?event ?key fmt =
   Format.kasprintf
@@ -597,6 +505,11 @@ let first_divergence obs exp =
 (* Candidate resolution and pending mismatches                           *)
 (* -------------------------------------------------------------------- *)
 
+(* The candidate explained an observation and is used up. *)
+let consume sh c =
+  c.c_live <- false;
+  sh.s_resolved <- sh.s_resolved + 1
+
 (* Resolve a candidate against a read applied at [read_stamp]. The
    model is patched to the candidate's effect only while no committed
    write with a higher stamp has overwritten the key since — at apply
@@ -604,14 +517,8 @@ let first_divergence obs exp =
    resolution (the ambiguous event arrived after the read was applied)
    the per-key last-write stamp guards the patch. *)
 let resolve_candidate sh realm key c ~read_stamp =
-  c.c_live <- false;
-  sh.s_resolved <- sh.s_resolved + 1;
-  let unchanged =
-    match Smap.find_opt key realm.r_last_write with
-    | Some w -> Int64.compare w read_stamp <= 0
-    | None -> true
-  in
-  if unchanged then
+  consume sh c;
+  if unwritten_since realm key read_stamp then
     realm.r_model <-
       (match c.c_value with
       | Some v -> Smap.add key v realm.r_model
@@ -638,14 +545,10 @@ let try_settle sh p ~at_finish =
   let realm = p.p_realm in
   match p.p_what with
   | P_get { key; observed; _ } -> (
-      let unchanged =
-        match Smap.find_opt key realm.r_last_write with
-        | Some w -> Int64.compare w p.p_stamp <= 0
-        | None -> true
-      in
       (* A previously settled pending read on the same key may already
          have patched the model to the observed value. *)
-      if unchanged && Smap.find_opt key realm.r_model = observed then `Settled
+      if unwritten_since realm key p.p_stamp && Smap.find_opt key realm.r_model = observed then
+        `Settled
       else
         match find_candidate realm key ~observed ~returned_at:p.p_event.Event.returned_at with
         | Some c ->
@@ -653,17 +556,11 @@ let try_settle sh p ~at_finish =
             `Settled
         | None -> if at_finish then `Violation else `Keep)
   | P_remove { key; removed; _ } -> (
-      let explains c = if removed then c.c_value <> None else c.c_value = None in
-      match
-        List.find_opt
-          (fun c -> c.c_live && c.c_invoked <= p.p_event.Event.returned_at && explains c)
-          (candidates_for realm key)
-      with
+      match find_remove_candidate realm key ~removed ~returned_at:p.p_event.Event.returned_at with
       | Some c ->
           (* The remove already applied its own effect to the model at
              its replay position; consuming the candidate is enough. *)
-          c.c_live <- false;
-          sh.s_resolved <- sh.s_resolved + 1;
+          consume sh c;
           `Settled
       | None -> if at_finish then `Violation else `Keep)
   | P_scan _ ->
@@ -671,14 +568,15 @@ let try_settle sh p ~at_finish =
       else if realm_has_live_candidates realm then `Inconclusive
       else `Violation
 
-let push_pending sh p =
+let push_pending sh realm ev p_what =
+  let p = { p_event = ev; p_realm = realm; p_stamp = Option.get ev.Event.stamp; p_what } in
   if sh.s_npending >= max_pending then begin
     (* Overflow: flush the oldest buffered mismatch as a verdict now. *)
     match List.rev sh.s_pending with
     | [] -> pending_violation sh p
     | oldest :: rest ->
         pending_violation sh oldest;
-        sh.s_pending <- List.rev rest @ [ p ]
+        sh.s_pending <- p :: List.rev rest
   end
   else begin
     sh.s_pending <- p :: sh.s_pending;
@@ -738,14 +636,7 @@ let apply_get sh realm ev key result =
   if result <> expected then
     match find_candidate realm key ~observed:result ~returned_at:ev.Event.returned_at with
     | Some c -> resolve_candidate sh realm key c ~read_stamp:(Option.get ev.Event.stamp)
-    | None ->
-        push_pending sh
-          {
-            p_event = ev;
-            p_realm = realm;
-            p_stamp = Option.get ev.Event.stamp;
-            p_what = P_get { key; observed = result; expected };
-          }
+    | None -> push_pending sh realm ev (P_get { key; observed = result; expected })
 
 let apply_put sh realm ev key value =
   ignore sh;
@@ -756,26 +647,9 @@ let apply_put sh realm ev key value =
 let apply_remove sh realm ev key removed =
   let present = Smap.mem key realm.r_model in
   (if removed <> present then
-     (* removed=true on an absent key: an ambiguous put may have landed
-        first. removed=false on a present key: an ambiguous remove may
-        have landed first. *)
-     let explains c = if removed then c.c_value <> None else c.c_value = None in
-     match
-       List.find_opt
-         (fun c -> c.c_live && c.c_invoked <= ev.Event.returned_at && explains c)
-         (candidates_for realm key)
-     with
-     | Some c ->
-         c.c_live <- false;
-         sh.s_resolved <- sh.s_resolved + 1
-     | None ->
-         push_pending sh
-           {
-             p_event = ev;
-             p_realm = realm;
-             p_stamp = Option.get ev.Event.stamp;
-             p_what = P_remove { key; removed; present };
-           });
+     match find_remove_candidate realm key ~removed ~returned_at:ev.Event.returned_at with
+     | Some c -> consume sh c
+     | None -> push_pending sh realm ev (P_remove { key; removed; present }));
   if removed then expire_candidates realm key ~invoked_at:ev.Event.invoked_at;
   realm.r_model <- Smap.remove key realm.r_model;
   realm.r_last_write <- Smap.add key (Option.get ev.Event.stamp) realm.r_last_write
@@ -786,50 +660,80 @@ let apply_scan sh realm ev from count result =
     if realm_has_live_candidates realm then
       inconclusive sh "index %d: scan from %S mismatches the model but ambiguous writes are pending"
         sh.s_idx from
-    else
-      push_pending sh
-        {
-          p_event = ev;
-          p_realm = realm;
-          p_stamp = Option.get ev.Event.stamp;
-          p_what = P_scan { from; count; result; expected };
-        }
+    else push_pending sh realm ev (P_scan { from; count; result; expected })
+
+(* -------------------------------------------------------------------- *)
+(* The frozen-state read rule and the deferral budget                    *)
+(* -------------------------------------------------------------------- *)
+
+(* The words a frozen-state check reports a read with: "<kind> get ...
+   at <unit> N ... but the <state> holds ...". Only branch scans report
+   where a mismatching scan first diverges. *)
+type words = { w_kind : string; w_unit : string; w_state : string; w_divergence : bool }
+
+let snapshot_words =
+  { w_kind = "snapshot"; w_unit = "sid"; w_state = "frozen state"; w_divergence = false }
+
+let branch_words =
+  { w_kind = "branch"; w_unit = "version"; w_state = "frozen ancestor state"; w_divergence = true }
+
+let multi_words =
+  {
+    w_kind = "multi-version";
+    w_unit = "version";
+    w_state = "version's state";
+    w_divergence = false;
+  }
+
+(* A get at [at] must observe the frozen map [m] exactly, unless a
+   candidate of [realm] invoked before the read wrote what it saw. *)
+let check_frozen_get sh ev w m realm ~at ~key ~result =
+  let expected = Smap.find_opt key m in
+  if
+    result <> expected
+    && not
+         (List.exists
+            (fun c -> c.c_invoked <= ev.Event.invoked_at && c.c_value = result)
+            (candidates_for realm key))
+  then
+    violate sh ~event:ev ~key "%s get %S at %s %Ld observed %a but the %s holds %a" w.w_kind key
+      w.w_unit at pp_value_opt result w.w_state pp_value_opt expected
+
+(* The frozen-state read rule for a get or scan at [at]; a scan
+   mismatch is inconclusive while [realm] holds any candidate. *)
+let check_frozen_read sh ev w m realm ~at =
+  match ev.Event.op with
+  | Event.Get { key; result } | Event.Branch_get { key; result; _ } ->
+      check_frozen_get sh ev w m realm ~at ~key ~result
+  | Event.Scan { from; count; result } | Event.Branch_scan { from; count; result; _ } ->
+      let expected = model_scan m ~from ~count in
+      if result <> expected then
+        if Hashtbl.length realm.r_candidates > 0 then
+          inconclusive sh "index %d: %s scan at %s %Ld mismatches but ambiguous writes are pending"
+            sh.s_idx w.w_kind w.w_unit at
+        else
+          violate sh ~event:ev "%s scan from %S at %s %Ld returned %d entries, %s has %d%s"
+            w.w_kind from w.w_unit at (List.length result) w.w_state (List.length expected)
+            (if w.w_divergence then first_divergence result expected else "")
+  | _ -> ()
+
+(* Hold one more read back with [hold] under the per-index budget; past
+   it the read goes unchecked, noted as [what]. *)
+let defer sh what hold =
+  if sh.s_ndeferred >= max_deferred then
+    inconclusive sh "index %d: deferred-read budget exhausted; %t unchecked" sh.s_idx what
+  else begin
+    sh.s_ndeferred <- sh.s_ndeferred + 1;
+    hold ()
+  end
 
 (* -------------------------------------------------------------------- *)
 (* Linear snapshots: freezing and snapshot reads                         *)
 (* -------------------------------------------------------------------- *)
 
-let check_frozen_get sh ev m ~sid ~key ~result ~realm =
-  let expected = Smap.find_opt key m in
-  if result <> expected then
-    if
-      List.exists
-        (fun c -> c.c_invoked <= ev.Event.invoked_at && c.c_value = result)
-        (candidates_for realm key)
-    then ()
-    else
-      violate sh ~event:ev ~key
-        "snapshot get %S at sid %Ld observed %a but the frozen state holds %a" key sid
-        pp_value_opt result pp_value_opt expected
-
-let check_frozen_scan sh ev m ~sid ~from ~count ~result ~realm =
-  let expected = model_scan m ~from ~count in
-  if result <> expected then
-    if Hashtbl.length realm.r_candidates > 0 then
-      inconclusive sh "index %d: snapshot scan at sid %Ld mismatches but ambiguous writes are pending"
-        sh.s_idx sid
-    else
-      violate sh ~event:ev
-        "snapshot scan from %S at sid %Ld returned %d entries, frozen state has %d" from sid
-        (List.length result) (List.length expected)
-
 let check_snapshot_read sh ev m sid =
   sh.s_snap_reads <- sh.s_snap_reads + 1;
-  match ev.Event.op with
-  | Event.Get { key; result } -> check_frozen_get sh ev m ~sid ~key ~result ~realm:sh.s_realm
-  | Event.Scan { from; count; result } ->
-      check_frozen_scan sh ev m ~sid ~from ~count ~result ~realm:sh.s_realm
-  | _ -> ()
+  check_frozen_read sh ev snapshot_words m sh.s_realm ~at:sid
 
 (* A parked scan that matches the frozen state is counted without
    unpacking it; any other parked read is checked as it arrived. *)
@@ -883,16 +787,13 @@ let snapshot_read sh ev sid =
           sid
       end
       else if creation_pending sh sid then
-        if sh.s_ndeferred >= max_deferred then
-          inconclusive sh "index %d: deferred-read budget exhausted; snapshot read at sid %Ld unchecked"
-            sh.s_idx sid
-        else begin
-          sh.s_deferred_snap <-
-            I64map.update sid
-              (fun prev -> Some (park ev :: Option.value prev ~default:[]))
-              sh.s_deferred_snap;
-          sh.s_ndeferred <- sh.s_ndeferred + 1
-        end
+        defer sh
+          (fun f -> Format.fprintf f "snapshot read at sid %Ld" sid)
+          (fun () ->
+            sh.s_deferred_snap <-
+              I64map.update sid
+                (fun prev -> Some (park sh.s_enc ev :: Option.value prev ~default:[]))
+                sh.s_deferred_snap)
       else
         inconclusive sh "index %d: frozen state for sid %Ld was evicted; snapshot read unchecked"
           sh.s_idx sid
@@ -1004,33 +905,7 @@ let find_version sh sid =
    tip-era writes, nothing newer. *)
 let check_branch_read sh ev v =
   sh.s_branch_reads <- sh.s_branch_reads + 1;
-  match ev.Event.op with
-  | Event.Branch_get { at; key; result } ->
-      let expected = Smap.find_opt key v.v_realm.r_model in
-      if result <> expected then
-        if
-          List.exists
-            (fun c -> c.c_invoked <= ev.Event.invoked_at && c.c_value = result)
-            (candidates_for v.v_realm key)
-        then ()
-        else
-          violate sh ~event:ev ~key
-            "branch get %S at version %Ld observed %a but the frozen ancestor state holds %a"
-            key at pp_value_opt result pp_value_opt expected
-  | Event.Branch_scan { at; from; count; result } ->
-      let expected = model_scan v.v_realm.r_model ~from ~count in
-      if result <> expected then
-        if Hashtbl.length v.v_realm.r_candidates > 0 then
-          inconclusive sh
-            "index %d: branch scan at version %Ld mismatches but ambiguous writes are pending"
-            sh.s_idx at
-        else
-          violate sh ~event:ev
-            "branch scan from %S at version %Ld returned %d entries, frozen ancestor state has \
-             %d%s"
-            from at (List.length result) (List.length expected)
-            (first_divergence result expected)
-  | _ -> ()
+  check_frozen_read sh ev branch_words v.v_realm.r_model v.v_realm ~at:v.v_sid
 
 (* Resolve the dirty reads deferred against [v]. A deferred read is
    judged only against the frozen epoch it provably ran wholly inside:
@@ -1166,15 +1041,12 @@ let apply_branch_read sh ev at =
    resolves as soon as the applied-stamp horizon proves which epoch it
    ran inside (usually within one reorder window). *)
 let defer_branch_read sh ev at =
-  if sh.s_ndeferred >= max_deferred then
-    inconclusive sh "index %d: deferred-read budget exhausted; branch read at version %Ld unchecked"
-      sh.s_idx at
-  else begin
-    let v = ensure_version sh at in
-    v.v_deferred <- ev :: v.v_deferred;
-    sh.s_ndeferred <- sh.s_ndeferred + 1;
-    resolve_ripe sh v
-  end
+  defer sh
+    (fun f -> Format.fprintf f "branch read at version %Ld" at)
+    (fun () ->
+      let v = ensure_version sh at in
+      v.v_deferred <- ev :: v.v_deferred;
+      resolve_ripe sh v)
 
 (* Multi-version queries. When stamped, the atomic transaction
    serializes at its stamp and every per-version model is exact at
@@ -1198,20 +1070,7 @@ let check_versioned_results sh ev ~exact key results =
             (* The dirty query predates the version's current read-only
                epoch: it observed some earlier tip state. Excused. *)
             ()
-          else begin
-            let expected = Smap.find_opt key v.v_realm.r_model in
-            if result <> expected then
-              if
-                List.exists
-                  (fun c -> c.c_invoked <= ev.Event.invoked_at && c.c_value = result)
-                  (candidates_for v.v_realm key)
-              then ()
-              else
-                violate sh ~event:ev ~key
-                  "multi-version get %S at version %Ld observed %a but the version's state \
-                   holds %a"
-                  key sid pp_value_opt result pp_value_opt expected
-          end
+          else check_frozen_get sh ev multi_words v.v_realm.r_model v.v_realm ~at:sid ~key ~result
       | _ -> violate sh ~event:ev ~key "multi-version read at unknown version %Ld" sid)
     results
 
@@ -1328,13 +1187,9 @@ let shard_unstamped ~slack sh ev =
     | Event.Get_many _ | Event.History _ ->
         (* Dirty multi-version query: judged at finish, when every
            referenced version has reached its final state. *)
-        if sh.s_ndeferred >= max_deferred then
-          inconclusive sh "index %d: deferred-read budget exhausted; multi-version query unchecked"
-            sh.s_idx
-        else begin
-          sh.s_deferred_multi <- ev :: sh.s_deferred_multi;
-          sh.s_ndeferred <- sh.s_ndeferred + 1
-        end
+        defer sh
+          (fun f -> Format.pp_print_string f "multi-version query")
+          (fun () -> sh.s_deferred_multi <- ev :: sh.s_deferred_multi)
 
 (* End-of-stream resolution for one shard: freeze the remaining
    creations, drain every deferred read, settle pending mismatches and
@@ -1342,17 +1197,9 @@ let shard_unstamped ~slack sh ev =
 let shard_finish sh ~final =
   List.iter (fun (_, sid) -> freeze_snapshot sh sid) sh.s_pending_creations;
   sh.s_pending_creations <- [];
-  I64map.iter
-    (fun sid reads ->
-      List.iter
-        (fun p ->
-          let ev = unpark p in
-          sh.s_snap_reads <- sh.s_snap_reads + 1;
-          violate sh ~event:ev ?key:(op_key ev)
-            "snapshot read at sid %Ld left unresolved at end of stream" sid)
-        (List.rev reads))
-    sh.s_deferred_snap;
-  sh.s_deferred_snap <- I64map.empty;
+  (* Reads are parked only while their creation is pending, and every
+     pending creation has just frozen and checked its reads. *)
+  assert (I64map.is_empty sh.s_deferred_snap);
   Sim.Det.iter_sorted sh.s_versions ~cmp:Int64.compare (fun _ v ->
       if v.v_deferred <> [] then
         if v.v_forked then

@@ -30,6 +30,11 @@ let seq_of_slot slot =
   if String.length slot < header_size then invalid_arg "Objref.seq_of_slot: slot too short";
   String.get_int64_le slot 0
 
+let seq_bytes seq =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 seq;
+  Bytes.unsafe_to_string b
+
 let payload_of_slot slot =
   if String.length slot < header_size then invalid_arg "Objref.payload_of_slot: slot too short";
   let len = Int32.to_int (String.get_int32_le slot 8) in

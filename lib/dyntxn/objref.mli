@@ -29,6 +29,10 @@ val seq_of_slot : string -> int64
 (** Sequence number from raw slot bytes (first 8 bytes, little-endian).
     A slot of zeros (never written) has sequence number 0. *)
 
+val seq_bytes : int64 -> string
+(** The 8 bytes {!seq_of_slot} decodes: what a minitransaction compares
+    a slot's header against to validate its sequence number. *)
+
 val payload_of_slot : string -> string
 (** Extract the payload using the stored length field. Raises
     [Codec.Decode_error] if the length field is corrupt. *)

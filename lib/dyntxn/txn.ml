@@ -97,12 +97,7 @@ let check_live t = if t.aborted then raise (Aborted "transaction already aborted
 (* Record that the validated footprint grew; see [footprint_gen]. *)
 let note_footprint t = t.footprint_gen <- t.footprint_gen + 1
 
-let seq_bytes seq =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 seq;
-  Bytes.to_string b
-
-let seq_compare_at addr seq = Mtx.compare_at addr (seq_bytes seq)
+let seq_compare_at addr seq = Mtx.compare_at addr (Objref.seq_bytes seq)
 
 let cache_key_of_repl t off len = Objref.make ~addr:(Address.make ~node:t.home ~off) ~len
 

@@ -36,15 +36,10 @@ let keep_recent tree ~n =
    A concurrent writer reusing or updating the slot wins the race. *)
 let reclaim tree (ref_ : Objref.t) ~observed_seq =
   let cluster = Ops.cluster tree in
-  let seq_bytes =
-    let b = Bytes.create 8 in
-    Bytes.set_int64_le b 0 observed_seq;
-    Bytes.to_string b
-  in
   let zeros = String.make ref_.Objref.len '\000' in
   let mtx =
     Mtx.make
-      ~compares:[ Mtx.compare_at ref_.Objref.addr seq_bytes ]
+      ~compares:[ Mtx.compare_at ref_.Objref.addr (Objref.seq_bytes observed_seq) ]
       ~writes:[ Mtx.write_at ref_.Objref.addr zeros ]
       ()
   in

@@ -37,8 +37,9 @@ let snapshot ?client ?index ~sid ~invoked ~returned () =
   ev ?client ?index ~sid ~invoked ~returned Event.Snapshot_taken
 
 (* Feed [events] through a fresh stream, in order, and finish it. *)
-let run ?final ?scs_staleness ?twopc ?in_doubt ?(creations = []) events =
-  let stream = Stream.create { Stream.Config.default with Stream.Config.scs_staleness } in
+let run ?final ?scs_staleness ?(reorder_window = Stream.Config.default.Stream.Config.reorder_window)
+    ?twopc ?in_doubt ?(creations = []) events =
+  let stream = Stream.create { Stream.Config.scs_staleness; reorder_window } in
   List.iter
     (fun (index, log) ->
       List.iter (fun (sid, stamp) -> Stream.add_creation stream ~index ~sid ~stamp) log)
@@ -412,6 +413,25 @@ let test_too_many_ambiguous_inconclusive () =
   assert_ok ~msg:"over-budget is inconclusive, not failed" v;
   check Alcotest.bool "inconclusive noted" true (v.Stream.inconclusive <> [])
 
+let test_pending_overflow_flushes_oldest () =
+  (* 259 stamped reads observe a value nothing wrote; only 256
+     mismatches stay buffered, so each further one flushes the oldest
+     as a verdict. An ambiguous put arriving late explains the read of
+     "k257", which must still be buffered when it arrives. *)
+  let reads =
+    List.init 259 (fun i ->
+        let t = 0.01 *. float_of_int (i + 1) in
+        get ~stamp:(Int64.of_int (i + 1)) ~invoked:t ~returned:(t +. 0.005)
+          (Printf.sprintf "k%03d" (i + 1))
+          (Some "x"))
+  in
+  let late = put ~ambiguous:true ~invoked:0.0 ~returned:5.0 "k257" "x" in
+  let v = run ~reorder_window:1 (reads @ [ late ]) in
+  check Alcotest.int "violations" 258 (List.length v.Stream.violations);
+  check Alcotest.int "resolved" 1 v.Stream.candidates_resolved;
+  check Alcotest.bool "k257 settled" false
+    (List.exists (fun viol -> mentions ~sub:"\"k257\"" viol.Stream.v_message) v.Stream.violations)
+
 (* ------------------------------------------------------------------ *)
 (* Final audit                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -516,6 +536,133 @@ let test_sibling_leak_caught () =
       ]
   in
   check Alcotest.bool "not ok" false (Stream.ok v)
+
+let branch_scan ?stamp ~at ~invoked ~returned from count result =
+  ev ?stamp ~invoked ~returned (Event.Branch_scan { at; from; count; result })
+
+let get_many ?stamp ~invoked ~returned key results =
+  ev ?stamp ~invoked ~returned (Event.Get_many { key; results })
+
+(* The exact text of every message the frozen-state read rule, the
+   version checks and the deferral budget report: (case, creations,
+   history, violation messages, inconclusive notes). *)
+let message_cases =
+  let forked =
+    [
+      branch_put ~stamp:1L ~at:0L ~invoked:0.00 ~returned:0.01 "a" "1";
+      branch_put ~stamp:2L ~at:0L ~invoked:0.02 ~returned:0.03 "b" "2";
+      branch_created ~stamp:3L ~parent:0L ~sid:1L ~invoked:0.04 ~returned:0.05 ();
+    ]
+  in
+  let amb_a = put ~ambiguous:true ~invoked:0.0 ~returned:0.01 "a" "maybe" in
+  [
+    ( "snapshot get",
+      [ (0, [ (100L, 2L) ]) ],
+      [
+        put ~stamp:1L ~invoked:0.00 ~returned:0.01 "a" "frozen";
+        put ~stamp:3L ~invoked:0.02 ~returned:0.03 "a" "later";
+        get ~sid:100L ~invoked:0.04 ~returned:0.05 "a" (Some "later");
+      ],
+      [ "snapshot get \"a\" at sid 100 observed \"later\" but the frozen state holds \"frozen\"" ],
+      [] );
+    ( "snapshot scan with ambiguous writes",
+      [ (0, [ (100L, 2L) ]) ],
+      [
+        amb_a;
+        put ~stamp:1L ~invoked:0.02 ~returned:0.03 "b" "1";
+        put ~stamp:3L ~invoked:0.04 ~returned:0.05 "b" "2";
+        scan ~sid:100L ~invoked:0.06 ~returned:0.07 "" 10 [ ("b", "2") ];
+      ],
+      [],
+      [ "index 0: snapshot scan at sid 100 mismatches but ambiguous writes are pending" ] );
+    ( "branch get",
+      [],
+      forked
+      @ [
+          branch_put ~stamp:4L ~at:1L ~invoked:0.06 ~returned:0.07 "a" "child";
+          branch_get ~at:0L ~invoked:0.08 ~returned:0.09 "a" (Some "child");
+        ],
+      [
+        "branch get \"a\" at version 0 observed \"child\" but the frozen ancestor state holds \
+         \"1\"";
+      ],
+      [] );
+    ( "branch scan divergence",
+      [],
+      forked
+      @ [
+          branch_scan ~stamp:4L ~at:0L ~invoked:0.06 ~returned:0.07 "" 10
+            [ ("a", "1"); ("b", "3") ];
+        ],
+      [
+        "branch scan from \"\" at version 0 returned 2 entries, frozen ancestor state has 2 (first \
+         divergence: observed \"b\"=\"3\", model \"b\"=\"2\")";
+      ],
+      [] );
+    ( "branch scan with ambiguous writes",
+      [],
+      (ev ~ambiguous:true ~invoked:0.0 ~returned:0.01
+         (Event.Branch_put { at = 0L; key = "c"; value = "3" })
+      :: forked)
+      @ [ branch_scan ~stamp:4L ~at:0L ~invoked:0.06 ~returned:0.07 "" 10 [] ],
+      [],
+      [ "index 0: branch scan at version 0 mismatches but ambiguous writes are pending" ] );
+    ( "multi-version get and history chain",
+      [],
+      forked
+      @ [
+          get_many ~stamp:4L ~invoked:0.06 ~returned:0.07 "a" [ (0L, Some "x"); (1L, Some "1") ];
+          ev ~stamp:5L ~invoked:0.08 ~returned:0.09
+            (Event.History { from = 1L; key = "a"; results = [ (1L, Some "1") ] });
+        ],
+      [
+        "multi-version get \"a\" at version 0 observed \"x\" but the version's state holds \"1\"";
+        "history at version 1 returned chain [1] but the recorded version tree has [0;1]";
+      ],
+      [] );
+    ( "deleted version",
+      [],
+      forked
+      @ [
+          ev ~stamp:4L ~invoked:0.06 ~returned:0.07 (Event.Branch_deleted { sid = 1L });
+          branch_put ~stamp:5L ~at:1L ~invoked:0.08 ~returned:0.09 "a" "late";
+          branch_get ~stamp:6L ~at:1L ~invoked:0.10 ~returned:0.11 "a" None;
+          get_many ~invoked:0.12 ~returned:0.13 "a" [ (1L, None) ];
+        ],
+      [
+        "write at deleted version 1";
+        "read at deleted version 1";
+        "multi-version read at deleted version 1";
+      ],
+      [] );
+    ( "deferred-read budget",
+      [ (0, [ (100L, 1000L) ]) ],
+      List.init 65536 (fun _ -> get_many ~invoked:0.0 ~returned:0.01 "a" [])
+      @ [
+          get ~sid:100L ~invoked:0.02 ~returned:0.03 "a" None;
+          branch_get ~at:0L ~invoked:0.04 ~returned:0.05 "a" None;
+          get_many ~invoked:0.06 ~returned:0.07 "a" [];
+        ],
+      [],
+      [
+        "index 0: deferred-read budget exhausted; snapshot read at sid 100 unchecked";
+        "index 0: deferred-read budget exhausted; branch read at version 0 unchecked";
+        "index 0: deferred-read budget exhausted; multi-version query unchecked";
+      ] );
+  ]
+
+let test_messages () =
+  List.iter
+    (fun (case, creations, events, violations, inconclusive) ->
+      let v = run ~creations events in
+      check
+        (Alcotest.list Alcotest.string)
+        (case ^ ": violations") violations
+        (List.map (fun viol -> viol.Stream.v_message) v.Stream.violations);
+      check
+        (Alcotest.list Alcotest.string)
+        (case ^ ": inconclusive") inconclusive v.Stream.inconclusive)
+    message_cases
 
 (* ------------------------------------------------------------------ *)
 (* Synthetic histories (Histgen): falsifiability                       *)
@@ -643,6 +790,8 @@ let () =
           Alcotest.test_case "expired by overwrite" `Quick test_candidate_expired_by_overwrite;
           Alcotest.test_case "over budget inconclusive" `Quick
             test_too_many_ambiguous_inconclusive;
+          Alcotest.test_case "pending overflow flushes oldest" `Quick
+            test_pending_overflow_flushes_oldest;
         ] );
       ( "audit",
         [
@@ -658,6 +807,7 @@ let () =
           Alcotest.test_case "frozen ancestor" `Quick test_branch_frozen_ancestor;
           Alcotest.test_case "isolation leak caught" `Quick test_branch_isolation_leak_caught;
           Alcotest.test_case "sibling leak caught" `Quick test_sibling_leak_caught;
+          Alcotest.test_case "message texts" `Quick test_messages;
         ] );
       ( "synthetic",
         [

@@ -36,7 +36,8 @@ let test_objref_slot_roundtrip () =
   let s = Objref.slot_of ~seq:42L ~payload:"data" in
   check Alcotest.int64 "seq" 42L (Objref.seq_of_slot s);
   check Alcotest.string "payload" "data" (Objref.payload_of_slot s);
-  check Alcotest.int "slot length" 16 (String.length s)
+  check Alcotest.int "slot length" 16 (String.length s);
+  check Alcotest.string "seq bytes are the slot's prefix" (String.sub s 0 8) (Objref.seq_bytes 42L)
 
 let test_objref_capacity () =
   let r = slot 0 base in
