@@ -325,10 +325,17 @@ dune exec bin/minuet_bench.exe -- chaos --seed 42 --duration 1 --branching
 echo "== same-seed history determinism =="
 # The simulator is a pure function of the seed: a second run of the
 # seed-7 branching storm must dump a byte-identical event history
-# (every event field, JSON-encoded one per line).
+# (every event field, JSON-encoded one per line). So must two runs of
+# the seed-11 scan-heavy storm in the baseline mode, whose commits echo
+# sequence numbers to every memnode and validate them at one.
 dune exec bin/minuet_bench.exe -- chaos --seed 7 --duration 1 --branching \
   --trace "$smoke_dir/history_b.jsonl" >/dev/null
 cmp "$smoke_dir/history_a.jsonl" "$smoke_dir/history_b.jsonl"
+for run in c d; do
+  dune exec bin/minuet_bench.exe -- chaos --seed 11 --duration 1 --scan-heavy --cc validated \
+    --trace "$smoke_dir/history_$run.jsonl" >/dev/null
+done
+cmp "$smoke_dir/history_c.jsonl" "$smoke_dir/history_d.jsonl"
 
 echo "== staleness-bound chaos (SCS reuse window) =="
 # A staleness-bounded SCS (k = 20 ms) under the default fault storm: a

@@ -685,36 +685,56 @@ let multi_words =
     w_divergence = false;
   }
 
-(* A get at [at] must observe the frozen map [m] exactly, unless a
-   candidate of [realm] invoked before the read wrote what it saw. *)
+(* A frozen read of [key] observing [observed] where the frozen map
+   disagrees is excused when a candidate of [realm] invoked before the
+   read wrote what it saw. *)
+let frozen_excused ev realm key observed =
+  List.exists
+    (fun c -> c.c_invoked <= ev.Event.invoked_at && c.c_value = observed)
+    (candidates_for realm key)
+
+(* A get at [at] must observe the frozen map [m] exactly, unless
+   excused. *)
 let check_frozen_get sh ev w m realm ~at ~key ~result =
   let expected = Smap.find_opt key m in
-  if
-    result <> expected
-    && not
-         (List.exists
-            (fun c -> c.c_invoked <= ev.Event.invoked_at && c.c_value = result)
-            (candidates_for realm key))
-  then
+  if result <> expected && not (frozen_excused ev realm key result) then
     violate sh ~event:ev ~key "%s get %S at %s %Ld observed %a but the %s holds %a" w.w_kind key
       w.w_unit at pp_value_opt result w.w_state pp_value_opt expected
 
-(* The frozen-state read rule for a get or scan at [at]; a scan
-   mismatch is inconclusive while [realm] holds any candidate. *)
+(* A scan differing from the frozen map [m] is excused key by key, over
+   the window it returned: from [from] up to its last key if it returned
+   [count] entries, unbounded otherwise. A result out of key order,
+   before [from] or longer than [count] is never excused. *)
+let frozen_scan_excused ev m realm ~from ~count result =
+  let rec ascending prev = function
+    | [] -> true
+    | (k, _) :: tl -> String.compare prev k < 0 && ascending k tl
+  in
+  let n = List.length result in
+  let last = if n = count && n > 0 then Option.map fst (List.nth_opt result (n - 1)) else None in
+  let in_window (k, _) = match last with Some l -> String.compare k l <= 0 | None -> true in
+  let got = List.fold_left (fun acc (k, v) -> Smap.add k v acc) Smap.empty result in
+  let agrees k observed expected = observed = expected || frozen_excused ev realm k observed in
+  n <= count
+  && (match result with
+     | [] -> true
+     | (first, _) :: tl -> String.compare from first <= 0 && ascending first tl)
+  && Smap.for_all (fun k v -> agrees k (Some v) (Smap.find_opt k m)) got
+  && Seq.for_all
+       (fun (k, v) -> agrees k (Smap.find_opt k got) (Some v))
+       (Seq.take_while in_window (Smap.to_seq_from from m))
+
+(* The frozen-state read rule for a get or scan at [at]. *)
 let check_frozen_read sh ev w m realm ~at =
   match ev.Event.op with
   | Event.Get { key; result } | Event.Branch_get { key; result; _ } ->
       check_frozen_get sh ev w m realm ~at ~key ~result
   | Event.Scan { from; count; result } | Event.Branch_scan { from; count; result; _ } ->
       let expected = model_scan m ~from ~count in
-      if result <> expected then
-        if Hashtbl.length realm.r_candidates > 0 then
-          inconclusive sh "index %d: %s scan at %s %Ld mismatches but ambiguous writes are pending"
-            sh.s_idx w.w_kind w.w_unit at
-        else
-          violate sh ~event:ev "%s scan from %S at %s %Ld returned %d entries, %s has %d%s"
-            w.w_kind from w.w_unit at (List.length result) w.w_state (List.length expected)
-            (if w.w_divergence then first_divergence result expected else "")
+      if result <> expected && not (frozen_scan_excused ev m realm ~from ~count result) then
+        violate sh ~event:ev "%s scan from %S at %s %Ld returned %d entries, %s has %d%s" w.w_kind
+          from w.w_unit at (List.length result) w.w_state (List.length expected)
+          (if w.w_divergence then first_divergence result expected else "")
   | _ -> ()
 
 (* Hold one more read back with [hold] under the per-index budget; past

@@ -6,16 +6,18 @@ exception Too_contended of string
 
 exception Ambiguous of string
 
-type read_entry = {
-  ref_ : Objref.t;
-  seq : int64;
-  payload : string;
-  mutable validated : bool;
-      (* Covered by the most recent piggy-backed validation. Used only to
-         decide whether a read-only commit needs a validation round. *)
-}
+(* A read-set entry. A replicated object is keyed by its copy on the
+   home memnode (also its cache key) and compared at whichever replica
+   the compares are built for; a slot entry is compared where it lives.
+   [stale] is what a failed compare proves stale: the object itself, or
+   for a baseline sequence-number entry the node it numbers. *)
+type read_entry = { seq : int64; payload : string; replicated : bool; stale : Objref.t }
 
-type repl_read = { rr_len : int; rr_seq : int64; rr_payload : string }
+(* Where a buffered write lands: its own slot; its slot plus an echo of
+   the fresh sequence number at an offset on every memnode (the
+   baseline's replicated sequence-number table); or, for a replicated
+   object, its offset on every memnode. *)
+type fanout = Own | Linked of int | Replicated
 
 type t = {
   cluster : Cluster.t;
@@ -25,21 +27,15 @@ type t = {
   client : int option;
   home : int;
   reads : (Objref.t, read_entry) Hashtbl.t;
-  writes : (Objref.t, string * int option) Hashtbl.t; (* payload, echo offset *)
+  writes : (Objref.t, string * fanout) Hashtbl.t;
   dirty_seen : (Objref.t, int64 * string) Hashtbl.t;
-  repl_reads : (int, repl_read) Hashtbl.t; (* keyed by offset *)
-  repl_writes : (int, int * string) Hashtbl.t; (* offset -> slot len, payload *)
-  repl_validates : (int, int64 * Objref.t) Hashtbl.t;
-      (* offset -> expected seq and the object it numbers, no fetch *)
-  dirty_repl_seen : (int, int) Hashtbl.t; (* offset -> len, for cache eviction *)
   mutable aborted : bool;
   mutable fetches : int;
-  (* Bumped whenever an entry joins the validated footprint (reads,
-     repl_reads, repl_validates). A validating fetch captures the value
-     when it builds its compare set and may only claim full coverage if
-     it is unchanged when the fetch lands: entries added mid-flight by a
-     concurrent fetch on the same transaction (the scan prefetch window)
-     were never compared. *)
+  (* Bumped whenever an entry joins the read set. A validating fetch
+     captures the value when it builds its compare set and may only
+     claim full coverage if it is unchanged when the fetch lands:
+     entries added mid-flight by a concurrent fetch on the same
+     transaction (the scan prefetch window) were never compared. *)
   mutable footprint_gen : int;
   (* True when the read set as a whole was atomically validated by the
      most recent fetch; lets read-only transactions commit locally. *)
@@ -70,10 +66,6 @@ let begin_ ?cache ?client ?(home = 0) cluster =
     reads = Hashtbl.create 8;
     writes = Hashtbl.create 8;
     dirty_seen = Hashtbl.create 16;
-    repl_reads = Hashtbl.create 4;
-    repl_writes = Hashtbl.create 4;
-    repl_validates = Hashtbl.create 4;
-    dirty_repl_seen = Hashtbl.create 4;
     aborted = false;
     fetches = 0;
     footprint_gen = 0;
@@ -94,12 +86,9 @@ let fail t msg =
 
 let check_live t = if t.aborted then raise (Aborted "transaction already aborted")
 
-(* Record that the validated footprint grew; see [footprint_gen]. *)
-let note_footprint t = t.footprint_gen <- t.footprint_gen + 1
-
 let seq_compare_at addr seq = Mtx.compare_at addr (Objref.seq_bytes seq)
 
-let cache_key_of_repl t off len = Objref.make ~addr:(Address.make ~node:t.home ~off) ~len
+let repl_key t ~off ~len = Objref.make ~addr:(Address.make ~node:t.home ~off) ~len
 
 (* Keep the proxy cache's view of per-space crash epochs current from
    every reply that carries them. *)
@@ -109,33 +98,22 @@ let observe_epochs t epochs =
   | Some cache ->
       List.iter (fun (space, epoch) -> Objcache.observe_epoch cache ~space ~epoch) epochs
 
-(* Compare items that re-validate the current read set, restricted to
-   what can be checked at the memnodes in [nodes]: regular entries
-   stored on one of them plus replicated entries (present on every
-   memnode, attached to the first participant to avoid duplicates).
-   Returns the compares, the entries they cover, and whether they cover
-   the whole read set. *)
-let piggyback_compares t ~nodes =
-  let compares = ref [] in
-  let covered = ref [] in
-  let all_covered = ref true in
-  (* Invariant: callers pass the txn's participant set, never empty. *)
-  let repl_node = List.hd nodes in
-  (* Sorted iteration: compare order shapes the minitransaction item
-     layout (and which stale entry aborts first), which must replay
-     identically per seed. *)
-  Sim.Det.iter_sorted t.reads ~cmp:Objref.compare (fun _ entry ->
-      if List.mem (Objref.node entry.ref_) nodes then begin
-        compares := seq_compare_at entry.ref_.Objref.addr entry.seq :: !compares;
-        covered := `Read entry :: !covered
-      end
-      else all_covered := false);
-  Sim.Det.iter_sorted t.repl_reads ~cmp:Int.compare (fun off rr ->
-      compares := seq_compare_at (Address.make ~node:repl_node ~off) rr.rr_seq :: !compares);
-  Sim.Det.iter_sorted t.repl_validates ~cmp:Int.compare (fun off (seq, _) ->
-      if not (Hashtbl.mem t.repl_reads off) then
-        compares := seq_compare_at (Address.make ~node:repl_node ~off) seq :: !compares);
-  (!compares, !covered, !all_covered)
+(* Compares re-validating the read set: each slot entry where it lives,
+   if [on] accepts its memnode, and each replicated entry at
+   [repl_node]. Returns the compares, the objects their failures prove
+   stale (in the same order), and whether every entry is compared.
+   Sorted: the compare order shapes the minitransaction item layout,
+   which must replay identically per seed. *)
+let read_set_compares t ~on ~repl_node =
+  Sim.Det.fold_sorted t.reads ~cmp:Objref.compare
+    (fun (r : Objref.t) e (compares, stale, all) ->
+      if e.replicated then
+        let addr = Address.make ~node:repl_node ~off:r.Objref.addr.Address.off in
+        (seq_compare_at addr e.seq :: compares, e.stale :: stale, all)
+      else if on (Objref.node r) then
+        (seq_compare_at r.Objref.addr e.seq :: compares, r :: stale, all)
+      else (compares, stale, false))
+    ([], [], true)
 
 (* Abort messages of a fetch that hit a crashed or partitioned memnode;
    [run] tells an outage from contention by them. *)
@@ -146,19 +124,22 @@ let partitioned_msg = "memnode partitioned"
 let is_outage msg = String.equal msg unavailable_msg || String.equal msg partitioned_msg
 
 (* Multi-object fetch, optionally piggy-backing read-set validation
-   (Sec. 2.2). Items are coalesced per memnode by the Mtx/Coordinator
-   machinery: one round trip for a single participant. A validating
-   fetch over several runs one parallel 2PC, so the batch joins the
-   read set atomically; a dirty one runs one parallel one-phase read
-   per memnode. Results are in the order of [refs]. Raises [Aborted]
-   when a piggy-backed comparison fails: the read set is stale and the
+   (Sec. 2.2) at the fetched memnodes, replicated entries at the first.
+   Items are coalesced per memnode by the Mtx/Coordinator machinery:
+   one round trip for a single participant. A validating fetch over
+   several runs one parallel 2PC, so the batch joins the read set
+   atomically; a dirty one runs one parallel one-phase read per
+   memnode. Results are in the order of [refs]. Raises [Aborted] when a
+   piggy-backed comparison fails: the read set is stale and the
    transaction cannot commit. *)
 let fetch_refs t ~validate (refs : Objref.t list) =
   check_live t;
   let nodes = List.sort_uniq Int.compare (List.map Objref.node refs) in
   let gen0 = t.footprint_gen in
-  let compares, covered, all_covered =
-    if validate then piggyback_compares t ~nodes else ([], [], false)
+  let compares, _, all_covered =
+    (* Invariant: [nodes] is the fetch's participant set, never empty. *)
+    if validate then read_set_compares t ~on:(fun n -> List.mem n nodes) ~repl_node:(List.hd nodes)
+    else ([], [], false)
   in
   (* Replies are trimmed to the slot's used prefix (header + payload):
      response transfer cost is charged on actual bytes, not the fixed
@@ -174,12 +155,11 @@ let fetch_refs t ~validate (refs : Objref.t list) =
   | Mtx.Committed { stamp; reads = results; epochs } ->
       observe_epochs t epochs;
       if validate then begin
-        List.iter (fun (`Read entry) -> entry.validated <- true) covered;
         (* Entries that joined the footprint while this fetch was in
            flight (a concurrent prefetch on the same transaction) were
            not in its compare set, so full coverage cannot be claimed;
            the commit then falls back to a full validation round. *)
-        t.fully_validated <- (all_covered && t.footprint_gen = gen0);
+        t.fully_validated <- all_covered && t.footprint_gen = gen0;
         t.last_validated_stamp <- Some stamp
       end;
       List.map (fun (_, slot) -> (Objref.seq_of_slot slot, Objref.payload_of_slot slot)) results
@@ -249,39 +229,6 @@ let per_distinct f refs =
         List.map (Hashtbl.find results) refs
       end
 
-let read_many_with_seq t refs =
-  check_live t;
-  per_distinct
-    (fun refs ->
-      (match List.filter (fun r -> Option.is_none (local t ~dirty:false r)) refs with
-      | [] -> ()
-      | missing ->
-          (* One minitransaction for every missing object (coalesced per
-             memnode by the coordinator), piggy-backing read-set
-             validation so the batch joins the read set atomically
-             validated. *)
-          let fetched = fetch_refs t ~validate:true missing in
-          List.iter2
-            (fun ref_ (seq, payload) ->
-              Hashtbl.replace t.reads ref_ { ref_; seq; payload; validated = true };
-              note_footprint t)
-            missing fetched;
-          (* A concurrent fiber of this transaction (the scan prefetch
-             window) may have aborted or committed it meanwhile. *)
-          check_live t);
-      List.map
-        (fun r ->
-          match local t ~dirty:false r with
-          | Some v -> v
-          | None -> assert false (* every missing object just joined the read set *))
-        refs)
-    refs
-
-let read_with_seq t ref_ =
-  match read_many_with_seq t [ ref_ ] with [ v ] -> v | _ -> assert false
-
-let read t ref_ = snd (read_with_seq t ref_)
-
 (* Cache lookup distinguishing fresh entries from stale-epoch ones
    (their space crashed since insertion; the caller re-fetches and
    reports the revalidation) and true misses. *)
@@ -309,22 +256,39 @@ let cache_store t ref_ ~seq ~payload st =
       if String.length payload > 0 then Objcache.insert cache ref_ { Objcache.seq; payload }
       else Objcache.invalidate cache ref_
 
-let dirty_read_many_with_seq ?(use_cache = true) t refs =
+let join_reads t r entry =
+  Hashtbl.replace t.reads r entry;
+  t.footprint_gen <- t.footprint_gen + 1
+
+(* Note what a read observed: a validated read joins the read set, a
+   dirty one is remembered so that a later {!write} adds it to the read
+   set and {!evict_dirty} can purge it. *)
+let record t r ((seq, payload) as v) ~validate ~replicated =
+  if validate then join_reads t r { seq; payload; replicated; stale = r }
+  else Hashtbl.replace t.dirty_seen r v
+
+(* The one read path. Objects are served from the transaction's own
+   state, then (with [use_cache]) the proxy cache, and the rest come
+   from one fetch; stale-epoch cache entries are fetched too and
+   accounted as lazy revalidations. A replicated dirty read skips the
+   transaction's state and goes to the cache or memnode on every call. *)
+let read_objs t ~validate ~use_cache ~replicated refs =
   check_live t;
   per_distinct
     (fun refs ->
-      (* Resolve from local state / the cache first; whatever remains is
-         fetched in one batched minitransaction. Stale-epoch cache
-         entries are fetched too and accounted as lazy revalidations. *)
       let resolved =
         List.map
           (fun r ->
-            match local t ~dirty:true r with
+            match if replicated && not validate then None else local t ~dirty:(not validate) r with
             | Some v -> `Done v
             | None -> (
                 match if use_cache then cache_lookup t r else `Absent with
                 | `Fresh v ->
-                    Hashtbl.replace t.dirty_seen r v;
+                    record t r v ~validate ~replicated;
+                    (* Served from the incoherent cache: the read set is
+                       no longer known-consistent until the next
+                       validating fetch or commit. *)
+                    if validate then t.fully_validated <- false;
                     `Done v
                 | (`Stale _ | `Absent) as st -> `Fetch (r, st)))
           refs
@@ -334,12 +298,15 @@ let dirty_read_many_with_seq ?(use_cache = true) t refs =
         match missing with
         | [] -> []
         | _ ->
-            let fetched = fetch_refs t ~validate:false (List.map fst missing) in
+            let fetched = fetch_refs t ~validate (List.map fst missing) in
             List.iter2
               (fun (r, st) ((seq, payload) as v) ->
-                Hashtbl.replace t.dirty_seen r v;
+                record t r v ~validate ~replicated;
                 if use_cache then cache_store t r ~seq ~payload st)
               missing fetched;
+            (* A concurrent fiber of this transaction (the scan prefetch
+               window) may have aborted or committed it meanwhile. *)
+            if validate then check_live t;
             fetched
       in
       (* Fetched values fill the [`Fetch] holes in order. *)
@@ -352,106 +319,85 @@ let dirty_read_many_with_seq ?(use_cache = true) t refs =
       fill resolved fetched)
     refs
 
+let read_many_with_seq t refs = read_objs t ~validate:true ~use_cache:false ~replicated:false refs
+
+let read_with_seq t ref_ =
+  match read_many_with_seq t [ ref_ ] with [ v ] -> v | _ -> assert false
+
+let read t ref_ = snd (read_with_seq t ref_)
+
+let dirty_read_many_with_seq ?(use_cache = true) t refs =
+  read_objs t ~validate:false ~use_cache ~replicated:false refs
+
 let dirty_read_with_seq ?use_cache t ref_ =
   match dirty_read_many_with_seq ?use_cache t [ ref_ ] with [ v ] -> v | _ -> assert false
 
 let dirty_read ?use_cache t ref_ = snd (dirty_read_with_seq ?use_cache t ref_)
 
-let write_gen t (ref_ : Objref.t) payload ~echo =
-  check_live t;
-  if String.length payload > Objref.payload_capacity ref_ then
-    invalid_arg "Txn.write: payload exceeds slot capacity";
-  (* An object that was dirty-read and is now written must join the read
-     set (with the sequence number it was dirty-read at) so that commit
-     validates it (Sec. 3). *)
-  if not (Hashtbl.mem t.reads ref_) then begin
-    match Hashtbl.find_opt t.dirty_seen ref_ with
-    | Some (seq, seen_payload) ->
-        Hashtbl.replace t.reads ref_ { ref_; seq; payload = seen_payload; validated = false };
-        note_footprint t;
-        t.fully_validated <- false
-    | None -> ()
-  end;
-  (* A plain rewrite keeps any echo offset recorded earlier. *)
-  let echo =
-    match echo with
-    | Some _ -> echo
-    | None -> (
-        match Hashtbl.find_opt t.writes ref_ with Some (_, e) -> e | None -> None)
-  in
-  Hashtbl.replace t.writes ref_ (payload, echo)
+let read_replicated_gen t ~validate ~use_cache ~off ~len =
+  match read_objs t ~validate ~use_cache ~replicated:true [ repl_key t ~off ~len ] with
+  | [ (_, payload) ] -> payload
+  | _ -> assert false
 
-let write t ref_ payload = write_gen t ref_ payload ~echo:None
-
-let write_linked t ref_ payload ~repl_off = write_gen t ref_ payload ~echo:(Some repl_off)
-
-let validate_replicated t ~off ~seq ~obj =
-  check_live t;
-  if not (Hashtbl.mem t.repl_validates off) then begin
-    Hashtbl.replace t.repl_validates off (seq, obj);
-    note_footprint t;
-    t.fully_validated <- false
-  end
-
-let read_replicated t ~off ~len =
-  check_live t;
-  match Hashtbl.find_opt t.repl_writes off with
-  | Some (_, payload) -> payload
-  | None -> (
-      match Hashtbl.find_opt t.repl_reads off with
-      | Some rr -> rr.rr_payload
-      | None -> (
-          let key = cache_key_of_repl t off len in
-          match cache_lookup t key with
-          | `Fresh (seq, payload) ->
-              Hashtbl.replace t.repl_reads off { rr_len = len; rr_seq = seq; rr_payload = payload };
-              note_footprint t;
-              (* Served from the (incoherent) cache: the read set is no
-                 longer known-consistent until the next validating fetch
-                 or commit. *)
-              t.fully_validated <- false;
-              payload
-          | (`Stale _ | `Absent) as st -> (
-              match fetch_refs t ~validate:true [ key ] with
-              | [ (seq, payload) ] ->
-                  Hashtbl.replace t.repl_reads off
-                    { rr_len = len; rr_seq = seq; rr_payload = payload };
-                  note_footprint t;
-                  cache_store t key ~seq ~payload st;
-                  payload
-              | _ -> assert false (* one result per ref *))))
+let read_replicated t ~off ~len = read_replicated_gen t ~validate:true ~use_cache:true ~off ~len
 
 let dirty_read_replicated ?(use_cache = true) t ~off ~len =
+  read_replicated_gen t ~validate:false ~use_cache ~off ~len
+
+let write_gen t (ref_ : Objref.t) payload ~fanout ~what =
   check_live t;
-  Hashtbl.replace t.dirty_repl_seen off len;
-  let key = cache_key_of_repl t off len in
-  let status = if use_cache then cache_lookup t key else `Absent in
-  match status with
-  | `Fresh (_, payload) -> payload
-  | (`Stale _ | `Absent) as st -> (
-      match fetch_refs t ~validate:false [ key ] with
-      | [ (seq, payload) ] ->
-          if use_cache then cache_store t key ~seq ~payload st;
-          payload
-      | _ -> assert false (* one result per ref *))
+  if String.length payload > Objref.payload_capacity ref_ then
+    invalid_arg (what ^ ": payload exceeds slot capacity");
+  match fanout with
+  | Replicated -> Hashtbl.replace t.writes ref_ (payload, fanout)
+  | Own | Linked _ ->
+      (* An object that was dirty-read and is now written must join the
+         read set (with the sequence number it was dirty-read at) so
+         that commit validates it (Sec. 3). *)
+      (if not (Hashtbl.mem t.reads ref_) then
+         match Hashtbl.find_opt t.dirty_seen ref_ with
+         | Some v ->
+             record t ref_ v ~validate:true ~replicated:false;
+             t.fully_validated <- false
+         | None -> ());
+      (* A plain rewrite keeps any echo offset recorded earlier. *)
+      let fanout =
+        match (fanout, Hashtbl.find_opt t.writes ref_) with
+        | Own, Some (_, (Linked _ as linked)) -> linked
+        | _ -> fanout
+      in
+      Hashtbl.replace t.writes ref_ (payload, fanout)
+
+let write t ref_ payload = write_gen t ref_ payload ~fanout:Own ~what:"Txn.write"
+
+let write_linked t ref_ payload ~repl_off =
+  write_gen t ref_ payload ~fanout:(Linked repl_off) ~what:"Txn.write"
 
 let write_replicated t ~off ~len payload =
+  write_gen t (repl_key t ~off ~len) payload ~fanout:Replicated ~what:"Txn.write_replicated"
+
+(* A sequence-number entry is a bare slot header (what {!write_linked}
+   echoes), so its home copy is keyed with the header's length. *)
+let validate_replicated t ~off ~seq ~obj =
   check_live t;
-  if String.length payload > len - Mtx.slot_header_size then
-    invalid_arg "Txn.write_replicated: payload exceeds slot capacity";
-  Hashtbl.replace t.repl_writes off (len, payload)
+  let key = { Objref.addr = Address.make ~node:t.home ~off; len = Mtx.slot_header_size } in
+  if not (Hashtbl.mem t.reads key) then begin
+    join_reads t key { seq; payload = ""; replicated = true; stale = obj };
+    t.fully_validated <- false
+  end
 
 (* Each iter below only invalidates cache entries — idempotent per key,
    so iteration order cannot reach the resulting cache state.
 
-   Negative entries: a read-set entry observed with an empty payload
-   names a deleted or unallocated slot. Drop any cached copy so a
-   post-abort retry cannot dirty-read the dead node out of the cache and
-   traverse into freed space. *)
+   Negative entries: a slot read-set entry observed with an empty
+   payload names a deleted or unallocated slot. Drop any cached copy so
+   a post-abort retry cannot dirty-read the dead node out of the cache
+   and traverse into freed space. *)
 let evict_negative t cache =
   (* lint: allow transitive-nondet *)
   Hashtbl.iter
-    (fun ref_ e -> if String.length e.payload = 0 then Objcache.invalidate cache ref_)
+    (fun ref_ e ->
+      if (not e.replicated) && String.length e.payload = 0 then Objcache.invalidate cache ref_)
     t.reads
 
 let evict_dirty t =
@@ -463,13 +409,7 @@ let evict_dirty t =
       evict_negative t cache;
       (* Replicated reads may also have come from the cache. *)
       (* lint: allow transitive-nondet *)
-      Hashtbl.iter
-        (fun off rr -> Objcache.invalidate cache (cache_key_of_repl t off rr.rr_len))
-        t.repl_reads;
-      (* lint: allow transitive-nondet *)
-      Hashtbl.iter
-        (fun off len -> Objcache.invalidate cache (cache_key_of_repl t off len))
-        t.dirty_repl_seen
+      Hashtbl.iter (fun ref_ e -> if e.replicated then Objcache.invalidate cache ref_) t.reads
 
 type commit_result =
   | Committed
@@ -479,25 +419,11 @@ type commit_result =
 
 let fetches t = t.fetches
 
-(* Post-commit: refresh the proxy cache for objects we just wrote, but
-   only those the cache already knew about (internal B-tree nodes);
-   leaves stay uncached, matching the paper's design. *)
-let refresh_cache t written =
-  match t.cache with
-  | None -> ()
-  | Some cache ->
-      List.iter
-        (fun (ref_, seq, payload, _echo) ->
-          let known = Hashtbl.mem t.dirty_seen ref_ || Objcache.mem cache ref_ in
-          if known then Objcache.insert cache ref_ { Objcache.seq; payload })
-        written
-
 let commit ?(blocking = false) t =
   check_live t;
   t.aborted <- true;
   (* mark consumed: a transaction commits at most once *)
-  let no_writes = Hashtbl.length t.writes = 0 && Hashtbl.length t.repl_writes = 0 in
-  if no_writes && t.fully_validated then begin
+  if Hashtbl.length t.writes = 0 && t.fully_validated then begin
     (* Free commit: serialization point is the last fetch that validated
        the whole read set (None for a transaction that never validated
        anything, e.g. dirty-only snapshot reads). *)
@@ -507,110 +433,78 @@ let commit ?(blocking = false) t =
   end
   else
     Obs.with_span t.obs Obs.Span.Commit @@ fun () ->
+    (* Fresh sequence numbers for every written object, drawn from the
+       cluster-wide counter in address order, slot writes first.
+       Uniqueness (not contiguity) is what validation relies on; the
+       counter also keeps them monotonically increasing over time. Each
+       group lists its highest address first. *)
+    let slot_writes, repl_writes =
+      List.partition
+        (fun (_, (_, fanout)) -> fanout <> Replicated)
+        (Sim.Det.sorted_bindings t.writes ~cmp:Objref.compare)
+    in
+    let draw =
+      List.rev_map (fun (ref_, (payload, fanout)) ->
+          (ref_, Cluster.fresh_owner t.cluster, payload, fanout))
+    in
+    let slot_written = draw slot_writes in
+    let written = slot_written @ draw repl_writes in
     let n = Cluster.n_memnodes t.cluster in
-    (* Fresh sequence numbers for every written object. Uniqueness (not
-       contiguity) is what validation relies on; the cluster-wide counter
-       also keeps them monotonically increasing over time. *)
-    (* Sorted folds below: these shape the minitransaction item layout
-       and the order sequence numbers are drawn from the cluster-wide
-       counter — both must replay identically per seed. *)
-    let written =
-      Sim.Det.fold_sorted t.writes ~cmp:Objref.compare
-        (fun ref_ (payload, echo) acc -> (ref_, Cluster.fresh_owner t.cluster, payload, echo) :: acc)
-        []
+    let everywhere off slot =
+      List.init n (fun node -> Mtx.write_at (Address.make ~node ~off) slot)
     in
     let write_items =
       List.concat_map
-        (fun ((ref_ : Objref.t), seq, payload, echo) ->
-          let obj = Mtx.write_at ref_.Objref.addr (Objref.slot_of ~seq ~payload) in
-          match echo with
-          | None -> [ obj ]
-          | Some off ->
-              (* Republish the fresh sequence number to the replicated
-                 slot at [off] on every memnode (baseline seqnum table). *)
-              let slot = Objref.slot_of ~seq ~payload:"" in
-              obj :: List.init n (fun node -> Mtx.write_at (Address.make ~node ~off) slot))
+        (fun ((ref_ : Objref.t), seq, payload, fanout) ->
+          let slot = Objref.slot_of ~seq ~payload in
+          match fanout with
+          | Own -> [ Mtx.write_at ref_.Objref.addr slot ]
+          | Linked off ->
+              Mtx.write_at ref_.Objref.addr slot :: everywhere off (Objref.slot_of ~seq ~payload:"")
+          | Replicated -> everywhere ref_.Objref.addr.Address.off slot)
         written
     in
-    let repl_written =
-      Sim.Det.fold_sorted t.repl_writes ~cmp:Int.compare
-        (fun off (len, payload) acc -> (off, len, Cluster.fresh_owner t.cluster, payload) :: acc)
-        []
+    (* Replicated entries validate at one replica: a memnode that
+       already participates, so single-memnode commits stay one-phase. *)
+    let repl_node =
+      match slot_written with
+      | (ref_, _, _, _) :: _ -> Objref.node ref_
+      | [] ->
+          Sim.Det.fold_sorted t.reads ~cmp:Objref.compare
+            (fun ref_ e node -> if e.replicated then node else Objref.node ref_)
+            t.home
     in
-    let repl_write_items =
-      List.concat_map
-        (fun (off, _len, seq, payload) ->
-          let slot = Objref.slot_of ~seq ~payload in
-          List.init n (fun node -> Mtx.write_at (Address.make ~node ~off) slot))
-        repl_written
-    in
-    (* Regular read-set validation: compare each object's sequence
-       number where it lives. *)
-    let read_entries = Sim.Det.fold_sorted t.reads ~cmp:Objref.compare (fun _ e acc -> e :: acc) [] in
-    let read_compares =
-      List.map (fun e -> (seq_compare_at e.ref_.Objref.addr e.seq, `Obj e.ref_)) read_entries
-    in
-    (* Replicated reads validate at one replica. Prefer a memnode that
-       already participates so single-memnode commits stay one-phase. *)
-    let preferred_node =
-      match write_items with
-      | w :: _ -> w.Mtx.w_addr.Address.node
-      | [] -> (
-          match read_entries with e :: _ -> Objref.node e.ref_ | [] -> t.home)
-    in
-    let repl_compares =
-      Sim.Det.fold_sorted t.repl_reads ~cmp:Int.compare
-        (fun off rr acc ->
-          ( seq_compare_at (Address.make ~node:preferred_node ~off) rr.rr_seq,
-            `Repl (off, rr.rr_len) )
-          :: acc)
-        []
-    in
-    let repl_validate_compares =
-      Sim.Det.fold_sorted t.repl_validates ~cmp:Int.compare
-        (fun off (seq, obj) acc ->
-          if Hashtbl.mem t.repl_reads off then acc
-          else (seq_compare_at (Address.make ~node:preferred_node ~off) seq, `Repl_seq obj) :: acc)
-        []
-    in
-    let compares = read_compares @ repl_compares @ repl_validate_compares in
-    let mtx =
-      Mtx.make ~compares:(List.map fst compares)
-        ~writes:(write_items @ repl_write_items)
-        ()
-    in
+    let compares, stale, _ = read_set_compares t ~on:(fun _ -> true) ~repl_node in
+    let mtx = Mtx.make ~compares ~writes:write_items () in
     let mode = if blocking then Coordinator.Blocking else Coordinator.Normal in
     match Coordinator.exec t.cluster ?client:t.client ~mode mtx with
     | Mtx.Committed { stamp; epochs; _ } ->
         t.commit_stamp <- Some stamp;
         observe_epochs t epochs;
-        refresh_cache t written;
-        (* Keep the proxy's view of replicated objects it just updated
-           fresh (tip pointers, catalog entries). *)
-        (match t.cache with
-        | None -> ()
-        | Some cache ->
+        (* Refresh the proxy cache for what we just wrote: replicated
+           objects (tip pointers, catalog entries) and the slot objects
+           the cache already knew about (internal B-tree nodes); leaves
+           stay uncached, matching the paper's design. *)
+        Option.iter
+          (fun cache ->
             List.iter
-              (fun (off, len, seq, payload) ->
-                Objcache.insert cache (cache_key_of_repl t off len) { Objcache.seq; payload })
-              repl_written);
+              (fun (ref_, seq, payload, fanout) ->
+                if fanout = Replicated || Hashtbl.mem t.dirty_seen ref_ || Objcache.mem cache ref_
+                then Objcache.insert cache ref_ { Objcache.seq; payload })
+              written)
+          t.cache;
         Obs.Counter.incr t.stats.Obs.commits;
         Committed
     | Mtx.Failed_compare idxs ->
         (* Evict whatever proved stale from the cache so the retry
            re-fetches fresh copies. *)
-        let tagged = Array.of_list (List.map snd compares) in
-        (match t.cache with
-        | None -> ()
-        | Some cache ->
+        Option.iter
+          (fun cache ->
+            let stale = Array.of_list stale in
             List.iter
-              (fun i ->
-                if i < Array.length tagged then
-                  match tagged.(i) with
-                  | `Obj ref_ -> Objcache.invalidate cache ref_
-                  | `Repl (off, len) -> Objcache.invalidate cache (cache_key_of_repl t off len)
-                  | `Repl_seq obj -> Objcache.invalidate cache obj)
-              idxs);
+              (fun i -> if i < Array.length stale then Objcache.invalidate cache stale.(i))
+              idxs)
+          t.cache;
         Obs.Counter.incr t.stats.Obs.validation_failures;
         Obs.abort t.obs ~layer:Obs.Abort.Txn Obs.Abort.Validation_failed;
         Validation_failed

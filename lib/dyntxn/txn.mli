@@ -2,18 +2,24 @@
     stored in Sinfonia, following Aguilera et al. (Sec. 2.2) extended
     with dirty reads (Sec. 3).
 
-    A transaction tracks a read set (object, sequence number) and a
-    write set (object, new payload). Commit executes one minitransaction
-    that validates every read-set sequence number and applies the writes
-    with fresh sequence numbers. Dirty reads bypass the read set (no
-    validation) and are served from the proxy's incoherent cache when
-    possible.
+    A transaction's footprint is three sets: a read set (object,
+    sequence number), a write set (object, new payload) and the objects
+    it dirty-read. Commit executes one minitransaction that validates
+    every read-set sequence number and applies the writes with fresh
+    sequence numbers. Dirty reads bypass the read set (no validation)
+    and are served from the proxy's incoherent cache when possible.
 
-    {e Replicated objects} (the tip snapshot id, root location, and the
-    baseline sequence-number table) are stored at the same offset on
-    every memnode. Reads of replicated objects validate against any one
-    replica at commit (preferably one already participating, preserving
-    one-phase commits); writes update every replica atomically. *)
+    {e Replicated objects} (the tip snapshot id and root location, the
+    branch catalog, and the baseline sequence-number table) are stored
+    at the same offset on every memnode and join the same three sets,
+    keyed by their copy on the [home] memnode. A read-set entry of one
+    is compared at a single replica: at a fetch, the first memnode the
+    fetch reads; at commit, one that already participates (that of the
+    highest-addressed slot write, else of the highest slot read, else
+    [home]), preserving one-phase commits. Each write has a fan-out:
+    its own slot; its slot plus an echo of the fresh sequence number on
+    every memnode ({!write_linked}); or, for a replicated object, the
+    same offset on every memnode, updated atomically. *)
 
 exception Aborted of string
 (** Raised by {!abort}, by reads that detect a stale read set via
@@ -102,8 +108,9 @@ val read_replicated : t -> off:int -> len:int -> string
     for commit-time validation. [len] is the full slot size. *)
 
 val dirty_read_replicated : ?use_cache:bool -> t -> off:int -> len:int -> string
-(** Read a replicated object without adding it to the read set.
-    [~use_cache:false] always fetches from the home memnode (and does
+(** Read a replicated object without adding it to the read set. Every
+    call goes to the cache or the home memnode, never to the
+    transaction's own buffered writes. [~use_cache:false] always fetches from the home memnode (and does
     not populate the cache) — for decisions that must not act on stale
     cached metadata. *)
 

@@ -47,56 +47,66 @@ let reclaim tree (ref_ : Objref.t) ~observed_seq =
   | Mtx.Committed _ -> true
   | Mtx.Failed_compare _ | Mtx.Busy | Mtx.Unavailable _ -> false
 
-let sweep tree ~alloc =
+(* The slot walk both sweeps share. It runs at each memnode itself,
+   reading every node slot locally for a small CPU cost per 128 slots,
+   and reclaims each live slot that [collectable ref_ ~seq node] accepts
+   and that decodes as a B-tree node ([node] decodes it when forced). A
+   space with no live copy is skipped: its slots wait for a later round.
+   Returns the number of slots reclaimed, each also counted in
+   [counter]. *)
+let walk tree ~alloc ~counter collectable =
   let cluster = Ops.cluster tree in
   let layout = Ops.layout tree in
-  let lowest = get_lowest tree in
   let freed = ref 0 in
-  if Int64.compare lowest 0L > 0 then
-    for node = 0 to Cluster.n_memnodes cluster - 1 do
-      let mn, store = Cluster.route cluster node in
-      for index = 0 to layout.Layout.max_slots - 1 do
-        (* The sweep runs at the memnode itself: read the slot locally,
-           paying a small CPU cost per batch. *)
-        if index mod 128 = 0 then Memnode.serve mn ~cost:2e-6;
-        let off = Layout.slot_off layout ~index in
-        let slot = Heap.read (Memnode.store_heap store) ~off ~len:layout.Layout.node_size in
-        let seq = Objref.seq_of_slot slot in
-        if Int64.compare seq 0L <> 0 then begin
-          match Bnode.decode (Objref.payload_of_slot slot) with
-          | exception Codec.Decode_error _ ->
-              (* Not a B-tree node (or torn): skip it. Anything else —
-                 in particular Memnode.Crashed — propagates. *)
-              ()
-          | bnode ->
-              (* Collectable iff superseded at or below the watermark:
-                 no snapshot above the watermark can reach it. *)
-              let collectable =
-                Array.exists
-                  (fun d -> Int64.compare d lowest <= 0)
-                  bnode.Bnode.descendants
-              in
-              if collectable then begin
-                let ref_ = Layout.node_ref layout ~node ~index in
+  for node = 0 to Cluster.n_memnodes cluster - 1 do
+    match Cluster.route cluster node with
+    | exception Cluster.Unavailable _ -> ()
+    | mn, store ->
+        for index = 0 to layout.Layout.max_slots - 1 do
+          if index mod 128 = 0 then Memnode.serve mn ~cost:2e-6;
+          let off = Layout.slot_off layout ~index in
+          let slot = Heap.read (Memnode.store_heap store) ~off ~len:layout.Layout.node_size in
+          let seq = Objref.seq_of_slot slot in
+          if Int64.compare seq 0L <> 0 then begin
+            let ref_ = Layout.node_ref layout ~node ~index in
+            let bnode = lazy (Bnode.decode (Objref.payload_of_slot slot)) in
+            match if collectable ref_ ~seq bnode then Some (Lazy.force bnode) else None with
+            | exception Codec.Decode_error _ ->
+                (* Not a B-tree node (or torn): skip it. Anything else —
+                   in particular Memnode.Crashed — propagates. *)
+                ()
+            | None -> ()
+            | Some (_ : Bnode.t) ->
                 if reclaim tree ref_ ~observed_seq:seq then begin
                   Node_alloc.free alloc ref_;
                   incr freed;
-                  Obs.Counter.incr (Obs.gc (Cluster.obs cluster)).Obs.slots_reclaimed
+                  Obs.Counter.incr counter
                 end
-              end
-        end
-      done
-    done;
+          end
+        done
+  done;
   !freed
+
+let sweep tree ~alloc =
+  let lowest = get_lowest tree in
+  if Int64.compare lowest 0L <= 0 then 0
+  else
+    (* Collectable iff superseded at or below the watermark: no
+       snapshot above the watermark can reach it. *)
+    walk tree ~alloc ~counter:(Obs.gc (Cluster.obs (Ops.cluster tree))).Obs.slots_reclaimed
+      (fun _ ~seq:_ node ->
+        Array.exists (fun d -> Int64.compare d lowest <= 0) (Lazy.force node).Bnode.descendants)
 
 let sweep_branching trees ~alloc ~roots =
   let tree = match trees with [] -> invalid_arg "Gc.sweep_branching: no trees" | t :: _ -> t in
   let cluster = Ops.cluster tree in
-  let layout = Ops.layout tree in
   (* Anything committed after this point has a sequence number >= floor
      and is spared even if the mark phase cannot see it yet. *)
   let seq_floor = Cluster.owner_watermark cluster in
   let marked : (Objref.t, unit) Hashtbl.t = Hashtbl.create 4096 in
+  (* Unlike the walk, the mark gives up on a space with no live copy
+     ([Cluster.Unavailable] propagates): children it cannot see would
+     be reclaimed. *)
   let read_node (ptr : Objref.t) =
     let mn, store = Cluster.route cluster (Objref.node ptr) in
     Memnode.serve mn ~cost:1e-6;
@@ -125,30 +135,5 @@ let sweep_branching trees ~alloc ~roots =
   in
   List.iter mark roots;
   (* Sweep: reclaim unmarked node slots older than the floor. *)
-  let freed = ref 0 in
-  for node = 0 to Cluster.n_memnodes cluster - 1 do
-    let mn, store = Cluster.route cluster node in
-    for index = 0 to layout.Layout.max_slots - 1 do
-      if index mod 128 = 0 then Memnode.serve mn ~cost:2e-6;
-      let off = Layout.slot_off layout ~index in
-      let slot = Heap.read (Memnode.store_heap store) ~off ~len:layout.Layout.node_size in
-      let seq = Objref.seq_of_slot slot in
-      if Int64.compare seq 0L <> 0 && Int64.compare seq seq_floor < 0 then begin
-        let ref_ = Layout.node_ref layout ~node ~index in
-        if (not (Hashtbl.mem marked ref_)) && Objref.payload_of_slot slot <> "" then begin
-          match Bnode.decode (Objref.payload_of_slot slot) with
-          | exception Codec.Decode_error _ ->
-              (* Not a B-tree node: never reclaim what we cannot prove
-                 is a node slot. Crashes propagate. *)
-              ()
-          | (_ : Bnode.t) ->
-              if reclaim tree ref_ ~observed_seq:seq then begin
-                Node_alloc.free alloc ref_;
-                incr freed;
-                Obs.Counter.incr (Obs.gc (Cluster.obs cluster)).Obs.branch_slots_reclaimed
-              end
-        end
-      end
-    done
-  done;
-  !freed
+  walk tree ~alloc ~counter:(Obs.gc (Cluster.obs cluster)).Obs.branch_slots_reclaimed
+    (fun ref_ ~seq _ -> Int64.compare seq seq_floor < 0 && not (Hashtbl.mem marked ref_))

@@ -187,6 +187,37 @@ let test_put_overwrite () =
       check (Alcotest.option Alcotest.string) "overwritten" (Some "second") (get tree (key 1));
       check Alcotest.int "one entry" 1 (List.length (audit_tip tree)))
 
+let test_tip_put_off_home_one_phase () =
+  (* The tip pointers are replicated objects: a put whose leaf lives
+     off the home memnode validates its cached tip read at the leaf's
+     memnode, so the leaf read and the commit each stay one-phase. *)
+  Sim.run (fun () ->
+      let env = make_env () in
+      let tree = make_tree env in
+      Ops.Linear.init_tree tree;
+      let _, root = read_tip tree in
+      (* A handle on the same tree whose home is not the root leaf's
+         memnode. *)
+      let home = (Objref.node root + 1) mod Cluster.n_memnodes env.cluster in
+      let alloc = Node_alloc.create ~cluster:env.cluster ~layout:env.layout ~shared:env.shared () in
+      let cache_obs = Obs.create () in
+      let tree =
+        Ops.make_tree ~home ~max_keys_leaf:4 ~max_keys_internal:4 ~cluster:env.cluster
+          ~layout:env.layout ~tree_id:0 ~alloc ~cache:(Objcache.create cache_obs) ()
+      in
+      put tree (key 1) "warm";
+      let mtx = Obs.mtx (Cluster.obs env.cluster) in
+      let ones = Obs.Counter.value mtx.Obs.committed_1pc in
+      let twos = Obs.Counter.value mtx.Obs.committed_2pc in
+      let hits () = Obs.Counter.value (Obs.cache cache_obs).Obs.cache_hits in
+      let hits0 = hits () in
+      put tree (key 2) "off-home";
+      check Alcotest.bool "tip id and root pointer from the cache" true (hits () >= hits0 + 2);
+      check Alcotest.int "no 2PC" twos (Obs.Counter.value mtx.Obs.committed_2pc);
+      check Alcotest.int "leaf read and commit one-phase" (ones + 2)
+        (Obs.Counter.value mtx.Obs.committed_1pc);
+      check (Alcotest.option Alcotest.string) "committed" (Some "off-home") (get tree (key 2)))
+
 (* ------------------------------------------------------------------ *)
 (* Parsed-view memo                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -1165,6 +1196,7 @@ let () =
           Alcotest.test_case "empty tree" `Quick test_empty_tree;
           Alcotest.test_case "put/get single" `Quick test_put_get_single;
           Alcotest.test_case "overwrite" `Quick test_put_overwrite;
+          Alcotest.test_case "off-home tip put one-phase" `Quick test_tip_put_off_home_one_phase;
           Alcotest.test_case "put on a corrupt leaf aborts" `Quick test_put_on_corrupt_leaf_aborts;
           Alcotest.test_case "many inserts with splits" `Quick test_many_inserts_with_splits;
           Alcotest.test_case "random order inserts" `Quick test_random_order_inserts;

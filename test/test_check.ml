@@ -565,6 +565,8 @@ let message_cases =
       ],
       [ "snapshot get \"a\" at sid 100 observed \"later\" but the frozen state holds \"frozen\"" ],
       [] );
+    (* A candidate excuses only the keys it wrote: "a" cannot explain
+       the stale "b". *)
     ( "snapshot scan with ambiguous writes",
       [ (0, [ (100L, 2L) ]) ],
       [
@@ -573,8 +575,21 @@ let message_cases =
         put ~stamp:3L ~invoked:0.04 ~returned:0.05 "b" "2";
         scan ~sid:100L ~invoked:0.06 ~returned:0.07 "" 10 [ ("b", "2") ];
       ],
+      [ "snapshot scan from \"\" at sid 100 returned 1 entries, frozen state has 1" ],
+      [] );
+    (* An applied ambiguous insert of "a" fills a full window and pushes
+       the model's "c" out of it: only "a" differs, and it is excused. *)
+    ( "snapshot scan window excused",
+      [ (0, [ (100L, 3L) ]) ],
+      [
+        amb_a;
+        put ~stamp:1L ~invoked:0.02 ~returned:0.03 "b" "1";
+        put ~stamp:2L ~invoked:0.04 ~returned:0.05 "c" "1";
+        put ~stamp:4L ~invoked:0.06 ~returned:0.07 "d" "1";
+        scan ~sid:100L ~invoked:0.08 ~returned:0.09 "" 2 [ ("a", "maybe"); ("b", "1") ];
+      ],
       [],
-      [ "index 0: snapshot scan at sid 100 mismatches but ambiguous writes are pending" ] );
+      [] );
     ( "branch get",
       [],
       forked
@@ -599,14 +614,18 @@ let message_cases =
          divergence: observed \"b\"=\"3\", model \"b\"=\"2\")";
       ],
       [] );
+    (* The candidate on "c" cannot excuse the missing "a" and "b". *)
     ( "branch scan with ambiguous writes",
       [],
       (ev ~ambiguous:true ~invoked:0.0 ~returned:0.01
          (Event.Branch_put { at = 0L; key = "c"; value = "3" })
       :: forked)
       @ [ branch_scan ~stamp:4L ~at:0L ~invoked:0.06 ~returned:0.07 "" 10 [] ],
-      [],
-      [ "index 0: branch scan at version 0 mismatches but ambiguous writes are pending" ] );
+      [
+        "branch scan from \"\" at version 0 returned 0 entries, frozen ancestor state has 2 (first \
+         divergence: model \"a\"=\"1\" missing from the scan)";
+      ],
+      [] );
     ( "multi-version get and history chain",
       [],
       forked

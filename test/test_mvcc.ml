@@ -201,7 +201,10 @@ let test_gc_watermark () =
       Gc.set_lowest tree 5L;
       check Alcotest.int64 "set" 5L (Gc.get_lowest tree))
 
-let test_gc_reclaims_superseded_nodes () =
+(* A tree of 50 keys, snapshotted, then rewritten: updates copy every
+   touched path, and the superseded copies become garbage once the
+   watermark passes the snapshot. *)
+let with_gc_garbage f =
   Sim.run (fun () ->
       let env = make_env () in
       let alloc =
@@ -216,11 +219,13 @@ let test_gc_reclaims_superseded_nodes () =
         put tree (key i) "v0"
       done;
       let _sid, _root = create_snapshot tree in
-      (* Updates copy every touched path; the superseded copies become
-         garbage once the watermark passes the snapshot. *)
       for i = 0 to 49 do
         put tree (key i) "v1"
       done;
+      f env tree alloc)
+
+let test_gc_reclaims_superseded_nodes () =
+  with_gc_garbage (fun env tree alloc ->
       check Alcotest.int "nothing collectable yet" 0 (Gc.sweep tree ~alloc);
       Gc.keep_recent tree ~n:0;
       let freed = Gc.sweep tree ~alloc in
@@ -243,6 +248,19 @@ let test_gc_reclaims_superseded_nodes () =
       in
       check Alcotest.bool "free list populated" true (free_total > 0);
       check Alcotest.int "sweep idempotent" 0 (Gc.sweep tree ~alloc))
+
+let test_gc_skips_unavailable_space () =
+  (* A crash that leaves one space with no live copy skips that space
+     in the sweep; the live spaces are still reclaimed. *)
+  with_gc_garbage (fun env tree alloc ->
+      Gc.keep_recent tree ~n:0;
+      (* Space 1 loses its primary and its backup; the home memnode 0,
+         which holds the watermark read, stays up. *)
+      let backup = Option.get (Cluster.backup_of env.cluster 1) in
+      check Alcotest.bool "home survives" true (backup <> 0);
+      Cluster.crash env.cluster 1;
+      Cluster.crash env.cluster backup;
+      check Alcotest.bool "reclaimed on the live spaces" true (Gc.sweep tree ~alloc > 0))
 
 (* ------------------------------------------------------------------ *)
 (* Branching versions                                                   *)
@@ -755,6 +773,7 @@ let () =
         [
           Alcotest.test_case "watermark" `Quick test_gc_watermark;
           Alcotest.test_case "reclaims superseded nodes" `Quick test_gc_reclaims_superseded_nodes;
+          Alcotest.test_case "skips unavailable space" `Quick test_gc_skips_unavailable_space;
         ] );
       ( "branching",
         [
