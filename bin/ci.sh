@@ -26,6 +26,28 @@ check_pinned() {
   }
 }
 
+# Benches whose reports mix seed-determined fields with host timings:
+# the named fields of a fresh report must equal the committed report's;
+# on a difference both are printed.
+seeded_fields() {
+  report=$1
+  shift
+  for field in "$@"; do
+    grep -o "\"$field\":[^,}]*" "$report" || echo "$field missing"
+  done
+}
+
+check_fields() {
+  bench=$1
+  shift
+  seeded_fields "BENCH_$bench.json" "$@" >"$smoke_dir/${bench}_committed.txt"
+  seeded_fields "$smoke_dir/BENCH_$bench.json" "$@" >"$smoke_dir/${bench}_fresh.txt"
+  diff "$smoke_dir/${bench}_committed.txt" "$smoke_dir/${bench}_fresh.txt" || {
+    echo "ERROR: a fresh $bench run's seeded fields differ from BENCH_$bench.json" >&2
+    exit 1
+  }
+}
+
 echo "== dune build =="
 dune build
 
@@ -236,9 +258,14 @@ echo "== node-path micro-benchmark =="
 # rewrite at least 2x faster than decode/edit/encode and byte-identical
 # to it, and a corrupted slot directory must fail Bnode.decode's CRC.
 # Emits BENCH_node.json (ns/lookup and ns/rewrite both sides, decodes
-# avoided, bytes copied per scan hop).
+# avoided, bytes copied per scan hop). Its seed-determined fields must
+# equal the committed report's; payload_bytes pins the node size, the
+# reserved header word included. The timings are skipped.
 dune exec bin/minuet_bench.exe -- node --dir "$smoke_dir"
 check_report node
+check_fields node payload_bytes rewrite_identical workload_view_hits workload_materialisations \
+  decodes_avoided bytes_copied_per_scan_hop corrupt_dir_caught view_memo_entries \
+  heap_resident_per_node_slot
 
 echo "== scan benchmark smoke =="
 # Batched leaf scans vs the per-leaf baseline plus a crash storm; fails
@@ -260,20 +287,9 @@ echo "== streaming checker: million-op gate =="
 # bound). The linear run's BENCH_checker.json is the committed report.
 dune exec bin/minuet_bench.exe -- checker --dir "$smoke_dir"
 check_report checker
-# The linear run's counts are a pure function of its seed, so they must
-# equal the committed report's; on a difference both are printed.
+# The linear run's counts are a pure function of its seed.
 # peak_live_words and ops_per_sec vary from run to run and are skipped.
-checker_counts() {
-  for field in events ops_checked snapshot_reads_checked branch_reads_checked violations; do
-    grep -o "\"$field\":[0-9]*" "$1" || echo "$field missing"
-  done
-}
-checker_counts BENCH_checker.json >"$smoke_dir/checker_committed.txt"
-checker_counts "$smoke_dir/BENCH_checker.json" >"$smoke_dir/checker_fresh.txt"
-diff "$smoke_dir/checker_committed.txt" "$smoke_dir/checker_fresh.txt" || {
-  echo "ERROR: a fresh checker run's counts differ from BENCH_checker.json" >&2
-  exit 1
-}
+check_fields checker events ops_checked snapshot_reads_checked branch_reads_checked violations
 dune exec bin/minuet_bench.exe -- checker --branching --dir "$smoke_dir"
 check_report checker
 

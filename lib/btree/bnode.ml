@@ -196,8 +196,8 @@ let split t =
 (* -------------------------------------------------------------------- *)
 
 (* The wire format is the slotted layout ({!Bview}): a zero-copy-
-   searchable slot directory with common-prefix-truncated keys, a
-   content stamp, and a CRC-32 trailer. *)
+   searchable slot directory with common-prefix-truncated keys and a
+   CRC-32 trailer. *)
 
 let encode_into e t =
   let spec =

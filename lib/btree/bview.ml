@@ -14,9 +14,9 @@
      off  0: u8   magic (0xB5)
      off  1: u8   kind (0 = leaf, 1 = internal)
      off  2: u16  height
-     off  4: i64  stamp: FNV-1a-64 over content bytes [12, crc), patched
-                  in after encoding, so two encodings of the same
-                  logical node always carry the same stamp
+     off  4: i64  reserved: written as zero, skipped on parse; kept
+                  because payload length sets the simulated wire and
+                  memnode costs
      off 12: i64  snap_created
      off 20: u16  ndesc, then ndesc * i64 descendant versions
      then  : low fence, high fence (u8 tag 0/1/2; tag 2: u16 len + bytes)
@@ -52,7 +52,6 @@ type t = {
   buf : string;  (* whole payload, including the CRC trailer *)
   kind : int;
   height : int;
-  stamp : int64;
   snap_created : int64;
   ndesc : int;
   desc_off : int;
@@ -138,9 +137,8 @@ let of_string s =
   let kind = Char.code s.[1] in
   if kind <> 0 && kind <> 1 then decode_error "Bview: invalid kind byte %d" kind;
   let content_end = len - 4 in
-  let d = Codec.Dec.of_string ~pos:2 s in
-  let height = Codec.Dec.u16 d in
-  let stamp = Codec.Dec.i64 d in
+  let height = String.get_uint16_le s 2 in
+  let d = Codec.Dec.of_string ~pos:12 s (* past the reserved word *) in
   let snap_created = Codec.Dec.i64 d in
   let ndesc = Codec.Dec.u16 d in
   let desc_off, _ = Codec.Dec.raw_view d (8 * ndesc) in
@@ -164,7 +162,6 @@ let of_string s =
       buf = s;
       kind;
       height;
-      stamp;
       snap_created;
       ndesc;
       desc_off;
@@ -191,8 +188,6 @@ let payload_length t = String.length t.buf
 let is_leaf t = t.kind = 0
 
 let height t = t.height
-
-let stamp t = t.stamp
 
 let snap_created t = t.snap_created
 
@@ -298,27 +293,11 @@ let child_for t k =
   let i = child_index t k in
   (i, child_at t i)
 
-(* Stamp equality straight off two raw payloads — what the object cache
-   uses to revalidate epoch-stale entries without decoding either copy.
-   Stamps are content hashes, so a collision merely over-counts
-   "survived" revalidations; the fresh payload is (re)inserted by the
-   cache regardless, so correctness never rests on this. *)
-let same_stamp a b =
-  String.length a >= 12
-  && String.length b >= 12
-  && Char.code a.[0] = magic
-  && Char.code b.[0] = magic
-  && Int64.equal (String.get_int64_le a 4) (String.get_int64_le b 4)
-
 (* Testing hook: byte range of the slot directory, for corruption
    falsifiability checks. *)
 let dir_bounds t = (t.dir_off, 2 * t.nkeys)
 
 (* {1 Encoding} *)
-
-let stamp_pos = 4
-
-let stamped_from = 12
 
 (* Whether the slotted format can represent this node: every u16 field
    (suffix lengths, directory offsets, counts, prefix, fences) must fit.
@@ -362,8 +341,7 @@ let common_prefix_len keys =
 (* Wire emission shared by [encode_into] and [leaf_splice]: [nkeys]
    and the slot directory, given each slot's start within the entries
    region ([offset_of] is asked in slot order), so the directory is
-   emitted before the entries without patching; one leaf entry; and the
-   stamp over everything from [start]. *)
+   emitted before the entries without patching; and one leaf entry. *)
 let emit_directory e nkeys offset_of =
   Codec.Enc.u16 e nkeys;
   for i = 0 to nkeys - 1 do
@@ -377,10 +355,6 @@ let emit_leaf_entry e ~prefix_len k v =
   raw_sub e k prefix_len suffix;
   varint e (String.length v);
   raw e v
-
-let seal e ~start =
-  Codec.Enc.patch_i64 e ~pos:(start + stamp_pos)
-    (Codec.Enc.fnv1a64_from e ~pos:(start + stamped_from))
 
 type body_spec =
   | Leaf_spec of (Bkey.t * string) array
@@ -404,11 +378,10 @@ let encode_into e ~height ~low ~high ~snap ~descendants body =
     invalid_arg "Bview.encode_into: node exceeds the slotted format's u16 limits"
   else begin
     let open Codec.Enc in
-    let start = length e in
     u8 e magic;
     u8 e (match body with Leaf_spec _ -> 0 | Internal_spec _ -> 1);
     u16 e height;
-    i64 e 0L (* stamp, patched below *);
+    i64 e 0L (* reserved *);
     i64 e snap;
     u16 e (Array.length descendants);
     Array.iter (i64 e) descendants;
@@ -433,8 +406,7 @@ let encode_into e ~height ~low ~high ~snap ~descendants body =
             let suffix = String.length k - prefix_len in
             u16 e suffix;
             raw_sub e k prefix_len suffix)
-          keys);
-    seal e ~start
+          keys)
   end
 
 (* {1 Leaf splice} *)
@@ -444,8 +416,8 @@ type splice = Spliced | Absent | Fallback
 (* Rewrite one entry of a leaf straight from its wire bytes: the header
    (through the common prefix) is copied, [nkeys] and the slot
    directory are re-emitted with offsets shifted by the size change,
-   the entries region is copied as at most two blits around the one new
-   entry, and the stamp is recomputed. The result is byte-identical to
+   and the entries region is copied as at most two blits around the one
+   new entry. The result is byte-identical to
    encoding the decoded leaf after [Bnode.leaf_insert] /
    [Bnode.leaf_remove]: the splice keeps the source's common prefix, so
    it steps aside ([Fallback]) whenever the edit would change it, or
@@ -498,7 +470,6 @@ let leaf_splice e t ~max_keys k edit =
       if not (prefix_kept && fits) then Fallback
       else begin
         let open Codec.Enc in
-        let start = length e in
         raw_sub e t.buf 0 (t.prefix_off + plen);
         (* Slots before the edit keep their offsets; those past it are
            old slot [j + shift], moved by the size change. *)
@@ -511,6 +482,5 @@ let leaf_splice e t ~max_keys k edit =
         raw_sub e t.buf t.entries_off before;
         Option.iter (emit_leaf_entry e ~prefix_len:plen k) edit;
         raw_sub e t.buf (t.entries_off + resume) (region - resume);
-        seal e ~start;
         Spliced
       end

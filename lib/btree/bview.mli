@@ -26,11 +26,6 @@ val payload_length : t -> int
 
 val is_leaf : t -> bool
 val height : t -> int
-
-val stamp : t -> int64
-(** Content stamp: FNV-1a-64 over the encoded body, stable across
-    re-encodings of the same logical node. *)
-
 val snap_created : t -> int64
 val low : t -> Bkey.fence
 val high : t -> Bkey.fence
@@ -63,13 +58,6 @@ val leaf_entries : t -> (Bkey.t * string) array
 val internal_keys : t -> Bkey.t array
 val children : t -> Dyntxn.Objref.t array
 
-(** {1 Stamps on raw payloads} *)
-
-val same_stamp : string -> string -> bool
-(** Whether two raw payloads are both slotted nodes carrying the same
-    content stamp — the object cache's revalidation predicate; neither
-    payload is decoded. *)
-
 val dir_bounds : t -> int * int
 (** [(offset, length)] of the slot directory within the payload — a
     testing hook for corruption falsifiability checks. *)
@@ -89,8 +77,8 @@ val encode_into :
   descendants:int64 array ->
   body_spec ->
   unit
-(** Append the slotted content (stamp patched in, no CRC trailer — the
-    caller frames with {!Codec.Enc.to_string_with_checksum}). Raises
+(** Append the slotted content (no CRC trailer — the caller frames
+    with {!Codec.Enc.to_string_with_checksum}). Raises
     [Invalid_argument], leaving the encoder untouched, when the node
     exceeds the format's u16 limits. Such a node would encode to more
     than 64 KiB and so fits no slot ({!Layout.make} caps [node_size] at
@@ -112,7 +100,7 @@ val leaf_splice :
     leaf [v] with [k] bound to the value ([Some]) or removed ([None]),
     built from [v]'s bytes in one pass: the header is copied, the slot
     directory re-emitted with shifted offsets, the entries region copied
-    around the one edited entry, and the stamp recomputed. The result is
+    around the one edited entry. The result is
     byte-identical to [Bnode.encode_into] of the edited decoded leaf;
     frame it with {!Codec.Enc.to_string_with_checksum}. [v] must come
     from a payload whose CRC was verified ({!verify_crc}). Raises

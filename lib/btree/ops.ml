@@ -233,19 +233,16 @@ let check_node tree txn vctx (v : Bview.t) k =
   (* Fence keys: [k] must be within the node's responsibility range. *)
   if not (Bview.in_range v k) then begin
     Obs.Counter.incr tree.stats.Obs.abort_fence;
-    Obs.abort tree.obs ~layer:Obs.Abort.Btree Obs.Abort.Fence_violation;
     Txn.abort txn
   end;
   (* The node's version must lie on the path to [vctx.snap]... *)
   if not (vctx.is_ancestor (Bview.snap_created v) vctx.snap) then begin
     Obs.Counter.incr tree.stats.Obs.abort_version;
-    Obs.abort tree.obs ~layer:Obs.Abort.Btree Obs.Abort.Snapshot_stale;
     Txn.abort txn
   end;
   (* ...and must not have been superseded by a copy on that path. *)
   if Bview.exists_descendant v (fun d -> vctx.is_ancestor d vctx.snap) then begin
     Obs.Counter.incr tree.stats.Obs.abort_copied;
-    Obs.abort tree.obs ~layer:Obs.Abort.Btree Obs.Abort.Snapshot_stale;
     Txn.abort txn
   end
 
@@ -286,7 +283,6 @@ let traverse ?(read_only = false) ?(to_parent = false) tree txn vctx k =
         (* Fatal inconsistency (Fig. 5 line 15): stale pointers led us to
            a node at the wrong level. *)
         Obs.Counter.incr tree.stats.Obs.abort_height;
-        Obs.abort tree.obs ~layer:Obs.Abort.Btree Obs.Abort.Height_mismatch;
         Txn.abort txn
       end;
       check_node tree txn vctx child k;
@@ -652,7 +648,6 @@ let scan_batched tree txn vctx ~from ~count ~batch =
     if Bview.height node <> 0 then begin
       Obs.Counter.incr s.Obs.scan_batch_aborts;
       Obs.Counter.incr tree.stats.Obs.abort_height;
-      Obs.abort tree.obs ~layer:Obs.Abort.Btree Obs.Abort.Height_mismatch;
       Txn.abort txn
     end;
     let probe =
@@ -664,7 +659,6 @@ let scan_batched tree txn vctx ~from ~count ~batch =
                it split, merged or moved since the parent was read. *)
             Obs.Counter.incr s.Obs.scan_batch_aborts;
             Obs.Counter.incr tree.stats.Obs.abort_fence;
-            Obs.abort tree.obs ~layer:Obs.Abort.Btree Obs.Abort.Fence_violation;
             Txn.abort txn
           end;
           match expected_low with

@@ -69,28 +69,10 @@ let crc32_sub s pos len =
 
 let crc32 s = Int32.of_int (crc32_sub s 0 (String.length s))
 
-(* FNV-1a 64-bit: the content stamp for slotted B-tree nodes. Cheap, has
-   no alignment requirements, and — crucially for stamp-based cache
-   revalidation — depends only on the hashed bytes, so two encodings of
-   the same logical node always agree. The hash is byte-serial by
-   definition; the loop reads bytes directly (no per-byte closure), so
-   the [Int64] register stays unboxed. *)
-let fnv_offset_basis = 0xcbf29ce484222325L
-
-let fnv_prime = 0x100000001b3L
-
-let fnv1a64 s pos len =
-  let h = ref fnv_offset_basis in
-  for i = pos to pos + len - 1 do
-    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i)))) fnv_prime
-  done;
-  !h
-
 module Enc = struct
   (* A growable byte buffer like [Buffer.t], but with [reset] for reuse
-     across encodings, in-place patching (version stamps are computed
-     over the encoded content and written back into the header), and
-     checksummed extraction in a single allocation. *)
+     across encodings and checksummed extraction in a single
+     allocation. *)
   type t = { mutable buf : Bytes.t; mutable len : int }
 
   let create ?(initial_size = 256) () =
@@ -186,15 +168,6 @@ module Enc = struct
     | Some v ->
         bool t true;
         write v
-
-  let patch_i64 t ~pos v =
-    if pos < 0 || pos + 8 > t.len then invalid_arg "Codec.Enc.patch_i64: position out of bounds";
-    Bytes.set_int64_le t.buf pos v
-
-  let fnv1a64_from t ~pos =
-    if pos < 0 || pos > t.len then invalid_arg "Codec.Enc.fnv1a64_from: position out of bounds";
-    (* The buffer is only read here, never mutated while hashing. *)
-    fnv1a64 (Bytes.unsafe_to_string t.buf) pos (t.len - pos)
 
   let to_string_with_checksum t =
     (* One allocation for payload + trailer; the old idiom

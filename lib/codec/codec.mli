@@ -51,14 +51,6 @@ module Enc : sig
   val array : t -> ('a -> unit) -> 'a array -> unit
   val option : t -> ('a -> unit) -> 'a option -> unit
 
-  val patch_i64 : t -> pos:int -> int64 -> unit
-  (** Overwrite 8 already-written bytes at [pos] (little-endian). Used
-      to stamp headers with values computed over the encoded body. *)
-
-  val fnv1a64_from : t -> pos:int -> int64
-  (** FNV-1a 64-bit hash of the encoded bytes from [pos] to the current
-      end, without extracting them. *)
-
   val to_string_with_checksum : t -> string
   (** The encoded contents followed by a CRC-32 trailer over them, in a
       single allocation (no intermediate payload copy). The result

@@ -44,11 +44,7 @@ let start ?(config = Config.default) () =
   let view_memo = Btree.View_memo.create () in
   (* Admin handles used for initialization and the SCS. *)
   let admin_cache =
-    (* [same_content]: a crashed epoch's entry whose payload carries the
-       same node stamp as the fresh bytes survives revalidation without
-       a decode (see Btree.Bview). *)
-    Dyntxn.Objcache.create ~capacity:config.Config.cache_capacity
-      ~same_content:Btree.Bview.same_stamp (Cluster.obs cluster)
+    Dyntxn.Objcache.create ~capacity:config.Config.cache_capacity (Cluster.obs cluster)
   in
   let gc_trees =
     Array.init config.Config.n_trees (fun tree_id ->

@@ -23,10 +23,7 @@ let index db i =
 let attach ?(home = 0) ?client ?tracer db =
   let config = Db.config db in
   if home < 0 || home >= config.Config.hosts then invalid_arg "Session.attach: home out of range";
-  let cache =
-    Dyntxn.Objcache.create ~capacity:config.Config.cache_capacity
-      ~same_content:Btree.Bview.same_stamp (Db.obs db)
-  in
+  let cache = Dyntxn.Objcache.create ~capacity:config.Config.cache_capacity (Db.obs db) in
   let trees =
     Array.init config.Config.n_trees (fun tree_id ->
         Db.make_tree_handle ?client ~config ~cluster:(Db.cluster db)

@@ -19,24 +19,17 @@ type t = {
   table : (Objref.t, lru_node) Hashtbl.t;
   capacity : int;
   stats : Obs.cache_stats;
-  node_stats : Obs.node_stats;
-  same_content : (string -> string -> bool) option;
-      (* Payload-level content equality (in practice the B-tree's
-         version-stamp compare, {!Btree.Bview.same_stamp}), injected by
-         the layer above so this cache stays node-format agnostic. *)
   space_epochs : (int, int) Hashtbl.t; (* current crash epoch per space *)
   mutable head : lru_node option; (* most recently used *)
   mutable tail : lru_node option; (* least recently used *)
 }
 
-let create ?(capacity = 65536) ?same_content obs =
+let create ?(capacity = 65536) obs =
   if capacity <= 0 then invalid_arg "Objcache.create: capacity must be positive";
   {
     table = Hashtbl.create 1024;
     capacity;
     stats = Obs.cache obs;
-    node_stats = Obs.node obs;
-    same_content;
     space_epochs = Hashtbl.create 8;
     head = None;
     tail = None;
@@ -92,21 +85,12 @@ let mem t key =
   match Hashtbl.find_opt t.table key with Some node -> is_fresh t key node | None -> false
 
 (* An epoch-stale entry was re-fetched. It "survived" (the flush would
-   have been wasted) when the sequence number is unchanged, or — after a
-   recovery that replayed the slot under a fresh sequence number — when
-   the payload content stamp still matches, compared without decoding
-   either copy. A stamp collision merely over-counts survival: the
-   caller stores the fresh payload regardless, and this cache is
-   deliberately incoherent, so no correctness rests on the compare. *)
-let note_revalidation t ~old ~seq ~payload =
+   have been wasted) when the sequence number is unchanged: promotion
+   and replay apply whole slots, sequence number included, so a slot
+   that kept its content kept its number. *)
+let note_revalidation t ~old ~seq =
   Obs.Counter.incr t.stats.Obs.cache_epoch_revalidations;
-  let survived_seq = Int64.equal old.seq seq in
-  let survived_stamp =
-    (not survived_seq)
-    && match t.same_content with Some same -> same old.payload payload | None -> false
-  in
-  if survived_stamp then Obs.Counter.incr t.node_stats.Obs.stamp_revalidations;
-  if survived_seq || survived_stamp then Obs.Counter.incr t.stats.Obs.cache_epoch_survived
+  if Int64.equal old.seq seq then Obs.Counter.incr t.stats.Obs.cache_epoch_survived
 
 let evict_lru t =
   match t.tail with

@@ -24,18 +24,11 @@ type entry = { seq : int64; payload : string }
     before use (their [seq] is the comparison point). *)
 type status = Fresh of entry | Stale of entry | Miss
 
-val create : ?capacity:int -> ?same_content:(string -> string -> bool) -> Obs.t -> t
+val create : ?capacity:int -> Obs.t -> t
 (** [capacity] is the maximum number of cached objects (default 65536).
     Every hit, miss, eviction and revalidation is counted in the typed
     {!Obs.cache_stats} of the given [Obs.t] (and therefore in
-    [Obs.Report.fields]); the cache keeps no counters of its own.
-
-    [same_content] is an optional payload-level equality used by
-    {!note_revalidation} to recognise entries that survived a crash
-    under a new sequence number — in practice the B-tree's per-node
-    version-stamp compare ({!Btree.Bview.same_stamp}), injected from
-    above so the cache stays node-format agnostic. Stamp survivals are
-    counted in [Obs.node_stats]. *)
+    [Obs.Report.fields]); the cache keeps no counters of its own. *)
 
 val find : t -> Objref.t -> entry option
 (** Refreshes LRU position on hit. Stale-epoch entries count as misses
@@ -59,14 +52,12 @@ val observe_epoch : t -> space:int -> epoch:int -> unit
 (** Record that address space [space] is at crash epoch [epoch] (from a
     minitransaction reply). Monotonic: older observations are ignored. *)
 
-val note_revalidation : t -> old:entry -> seq:int64 -> payload:string -> unit
+val note_revalidation : t -> old:entry -> seq:int64 -> unit
 (** Account one lazy revalidation of a stale-epoch entry [old] against
-    the re-fetched [seq]/[payload]. The entry survived when the
-    sequence number is unchanged, or when [same_content] says the
-    payload is the same node version (a recovery replay under a fresh
-    sequence number) — the latter is counted separately as a stamp
-    revalidation. Purely accounting: the caller stores the fresh
-    payload either way. *)
+    the re-fetched [seq]. The entry survived when the sequence number is
+    unchanged: promotion and replay apply whole slots, sequence number
+    included, so no slot is renumbered. Purely accounting: the caller
+    stores the fresh payload either way. *)
 
 val clear : t -> unit
 (** Drop everything (a bulk eviction — production code paths avoid

@@ -173,18 +173,11 @@ let fetch_refs t ~validate (refs : Objref.t list) =
              reach the resulting cache state. *)
           (* lint: allow transitive-nondet *)
           Hashtbl.iter (fun ref_ _ -> Objcache.invalidate cache ref_) t.reads);
-      Obs.abort t.obs ~layer:Obs.Abort.Txn Obs.Abort.Validation_failed;
       fail t "piggy-backed validation failed"
-  | Mtx.Busy ->
-      Obs.abort t.obs ~layer:Obs.Abort.Txn Obs.Abort.Lock_busy;
-      fail t "retry budget exhausted during fetch"
+  | Mtx.Busy -> fail t "retry budget exhausted during fetch"
   | Mtx.Unavailable { partitioned; _ } ->
       (* Distinguish an injected partition from a crashed, un-failed-over
-         host — both at this layer and below (the Mtx layer already
-         counted the same reason), so abort accounting agrees across
-         layers. *)
-      let reason = if partitioned then Obs.Abort.Partitioned else Obs.Abort.Crashed_host in
-      Obs.abort t.obs ~layer:Obs.Abort.Txn reason;
+         host in the abort message. *)
       fail t (if partitioned then partitioned_msg else unavailable_msg)
 
 let in_write_set t ref_ = Hashtbl.mem t.writes ref_
@@ -251,7 +244,7 @@ let cache_store t ref_ ~seq ~payload st =
   | None -> ()
   | Some cache ->
       (match st with
-      | `Stale old -> Objcache.note_revalidation cache ~old ~seq ~payload
+      | `Stale old -> Objcache.note_revalidation cache ~old ~seq
       | `Absent -> ());
       if String.length payload > 0 then Objcache.insert cache ref_ { Objcache.seq; payload }
       else Objcache.invalidate cache ref_
@@ -506,20 +499,14 @@ let commit ?(blocking = false) t =
               idxs)
           t.cache;
         Obs.Counter.incr t.stats.Obs.validation_failures;
-        Obs.abort t.obs ~layer:Obs.Abort.Txn Obs.Abort.Validation_failed;
         Validation_failed
     | Mtx.Busy ->
         Obs.Counter.incr t.stats.Obs.retry_exhausted;
-        Obs.abort t.obs ~layer:Obs.Abort.Txn Obs.Abort.Lock_busy;
         Retry_exhausted
-    | Mtx.Unavailable { maybe_applied; partitioned } ->
+    | Mtx.Unavailable { maybe_applied; _ } ->
         (* Surfaced as its own result (not folded into Retry_exhausted):
-           an outage is not contention, and callers back off differently.
-           The abort reason matches what the Mtx layer counted for the
-           same event. *)
+           an outage is not contention, and callers back off differently. *)
         Obs.Counter.incr t.stats.Obs.txn_unavailable;
-        let reason = if partitioned then Obs.Abort.Partitioned else Obs.Abort.Crashed_host in
-        Obs.abort t.obs ~layer:Obs.Abort.Txn reason;
         Unavailable { maybe_applied }
 
 (* -------------------------------------------------------------------- *)

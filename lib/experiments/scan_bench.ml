@@ -34,7 +34,6 @@ let side_counters obs =
       ("cache_bulk_evictions", cs.Obs.cache_bulk_evictions);
       ("node_view_hits", ns.Obs.view_hits);
       ("node_materialisations", ns.Obs.materialisations);
-      ("node_stamp_revalidations", ns.Obs.stamp_revalidations);
       ("node_bytes_copied", ns.Obs.node_bytes_copied);
     ]
 
@@ -195,8 +194,8 @@ let run ?(seed = 0x5ca9) ?dir () =
     overfetch;
   Printf.printf "  crash storm: %d epoch revalidations (%d survived), %d bulk evictions\n"
     epoch_revalidations (b "cache_epoch_survived") bulk_evictions;
-  Printf.printf "  node path: %d view hits, %d materialisations, %d stamp revalidations\n"
-    (b "node_view_hits") (b "node_materialisations") (b "node_stamp_revalidations");
+  Printf.printf "  node path: %d view hits, %d materialisations\n" (b "node_view_hits")
+    (b "node_materialisations");
   Obs.Bench.write ?dir
     {
       Obs.Bench.bench = "scan";

@@ -8,59 +8,13 @@ module Hist = Sim.Stats.Hist
 let tnow () = if Sim.inside () then Sim.now () else 0.0
 
 module Abort = struct
-  type reason =
-    | Lock_busy
-    | Validation_failed
-    | Fence_violation
-    | Height_mismatch
-    | Snapshot_stale
-    | Crashed_host
-    | Partitioned
-
-  let all =
-    [
-      Lock_busy;
-      Validation_failed;
-      Fence_violation;
-      Height_mismatch;
-      Snapshot_stale;
-      Crashed_host;
-      Partitioned;
-    ]
-
-  let to_string = function
-    | Lock_busy -> "lock_busy"
-    | Validation_failed -> "validation_failed"
-    | Fence_violation -> "fence_violation"
-    | Height_mismatch -> "height_mismatch"
-    | Snapshot_stale -> "snapshot_stale"
-    | Crashed_host -> "crashed_host"
-    | Partitioned -> "partitioned"
-
-  let index = function
-    | Lock_busy -> 0
-    | Validation_failed -> 1
-    | Fence_violation -> 2
-    | Height_mismatch -> 3
-    | Snapshot_stale -> 4
-    | Crashed_host -> 5
-    | Partitioned -> 6
-
-  type layer = Mtx | Txn | Btree | Scs
-
-  let layers = [ Mtx; Txn; Btree; Scs ]
-
-  let layer_to_string = function Mtx -> "mtx" | Txn -> "txn" | Btree -> "btree" | Scs -> "scs"
-
-  let layer_index = function Mtx -> 0 | Txn -> 1 | Btree -> 2 | Scs -> 3
+  type reason = Lock_busy | Validation_failed | Crashed_host
 end
 
 module Op = struct
   type op = Get | Put | Remove | Scan | With_txn | Multi_get | Multi_put | Snapshot_req
 
   type path = Up_to_date | At_snapshot
-
-  let all = [ Get; Put; Remove; Scan; With_txn; Multi_get; Multi_put; Snapshot_req ]
 
   let to_string = function
     | Get -> "get"
@@ -74,18 +28,6 @@ module Op = struct
 
   let label op path =
     match path with Up_to_date -> to_string op | At_snapshot -> to_string op ^ "@snapshot"
-
-  let index = function
-    | Get -> 0
-    | Put -> 1
-    | Remove -> 2
-    | Scan -> 3
-    | With_txn -> 4
-    | Multi_get -> 5
-    | Multi_put -> 6
-    | Snapshot_req -> 7
-
-  let path_index = function Up_to_date -> 0 | At_snapshot -> 1
 end
 
 (* ------------------------------------------------------------------ *)
@@ -152,7 +94,6 @@ type scan_stats = {
 type node_stats = {
   view_hits : Counter.t;
   materialisations : Counter.t;
-  stamp_revalidations : Counter.t;
   node_bytes_copied : Counter.t;
 }
 
@@ -241,8 +182,6 @@ type t = {
   scs_stats : scs_stats;
   chaos_stats : chaos_stats;
   recovery_stats : recovery_stats;
-  aborts : Counter.t array array; (* [layer][reason] *)
-  op_hists : Hist.t array array; (* [op][path] *)
   span_hists : (Span.kind, Hist.t) Hashtbl.t;
   ring : Span.info option array;
   mutable ring_next : int;
@@ -329,7 +268,6 @@ let create () =
     {
       view_hits = c "node.view_hits";
       materialisations = c "node.materialisations";
-      stamp_revalidations = c "node.stamp_revalidations";
       node_bytes_copied = c "node.bytes_copied";
     }
   in
@@ -368,20 +306,6 @@ let create () =
       promotions = c "recovery.promotions";
     }
   in
-  let aborts =
-    Array.map
-      (fun layer ->
-        Array.map
-          (fun reason ->
-            c
-              (Printf.sprintf "abort.%s.%s" (Abort.layer_to_string layer)
-                 (Abort.to_string reason)))
-          (Array.of_list Abort.all))
-      (Array.of_list Abort.layers)
-  in
-  let op_hists =
-    Array.map (fun _ -> [| Hist.create (); Hist.create () |]) (Array.of_list Op.all)
-  in
   {
     counters = List.sort (fun (a, _) (b, _) -> String.compare a b) !named;
     mtx_stats;
@@ -394,8 +318,6 @@ let create () =
     scs_stats;
     chaos_stats;
     recovery_stats;
-    aborts;
-    op_hists;
     span_hists = Hashtbl.create 16;
     ring = Array.make span_capacity None;
     ring_next = 0;
@@ -424,36 +346,6 @@ let chaos t = t.chaos_stats
 let recovery t = t.recovery_stats
 
 let counters t = List.map (fun (name, counter) -> (name, Counter.value counter)) t.counters
-
-(* ------------------------------------------------------------------ *)
-(* Aborts                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let abort t ~layer reason = Counter.incr t.aborts.(Abort.layer_index layer).(Abort.index reason)
-
-let abort_count t ?layer reason =
-  match layer with
-  | Some l -> Counter.value t.aborts.(Abort.layer_index l).(Abort.index reason)
-  | None ->
-      Array.fold_left (fun acc row -> acc + Counter.value row.(Abort.index reason)) 0 t.aborts
-
-let abort_counts t =
-  List.concat_map
-    (fun layer ->
-      List.filter_map
-        (fun reason ->
-          let n = Counter.value t.aborts.(Abort.layer_index layer).(Abort.index reason) in
-          if n > 0 then Some (layer, reason, n) else None)
-        Abort.all)
-    Abort.layers
-
-(* ------------------------------------------------------------------ *)
-(* Op latency                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let op_hist t ~op ~path = t.op_hists.(Op.index op).(Op.path_index path)
-
-let observe_op t ~op ~path v = Hist.add (op_hist t ~op ~path) v
 
 (* ------------------------------------------------------------------ *)
 (* Spans                                                                *)
@@ -521,12 +413,7 @@ let clear_spans t =
   t.ring_next <- 0;
   t.ring_count <- 0
 
-let time_op t ~op ~path f =
-  let start = tnow () in
-  with_span t (Span.Op (op, path)) (fun () ->
-      let v = f () in
-      observe_op t ~op ~path (tnow () -. start);
-      v)
+let time_op t ~op ~path f = with_span t (Span.Op (op, path)) f
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                            *)
@@ -547,46 +434,18 @@ module Report = struct
         ("max_ms", Json.Float (ms (Hist.max h)));
       ]
 
-  let aborts_json t =
-    Json.Obj
-      (List.map
-         (fun layer ->
-           ( Abort.layer_to_string layer,
-             Json.Obj
-               (List.map
-                  (fun reason ->
-                    (Abort.to_string reason, Json.Int (abort_count t ~layer reason)))
-                  Abort.all) ))
-         Abort.layers)
-
-  let ops_json t =
-    let cells =
-      List.concat_map
-        (fun op ->
-          List.filter_map
-            (fun path ->
-              let h = op_hist t ~op ~path in
-              if Hist.count h > 0 then Some (Op.label op path, hist_json h) else None)
-            [ Op.Up_to_date; Op.At_snapshot ])
-        Op.all
-    in
-    Json.Obj cells
-
-  (* One cell per span kind seen so far, sorted by its report name. *)
-  let spans_json t =
+  (* Span kinds seen so far, sorted by report name. *)
+  let span_cells t =
     let by_name a b = String.compare (Span.kind_to_string a) (Span.kind_to_string b) in
-    Json.Obj
-      (List.filter_map
-         (fun (kind, h) ->
-           if Hist.count h > 0 then Some (Span.kind_to_string kind, hist_json h) else None)
-         (Sim.Det.sorted_bindings t.span_hists ~cmp:by_name))
+    List.filter (fun (_, h) -> Hist.count h > 0) (Sim.Det.sorted_bindings t.span_hists ~cmp:by_name)
+
+  let spans_json t =
+    Json.Obj (List.map (fun (kind, h) -> (Span.kind_to_string kind, hist_json h)) (span_cells t))
 
   let fields t =
     [
       ("sim_time_s", Json.Float (tnow ()));
       ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters t)));
-      ("aborts", aborts_json t);
-      ("ops", ops_json t);
       ("spans", spans_json t);
     ]
 
@@ -603,22 +462,8 @@ module Report = struct
   let pp fmt t =
     Format.fprintf fmt "@[<v>op latency (simulated):@,";
     List.iter
-      (fun op ->
-        List.iter
-          (fun path ->
-            let h = op_hist t ~op ~path in
-            if Hist.count h > 0 then pp_hist_line fmt (Op.label op path, h))
-          [ Op.Up_to_date; Op.At_snapshot ])
-      Op.all;
-    (match abort_counts t with
-    | [] -> Format.fprintf fmt "aborts: none@,"
-    | counts ->
-        Format.fprintf fmt "aborts (layer.reason):@,";
-        List.iter
-          (fun (layer, reason, n) ->
-            Format.fprintf fmt "  %-24s %d@,"
-              (Abort.layer_to_string layer ^ "." ^ Abort.to_string reason)
-              n)
-          counts);
+      (function
+        | (Span.Op _ as kind), h -> pp_hist_line fmt (Span.kind_to_string kind, h) | _ -> ())
+      (span_cells t);
     Format.fprintf fmt "@]"
 end

@@ -1,8 +1,10 @@
-(** Observability for the Minuet stack: typed metric handles, a closed
-    abort-reason taxonomy, per-operation latency histograms, and trace
-    spans with parent/child links — all exportable as JSON
-    ({!Report.fields}) so a benchmark trajectory can be tracked across
-    changes.
+(** Observability for the Minuet stack: typed counters and trace spans
+    with parent/child links, each span kind with a latency histogram —
+    all exportable as JSON ({!Report.fields}) so a benchmark trajectory
+    can be tracked across changes. Each event is recorded once: an
+    abort bumps the typed counter of its layer and cause (for example
+    [mtx.busy_retries] or [btree.abort.fence]), and an operation's
+    latency is its [op.*] span.
 
     One [Obs.t] is owned by each simulated cluster
     ({!Sinfonia.Cluster.obs}); every layer above it (dynamic
@@ -16,27 +18,14 @@ module Bench = Bench
 
 module Counter = Sim.Stats.Counter
 
-(** {1 Abort taxonomy}
-
-    Every way an operation can fail to make progress, as a closed
-    variant (replacing the old ad-hoc counter names). Aborts are counted
-    per (layer, reason); the same logical conflict may legitimately be
-    counted at more than one layer (a failed minitransaction compare is
-    a [Validation_failed] at the [Mtx] layer and again at the [Txn]
-    layer that aborts because of it). *)
+(** Why a transaction attempt aborted: the outcome an
+    {!Span.Attempt} span carries. The counts live in the typed counters
+    ([mtx.busy_retries], [mtx.compare_failed], [txn.unavailable], ...). *)
 module Abort : sig
   type reason =
     | Lock_busy  (** Minitransaction lock collision; retried with backoff. *)
     | Validation_failed  (** A read-set compare failed: data changed underneath. *)
-    | Fence_violation  (** Dirty traversal left the node's key-range fence. *)
-    | Height_mismatch  (** Stale pointer led to a node at the wrong level. *)
-    | Snapshot_stale  (** Node version not on the snapshot's path, or superseded. *)
-    | Crashed_host  (** Memnode (and backup) unreachable. *)
-    | Partitioned  (** A participant is behind an injected network partition. *)
-
-  type layer = Mtx | Txn | Btree | Scs
-
-  val layers : layer list
+    | Crashed_host  (** Memnode (and backup) unreachable or partitioned away. *)
 end
 
 type t
@@ -135,14 +124,12 @@ type scan_stats = {
     {!Btree.Bview}). [view_hits] counts traversal/scan hops answered in
     place from raw payload bytes; [materialisations] counts the
     write/split-path decodes into a full {!Btree.Bnode.t};
-    [stamp_revalidations] counts epoch-stale cache entries revalidated
-    by content stamp without re-decoding; [node_bytes_copied] counts
-    bytes actually materialised into strings (scan results, write-path
-    decodes) — the copy budget the bench gates on. *)
+    [node_bytes_copied] counts bytes actually materialised into strings
+    (scan results, write-path decodes) — the copy budget the bench
+    gates on. *)
 type node_stats = {
   view_hits : Counter.t;
   materialisations : Counter.t;
-  stamp_revalidations : Counter.t;
   node_bytes_copied : Counter.t;
 }
 
@@ -202,19 +189,8 @@ val chaos : t -> chaos_stats
 val recovery : t -> recovery_stats
 
 val counters : t -> (string * int) list
-(** Every counter above and every abort-matrix cell
-    (["abort.<layer>.<reason>"]) under its report name, sorted by name
-    — the ["counters"] block of {!Report.fields}. *)
-
-(** {1 Abort accounting} *)
-
-val abort : t -> layer:Abort.layer -> Abort.reason -> unit
-
-val abort_count : t -> ?layer:Abort.layer -> Abort.reason -> int
-(** Count for one layer, or summed over all layers when omitted. *)
-
-val abort_counts : t -> (Abort.layer * Abort.reason * int) list
-(** All nonzero cells of the (layer, reason) matrix. *)
+(** Every counter above under its report name, sorted by name — the
+    ["counters"] block of {!Report.fields}. *)
 
 (** {1 Per-operation latency} *)
 
@@ -227,9 +203,9 @@ module Op : sig
 end
 
 val time_op : t -> op:Op.op -> path:Op.path -> (unit -> 'a) -> 'a
-(** Run the thunk inside an operation span, recording its simulated
-    duration into the cell's histogram on success (exceptions
-    propagate; their duration is not recorded). *)
+(** Run the thunk inside a {!Span.Op} span ({!with_span}). The span's
+    histogram is the operation's latency; it also counts operations
+    that raised, whose exceptions propagate. *)
 
 (** {1 Trace spans}
 
@@ -300,12 +276,12 @@ val clear_spans : t -> unit
 
 module Report : sig
   val fields : t -> (string * Json.t) list
-  (** The report body: simulated time, every counter, the (layer,
-      reason) abort matrix, and p50/p95/p99/p999 latency summaries per
-      operation and per span kind. Schema documented in DESIGN.md
-      ("Observability"). *)
+  (** The report body: ["sim_time_s"], every counter (["counters"]) and
+      p50/p95/p99/p999 latency summaries per span kind (["spans"]; the
+      [op.*] cells are per-operation latency). Schema documented in
+      DESIGN.md ("Observability"). *)
 
   val pp : Format.formatter -> t -> unit
-  (** Human-readable latency + abort tables ({!Db.pp_stats} embeds
-      this). *)
+  (** Human-readable per-operation latency table, from the [op.*] span
+      histograms ({!Db.pp_stats} embeds this). *)
 end

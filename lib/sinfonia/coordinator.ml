@@ -147,7 +147,6 @@ let exec_single cluster ~client ~mode (mtx : Mtx.t) node =
             | _ -> false
           in
           Obs.Counter.incr stats.Obs.mtx_unavailable;
-          Obs.abort obs ~layer:Obs.Abort.Mtx Obs.Abort.Crashed_host;
           Mtx.Unavailable { maybe_applied = applied; partitioned = false }
       | result -> (
           match result with
@@ -157,12 +156,10 @@ let exec_single cluster ~client ~mode (mtx : Mtx.t) node =
           | Memnode.Prepared _, None -> assert false
           | Memnode.Busy_locks, _ ->
               Obs.Counter.incr stats.Obs.busy_retries;
-              Obs.abort obs ~layer:Obs.Abort.Mtx Obs.Abort.Lock_busy;
               backoff_delay cluster n;
               attempt (n + 1)
           | Memnode.Compare_failed idxs, _ ->
               Obs.Counter.incr stats.Obs.compare_failed;
-              Obs.abort obs ~layer:Obs.Abort.Mtx Obs.Abort.Validation_failed;
               Mtx.Failed_compare idxs)
     end
   in
@@ -293,7 +290,6 @@ let exec_multi cluster ~client ~mode (mtx : Mtx.t) nodes =
       if failed_compares <> [] then begin
         abort_prepared ();
         Obs.Counter.incr stats.Obs.compare_failed;
-        Obs.abort obs ~layer:Obs.Abort.Mtx Obs.Abort.Validation_failed;
         Mtx.Failed_compare (List.sort_uniq Int.compare failed_compares)
       end
       else if unreachable <> [] then begin
@@ -308,7 +304,6 @@ let exec_multi cluster ~client ~mode (mtx : Mtx.t) nodes =
       else if List.exists (fun (_, r) -> r = P_busy) results then begin
         abort_prepared ();
         Obs.Counter.incr stats.Obs.busy_retries;
-        Obs.abort obs ~layer:Obs.Abort.Mtx Obs.Abort.Lock_busy;
         backoff_delay cluster n;
         attempt (n + 1)
       end
@@ -338,7 +333,6 @@ let exec_multi cluster ~client ~mode (mtx : Mtx.t) nodes =
           prepared;
         abort_prepared ();
         Obs.Counter.incr stats.Obs.vote_epoch_aborts;
-        Obs.abort obs ~layer:Obs.Abort.Mtx Obs.Abort.Crashed_host;
         backoff_delay cluster n;
         attempt (n + 1)
       end
@@ -395,11 +389,9 @@ let exec cluster ?client ?(mode = Normal) mtx =
            [Memnode.Crashed] path of [exec_single], which consults the
            redo log.) *)
         Obs.Counter.incr (Obs.mtx obs).Obs.mtx_unavailable;
-        Obs.abort obs ~layer:Obs.Abort.Mtx Obs.Abort.Crashed_host;
         Mtx.Unavailable { maybe_applied = false; partitioned = false }
     | exception Cluster.Partitioned _ ->
         Obs.Counter.incr (Obs.mtx obs).Obs.mtx_unavailable;
-        Obs.abort obs ~layer:Obs.Abort.Mtx Obs.Abort.Partitioned;
         Mtx.Unavailable { maybe_applied = false; partitioned = true }
 
 (* Dirty reads need no cross-memnode atomicity: each memnode's share

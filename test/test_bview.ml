@@ -1,7 +1,7 @@
 (* Property suite for the slotted node wire format and its zero-copy
    view: encode/decode/view agreement, prefix-truncation edge cases, the
-   u16 size limits, corruption detection, stamp stability, and the codec
-   span/checksum helpers the view is built on. *)
+   u16 size limits, corruption detection, the zeroed reserved header
+   word, and the codec span/checksum helpers the view is built on. *)
 
 module Bkey = Btree.Bkey
 module Bnode = Btree.Bnode
@@ -111,16 +111,6 @@ let test_internal_routing () =
       check Alcotest.int ("index for " ^ k) i i';
       check Alcotest.bool ("pointer for " ^ k) true (Objref.equal p p'))
     [ "a"; "g"; "m"; "p"; "z"; "" ]
-
-let test_stamp_stability () =
-  let n = leaf ~snap:3L [ ("a", "1"); ("b", "2") ] in
-  let s1 = Bview.stamp (view_of n) in
-  let s2 = Bview.stamp (view_of n) in
-  check Alcotest.int64 "same content, same stamp" s1 s2;
-  let s3 = Bview.stamp (view_of (leaf ~snap:3L [ ("a", "1"); ("b", "changed") ])) in
-  check Alcotest.bool "different content, different stamp" true (not (Int64.equal s1 s3));
-  check Alcotest.bool "same_stamp on raw payloads" true
-    (Bview.same_stamp (Bnode.encode n) (Bnode.encode n))
 
 let test_u16_limit_raises () =
   (* A key longer than a u16 can count does not fit the format. Such a
@@ -331,10 +321,6 @@ let prop_slot_sized_roundtrip =
       || node_equal n (Bnode.of_view (Bview.of_string payload))
          && node_equal n (Bnode.decode payload))
 
-let prop_stamp_stable =
-  QCheck.Test.make ~name:"stamp stable across re-encode" ~count:300 arbitrary_leaf_node (fun n ->
-      Bview.same_stamp (Bnode.encode n) (Bnode.encode n))
-
 (* ------------------------------------------------------------------ *)
 (* Leaf splice: one-pass rewrite against the decode/edit/encode oracle  *)
 (* ------------------------------------------------------------------ *)
@@ -471,6 +457,20 @@ let prop_splice_matches_oracle =
           String.length spliced = 4 && common_prefix_len o <> common_prefix_len node
       | _ -> false)
 
+(* Header bytes 4-11 are reserved: every encoding ([Bnode.encode] runs
+   [Bview.encode_into]) and every splice writes them as zero. *)
+let prop_reserved_word_zero =
+  let reserved_zero payload = Int64.equal (String.get_int64_le payload 4) 0L in
+  QCheck.Test.make ~name:"reserved header word is zero" ~count:300
+    QCheck.(pair arbitrary_internal_node arbitrary_splice_case)
+    (fun (inner, (node, k, edit)) ->
+      reserved_zero (Bnode.encode inner)
+      && reserved_zero (Bnode.encode node)
+      &&
+      match splice_vs_oracle node k edit with
+      | Bview.Spliced, spliced, _ -> reserved_zero spliced
+      | (Bview.Absent | Bview.Fallback), _, _ -> true)
+
 (* ------------------------------------------------------------------ *)
 (* View memo: newest parsed version per node pointer                    *)
 (* ------------------------------------------------------------------ *)
@@ -519,7 +519,6 @@ let () =
           Alcotest.test_case "shared prefix run" `Quick test_shared_prefix_run;
           Alcotest.test_case "fence boundaries" `Quick test_fence_boundaries;
           Alcotest.test_case "internal routing" `Quick test_internal_routing;
-          Alcotest.test_case "stamp stability" `Quick test_stamp_stability;
         ] );
       ( "robustness",
         [
@@ -557,7 +556,7 @@ let () =
             prop_view_agrees_with_decode;
             prop_view_routes_like_decode;
             prop_slot_sized_roundtrip;
-            prop_stamp_stable;
             prop_splice_matches_oracle;
+            prop_reserved_word_zero;
           ] );
     ]

@@ -59,8 +59,6 @@ let entry seq payload = { Objcache.seq; payload }
 (* The cache counts into an [Obs.t]; these read its counters. *)
 let cache_count obs f = Obs.Counter.value (f (Obs.cache obs))
 
-let stamp_count obs = Obs.Counter.value (Obs.node obs).Obs.stamp_revalidations
-
 let test_cache_basic () =
   let c = Objcache.create ~capacity:10 (Obs.create ()) in
   let r = slot 0 base in
@@ -142,40 +140,17 @@ let test_cache_epoch_staleness () =
   (* Revalidation accounting, then a re-insert is fresh at the new
      epoch. A same-seq re-fetch survives; a changed seq does not. *)
   let stale_entry = entry 1L "space0" in
-  Objcache.note_revalidation c ~old:stale_entry ~seq:1L ~payload:"space0";
-  Objcache.note_revalidation c ~old:stale_entry ~seq:9L ~payload:"different";
+  Objcache.note_revalidation c ~old:stale_entry ~seq:1L;
+  Objcache.note_revalidation c ~old:stale_entry ~seq:9L;
   check Alcotest.int "revalidations" 2
     (cache_count obs (fun s -> s.Obs.cache_epoch_revalidations));
   check Alcotest.int "survived" 1 (cache_count obs (fun s -> s.Obs.cache_epoch_survived));
-  check Alcotest.int "no stamp matches without a comparator" 0 (stamp_count obs);
   Objcache.insert c r0 (entry 1L "space0");
   (match Objcache.find_status c r0 with
   | Objcache.Fresh _ -> ()
   | _ -> Alcotest.fail "re-inserted entry must carry the current epoch");
   check Alcotest.int "no bulk eviction anywhere" 0
     (cache_count obs (fun s -> s.Obs.cache_bulk_evictions))
-
-let test_cache_stamp_revalidation () =
-  (* With a content comparator installed, a stale entry whose payload
-     matches the fresh bytes survives revalidation even though its
-     sequence number changed (a promoted backup renumbers slots without
-     changing node content). *)
-  let obs = Obs.create () in
-  let c = Objcache.create ~same_content:String.equal obs in
-  let survived () = cache_count obs (fun s -> s.Obs.cache_epoch_survived) in
-  let old = entry 1L "node-bytes" in
-  Objcache.note_revalidation c ~old ~seq:7L ~payload:"node-bytes";
-  check Alcotest.int "stamp match counted" 1 (stamp_count obs);
-  check Alcotest.int "stamp match survives" 1 (survived ());
-  Objcache.note_revalidation c ~old ~seq:8L ~payload:"other-bytes";
-  check Alcotest.int "content mismatch not counted" 1 (stamp_count obs);
-  check Alcotest.int "content mismatch does not survive" 1 (survived ());
-  (* Same seq short-circuits: no stamp comparison is recorded. *)
-  Objcache.note_revalidation c ~old ~seq:1L ~payload:"node-bytes";
-  check Alcotest.int "same seq needs no stamp" 1 (stamp_count obs);
-  check Alcotest.int "same seq survives" 2 (survived ());
-  check Alcotest.int "all three counted" 3
-    (cache_count obs (fun s -> s.Obs.cache_epoch_revalidations))
 
 (* ------------------------------------------------------------------ *)
 (* Transactions                                                         *)
@@ -980,7 +955,6 @@ let () =
           Alcotest.test_case "stats" `Quick test_cache_stats;
           Alcotest.test_case "clear" `Quick test_cache_clear;
           Alcotest.test_case "epoch staleness" `Quick test_cache_epoch_staleness;
-          Alcotest.test_case "stamp revalidation" `Quick test_cache_stamp_revalidation;
         ] );
       ( "txn",
         [

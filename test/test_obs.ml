@@ -1,5 +1,5 @@
-(* The observability layer: typed counters and their report names, the
-   (layer, reason) abort taxonomy, span nesting across retries, and the
+(* The observability layer: typed counters and their report names, span
+   nesting across retries, aborts counted by the typed counters, and the
    JSON report round-trip and shape. *)
 
 let check = Alcotest.check
@@ -7,7 +7,7 @@ let check = Alcotest.check
 let small_config = Minuet.Config.small_tree Minuet.Config.default
 
 (* ------------------------------------------------------------------ *)
-(* Typed handles and the abort matrix (no simulation needed)            *)
+(* Typed handles (no simulation needed)                                  *)
 (* ------------------------------------------------------------------ *)
 
 let test_typed_counters () =
@@ -19,20 +19,6 @@ let test_typed_counters () =
   check Alcotest.int "txn.commits by name" 1 (List.assoc "txn.commits" counters);
   check Alcotest.int "btree.splits by name" 3 (List.assoc "btree.splits" counters);
   check Alcotest.int "untouched counter listed" 0 (List.assoc "cache.hits" counters)
-
-let test_abort_matrix () =
-  let obs = Obs.create () in
-  check Alcotest.int "empty" 0 (Obs.abort_count obs Obs.Abort.Lock_busy);
-  Obs.abort obs ~layer:Obs.Abort.Mtx Obs.Abort.Lock_busy;
-  Obs.abort obs ~layer:Obs.Abort.Mtx Obs.Abort.Lock_busy;
-  Obs.abort obs ~layer:Obs.Abort.Txn Obs.Abort.Lock_busy;
-  Obs.abort obs ~layer:Obs.Abort.Btree Obs.Abort.Fence_violation;
-  check Alcotest.int "per layer" 2 (Obs.abort_count obs ~layer:Obs.Abort.Mtx Obs.Abort.Lock_busy);
-  check Alcotest.int "summed over layers" 3 (Obs.abort_count obs Obs.Abort.Lock_busy);
-  check Alcotest.int "other reason" 1 (Obs.abort_count obs Obs.Abort.Fence_violation);
-  check Alcotest.int "nonzero cells" 3 (List.length (Obs.abort_counts obs));
-  (* The matrix is also listed by report name. *)
-  check Alcotest.int "report name" 2 (List.assoc "abort.mtx.lock_busy" (Obs.counters obs))
 
 (* ------------------------------------------------------------------ *)
 (* Span nesting                                                         *)
@@ -107,10 +93,11 @@ let test_lock_busy_under_conflict () =
       done;
       Sim.delay 120.0;
       check Alcotest.int "workers drained" 0 !left;
-      check Alcotest.bool "mtx lock_busy observed" true
-        (Obs.abort_count obs ~layer:Obs.Abort.Mtx Obs.Abort.Lock_busy > 0);
-      check Alcotest.bool "validation failures observed" true
-        (Obs.abort_count obs Obs.Abort.Validation_failed > 0))
+      let mtx = Obs.mtx obs in
+      check Alcotest.bool "mtx busy retries observed" true
+        (Obs.Counter.value mtx.Obs.busy_retries > 0);
+      check Alcotest.bool "mtx compare failures observed" true
+        (Obs.Counter.value mtx.Obs.compare_failed > 0))
 
 let test_crashed_host_abort () =
   Sim.run ~seed:11 (fun () ->
@@ -123,8 +110,6 @@ let test_crashed_host_abort () =
       (match Sinfonia.Coordinator.exec cluster mtx with
       | Sinfonia.Mtx.Unavailable _ -> ()
       | _ -> Alcotest.fail "expected Unavailable against a crashed, unreplicated node");
-      check Alcotest.int "crashed_host at mtx layer" 1
-        (Obs.abort_count obs ~layer:Obs.Abort.Mtx Obs.Abort.Crashed_host);
       check Alcotest.int "mtx.unavailable" 1
         (Obs.Counter.value (Obs.mtx obs).Obs.mtx_unavailable))
 
@@ -174,54 +159,35 @@ let test_json_roundtrip () =
       check Alcotest.int "report counter = typed counter"
         (Obs.Counter.value (Obs.txn obs).Obs.commits)
         commits;
-      (* Every abort layer is an object of per-reason counts. *)
-      (match member "aborts" with
-      | Obs.Json.Obj layers ->
-          check Alcotest.int "abort layers" (List.length Obs.Abort.layers) (List.length layers);
-          List.iter
-            (function
-              | _, Obs.Json.Obj _ -> ()
-              | layer, _ -> Alcotest.failf "aborts.%s: not an object" layer)
-            layers
-      | _ -> Alcotest.fail "aborts: not an object");
-      (* Both read paths produced latency summaries, and every cell
+      (* Both read paths produced latency summaries, and each op cell
          carries all seven quantile fields. *)
-      let ops =
-        match member "ops" with
+      let spans =
+        match member "spans" with
         | Obs.Json.Obj cells -> cells
-        | _ -> Alcotest.fail "ops: not an object"
+        | _ -> Alcotest.fail "spans: not an object"
       in
       List.iter
         (fun label ->
-          if not (List.mem_assoc label ops) then Alcotest.failf "ops.%s missing" label)
-        [ "get"; "put"; "get@snapshot"; "snapshot" ];
-      List.iter
-        (fun (label, cell) ->
-          List.iter
-            (fun field ->
-              match Obs.Json.member field cell with
-              | Some (Obs.Json.Float _ | Obs.Json.Int _) -> ()
-              | _ -> Alcotest.failf "ops.%s.%s: missing or not a number" label field)
-            [ "count"; "mean_ms"; "p50_ms"; "p95_ms"; "p99_ms"; "p999_ms"; "max_ms" ])
-        ops)
+          match List.assoc_opt label spans with
+          | None -> Alcotest.failf "spans.%s missing" label
+          | Some cell ->
+              List.iter
+                (fun field ->
+                  match Obs.Json.member field cell with
+                  | Some (Obs.Json.Float _ | Obs.Json.Int _) -> ()
+                  | _ -> Alcotest.failf "spans.%s.%s: missing or not a number" label field)
+                [ "count"; "mean_ms"; "p50_ms"; "p95_ms"; "p99_ms"; "p999_ms"; "max_ms" ])
+        [ "op.get"; "op.put"; "op.get@snapshot"; "op.snapshot" ])
 
 (* The report's field names and order, pinned for a fixed small run:
-   the counters block lists every counter sorted by name, the spans
-   block every span kind seen, also sorted. *)
+   simulated time, then the counters block listing every counter sorted
+   by name, then the spans block with every span kind seen, also
+   sorted. *)
 let expected_counters =
-  [ "abort.btree.crashed_host"; "abort.btree.fence_violation"; "abort.btree.height_mismatch";
-    "abort.btree.lock_busy"; "abort.btree.partitioned"; "abort.btree.snapshot_stale";
-    "abort.btree.validation_failed"; "abort.mtx.crashed_host"; "abort.mtx.fence_violation";
-    "abort.mtx.height_mismatch"; "abort.mtx.lock_busy"; "abort.mtx.partitioned";
-    "abort.mtx.snapshot_stale"; "abort.mtx.validation_failed"; "abort.scs.crashed_host";
-    "abort.scs.fence_violation"; "abort.scs.height_mismatch"; "abort.scs.lock_busy";
-    "abort.scs.partitioned"; "abort.scs.snapshot_stale"; "abort.scs.validation_failed";
-    "abort.txn.crashed_host"; "abort.txn.fence_violation"; "abort.txn.height_mismatch";
-    "abort.txn.lock_busy"; "abort.txn.partitioned"; "abort.txn.snapshot_stale";
-    "abort.txn.validation_failed"; "alloc.chunk_reservations"; "btree.abort.copied";
-    "btree.abort.fence"; "btree.abort.height"; "btree.abort.version"; "btree.branches_created";
-    "btree.branches_deleted"; "btree.cow"; "btree.discretionary_cow"; "btree.op_retries";
-    "btree.root_splits"; "btree.snapshots_created"; "btree.splits"; "cache.bulk_evictions";
+  [ "alloc.chunk_reservations"; "btree.abort.copied"; "btree.abort.fence"; "btree.abort.height";
+    "btree.abort.version"; "btree.branches_created"; "btree.branches_deleted"; "btree.cow";
+    "btree.discretionary_cow"; "btree.op_retries"; "btree.root_splits";
+    "btree.snapshots_created"; "btree.splits"; "cache.bulk_evictions";
     "cache.epoch_revalidations"; "cache.epoch_survived"; "cache.evictions"; "cache.hits";
     "cache.misses"; "cache.stale_epoch_hits"; "chaos.crashes"; "chaos.delay_faults";
     "chaos.faults_injected"; "chaos.mirror_partitions"; "chaos.partitions";
@@ -229,14 +195,13 @@ let expected_counters =
     "gc.slots_reclaimed"; "memnode.crashes"; "memnode.recoveries"; "mtx.busy_retries";
     "mtx.committed_1pc"; "mtx.committed_2pc"; "mtx.compare_failed";
     "mtx.retry_budget_exhausted"; "mtx.unavailable"; "mtx.vote_epoch_aborts";
-    "node.bytes_copied"; "node.materialisations"; "node.stamp_revalidations"; "node.view_hits";
-    "recovery.in_doubt"; "recovery.orphans_released"; "recovery.promotions";
-    "recovery.resolved_abort"; "recovery.resolved_commit"; "redo.replayed";
-    "replication.mirror_skipped"; "replication.mirrors"; "scan.batch_aborts";
-    "scan.batched_leaves"; "scan.batches"; "scan.consumed_leaves"; "scan.continuations";
-    "scan.prefetches";
-    "scs.borrows"; "scs.snapshots_created"; "scs.stale_reuses"; "txn.commits";
-    "txn.free_commits"; "txn.retry_exhausted"; "txn.unavailable"; "txn.validation_failures" ]
+    "node.bytes_copied"; "node.materialisations"; "node.view_hits"; "recovery.in_doubt";
+    "recovery.orphans_released"; "recovery.promotions"; "recovery.resolved_abort";
+    "recovery.resolved_commit"; "redo.replayed"; "replication.mirror_skipped";
+    "replication.mirrors"; "scan.batch_aborts"; "scan.batched_leaves"; "scan.batches";
+    "scan.consumed_leaves"; "scan.continuations"; "scan.prefetches"; "scs.borrows";
+    "scs.snapshots_created"; "scs.stale_reuses"; "txn.commits"; "txn.free_commits";
+    "txn.retry_exhausted"; "txn.unavailable"; "txn.validation_failures" ]
 
 let expected_spans =
   [ "btree.traversal"; "mtx.commit"; "mtx.exec"; "mtx.prepare"; "op.get"; "op.get@snapshot";
@@ -259,6 +224,7 @@ let test_report_shape () =
         | _ -> Alcotest.failf "missing %s block" block
       in
       let names = Alcotest.(list string) in
+      check names "report fields" [ "sim_time_s"; "counters"; "spans" ] (List.map fst fields);
       check names "counter names" expected_counters (keys "counters");
       check names "span names" expected_spans (keys "spans"))
 
@@ -381,7 +347,6 @@ let () =
       ( "handles",
         [
           Alcotest.test_case "typed counters back the registry" `Quick test_typed_counters;
-          Alcotest.test_case "abort matrix" `Quick test_abort_matrix;
         ] );
       ( "spans",
         [ Alcotest.test_case "with_txn retry nesting" `Quick test_span_nesting_with_retry ] );
