@@ -363,14 +363,24 @@ for seed in 5 10; do
   dune exec bin/minuet_bench.exe -- chaos --seed "$seed" --duration 0.3 --scs-k 0.02
 done
 
+# A falsifiability twin must fail by reporting a violation: exit status
+# 1. Any other status (cmdliner's 125 for an uncaught exception, say) is
+# a harness crash, which proves nothing about the checker.
+expect_violation() {  # WHAT -- CHAOS ARGS...
+  what=$1
+  shift 2
+  status=0
+  dune exec bin/minuet_bench.exe -- chaos "$@" >/dev/null 2>&1 || status=$?
+  if [ "$status" -ne 1 ]; then
+    echo "ERROR: $what chaos run exited $status, not 1 with a reported violation" >&2
+    exit 1
+  fi
+}
+
 echo "== chaos checker catches broken branch isolation =="
 # With copy-on-write sharing deliberately broken, writes leak into
 # frozen ancestor versions; the branching chaos run must FAIL.
-if dune exec bin/minuet_bench.exe -- chaos --seed 3 --duration 0.5 --branching \
-    --broken-branch >/dev/null 2>&1; then
-  echo "ERROR: --broken-branch chaos run passed; isolation leaks went unnoticed" >&2
-  exit 1
-fi
+expect_violation --broken-branch -- --seed 3 --duration 0.5 --branching --broken-branch
 
 echo "== scan-heavy chaos (both concurrency-control modes) =="
 # Scan-dominated mix: long batched range scans over splitting/merging
@@ -394,22 +404,15 @@ done
 echo "== chaos checker catches injected bugs =="
 # With leaf-read validation deliberately broken the same pipeline must
 # FAIL — a checker that never fires would let real violations through.
-if dune exec bin/minuet_bench.exe -- chaos --seed 7 --duration 0.5 --broken \
-    --clients 8 --keys 24 >/dev/null 2>&1; then
-  echo "ERROR: --broken chaos run passed; the checker caught nothing" >&2
-  exit 1
-fi
+expect_violation --broken -- --seed 7 --duration 0.5 --broken --clients 8 --keys 24
 
 echo "== chaos checker catches broken recovery =="
 # With the redo-log replay disabled, committed-but-unmirrored writes are
 # lost on promotion/recovery; the mid-crash storm must catch it (checker
 # violation, failed structural audit, or the corruption crashing the run
-# — all reported as failures).
-if dune exec bin/minuet_bench.exe -- chaos --seed 7 --duration 1 \
-    --faults crash,replag --broken-recovery >/dev/null 2>&1; then
-  echo "ERROR: --broken-recovery chaos run passed; lost writes went unnoticed" >&2
-  exit 1
-fi
+# — all reported as violations).
+expect_violation --broken-recovery -- --seed 7 --duration 1 --faults crash,replag \
+  --broken-recovery
 
 echo "== examples (asserting) =="
 # Each example exits 1 when the guarantee it prints fails: reads and

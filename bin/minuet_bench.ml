@@ -552,7 +552,6 @@ let node_cmd =
       {
         Minuet.Config.default with
         Minuet.Config.hosts = 3;
-        scan_batch = 16;
         max_keys_leaf = Some 4;
         max_keys_internal = Some 64;
       }
@@ -649,8 +648,8 @@ let node_cmd =
   Cmd.v (Cmd.info "node" ~doc)
     Term.(const action $ seed_arg $ iters_arg $ dir_arg)
 
-(* Scan benchmark: batched leaf scans (scan_batch=16) vs the per-leaf
-   baseline (scan_batch=1) on the same seed, plus a crash storm proving
+(* Scan benchmark: batched leaf scans (~batch:16) vs the per-leaf
+   baseline (~batch:1) on the same seed, plus a crash storm proving
    caches recover by epoch revalidation rather than bulk flushes.
    Writes BENCH_scan.json; exits 1 when any of its gates fails. *)
 let scan_cmd =

@@ -16,9 +16,6 @@ type tree = {
   mode : mode;
   max_keys_leaf : int;
   max_keys_internal : int;
-  (* Leaves fetched per minitransaction round trip by batched scans;
-     1 disables batching (per-leaf re-traversal, the old behaviour). *)
-  scan_batch : int;
   home : int;
   client : int option;
   (* Deliberately broken mode for checker validation: leaf reads of
@@ -60,9 +57,8 @@ let leaf_entry_bytes = 40
 
 let internal_entry_bytes = 40
 
-let make_tree ?(mode = Dirty_traversal) ?max_keys_leaf ?max_keys_internal ?(scan_batch = 16)
-    ?(home = 0) ?client ?(unsafe_dirty_leaf_reads = false) ?view_memo ~cluster ~layout ~tree_id
-    ~alloc ~cache () =
+let make_tree ?(mode = Dirty_traversal) ?max_keys_leaf ?max_keys_internal ?(home = 0) ?client
+    ?(unsafe_dirty_leaf_reads = false) ?view_memo ~cluster ~layout ~tree_id ~alloc ~cache () =
   let budget = layout.Layout.node_size - 128 in
   let derived_leaf = max 4 (budget / leaf_entry_bytes) in
   let derived_internal = max 4 (budget / internal_entry_bytes) in
@@ -78,7 +74,6 @@ let make_tree ?(mode = Dirty_traversal) ?max_keys_leaf ?max_keys_internal ?(scan
     mode;
     max_keys_leaf = Option.value max_keys_leaf ~default:derived_leaf;
     max_keys_internal = Option.value max_keys_internal ~default:derived_internal;
-    scan_batch = max 1 scan_batch;
     home;
     client;
     unsafe_dirty_leaf_reads;
@@ -563,6 +558,10 @@ let scan_per_leaf tree txn vctx ~from ~count =
   in
   collect [] count from
 
+(* Sibling leaves a batched scan fetches per round trip unless the call
+   names its own [?batch]. *)
+let default_scan_batch = 16
+
 (* Batched scan (the leaf-chaining fast path): descend once to the
    cursor's deepest parent (the internal levels are cached and
    dirty-read), then fetch the cursor's leaf and the siblings to its
@@ -742,7 +741,7 @@ let scan_batched tree txn vctx ~from ~count ~batch =
   result
 
 let scan_in_txn ?batch tree txn vctx ~from ~count =
-  let batch = match batch with Some b -> max 1 b | None -> tree.scan_batch in
+  let batch = match batch with Some b -> max 1 b | None -> default_scan_batch in
   if count <= 0 then []
   else if batch <= 1 then scan_per_leaf tree txn vctx ~from ~count
   else scan_batched tree txn vctx ~from ~count ~batch
@@ -756,20 +755,6 @@ let scan ?batch tree ~vctx_of ~from ~count =
 (* -------------------------------------------------------------------- *)
 
 let run_txn tree f = with_retries tree "txn" f
-
-let first_tree = function
-  | [] -> invalid_arg "Ops.multi: empty operation list"
-  | (tree, _) :: _ -> tree
-
-let multi_get pairs ~vctx_of =
-  let tree0 = first_tree pairs in
-  with_retries tree0 "multi_get" (fun txn ->
-      List.map (fun (tree, k) -> get_in_txn tree txn (vctx_of tree txn) k) pairs)
-
-let multi_put triples ~vctx_of =
-  let tree0 = match triples with [] -> invalid_arg "Ops.multi_put: empty" | (t, _, _) :: _ -> t in
-  with_retries tree0 "multi_put" (fun txn ->
-      List.iter (fun (tree, k, v) -> put_in_txn tree txn (vctx_of tree txn) k v) triples)
 
 (* -------------------------------------------------------------------- *)
 (* Linear snapshots (Sec. 4)                                              *)
@@ -852,7 +837,6 @@ module Linear = struct
     write_node tree txn root_loc (Bnode.add_descendant root_node new_tip);
     Txn.write_replicated txn ~off:(tip_id_off tree) ~len:slot_len (Layout.encode_i64 new_tip);
     Txn.write_replicated txn ~off:(tip_root_off tree) ~len:slot_len (encode_ref new_root_ptr);
-    Obs.Counter.incr tree.stats.Obs.snapshots_created;
     (sid, root_loc)
 end
 

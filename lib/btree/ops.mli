@@ -38,7 +38,6 @@ val make_tree :
   ?mode:mode ->
   ?max_keys_leaf:int ->
   ?max_keys_internal:int ->
-  ?scan_batch:int ->
   ?home:int ->
   ?client:int ->
   ?unsafe_dirty_leaf_reads:bool ->
@@ -53,11 +52,6 @@ val make_tree :
 (** Key capacities default to values derived from [layout.node_size]
     assuming short keys and values (the YCSB schema: 14-byte keys,
     8-byte values).
-
-    [scan_batch] caps the sibling leaves a batched scan fetches per
-    minitransaction round trip; the first round trip after a descent
-    also carries the cursor's own leaf (default 16; clamped to >= 1,
-    where 1 disables batching and scans re-traverse per leaf).
 
     [client] is this proxy's host id for the network fault model: all
     transactions the tree runs carry it, so injected per-link faults
@@ -166,8 +160,8 @@ val scan :
     The scan descends to the deepest parent of the leaf holding [from]
     (internal nodes are dirty-read, mostly from the proxy cache), then
     fetches that leaf together with its right siblings and chases fence
-    keys sideways, up to [batch] (default: the tree's [scan_batch])
-    siblings per minitransaction round trip. Each group is sized to the
+    keys sideways, up to [batch] (default 16; clamped to >= 1) siblings
+    per minitransaction round trip. Each group is sized to the
     keys still needed, over the keys per leaf this scan (or, before its
     first leaf, this handle's earlier scans) has seen, so a scan fetches
     about the leaves it consumes; the next group is fetched while the
@@ -183,7 +177,9 @@ val run_txn : tree -> (Txn.t -> 'a) -> 'a
     (the operations above use it too), with this handle's cache, client
     and home memnode; records {!last_commit_stamp}. Use with
     {!get_in_txn}/{!scan_in_txn} for multi-operation transactions (e.g.
-    reading several versions atomically). *)
+    reading several versions atomically), including ones over several
+    trees of one cluster: the paper's multi-index transactions
+    (Sec. 6.2). *)
 
 val get_in_txn : tree -> Txn.t -> vctx -> Bkey.t -> string option
 
@@ -193,15 +189,6 @@ val remove_in_txn : tree -> Txn.t -> vctx -> Bkey.t -> bool
 
 val scan_in_txn :
   ?batch:int -> tree -> Txn.t -> vctx -> from:Bkey.t -> count:int -> (Bkey.t * string) list
-
-(** {1 Multi-tree transactions} *)
-
-val multi_get : (tree * Bkey.t) list -> vctx_of:(tree -> Txn.t -> vctx) -> string option list
-(** Atomically read one key from each of several trees (the paper's
-    multi-index transactions, Sec. 6.2). All trees must share a
-    cluster. *)
-
-val multi_put : (tree * Bkey.t * string) list -> vctx_of:(tree -> Txn.t -> vctx) -> unit
 
 (** {1 Linear snapshots (Sec. 4)} *)
 

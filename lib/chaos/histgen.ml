@@ -51,10 +51,6 @@ let default =
   }
 
 type result = {
-  gen_events : int;
-  gen_creations : (int * (int64 * int64) list) list;
-      (** Snapshot creation log per index, as [(sid, stamp)] pairs for
-          {!Check.Stream.add_creation}. *)
   gen_final : (int * (string * string) list) list;
       (** Final ground-truth entries (linear mode only). *)
 }
@@ -130,10 +126,9 @@ let generate ?on_creation cfg sink =
   in
   let pick_key () = key_of (Sim.Rng.int rng cfg.keys) in
   let value () = Printf.sprintf "g%d" !opno in
-  let creations = ref [] in
-  let result () =
+  let result gen_final =
     flush ();
-    { gen_events = !opno; gen_creations = [ (0, !creations) ]; gen_final = [] }
+    { gen_final }
   in
   if not cfg.branching then begin
     (* ---------------- Linear mode ---------------- *)
@@ -155,7 +150,6 @@ let generate ?on_creation cfg sink =
         let s = next_stamp () in
         next_sid := Int64.succ !next_sid;
         let sid = !next_sid in
-        creations := (sid, s) :: !creations;
         (match on_creation with Some f -> f ~index:0 ~sid ~stamp:s | None -> ());
         frozen := Some (sid, !model);
         emit (event ~sid Event.Snapshot_taken)
@@ -197,8 +191,7 @@ let generate ?on_creation cfg sink =
                     (event ~sid
                        (Event.Scan { from = k; count = 8; result = model_scan fm ~from:k ~count:8 })))
     done;
-    let r = result () in
-    { r with gen_final = [ (0, Smap.bindings !model) ] }
+    result [ (0, Smap.bindings !model) ]
   end
   else begin
     (* ---------------- Branching mode ---------------- *)
@@ -357,5 +350,5 @@ let generate ?on_creation cfg sink =
               | None -> ());
               emit (event ~stamp:(next_stamp ()) (Event.Branch_deleted { sid = v.g_sid })))
     done;
-    result ()
+    result []
   end

@@ -190,9 +190,11 @@ let run_exn cfg =
 
 (* In the deliberately-broken falsifiability modes the injected bug can
    corrupt the system badly enough that the run itself crashes (a lost
-   committed write can wedge a traversal or starve snapshot creation)
-   before the checker ever sees the history. That is still the bug being
-   caught — report it as a failure instead of escaping with a backtrace.
+   committed write can wedge a traversal, starve snapshot creation or
+   leave a node copied twice, which [Ops.Linear] rejects with
+   [Invalid_argument]) before the checker ever sees the history. That is
+   still the bug being caught — report it as a failure instead of
+   escaping with a backtrace.
    Honest configurations propagate exceptions unchanged: a crash there
    is a harness bug we must not swallow. *)
 let run cfg =
@@ -200,7 +202,7 @@ let run cfg =
   else
     match run_exn cfg with
     | report -> report
-    | exception (Failure _ as e) ->
+    | exception ((Failure _ | Invalid_argument _) as e) ->
         let msg = Printexc.to_string e in
         {
           verdict =

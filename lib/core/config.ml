@@ -12,7 +12,6 @@ type t = {
   scs_min_interval : float;
   cache_capacity : int;
   alloc_chunk : int;
-  scan_batch : int;
   unsafe_dirty_leaf_reads : bool;
   broken_branch_isolation : bool;
 }
@@ -32,7 +31,6 @@ let default =
     scs_min_interval = 0.0;
     cache_capacity = 65536;
     alloc_chunk = 64;
-    scan_batch = 16;
     unsafe_dirty_leaf_reads = false;
     broken_branch_isolation = false;
   }
@@ -54,5 +52,4 @@ let validate t =
   if t.n_trees <= 0 || t.n_trees > t.layout.Btree.Layout.max_trees then
     invalid_arg "Minuet.Config: n_trees out of range";
   if t.branching && t.beta < 2 then invalid_arg "Minuet.Config: beta must be >= 2";
-  if t.scs_min_interval < 0.0 then invalid_arg "Minuet.Config: negative staleness bound";
-  if t.scan_batch < 1 then invalid_arg "Minuet.Config: scan_batch must be >= 1"
+  if t.scs_min_interval < 0.0 then invalid_arg "Minuet.Config: negative staleness bound"

@@ -14,11 +14,6 @@ type t = {
   scs_min_interval : float;  (** Snapshot staleness bound k, seconds (Sec. 6.3). *)
   cache_capacity : int;  (** Proxy object-cache entries. *)
   alloc_chunk : int;  (** Slots reserved per allocator refill. *)
-  scan_batch : int;
-      (** Most sibling leaves a batched scan fetches per
-          minitransaction round trip (default 16; the first round trip
-          also carries the cursor's leaf); 1 re-traverses per leaf
-          (pre-batching behaviour). *)
   unsafe_dirty_leaf_reads : bool;
       (** Deliberately broken concurrency control for checker
           validation: up-to-date leaf reads skip commit-time validation,

@@ -20,8 +20,8 @@ let make_tree_handle ?client ~config ~cluster ~shared_alloc ~view_memo ~cache ~h
       ~layout:config.Config.layout ~shared:shared_alloc ()
   in
   Ops.make_tree ~mode:config.Config.mode ?max_keys_leaf:config.Config.max_keys_leaf
-    ?max_keys_internal:config.Config.max_keys_internal ~scan_batch:config.Config.scan_batch ~home
-    ?client ~unsafe_dirty_leaf_reads:config.Config.unsafe_dirty_leaf_reads ~view_memo ~cluster
+    ?max_keys_internal:config.Config.max_keys_internal ~home ?client
+    ~unsafe_dirty_leaf_reads:config.Config.unsafe_dirty_leaf_reads ~view_memo ~cluster
     ~layout:config.Config.layout ~tree_id ~alloc ~cache ()
 
 let start ?(config = Config.default) () =

@@ -80,19 +80,24 @@ let scan ?(index = 0) t ~from ~count =
     (fun () -> Ops.scan t.trees.(index) ~vctx_of:(vctx_of t index) ~from ~count)
     (fun result -> Event.Scan { from; count; result })
 
+(* A multi-index transaction runs on the first tree's handle, like
+   [with_txn]: every tree of a session shares its cache, client and
+   home. *)
 let multi_get t pairs =
   check_linear t;
   Obs.time_op t.obs ~op:Obs.Op.Multi_get ~path:Obs.Op.Up_to_date @@ fun () ->
-  Ops.multi_get
-    (List.map (fun (index, k) -> (t.trees.(index), k)) pairs)
-    ~vctx_of:(fun tree txn -> Ops.Linear.tip tree txn)
+  if pairs = [] then invalid_arg "Session.multi_get: empty operation list";
+  Ops.run_txn t.trees.(0) (fun txn ->
+      List.map (fun (index, k) -> Ops.get_in_txn t.trees.(index) txn (vctx_of t index txn) k) pairs)
 
 let multi_put t triples =
   check_linear t;
   Obs.time_op t.obs ~op:Obs.Op.Multi_put ~path:Obs.Op.Up_to_date @@ fun () ->
-  Ops.multi_put
-    (List.map (fun (index, k, v) -> (t.trees.(index), k, v)) triples)
-    ~vctx_of:(fun tree txn -> Ops.Linear.tip tree txn)
+  if triples = [] then invalid_arg "Session.multi_put: empty operation list";
+  Ops.run_txn t.trees.(0) (fun txn ->
+      List.iter
+        (fun (index, k, v) -> Ops.put_in_txn t.trees.(index) txn (vctx_of t index txn) k v)
+        triples)
 
 type txn = { session : t; raw : Txn.t }
 

@@ -8,7 +8,7 @@ module Db = Minuet.Db
 module Cluster = Sinfonia.Cluster
 
 type side = {
-  scan_batch : int;
+  batch : int;  (** Sibling leaves per round trip: {!Btree.Ops.scan}'s [?batch]. *)
   scans : int;  (** Scans completed inside the measurement window. *)
   elapsed : float;  (** Simulated seconds of the measurement window. *)
   counters : (string * int) list;  (** {!side_counters}, read after the run. *)
@@ -52,7 +52,7 @@ let scan_count = 400
    and measure scan completions over a storm-free window. When [storm]
    is set, a crash/recover storm follows the measurement window with
    traffic still running, to exercise post-crash cache behaviour. *)
-let run_side ~seed ~scan_batch ~storm =
+let run_side ~seed ~batch ~storm =
   (* Tiny leaves under a wide internal fanout: [keys] keys spread over
      ~keys/3 leaves whose parents hold dozens of children, so one
      traversal exposes enough right-siblings to fill full batches. *)
@@ -60,7 +60,6 @@ let run_side ~seed ~scan_batch ~storm =
     {
       Minuet.Config.default with
       Minuet.Config.hosts = 4;
-      scan_batch;
       max_keys_leaf = Some 4;
       max_keys_internal = Some 64;
       (* The storm's recovery daemons resolve in-doubt transactions
@@ -103,13 +102,15 @@ let run_side ~seed ~scan_batch ~storm =
   for c = 0 to n_sessions - 1 do
     let srng = Sim.Rng.split rng in
     Sim.spawn ~name:(Printf.sprintf "scan-bench-scanner-%d" c) (fun () ->
+        let s = sessions.(c) in
+        let tree = Session.tree_of s (Session.index db 0) in
         while not !stop do
           let start = Sim.Rng.int srng (max 1 (keys - scan_count)) in
           (try
-             let s = sessions.(c) in
              let snap = Session.snapshot s in
+             let at_snap _ = Btree.Ops.Linear.at_snapshot tree ~sid:snap.sid ~root:snap.root in
              ignore
-               (Session.scan_at s snap ~from:(key_of start) ~count:scan_count
+               (Btree.Ops.scan ~batch tree ~vctx_of:at_snap ~from:(key_of start) ~count:scan_count
                  : (string * string) list);
              if !measuring then incr scans
            with Btree.Ops.Too_contended _ | Btree.Ops.Ambiguous _ -> ());
@@ -147,7 +148,7 @@ let run_side ~seed ~scan_batch ~storm =
   end;
   stop := true;
   Sim.delay 0.05;
-  { scan_batch; scans = measured; elapsed; counters = side_counters (Db.obs db) }
+  { batch; scans = measured; elapsed; counters = side_counters (Db.obs db) }
 
 let ops_per_s side = float_of_int side.scans /. side.elapsed
 
@@ -155,7 +156,7 @@ let count side name = List.assoc name side.counters
 
 let side_json side =
   Obs.Json.Obj
-    (("scan_batch", Obs.Json.Int side.scan_batch)
+    (("scan_batch", Obs.Json.Int side.batch)
     :: ("scans", Obs.Json.Int side.scans)
     :: ("window_s", Obs.Json.Float side.elapsed)
     :: ("ops_per_s", Obs.Json.Float (ops_per_s side))
@@ -172,8 +173,8 @@ let side_json side =
    per leaf consumed. *)
 let run ?(seed = 0x5ca9) ?dir () =
   let wall_ms = Obs.Bench.stopwatch () in
-  let batched = run_side ~seed ~scan_batch:16 ~storm:true in
-  let per_leaf = run_side ~seed ~scan_batch:1 ~storm:false in
+  let batched = run_side ~seed ~batch:16 ~storm:true in
+  let per_leaf = run_side ~seed ~batch:1 ~storm:false in
   let speedup = ops_per_s batched /. ops_per_s per_leaf in
   let b = count batched in
   let ratio num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den in

@@ -66,7 +66,6 @@ type btree_stats = {
   cow : Counter.t;
   discretionary_cow : Counter.t;
   op_retries : Counter.t;
-  snapshots_created : Counter.t;
   branches_created : Counter.t;
   branches_deleted : Counter.t;
   chunk_reservations : Counter.t;
@@ -237,7 +236,6 @@ let create () =
       cow = c "btree.cow";
       discretionary_cow = c "btree.discretionary_cow";
       op_retries = c "btree.op_retries";
-      snapshots_created = c "btree.snapshots_created";
       branches_created = c "btree.branches_created";
       branches_deleted = c "btree.branches_deleted";
       chunk_reservations = c "alloc.chunk_reservations";

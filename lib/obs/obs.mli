@@ -71,7 +71,6 @@ type btree_stats = {
   cow : Counter.t;
   discretionary_cow : Counter.t;
   op_retries : Counter.t;
-  snapshots_created : Counter.t;
   branches_created : Counter.t;
   branches_deleted : Counter.t;
   chunk_reservations : Counter.t;

@@ -127,6 +127,10 @@ let serving_host t i =
   let mn, _ = route t i in
   Memnode.id mn
 
+(* Hosts [a] and [b] can exchange a request and its reply: the link is
+   unblocked in both directions. *)
+let connected t a b = Sim.Net.reachable t.net ~src:a ~dst:b && Sim.Net.reachable t.net ~src:b ~dst:a
+
 (* Fraction of the primary's apply cost the backup pays to apply a
    mirror. *)
 let backup_factor = 0.6
@@ -156,11 +160,8 @@ let mirror t i ~owner writes =
           match Memnode.replica bn ~of_node:i with
           | None -> Redo_log.mark_mirrored redo ~tid:owner
           | Some store ->
-              if
-                Memnode.crashed bn
-                || (not (Sim.Net.reachable t.net ~src:i ~dst:b))
-                || not (Sim.Net.reachable t.net ~src:b ~dst:i)
-              then Obs.Counter.incr (Obs.recovery t.obs).Obs.mirror_skipped
+              if Memnode.crashed bn || not (connected t i b) then
+                Obs.Counter.incr (Obs.recovery t.obs).Obs.mirror_skipped
               else begin
                 let ep = Memnode.epoch t.memnodes.(i) in
                 let bytes =
@@ -201,8 +202,7 @@ let flush_redo t ~grace =
               if
                 (not (Memnode.crashed mn))
                 && (not (Memnode.crashed t.memnodes.(b)))
-                && Sim.Net.reachable t.net ~src:i ~dst:b
-                && Sim.Net.reachable t.net ~src:b ~dst:i
+                && connected t i b
               then begin
                 let n =
                   Redo_log.replay ~min_age:grace t.redo_logs.(i)
@@ -218,47 +218,205 @@ let flush_redo t ~grace =
 let in_doubt_total t =
   Array.fold_left (fun acc log -> acc + Redo_log.in_doubt_count log) 0 t.redo_logs
 
-let recovery_env t =
-  {
-    Recovery.n_spaces = Array.length t.memnodes;
-    serving = (fun i -> match route t i with s -> Some s | exception Unavailable _ -> None);
-    reachable = (fun ~src ~dst -> Sim.Net.reachable t.net ~src ~dst);
-    transfer = (fun ~src ~dst ~bytes -> Sim.Net.transfer ~src ~dst t.net ~bytes);
-    take_stamp = (fun () -> take_stamp t);
-    grace = t.config.in_doubt_grace;
-    obs = t.obs;
-  }
+(* -------------------------------------------------------------------- *)
+(* In-doubt resolution                                                    *)
+(* -------------------------------------------------------------------- *)
 
-(* Release locks held past [lease] by owners that never voted. *)
-let release_orphans t mn ~lease =
-  let recovered = Memnode.recover_orphaned_locks mn ~lease in
-  if recovered > 0 then Obs.Counter.add (Obs.mtx t.obs).Obs.orphans_released recovered
+(* Sinfonia's recovery coordinator (Sec. 2.3 of the paper) for
+   transactions whose participant voted yes but whose coordinator went
+   silent — typically because the participant crashed mid-2PC and
+   restarted with the vote still in its redo log.
+
+   The resolution rule is the classic presumed-abort one, made race-free
+   against a live coordinator by two invariants shared with {!Memnode}
+   and {!Redo_log}:
+
+   - Recovery only aborts a transaction after recording an [Aborted]
+     decision at a participant that has NOT voted ({!Redo_log.refused});
+     a prepare arriving there later must vote no, so the live
+     coordinator can never assemble the all-yes it needs to commit.
+   - The live coordinator only commits when every participant voted
+     yes, and {!Redo_log.decide_commit} deduplicates whoever gets to a
+     participant second. Recovery commits either with the stamp found in
+     some participant's decision record, or — when no decision exists
+     anywhere — with a fresh stamp, which is safe because every write
+     range involved is still locked under the transaction's tid. *)
+
+let poll_bytes = 96
+
+(* What one round-trip to a participant reveals about [tid] there. *)
+type probe = Unreachable | Voted | Not_voted | Decided of Redo_log.decision
+
+let probe t ~from ~tid p =
+  match route t p with
+  | exception Unavailable _ -> Unreachable
+  | mn, _ ->
+      let host = Memnode.id mn in
+      if host <> from && not (connected t from host) then Unreachable
+      else begin
+        if host <> from then begin
+          Sim.Net.transfer ~src:from ~dst:host t.net ~bytes:poll_bytes;
+          Sim.Net.transfer ~src:host ~dst:from t.net ~bytes:poll_bytes
+        end;
+        (* The serving store may have changed while the poll was in
+           flight; answer from whoever serves the space now. *)
+        match route t p with
+        | exception Unavailable _ -> Unreachable
+        | _, store -> (
+            let redo = Memnode.store_redo store in
+            match Redo_log.decision redo ~tid with
+            | Some d -> Decided d
+            | None -> if Redo_log.voted redo ~tid then Voted else Not_voted)
+      end
+
+(* Drive the commit of [tid] at participant [p]. [`Skip] means the
+   other side of the race (live coordinator or an earlier sweep) already
+   applied the writes. *)
+let commit_at t ~tid ~stamp p =
+  match route t p with
+  | exception Unavailable _ -> ()
+  | mn, store -> (
+      let redo = Memnode.store_redo store in
+      match Redo_log.entry redo ~tid with
+      | None -> () (* decided and already flushed here *)
+      | Some e -> (
+          match Memnode.commit_and_release store ~owner:tid ~stamp e.Redo_log.e_writes with
+          | `Apply ->
+              (* Serving from the replica: the only live image now has
+                 the writes, so the entry needs no further mirror. *)
+              if Memnode.store_space store <> Memnode.id mn then
+                Redo_log.mark_mirrored redo ~tid
+          | `Skip -> ()))
+
+let abort_at t ~tid p =
+  match route t p with
+  | exception Unavailable _ -> ()
+  | _, store -> Memnode.abort_and_release store ~owner:tid
+
+(* Record the blocking [Aborted] decision at one participant that has
+   not voted. The no-vote re-check and the decision record are adjacent
+   (no scheduler yield), so either the refusal lands before any vote —
+   and blocks it — or the vote is seen here and we defer. *)
+let place_refusal t ~tid unvoted =
+  let rec go = function
+    | [] -> false
+    | p :: rest -> (
+        match route t p with
+        | exception Unavailable _ -> go rest
+        | _, store ->
+            let redo = Memnode.store_redo store in
+            if Redo_log.voted redo ~tid then false
+            else begin
+              Redo_log.decide_abort redo ~tid;
+              true
+            end)
+  in
+  go unvoted
+
+(* Poll every participant of one in-doubt entry and drive its outcome:
+   a decision recorded anywhere wins and is propagated; a reachable
+   participant without a vote forces an abort; all-yes with no decision
+   commits; an unreachable participant with every reachable one voting
+   yes blocks the entry until the partition heals. *)
+let resolve t ~from (e : Redo_log.entry) =
+  let tid = e.Redo_log.e_tid in
+  let probes = List.map (fun p -> (p, probe t ~from ~tid p)) e.Redo_log.e_participants in
+  let committed_stamp =
+    List.find_map (function _, Decided (Redo_log.Committed s) -> Some s | _ -> None) probes
+  in
+  let aborted = List.exists (function _, Decided Redo_log.Aborted -> true | _ -> false) probes in
+  let any_unreachable = List.exists (function _, Unreachable -> true | _ -> false) probes in
+  let unvoted = List.filter_map (function p, Not_voted -> Some p | _ -> None) probes in
+  match committed_stamp with
+  | Some stamp ->
+      (* Some participant saw the commit decision; finish it everywhere
+         we can reach. *)
+      List.iter (fun (p, pr) -> if pr <> Unreachable then commit_at t ~tid ~stamp p) probes;
+      `Commit
+  | None ->
+      if aborted then begin
+        List.iter (fun (p, pr) -> if pr <> Unreachable then abort_at t ~tid p) probes;
+        `Abort
+      end
+      else if unvoted <> [] then
+        (* Some reachable participant never voted: the transaction
+           cannot have committed. Block its commit path first, then
+           release the voters. Unreachable participants pick the
+           decision up from the others when they return. *)
+        if place_refusal t ~tid unvoted then begin
+          List.iter
+            (fun (p, pr) -> if pr = Voted || pr = Not_voted then abort_at t ~tid p)
+            probes;
+          `Abort
+        end
+        else `Defer (* a vote landed under us; re-evaluate next sweep *)
+      else if any_unreachable then
+        (* Every reachable participant voted yes but some participant
+           cannot be polled: its vote (or a recorded decision) could go
+           either way. Block — Sinfonia recovers such transactions only
+           once the participant is back. *)
+        `Defer
+      else begin
+        (* All participants voted yes and none saw a decision: commit.
+           A fresh stamp is safe — the write ranges are still locked
+           under [tid] everywhere, so nothing serialized between the
+           coordinator's stamp draw and now conflicts with them. *)
+        let stamp = take_stamp t in
+        List.iter (fun (p, _) -> commit_at t ~tid ~stamp p) probes;
+        `Commit
+      end
 
 (* Flush lagging replicas, then resolve every space's in-doubt
-   transactions. *)
-let resolve t env =
+   transactions, in space order. *)
+let sweep t =
   flush_redo t ~grace:t.config.in_doubt_grace;
-  Recovery.sweep env
+  let stats = Obs.recovery t.obs in
+  Obs.with_span t.obs Obs.Span.Recovery_sweep (fun () ->
+      for s = 0 to Array.length t.memnodes - 1 do
+        match route t s with
+        | exception Unavailable _ -> ()
+        | mn, store ->
+            let from = Memnode.id mn in
+            let redo = Memnode.store_redo store in
+            List.iter
+              (fun (e : Redo_log.entry) ->
+                (* An earlier resolution this sweep (shared participant)
+                   may have settled this entry already. *)
+                if
+                  e.Redo_log.e_state = `Prepared
+                  && Redo_log.decision redo ~tid:e.Redo_log.e_tid = None
+                then begin
+                  if Redo_log.note_reported e then Obs.Counter.incr stats.Obs.in_doubt_found;
+                  match resolve t ~from e with
+                  | `Commit -> Obs.Counter.incr stats.Obs.resolved_commit
+                  | `Abort -> Obs.Counter.incr stats.Obs.resolved_abort
+                  | `Defer -> ()
+                end)
+              (Redo_log.in_doubt ~min_age:t.config.in_doubt_grace redo)
+      done)
+
+(* Release, at every memnode, locks held past [lease] by owners that
+   never voted. *)
+let release_orphans t ~lease =
+  Array.iter
+    (fun mn ->
+      let recovered = Memnode.recover_orphaned_locks mn ~lease in
+      if recovered > 0 then Obs.Counter.add (Obs.mtx t.obs).Obs.orphans_released recovered)
+    t.memnodes
 
 let start_recovery ?(lease = 0.25) ?(interval = 1.0) t =
   t.daemons <- true;
-  Array.iter
-    (fun mn ->
-      Sim.spawn ~name:"sinfonia-recovery" (fun () ->
-          let rec loop () =
-            Sim.delay interval;
-            release_orphans t mn ~lease;
-            loop ()
-          in
-          loop ()))
-    t.memnodes;
-  (* The in-doubt resolver: one cluster-wide daemon sweeping every
-     space's redo log, plus the lagging-replica flush. *)
-  let env = recovery_env t in
+  Sim.spawn ~name:"sinfonia-recovery" (fun () ->
+      let rec loop () =
+        Sim.delay interval;
+        release_orphans t ~lease;
+        loop ()
+      in
+      loop ());
   Sim.spawn ~name:"sinfonia-in-doubt" (fun () ->
       let rec loop () =
         Sim.delay interval;
-        resolve t env;
+        sweep t;
         loop ()
       in
       loop ())
@@ -269,12 +427,11 @@ let start_recovery ?(lease = 0.25) ?(interval = 1.0) t =
 let settle_in_doubt t =
   if not (t.daemons || t.settling) then begin
     t.settling <- true;
-    let env = recovery_env t in
     Sim.spawn ~name:"sinfonia-settle" (fun () ->
         let rec loop () =
           Sim.delay 0.05;
-          Array.iter (fun mn -> release_orphans t mn ~lease:0.25) t.memnodes;
-          resolve t env;
+          release_orphans t ~lease:0.25;
+          sweep t;
           if in_doubt_total t > 0 then loop () else t.settling <- false
         in
         loop ())

@@ -1,7 +1,8 @@
 (** A simulated Sinfonia deployment: a set of memnodes, the network
     between them, and shared bookkeeping (metrics, owner-id generator,
-    replication wiring, per-space redo logs and the recovery
-    daemons). *)
+    replication wiring, per-space redo logs), plus Sinfonia's recovery
+    coordinator (Sec. 2.3 of the paper): the orphan-lock lease, the
+    lagging-replica flush and the in-doubt resolver. *)
 
 type t
 
@@ -74,6 +75,11 @@ val serving_host : t -> int -> int
     address space — the endpoint used for per-link fault lookups.
     Raises {!Unavailable} like {!route}. *)
 
+val connected : t -> int -> int -> bool
+(** [connected t a b]: hosts [a] and [b] can exchange a request and its
+    reply — no injected partition blocks the link in either
+    direction. *)
+
 val mirror : t -> int -> owner:int64 -> Mtx.write_item list -> unit
 (** Synchronously apply [owner]'s committed [writes] (addressed to
     memnode [i]) to [i]'s replica, paying network and backup CPU costs.
@@ -89,14 +95,25 @@ val mirror : t -> int -> owner:int64 -> Mtx.write_item list -> unit
 val start_recovery : ?lease:float -> ?interval:float -> t -> unit
 (** Spawn Sinfonia's recovery daemons. Every [interval] (default 1 s):
 
-    - each memnode releases locks held longer than [lease] (default
-      250 ms of simulated time) whose owner never logged a vote — their
-      coordinators are presumed crashed before preparing, and their
-      minitransactions resolve as aborted;
-    - a cluster-wide resolver flushes aged committed-but-unmirrored redo
-      entries to lagging replicas and runs {!Recovery.sweep} over every
-      space's in-doubt transactions, committing or aborting them per
-      the all-yes rule.
+    - a lease process walks the memnodes in id order, releasing locks
+      held longer than [lease] (default 250 ms of simulated time) whose
+      owner never logged a vote — their coordinators are presumed
+      crashed before preparing, and their minitransactions resolve as
+      aborted;
+    - a resolver flushes aged ({!Config.in_doubt_grace})
+      committed-but-unmirrored redo entries to lagging replicas, then
+      sweeps every space's redo log in space order, polling the other
+      participants of each in-doubt transaction and driving its
+      outcome. A decision recorded anywhere wins and is propagated; a
+      reachable participant without a vote forces an abort, but only
+      after an [Aborted] decision is recorded {e at that participant}
+      (a late prepare there votes no, so a live coordinator can never
+      assemble all-yes concurrently); all-yes with no decision commits
+      (under a fresh stamp when none is recorded — safe because the
+      write ranges stay locked under the tid); an unreachable
+      participant with every reachable one voting yes blocks the
+      transaction until it is back. Each sweep emits [recovery.*]
+      counters and a [recovery.sweep] trace span.
 
     Healthy minitransactions hold locks for microseconds, far below the
     lease. *)

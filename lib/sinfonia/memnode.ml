@@ -214,8 +214,22 @@ let evaluate_and_read store ~owner p =
     in
     Prepared reads
 
-let apply_writes store writes =
-  List.iter (fun w -> Heap.write store.heap ~off:w.Mtx.w_addr.Address.off w.Mtx.w_data) writes
+(* Phase two at one participant, after its service window: record the
+   commit decision, apply the writes unless [`Skip] (the recovery
+   coordinator committed this tid first and the writes are already in
+   place, possibly under later commits), release the tid's locks. *)
+let commit_and_release store ~owner ~stamp writes =
+  let decided = Redo_log.decide_commit store.redo ~tid:owner ~stamp in
+  (match decided with
+  | `Apply ->
+      List.iter (fun w -> Heap.write store.heap ~off:w.Mtx.w_addr.Address.off w.Mtx.w_data) writes
+  | `Skip -> ());
+  Lock_table.release store.locks ~owner;
+  decided
+
+let abort_and_release store ~owner =
+  Redo_log.decide_abort store.redo ~tid:owner;
+  Lock_table.release store.locks ~owner
 
 (* Participant operations: a small reception cost decides lock
    acquisition; the bulk of the service time is spent holding the
@@ -271,20 +285,13 @@ let commit_timed t store ~owner p ~stamp ~cost =
   let ep = t.epoch in
   serve t ~cost;
   check_alive t ~epoch:ep;
-  (match Redo_log.decide_commit store.redo ~tid:owner ~stamp with
-  | `Apply -> apply_writes store p.p_writes
-  | `Skip ->
-      (* The recovery coordinator resolved this transaction first; the
-         writes are already in place (possibly under later commits). *)
-      ());
-  Lock_table.release store.locks ~owner
+  ignore (commit_and_release store ~owner ~stamp p.p_writes)
 
 let abort_timed t store ~owner ~cost =
   let ep = t.epoch in
   serve t ~cost;
   check_alive t ~epoch:ep;
-  Redo_log.decide_abort store.redo ~tid:owner;
-  Lock_table.release store.locks ~owner
+  abort_and_release store ~owner
 
 (* One-phase execution. The 1PC commit goes through the redo log so a
    crash after the commit but before the write reaches the replica
@@ -296,9 +303,6 @@ let execute_single_timed t store ~owner ~stamp ?lock_wait p ~cost =
   | Prepared _ as r ->
       let s = stamp () in
       Redo_log.append store.redo ~tid:owner ~participants:[ store.space ] ~writes:p.p_writes;
-      (match Redo_log.decide_commit store.redo ~tid:owner ~stamp:s with
-      | `Apply -> apply_writes store p.p_writes
-      | `Skip -> ());
-      Lock_table.release store.locks ~owner;
+      ignore (commit_and_release store ~owner ~stamp:s p.p_writes);
       (r, Some s)
   | (Busy_locks | Compare_failed _) as r -> (r, None)

@@ -168,12 +168,11 @@ val prepare_timed :
     [Busy_locks] only on timeout. Without it the locks are tried once. *)
 
 val commit_timed : t -> store -> owner:int64 -> part -> stamp:int64 -> cost:float -> unit
-(** Phase two at one participant: records the commit decision (stamp
-    included) in the redo log, then applies and releases — unless the
-    recovery coordinator already committed this tid, in which case the
-    writes are left exactly as recovery applied them. *)
+(** Phase two at one participant: {!commit_and_release} of the part's
+    writes after its service window. *)
 
 val abort_timed : t -> store -> owner:int64 -> cost:float -> unit
+(** {!abort_and_release} after a service window. *)
 
 val execute_single_timed :
   t -> store -> owner:int64 -> stamp:(unit -> int64) -> ?lock_wait:float -> part ->
@@ -188,5 +187,14 @@ val execute_single_timed :
     in between) so a crash after the 1PC commit but before the mirror
     cannot lose it. *)
 
-val apply_writes : store -> Mtx.write_item list -> unit
-(** Raw write application (used by replication mirroring). *)
+val commit_and_release :
+  store -> owner:int64 -> stamp:int64 -> Mtx.write_item list -> [ `Apply | `Skip ]
+(** Untimed phase two at one store: record [owner]'s commit decision
+    (stamp included) in the redo log, apply [writes] unless the tid was
+    already committed there ([`Skip], see {!Redo_log.decide_commit}),
+    and release the tid's locks. Serves the timed commits above and the
+    recovery coordinator's commit in {!Cluster}. *)
+
+val abort_and_release : store -> owner:int64 -> unit
+(** Record [owner]'s abort decision in the redo log and release its
+    locks (the timed abort, and the recovery coordinator's abort). *)

@@ -12,6 +12,5 @@ module Heap = Heap
 module Mtx = Mtx
 module Redo_log = Redo_log
 module Memnode = Memnode
-module Recovery = Recovery
 module Cluster = Cluster
 module Coordinator = Coordinator

@@ -832,6 +832,18 @@ let test_fence_abort_evicts_stale_parent () =
 (* Multi-tree transactions                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* One transaction over two trees: [k] in both, read or written
+   atomically through the first tree's handle. *)
+let multi_get t0 t1 k =
+  Ops.run_txn t0 (fun txn ->
+      let a = Ops.get_in_txn t0 txn (tip t0 txn) k in
+      (a, Ops.get_in_txn t1 txn (tip t1 txn) k))
+
+let multi_put t0 t1 k v0 v1 =
+  Ops.run_txn t0 (fun txn ->
+      Ops.put_in_txn t0 txn (tip t0 txn) k v0;
+      Ops.put_in_txn t1 txn (tip t1 txn) k v1)
+
 let test_multi_tree_ops () =
   Sim.run (fun () ->
       let env = make_env ~n:3 () in
@@ -839,10 +851,9 @@ let test_multi_tree_ops () =
       let t1 = make_tree env ~tree_id:1 in
       Ops.Linear.init_tree t0;
       Ops.Linear.init_tree t1;
-      let vctx_of tree txn = Ops.Linear.tip tree txn in
-      Ops.multi_put [ (t0, key 1, "zero"); (t1, key 1, "one") ] ~vctx_of;
-      (match Ops.multi_get [ (t0, key 1); (t1, key 1) ] ~vctx_of with
-      | [ Some "zero"; Some "one" ] -> ()
+      multi_put t0 t1 (key 1) "zero" "one";
+      (match multi_get t0 t1 (key 1) with
+      | Some "zero", Some "one" -> ()
       | _ -> Alcotest.fail "multi_get mismatch");
       (* The two trees are independent. *)
       check (Alcotest.option Alcotest.string) "t0 only" None (get t1 (key 2));
@@ -859,8 +870,7 @@ let test_multi_tree_concurrent_atomicity () =
       let t1 = make_tree env ~tree_id:1 in
       Ops.Linear.init_tree t0;
       Ops.Linear.init_tree t1;
-      let vctx_of tree txn = Ops.Linear.tip tree txn in
-      Ops.multi_put [ (t0, key 1, "tag0"); (t1, key 1, "tag0") ] ~vctx_of;
+      multi_put t0 t1 (key 1) "tag0" "tag0";
       let k = key 1 in
       let violations = ref 0 in
       let writers_done = ref 0 in
@@ -868,14 +878,14 @@ let test_multi_tree_concurrent_atomicity () =
         Sim.spawn (fun () ->
             for i = 1 to 15 do
               let tag = Printf.sprintf "tag-w%d-%d" w i in
-              Ops.multi_put [ (t0, k, tag); (t1, k, tag) ] ~vctx_of
+              multi_put t0 t1 k tag tag
             done;
             incr writers_done)
       done;
       Sim.spawn (fun () ->
           for _ = 1 to 40 do
-            (match Ops.multi_get [ (t0, k); (t1, k) ] ~vctx_of with
-            | [ Some a; Some b ] -> if not (String.equal a b) then incr violations
+            (match multi_get t0 t1 k with
+            | Some a, Some b -> if not (String.equal a b) then incr violations
             | _ -> incr violations);
             Sim.delay 0.0005
           done);

@@ -687,34 +687,37 @@ let test_messages () =
 (* Synthetic histories (Histgen): falsifiability                       *)
 (* ------------------------------------------------------------------ *)
 
+(* The generator's result, its snapshot creations (newest first, as
+   [run ~creations] takes them) and its events in release order. *)
 let gen_history cfg =
-  let events = ref [] in
-  let gen = Chaos.Histgen.generate cfg (fun e -> events := e :: !events) in
-  (gen, List.rev !events)
+  let events = ref [] and creations = ref [] in
+  let gen =
+    Chaos.Histgen.generate
+      ~on_creation:(fun ~index ~sid ~stamp -> creations := (index, [ (sid, stamp) ]) :: !creations)
+      cfg
+      (fun e -> events := e :: !events)
+  in
+  (gen, !creations, List.rev !events)
 
 let histgen_cfg ?(branching = false) ?fault () =
   { Chaos.Histgen.default with Chaos.Histgen.ops = 20_000; branching; fault }
 
 let test_histgen_branching_clean () =
-  let gen, events = gen_history (histgen_cfg ~branching:true ()) in
-  let v = run ~creations:gen.Chaos.Histgen.gen_creations events in
+  let _, creations, events = gen_history (histgen_cfg ~branching:true ()) in
+  let v = run ~creations events in
   assert_ok ~msg:"branching synthetic history passes" v;
   check Alcotest.bool "branch reads exercised" true (v.Stream.branch_reads_checked > 100)
 
 let test_histgen_stale_read_caught () =
-  let gen, events =
-    gen_history (histgen_cfg ~fault:Chaos.Histgen.Stale_read ())
-  in
-  let v =
-    run ~creations:gen.Chaos.Histgen.gen_creations ~final:gen.Chaos.Histgen.gen_final events
-  in
+  let gen, creations, events = gen_history (histgen_cfg ~fault:Chaos.Histgen.Stale_read ()) in
+  let v = run ~creations ~final:gen.Chaos.Histgen.gen_final events in
   check Alcotest.bool "seeded stale read caught" false (Stream.ok v)
 
 let test_histgen_branch_isolation_caught () =
-  let gen, events =
+  let _, creations, events =
     gen_history (histgen_cfg ~branching:true ~fault:Chaos.Histgen.Branch_isolation ())
   in
-  let v = run ~creations:gen.Chaos.Histgen.gen_creations events in
+  let v = run ~creations events in
   check Alcotest.bool "seeded isolation leak caught" false (Stream.ok v)
 
 (* ------------------------------------------------------------------ *)

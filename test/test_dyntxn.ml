@@ -508,6 +508,55 @@ let partition cluster ~client i =
   Sim.Net.set_fault (Cluster.net cluster) ~src:client ~dst:(Cluster.serving_host cluster i)
     ~blocked:true ()
 
+(* Every 2PC outcome releases every participant's locks and serving
+   pins: a committed one, a compare failure, a lock-busy attempt that
+   backs off and then commits, and one refused by a partitioned
+   participant. A leaked pin would make [Cluster.try_recover] answer
+   [Replica_busy] for good. *)
+let test_2pc_leaves_no_residue () =
+  with_cluster (fun cluster ->
+      let addr node = Address.make ~node ~off:base in
+      let writes v = List.map (fun n -> Mtx.write_at (addr n) v) [ 0; 1; 2 ] in
+      let clean what =
+        List.iter
+          (fun i ->
+            check Alcotest.(pair int int) (what ^ ": no lock or pin left") (0, 0)
+              (residue cluster i))
+          [ 0; 1; 2 ]
+      in
+      let committed what = function
+        | Mtx.Committed _ -> clean what
+        | _ -> Alcotest.failf "%s: expected a commit" what
+      in
+      let twos () = snd (commit_counts cluster) in
+      let n = twos () in
+      committed "committed" (Coordinator.exec cluster (Mtx.make ~writes:(writes "aaaa") ()));
+      check Alcotest.int "one 2PC" (n + 1) (twos ());
+      let stale =
+        Mtx.make ~compares:[ Mtx.compare_at (addr 0) "zzzz" ] ~writes:(writes "bbbb") ()
+      in
+      (match Coordinator.exec cluster stale with
+      | Mtx.Failed_compare [ 0 ] -> clean "compare failed"
+      | _ -> Alcotest.fail "expected the compare to fail");
+      (* A rival holds memnode 1's range for 1 ms: the first attempts
+         find it busy, back off and retry. *)
+      let locks = Memnode.store_locks (snd (Cluster.route cluster 1)) in
+      let range = { Lock_table.start = base; len = 4; mode = Lock_table.Exclusive } in
+      check Alcotest.bool "rival locks" true (Lock_table.try_acquire locks ~owner:(-1L) [ range ]);
+      Sim.spawn (fun () ->
+          Sim.delay 1e-3;
+          Lock_table.release locks ~owner:(-1L));
+      let busy = Obs.Counter.value (Obs.mtx (Cluster.obs cluster)).Obs.busy_retries in
+      committed "busy then committed"
+        (Coordinator.exec cluster (Mtx.make ~writes:(writes "cccc") ()));
+      check Alcotest.bool "retried after busy locks" true
+        (Obs.Counter.value (Obs.mtx (Cluster.obs cluster)).Obs.busy_retries > busy);
+      let client = 100 in
+      partition cluster ~client 2;
+      (match Coordinator.exec cluster ~client (Mtx.make ~writes:(writes "dddd") ()) with
+      | Mtx.Unavailable { partitioned = true; maybe_applied = false } -> clean "partitioned"
+      | _ -> Alcotest.fail "expected the partition to refuse the 2PC"))
+
 let test_txn_read_many_validates_read_set () =
   with_cluster (fun cluster ->
       (* Same memnode: the compare for r0 can piggy-back on r1's fetch. *)
@@ -992,6 +1041,7 @@ let () =
             (dirty_batch_outage ~fault:crash_with_backup ~msg:"memnode unavailable");
           Alcotest.test_case "dirty batch with a partitioned memnode" `Quick
             (dirty_batch_outage ~fault:partition ~msg:"memnode partitioned");
+          Alcotest.test_case "2PC outcomes leave no lock or pin" `Quick test_2pc_leaves_no_residue;
           Alcotest.test_case "negative entries not cached" `Quick
             test_txn_negative_entries_not_cached;
           Alcotest.test_case "evict_dirty drops negative read" `Quick

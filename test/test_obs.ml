@@ -186,9 +186,9 @@ let test_json_roundtrip () =
 let expected_counters =
   [ "alloc.chunk_reservations"; "btree.abort.copied"; "btree.abort.fence"; "btree.abort.height";
     "btree.abort.version"; "btree.branches_created"; "btree.branches_deleted"; "btree.cow";
-    "btree.discretionary_cow"; "btree.op_retries"; "btree.root_splits";
-    "btree.snapshots_created"; "btree.splits"; "cache.bulk_evictions";
-    "cache.epoch_revalidations"; "cache.epoch_survived"; "cache.evictions"; "cache.hits";
+    "btree.discretionary_cow"; "btree.op_retries"; "btree.root_splits"; "btree.splits";
+    "cache.bulk_evictions"; "cache.epoch_revalidations"; "cache.epoch_survived";
+    "cache.evictions"; "cache.hits";
     "cache.misses"; "cache.stale_epoch_hits"; "chaos.crashes"; "chaos.delay_faults";
     "chaos.faults_injected"; "chaos.mirror_partitions"; "chaos.partitions";
     "chaos.replica_lags"; "chaos.scs_outages"; "chaos.stalls"; "gc.branch_slots_reclaimed";
